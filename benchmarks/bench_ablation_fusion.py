@@ -26,9 +26,9 @@ Shape expectations, per profile and P ∈ {4, 8, 16}:
   ``plan_alpha_saved`` counter;
 - fused logical elapsed time improves monotonically-ish with k and by
   >=40% at k=8 on the IBM SP2 profile at P=16;
-- at k=1 the plan only adds the fused wire header (16 B + 16 B/segment),
-  so elapsed stays within 8% of the plain copy even on tens-of-bytes
-  payloads where the header is comparatively largest.
+- at k=1 the plan *is* the plain copy: a one-schedule plan travels the
+  bare, header-less wire, so its elapsed time equals the sequential
+  copy's to the last bit.
 
 Results land in ``BENCH_fusion.json`` at the repo root (machine-readable
 trajectory for regression tracking) and ``results/ablation_fusion.json``.
@@ -153,11 +153,11 @@ def run_ablation():
                     f"one ({m_seq} -> {m_fus})",
                 )
                 if k == 1:
-                    # The only cost of a 1-schedule plan is the fused wire
-                    # header (16 B + 16 B/segment) on payloads this small.
+                    # A one-schedule plan travels the bare wire: it is the
+                    # plain copy, clock tick for clock tick.
                     check_shape(
-                        abs(improvement) < 0.08,
-                        f"{key}: k=1 plan within 8% of the plain copy "
+                        t_fus == t_seq,
+                        f"{key}: k=1 plan equals the plain copy "
                         f"({improvement * 100:+.2f}%)",
                     )
                 else:

@@ -4,9 +4,11 @@ The full mapper (:func:`~repro.autotune.search.search_mapping`) decides
 distributions before arrays exist — a host-side planning step.  But one
 axis of the mapping space is still open *after* the schedule is built:
 the executor policy.  :func:`choose_policy` closes it per rank from the
-schedule's own stats, and :func:`resolve_policy` is the tiny shim
-``mc_copy`` / ``mc_copy_many`` / ``CoupledExchange`` call when handed
-the string ``"auto"``.
+schedule's own stats, and :func:`resolve_policy` is the tiny shim the
+move executor (:mod:`repro.core.plan`) calls with every ``policy=``
+argument, so ``mc_copy`` / ``mc_copy_many`` / ``CoupledExchange`` / the
+service resolve ``"auto"`` in one place, per rank and per direction,
+from the plan actually executed.
 
 The decision is the cost model's, collapsed to its closed form: ORDERED
 and OVERLAP charge identical pack/injection/drain totals, and differ
@@ -39,19 +41,22 @@ def choose_policy(
     remote peer (the regime where arrival-order completion hides
     latency); ORDERED — the byte-guarded paper default — otherwise,
     including the degenerate all-local and single-peer cases where both
-    executors produce identical charge sequences.  ``my_rank`` (the
-    rank's source-group rank, when known) excludes the direct-local-copy
-    entry from the peer count.
+    executors produce identical charge sequences.
+
+    Accepts a schedule (peers with a nonempty receive half), a MovePlan
+    (one message per ``recv_programs`` entry), or — what the move
+    executor passes — the plain list of source ranks it is about to
+    receive from.  ``my_rank`` excludes this rank's own direct-local-copy
+    entry from a schedule or plan of a *single-program* move; leave it
+    ``None`` for the executor's list (already remote-only) and across two
+    programs, where every source rank is remote.
     """
     recvs = getattr(schedule_or_plan, "recvs", None)
-    if recvs is None:
-        # A MovePlan: one fused message per active source.
-        recvs = getattr(schedule_or_plan, "recv_programs", {})
-        active = sum(1 for s in recvs if s != my_rank)
-        return ExecutorPolicy.OVERLAP if active > 1 else ExecutorPolicy.ORDERED
-    active = sum(
-        1 for s, off in recvs.items() if len(off) > 0 and s != my_rank
-    )
+    if recvs is not None:
+        peers = [s for s, off in recvs.items() if len(off) > 0]
+    else:
+        peers = getattr(schedule_or_plan, "recv_programs", schedule_or_plan)
+    active = sum(1 for s in peers if s != my_rank)
     return ExecutorPolicy.OVERLAP if active > 1 else ExecutorPolicy.ORDERED
 
 
@@ -60,7 +65,9 @@ def resolve_policy(
     schedule_or_plan: Any,
     my_rank: int | None = None,
 ) -> ExecutorPolicy:
-    """Coerce a policy argument, resolving the string ``"auto"``."""
+    """Coerce a policy argument, resolving the string ``"auto"`` — the
+    one resolver behind every ``policy=`` parameter (the move executor
+    in :mod:`repro.core.plan` calls it with its active-source list)."""
     if isinstance(policy, str) and policy.lower() == "auto":
         return choose_policy(schedule_or_plan, my_rank)
     return ExecutorPolicy.coerce(policy)

@@ -4,7 +4,7 @@ Two tiers of fidelity, deliberately separated:
 
 **Exact tier — the data move.**  :meth:`CostModel.simulate_move` is a
 discrete-event replay of the single-program executor's charge sequence
-(:mod:`repro.core.datamove`), reproducing the virtual machine's
+(:mod:`repro.core.plan`), reproducing the virtual machine's
 floating-point arithmetic *operation for operation*: per rank, the local
 copy's pack charge, then each send's pack + injection
 (``o_send + contention·nbytes/bandwidth``) with arrival one ``alpha``

@@ -12,14 +12,17 @@ The pieces map one-to-one onto the paper's section 4:
 - :mod:`repro.core.schedule` — communication-schedule computation
   (§4.1.3), in both the *cooperation* and *duplication* variants (§5.1);
 - :mod:`repro.core.datamove` — moving data with a schedule (§4.1.4),
-  with at most one aggregated message per processor pair;
+  with at most one aggregated message per processor pair: the paper's
+  three entry points, thin wrappers over the k = 1 plan;
 - :mod:`repro.core.dataplane` — the compiled data plane: offset
   sequences lowered once into cached batched move programs
   (slice / strided-grid / fancy-index) over arbitrarily strided
   local storage, with receive-side buffer donation;
-- :mod:`repro.core.plan` — the multi-array extension: k schedules
-  compiled into a :class:`~repro.core.plan.MovePlan` whose execution
-  fuses every pair's k messages into one;
+- :mod:`repro.core.plan` — the one move executor and its multi-array
+  extension: k schedules compiled into a
+  :class:`~repro.core.plan.MovePlan` whose execution sends one message
+  per pair (the bare packed buffer for k = 1, the pair's k messages
+  fused into one for k >= 2);
 - :mod:`repro.core.api` — the applications-programmer interface (§4.2):
   ``mc_*`` functions mirroring the paper's example code;
 - :mod:`repro.core.universe` — where the two sides live: one program, or

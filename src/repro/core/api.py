@@ -19,9 +19,16 @@ Multi-array extension: applications moving several arrays per timestep
 compile their schedules into one :class:`~repro.core.plan.MovePlan`
 (:func:`mc_compute_plan`) and execute it with :func:`mc_copy_many` /
 :func:`mc_plan_move_send` / :func:`mc_plan_move_recv` — one *fused*
-message per processor pair instead of one per schedule per pair.  The
-single-schedule entry points never route through the plan machinery, so
-their modelled clocks are unchanged.
+message per processor pair instead of one per schedule per pair.  Both
+families run on the one executor in :mod:`repro.core.plan`: a
+single-schedule move is a ``k = 1`` plan, and a one-schedule plan always
+travels the bare, header-less wire, so ``mc_copy`` and a one-array
+``mc_copy_many`` charge the same modelled clocks — those of the paper's
+tables.
+
+Every ``policy`` argument accepts an :class:`ExecutorPolicy`, its string
+value, or ``"auto"``, which the executor resolves per rank from the plan
+it is about to run (:func:`repro.autotune.auto.resolve_policy`).
 """
 
 from __future__ import annotations
@@ -76,22 +83,6 @@ def _as_universe(where: Universe | Communicator) -> Universe:
     if isinstance(where, Universe):
         return where
     return SingleProgramUniverse(where)
-
-
-def _resolve_policy(
-    policy: ExecutorPolicy | str,
-    schedule_or_plan: Any,
-    universe: Universe,
-) -> ExecutorPolicy:
-    """Coerce ``policy``, resolving the string ``"auto"`` per rank from
-    the schedule/plan via the cost model's closed form
-    (:func:`repro.autotune.choose_policy`).  Lazily imported so the core
-    data plane has no hard dependency on the auto-mapper."""
-    if isinstance(policy, str) and policy.lower() == "auto":
-        from repro.autotune.auto import choose_policy
-
-        return choose_policy(schedule_or_plan, universe.my_src_rank)
-    return ExecutorPolicy.coerce(policy)
 
 
 def _maybe_span(name: str):
@@ -177,7 +168,6 @@ def mc_copy(
             "mc_copy is the single-program move; coupled programs call "
             "mc_data_move_send / mc_data_move_recv on their own side"
         )
-    policy = _resolve_policy(policy, schedule, universe)
     with universe.process.span("copy:execute"):
         data_move(schedule, src_array, dst_array, universe, policy=policy,
                   timeout=timeout, donate=donate)
@@ -226,7 +216,6 @@ def mc_copy_many(
         if isinstance(plan_or_schedules, MovePlan)
         else mc_compute_plan(plan_or_schedules)
     )
-    policy = _resolve_policy(policy, plan, universe)
     with universe.process.span("plan:execute"):
         plan_move(plan, src_arrays, dst_arrays, universe, policy=policy,
                   timeout=timeout, donate=donate)
@@ -242,7 +231,6 @@ def mc_plan_move_send(
 ) -> None:
     """Send half of a fused multi-array move (source-group processors)."""
     universe = _as_universe(where)
-    policy = _resolve_policy(policy, plan, universe)
     plan_move_send(plan, src_arrays, universe, policy=policy,
                    timeout=timeout)
 
@@ -257,7 +245,6 @@ def mc_plan_move_recv(
 ) -> None:
     """Receive half of a fused multi-array move (destination group)."""
     universe = _as_universe(where)
-    policy = _resolve_policy(policy, plan, universe)
     plan_move_recv(plan, dst_arrays, universe, policy=policy,
                    timeout=timeout, donate=donate)
 
@@ -271,7 +258,6 @@ def mc_data_move_send(
 ) -> None:
     """Send half of a data move (``MC_DataMoveSend``)."""
     universe = _as_universe(where)
-    policy = _resolve_policy(policy, schedule, universe)
     data_move_send(schedule, src_array, universe, policy=policy,
                    timeout=timeout)
 
@@ -286,6 +272,5 @@ def mc_data_move_recv(
 ) -> None:
     """Receive half of a data move (``MC_DataMoveRecv``)."""
     universe = _as_universe(where)
-    policy = _resolve_policy(policy, schedule, universe)
     data_move_recv(schedule, dst_array, universe, policy=policy,
                    timeout=timeout, donate=donate)

@@ -8,7 +8,10 @@ would be to switch the calls to MC_DataMoveSend and MC_DataMoveRecv
 between the programs" (§4.3).  Applications exchanging several fields per
 timestep use :meth:`CoupledExchange.push_many` / :meth:`CoupledExchange.
 pull_many`, which fuse the k per-field messages of each processor pair
-into one via a cached :class:`~repro.core.plan.MovePlan`.
+into one.  All four methods are one exchange over a cached
+:class:`~repro.core.plan.MovePlan` per (field count, direction); a
+one-field plan travels the bare wire, so ``push(a)`` and
+``push_many([a])`` are the same move.
 
 Graceful peer-failure degradation: a :class:`CoupledExchange` constructed
 with ``deadline_s`` bounds every push/pull (and the reliable layer's
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.datamove import data_move_recv, data_move_send
 from repro.core.plan import MovePlan, compile_plan, plan_move_recv, plan_move_send
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import CommSchedule
@@ -88,17 +90,13 @@ class CoupledExchange:
         self.universe = universe
         self.schedule = schedule
         #: executor policy applied to every push/pull on this exchange.
-        #: ``"auto"`` resolves it here, once, from this rank's half of the
-        #: schedule (:func:`repro.autotune.choose_policy`): OVERLAP when
-        #: this rank completes receives from more than one peer, ORDERED
-        #: otherwise.  Per-rank divergence is safe — policy never affects
-        #: placement, only local ordering.
-        if isinstance(policy, str) and policy.lower() == "auto":
-            from repro.autotune.auto import choose_policy
-
-            self.policy = choose_policy(schedule, universe.my_src_rank)
-        else:
-            self.policy = ExecutorPolicy.coerce(policy)
+        #: ``"auto"`` stays symbolic here and is resolved by the executor
+        #: per direction, from the plan each call actually runs: OVERLAP
+        #: when this rank completes receives from more than one remote
+        #: peer *in that direction*, ORDERED otherwise.  Per-rank
+        #: divergence is safe — policy never affects placement, only
+        #: local ordering.
+        self.policy = policy
         #: wall-clock budget per exchange before declaring the peer lost
         self.deadline_s = deadline_s
         if isinstance(reliability, Reliability):
@@ -107,13 +105,9 @@ class CoupledExchange:
             universe.enable_reliability(reliability)
         elif reliability:
             universe.enable_reliability()
-        #: lazily compiled fused plans, keyed by (k, direction) — the
-        #: common case of k same-shaped fields exchanged per timestep
+        #: lazily compiled plans, keyed by (k, reverse) — the common case
+        #: of k same-shaped fields exchanged per timestep
         self._plans: dict[tuple[int, bool], MovePlan] = {}
-
-    @property
-    def _is_src(self) -> bool:
-        return self.universe.my_src_rank is not None
 
     @property
     def peer_name(self) -> str | None:
@@ -144,15 +138,44 @@ class CoupledExchange:
             last_ack=rel.describe() if rel is not None else None,
         )
 
-    def _run(self, direction: str, fn, *args: Any, **kwargs: Any) -> None:
+    # -- the exchange itself -----------------------------------------------
+
+    def _exchange(
+        self, arrays: Sequence[Any], reverse: bool, donate: bool
+    ) -> None:
+        """Move ``arrays`` forward (push) or in reverse (pull): the
+        program that owns the direction's source sends, its peer receives.
+
+        Coupled timestep loops exchange the *same* k fields every
+        iteration (paper §5.1: multiple physical quantities over one mesh
+        mapping), so the plan — k copies of the exchange schedule (or of
+        its reverse), one message per pair — is compiled once per
+        (k, direction) and reused: a stable plan identity for the pooled
+        staging buffers behind it, and no reversed schedule rebuilt per
+        pull.
+        """
+        key = (len(arrays), reverse)
+        plan = self._plans.get(key)
+        if plan is None:
+            sched = self.schedule.reverse() if reverse else self.schedule
+            plan = self._plans[key] = compile_plan([sched] * len(arrays))
+        universe = self.universe.reversed() if reverse else self.universe
+        sending = universe.my_src_rank is not None
         try:
-            fn(*args, **kwargs)
+            if sending:
+                plan_move_send(plan, arrays, universe, policy=self.policy,
+                               timeout=self.deadline_s)
+            else:
+                plan_move_recv(plan, arrays, universe, policy=self.policy,
+                               timeout=self.deadline_s, donate=donate)
         except PeerLostError:
             raise
         except (RankLostError, TimeoutError) as exc:
+            direction = (
+                f"{'pull' if reverse else 'push'} "
+                f"({'send' if sending else 'receive'} half)"
+            )
             raise self._peer_lost(exc, direction) from exc
-
-    # -- the exchange itself -----------------------------------------------
 
     def push(self, local_array: Any, donate: bool = False) -> None:
         """Forward copy: source program sends, destination receives.
@@ -164,56 +187,11 @@ class CoupledExchange:
         Raises :class:`~repro.vmachine.faults.PeerLostError` within the
         deadline when the peer program has failed.
         """
-        if self._is_src:
-            self._run(
-                "push (send half)", data_move_send,
-                self.schedule, local_array, self.universe,
-                policy=self.policy, timeout=self.deadline_s,
-            )
-        else:
-            self._run(
-                "push (receive half)", data_move_recv,
-                self.schedule, local_array, self.universe,
-                policy=self.policy, timeout=self.deadline_s, donate=donate,
-            )
+        self._exchange((local_array,), False, donate)
 
     def pull(self, local_array: Any, donate: bool = False) -> None:
         """Reverse copy along the same (symmetric) schedule."""
-        rev = self.schedule.reverse()
-        runiverse = self.universe.reversed()
-        if self._is_src:
-            # Forward-source becomes reverse-destination.
-            self._run(
-                "pull (receive half)", data_move_recv,
-                rev, local_array, runiverse,
-                policy=self.policy, timeout=self.deadline_s, donate=donate,
-            )
-        else:
-            self._run(
-                "pull (send half)", data_move_send,
-                rev, local_array, runiverse,
-                policy=self.policy, timeout=self.deadline_s,
-            )
-
-    # -- fused multi-field exchanges -----------------------------------------
-
-    def _plan_for(self, k: int, reverse: bool) -> MovePlan:
-        """The cached fused plan for ``k`` fields in one direction.
-
-        Coupled timestep loops exchange the *same* k fields every
-        iteration (paper §5.1: multiple physical quantities over one mesh
-        mapping), so the plan — k copies of the exchange schedule fused
-        into one message per pair — is compiled once per (k, direction)
-        and reused; compilation is local and cheap, but the point is the
-        stable plan identity for the pooled staging buffers behind it.
-        """
-        key = (k, reverse)
-        plan = self._plans.get(key)
-        if plan is None:
-            sched = self.schedule.reverse() if reverse else self.schedule
-            plan = compile_plan([sched] * k)
-            self._plans[key] = plan
-        return plan
+        self._exchange((local_array,), True, donate)
 
     def push_many(self, local_arrays: Sequence[Any], donate: bool = False) -> None:
         """Forward copy of several fields in one fused message per pair.
@@ -224,33 +202,8 @@ class CoupledExchange:
         latency k-1 times per pair and per timestep.  Both programs must
         pass the same number of arrays, in the same order.
         """
-        plan = self._plan_for(len(local_arrays), reverse=False)
-        if self._is_src:
-            self._run(
-                "push_many (send half)", plan_move_send,
-                plan, local_arrays, self.universe,
-                policy=self.policy, timeout=self.deadline_s,
-            )
-        else:
-            self._run(
-                "push_many (receive half)", plan_move_recv,
-                plan, local_arrays, self.universe,
-                policy=self.policy, timeout=self.deadline_s, donate=donate,
-            )
+        self._exchange(local_arrays, False, donate)
 
     def pull_many(self, local_arrays: Sequence[Any], donate: bool = False) -> None:
         """Reverse fused copy of several fields (symmetric schedule)."""
-        plan = self._plan_for(len(local_arrays), reverse=True)
-        runiverse = self.universe.reversed()
-        if self._is_src:
-            self._run(
-                "pull_many (receive half)", plan_move_recv,
-                plan, local_arrays, runiverse,
-                policy=self.policy, timeout=self.deadline_s, donate=donate,
-            )
-        else:
-            self._run(
-                "pull_many (send half)", plan_move_send,
-                plan, local_arrays, runiverse,
-                policy=self.policy, timeout=self.deadline_s,
-            )
+        self._exchange(local_arrays, True, donate)

@@ -7,6 +7,22 @@ processor" — and intra-processor transfers (single-program case) are
 copied directly between the two arrays' storage with no intermediate
 buffer.
 
+The paper's three entry points live here as thin wrappers: a
+single-schedule move *is* a ``k = 1`` :class:`~repro.core.plan.MovePlan`,
+and :mod:`repro.core.plan` is the one executor that runs it — the send
+loop, the arrival source that hides ``reliability × policy``, the
+bounded-retry receive, the local copies and the fence placement are
+documented (and exist) there only.  A one-schedule plan travels the
+*bare* wire — the header-less packed buffer, no staging lease, no
+``plan:fuse`` event, no ``plan_*`` counter — so these entry points
+charge pack, one payload-sized message and unpack per pair, and their
+clock trajectories are byte-for-byte those of the published tables
+(guarded by CI).  The plan
+is compiled on first use and memoised on the
+:class:`~repro.core.schedule.CommSchedule` object, the way
+:func:`~repro.core.dataplane.compile_offsets` memoises a program on its
+``RunList``; compilation is local and charges no logical time.
+
 Two executor policies order the message traffic
 (:class:`~repro.core.policy.ExecutorPolicy`):
 
@@ -18,10 +34,10 @@ Two executor policies order the message traffic
 ``OVERLAP``
     Latency-hiding: senders inject in rotated order starting at
     ``(my_rank + 1) % P`` so low ranks are not hot-spotted, and receivers
-    post all receives up front, completing them in *arrival* order with
-    :func:`~repro.vmachine.comm.waitany` — each buffer is unpacked while
-    later messages are still in flight.  The destination array is
-    identical either way; only the clock trajectory differs.
+    post all receives up front, completing them in *arrival* order
+    (wait-any) — each buffer is unpacked while later messages are still
+    in flight.  The destination array is identical either way; only the
+    clock trajectory differs.
 
 Reliability and degradation
 ---------------------------
@@ -41,231 +57,68 @@ exponential-backoff retry ladder (short slices first, so a late-but-alive
 peer still succeeds) before surfacing ``TimeoutError`` — a lost peer
 raises :class:`~repro.vmachine.faults.RankLostError` immediately via the
 run's failure detector.
-
-Multi-array fusion
-------------------
-This module moves **one** schedule's data.  A program moving k arrays
-per step can compile the k schedules into a
-:class:`~repro.core.plan.MovePlan` (:func:`~repro.core.api.
-mc_compute_plan`) and execute them with one *fused* message per
-processor pair instead of k — see :mod:`repro.core.plan`, which reuses
-this module's local-copy and bounded-receive machinery
-(:func:`_local_copies`, :func:`_recv_bounded`) so both executors share
-identical degradation and reliability behaviour.  The single-schedule
-entry points below never consult the plan module; fusion is strictly
-opt-in and their clock trajectories are guarded byte-for-byte by CI.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.core.policy import ExecutorPolicy, ordered_or_rotated
-from repro.core.registry import get_adapter
+from repro.core.plan import (
+    MovePlan,
+    compile_plan,
+    plan_move,
+    plan_move_recv,
+    plan_move_send,
+)
+from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import CommSchedule
-from repro.core.universe import TAG_DATA, Universe
-from repro.vmachine.comm import waitany
+from repro.core.universe import Universe
 
 __all__ = ["data_move", "data_move_send", "data_move_recv", "ExecutorPolicy"]
 
-#: first slice of the bounded-retry receive ladder, as a fraction of the
-#: total budget (doubles each retry; the last slice absorbs the remainder)
-_RETRY_FIRST_FRACTION = 1 / 8
 
-
-def _recv_bounded(
-    universe: Universe, s: int, tag: int, timeout: float | None
-) -> Any:
-    """Blocking receive with a bounded-retry / exponential-backoff ladder.
-
-    ``timeout`` is the *total* wall-clock budget.  The first attempt waits
-    only a fraction of it, and each retry doubles the slice until the
-    budget is spent — so transient wedges (a peer mid-retransmit, a held
-    packet awaiting its fence) get several cheap re-checks while a truly
-    lost peer still fails within the deadline.  Retries are free of
-    logical time; only the eventual receive charges the clock.
-    """
-    if timeout is None:
-        return universe.recv_from_src(s, tag)
-    slice_s = max(timeout * _RETRY_FIRST_FRACTION, 1e-3)
-    waited = 0.0
-    while True:
-        slice_s = min(slice_s, timeout - waited)
-        try:
-            return universe.recv_from_src(s, tag, timeout=slice_s)
-        except TimeoutError:
-            waited += slice_s
-            if waited >= timeout - 1e-12:
-                raise
-            slice_s *= 2.0
+def _plan_of(schedule: CommSchedule) -> MovePlan:
+    plan = schedule._plan
+    if plan is None:
+        plan = schedule._plan = compile_plan((schedule,))
+    return plan
 
 
 def data_move_send(
     schedule: CommSchedule,
     src_array: Any,
     universe: Universe,
-    policy: ExecutorPolicy = ExecutorPolicy.ORDERED,
+    policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
     fence: bool | None = None,
 ) -> None:
     """Execute the send half of a schedule (the paper's ``MC_DataMoveSend``).
 
     Must be called on every source-group processor; destination-group
-    processors concurrently call :func:`data_move_recv`.  Intra-processor
-    transfers are skipped here and handled by the receive half as direct
-    copies when both arrays are local.
-
-    Under ``ExecutorPolicy.OVERLAP`` the destinations are visited in
-    rotated order starting at ``(my_src_rank + 1) % dst_size`` instead of
-    ascending rank, staggering injection across the destination group.
-
-    With reliability enabled, ``fence`` controls the end-of-half ack
-    barrier: default ``None`` fences in the coupled (two-program) case —
-    a pure sender must learn its peer received everything — and skips it
-    in the single-program case, where :func:`data_move` fences once after
-    the receive half (fencing between the halves would deadlock: every
-    rank would await acks its peers only produce in *their* receive
-    half).  A skipped fence still flushes held-back packets so the
-    receive half cannot wedge on a reordered final message.  ``timeout``
-    bounds the fence's ack wait.
+    processors concurrently call :func:`data_move_recv`.  Ordering, fence
+    and ``timeout`` semantics: :func:`~repro.core.plan.plan_move_send`.
     """
-    if universe.my_src_rank is None:
-        raise RuntimeError("data_move_send called on a non-source processor")
-    policy = ExecutorPolicy.coerce(policy)
-    adapter = get_adapter(schedule.src_lib)
-    rel = universe.reliability
-    order = ordered_or_rotated(
-        list(schedule.sends), universe.my_src_rank, universe.dst_size, policy
-    )
-    proc = universe.process
-    for d in order:
-        offsets = schedule.sends[d]
-        if len(offsets) == 0 or universe.same_proc_dst(d):
-            continue
-        with proc.span("pack"):
-            buffer = adapter.pack(src_array, offsets)
-        if rel is not None:
-            rel.send(universe.data_endpoint_to_dst(), d, buffer, TAG_DATA)
-        else:
-            universe.send_to_dst(d, buffer, TAG_DATA)
-    if rel is not None:
-        if fence is None:
-            fence = not universe.single_program
-        if fence:
-            rel.fence(timeout=timeout)
-        else:
-            rel.flush()
+    plan_move_send(_plan_of(schedule), (src_array,), universe, policy=policy,
+                   timeout=timeout, fence=fence)
 
 
 def data_move_recv(
     schedule: CommSchedule,
     dst_array: Any,
     universe: Universe,
-    policy: ExecutorPolicy = ExecutorPolicy.ORDERED,
+    policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
     donate: bool = False,
 ) -> None:
     """Execute the receive half of a schedule (``MC_DataMoveRecv``).
 
-    Under ``ExecutorPolicy.OVERLAP`` all receives are posted nonblocking
-    up front and completed in logical-arrival order via ``waitany``; each
-    message's elements are unpacked into ``dst_array`` while later
-    messages are still in flight.  Placement depends only on the schedule
-    offsets, so completion order never changes the destination data.
-
     ``donate=True`` lets an eligible received buffer (full-coverage
     unpack, exact dtype) be adopted directly as the destination array's
-    storage instead of scattered through — the zero-copy receive path.
-    The clock trajectory is identical either way.
-
-    ``timeout`` bounds each blocking receive (wall-clock seconds); the
-    bare-transport path retries with exponential backoff inside the
-    budget before raising ``TimeoutError``, and a receive blocked on a
-    rank the failure detector knows dead raises
-    :class:`~repro.vmachine.faults.RankLostError` immediately.
+    storage instead of scattered through.  Completion order, ``timeout``
+    and failure semantics: :func:`~repro.core.plan.plan_move_recv`.
     """
-    if universe.my_dst_rank is None:
-        raise RuntimeError("data_move_recv called on a non-destination processor")
-    policy = ExecutorPolicy.coerce(policy)
-    adapter = get_adapter(schedule.dst_lib)
-    rel = universe.reliability
-    proc = universe.process
-    active = [
-        s
-        for s in sorted(schedule.recvs)
-        if len(schedule.recvs[s]) != 0 and not universe.same_proc_src(s)
-    ]
-
-    def _unpack(s: int, buffer: Any) -> None:
-        offsets = schedule.recvs[s]
-        _check_piece(buffer, offsets, s)
-        with proc.span("unpack"):
-            adapter.unpack(dst_array, offsets, buffer, donate=donate)
-
-    if rel is not None:
-        endpoint = universe.data_endpoint_to_src()
-        if policy is ExecutorPolicy.OVERLAP and len(active) > 1:
-            remaining = set(active)
-            while remaining:
-                s, buffer = rel.recv_any(
-                    endpoint, sorted(remaining), TAG_DATA, timeout=timeout
-                )
-                remaining.discard(s)
-                _unpack(s, buffer)
-            return
-        for s in active:
-            buffer = rel.recv(endpoint, s, TAG_DATA, timeout=timeout)
-            _unpack(s, buffer)
-        return
-    if policy is ExecutorPolicy.OVERLAP and len(active) > 1:
-        requests = [universe.irecv_from_src(s, TAG_DATA) for s in active]
-        remaining = len(requests)
-        while remaining:
-            idx, buffer = waitany(requests, timeout=timeout)
-            remaining -= 1
-            _unpack(active[idx], buffer)
-        return
-    for s in active:
-        buffer = _recv_bounded(universe, s, TAG_DATA, timeout)
-        _unpack(s, buffer)
-
-
-def _check_piece(buffer: Any, offsets: Any, s: int) -> None:
-    if len(buffer) != len(offsets):
-        raise RuntimeError(
-            f"schedule mismatch: received {len(buffer)} elements from "
-            f"source rank {s} but expected {len(offsets)}"
-        )
-
-
-def _local_copies(
-    schedule: CommSchedule, src_array: Any, dst_array: Any, universe: Universe
-) -> None:
-    """Direct intra-processor copies (no intermediate buffer, §5.3).
-
-    Delegates to :meth:`LibraryAdapter.copy_local`, which shares its
-    lossy-cast refusal (:func:`~repro.core.registry.ensure_safe_cast`)
-    with the remote unpack path — local and remote moves reject or allow
-    exactly the same dtype pairs — and executes run-compressed halves as
-    aligned slice-to-slice copies.
-    """
-    me_d = universe.my_dst_rank
-    me_s = universe.my_src_rank
-    if me_s is None or me_d is None:
-        return
-    src_offsets = schedule.sends.get(me_d)
-    dst_offsets = schedule.recvs.get(me_s)
-    if src_offsets is None or len(src_offsets) == 0:
-        return
-    if dst_offsets is None or len(dst_offsets) != len(src_offsets):
-        raise RuntimeError("inconsistent local halves of the schedule")
-    # Both offset lists are linearization-ordered over the same element
-    # subset, so a direct aligned copy is correct.
-    with universe.process.span("copy:local"):
-        get_adapter(schedule.dst_lib).copy_local(
-            src_array, src_offsets, dst_array, dst_offsets,
-            src_adapter=get_adapter(schedule.src_lib),
-        )
+    plan_move_recv(_plan_of(schedule), (dst_array,), universe, policy=policy,
+                   timeout=timeout, donate=donate)
 
 
 def data_move(
@@ -273,31 +126,12 @@ def data_move(
     src_array: Any,
     dst_array: Any,
     universe: Universe,
-    policy: ExecutorPolicy = ExecutorPolicy.ORDERED,
+    policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
     donate: bool = False,
 ) -> None:
     """Full copy for processors holding both roles (single program), or a
-    convenience wrapper dispatching to the proper half otherwise.
-
-    In the single-program case: local elements are copied directly, then
-    the aggregated inter-processor messages flow (sends first — the
-    virtual transport is buffered, so this cannot deadlock).  With
-    reliability enabled the rank fences once at the end, after its
-    receive half, when every peer is already producing acks.
-    """
-    policy = ExecutorPolicy.coerce(policy)
-    if universe.single_program:
-        _local_copies(schedule, src_array, dst_array, universe)
-        data_move_send(schedule, src_array, universe, policy=policy,
-                       timeout=timeout, fence=False)
-        data_move_recv(schedule, dst_array, universe, policy=policy,
-                       timeout=timeout, donate=donate)
-        universe.rel_fence(timeout=timeout)
-        return
-    if universe.my_src_rank is not None:
-        data_move_send(schedule, src_array, universe, policy=policy,
-                       timeout=timeout)
-    if universe.my_dst_rank is not None:
-        data_move_recv(schedule, dst_array, universe, policy=policy,
-                       timeout=timeout, donate=donate)
+    convenience wrapper dispatching to the proper half otherwise
+    (:func:`~repro.core.plan.plan_move`)."""
+    plan_move(_plan_of(schedule), (src_array,), (dst_array,), universe,
+              policy=policy, timeout=timeout, donate=donate)

@@ -1,53 +1,65 @@
-"""Fused multi-array data moves: the MovePlan compiler and executors.
+"""The move executor: MovePlan compilation and the one send/receive pair.
 
-A single :class:`~repro.core.schedule.CommSchedule` already aggregates
-traffic so "at most one message is sent between each source and each
-destination processor" — *per copy*.  Coupled applications, though, move
-**several** arrays along the same (or compatible) mappings every timestep:
-the paper's §5.1 mesh exchange ships multiple physical fields per
-iteration, and §5.4's client/server transfers a batch of vectors.  Run as
-k separate copies that costs ``k * P * (P-1)`` messages — k latencies
-(LogGP α) per processor pair where one would do.
+The paper's data move (§4.1.4) is one primitive — pack per destination,
+"at most one message ... between each source and each destination
+processor", unpack — and this module is the only place that executes
+it.  A :class:`MovePlan` is k schedules over one universe compiled into
+per-peer pack/unpack programs; every move in the repo runs one:
 
-:func:`compile_plan` turns k schedules sharing a universe into a
-:class:`MovePlan`: per destination processor, a *pack program* — the
-ordered list of (schedule id, run-compressed offsets) segments whose
-elements travel in **one** fused message — and the mirror-image unpack
-program per source processor.  Executing the plan
-(:func:`plan_move` / :func:`plan_move_send` / :func:`plan_move_recv`)
-sends ``P * (P-1)`` messages total, saving ``k-1`` α's per active pair,
-at the price of per-segment headers and alignment padding
-(:class:`~repro.core.wire.FusedBuffer` — the honest wire size).
+- ``k = 1`` — the single-schedule move (:func:`~repro.core.datamove.
+  data_move` and its halves, ``CoupledExchange.push``/``pull``, a
+  one-op service round).  Its wire form is *bare*: the adapter's
+  header-less packed buffer, exactly the paper's message — no staging
+  lease, no ``plan:fuse`` event, no ``plan_*`` counter — so it charges
+  pack, one payload-sized message and unpack per pair and nothing else:
+  the sequence behind tables 3/4/5, guarded byte-for-byte by CI.
+- ``k >= 2`` — coupled applications move several arrays along the same
+  (or compatible) mappings every timestep (§5.1 ships multiple physical
+  fields per iteration, §5.4 a batch of vectors); run as k copies that
+  is ``k * P * (P-1)`` messages.  The plan sends one *fused* message per
+  processor pair instead (:class:`~repro.core.wire.FusedBuffer`: ``k-1``
+  LogGP α's saved per pair, at the honest price of a 16 B envelope + a
+  16 B header per segment + alignment padding), staged in a buffer
+  leased from the per-rank :class:`~repro.vmachine.message.PackArena`
+  and returned by the *receiver* after the last segment is unpacked, so
+  iterative loops stop allocating per message per timestep.  Arena
+  checkout/release never charges the logical clock.
 
-Pack staging goes through the per-rank
-:class:`~repro.vmachine.message.PackArena`: one pooled buffer per fused
-message, leased at pack time and returned by the *receiver* after the
-last segment is unpacked, so iterative exchange loops stop allocating
-per message per timestep.  Arena checkout/release never charges the
-logical clock — pool behaviour cannot perturb timing determinism.
+The wire form is a function of k alone (``k = 1 ⇒ bare``): there is no
+option selecting it, and :func:`_pack` / :func:`_unpack` are the only
+code that looks at it.  Everything else exists once:
 
-Everything else mirrors :mod:`repro.core.datamove` deliberately: both
-executor policies (``ORDERED`` and the latency-hiding ``OVERLAP``
-wait-any), the reliable-delivery path (fused payloads are opaque to the
-ack/retransmit protocol), fence semantics, bounded-retry receives, and
-direct intra-processor copies.  Fusion is strictly opt-in: the
-single-schedule entry points never route through this module, so their
-logical clocks stay byte-identical to the published tables.
+- **one send loop** (:func:`plan_move_send`): destinations in ascending
+  (``ORDERED``) or rotated (``OVERLAP``) order, through the reliable
+  layer when the universe carries one, ending in one fence/flush tail;
+- **one completion loop** (:func:`plan_move_recv`) fed by **one arrival
+  source** (:func:`_arrivals`), which hides the ``reliability × policy``
+  choice — reliable wait-any, reliable in-order, ``irecv`` + ``waitany``,
+  or the bounded-retry blocking receive — behind a stream of
+  ``(source rank, payload)`` pairs;
+- **one composition** (:func:`plan_move`): in a single program, direct
+  intra-processor copies, the send half, the receive half, then one
+  fence — fencing between the halves would deadlock, every rank awaiting
+  acks its peers only produce in *their* receive half.
+
+``policy="auto"`` is resolved here, per executed plan and per rank, from
+the executor's own list of active remote sources
+(:func:`repro.autotune.auto.resolve_policy`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
-from repro.core.datamove import _local_copies, _recv_bounded
 from repro.core.policy import ExecutorPolicy, ordered_or_rotated
-from repro.core.registry import get_adapter
+from repro.core.registry import LibraryAdapter, get_adapter
 from repro.core.runs import RunList
 from repro.core.schedule import CommSchedule
 from repro.core.universe import TAG_DATA, Universe
 from repro.core.wire import FusedBuffer, SegmentHeader, segment_layout
 from repro.vmachine.comm import waitany
+from repro.vmachine.trace import TraceEvent
 
 __all__ = [
     "MovePlan",
@@ -158,10 +170,11 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
 
     Validates that every member spans the same source/destination group
     sizes (they must have been built over the same
-    :class:`~repro.core.universe.Universe` shape).  Fusion decisions are
-    driven by :meth:`CommSchedule.stats`: only peers a schedule actually
-    messages contribute segments, so an all-local schedule adds nothing
-    to any program.
+    :class:`~repro.core.universe.Universe` shape).  Only peers a
+    schedule actually exchanges elements with contribute segments, so an
+    empty half adds nothing to any program.  Exactly one schedule yields
+    a *bare* plan (see the module docstring): the wire form follows from
+    ``len(schedules)`` and nothing else.
     """
     schedules = tuple(schedules)
     if not schedules:
@@ -177,15 +190,14 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
     send_programs: dict[int, list[PlanSegment]] = {}
     recv_programs: dict[int, list[PlanSegment]] = {}
     for sid, sched in enumerate(schedules):
-        st = sched.stats()
-        for d in st.send_elements:
-            send_programs.setdefault(d, []).append(
-                PlanSegment(sid, sched.sends[d])
-            )
-        for s in st.recv_elements:
-            recv_programs.setdefault(s, []).append(
-                PlanSegment(sid, sched.recvs[s])
-            )
+        for programs, halves in (
+            (send_programs, sched.sends), (recv_programs, sched.recvs)
+        ):
+            for peer, offsets in halves.items():
+                if len(offsets):
+                    programs.setdefault(peer, []).append(
+                        PlanSegment(sid, offsets)
+                    )
     return MovePlan(
         schedules=schedules,
         send_programs={d: tuple(p) for d, p in sorted(send_programs.items())},
@@ -194,71 +206,107 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
 
 
 # ---------------------------------------------------------------------------
-# fused pack / unpack
+# wire form: the only code that distinguishes bare (k = 1) from fused
 # ---------------------------------------------------------------------------
 
 
-def _pack_fused(
-    plan: MovePlan,
+def _pack(
+    adapters: Sequence[LibraryAdapter],
     program: tuple[PlanSegment, ...],
     src_arrays: Sequence[Any],
     universe: Universe,
-) -> FusedBuffer:
-    """Pack every segment of one destination's program into one staging
-    buffer leased from this rank's arena."""
+    d: int,
+) -> Any:
+    """The payload for destination rank ``d``: every segment of its
+    program (``adapters[i]`` is member schedule i's source adapter).
+
+    One member schedule packs the bare buffer; several pack into one
+    staging buffer leased from this rank's arena, noted by per-rank
+    fusion counters and a ``plan:fuse`` trace event (kind-prefixed like
+    the fault layer's ``fault:*``, riding the normal trace stream).
+    """
     proc = universe.process
-    headers = []
-    for seg in program:
-        sched = plan.schedules[seg.schedule_id]
-        adapter = get_adapter(sched.src_lib)
-        data = adapter.local_data(src_arrays[seg.schedule_id])
-        headers.append(
-            SegmentHeader(seg.schedule_id, data.dtype.str, seg.count)
+    if len(adapters) == 1:
+        with proc.span("pack"):
+            return adapters[0].pack(src_arrays[0], program[0].offsets)
+    headers = tuple([
+        SegmentHeader(
+            seg.schedule_id,
+            adapters[seg.schedule_id].local_data(
+                src_arrays[seg.schedule_id]
+            ).dtype.str,
+            len(seg.offsets),
         )
-    headers = tuple(headers)
+        for seg in program
+    ])
     _, total = segment_layout(headers)
     lease = proc.arena.checkout(total, pooled=not proc.copy_on_send)
     fused = FusedBuffer(headers, lease.buffer, lease=lease)
     with proc.span("pack"):
         for i, seg in enumerate(program):
-            sched = plan.schedules[seg.schedule_id]
-            get_adapter(sched.src_lib).pack_into(
+            adapters[seg.schedule_id].pack_into(
                 src_arrays[seg.schedule_id], seg.offsets, fused.segment(i)
             )
+    metrics = proc.metrics
+    metrics.incr("plan_fused_messages")
+    metrics.incr("plan_fused_segments", fused.nsegments)
+    metrics.incr("plan_alpha_saved", fused.nsegments - 1)
+    if proc.trace is not None:
+        proc.trace.append(
+            TraceEvent(
+                "plan:fuse", proc.clock, proc.rank, d, TAG_DATA, fused.nbytes,
+                phase=proc.phase_path,
+            )
+        )
     return fused
 
 
-def _unpack_fused(
-    plan: MovePlan,
+def _unpack(
+    adapters: Sequence[LibraryAdapter],
     program: tuple[PlanSegment, ...],
     dst_arrays: Sequence[Any],
-    fused: FusedBuffer,
+    payload: Any,
     s: int,
     universe: Universe,
-    donate: bool = False,
+    donate: bool,
 ) -> None:
-    """Scatter one fused message through its unpack program, then return
-    the staging buffer to the sender's arena.
+    """Scatter the payload from source rank ``s`` through its program.
 
-    With ``donate=True`` an eligible segment (full-coverage unpack,
-    exact dtype) is adopted directly as the destination array's storage;
-    the buffer's arena lease is then severed — the bytes belong to the
-    array now and must never be recycled — and :meth:`release` becomes
-    a no-op.
+    With ``donate=True`` an eligible buffer or segment (full-coverage
+    unpack, exact dtype) is adopted directly as the destination array's
+    storage.  A fused payload then returns its staging buffer to the
+    sender's arena — unless a segment was donated: the bytes belong to
+    the array now and must never be recycled, so the lease is severed
+    and :meth:`~repro.core.wire.FusedBuffer.release` becomes a no-op.
     """
-    _check_fused(program, fused, s)
+    proc = universe.process
+    if len(adapters) == 1:
+        offsets = program[0].offsets
+        if isinstance(payload, FusedBuffer):
+            raise RuntimeError(
+                f"plan mismatch: source rank {s} sent a fused buffer of "
+                f"{payload.nsegments} segment(s) to a single-schedule move"
+            )
+        if len(payload) != len(offsets):
+            raise RuntimeError(
+                f"schedule mismatch: received {len(payload)} elements from "
+                f"source rank {s} but expected {len(offsets)}"
+            )
+        with proc.span("unpack"):
+            adapters[0].unpack(dst_arrays[0], offsets, payload, donate=donate)
+        return
+    _check_fused(program, payload, s)
     donated = False
-    with universe.process.span("unpack"):
+    with proc.span("unpack"):
         for i, seg in enumerate(program):
-            sched = plan.schedules[seg.schedule_id]
-            if get_adapter(sched.dst_lib).unpack(
-                dst_arrays[seg.schedule_id], seg.offsets, fused.segment(i),
+            if adapters[seg.schedule_id].unpack(
+                dst_arrays[seg.schedule_id], seg.offsets, payload.segment(i),
                 donate=donate,
             ):
                 donated = True
     if donated:
-        fused.sever_lease()
-    fused.release()
+        payload.sever_lease()
+    payload.release()
 
 
 def _check_fused(
@@ -268,7 +316,7 @@ def _check_fused(
         raise RuntimeError(
             f"plan mismatch: source rank {s} sent a "
             f"{type(fused).__name__}, not a fused buffer — was the peer "
-            "executing a plain data_move?"
+            "executing a single-schedule move?"
         )
     if fused.nsegments != len(program):
         raise RuntimeError(
@@ -283,36 +331,103 @@ def _check_fused(
                 f"to schedule {header.schedule_id}, expected "
                 f"{seg.schedule_id}"
             )
-        if header.count != seg.count:
+        if header.count != len(seg.offsets):
             raise RuntimeError(
                 f"schedule mismatch: segment {i} (schedule "
                 f"{header.schedule_id}) from source rank {s} carries "
-                f"{header.count} elements but expected {seg.count}"
+                f"{header.count} elements but expected {len(seg.offsets)}"
             )
-
-
-def _note_fusion(universe: Universe, d: int, fused: FusedBuffer) -> None:
-    """Observability: per-rank fusion counters + a ``plan:fuse`` trace
-    event per fused message (mirroring the fault layer's ``fault:*``
-    convention — kind-prefixed events riding the normal trace stream)."""
-    proc = universe.process
-    metrics = proc.metrics
-    metrics.incr("plan_fused_messages")
-    metrics.incr("plan_fused_segments", fused.nsegments)
-    metrics.incr("plan_alpha_saved", fused.nsegments - 1)
-    if proc.trace is not None:
-        from repro.vmachine.trace import TraceEvent
-
-        proc.trace.append(
-            TraceEvent(
-                "plan:fuse", proc.clock, proc.rank, d, TAG_DATA, fused.nbytes,
-                phase=proc.phase_path,
-            )
-        )
 
 
 # ---------------------------------------------------------------------------
-# executors (mirrors of data_move_send / data_move_recv / data_move)
+# arrivals: reliability x policy, hidden behind one stream
+# ---------------------------------------------------------------------------
+
+#: first slice of the bounded-retry receive ladder, as a fraction of the
+#: total budget (doubles each retry; the last slice absorbs the remainder)
+_RETRY_FIRST_FRACTION = 1 / 8
+
+
+def _recv_bounded(
+    universe: Universe, s: int, tag: int, timeout: float | None
+) -> Any:
+    """Blocking receive with a bounded-retry / exponential-backoff ladder.
+
+    ``timeout`` is the *total* wall-clock budget.  The first attempt waits
+    only a fraction of it, and each retry doubles the slice until the
+    budget is spent — so transient wedges (a peer mid-retransmit, a held
+    packet awaiting its fence) get several cheap re-checks while a truly
+    lost peer still fails within the deadline.  Retries are free of
+    logical time; only the eventual receive charges the clock.
+    """
+    if timeout is None:
+        return universe.recv_from_src(s, tag)
+    slice_s = max(timeout * _RETRY_FIRST_FRACTION, 1e-3)
+    waited = 0.0
+    while True:
+        slice_s = min(slice_s, timeout - waited)
+        try:
+            return universe.recv_from_src(s, tag, timeout=slice_s)
+        except TimeoutError:
+            waited += slice_s
+            if waited >= timeout - 1e-12:
+                raise
+            slice_s *= 2.0
+
+
+def _active_sources(plan: MovePlan, universe: Universe) -> list[int]:
+    """Source ranks this rank receives a message from (ascending)."""
+    return [
+        s for s in sorted(plan.recv_programs) if not universe.same_proc_src(s)
+    ]
+
+
+def _arrivals(
+    universe: Universe,
+    active: list[int],
+    policy: ExecutorPolicy,
+    timeout: float | None,
+) -> Iterator[tuple[int, Any]]:
+    """Yield ``(source rank, payload)`` once per active source.
+
+    ``ORDERED`` (or a single source) completes in ascending rank order
+    with blocking receives; ``OVERLAP`` posts every receive up front and
+    completes in logical-arrival order, so the caller unpacks one
+    message while later ones are still in flight.  Either runs over the
+    reliable layer when the universe carries one.  ``timeout`` bounds
+    each wait (wall-clock seconds): the bare blocking receive retries
+    with exponential backoff inside the budget before raising
+    ``TimeoutError``, and a receive blocked on a rank the failure
+    detector knows dead raises
+    :class:`~repro.vmachine.faults.RankLostError` immediately.
+    """
+    rel = universe.reliability
+    overlap = policy is ExecutorPolicy.OVERLAP and len(active) > 1
+    if rel is not None:
+        endpoint = universe.data_endpoint_to_src()
+        if overlap:
+            remaining = set(active)
+            while remaining:
+                s, payload = rel.recv_any(
+                    endpoint, sorted(remaining), TAG_DATA, timeout=timeout
+                )
+                remaining.discard(s)
+                yield s, payload
+        else:
+            for s in active:
+                yield s, rel.recv(endpoint, s, TAG_DATA, timeout=timeout)
+    elif overlap:
+        requests = [universe.irecv_from_src(s, TAG_DATA) for s in active]
+        for _ in active:
+            idx, payload = waitany(requests, timeout=timeout)
+            yield active[idx], payload
+    else:
+        for s in active:
+            yield s, _recv_bounded(universe, s, TAG_DATA, timeout)
+
+
+# ---------------------------------------------------------------------------
+# the executor
 # ---------------------------------------------------------------------------
 
 
@@ -324,41 +439,67 @@ def _check_arrays(plan: MovePlan, arrays: Sequence[Any], side: str) -> None:
         )
 
 
+def _resolve(
+    policy: ExecutorPolicy | str, plan: MovePlan, universe: Universe
+) -> ExecutorPolicy:
+    """Coerce ``policy``; ``"auto"`` resolves per rank from the active
+    remote sources of the plan being executed."""
+    if isinstance(policy, ExecutorPolicy):
+        return policy
+    # Imported here: repro.autotune itself imports repro.core.
+    from repro.autotune.auto import resolve_policy
+
+    return resolve_policy(policy, _active_sources(plan, universe))
+
+
 def plan_move_send(
     plan: MovePlan,
     src_arrays: Sequence[Any],
     universe: Universe,
-    policy: ExecutorPolicy = ExecutorPolicy.ORDERED,
+    policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
     fence: bool | None = None,
 ) -> None:
-    """Send half of a fused move: one message per destination processor.
+    """Send half of a move (the paper's ``MC_DataMoveSend``): one message
+    per destination processor.
 
-    The i-th source array pairs with the i-th member schedule.  Ordering,
-    reliability and fence semantics are exactly those of
-    :func:`~repro.core.datamove.data_move_send` — the fused payload is
-    opaque to the reliable layer, so drops/dups/reorder are handled
-    identically.
+    Must be called on every source-group processor, with the i-th source
+    array pairing with the i-th member schedule; destination-group
+    processors concurrently call :func:`plan_move_recv`.  Intra-processor
+    transfers are skipped here (:func:`plan_move` copies them directly).
+    Under ``OVERLAP`` the destinations are visited in rotated order
+    starting at ``(my_src_rank + 1) % dst_size`` instead of ascending
+    rank, staggering injection across the destination group.
+
+    With reliability enabled (payloads are opaque to the ack/retransmit
+    protocol, so bare and fused messages are handled identically),
+    ``fence`` controls the end-of-half ack barrier: default ``None``
+    fences in the coupled (two-program) case — a pure sender must learn
+    its peer received everything — and skips it in the single-program
+    case, where :func:`plan_move` fences once after the receive half.  A
+    skipped fence still flushes held-back packets so the receive half
+    cannot wedge on a reordered final message.  ``timeout`` bounds the
+    fence's ack wait.
     """
     if universe.my_src_rank is None:
         raise RuntimeError("plan_move_send called on a non-source processor")
     _check_arrays(plan, src_arrays, "source")
-    policy = ExecutorPolicy.coerce(policy)
+    policy = _resolve(policy, plan, universe)
+    adapters = [get_adapter(sched.src_lib) for sched in plan.schedules]
     rel = universe.reliability
-    order = ordered_or_rotated(
+    for d in ordered_or_rotated(
         list(plan.send_programs), universe.my_src_rank, universe.dst_size,
         policy,
-    )
-    for d in order:
+    ):
         if universe.same_proc_dst(d):
             continue
-        program = plan.send_programs[d]
-        fused = _pack_fused(plan, program, src_arrays, universe)
-        _note_fusion(universe, d, fused)
+        payload = _pack(
+            adapters, plan.send_programs[d], src_arrays, universe, d
+        )
         if rel is not None:
-            rel.send(universe.data_endpoint_to_dst(), d, fused, TAG_DATA)
+            rel.send(universe.data_endpoint_to_dst(), d, payload, TAG_DATA)
         else:
-            universe.send_to_dst(d, fused, TAG_DATA)
+            universe.send_to_dst(d, payload, TAG_DATA)
     if rel is not None:
         if fence is None:
             fence = not universe.single_program
@@ -372,61 +513,59 @@ def plan_move_recv(
     plan: MovePlan,
     dst_arrays: Sequence[Any],
     universe: Universe,
-    policy: ExecutorPolicy = ExecutorPolicy.ORDERED,
+    policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
     donate: bool = False,
 ) -> None:
-    """Receive half of a fused move: one message per source processor.
+    """Receive half of a move (``MC_DataMoveRecv``): one message per
+    source processor, unpacked as :func:`_arrivals` delivers them.
 
-    Under ``OVERLAP`` all fused receives are posted up front and
-    completed in arrival order; each message's segments unpack while
-    later messages are in flight.  After a message's last segment is
-    scattered, its staging buffer returns to the sender's arena —
-    unless ``donate=True`` let an eligible segment be adopted as the
-    destination's storage, in which case the buffer's lease is severed
-    instead of recycled.
+    Placement depends only on the schedule offsets, so completion order
+    never changes the destination data.  ``donate=True`` lets an eligible
+    received buffer be adopted as the destination array's storage
+    instead of scattered through — the zero-copy receive path; the clock
+    trajectory is identical either way.
     """
     if universe.my_dst_rank is None:
         raise RuntimeError(
             "plan_move_recv called on a non-destination processor"
         )
     _check_arrays(plan, dst_arrays, "destination")
-    policy = ExecutorPolicy.coerce(policy)
-    rel = universe.reliability
-    active = [
-        s for s in sorted(plan.recv_programs) if not universe.same_proc_src(s)
-    ]
-    if rel is not None:
-        endpoint = universe.data_endpoint_to_src()
-        if policy is ExecutorPolicy.OVERLAP and len(active) > 1:
-            remaining = set(active)
-            while remaining:
-                s, fused = rel.recv_any(
-                    endpoint, sorted(remaining), TAG_DATA, timeout=timeout
-                )
-                remaining.discard(s)
-                _unpack_fused(plan, plan.recv_programs[s], dst_arrays,
-                              fused, s, universe, donate=donate)
-            return
-        for s in active:
-            fused = rel.recv(endpoint, s, TAG_DATA, timeout=timeout)
-            _unpack_fused(plan, plan.recv_programs[s], dst_arrays, fused, s,
-                          universe, donate=donate)
+    policy = _resolve(policy, plan, universe)
+    adapters = [get_adapter(sched.dst_lib) for sched in plan.schedules]
+    for s, payload in _arrivals(
+        universe, _active_sources(plan, universe), policy, timeout
+    ):
+        _unpack(
+            adapters, plan.recv_programs[s], dst_arrays, payload, s,
+            universe, donate,
+        )
+
+
+def _local_copies(
+    schedule: CommSchedule, src_array: Any, dst_array: Any, universe: Universe
+) -> None:
+    """Direct intra-processor copies (no intermediate buffer, §5.3).
+
+    Delegates to :meth:`LibraryAdapter.copy_local`, which shares its
+    lossy-cast refusal (:func:`~repro.core.registry.ensure_safe_cast`)
+    with the remote unpack path — local and remote moves reject or allow
+    exactly the same dtype pairs — and executes run-compressed halves as
+    aligned slice-to-slice copies.
+    """
+    src_offsets = schedule.sends.get(universe.my_dst_rank)
+    dst_offsets = schedule.recvs.get(universe.my_src_rank)
+    if src_offsets is None or len(src_offsets) == 0:
         return
-    if policy is ExecutorPolicy.OVERLAP and len(active) > 1:
-        requests = [universe.irecv_from_src(s, TAG_DATA) for s in active]
-        remaining = len(requests)
-        while remaining:
-            idx, fused = waitany(requests, timeout=timeout)
-            remaining -= 1
-            s = active[idx]
-            _unpack_fused(plan, plan.recv_programs[s], dst_arrays, fused, s,
-                          universe, donate=donate)
-        return
-    for s in active:
-        fused = _recv_bounded(universe, s, TAG_DATA, timeout)
-        _unpack_fused(plan, plan.recv_programs[s], dst_arrays, fused, s,
-                      universe, donate=donate)
+    if dst_offsets is None or len(dst_offsets) != len(src_offsets):
+        raise RuntimeError("inconsistent local halves of the schedule")
+    # Both offset lists are linearization-ordered over the same element
+    # subset, so a direct aligned copy is correct.
+    with universe.process.span("copy:local"):
+        get_adapter(schedule.dst_lib).copy_local(
+            src_array, src_offsets, dst_array, dst_offsets,
+            src_adapter=get_adapter(schedule.src_lib),
+        )
 
 
 def plan_move(
@@ -434,20 +573,25 @@ def plan_move(
     src_arrays: Sequence[Any],
     dst_arrays: Sequence[Any],
     universe: Universe,
-    policy: ExecutorPolicy = ExecutorPolicy.ORDERED,
+    policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
     donate: bool = False,
 ) -> None:
-    """Full fused move (single program), or role dispatch otherwise.
+    """Full move for processors holding both roles (single program), or
+    role dispatch to the proper half otherwise.
 
-    Intra-processor elements of every member schedule are copied
-    directly, buffer-free, exactly as k sequential moves would — fusion
-    only changes the *inter*-processor message structure.
+    In the single-program case the intra-processor elements of every
+    member schedule are copied directly, buffer-free — fusion only
+    changes the *inter*-processor message structure — then the
+    aggregated messages flow (sends first; the virtual transport is
+    buffered, so this cannot deadlock).  With reliability enabled the
+    rank fences once at the end, after its receive half, when every peer
+    is already producing acks.
     """
-    policy = ExecutorPolicy.coerce(policy)
-    _check_arrays(plan, src_arrays, "source")
-    _check_arrays(plan, dst_arrays, "destination")
+    policy = _resolve(policy, plan, universe)
     if universe.single_program:
+        _check_arrays(plan, src_arrays, "source")
+        _check_arrays(plan, dst_arrays, "destination")
         for sid, sched in enumerate(plan.schedules):
             _local_copies(sched, src_arrays[sid], dst_arrays[sid], universe)
         plan_move_send(plan, src_arrays, universe, policy=policy,

@@ -24,7 +24,7 @@ low-numbered source even when higher-numbered sources have already arrived.
     order); only the logical clocks change.
 
 This module is dependency-free within :mod:`repro.core` so that both
-:mod:`repro.core.datamove` and :mod:`repro.core.schedule` can import it
+:mod:`repro.core.plan` and :mod:`repro.core.schedule` can import it
 without creating a cycle.
 """
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -156,6 +157,9 @@ class CommSchedule:
     method: ScheduleMethod
     sends: dict[int, RunList] = field(default_factory=dict)
     recvs: dict[int, RunList] = field(default_factory=dict)
+    #: lazily compiled single-schedule MovePlan (:mod:`repro.core.datamove`),
+    #: memoised here the way a RunList memoises its MoveProgram
+    _plan: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Backward compatibility: dense offset arrays are accepted and

@@ -17,8 +17,8 @@ Execution order within a round is canonical and shared with the server:
 2. **batch order** — creates, calls (server-side), binds (collective
    schedule build when the negotiation said so, shared-cache lookup
    otherwise), unbinds, disconnects, gathers;
-3. **all pushes**, fused into one :class:`~repro.core.plan.MovePlan`
-   message per processor pair when a round carries several;
+3. **all pushes**, as one :class:`~repro.core.plan.MovePlan` — one
+   message per processor pair, fused when a round carries several;
 4. **all pulls**, likewise (over the reversed universe).
 
 The at-most-one-op-per-tenant rule makes every operation in a round
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.datamove import data_move_recv, data_move_send
 from repro.core.plan import plan_move_recv, plan_move_send
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import CommSchedule, ScheduleMethod, build_schedule
@@ -342,15 +341,14 @@ def _disconnect_tenant(state: GatewayState, tenant: int) -> None:
 def _execute_moves(
     state: GatewayState, ops: list[MoveOp], direction: str
 ) -> None:
-    """One direction's transfers for a round, fused across tenants.
+    """One direction's transfers for a round, as one plan across tenants.
 
-    ``k >= 2`` independent moves compile (or fetch from the shared plan
-    cache) one :class:`~repro.core.plan.MovePlan` — one message per
+    The round's k independent moves compile (or fetch from the shared
+    plan cache) one :class:`~repro.core.plan.MovePlan` — one message per
     gateway/server processor pair for the *whole group*, which is where
     multi-tenant batching pays: the per-pair latency is amortized over
-    every tenant in the round.  A single move keeps the plain
-    ``data_move`` path so its logical clock matches the one-client
-    protocol exactly.
+    every tenant in the round.  A single move is the k = 1 plan, whose
+    bare wire keeps its logical clock that of the one-client protocol.
     """
     if not ops:
         return
@@ -361,35 +359,21 @@ def _execute_moves(
     state.proc.metrics.incr("svc_moves", len(ops))
     if direction == PUSH:
         # Gateway is the forward-schedule source: send half.
-        if len(ops) == 1:
-            guard_peer(
-                state.universe, deadline, "push (send half)",
-                data_move_send, bindings[0].schedule, arrays[0],
-                state.universe, policy=state.policy, timeout=deadline,
-            )
-            return
         plan = state.cache.plan_for(
             PUSH, keys, [b.schedule for b in bindings]
         )
         guard_peer(
-            state.universe, deadline, "fused push (send half)",
+            state.universe, deadline, "push (send half)",
             plan_move_send, plan, arrays, state.universe,
             policy=state.policy, timeout=deadline,
         )
         return
     runiverse = state.universe.reversed()
-    if len(ops) == 1:
-        guard_peer(
-            runiverse, deadline, "pull (receive half)",
-            data_move_recv, bindings[0].schedule.reverse(), arrays[0],
-            runiverse, policy=state.policy, timeout=deadline,
-        )
-        return
     plan = state.cache.plan_for(
         PULL, keys, lambda: [b.schedule.reverse() for b in bindings]
     )
     guard_peer(
-        runiverse, deadline, "fused pull (receive half)",
+        runiverse, deadline, "pull (receive half)",
         plan_move_recv, plan, arrays, runiverse,
         policy=state.policy, timeout=deadline,
     )

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.coupling import coupled_universe
-from repro.core.datamove import data_move_recv, data_move_send
 from repro.core.plan import plan_move_recv, plan_move_send
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import CommSchedule, ScheduleMethod, build_schedule
@@ -358,19 +357,11 @@ def _execute_moves(
     universe.process.metrics.incr("svc_moves", len(ops))
     if direction == PUSH:
         # Forward schedule: gateway sends, this program receives.
-        if len(ops) == 1:
-            data_move_recv(group[0].schedule, arrays[0], universe,
-                           policy=policy, timeout=deadline)
-            return
         plan = cache.plan_for(PUSH, keys, [b.schedule for b in group])
         plan_move_recv(plan, arrays, universe, policy=policy,
                        timeout=deadline)
         return
     runiverse = universe.reversed()
-    if len(ops) == 1:
-        data_move_send(group[0].schedule.reverse(), arrays[0], runiverse,
-                       policy=policy, timeout=deadline)
-        return
     plan = cache.plan_for(
         PULL, keys, lambda: [b.schedule.reverse() for b in group]
     )

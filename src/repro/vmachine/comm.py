@@ -38,6 +38,7 @@ from typing import Any, Callable
 from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
 from repro.vmachine.message import ANY_TAG, Mailbox, Message, payload_nbytes
 from repro.vmachine.process import Process
+from repro.vmachine.trace import TraceEvent
 
 __all__ = ["Communicator", "InterComm", "Request", "waitany", "waitall",
            "CONTEXT_STRIDE"]
@@ -76,8 +77,6 @@ def _account_recv(proc, msg: Message, wire_tag: int) -> None:
         metrics.incr("messages_received")
         metrics.incr("bytes_received", msg.nbytes)
         if proc.trace is not None:
-            from repro.vmachine.trace import TraceEvent
-
             proc.trace.append(
                 TraceEvent("recv", proc.clock, proc.rank, msg.source,
                            wire_tag, msg.nbytes, wait,
@@ -169,8 +168,6 @@ class _Endpoint:
             metrics.incr("messages_sent")
             metrics.incr("bytes_sent", nbytes)
             if proc.trace is not None:
-                from repro.vmachine.trace import TraceEvent
-
                 proc.trace.append(
                     TraceEvent("send", proc.clock, proc.rank, dest_global,
                                self._context + tag if tag != ANY_TAG else tag,

@@ -51,6 +51,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from repro.vmachine.trace import TraceEvent
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.vmachine.message import Mailbox, Message
     from repro.vmachine.process import Process
@@ -625,8 +627,6 @@ class FaultPlan:
     def _note(proc: "Process", kind: str, message: "Message") -> None:
         proc.metrics.incr("faults_" + kind.split(":", 1)[1])
         if proc.trace is not None:
-            from repro.vmachine.trace import TraceEvent
-
             # ``peer`` is the *other* endpoint relative to the observing
             # rank: a sender-side fault names the destination, a
             # receiver-side one (dup suppression, reorder release) names

@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.vmachine.comm import Communicator
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
+from repro.vmachine.trace import TraceEvent
 
 __all__ = ["Window", "RMAHandle", "TAG_RMA_BASE", "ACCUMULATE_OPS"]
 
@@ -197,8 +198,6 @@ class Window:
         """Kind-prefixed trace annotation (never a message endpoint)."""
         proc = self.comm.process
         if proc.trace is not None:
-            from repro.vmachine.trace import TraceEvent
-
             proc.trace.append(
                 TraceEvent(kind, proc.clock, proc.rank,
                            self.comm.peer_global(target), self._data_tag,

@@ -10,12 +10,13 @@ from repro.core import (
     mc_copy_many,
     mc_new_set_of_regions,
 )
+from repro.core.coupling import CoupledExchange, coupled_universe
 from repro.core.policy import ExecutorPolicy
 from repro.core.region import IndexRegion, SectionRegion
 from repro.distrib.section import Section
 from repro.hpf.array import HPFArray
 from repro.chaos import ChaosArray
-from repro.vmachine import VirtualMachine
+from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
 
 
 class _Sched:
@@ -151,3 +152,62 @@ class TestAutoPolicyEndToEnd:
         if len(choices) == 1:
             forced = run(choices.pop())
             assert [r[0] for r in auto] == [r[0] for r in forced]
+
+
+class TestAutoPolicyCoupled:
+    """``"auto"`` is resolved per direction from the plan a call actually
+    runs.  Regression: it used to be resolved once, from the *forward*
+    schedule, so the source program — whose forward receive half is
+    empty — pinned ORDERED even for its pull, which drains every
+    destination rank."""
+
+    N = 240
+
+    def _pull(self, src_policy):
+        n = self.N
+        perm = np.random.default_rng(4).permutation(n)
+        full = mc_new_set_of_regions(SectionRegion(Section.full((n,))))
+
+        def src_prog(ctx):
+            a = HPFArray.distribute(ctx.comm, (n,), ("block",))
+            a.local[:] = ctx.comm.rank * 1000.0 + np.arange(len(a.local))
+            uni = coupled_universe(ctx, "dstp", "src")
+            sched = mc_compute_schedule(
+                uni, "hpf", a, full, "chaos", None, None
+            )
+            CoupledExchange(uni, sched).push(a)
+            CoupledExchange(uni, sched, policy=src_policy).pull(a)
+            return a.local.tobytes(), ctx.comm.process.clock
+
+        def dst_prog(ctx):
+            b = ChaosArray.zeros(ctx.comm, perm % ctx.comm.size)
+            uni = coupled_universe(ctx, "srcp", "dst")
+            sched = mc_compute_schedule(
+                uni, "hpf", None, None, "chaos", b,
+                mc_new_set_of_regions(IndexRegion(perm)),
+            )
+            ex = CoupledExchange(uni, sched)
+            ex.push(b)
+            b.local *= 2.0
+            if ctx.comm.rank == 0:
+                # a late lowest-ranked sender: in-order completion waits
+                # for it, arrival-order completion works through the rest
+                ctx.comm.process.charge(5e-3)
+            ex.pull(b)
+            return None
+
+        res = run_programs(
+            [ProgramSpec("srcp", 3, src_prog), ProgramSpec("dstp", 4, dst_prog)]
+        )
+        return res["srcp"].values
+
+    def test_source_program_pull_overlaps_under_auto(self):
+        auto = self._pull("auto")
+        overlap = self._pull(ExecutorPolicy.OVERLAP)
+        ordered = self._pull(ExecutorPolicy.ORDERED)
+        # destination bytes never depend on the policy
+        assert [v[0] for v in auto] == [v[0] for v in overlap] \
+            == [v[0] for v in ordered]
+        # every source rank drains four destination ranks: auto == OVERLAP
+        assert [v[1] for v in auto] == [v[1] for v in overlap]
+        assert [v[1] for v in overlap] != [v[1] for v in ordered]

@@ -7,7 +7,10 @@ Covered here: compiler structure and validation, the fused==sequential
 property across methods × policies × mixed dtypes, message-count
 reduction, ``plan:fuse`` observability, the pooled-arena steady state of
 iterative loops, copy-on-send mode, chaos-matrix reliability, and the
-coupled ``push_many``/``pull_many`` surface.
+coupled ``push_many``/``pull_many`` surface.  One executor runs every
+move: ``data_move*`` on a schedule S and ``plan_move*`` on
+``compile_plan([S])`` must be the same move to the byte, the clock tick
+and the trace event, and a one-schedule plan must travel the bare wire.
 """
 
 import numpy as np
@@ -32,7 +35,14 @@ from repro.core import (
     mc_copy_many,
 )
 from repro.core.coupling import CoupledExchange, coupled_universe
-from repro.core.plan import _check_fused, PlanSegment
+from repro.core.datamove import data_move, data_move_recv, data_move_send
+from repro.core.plan import (
+    _check_fused,
+    PlanSegment,
+    plan_move,
+    plan_move_recv,
+    plan_move_send,
+)
 from repro.core.runs import RunList
 from repro.core.schedule import CommSchedule
 from repro.core.universe import SingleProgramUniverse
@@ -326,6 +336,111 @@ class TestFusedEqualsSequential:
 
 
 # ---------------------------------------------------------------------------
+# one executor: data_move*(S) == plan_move*(compile_plan([S]))
+# ---------------------------------------------------------------------------
+
+FULL = section_sor((slice(None), slice(None)), SHAPE)
+FUSION_COUNTERS = ("plan_fused_messages", "plan_fused_segments",
+                   "plan_alpha_saved", "arena_hits", "arena_misses")
+
+
+def _single_program_move(method, policy, reliable, via_plan):
+    def spmd(comm):
+        A = BlockPartiArray.from_global(comm, G1)
+        B = ChaosArray.zeros(comm, (PERM1 * 3) % comm.size)
+        sched = mc_compute_schedule(
+            comm, "blockparti", A, FULL, "chaos", B, index_sor(PERM1), method,
+        )
+        universe = SingleProgramUniverse(comm)
+        if reliable:
+            universe.enable_reliability()
+        sent = comm.process.stats.get("bytes_sent", 0)
+        if via_plan:
+            plan_move(compile_plan([sched]), [A], [B], universe, policy=policy)
+        else:
+            data_move(sched, A, B, universe, policy=policy)
+        remote = sum(
+            len(off) for d, off in sched.sends.items() if d != comm.rank
+        )
+        sent = comm.process.stats.get("bytes_sent", 0) - sent
+        return B.local.tobytes(), sent, remote * G1.itemsize
+
+    return VirtualMachine(4, trace=True).run(spmd)
+
+
+def _two_program_move(method, policy, reliable, via_plan, psrc=3, pdst=2):
+    dup = method is ScheduleMethod.DUPLICATION
+
+    def src_prog(ctx):
+        A = BlockPartiArray.from_global(ctx.comm, G1)
+        uni = coupled_universe(ctx, "dstp", "src")
+        sched = mc_compute_schedule(
+            uni, "blockparti", A, FULL,
+            "chaos", None, index_sor(PERM1) if dup else None, method,
+        )
+        if reliable:
+            uni.enable_reliability()
+        if via_plan:
+            plan_move_send(compile_plan([sched]), [A], uni, policy=policy)
+        else:
+            data_move_send(sched, A, uni, policy=policy)
+        return None
+
+    def dst_prog(ctx):
+        B = ChaosArray.zeros(ctx.comm, (PERM1 * 3) % ctx.comm.size)
+        uni = coupled_universe(ctx, "srcp", "dst")
+        sched = mc_compute_schedule(
+            uni, "blockparti", None, FULL if dup else None,
+            "chaos", B, index_sor(PERM1), method,
+        )
+        if reliable:
+            uni.enable_reliability()
+        if via_plan:
+            plan_move_recv(compile_plan([sched]), [B], uni, policy=policy)
+        else:
+            data_move_recv(sched, B, uni, policy=policy)
+        return B.local.tobytes()
+
+    return run_programs(
+        [ProgramSpec("srcp", psrc, src_prog),
+         ProgramSpec("dstp", pdst, dst_prog)],
+        trace=True,
+    )
+
+
+def _assert_same_run(a, b):
+    assert a.clocks == b.clocks  # logical clocks, exact
+    assert a.traces == b.traces
+    for key in FUSION_COUNTERS:
+        assert a.total_stat(key) == b.total_stat(key) == 0
+
+
+@pytest.mark.parametrize("method", both_methods())
+@pytest.mark.parametrize("policy", BOTH_POLICIES)
+@pytest.mark.parametrize("reliable", [False, True])
+class TestSingleScheduleIsBarePlan:
+    def test_single_program(self, method, policy, reliable):
+        moved = _single_program_move(method, policy, reliable, via_plan=False)
+        planned = _single_program_move(method, policy, reliable, via_plan=True)
+        _assert_same_run(moved, planned)
+        assert not any(
+            e.kind == "plan:fuse" for tr in planned.traces for e in tr
+        )
+        for (got, sent, raw), (want, _, _) in zip(planned.values, moved.values):
+            assert got == want
+            if not reliable:  # acks ride bytes_sent too
+                # bare wire: payload bytes only, no fused/segment headers
+                assert sent == raw
+
+    def test_two_program(self, method, policy, reliable):
+        moved = _two_program_move(method, policy, reliable, via_plan=False)
+        planned = _two_program_move(method, policy, reliable, via_plan=True)
+        for name in ("srcp", "dstp"):
+            _assert_same_run(moved[name], planned[name])
+        assert planned["dstp"].values == moved["dstp"].values
+
+
+# ---------------------------------------------------------------------------
 # message structure and observability
 # ---------------------------------------------------------------------------
 
@@ -377,6 +492,52 @@ class TestMessageReduction:
         assert fuse_events, "no plan:fuse events recorded"
         assert all(e.nbytes > 0 for e in fuse_events)
         assert len(fuse_events) == res.total_stat("plan_fused_messages")
+
+    def test_fused_move_wire_bytes(self):
+        """k >= 2 keeps the fused wire: each message charges the 16 B
+        envelope, 16 B per segment and the aligned segment data."""
+        from repro.core.wire import (
+            FUSED_HEADER_BYTES,
+            SEGMENT_HEADER_BYTES,
+            segment_layout,
+        )
+
+        def spmd(comm):
+            arrays = []
+            for glob, perm in ((G1, PERM1), (G2, PERM2)):
+                A = BlockPartiArray.from_global(comm, glob)
+                B = ChaosArray.zeros(comm, perm % comm.size, dtype=glob.dtype)
+                sched = mc_compute_schedule(
+                    comm, "blockparti", A, FULL, "chaos", B, index_sor(perm),
+                )
+                arrays.append((sched, A, B))
+            plan = mc_compute_plan([s for s, _, _ in arrays])
+            want = 0
+            for d, program in plan.send_programs.items():
+                if d == comm.rank:
+                    continue
+                headers = tuple(
+                    SegmentHeader(
+                        seg.schedule_id,
+                        arrays[seg.schedule_id][1].local.dtype.str,
+                        seg.count,
+                    )
+                    for seg in program
+                )
+                want += (
+                    FUSED_HEADER_BYTES
+                    + len(headers) * SEGMENT_HEADER_BYTES
+                    + segment_layout(headers)[1]
+                )
+            sent = comm.process.stats.get("bytes_sent", 0)
+            mc_copy_many(
+                comm, plan, [a for _, a, _ in arrays],
+                [b for _, _, b in arrays],
+            )
+            return comm.process.stats.get("bytes_sent", 0) - sent, want
+
+        for sent, want in run_spmd(4, spmd).values:
+            assert sent == want > 0
 
     def test_fused_wire_bytes_include_headers(self):
         """A fused message charges more than its raw payload (headers +
@@ -445,16 +606,18 @@ class TestArenaSteadyState:
                 comm, "blockparti", A, full,
                 "chaos", B, index_sor(PERM1), ScheduleMethod.COOPERATION,
             )
-            plan = mc_compute_plan([sched])
-            mc_copy_many(comm, plan, [A], [B])
+            # k = 2: a one-schedule plan travels the bare wire, arena-free
+            plan = mc_compute_plan([sched, sched])
+            mc_copy_many(comm, plan, [A, A], [B, B])
             comm.barrier()
             high1 = comm.process.stats.get("arena_high_water_bytes", 0)
             for _ in range(5):
-                mc_copy_many(comm, plan, [A], [B])
+                mc_copy_many(comm, plan, [A, A], [B, B])
                 comm.barrier()
             return high1, comm.process.stats.get("arena_high_water_bytes", 0)
 
         for high1, high_final in run_spmd(3, spmd).values:
+            assert high1 > 0
             assert high_final == high1
 
 
@@ -608,6 +771,34 @@ class TestCoupledMany:
         w1, w2 = self._want()
         np.testing.assert_array_equal(got1, w1)
         np.testing.assert_array_equal(got2, w2)
+
+    @pytest.mark.parametrize("ksrc,kdst", [(2, 1), (1, 2)])
+    def test_field_count_mismatch_fails_loudly(self, ksrc, kdst):
+        """The wire form follows from k on each side, so programs that
+        disagree on the field count are caught by the receiver."""
+        from repro.vmachine import SPMDError
+
+        def src_prog(ctx):
+            A = BlockPartiArray.from_global(ctx.comm, G1)
+            uni = coupled_universe(ctx, "dstp", "src")
+            sched = mc_compute_schedule(
+                uni, "blockparti", A, FULL, "chaos", None, None,
+            )
+            CoupledExchange(uni, sched).push_many([A] * ksrc)
+
+        def dst_prog(ctx):
+            B = ChaosArray.zeros(ctx.comm, PERM1 % ctx.comm.size)
+            uni = coupled_universe(ctx, "srcp", "dst")
+            sched = mc_compute_schedule(
+                uni, "blockparti", None, None, "chaos", B, index_sor(PERM1),
+            )
+            CoupledExchange(uni, sched).push_many([B] * kdst)
+
+        with pytest.raises(SPMDError, match="plan mismatch"):
+            run_programs(
+                [ProgramSpec("srcp", 2, src_prog),
+                 ProgramSpec("dstp", 2, dst_prog)]
+            )
 
     def test_plan_cached_across_pushes(self):
         """Repeated push_many calls reuse one compiled plan per (k, dir)."""

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.blockparti.array import BlockPartiArray
 from repro.core.region import SectionRegion
+from repro.core.runs import KeyGroups
 from repro.core.wire import RunEncoded
 from repro.distrib.section import Section
 from repro.vmachine.process import current_process
@@ -223,14 +224,12 @@ def build_copy_schedule(
         # small Table 5 overhead.)
         nruns = max(1, sub.size // max(1, sub.counts[-1]))
         proc.charge_locate(nruns * 2, 2 * len(lin))
-        order = np.argsort(dranks, kind="stable")
-        dr, so, do = dranks[order], soffs[order], doffs[order]
-        uniq, starts = np.unique(dr, return_index=True)
-        bounds = np.append(starts, len(dr))
-        for i, d in enumerate(uniq):
-            lo, hi = bounds[i], bounds[i + 1]
-            sched.sends[int(d)] = so[lo:hi]
-            recv_pieces[int(d)] = RunEncoded(do[lo:hi])
+        by_dst = KeyGroups(dranks)
+        for d, so, do in zip(
+            by_dst.keys, by_dst.split(soffs), by_dst.split(doffs)
+        ):
+            sched.sends[d] = so
+            recv_pieces[d] = RunEncoded(do)
 
     # Dense distribution of receive halves (every rank to every rank, so
     # receivers know exactly what to expect).

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.chaos.array import ChaosArray
 from repro.chaos.translation import TranslationTable
+from repro.core.runs import KeyGroups
 from repro.core.wire import RunEncoded
 from repro.vmachine.comm import Communicator
 from repro.vmachine.process import current_process
@@ -234,15 +235,13 @@ def build_chaos_copy_schedule(
     sranks, soffs = src_table.dereference(src_gidx[k_mine])
 
     sched = ChaosCopySchedule(n_elements=len(src_gidx))
-    order = np.argsort(sranks, kind="stable")
-    sr, so, do = sranks[order], soffs[order], my_dst_offsets[order]
-    uniq, starts = np.unique(sr, return_index=True)
-    bounds = np.append(starts, len(sr))
+    by_src = KeyGroups(sranks)
     requests: dict[int, RunEncoded] = {}
-    for i, s in enumerate(uniq):
-        lo, hi = bounds[i], bounds[i + 1]
-        sched.recvs[int(s)] = do[lo:hi]
-        requests[int(s)] = RunEncoded(so[lo:hi])
+    for s, so, do in zip(
+        by_src.keys, by_src.split(soffs), by_src.split(my_dst_offsets)
+    ):
+        sched.recvs[s] = do
+        requests[s] = RunEncoded(so)
     incoming = comm.alltoall_sparse(requests)
     for requester, enc in incoming.items():
         sched.sends[requester] = enc.array

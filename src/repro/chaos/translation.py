@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.runs import KeyGroups
 from repro.distrib.irregular import IrregularDist
 from repro.vmachine.comm import Communicator
 from repro.vmachine.process import current_process
@@ -133,14 +134,11 @@ class PagedTranslationTable:
         proc = current_process()
         gidx = np.asarray(gidx, dtype=np.int64)
         pages = np.clip(gidx // self._page if self._page else 0, 0, comm.size - 1)
-        requests: dict[int, np.ndarray] = {}
-        order = np.argsort(pages, kind="stable")
-        sorted_pages = pages[order]
-        uniq, starts = np.unique(sorted_pages, return_index=True)
-        bounds = np.append(starts, len(sorted_pages))
-        for i, p in enumerate(uniq):
-            requests[int(p)] = gidx[order[bounds[i] : bounds[i + 1]]]
-        incoming = comm.alltoall_sparse(requests)
+        groups = KeyGroups(pages)
+        by_page = dict(zip(groups.keys, groups.selectors()))
+        incoming = comm.alltoall_sparse(
+            {p: gidx[sel] for p, sel in by_page.items()}
+        )
         replies: dict[int, tuple] = {}
         for src, queried in incoming.items():
             local = queried - self._lo
@@ -149,11 +147,6 @@ class PagedTranslationTable:
         answered = comm.alltoall_sparse(replies)
         ranks = np.empty(len(gidx), dtype=np.int64)
         offsets = np.empty(len(gidx), dtype=np.int64)
-        pos = 0
-        for i, p in enumerate(uniq):
-            n = bounds[i + 1] - bounds[i]
-            r, o = answered[int(p)]
-            ranks[order[bounds[i] : bounds[i + 1]]] = r
-            offsets[order[bounds[i] : bounds[i + 1]]] = o
-            pos += n
+        for p, sel in by_page.items():
+            ranks[sel], offsets[sel] = answered[p]
         return ranks, offsets

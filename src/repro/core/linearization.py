@@ -27,6 +27,10 @@ class Linearization:
     def __init__(self, sor: SetOfRegions, shape: tuple[int, ...]):
         self.sor = sor
         self.shape = tuple(shape)
+        # Binding is where a region that does not fit its data structure
+        # is caught — once, with a message naming it — so per-call
+        # dereferences need no bounds scans of their own.
+        sor.check_fits(self.shape)
 
     @property
     def size(self) -> int:
@@ -38,7 +42,7 @@ class Linearization:
 
     def range_to_global(self, lo: int, hi: int) -> np.ndarray:
         """Flat global indices of the contiguous position range [lo, hi)."""
-        return self.to_global(np.arange(lo, hi, dtype=np.int64))
+        return self.sor.range_to_global(lo, hi, self.shape)
 
     def all_global(self) -> np.ndarray:
         """Every element's flat global index in linearization order."""

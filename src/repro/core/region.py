@@ -11,12 +11,16 @@ reproduction:
   indices; the Region type of Chaos and the pC++ collection.  Its
   linearization is the listed order.
 
-Every Region answers two vectorized questions needed by the schedule
+Every Region answers the vectorized questions needed by the schedule
 builder:
 
 - ``size`` — how many elements it selects;
 - ``lin_to_global(positions, shape)`` — the flat global index of each
-  linearization position.
+  linearization position;
+- ``range_to_global(lo, hi, shape)`` — the same for the contiguous
+  position range ``[lo, hi)``, without materialising the positions;
+- ``check_fits(shape)`` — whether every selected element exists in a data
+  structure of that shape.
 """
 
 from __future__ import annotations
@@ -47,6 +51,22 @@ class Region(abc.ABC):
         ``shape`` is the global shape of the data structure the region
         belongs to (needed to flatten multi-dimensional indices).
         """
+
+    @abc.abstractmethod
+    def range_to_global(
+        self, lo: int, hi: int, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """Flat global indices of linearization positions ``[lo, hi)``,
+        without materialising the positions.
+
+        May return a view of the region's own description: read-only use.
+        """
+
+    @abc.abstractmethod
+    def check_fits(self, shape: tuple[int, ...]) -> None:
+        """Raise ``ValueError`` (naming the region, the offending index
+        and ``shape``) unless every selected element exists in a data
+        structure of global shape ``shape``."""
 
     @abc.abstractmethod
     def global_flat(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -104,7 +124,28 @@ class SectionRegion(Region):
         gcoords = self.section.lin_to_multi(
             np.asarray(positions, dtype=np.int64), order=self.order
         )
-        return np.ravel_multi_index(gcoords, shape).astype(np.int64)
+        return np.ravel_multi_index(gcoords, shape).astype(np.int64, copy=False)
+
+    def range_to_global(
+        self, lo: int, hi: int, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        boxes = self.section.split_range(lo, hi, self.order)
+        if not boxes:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate([b.global_flat(shape, self.order) for b in boxes])
+
+    def check_fits(self, shape: tuple[int, ...]) -> None:
+        sec = self.section
+        if sec.ndim != len(shape):
+            raise ValueError(
+                f"{self!r} has {sec.ndim} dimension(s) but the data "
+                f"structure has shape {tuple(shape)}"
+            )
+        if sec.exceeds(shape):
+            raise ValueError(
+                f"{self!r} selects index {sec.last} outside the data "
+                f"structure's shape {tuple(shape)}"
+            )
 
     def global_flat(self, shape: tuple[int, ...]) -> np.ndarray:
         return self.section.global_flat(shape, order=self.order)
@@ -152,16 +193,24 @@ class MaskRegion(Region):
     def lin_to_global(
         self, positions: np.ndarray, shape: tuple[int, ...]
     ) -> np.ndarray:
-        if tuple(shape) != tuple(self.mask_shape):
-            raise ValueError(
-                f"mask shape {self.mask_shape} does not match the data "
-                f"structure shape {tuple(shape)}"
-            )
+        self.check_fits(shape)
         return self.indices[np.asarray(positions, dtype=np.int64)]
 
-    def global_flat(self, shape: tuple[int, ...]) -> np.ndarray:
+    def range_to_global(
+        self, lo: int, hi: int, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        self.check_fits(shape)
+        return self.indices[lo:hi]
+
+    def check_fits(self, shape: tuple[int, ...]) -> None:
         if tuple(shape) != tuple(self.mask_shape):
-            raise ValueError("mask shape mismatch")
+            raise ValueError(
+                f"{self!r}: mask shape {self.mask_shape} does not match "
+                f"the data structure's shape {tuple(shape)}"
+            )
+
+    def global_flat(self, shape: tuple[int, ...]) -> np.ndarray:
+        self.check_fits(shape)
         return self.indices.copy()
 
     def nbytes_descriptor(self) -> int:
@@ -199,6 +248,22 @@ class IndexRegion(Region):
         self, positions: np.ndarray, shape: tuple[int, ...]
     ) -> np.ndarray:
         return self.indices[np.asarray(positions, dtype=np.int64)]
+
+    def range_to_global(
+        self, lo: int, hi: int, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        return self.indices[lo:hi]
+
+    def check_fits(self, shape: tuple[int, ...]) -> None:
+        total = 1
+        for n in shape:
+            total *= n
+        worst = int(self.indices.max(initial=-1))
+        if worst >= total:
+            raise ValueError(
+                f"{self!r} selects global index {worst} but the data "
+                f"structure has shape {tuple(shape)} ({total} elements)"
+            )
 
     def global_flat(self, shape: tuple[int, ...]) -> np.ndarray:
         return self.indices.copy()

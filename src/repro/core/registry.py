@@ -170,15 +170,45 @@ class LibraryAdapter(abc.ABC):
         in the linearization".
         """
         shape = self.shape_of(handle)
-        gidx = sor.lin_to_global(np.asarray(positions, dtype=np.int64), shape)
+        gidx = sor.lin_to_global(positions, shape)
         self.charge_deref(len(gidx))
         return self.dist_of(handle).owner_of_flat(gidx)
 
     def deref_range(
         self, handle: Any, sor: SetOfRegions, lo: int, hi: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`deref_lin` for the contiguous position range [lo, hi)."""
-        return self.deref_lin(handle, sor, np.arange(lo, hi, dtype=np.int64))
+        """:meth:`deref_lin` for the contiguous position range [lo, hi).
+
+        The positions are never materialised: the range is cut at region
+        boundaries; an index-list region contributes a slice of its list,
+        and a section region over a Cartesian distribution is mapped
+        rectangle by rectangle with closed-form block arithmetic
+        (:meth:`CartesianDist.section_map`).  Same result and the same
+        dereference charge as :meth:`deref_lin` on ``arange(lo, hi)``.
+        """
+        shape = self.shape_of(handle)
+        dist = self.dist_of(handle)
+        spans = sor.split_range(lo, hi)
+        self.charge_deref(hi - lo)
+        parts = []
+        for region, a, b in spans:
+            if isinstance(region, SectionRegion) and isinstance(dist, CartesianDist):
+                parts += [
+                    dist.section_map(box, region.order)
+                    for box in region.section.split_range(a, b, region.order)
+                ]
+            else:
+                parts.append(
+                    dist.owner_of_flat(region.range_to_global(a, b, shape))
+                )
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return (
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+        )
 
     def local_elements(
         self, handle: Any, sor: SetOfRegions, rank: int
@@ -193,7 +223,7 @@ class LibraryAdapter(abc.ABC):
         n = sor.size
         ranks, offsets = self.deref_range(handle, sor, 0, n)
         mask = ranks == rank
-        return np.flatnonzero(mask).astype(np.int64), offsets[mask]
+        return np.flatnonzero(mask).astype(np.int64, copy=False), offsets[mask]
 
     # -- data movement ----------------------------------------------------------
 
@@ -361,8 +391,7 @@ def cartesian_local_elements(
             sub = region.section.intersect_block(lows, highs)
             if sub is not None:
                 lin = region.section.lin_offset_of(sub)
-                gidx = sub.global_flat(shape)
-                _, offs = dist.owner_of_flat(gidx)
+                _, offs = dist.section_map(sub)
                 # Run count ~ product of counts of all but the last dim.
                 nruns = max(1, sub.size // max(1, sub.counts[-1]))
                 charge(nruns, len(lin))
@@ -373,7 +402,7 @@ def cartesian_local_elements(
             ranks, offs = dist.owner_of_flat(gidx)
             mask = ranks == rank
             charge(1, n)
-            positions.append(np.flatnonzero(mask).astype(np.int64) + start)
+            positions.append(np.flatnonzero(mask).astype(np.int64, copy=False) + start)
             offsets.append(offs[mask])
         start += n
     if not positions:

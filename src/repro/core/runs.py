@@ -36,7 +36,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["RunList", "run_starts", "group_by_runs", "copy_runs", "as_offsets"]
+__all__ = [
+    "RunList", "KeyGroups", "run_starts", "group_by_runs", "copy_runs", "as_offsets",
+]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_RUNS = np.zeros((0, 3), dtype=np.int64)
@@ -48,6 +50,13 @@ _UNSET = object()
 RUN_WIRE_BYTES = 24
 #: fixed wire envelope of a run-encoded sequence
 RUN_WIRE_HEADER = 16
+
+
+def _step_changes(arr: np.ndarray) -> np.ndarray:
+    """Boolean per element ``i >= 2``: does ``arr[i] - arr[i-1]`` differ
+    from ``arr[i-1] - arr[i-2]`` (a new greedy run starts at ``i``)?"""
+    d = arr[1:] - arr[:-1]
+    return d[1:] != d[:-1]
 
 
 def run_starts(arr: np.ndarray) -> np.ndarray:
@@ -64,9 +73,29 @@ def run_starts(arr: np.ndarray) -> np.ndarray:
         return _EMPTY_I64
     if n <= 2:
         return np.zeros(1, dtype=np.int64)
-    d = np.diff(arr)
-    starts = np.flatnonzero(d[1:] != d[:-1]).astype(np.int64) + 2
-    return np.concatenate([np.zeros(1, dtype=np.int64), starts])
+    return _starts_of(_step_changes(arr))
+
+
+def _starts_of(changes: np.ndarray) -> np.ndarray:
+    """Run start indices from a :func:`_step_changes` mask."""
+    where = np.flatnonzero(changes)
+    starts = np.empty(len(where) + 1, dtype=np.int64)
+    starts[0] = 0
+    np.add(where, 2, out=starts[1:])
+    return starts
+
+
+def _run_table(arr: np.ndarray, starts_idx: np.ndarray) -> np.ndarray:
+    """Read-only ``(R, 3)`` ``(start, step, count)`` table of the greedy
+    runs of ``arr`` beginning at ``starts_idx``."""
+    n = len(arr)
+    counts = np.diff(np.append(starts_idx, n))
+    starts = arr[starts_idx]
+    second = arr[np.minimum(starts_idx + 1, n - 1)]
+    steps = np.where(counts > 1, second - starts, 0)
+    runs = np.column_stack([starts, steps, counts]).astype(np.int64)
+    runs.setflags(write=False)
+    return runs
 
 
 def _run_slice(start: int, step: int, count: int) -> slice:
@@ -200,19 +229,20 @@ class RunList:
         n = len(arr)
         if n == 0:
             return cls.empty()
-        starts_idx = run_starts(arr)
-        k = len(starts_idx)
-        if k > 1 and 3 * k >= n:
-            dense = np.array(arr, dtype=np.int64, copy=True)
-            dense.setflags(write=False)
-            return cls(None, dense, n, k)
-        counts = np.diff(np.append(starts_idx, n))
-        starts = arr[starts_idx]
-        second = arr[np.minimum(starts_idx + 1, n - 1)]
-        steps = np.where(counts > 1, second - starts, 0)
-        runs = np.column_stack([starts, steps, counts]).astype(np.int64)
-        runs.setflags(write=False)
-        return cls(runs, None, n, k)
+        # Irregular sequences only need their run *count* (one popcount
+        # of the step-change mask); the run table is built for the
+        # regular ones, where it is short.
+        if n > 2:
+            changes = _step_changes(arr)
+            k = 1 + int(np.count_nonzero(changes))
+            if k > 1 and 3 * k >= n:
+                dense = arr.copy()
+                dense.setflags(write=False)
+                return cls(None, dense, n, k)
+            starts_idx = _starts_of(changes)
+        else:
+            k, starts_idx = 1, np.zeros(1, dtype=np.int64)
+        return cls(_run_table(arr, starts_idx), None, n, k)
 
     @classmethod
     def from_runs(cls, runs: Iterable) -> "RunList":
@@ -253,15 +283,7 @@ class RunList:
         """
         if self._runs is not None:
             return self._runs
-        arr = self._dense
-        starts_idx = run_starts(arr)
-        counts = np.diff(np.append(starts_idx, len(arr)))
-        starts = arr[starts_idx]
-        second = arr[np.minimum(starts_idx + 1, len(arr) - 1)]
-        steps = np.where(counts > 1, second - starts, 0)
-        runs = np.column_stack([starts, steps, counts]).astype(np.int64)
-        runs.setflags(write=False)
-        return runs
+        return _run_table(self._dense, run_starts(self._dense))
 
     @property
     def nbytes_wire(self) -> int:
@@ -470,23 +492,86 @@ def as_offsets(offsets) -> "RunList | np.ndarray":
     return np.asarray(offsets, dtype=np.int64)
 
 
+class KeyGroups:
+    """The stable grouping of one key array, applied to any number of
+    value arrays.
+
+    The permutation that brings equal keys together (original order kept
+    within each group) and the group boundaries are computed once, here;
+    :meth:`split` / :meth:`runlists` then partition a value array with
+    one gather.  The schedule builder groups two value arrays per owner
+    array, and owner ranks are small non-negative integers, so:
+
+    - keys that are already grouped in ascending order (one key, or the
+      output of an earlier grouping) need no permutation at all;
+    - integer keys in ``[0, 2**16)`` are ordered by a stable sort of
+      their 8- or 16-bit cast, which NumPy runs as a radix sort — a
+      linear bucket pass instead of an O(n log n) comparison sort;
+    - anything else falls back to a stable argsort of the keys.
+
+    Boundaries come from one ``!=`` pass over the ordered keys.
+    """
+
+    __slots__ = ("keys", "_order", "_spans", "_n")
+
+    def __init__(self, keys: np.ndarray):
+        keys = np.asarray(keys)
+        if keys.ndim != 1:
+            raise ValueError("keys must be one-dimensional")
+        n = len(keys)
+        order = None
+        if n > 1 and (keys[1:] < keys[:-1]).any():
+            lo, hi = keys.min(), keys.max()
+            if keys.dtype.kind in "iu" and lo >= 0 and hi < 1 << 16:
+                keys = keys.astype(np.uint8 if hi < 1 << 8 else np.uint16)
+            order = keys.argsort(kind="stable")
+            keys = keys[order]
+        cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+        firsts = [0] + cuts if n else []
+        #: the distinct keys, ascending
+        self.keys: list[int] = keys[firsts].tolist()
+        self._order = order
+        self._spans = [slice(a, b) for a, b in zip(firsts, cuts + [n])]
+        self._n = n
+
+    def selectors(self) -> list:
+        """Per entry of :attr:`keys`, what selects that key's elements
+        from an array ordered like the keys: a slice when the keys needed
+        no permutation, otherwise an index array (ascending)."""
+        if self._order is None:
+            return self._spans
+        return [self._order[span] for span in self._spans]
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """``values`` partitioned by key: one dense array per entry of
+        :attr:`keys`, original order kept within each.
+
+        The pieces are slices of one gathered array — or of ``values``
+        itself when the keys needed no permutation — so treat them as
+        read-only.
+        """
+        values = np.asarray(values)
+        if len(values) != self._n:
+            raise ValueError(f"{len(values)} values for {self._n} keys")
+        if self._order is not None:
+            values = values[self._order]
+        return [values[span] for span in self._spans]
+
+    def runlists(self, values: np.ndarray) -> dict[int, "RunList"]:
+        """:meth:`split`, each group compressed into a :class:`RunList`."""
+        return {
+            k: RunList.from_dense(v) for k, v in zip(self.keys, self.split(values))
+        }
+
+
 def group_by_runs(keys: np.ndarray, values: np.ndarray) -> dict[int, "RunList"]:
     """Partition ``values`` by ``keys`` (stable) into compressed RunLists.
 
-    The run-aware successor of the schedule builder's ``_group_by``:
-    same grouping, but each group is stored in run form when regular.
+    Regular sections produce a handful of ``(start, step, count)`` runs
+    per key, so a schedule grouped this way is layout-sized, not
+    data-sized.  The one-value-array case of :class:`KeyGroups`.
     """
-    if len(keys) == 0:
-        return {}
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_values = np.asarray(values)[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    bounds = np.append(starts, len(sorted_keys))
-    return {
-        int(k): RunList.from_dense(sorted_values[bounds[i] : bounds[i + 1]])
-        for i, k in enumerate(uniq)
-    }
+    return KeyGroups(keys).runlists(values)
 
 
 def copy_runs(

@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.linearization import Linearization, check_conformance
 from repro.core.policy import ExecutorPolicy, ordered_or_rotated
 from repro.core.registry import LibraryAdapter, get_adapter
-from repro.core.runs import RunList, group_by_runs
+from repro.core.runs import KeyGroups, RunList, group_by_runs
 from repro.core.setofregions import SetOfRegions
 from repro.core.universe import (
     TAG_DESCRIPTOR,
@@ -292,16 +292,6 @@ def chunk_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _group_by(keys: np.ndarray, values: np.ndarray) -> dict[int, RunList]:
-    """Partition ``values`` by ``keys`` preserving order within each group.
-
-    Groups come back run-compressed: regular sections produce a handful
-    of ``(start, step, count)`` runs per peer, so the stored schedule is
-    layout-sized, not data-sized.
-    """
-    return group_by_runs(keys, values)
-
-
 def build_schedule(
     universe: Universe,
     src_lib: str,
@@ -390,18 +380,38 @@ def build_schedule(
         )
 
 
+#: count a program's rank 0 sends in place of its element count when its
+#: SetOfRegions does not fit its data structure, so the peer program
+#: fails too instead of waiting for schedule pieces that never come
+_BAD_REGION = -1
+
+
 def _conformance_size(
     universe: Universe,
     src_handle, src_sor, dst_handle, dst_sor,
     src_adapter: LibraryAdapter, dst_adapter: LibraryAdapter,
 ) -> int:
-    """Element count, validated across both sides (§4.1.2's one constraint)."""
+    """Element count, validated across both sides (§4.1.2's one constraint).
+
+    Binding each SetOfRegions to its structure's shape (a
+    :class:`Linearization`) also checks that every region fits it.  That
+    runs here — on every rank, before the first exchange — so a bad
+    region raises the same ``ValueError`` everywhere rather than an index
+    error on whichever rank's chunk happens to hold the bad element.
+    """
     if universe.single_program:
         src_linz = Linearization(src_sor, src_adapter.shape_of(src_handle))
         dst_linz = Linearization(dst_sor, dst_adapter.shape_of(dst_handle))
         return check_conformance(src_linz, dst_linz)
     # Two programs: rank 0 of each side exchanges its count.
-    my_n = (src_sor or dst_sor).size
+    misfit = None
+    try:
+        if universe.my_src_rank is not None:
+            my_n = Linearization(src_sor, src_adapter.shape_of(src_handle)).size
+        else:
+            my_n = Linearization(dst_sor, dst_adapter.shape_of(dst_handle)).size
+    except ValueError as exc:
+        my_n, misfit = _BAD_REGION, exc
     if universe.my_src_rank == 0:
         universe.send_to_dst(0, my_n, TAG_SCHED_SRCINFO)
         other = universe.recv_from_dst(0, TAG_SCHED_SRCINFO)
@@ -410,12 +420,18 @@ def _conformance_size(
         other = universe.recv_from_src(0, TAG_SCHED_SRCINFO)
     else:
         other = my_n
-    if universe.my_src_rank == 0 or universe.my_dst_rank == 0:
-        if other != my_n:
-            raise ValueError(
-                f"source SetOfRegions has a different element count "
-                f"({my_n} here vs {other} on the peer program)"
-            )
+    if misfit is not None:
+        raise misfit
+    if other == _BAD_REGION:
+        raise ValueError(
+            "the peer program's SetOfRegions does not fit its data "
+            "structure (see the peer's error)"
+        )
+    if other != my_n:
+        raise ValueError(
+            f"source SetOfRegions has a different element count "
+            f"({my_n} here vs {other} on the peer program)"
+        )
     return my_n
 
 
@@ -468,15 +484,17 @@ def _build_cooperation(
         for d in targets:
             dlo, dhi = dst_chunks[d]
             olo, ohi = max(lo, dlo), min(hi, dhi)
-            piece = (
-                olo,
-                RunEncoded(sranks[olo - lo : ohi - lo]),
-                RunEncoded(soffs[olo - lo : ohi - lo]),
-            )
+            ranks_d = sranks[olo - lo : ohi - lo]
+            offs_d = soffs[olo - lo : ohi - lo]
             if universe.same_proc_dst(d):
-                stash[universe.my_src_rank] = piece
+                # Never leaves the rank: keep the dense slices, skipping
+                # the compress -> expand round trip of the wire form.
+                stash[universe.my_src_rank] = (olo, ranks_d, offs_d)
             else:
-                universe.send_to_dst(d, piece, TAG_SCHED_SRCINFO)
+                universe.send_to_dst(
+                    d, (olo, RunEncoded(ranks_d), RunEncoded(offs_d)),
+                    TAG_SCHED_SRCINFO,
+                )
 
     # Phase 2: destination side dereferences its chunk, merges in the
     # source info, and forms complete schedule entries for its chunk.
@@ -491,52 +509,40 @@ def _build_cooperation(
         sranks = np.empty(m, dtype=np.int64)
         soffs = np.empty(m, dtype=np.int64)
 
-        def _place(piece):
+        def _place(olo, r, o):
+            sranks[olo - dlo : olo - dlo + len(r)] = r
+            soffs[olo - dlo : olo - dlo + len(o)] = o
+
+        def _place_wire(piece):
             olo, r, o = piece
-            sranks[olo - dlo : olo - dlo + len(r)] = r.array
-            soffs[olo - dlo : olo - dlo + len(o)] = o.array
+            _place(olo, r.runlist.dense(), o.runlist.dense())
 
         sources = _overlaps(dlo, dhi, src_chunks)
         remote = [s for s in sources if not universe.same_proc_src(s)]
         if policy is ExecutorPolicy.OVERLAP and len(remote) > 1:
             for s in sources:
                 if universe.same_proc_src(s):
-                    _place(stash.pop(s))
+                    _place(*stash.pop(s))
             requests = [
                 universe.irecv_from_src(s, TAG_SCHED_SRCINFO) for s in remote
             ]
             for _ in range(len(requests)):
                 _, piece = waitany(requests)
-                _place(piece)
+                _place_wire(piece)
         else:
             for s in sources:
                 if universe.same_proc_src(s):
-                    _place(stash.pop(s))
+                    _place(*stash.pop(s))
                 else:
-                    _place(universe.recv_from_src(s, TAG_SCHED_SRCINFO))
+                    _place_wire(universe.recv_from_src(s, TAG_SCHED_SRCINFO))
         dranks, doffs = dst_adapter.deref_range(dst_handle, dst_sor, dlo, dhi)
 
         # Halves for every source-group processor: (dranks, soffs) of the
-        # entries it owns on the source side, in linearization order.
-        by_s_dranks = _group_by(sranks, dranks)
-        by_s_soffs = _group_by(sranks, soffs)
-        src_pieces = [
-            (
-                RunEncoded(by_s_dranks.get(s, _EMPTY)),
-                RunEncoded(by_s_soffs.get(s, _EMPTY)),
-            )
-            for s in range(universe.src_size)
-        ]
-        # Halves for every destination-group processor: (sranks, doffs).
-        by_d_sranks = _group_by(dranks, sranks)
-        by_d_doffs = _group_by(dranks, doffs)
-        dst_pieces = [
-            (
-                RunEncoded(by_d_sranks.get(d, _EMPTY)),
-                RunEncoded(by_d_doffs.get(d, _EMPTY)),
-            )
-            for d in range(universe.dst_size)
-        ]
+        # entries it owns on the source side, in linearization order; for
+        # every destination-group processor: (sranks, doffs).  Each owner
+        # array is grouped once and the grouping applied to both values.
+        src_pieces = _halves(KeyGroups(sranks), universe.src_size, dranks, soffs)
+        dst_pieces = _halves(KeyGroups(dranks), universe.dst_size, sranks, doffs)
 
     # Phase 3: dense distribution of the halves, then local assembly.
     my_src_half, my_dst_half = _distribute_pieces(
@@ -547,17 +553,38 @@ def _build_cooperation(
     recvs: dict[int, np.ndarray] = {}
     if universe.my_src_rank is not None:
         # Pieces arrive in destination-chunk order == linearization order.
-        dprocs = np.concatenate([p[0].array for p in my_src_half]) if my_src_half else _EMPTY
-        soffs_all = np.concatenate([p[1].array for p in my_src_half]) if my_src_half else _EMPTY
-        sends = _group_by(dprocs, soffs_all)
+        sends = _assemble(my_src_half)
     if universe.my_dst_rank is not None:
-        sprocs = np.concatenate([p[0].array for p in my_dst_half]) if my_dst_half else _EMPTY
-        doffs_all = np.concatenate([p[1].array for p in my_dst_half]) if my_dst_half else _EMPTY
-        recvs = _group_by(sprocs, doffs_all)
+        recvs = _assemble(my_dst_half)
     return sends, recvs
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _halves(groups: KeyGroups, nranks: int, first, second) -> list[tuple]:
+    """Per-rank ``(first, second)`` dense pieces of one grouping (empty
+    for ranks owning nothing in the chunk)."""
+    pieces = [(_EMPTY, _EMPTY)] * nranks
+    for k, a, b in zip(groups.keys, groups.split(first), groups.split(second)):
+        pieces[k] = (a, b)
+    return pieces
+
+
+def _encode(piece: tuple) -> tuple:
+    """Wire form of one ``(peers, offsets)`` piece: run-compressed."""
+    return RunEncoded(piece[0]), RunEncoded(piece[1])
+
+
+def _decode(piece: tuple) -> tuple:
+    """Dense (read-only) form of a received :func:`_encode` piece."""
+    return piece[0].runlist.dense(), piece[1].runlist.dense()
+
+
+def _assemble(half: list[tuple]) -> dict[int, RunList]:
+    """One rank's schedule half from its per-chunk-owner dense pieces."""
+    peers = np.concatenate([p[0] for p in half])
+    return group_by_runs(peers, np.concatenate([p[1] for p in half]))
 
 
 def _distribute_pieces(
@@ -573,35 +600,26 @@ def _distribute_pieces(
     ``OVERLAP`` the sends are rotated and the pieces are completed in
     arrival order via wait-any, slotted into their sender's index — the
     assembled halves are identical either way.
+
+    Pieces go in and come out dense; only what is sent takes the
+    run-compressed wire form, so the piece a rank keeps for itself is
+    never compressed and re-expanded.
     """
-    overlap = policy is ExecutorPolicy.OVERLAP
     if universe.single_program:
         comm_size = universe.dst_size
         me = universe.my_dst_rank
-        merged = [
-            (src_pieces[p], dst_pieces[p]) for p in range(comm_size)
-        ]
-        mine = merged[me]
         for p in ordered_or_rotated(
             [p for p in range(comm_size) if p != me], me, comm_size, policy
         ):
-            universe.send_to_dst(p, merged[p], TAG_SCHED_PIECES)
-        others = [q for q in range(comm_size) if q != me]
-        pieces: list = [None] * comm_size
-        pieces[me] = mine
-        if overlap and len(others) > 1:
-            requests = [
-                universe.irecv_from_dst(q, TAG_SCHED_PIECES) for q in others
-            ]
-            for _ in range(len(requests)):
-                idx, piece = waitany(requests)
-                pieces[others[idx]] = piece
-        else:
-            for q in others:
-                pieces[q] = universe.recv_from_dst(q, TAG_SCHED_PIECES)
-        my_src_half = [p[0] for p in pieces]
-        my_dst_half = [p[1] for p in pieces]
-        return my_src_half, my_dst_half
+            universe.send_to_dst(
+                p, (_encode(src_pieces[p]), _encode(dst_pieces[p])),
+                TAG_SCHED_PIECES,
+            )
+        pieces = _collect(
+            universe, policy, lambda p: (_decode(p[0]), _decode(p[1])),
+            mine=(src_pieces[me], dst_pieces[me]),
+        )
+        return [p[0] for p in pieces], [p[1] for p in pieces]
 
     # Two programs: only destination-group members hold pieces.
     if universe.my_dst_rank is not None:
@@ -609,42 +627,33 @@ def _distribute_pieces(
         for s in ordered_or_rotated(
             list(range(universe.src_size)), me, universe.src_size, policy
         ):
-            universe.send_to_src(s, src_pieces[s], TAG_SCHED_PIECES)
+            universe.send_to_src(s, _encode(src_pieces[s]), TAG_SCHED_PIECES)
         for d in ordered_or_rotated(
             [d for d in range(universe.dst_size) if d != me],
             me, universe.dst_size, policy,
         ):
-            universe.send_to_dst(d, dst_pieces[d], TAG_SCHED_PIECES)
-        others = [q for q in range(universe.dst_size) if q != me]
-        my_dst_half = [None] * universe.dst_size
-        my_dst_half[me] = dst_pieces[me]
-        if overlap and len(others) > 1:
-            requests = [
-                universe.irecv_from_dst(q, TAG_SCHED_PIECES) for q in others
-            ]
-            for _ in range(len(requests)):
-                idx, piece = waitany(requests)
-                my_dst_half[others[idx]] = piece
-        else:
-            for q in others:
-                my_dst_half[q] = universe.recv_from_dst(q, TAG_SCHED_PIECES)
-        return None, my_dst_half
+            universe.send_to_dst(d, _encode(dst_pieces[d]), TAG_SCHED_PIECES)
+        return None, _collect(universe, policy, _decode, mine=dst_pieces[me])
     # Pure source-group member.
-    owners = list(range(universe.dst_size))
-    if overlap and len(owners) > 1:
-        my_src_half = [None] * universe.dst_size
-        requests = [
-            universe.irecv_from_dst(q, TAG_SCHED_PIECES) for q in owners
-        ]
+    return _collect(universe, policy, _decode), None
+
+
+def _collect(universe, policy, decode, mine=None) -> list:
+    """Phase-3 pieces indexed by destination-chunk owner, decoded: one
+    message from each owner, except that a destination-group caller's
+    own slot takes ``mine`` (still dense) as is."""
+    me = universe.my_dst_rank
+    owners = [q for q in range(universe.dst_size) if q != me]
+    pieces: list = [mine] * universe.dst_size
+    if policy is ExecutorPolicy.OVERLAP and len(owners) > 1:
+        requests = [universe.irecv_from_dst(q, TAG_SCHED_PIECES) for q in owners]
         for _ in range(len(requests)):
             idx, piece = waitany(requests)
-            my_src_half[owners[idx]] = piece
-        return my_src_half, None
-    my_src_half = [
-        universe.recv_from_dst(q, TAG_SCHED_PIECES)
-        for q in owners
-    ]
-    return my_src_half, None
+            pieces[owners[idx]] = decode(piece)
+    else:
+        for q in owners:
+            pieces[q] = decode(universe.recv_from_dst(q, TAG_SCHED_PIECES))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +692,7 @@ def _build_duplication(
             src_local, src_sor, universe.my_src_rank
         )
         dranks, _ = dst_adapter.deref_lin(dst_local, dst_sor, lin_mine)
-        sends = _group_by(dranks, soffs_mine)
+        sends = group_by_runs(dranks, soffs_mine)
     if universe.my_dst_rank is not None:
         # Receive role: my destination-side elements; dereference the
         # source library to learn who sends each.  (The second dereference
@@ -692,7 +701,7 @@ def _build_duplication(
             dst_local, dst_sor, universe.my_dst_rank
         )
         sranks, _ = src_adapter.deref_lin(src_local, src_sor, lin_mine)
-        recvs = _group_by(sranks, doffs_mine)
+        recvs = group_by_runs(sranks, doffs_mine)
     return sends, recvs
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.region import Region
+from repro.core.runs import KeyGroups
 
 __all__ = ["SetOfRegions"]
 
@@ -44,34 +45,70 @@ class SetOfRegions:
             self._starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         return self._starts
 
+    def check_fits(self, shape: tuple[int, ...]) -> None:
+        """Raise ``ValueError`` unless every region's elements exist in a
+        data structure of global shape ``shape``."""
+        for region in self.regions:
+            region.check_fits(shape)
+
     def lin_to_global(
         self, positions: np.ndarray, shape: tuple[int, ...]
     ) -> np.ndarray:
         """Flat global index of each linearization position (vectorized).
 
-        Positions are split by region (searchsorted over the region start
-        offsets) and each slice is resolved by its region.  The output is
-        ordered like ``positions``.
+        Positions are split by region (one searchsorted over the region
+        start offsets, then one stable grouping of the region ids) and
+        each group is resolved by its region; ascending positions split
+        into plain slices.  The output is ordered like ``positions``.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) == 0:
             return np.zeros(0, dtype=np.int64)
-        total = self.size
-        if positions.min(initial=0) < 0 or positions.max(initial=0) >= total:
+        if positions.min() < 0 or positions.max() >= self.size:
             raise IndexError("linearization position out of range")
+        if len(self.regions) == 1:
+            return self.regions[0].lin_to_global(positions, shape)
         starts = self.starts
-        region_ids = np.searchsorted(starts, positions, side="right") - 1
+        groups = KeyGroups(np.searchsorted(starts, positions, side="right") - 1)
         out = np.empty(len(positions), dtype=np.int64)
-        for rid in np.unique(region_ids):
-            mask = region_ids == rid
-            local = positions[mask] - starts[rid]
-            out[mask] = self.regions[rid].lin_to_global(local, shape)
+        for rid, sel in zip(groups.keys, groups.selectors()):
+            out[sel] = self.regions[rid].lin_to_global(
+                positions[sel] - starts[rid], shape
+            )
         return out
+
+    def split_range(self, lo: int, hi: int) -> list[tuple[Region, int, int]]:
+        """``(region, lo_r, hi_r)`` for every region the linearization
+        range ``[lo, hi)`` intersects, in order, with the bounds made
+        relative to the region's own linearization."""
+        if not 0 <= lo <= hi <= self.size:
+            raise IndexError("linearization position out of range")
+        starts = self.starts.tolist()
+        return [
+            (region, max(lo, a) - a, min(hi, b) - a)
+            for region, a, b in zip(self.regions, starts, starts[1:])
+            if max(lo, a) < min(hi, b)
+        ]
+
+    def range_to_global(
+        self, lo: int, hi: int, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """:meth:`lin_to_global` for the contiguous range ``[lo, hi)``,
+        resolved region by region without materialising the positions."""
+        parts = [
+            region.range_to_global(a, b, shape)
+            for region, a, b in self.split_range(lo, hi)
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def global_flat(self, shape: tuple[int, ...]) -> np.ndarray:
         """All selected flat global indices in linearization order."""
         if not self.regions:
             return np.zeros(0, dtype=np.int64)
+        if len(self.regions) == 1:
+            return self.regions[0].global_flat(shape)
         return np.concatenate([r.global_flat(shape) for r in self.regions])
 
     def nbytes_descriptor(self) -> int:

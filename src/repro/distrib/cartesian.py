@@ -169,6 +169,14 @@ class CartesianDist(Distribution):
         self.grid = tuple(d.procs for d in dims)
         self.nprocs = int(np.prod(self.grid))
         self.size = int(np.prod(self.global_shape)) if self.global_shape else 0
+        # Per-dim local extent by proc coordinate: a plain int when every
+        # grid slot holds the same number (dividing sizes, COLLAPSED), so
+        # the owner map multiplies by a constant instead of recomputing
+        # the extent of every element's owner.
+        extents = [d.extent(np.arange(d.procs)) for d in dims]
+        self._extents = tuple(
+            int(e[0]) if (e == e[0]).all() else e for e in extents
+        )
 
     # -- construction helpers ------------------------------------------------
 
@@ -215,20 +223,23 @@ class CartesianDist(Distribution):
 
     def owner_of_flat(self, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gidx = np.asarray(gidx, dtype=np.int64)
+        # unravel_index is also the bounds check (ValueError outside
+        # [0, size)).  Rank and local offset are both C-order ravels —
+        # of the proc coords against the grid, and of the local coords
+        # against the owner's local shape — accumulated dimension by
+        # dimension: r = r * procs_d + pc_d, o = o * extent_d(pc_d) + lc_d.
         multi = np.unravel_index(gidx, self.global_shape)
-        pcs, lcs, extents = [], [], []
-        for d, g in zip(self.dims, multi):
-            pc, lc = d.map(g)
-            pcs.append(pc)
-            lcs.append(lc)
-        ranks = self.rank_of_coords(tuple(pcs))
-        # Flat local offset: C-order ravel of local coords against the
-        # owning rank's local shape (which varies per element).
-        offsets = np.zeros_like(gidx)
-        stride = np.ones_like(gidx)
-        for d, pc, lc in zip(reversed(self.dims), reversed(pcs), reversed(lcs)):
-            offsets = offsets + lc * stride
-            stride = stride * d.extent(pc)
+        ranks = offsets = None
+        for d, g, extent in zip(self.dims, multi, self._extents):
+            lc = g  # a dimension on one grid slot: proc coord 0 throughout
+            if d.procs > 1:
+                pc, lc = d.map(g)
+                ranks = pc if ranks is None else ranks * d.procs + pc
+                if not isinstance(extent, int):
+                    extent = extent[pc]
+            offsets = lc if offsets is None else offsets * extent + lc
+        if ranks is None:
+            ranks = np.zeros_like(gidx)
         return ranks, offsets
 
     def local_to_global(self, rank: int, offsets: np.ndarray) -> np.ndarray:
@@ -244,40 +255,36 @@ class CartesianDist(Distribution):
 
     # -- regular-section dereference (the cheap path) ---------------------------
 
-    def section_map(self, section: Section) -> tuple[np.ndarray, np.ndarray]:
+    def section_map(
+        self, section: Section, order: str = "C"
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Owners and local offsets of every element of ``section``.
 
-        Element order is the section's linearization (row-major over the
-        section's index grid): position ``i`` of the returned arrays is
-        linearization index ``i``.
+        Element order is the section's ``order`` linearization
+        (row-major over the section's index grid by default): position
+        ``i`` of the returned arrays is linearization index ``i``.
 
-        The per-dimension owner computation is closed form (one vector op
-        per dimension), so the cost is O(section size) cheap arithmetic
-        with no per-element table lookups.
+        Closed form: each dimension's indices are mapped once (O(sum of
+        the section's per-dim counts)) and the per-element rank and
+        offset are built by broadcasting those per-dim tables — a few
+        whole-array operations, no per-element un-ravelling and no table
+        lookups.
         """
         if len(section.starts) != len(self.dims):
             raise ValueError("section rank mismatch")
-        per_dim_pc, per_dim_lc = [], []
-        for d in range(len(self.dims)):
-            idx = section.dim_indices(d)
-            if len(idx) and (idx[-1] >= self.dims[d].size or idx[0] < 0):
-                raise IndexError(
-                    f"section {section} exceeds global shape {self.global_shape}"
-                )
-            pc, lc = self.dims[d].map(idx)
-            per_dim_pc.append(pc)
-            per_dim_lc.append(lc)
-        pc_grids = np.meshgrid(*per_dim_pc, indexing="ij")
-        lc_grids = np.meshgrid(*per_dim_lc, indexing="ij")
-        ranks = self.rank_of_coords(tuple(g.ravel() for g in pc_grids))
-        offsets = np.zeros(section.size, dtype=np.int64)
-        stride = np.ones(section.size, dtype=np.int64)
-        for d in range(len(self.dims) - 1, -1, -1):
-            pc = pc_grids[d].ravel()
-            lc = lc_grids[d].ravel()
-            offsets += lc * stride
-            stride *= self.dims[d].extent(pc)
-        return ranks, offsets
+        if section.exceeds(self.global_shape):
+            raise IndexError(
+                f"section {section} exceeds global shape {self.global_shape}"
+            )
+        ranks = offsets = None
+        for d, dim in enumerate(self.dims):
+            pc, lc = dim.map(section.dim_indices(d))
+            if ranks is None:
+                ranks, offsets = pc, lc
+            else:
+                ranks = ranks[..., None] * dim.procs + pc
+                offsets = offsets[..., None] * dim.extent(pc) + lc
+        return ranks.ravel(order=order), offsets.ravel(order=order)
 
     # -- descriptor ------------------------------------------------------------
 

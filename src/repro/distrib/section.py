@@ -75,9 +75,23 @@ class Section:
             n *= c
         return n
 
+    @property
+    def last(self) -> tuple[int, ...]:
+        """Last selected index per dimension (of a nonempty section)."""
+        return tuple(
+            lo + (c - 1) * st
+            for lo, c, st in zip(self.starts, self.counts, self.steps)
+        )
+
+    def exceeds(self, shape: tuple[int, ...]) -> bool:
+        """Does any selected index fall outside an array of ``shape``?"""
+        return self.size > 0 and any(i >= n for i, n in zip(self.last, shape))
+
     def dim_indices(self, d: int) -> np.ndarray:
         """Global indices selected along dimension ``d`` (ascending)."""
-        return np.arange(self.starts[d], self.stops[d], self.steps[d])
+        return np.arange(
+            self.starts[d], self.stops[d], self.steps[d], dtype=np.int64
+        )
 
     def global_flat(self, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
         """Flat global indices of all elements, in linearization order.
@@ -94,13 +108,81 @@ class Section:
             raise ValueError("shape rank mismatch")
         if order not in ("C", "F"):
             raise ValueError(f"order must be 'C' or 'F', got {order!r}")
-        per_dim = [self.dim_indices(d) for d in range(self.ndim)]
-        grids = np.meshgrid(*per_dim, indexing="ij") if per_dim else []
-        if not grids:
+        if not self.ndim:
             return np.zeros(0, dtype=np.int64)
-        return np.ravel_multi_index(
-            [g.ravel(order=order) for g in grids], shape
-        ).astype(np.int64)
+        if self.exceeds(shape):
+            raise ValueError(f"section {self} exceeds global shape {tuple(shape)}")
+        # Row-major flattening as one broadcast pass per dimension:
+        # flat = (...(i0 * n1 + i1) * n2 + i2 ...).
+        flat = self.dim_indices(0)
+        for d in range(1, self.ndim):
+            flat = flat[..., None] * shape[d] + self.dim_indices(d)
+        return flat.ravel(order=order)
+
+    def split_range(
+        self, lo: int, hi: int, order: str = "C"
+    ) -> list["Section"]:
+        """Sub-sections whose linearizations, concatenated, are positions
+        ``[lo, hi)`` of this section's ``order`` linearization.
+
+        A contiguous run of a row-major enumeration is a partial first
+        row, a block of whole rows and a partial last row, recursively
+        per dimension — at most ``2 * ndim - 1`` rectangles, found with
+        O(ndim) integer arithmetic.  This is what lets a contiguous
+        linearization chunk be dereferenced box by box in closed form,
+        without materialising and un-ravelling its positions.
+        """
+        if order not in ("C", "F"):
+            raise ValueError(f"order must be 'C' or 'F', got {order!r}")
+        if not 0 <= lo <= hi <= self.size:
+            raise IndexError("linearization position out of range")
+        counts = self.counts
+        # axes from slowest- to fastest-varying in the enumeration
+        axes = list(range(self.ndim))
+        if order == "F":
+            axes.reverse()
+        boxes: list[list[tuple[int, int]]] = []
+
+        def walk(lo, hi, level, box):
+            if lo == hi:
+                return
+            if level == len(axes):
+                boxes.append(box)
+                return
+            inner = 1
+            for ax in axes[level + 1 :]:
+                inner *= counts[ax]
+            (i_lo, r_lo), (i_hi, r_hi) = divmod(lo, inner), divmod(hi, inner)
+            if i_lo == i_hi:
+                walk(r_lo, r_hi, level + 1, box + [(i_lo, i_lo + 1)])
+                return
+            if r_lo:
+                walk(r_lo, inner, level + 1, box + [(i_lo, i_lo + 1)])
+                i_lo += 1
+            if i_lo < i_hi:
+                boxes.append(
+                    box + [(i_lo, i_hi)]
+                    + [(0, counts[ax]) for ax in axes[level + 1 :]]
+                )
+            walk(0, r_hi, level + 1, box + [(i_hi, i_hi + 1)])
+
+        walk(lo, hi, 0, [])
+        out = []
+        for box in boxes:
+            # per-dim [first, last] selected positions -> global bounds
+            spans = [span for _, span in sorted(zip(axes, box))]
+            out.append(Section(
+                tuple(
+                    lo_d + a * st
+                    for lo_d, st, (a, _) in zip(self.starts, self.steps, spans)
+                ),
+                tuple(
+                    lo_d + (b - 1) * st + 1
+                    for lo_d, st, (_, b) in zip(self.starts, self.steps, spans)
+                ),
+                self.steps,
+            ))
+        return out
 
     def lin_to_multi(
         self, lin: np.ndarray, order: str = "C"
@@ -167,10 +249,10 @@ class Section:
             if (pos < 0).any() or (pos >= self.counts[d]).any():
                 return None
             per_dim.append(pos)
-        grids = np.meshgrid(*per_dim, indexing="ij")
-        return np.ravel_multi_index(
-            [g.ravel() for g in grids], self.counts
-        ).astype(np.int64)
+        lin = per_dim[0]
+        for d in range(1, self.ndim):
+            lin = lin[..., None] * self.counts[d] + per_dim[d]
+        return lin.ravel()
 
     def __repr__(self) -> str:
         parts = ",".join(

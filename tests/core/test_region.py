@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.region import IndexRegion, SectionRegion
+from repro.core.region import IndexRegion, MaskRegion, SectionRegion
 from repro.distrib.section import Section
 
 
@@ -70,3 +70,46 @@ class TestIndexRegion:
         # bijection checks happen at the linearization level.
         r = IndexRegion(np.array([3, 3]))
         assert r.size == 2
+
+
+class TestCheckFits:
+    """Each Region type knows whether a structure of a given shape has
+    every element it names (the schedule builder asks once, up front)."""
+
+    def test_section_inside_and_outside(self):
+        r = SectionRegion(Section((1, 0), (4, 6), (1, 2)))
+        r.check_fits((4, 6))
+        r.check_fits((4, 5))  # last column taken is 4: still inside
+        with pytest.raises(ValueError, match=r"index \(3, 4\).*shape \(3, 6\)"):
+            r.check_fits((3, 6))
+        with pytest.raises(ValueError, match="2 dimension"):
+            r.check_fits((24,))
+
+    def test_empty_section_fits_anything(self):
+        SectionRegion(Section((5, 5), (5, 9), (1, 1))).check_fits((2, 2))
+
+    def test_index_list(self):
+        r = IndexRegion(np.array([0, 5, 99]))
+        r.check_fits((10, 10))
+        with pytest.raises(ValueError, match=r"index 99 .*\(16,\) \(16 elements\)"):
+            r.check_fits((16,))
+        IndexRegion(np.zeros(0, dtype=int)).check_fits((0,))
+
+    def test_mask_must_match_shape(self):
+        r = MaskRegion(np.eye(3, dtype=bool))
+        r.check_fits((3, 3))
+        with pytest.raises(ValueError, match="mask shape"):
+            r.check_fits((9,))
+
+    def test_range_to_global_is_a_slice_of_lin_to_global(self):
+        shape = (6, 7)
+        for r in (
+            SectionRegion(Section((1, 0), (5, 7), (2, 3)), order="F"),
+            IndexRegion(np.array([41, 3, 17, 8, 30])),
+            MaskRegion(np.arange(42).reshape(shape) % 5 == 0),
+        ):
+            want = r.lin_to_global(np.arange(r.size), shape)
+            for lo, hi in [(0, r.size), (1, 3), (2, 2)]:
+                np.testing.assert_array_equal(
+                    r.range_to_global(lo, hi, shape), want[lo:hi]
+                )

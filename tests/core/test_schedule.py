@@ -1,5 +1,7 @@
 """Schedule-construction tests: both methods, structure, invariants."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ import repro.hpf  # noqa: F401
 from repro.blockparti import BlockPartiArray
 from repro.chaos import ChaosArray
 from repro.core import ScheduleMethod, mc_compute_schedule
-from repro.core.schedule import chunk_ranges, _group_by
+from repro.core import group_by_runs
+from repro.core.coupling import coupled_universe
+from repro.core.schedule import chunk_ranges
 from repro.hpf import HPFArray
+from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
 from repro.vmachine.machine import SPMDError
 
 from helpers import both_methods, index_sor, run_spmd, section_sor
@@ -47,16 +52,16 @@ class TestGroupBy:
     def test_groups_preserve_order(self):
         keys = np.array([2, 0, 2, 1, 0])
         vals = np.array([10, 20, 30, 40, 50])
-        groups = _group_by(keys, vals)
+        groups = group_by_runs(keys, vals)
         np.testing.assert_array_equal(groups[2], [10, 30])
         np.testing.assert_array_equal(groups[0], [20, 50])
         np.testing.assert_array_equal(groups[1], [40])
 
     def test_empty(self):
-        assert _group_by(np.zeros(0, dtype=int), np.zeros(0, dtype=int)) == {}
+        assert group_by_runs(np.zeros(0, dtype=int), np.zeros(0, dtype=int)) == {}
 
     def test_only_nonempty_groups(self):
-        groups = _group_by(np.array([3, 3]), np.array([1, 2]))
+        groups = group_by_runs(np.array([3, 3]), np.array([1, 2]))
         assert set(groups) == {3}
 
 
@@ -218,6 +223,96 @@ class TestGroupSizeValidation:
 
         with pytest.raises(SPMDError, match="distributed over 2 processors"):
             run_spmd(4, spmd)
+
+
+class TestRegionMustFitItsStructure:
+    """A region naming an element its structure does not have is refused
+    on every rank before the first exchange — not discovered by whichever
+    rank's linearization chunk holds the bad element while the others
+    wait on it."""
+
+    BAD = np.array([0, 5, 99])  # over 16 elements
+
+    @staticmethod
+    def _failure(run):
+        t0 = time.monotonic()
+        with pytest.raises(SPMDError) as ei:
+            run()
+        assert time.monotonic() - t0 < 5.0  # recv_timeout_s is 30 below
+        text = str(ei.value)
+        assert "TimeoutError" not in text
+        assert "delivered but never received" not in text
+        return ei.value.errors
+
+    @pytest.mark.parametrize("policy", ["ordered", "overlap"])
+    @pytest.mark.parametrize("method", both_methods())
+    def test_single_program_fails_alike_on_every_rank(self, method, policy):
+        def spmd(comm):
+            owners = np.arange(16) % comm.size
+            X = ChaosArray.zeros(comm, owners)
+            Y = ChaosArray.zeros(comm, owners)
+            mc_compute_schedule(
+                comm, "chaos", X, index_sor(self.BAD),
+                "chaos", Y, index_sor(np.array([1, 2, 3])),
+                method, policy=policy,
+            )
+
+        errors = self._failure(
+            lambda: VirtualMachine(4, recv_timeout_s=30.0).run(spmd)
+        )
+        assert [e.rank for e in errors] == [0, 1, 2, 3]
+        messages = {str(e.exception) for e in errors}
+        assert all(type(e.exception) is ValueError for e in errors)
+        assert len(messages) == 1
+        (message,) = messages
+        assert "IndexRegion(n=3)" in message
+        assert "index 99" in message and "(16,)" in message
+
+    def test_section_outside_a_regular_structure(self):
+        def spmd(comm):
+            A = BlockPartiArray.zeros(comm, (4, 4))
+            B = BlockPartiArray.zeros(comm, (4, 6))
+            sor = section_sor((slice(0, 4), slice(2, 6)), (4, 6))
+            mc_compute_schedule(comm, "blockparti", A, sor, "blockparti", B, sor)
+
+        errors = self._failure(
+            lambda: VirtualMachine(2, recv_timeout_s=30.0).run(spmd)
+        )
+        assert all(type(e.exception) is ValueError for e in errors)
+        assert "index (3, 5)" in str(errors[0].exception)
+        assert "shape (4, 4)" in str(errors[0].exception)
+
+    @pytest.mark.parametrize("bad_side", ["src", "dst"])
+    def test_two_programs_both_fail_loudly(self, bad_side):
+        good = np.array([1, 2, 3])
+
+        def src_prog(ctx):
+            X = ChaosArray.zeros(ctx.comm, np.arange(16) % ctx.comm.size)
+            mc_compute_schedule(
+                coupled_universe(ctx, "dstp", "src"),
+                "chaos", X, index_sor(self.BAD if bad_side == "src" else good),
+                "chaos", None, None,
+            )
+
+        def dst_prog(ctx):
+            Y = ChaosArray.zeros(ctx.comm, np.arange(16) % ctx.comm.size)
+            mc_compute_schedule(
+                coupled_universe(ctx, "srcp", "dst"),
+                "chaos", None, None,
+                "chaos", Y, index_sor(self.BAD if bad_side == "dst" else good),
+            )
+
+        errors = self._failure(lambda: run_programs(
+            [ProgramSpec("srcp", 2, src_prog), ProgramSpec("dstp", 2, dst_prog)],
+            recv_timeout_s=30.0,
+        ))
+        by_rank = {e.rank: e.exception for e in errors}  # srcp = 0,1; dstp = 2,3
+        bad, peer0 = ((0, 1), 2) if bad_side == "src" else ((2, 3), 0)
+        for rank in bad:
+            assert type(by_rank[rank]) is ValueError
+            assert "index 99" in str(by_rank[rank])
+        assert type(by_rank[peer0]) is ValueError
+        assert "peer program" in str(by_rank[peer0])
 
 
 class TestRunCompressedSchedules:

@@ -8,10 +8,12 @@ would be to switch the calls to MC_DataMoveSend and MC_DataMoveRecv
 between the programs" (§4.3).  Applications exchanging several fields per
 timestep use :meth:`CoupledExchange.push_many` / :meth:`CoupledExchange.
 pull_many`, which fuse the k per-field messages of each processor pair
-into one.  All four methods are one exchange over a cached
-:class:`~repro.core.plan.MovePlan` per (field count, direction); a
-one-field plan travels the bare wire, so ``push(a)`` and
-``push_many([a])`` are the same move.
+into one.  All four methods are one :func:`exchange` over the schedule's
+memoised :class:`~repro.core.plan.MovePlan` per (field count, direction)
+(:func:`~repro.core.plan.plan_of`); a one-field plan travels the bare
+wire, so ``push(a)`` and ``push_many([a])`` are the same move.  The
+multi-tenant service runs its rounds' fused plans through the same
+:func:`exchange`.
 
 Graceful peer-failure degradation: a :class:`CoupledExchange` constructed
 with ``deadline_s`` bounds every push/pull (and the reliable layer's
@@ -28,15 +30,15 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.plan import MovePlan, compile_plan, plan_move_recv, plan_move_send
+from repro.core.plan import MovePlan, plan_move_recv, plan_move_send, plan_of
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import CommSchedule
-from repro.core.universe import TwoProgramUniverse
+from repro.core.universe import TwoProgramUniverse, Universe
 from repro.vmachine.faults import PeerLostError, RankLostError
 from repro.vmachine.program import ProgramContext
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
 
-__all__ = ["coupled_universe", "CoupledExchange"]
+__all__ = ["coupled_universe", "guard_peer", "exchange", "CoupledExchange"]
 
 
 def coupled_universe(
@@ -52,6 +54,74 @@ def coupled_universe(
     universe = TwoProgramUniverse(ctx.comm, ctx.peer(peer), role)
     universe.peer_program = peer
     return universe
+
+
+def guard_peer(universe: Universe, deadline_s, direction: str, fn, *args, **kwargs):
+    """Run one coupled phase, upgrading transport-level failures
+    (:class:`~repro.vmachine.faults.RankLostError`, ``TimeoutError``) to
+    :class:`~repro.vmachine.faults.PeerLostError` naming the peer program
+    — a coupled program must learn *which program* died (which
+    direction, undelivered envelopes, last-ack state), and must learn it
+    within the deadline instead of hanging."""
+    try:
+        return fn(*args, **kwargs)
+    except PeerLostError:
+        raise
+    except (RankLostError, TimeoutError) as exc:
+        raise peer_lost(universe, deadline_s, exc, direction) from exc
+
+
+def peer_lost(
+    universe: Universe, deadline_s, exc: BaseException, direction: str
+) -> PeerLostError:
+    proc = universe.process
+    if isinstance(exc, RankLostError):
+        return PeerLostError(
+            exc.rank,
+            exc.lost_rank,
+            f"{direction}: {exc.reason}",
+            peer_program=universe.peer_program,
+            pending=exc.pending,
+            last_ack=exc.last_ack,
+        )
+    rel = universe.reliability
+    return PeerLostError(
+        proc.rank,
+        -1,
+        f"{direction} exceeded the {deadline_s}s deadline: {exc}",
+        peer_program=universe.peer_program,
+        pending=proc.mailbox.pending_summary(),
+        last_ack=rel.describe() if rel is not None else None,
+    )
+
+
+def exchange(
+    plan: MovePlan,
+    arrays: Sequence[Any],
+    universe: TwoProgramUniverse,
+    reverse: bool,
+    policy: ExecutorPolicy | str,
+    deadline_s: float | None,
+    donate: bool = False,
+) -> None:
+    """Run ``plan`` forward (push) or, with ``reverse``, over the reversed
+    universe (pull; the plan must fuse the reversed schedules): the
+    program that owns the direction's source sends, its peer receives,
+    either half bounded by ``deadline_s`` (:func:`guard_peer`)."""
+    if reverse:
+        universe = universe.reversed()
+    sending = universe.my_src_rank is not None
+    direction = (
+        f"{'pull' if reverse else 'push'} "
+        f"({'send' if sending else 'receive'} half)"
+    )
+    if sending:
+        guard_peer(universe, deadline_s, direction, plan_move_send, plan,
+                   arrays, universe, policy=policy, timeout=deadline_s)
+    else:
+        guard_peer(universe, deadline_s, direction, plan_move_recv, plan,
+                   arrays, universe, policy=policy, timeout=deadline_s,
+                   donate=donate)
 
 
 class CoupledExchange:
@@ -105,77 +175,23 @@ class CoupledExchange:
             universe.enable_reliability(reliability)
         elif reliability:
             universe.enable_reliability()
-        #: lazily compiled plans, keyed by (k, reverse) — the common case
-        #: of k same-shaped fields exchanged per timestep
-        self._plans: dict[tuple[int, bool], MovePlan] = {}
 
     @property
     def peer_name(self) -> str | None:
         """Name of the peer program (when built via :func:`coupled_universe`)."""
         return self.universe.peer_program
 
-    # -- failure translation -----------------------------------------------
-
-    def _peer_lost(self, exc: BaseException, direction: str) -> PeerLostError:
-        proc = self.universe.process
-        if isinstance(exc, RankLostError):
-            return PeerLostError(
-                exc.rank,
-                exc.lost_rank,
-                f"{direction}: {exc.reason}",
-                peer_program=self.peer_name,
-                pending=exc.pending,
-                last_ack=exc.last_ack,
-            )
-        rel = self.universe.reliability
-        return PeerLostError(
-            proc.rank,
-            -1,
-            f"{direction} exceeded the {self.deadline_s}s exchange deadline: "
-            f"{exc}",
-            peer_program=self.peer_name,
-            pending=proc.mailbox.pending_summary(),
-            last_ack=rel.describe() if rel is not None else None,
-        )
-
-    # -- the exchange itself -----------------------------------------------
-
     def _exchange(
         self, arrays: Sequence[Any], reverse: bool, donate: bool
     ) -> None:
-        """Move ``arrays`` forward (push) or in reverse (pull): the
-        program that owns the direction's source sends, its peer receives.
-
-        Coupled timestep loops exchange the *same* k fields every
-        iteration (paper §5.1: multiple physical quantities over one mesh
-        mapping), so the plan — k copies of the exchange schedule (or of
-        its reverse), one message per pair — is compiled once per
-        (k, direction) and reused: a stable plan identity for the pooled
-        staging buffers behind it, and no reversed schedule rebuilt per
-        pull.
-        """
-        key = (len(arrays), reverse)
-        plan = self._plans.get(key)
-        if plan is None:
-            sched = self.schedule.reverse() if reverse else self.schedule
-            plan = self._plans[key] = compile_plan([sched] * len(arrays))
-        universe = self.universe.reversed() if reverse else self.universe
-        sending = universe.my_src_rank is not None
-        try:
-            if sending:
-                plan_move_send(plan, arrays, universe, policy=self.policy,
-                               timeout=self.deadline_s)
-            else:
-                plan_move_recv(plan, arrays, universe, policy=self.policy,
-                               timeout=self.deadline_s, donate=donate)
-        except PeerLostError:
-            raise
-        except (RankLostError, TimeoutError) as exc:
-            direction = (
-                f"{'pull' if reverse else 'push'} "
-                f"({'send' if sending else 'receive'} half)"
-            )
-            raise self._peer_lost(exc, direction) from exc
+        """Move ``arrays`` forward (push) or in reverse (pull) over k
+        copies of the exchange schedule (or of its reverse) — the plan
+        :func:`~repro.core.plan.plan_of` memoises on the schedule, so a
+        timestep loop exchanging the same k fields compiles it once."""
+        exchange(
+            plan_of(self.schedule, len(arrays), reverse), arrays,
+            self.universe, reverse, self.policy, self.deadline_s, donate,
+        )
 
     def push(self, local_array: Any, donate: bool = False) -> None:
         """Forward copy: source program sends, destination receives.

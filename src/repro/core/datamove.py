@@ -17,8 +17,8 @@ documented (and exist) there only.  A one-schedule plan travels the
 ``plan:fuse`` event, no ``plan_*`` counter — so these entry points
 charge pack, one payload-sized message and unpack per pair, and their
 clock trajectories are byte-for-byte those of the published tables
-(guarded by CI).  The plan
-is compiled on first use and memoised on the
+(guarded by CI).  The plan comes from :func:`~repro.core.plan.plan_of`:
+compiled on first use and memoised on the
 :class:`~repro.core.schedule.CommSchedule` object, the way
 :func:`~repro.core.dataplane.compile_offsets` memoises a program on its
 ``RunList``; compilation is local and charges no logical time.
@@ -63,25 +63,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.plan import (
-    MovePlan,
-    compile_plan,
-    plan_move,
-    plan_move_recv,
-    plan_move_send,
-)
+from repro.core.plan import plan_move, plan_move_recv, plan_move_send, plan_of
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import CommSchedule
 from repro.core.universe import Universe
 
 __all__ = ["data_move", "data_move_send", "data_move_recv", "ExecutorPolicy"]
-
-
-def _plan_of(schedule: CommSchedule) -> MovePlan:
-    plan = schedule._plan
-    if plan is None:
-        plan = schedule._plan = compile_plan((schedule,))
-    return plan
 
 
 def data_move_send(
@@ -98,7 +85,7 @@ def data_move_send(
     processors concurrently call :func:`data_move_recv`.  Ordering, fence
     and ``timeout`` semantics: :func:`~repro.core.plan.plan_move_send`.
     """
-    plan_move_send(_plan_of(schedule), (src_array,), universe, policy=policy,
+    plan_move_send(plan_of(schedule), (src_array,), universe, policy=policy,
                    timeout=timeout, fence=fence)
 
 
@@ -117,7 +104,7 @@ def data_move_recv(
     storage instead of scattered through.  Completion order, ``timeout``
     and failure semantics: :func:`~repro.core.plan.plan_move_recv`.
     """
-    plan_move_recv(_plan_of(schedule), (dst_array,), universe, policy=policy,
+    plan_move_recv(plan_of(schedule), (dst_array,), universe, policy=policy,
                    timeout=timeout, donate=donate)
 
 
@@ -133,5 +120,5 @@ def data_move(
     """Full copy for processors holding both roles (single program), or a
     convenience wrapper dispatching to the proper half otherwise
     (:func:`~repro.core.plan.plan_move`)."""
-    plan_move(_plan_of(schedule), (src_array,), (dst_array,), universe,
+    plan_move(plan_of(schedule), (src_array,), (dst_array,), universe,
               policy=policy, timeout=timeout, donate=donate)

@@ -65,6 +65,7 @@ __all__ = [
     "MovePlan",
     "PlanSegment",
     "compile_plan",
+    "plan_of",
     "plan_move",
     "plan_move_send",
     "plan_move_recv",
@@ -203,6 +204,23 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
         send_programs={d: tuple(p) for d, p in sorted(send_programs.items())},
         recv_programs={s: tuple(p) for s, p in sorted(recv_programs.items())},
     )
+
+
+def plan_of(schedule: CommSchedule, k: int = 1, reverse: bool = False) -> MovePlan:
+    """The plan moving ``k`` arrays along ``schedule`` (or its reverse).
+
+    The same-schedule case of :func:`compile_plan` — a single-schedule
+    move (``k = 1``), or the k same-shaped fields a coupled timestep
+    loop exchanges every iteration (paper §5.1) — compiled on first use
+    and memoised on the schedule object, so repeated moves get a stable
+    plan identity for the pooled staging buffers behind it and a pull
+    never rebuilds the reversed schedule.  Local, like every compile.
+    """
+    plan = schedule._plans.get((k, reverse))
+    if plan is None:
+        member = schedule.reverse() if reverse else schedule
+        plan = schedule._plans[k, reverse] = compile_plan((member,) * k)
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -157,9 +156,10 @@ class CommSchedule:
     method: ScheduleMethod
     sends: dict[int, RunList] = field(default_factory=dict)
     recvs: dict[int, RunList] = field(default_factory=dict)
-    #: lazily compiled single-schedule MovePlan (:mod:`repro.core.datamove`),
-    #: memoised here the way a RunList memoises its MoveProgram
-    _plan: Any = field(default=None, init=False, repr=False, compare=False)
+    #: lazily compiled same-schedule MovePlans, keyed ``(k, reverse)``
+    #: (:func:`repro.core.plan.plan_of`), memoised here the way a RunList
+    #: memoises its MoveProgram
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Backward compatibility: dense offset arrays are accepted and

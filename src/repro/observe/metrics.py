@@ -10,22 +10,30 @@ coupling service's ``svc_*`` family — ``svc_rounds``, ``svc_admitted``,
 ``svc_oneway_errors``, ``svc_tenants_evicted``, ...).  They are always
 on: bumping a counter is a dict update, free of logical time.
 
-Every caching layer reports through one ``cache_*`` namespace:
+Every caching layer reports through one ``cache_*`` namespace.  The
+schedule → plan layers are one store (:class:`~repro.core.cache.
+LayeredStore`) with one counter table, mirrored under two prefixes:
 
-================================ =====================================
-``cache_schedule_{hits,misses,   :class:`~repro.core.cache.
-evictions}``                     ScheduleCache` schedule store
-``cache_plan_{hits,misses,       ScheduleCache fused-plan store
-evictions,invalidations}``       (invalidation = member schedule
-                                 evicted under it)
-``cache_svc_{schedule_*,plan_*}`` :class:`~repro.service.cache.
-                                 ServiceCache` cross-tenant layers
-                                 (same suffixes, plus
-                                 ``schedule_forced_rebuilds``)
-``cache_program_{hits,misses}``  MoveProgram memoization on RunList
-                                 halves (:func:`~repro.core.dataplane.
-                                 compile_offsets`)
-================================ =====================================
+============================ =========================================
+``cache_<counter>``          the store a :class:`~repro.core.cache.
+                             ScheduleCache` builds (request-keyed)
+``cache_svc_<counter>``      the service's :class:`~repro.service.
+                             cache.ServiceCache` (bind-keyed), one per
+                             rank of the gateway and of the server
+``cache_program_{hits,       MoveProgram memoization on RunList halves
+misses}``                    (:func:`~repro.core.dataplane.
+                             compile_offsets`)
+============================ =========================================
+
+``<counter>`` is one of ``schedule_{hits, misses, evictions,
+forced_rebuilds}`` (a forced rebuild: the resolve was told to build over
+a key this store held — the service's bind negotiation, when the peer
+program's replica missed) and ``plan_{hits, misses, evictions,
+invalidations, uncached}`` (an invalidation: a member schedule was
+evicted or replaced under a cached plan; uncached: a plan compiled over
+members the store does not currently hold, handed to the caller but not
+kept).  ``snapshot()[<counter>]`` on either class equals the mirrored
+counter.
 
 Cache mirroring is clock-free by construction — a counter bump never
 advances logical time, so observed runs stay byte-identical with caching

@@ -1,4 +1,4 @@
-"""Shared cross-tenant cache hierarchy: schedules → plans → programs.
+"""The service's keys into the shared schedule → plan → program store.
 
 Every expensive artifact of the coupling service is a deterministic
 function of canonical content signatures:
@@ -14,27 +14,25 @@ function of canonical content signatures:
   two tenants whose bindings share a cached schedule share its lowered
   programs for free.
 
-So one cache per rank serves *every* tenant: the first tenant with a
-given signature pays the collective schedule build, plan fusion and
-program lowering; all later tenants hit.  Keys are computed locally and
-deterministically, so all ranks of a program hit or miss together —
-hit/miss/eviction counters are mirrored into the rank's
-:class:`~repro.observe.metrics.MetricsRegistry` under the unified cache
-namespace (``cache_svc_*`` — see the metrics module docstring) and
-surface through ``SPMDResult.stats`` like every other counter.
+So one :class:`~repro.core.cache.LayeredStore` per rank serves *every*
+tenant: the first tenant with a given signature pays the collective
+schedule build, plan fusion and program lowering; all later tenants hit.
+Keys are computed locally and deterministically, so all ranks of a
+program hit or miss together, and the gateway's and the server's stores
+are replicas coordinated only by the op stream; the one place they could
+disagree — a schedule one side holds and the other evicted — is settled
+by the bind negotiation, which both sides apply as
+``resolve(key, build, force=grant.need_build)``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
-from repro.core.cache import dist_key, sor_key
-from repro.core.plan import MovePlan, compile_plan
+from repro.core.cache import LayeredStore, dist_key, sor_key
 from repro.core.registry import get_adapter
-from repro.core.schedule import CommSchedule
 from repro.core.setofregions import SetOfRegions
 
 __all__ = ["ServiceCache", "array_signature", "bind_key"]
@@ -59,13 +57,9 @@ def bind_key(obj: str, attr: str, signature: tuple) -> tuple:
     return ("bind", obj, attr, signature)
 
 
-class ServiceCache:
-    """One rank's shared cross-tenant cache (schedule + plan layers).
-
-    Bounded-LRU on both layers; evicting a schedule entry invalidates
-    every plan fused over it (the plan key embeds its member keys), so a
-    later plan request recompiles against the freshly rebuilt member.
-    """
+class ServiceCache(LayeredStore):
+    """One rank's shared cross-tenant store: the layered store keyed by
+    :func:`bind_key`, counters mirrored as ``cache_svc_*``."""
 
     def __init__(
         self,
@@ -73,140 +67,4 @@ class ServiceCache:
         plan_maxsize: int | None = None,
         metrics=None,
     ):
-        for name, v in (("schedule_maxsize", schedule_maxsize),
-                        ("plan_maxsize", plan_maxsize)):
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be a positive integer or None")
-        self.schedule_maxsize = schedule_maxsize
-        self.plan_maxsize = plan_maxsize
-        self._schedules: OrderedDict[tuple, CommSchedule] = OrderedDict()
-        self._plans: OrderedDict[tuple, MovePlan] = OrderedDict()
-        #: optional MetricsRegistry mirror (set by the service loops)
-        self.metrics = metrics
-        self.counters: dict[str, int] = {
-            "schedule_hits": 0,
-            "schedule_misses": 0,
-            "schedule_evictions": 0,
-            "plan_hits": 0,
-            "plan_misses": 0,
-            "plan_evictions": 0,
-            "plan_invalidations": 0,
-            "schedule_forced_rebuilds": 0,
-        }
-
-    # -- counters -----------------------------------------------------------
-
-    def _bump(self, name: str, amount: int = 1) -> None:
-        self.counters[name] += amount
-        if self.metrics is not None:
-            self.metrics.incr(f"cache_svc_{name}", amount)
-
-    def snapshot(self) -> dict[str, int]:
-        """Copy of the counters plus current layer sizes."""
-        out = dict(self.counters)
-        out["schedule_entries"] = len(self._schedules)
-        out["plan_entries"] = len(self._plans)
-        return out
-
-    # -- schedule layer -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._schedules)
-
-    @property
-    def plan_count(self) -> int:
-        return len(self._plans)
-
-    def peek_schedule(self, key: tuple) -> bool:
-        """Would ``key`` hit?  No counter movement, no LRU touch — the
-        bind negotiation asks before committing to an answer."""
-        return key in self._schedules
-
-    def lookup_schedule(self, key: tuple) -> CommSchedule | None:
-        """Hit (refreshing recency) or miss; counters move either way."""
-        hit = self._schedules.get(key)
-        if hit is not None:
-            self._bump("schedule_hits")
-            self._schedules.move_to_end(key)
-            return hit
-        self._bump("schedule_misses")
-        return None
-
-    def note_build(self, key: tuple) -> None:
-        """Account a negotiated rebuild: the bind negotiation decided the
-        collective build must run (at least one side missed), so whatever
-        this side's cache held is moot.  Counted as a miss; when this side
-        *did* hold the schedule, additionally as a forced rebuild — the
-        cost of keeping two independent cache hierarchies coherent."""
-        if self.peek_schedule(key):
-            self._bump("schedule_forced_rebuilds")
-        self._bump("schedule_misses")
-
-    def store_schedule(self, key: tuple, sched: CommSchedule) -> None:
-        self._schedules[key] = sched
-        self._schedules.move_to_end(key)
-        if self.schedule_maxsize is None:
-            return
-        while len(self._schedules) > self.schedule_maxsize:
-            evicted, _ = self._schedules.popitem(last=False)
-            self._bump("schedule_evictions")
-            stale = [pk for pk in self._plans if evicted in pk[1]]
-            for pk in stale:
-                del self._plans[pk]
-                self._bump("plan_invalidations")
-
-    # -- plan layer ---------------------------------------------------------
-
-    def plan_for(
-        self,
-        direction: str,
-        member_keys: Sequence[tuple],
-        schedules: Callable[[], Sequence[CommSchedule]] | Sequence[CommSchedule],
-    ) -> MovePlan:
-        """The fused plan for an ordered group of cached schedules.
-
-        ``member_keys`` are the members' schedule-cache keys (they embed
-        the direction-independent content; ``direction`` separates the
-        push plan from the pull plan, whose member schedules are the
-        reverses).  ``schedules`` may be a callable so the reverse
-        schedules are only materialized on a miss.
-        """
-        key = (direction, tuple(member_keys))
-        hit = self._plans.get(key)
-        if hit is not None:
-            self._bump("plan_hits")
-            self._plans.move_to_end(key)
-            return hit
-        self._bump("plan_misses")
-        members = schedules() if callable(schedules) else schedules
-        plan = compile_plan(list(members))
-        self._plans[key] = plan
-        if self.plan_maxsize is not None:
-            while len(self._plans) > self.plan_maxsize:
-                self._plans.popitem(last=False)
-                self._bump("plan_evictions")
-        return plan
-
-    # -- program layer (derived view) ---------------------------------------
-
-    def program_stats(self) -> dict[str, int]:
-        """Lowering state of the MovePrograms behind the cached schedules.
-
-        The program layer lives on the RunList halves themselves
-        (memoized by :func:`repro.core.dataplane.compile_offsets` at
-        first execution), so it needs no storage here — this walks the
-        cached schedules and reports how many halves have been lowered.
-        Shared halves (e.g. a schedule and its reverse inside a plan)
-        count once: the memo slot *is* the dedup.
-        """
-        seen: set[int] = set()
-        total = lowered = 0
-        for sched in self._schedules.values():
-            for half in (*sched.sends.values(), *sched.recvs.values()):
-                if id(half) in seen:
-                    continue
-                seen.add(id(half))
-                total += 1
-                if getattr(half, "_program", None) is not None:
-                    lowered += 1
-        return {"halves": total, "halves_lowered": lowered}
+        super().__init__(schedule_maxsize, plan_maxsize, metrics, "cache_svc_")

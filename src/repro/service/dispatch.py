@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.plan import plan_move_recv, plan_move_send
+from repro.core.coupling import coupled_universe, exchange, guard_peer
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import CommSchedule, ScheduleMethod, build_schedule
-from repro.core.universe import TwoProgramUniverse, Universe
+from repro.core.universe import TwoProgramUniverse
 from repro.dobj.protocol import Reply, SlotTable
 from repro.service.cache import ServiceCache, array_signature, bind_key
 from repro.service.protocol import (
@@ -49,7 +49,7 @@ from repro.service.protocol import (
     UnbindOp,
 )
 from repro.service.session import make_sor, materialize_array
-from repro.vmachine.faults import PeerLostError, RankLostError
+from repro.vmachine.faults import PeerLostError
 
 __all__ = [
     "Round",
@@ -147,8 +147,6 @@ class GatewayState:
 
 def make_gateway_state(ctx, server: str, config: ServiceConfig) -> GatewayState:
     """Build one rank's gateway state (collective-free)."""
-    from repro.core.coupling import coupled_universe
-
     universe = coupled_universe(ctx, server, "src")
     if config.reliability:
         universe.enable_reliability()
@@ -165,49 +163,6 @@ def make_gateway_state(ctx, server: str, config: ServiceConfig) -> GatewayState:
         universe=universe,
         cache=cache,
         policy=ExecutorPolicy.coerce(config.policy),
-    )
-
-
-# ---------------------------------------------------------------------------
-# peer-failure translation
-# ---------------------------------------------------------------------------
-
-
-def guard_peer(universe: Universe, deadline_s, direction: str, fn, *args, **kwargs):
-    """Run one collective phase, upgrading transport-level failures
-    (:class:`~repro.vmachine.faults.RankLostError`, ``TimeoutError``) to
-    :class:`~repro.vmachine.faults.PeerLostError` naming the peer program
-    — the service must report *which coupled program* died, and must do
-    so within the deadline instead of wedging every tenant session."""
-    try:
-        return fn(*args, **kwargs)
-    except PeerLostError:
-        raise
-    except (RankLostError, TimeoutError) as exc:
-        raise peer_lost(universe, deadline_s, exc, direction) from exc
-
-
-def peer_lost(
-    universe: Universe, deadline_s, exc: BaseException, direction: str
-) -> PeerLostError:
-    proc = universe.process
-    if isinstance(exc, RankLostError):
-        return PeerLostError(
-            exc.rank,
-            exc.lost_rank,
-            f"{direction}: {exc.reason}",
-            peer_program=universe.peer_program,
-            pending=exc.pending,
-            last_ack=exc.last_ack,
-        )
-    rel = universe.reliability
-    return PeerLostError(
-        proc.rank,
-        -1,
-        f"{direction} exceeded the {deadline_s}s service deadline: {exc}",
-        peer_program=universe.peer_program,
-        pending=proc.mailbox.pending_summary(),
-        last_ack=rel.describe() if rel is not None else None,
     )
 
 
@@ -282,8 +237,13 @@ def execute_round(state: GatewayState, rnd: Round) -> dict[int, Reply]:
         # CallOp / ShutdownOp execute on the server only.
 
     # Phases 3-4: fused bulk transfers.
-    _execute_moves(state, pushes, PUSH)
-    _execute_moves(state, pulls, PULL)
+    for ops, direction in ((pushes, PUSH), (pulls, PULL)):
+        group = [state.bindings[op.slot] for op in ops]
+        _execute_moves(
+            state.universe, state.policy, state.config.deadline_s,
+            state.cache, group, [state.arrays[b.array_ref][1] for b in group],
+            direction,
+        )
     return local
 
 
@@ -292,9 +252,15 @@ def _execute_bind(state: GatewayState, op: BindOp, grant: BindGrant) -> None:
         return
     spec, array, sor = state._array(op.tenant, op.array_name)
     key = bind_key(op.obj, op.attr, op.signature)
-
-    def build():
-        sched = guard_peer(
+    # ``force``: the negotiation saw a miss on at least one side.  Not
+    # forced, a miss here means the key was evicted between the
+    # negotiation's peek and now (store smaller than one round's distinct
+    # keys); both stores are deterministic replicas of the same op
+    # stream, so the server reaches the identical conclusion and joins
+    # this collective rebuild.
+    sched = state.cache.resolve(
+        key,
+        lambda: guard_peer(
             state.universe, state.config.deadline_s, "bind (schedule build)",
             build_schedule,
             state.universe,
@@ -302,22 +268,9 @@ def _execute_bind(state: GatewayState, op: BindOp, grant: BindGrant) -> None:
             spec.lib, None, None,  # destination side lives in the server
             method=ScheduleMethod.COOPERATION,
             policy=state.policy,
-        )
-        state.cache.store_schedule(key, sched)
-        return sched
-
-    if grant.need_build:
-        state.cache.note_build(key)
-        sched = build()
-    else:
-        sched = state.cache.lookup_schedule(key)
-        if sched is None:
-            # Evicted between the negotiation's peek and this lookup —
-            # possible when the cache holds fewer entries than one
-            # round's distinct keys.  Both caches are deterministic
-            # replicas of the same op stream, so the server reaches the
-            # identical conclusion and joins this collective rebuild.
-            sched = build()
+        ),
+        force=grant.need_build,
+    )
     state.bindings[grant.slot] = GatewayBinding(
         slot=grant.slot,
         tenant=op.tenant,
@@ -339,9 +292,17 @@ def _disconnect_tenant(state: GatewayState, tenant: int) -> None:
 
 
 def _execute_moves(
-    state: GatewayState, ops: list[MoveOp], direction: str
+    universe: TwoProgramUniverse,
+    policy: ExecutorPolicy,
+    deadline_s,
+    cache: ServiceCache,
+    group: list,
+    arrays: list,
+    direction: str,
 ) -> None:
-    """One direction's transfers for a round, as one plan across tenants.
+    """One direction's transfers for a round, as one plan across tenants
+    (both programs: ``group`` is this side's binding records, ``arrays``
+    their rank-local arrays).
 
     The round's k independent moves compile (or fetch from the shared
     plan cache) one :class:`~repro.core.plan.MovePlan` — one message per
@@ -349,34 +310,17 @@ def _execute_moves(
     multi-tenant batching pays: the per-pair latency is amortized over
     every tenant in the round.  A single move is the k = 1 plan, whose
     bare wire keeps its logical clock that of the one-client protocol.
+    Pushes run the forward schedules (the gateway sends), pulls their
+    reverses over the reversed universe (the server sends).
     """
-    if not ops:
+    if not group:
         return
-    bindings = [state.bindings[op.slot] for op in ops]
-    arrays = [state.arrays[b.array_ref][1] for b in bindings]
-    keys = [b.key for b in bindings]
-    deadline = state.config.deadline_s
-    state.proc.metrics.incr("svc_moves", len(ops))
-    if direction == PUSH:
-        # Gateway is the forward-schedule source: send half.
-        plan = state.cache.plan_for(
-            PUSH, keys, [b.schedule for b in bindings]
-        )
-        guard_peer(
-            state.universe, deadline, "push (send half)",
-            plan_move_send, plan, arrays, state.universe,
-            policy=state.policy, timeout=deadline,
-        )
-        return
-    runiverse = state.universe.reversed()
-    plan = state.cache.plan_for(
-        PULL, keys, lambda: [b.schedule.reverse() for b in bindings]
+    universe.process.metrics.incr("svc_moves", len(group))
+    reverse = direction == PULL
+    plan = cache.plan(
+        [b.key for b in group], [b.schedule for b in group], reverse
     )
-    guard_peer(
-        runiverse, deadline, "pull (receive half)",
-        plan_move_recv, plan, arrays, runiverse,
-        policy=state.policy, timeout=deadline,
-    )
+    exchange(plan, arrays, universe, reverse, policy, deadline_s)
 
 
 def gateway_follower_loop(state: GatewayState) -> None:

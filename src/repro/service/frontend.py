@@ -158,7 +158,7 @@ class _Dispatcher:
         return self.state.signature_of(tenant, array_name)
 
     def cache_would_hit(self, obj: str, attr: str, signature: tuple) -> bool:
-        return self.state.cache.peek_schedule(bind_key(obj, attr, signature))
+        return self.state.cache.peek(bind_key(obj, attr, signature))
 
     # -- main loop -----------------------------------------------------------
 
@@ -217,7 +217,7 @@ class _Dispatcher:
             if isinstance(op, BindOp):
                 op = replace(
                     op,
-                    client_hit=self.state.cache.peek_schedule(
+                    client_hit=self.state.cache.peek(
                         bind_key(op.obj, op.attr, op.signature)
                     ),
                 )

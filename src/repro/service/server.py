@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.coupling import coupled_universe
-from repro.core.plan import plan_move_recv, plan_move_send
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import CommSchedule, ScheduleMethod, build_schedule
 from repro.dobj.protocol import Reply, SlotTable
 from repro.dobj.server import ParallelObject, _lookup
 from repro.service.cache import ServiceCache, bind_key
+from repro.service.dispatch import _execute_moves
 from repro.service.protocol import (
     PULL,
     PUSH,
@@ -125,9 +125,14 @@ def serve_service(
         )
         ops_served += len(batch.ops) - (1 if batch.shutdown else 0)
         if comm.rank == 0:
-            counters = cache.snapshot()
-            counters["bindings_live"] = len(bindings)
-            counters["slot_high_water"] = slots.high_water
+            # Twelve entries, as ever: BatchReply.nbytes charges the
+            # logical clock 16 B per piggybacked counter.
+            counters = {
+                **cache.counters,
+                "schedule_entries": len(cache),
+                "bindings_live": len(bindings),
+                "slot_high_water": slots.high_water,
+            }
             ic.send(
                 0, BatchReply(batch.seq, tuple(replies), counters), TAG_SERVICE
             )
@@ -181,7 +186,7 @@ def _grant_binds(
             need_build = False
         else:
             need_build = not (
-                op.client_hit and cache.peek_schedule(key)
+                op.client_hit and cache.peek(key)
             )
             if need_build:
                 building.add(key)
@@ -267,28 +272,18 @@ def _execute_batch(
             lib, array, sor = _lookup(objects, op.obj).export_array(op.attr)
             key = bind_key(op.obj, op.attr, op.signature)
 
-            def build():
-                sched = build_schedule(
+            # Mirror of the gateway's resolve (see dispatch._execute_bind).
+            sched = cache.resolve(
+                key,
+                lambda: build_schedule(
                     universe,
                     lib, None, None,  # source side lives in the gateway
                     lib, array, sor,
                     method=ScheduleMethod.COOPERATION,
                     policy=policy,
-                )
-                cache.store_schedule(key, sched)
-                return sched
-
-            if grant.need_build:
-                cache.note_build(key)
-                sched = build()
-            else:
-                sched = cache.lookup_schedule(key)
-                if sched is None:
-                    # Evicted since the grant pre-pass peeked (cache
-                    # smaller than one round's distinct keys).  The
-                    # gateway's replica cache misses identically and
-                    # joins this collective rebuild — see dispatch.py.
-                    sched = build()
+                ),
+                force=grant.need_build,
+            )
             bindings[grant.slot] = _ServedBinding(
                 slot=grant.slot, tenant=op.tenant, key=key,
                 schedule=sched, array=array,
@@ -333,36 +328,11 @@ def _execute_batch(
             )
 
     # Phases 3-4: fused bulk transfers (mirror of the gateway's).
-    _execute_moves(universe, policy, config, cache, bindings, pushes, PUSH)
-    _execute_moves(universe, policy, config, cache, bindings, pulls, PULL)
+    for ops, direction in ((pushes, PUSH), (pulls, PULL)):
+        group = [bindings[op.slot] for op in ops]
+        _execute_moves(
+            universe, policy, config.deadline_s, cache, group,
+            [b.array for b in group], direction,
+        )
     metrics.incr("svc_ops", len(batch.ops))
     return replies
-
-
-def _execute_moves(
-    universe,
-    policy: ExecutorPolicy,
-    config: ServiceConfig,
-    cache: ServiceCache,
-    bindings: dict[int, _ServedBinding],
-    ops: list[MoveOp],
-    direction: str,
-) -> None:
-    if not ops:
-        return
-    group = [bindings[op.slot] for op in ops]
-    arrays = [b.array for b in group]
-    keys = [b.key for b in group]
-    deadline = config.deadline_s
-    universe.process.metrics.incr("svc_moves", len(ops))
-    if direction == PUSH:
-        # Forward schedule: gateway sends, this program receives.
-        plan = cache.plan_for(PUSH, keys, [b.schedule for b in group])
-        plan_move_recv(plan, arrays, universe, policy=policy,
-                       timeout=deadline)
-        return
-    runiverse = universe.reversed()
-    plan = cache.plan_for(
-        PULL, keys, lambda: [b.schedule.reverse() for b in group]
-    )
-    plan_move_send(plan, arrays, runiverse, policy=policy, timeout=deadline)

@@ -1,7 +1,8 @@
-"""Schedule-cache tests."""
+"""Schedule-cache tests: request keys, and the request-keyed paths into
+the store.  The store's own contract (LRU order, invalidation, counters)
+is in ``test_store_contract.py``, run against this class's store too."""
 
 import numpy as np
-import pytest
 
 import repro.blockparti  # noqa: F401
 import repro.chaos  # noqa: F401
@@ -133,54 +134,6 @@ class TestBoundedLRU:
     def _nth_dst(self, n):
         return mc_new_set_of_regions(IndexRegion(np.roll(np.arange(N), n)))
 
-    def test_eviction_accounting(self):
-        def spmd(comm):
-            A = BlockPartiArray.zeros(comm, (6, 6))
-            B = ChaosArray.zeros(comm, PERM % comm.size)
-            src, _ = _sors()
-            cache = ScheduleCache(comm, maxsize=2)
-            for n in range(4):  # 4 distinct requests through a 2-entry cache
-                cache.get_or_build("blockparti", A, src, "chaos", B, self._nth_dst(n))
-            return cache.hits, cache.misses, cache.evictions, len(cache)
-
-        hits, misses, evictions, size = run_spmd(2, spmd).values[0]
-        assert (hits, misses, evictions, size) == (0, 4, 2, 2)
-
-    def test_lru_order_hits_refresh_recency(self):
-        def spmd(comm):
-            A = BlockPartiArray.zeros(comm, (6, 6))
-            B = ChaosArray.zeros(comm, PERM % comm.size)
-            src, _ = _sors()
-            cache = ScheduleCache(comm, maxsize=2)
-            build = lambda n: cache.get_or_build(
-                "blockparti", A, src, "chaos", B, self._nth_dst(n)
-            )
-            s0 = build(0)
-            build(1)
-            assert build(0) is s0      # hit refreshes 0's recency
-            build(2)                   # evicts 1 (LRU), not 0
-            assert build(0) is s0      # still cached: hit again
-            return cache.hits, cache.misses, cache.evictions
-
-        hits, misses, evictions = run_spmd(2, spmd).values[0]
-        assert (hits, misses, evictions) == (2, 3, 1)
-
-    def test_unbounded_by_default(self):
-        def spmd(comm):
-            A = BlockPartiArray.zeros(comm, (6, 6))
-            B = ChaosArray.zeros(comm, PERM % comm.size)
-            src, _ = _sors()
-            cache = ScheduleCache(comm)
-            for n in range(5):
-                cache.get_or_build("blockparti", A, src, "chaos", B, self._nth_dst(n))
-            return cache.evictions, len(cache)
-
-        assert run_spmd(2, spmd).values[0] == (0, 5)
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            ScheduleCache(None, maxsize=0)
-
     def test_cached_schedules_are_compact(self):
         """The cache stores run-compressed schedules: a cached regular
         section move costs KBs per rank, not MBs."""
@@ -211,7 +164,7 @@ class TestBoundedLRU:
             return cache.hits, cache.misses, cache.evictions
 
         res = run_spmd(4, spmd)
-        assert len(set(res.values)) == 1  # every rank agrees
+        assert set(res.values) == {(1, 6, 3)}  # on every rank alike
 
 
 class TestPlanCache:
@@ -252,34 +205,6 @@ class TestPlanCache:
             return cache.hits, cache.misses
 
         assert run_spmd(2, spmd).values[0] == (1, 2)
-
-    def test_member_order_matters(self):
-        def spmd(comm):
-            cache = ScheduleCache(comm)
-            reqs = self._requests(comm, [0, 1])
-            cache.get_or_build_plan(reqs)
-            cache.get_or_build_plan(list(reversed(reqs)))
-            # Same schedules, different fusion order: two distinct plans,
-            # but the member schedules all come from the store.
-            return cache.plan_misses, cache.plan_count, cache.misses
-
-        assert run_spmd(2, spmd).values[0] == (2, 2, 2)
-
-    def test_schedule_eviction_invalidates_dependent_plans(self):
-        def spmd(comm):
-            cache = ScheduleCache(comm, maxsize=2)
-            reqs = self._requests(comm, [0, 1])
-            cache.get_or_build_plan(reqs)
-            assert cache.plan_count == 1
-            # Two fresh schedule requests evict both plan members.
-            for n in (2, 3):
-                cache.get_or_build(*self._requests(comm, [n])[0])
-            assert cache.plan_count == 0
-            return cache.plan_invalidations, cache.evictions
-
-        invalidations, evictions = run_spmd(2, spmd).values[0]
-        assert invalidations == 1  # the one dependent plan, dropped once
-        assert evictions == 2
 
     def test_invalidated_plan_rebuilds_against_fresh_member(self):
         def spmd(comm):
@@ -339,17 +264,6 @@ class TestPlanCache:
             return True
 
         assert all(run_spmd(2, spmd).values)
-
-    def test_plan_cache_deterministic_across_ranks(self):
-        def spmd(comm):
-            cache = ScheduleCache(comm, maxsize=3)
-            for ns in ([0, 1], [1, 2], [0, 1], [2, 3]):
-                cache.get_or_build_plan(self._requests(comm, ns))
-            return (cache.plan_hits, cache.plan_misses,
-                    cache.plan_invalidations, cache.hits, cache.misses)
-
-        res = run_spmd(4, spmd)
-        assert len(set(res.values)) == 1  # every rank agrees
 
     def test_cached_plan_executes_correctly(self):
         from repro.core import mc_copy_many

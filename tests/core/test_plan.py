@@ -801,7 +801,24 @@ class TestCoupledMany:
             )
 
     def test_plan_cached_across_pushes(self):
-        """Repeated push_many calls reuse one compiled plan per (k, dir)."""
+        """Repeated exchanges reuse one compiled plan per (k, direction):
+        the memo ``plan_of`` keeps on the schedule, shared with
+        ``data_move*`` (whose plan is the k = 1 forward entry)."""
+        from repro.core.plan import plan_of
+
+        def exchange_thrice(uni, sched, X):
+            ex = CoupledExchange(uni, sched)
+            for _ in range(3):
+                ex.push_many([X, X])
+                ex.pull(X)
+            ex.push(X)
+            fwd = plan_of(sched)
+            assert fwd is plan_of(sched, 1, False) and fwd.schedules == (sched,)
+            back = plan_of(sched, 1, True)
+            assert back.schedules[0].src_lib == sched.dst_lib
+            # A second exchange over the same schedule shares the memo.
+            CoupledExchange(uni, sched).push_many([X, X])
+            return sorted(sched._plans)
 
         def src_prog(ctx):
             A = BlockPartiArray.from_global(ctx.comm, G1)
@@ -811,10 +828,7 @@ class TestCoupledMany:
                 uni, "blockparti", A, full, "chaos", None, None,
                 ScheduleMethod.COOPERATION,
             )
-            ex = CoupledExchange(uni, sched)
-            for _ in range(3):
-                ex.push_many([A, A])
-            return len(ex._plans)
+            return exchange_thrice(uni, sched, A)
 
         def dst_prog(ctx):
             B = ChaosArray.zeros(ctx.comm, PERM1 % ctx.comm.size)
@@ -823,16 +837,14 @@ class TestCoupledMany:
                 uni, "blockparti", None, None, "chaos", B, index_sor(PERM1),
                 ScheduleMethod.COOPERATION,
             )
-            ex = CoupledExchange(uni, sched)
-            for _ in range(3):
-                ex.push_many([B, B])
-            return len(ex._plans)
+            return exchange_thrice(uni, sched, B)
 
         res = run_programs(
             [ProgramSpec("srcp", 2, src_prog), ProgramSpec("dstp", 2, dst_prog)]
         )
-        assert all(n == 1 for n in res["srcp"].values)
-        assert all(n == 1 for n in res["dstp"].values)
+        expected = [(1, False), (1, True), (2, False)]
+        assert all(keys == expected for keys in res["srcp"].values)
+        assert all(keys == expected for keys in res["dstp"].values)
 
 
 def _pullback_expected(pushed: np.ndarray) -> np.ndarray:

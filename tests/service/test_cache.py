@@ -1,7 +1,8 @@
-"""Unit and in-VM tests of the shared cross-tenant cache hierarchy."""
+"""The service's keys into the shared store, and its program-layer view.
+(The store's schedule/plan contract is ``tests/core/test_store_contract.py``,
+run against ``ServiceCache`` too.)"""
 
 import numpy as np
-import pytest
 
 import repro.blockparti  # noqa: F401 - registers the adapter
 import repro.hpf  # noqa: F401
@@ -20,76 +21,6 @@ from repro.vmachine import VirtualMachine
 
 def key(i):
     return ("bind", "obj", "attr", ("lib", f"sig{i}"))
-
-
-class TestScheduleLayer:
-    def test_miss_then_hit(self):
-        c = ServiceCache()
-        assert c.lookup_schedule(key(0)) is None
-        c.store_schedule(key(0), "sched0")
-        assert c.lookup_schedule(key(0)) == "sched0"
-        assert c.counters["schedule_misses"] == 1
-        assert c.counters["schedule_hits"] == 1
-
-    def test_peek_moves_no_counters(self):
-        c = ServiceCache()
-        assert not c.peek_schedule(key(0))
-        c.store_schedule(key(0), "s")
-        assert c.peek_schedule(key(0))
-        assert c.counters["schedule_hits"] == 0
-        assert c.counters["schedule_misses"] == 0
-
-    def test_lru_eviction_order(self):
-        c = ServiceCache(schedule_maxsize=2)
-        c.store_schedule(key(0), "a")
-        c.store_schedule(key(1), "b")
-        c.lookup_schedule(key(0))          # refresh key 0
-        c.store_schedule(key(2), "c")      # evicts key 1, not key 0
-        assert c.peek_schedule(key(0))
-        assert not c.peek_schedule(key(1))
-        assert c.counters["schedule_evictions"] == 1
-
-    def test_note_build_counts_forced_rebuild(self):
-        c = ServiceCache()
-        c.note_build(key(0))               # plain cold miss
-        assert c.counters["schedule_forced_rebuilds"] == 0
-        c.store_schedule(key(0), "s")
-        c.note_build(key(0))               # held it, peer missed: forced
-        assert c.counters["schedule_forced_rebuilds"] == 1
-        assert c.counters["schedule_misses"] == 2
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceCache(schedule_maxsize=0)
-        with pytest.raises(ValueError):
-            ServiceCache(plan_maxsize=-1)
-
-    def test_eviction_invalidates_plans_over_member(self):
-        c = ServiceCache(schedule_maxsize=1)
-        c.store_schedule(key(0), "a")
-        # Plant a fake plan entry keyed over member key(0).
-        c._plans[("push", (key(0),))] = "plan"
-        c.store_schedule(key(1), "b")      # evicts key(0)
-        assert ("push", (key(0),)) not in c._plans
-        assert c.counters["plan_invalidations"] == 1
-
-
-class TestMetricsMirror:
-    def test_counters_land_in_registry(self):
-        class Reg:
-            def __init__(self):
-                self.counts = {}
-
-            def incr(self, name, amount=1):
-                self.counts[name] = self.counts.get(name, 0) + amount
-
-        reg = Reg()
-        c = ServiceCache(metrics=reg)
-        c.lookup_schedule(key(0))
-        c.store_schedule(key(0), "s")
-        c.lookup_schedule(key(0))
-        assert reg.counts["cache_svc_schedule_misses"] == 1
-        assert reg.counts["cache_svc_schedule_hits"] == 1
 
 
 def _schedules_in_vm(nprocs=2, n=12):
@@ -115,52 +46,7 @@ def _schedules_in_vm(nprocs=2, n=12):
     return spmd
 
 
-class TestPlanLayer:
-    def test_plan_for_compiles_once_per_key(self):
-        calls = []
-
-        def run(comm):
-            src, s1, s2 = _schedules_in_vm()(comm)
-            c = ServiceCache()
-            c.store_schedule(key(1), s1)
-            c.store_schedule(key(2), s2)
-
-            def lazy():
-                calls.append(1)
-                return [s1, s2]
-
-            p1 = c.plan_for("push", [key(1), key(2)], lazy)
-            p2 = c.plan_for("push", [key(1), key(2)], lazy)
-            assert p1 is p2
-            # Different direction or member order is a different plan.
-            p3 = c.plan_for("pull", [key(1), key(2)], [s1, s2])
-            p4 = c.plan_for("push", [key(2), key(1)], [s2, s1])
-            assert p3 is not p1 and p4 is not p1
-            return (
-                c.counters["plan_hits"],
-                c.counters["plan_misses"],
-                c.plan_count,
-            )
-
-        res = VirtualMachine(2).run(run)
-        hits, misses, entries = res.values[0]
-        assert (hits, misses, entries) == (1, 3, 3)
-        # The lazy schedule thunk ran only on the miss.
-        assert len(calls) == 2  # one per rank, not one per lookup
-
-    def test_plan_maxsize_evicts(self):
-        def run(comm):
-            _, s1, s2 = _schedules_in_vm()(comm)
-            c = ServiceCache(plan_maxsize=1)
-            c.store_schedule(key(1), s1)
-            c.store_schedule(key(2), s2)
-            c.plan_for("push", [key(1)], [s1])
-            c.plan_for("push", [key(2)], [s2])
-            return c.counters["plan_evictions"], c.plan_count
-
-        res = VirtualMachine(2).run(run)
-        assert res.values[0] == (1, 1)
-
+class TestProgramLayer:
     def test_program_stats_tracks_lowered_halves(self):
         from repro.core import mc_copy
 
@@ -170,7 +56,7 @@ class TestPlanLayer:
                 comm, np.zeros(src.global_shape)
             )
             c = ServiceCache()
-            c.store_schedule(key(1), s1)
+            c.store(key(1), s1)
             before = c.program_stats()
             mc_copy(comm, s1, src, dst)  # lowers the halves it executes
             after = c.program_stats()

@@ -15,6 +15,7 @@ from repro.service import (
     ArraySpec,
     RemoteServiceError,
     ServiceBusyError,
+    ServiceCache,
     ServiceConfig,
     TenantSpec,
     run_service_gateway,
@@ -90,6 +91,21 @@ class TestRoundtrips:
         assert report.ok
 
 
+@pytest.fixture
+def stores(monkeypatch):
+    """Every ``ServiceCache`` the run under test creates (one per rank of
+    each program), for checking the store's invariant after the run."""
+    made = []
+    init = ServiceCache.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ServiceCache, "__init__", recording_init)
+    return made
+
+
 class TestSharedCaches:
     def test_one_build_serves_every_tenant(self):
         """Tenants with identical array signatures share one collective
@@ -103,6 +119,9 @@ class TestSharedCaches:
         # The server's mirror cache agrees (negotiated coherently).
         assert summary["schedule_misses"] == 1
         assert summary["schedule_hits"] == 7
+        # The per-round piggyback is charged 16 B per entry on the logical
+        # clock (BatchReply.nbytes): its size is part of the model.
+        assert len(report.server_counters) == 12
 
     def test_distinct_signatures_build_separately(self):
         report, _ = run_service_demo(
@@ -122,13 +141,18 @@ class TestSharedCaches:
         # Lowered move programs are shared through the cached schedule.
         assert report.cache["halves_lowered"] <= report.cache["halves"]
 
-    def test_bounded_cache_evicts_and_still_correct(self):
+    def test_bounded_cache_evicts_and_still_correct(self, stores):
         report, _ = run_service_demo(
             tenants=6, shapes=3, iterations=2, size=N,
             schedule_cache_size=2, plan_cache_size=2,
         )[0:2]
         assert report.ok
         assert report.cache["schedule_evictions"] > 0
+        # Bindings outlive their evicted schedules here, so rounds fuse
+        # non-resident members: compiled, never cached (validate() == []
+        # on both programs' stores).
+        assert report.cache["plan_uncached"] > 0
+        assert stores and all(c.validate() == [] for c in stores)
 
 
 class TestBackpressure:
@@ -341,7 +365,7 @@ class TestBatching:
         assert report.rounds < total_ops / 2
         assert res["gateway"].total_stat("plan_fused_messages") > 0
 
-    def test_small_cache_with_duplicate_binds_in_one_round(self):
+    def test_small_cache_with_duplicate_binds_in_one_round(self, stores):
         """Regression: a within-round dedup'd bind whose schedule was
         evicted by a later store in the same round must trigger the
         symmetric fallback rebuild, not a protocol error."""
@@ -351,3 +375,4 @@ class TestBatching:
         )[0:2]
         assert report.ok
         assert summary["bindings_live"] == 0
+        assert stores and all(c.validate() == [] for c in stores)

@@ -21,9 +21,10 @@ This package reproduces, in pure Python/NumPy, the system described in
   linearization, the library-adapter registry, communication-schedule
   construction (cooperation and duplication methods), the data-move
   engine, schedule caching and validation;
-- :mod:`repro.dobj` — distributed data parallel objects (the paper's §6
-  future work): ORB-style RPC between coupled programs with bulk arrays
-  riding Meta-Chaos bindings;
+- :mod:`repro.service` — the coupling service (the paper's §6 future
+  work): ORB-style RPC between coupled programs in batched multi-tenant
+  rounds, with bulk arrays riding Meta-Chaos bindings; :mod:`repro.dobj`
+  is its synchronous one-client façade;
 - :mod:`repro.apps` — the paper's application kernels (coupled
   structured/unstructured mesh solver, client/server matrix-vector
   multiply);

@@ -12,9 +12,9 @@ cache hit, ``shapes=tenants`` makes every bind a cold collective build.
 
 from __future__ import annotations
 
-from repro.dobj import ParallelObject
 from repro.service import (
     ArraySpec,
+    ParallelObject,
     ServiceConfig,
     ServiceReport,
     TenantSpec,

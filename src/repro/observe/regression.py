@@ -3,7 +3,7 @@
 :func:`compare_benchmarks` diffs two ``BENCH_*.json`` documents (the
 ablation benchmarks' committed baselines vs. a fresh run) and reports
 every logical-elapsed metric — any numeric ``*_ms`` field inside
-``results`` — that *regressed* (grew) by more than a threshold
+``results`` that is not a ``*wall*_ms`` wall-clock leaf — that *regressed* (grew) by more than a threshold
 percentage, or that was *removed* from the regenerated document (a
 vanished timing leaf is a failure, not a silent skip).  ``benchmarks/check_regression.py`` wraps this in a CLI that
 exits nonzero when regressions are found, which is how CI turns "the
@@ -78,7 +78,13 @@ class Drift:
 
 
 def iter_ms_fields(node: Any, prefix: str = "") -> Iterator[tuple[str, float]]:
-    """Yield ``(dotted.path, value)`` for every numeric ``*_ms`` leaf."""
+    """Yield ``(dotted.path, value)`` for every numeric model-time ``*_ms``
+    leaf.
+
+    A ``*wall*_ms`` leaf (``search_wall_ms``, ``wall_ms`` ...) is host
+    wall-clock time — noisy run to run and measured properly by
+    ``perf/`` — so it is never held to the logical clock's growth bound.
+    """
     if isinstance(node, dict):
         for key, value in node.items():
             path = f"{prefix}.{key}" if prefix else str(key)
@@ -88,7 +94,8 @@ def iter_ms_fields(node: Any, prefix: str = "") -> Iterator[tuple[str, float]]:
                 and isinstance(value, (int, float))
                 and not isinstance(value, bool)
             ):
-                yield path, float(value)
+                if "wall" not in key:
+                    yield path, float(value)
             else:
                 yield from iter_ms_fields(value, path)
     elif isinstance(node, list):

@@ -1,10 +1,11 @@
 """repro.service — the high-throughput multi-tenant coupling service.
 
 Front-end that multiplexes many concurrent client *sessions* onto one
-SPMD server group over a batched generalization of the :mod:`repro.dobj`
-protocol: an asyncio gateway hosts the tenant tasks, a collective
-dispatch scheduler batches independent operations from different tenants
-into fused rounds, and a shared cross-tenant cache hierarchy
+SPMD server group over one batched protocol: an asyncio gateway hosts the
+tenant tasks, a collective dispatch scheduler batches independent
+operations from different tenants into fused rounds (a lone synchronous
+client, :mod:`repro.dobj`, is the one-tenant, one-op-per-round case of
+the same rounds), and a shared cross-tenant cache hierarchy
 (schedules → fused plans → lowered move programs) makes the marginal
 cost of the N-th tenant with a familiar array signature approach zero.
 
@@ -39,7 +40,7 @@ from repro.service.protocol import (
     TAG_SERVICE,
     ServiceConfig,
 )
-from repro.service.server import serve_service
+from repro.service.server import ParallelObject, serve_service
 from repro.service.session import (
     ArraySpec,
     RemoteBinding,
@@ -56,6 +57,7 @@ __all__ = [
     "ArraySpec",
     "PULL",
     "PUSH",
+    "ParallelObject",
     "RemoteBinding",
     "RemoteServiceError",
     "ServiceBusyError",

@@ -32,34 +32,28 @@ ranks, and returns a report (no wedged sessions, no hung ranks).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.coupling import coupled_universe  # noqa: F401  (re-export site)
-from repro.dobj.protocol import Reply
 from repro.service.admission import AdmissionControl
-from repro.service.cache import bind_key
 from repro.service.dispatch import (
     GatewayState,
-    Round,
     Shutdown,
-    execute_round,
     gateway_follower_loop,
-    guard_peer,
-    make_gateway_state,
+    lead_round,
 )
 from repro.service.protocol import (
     TAG_SERVICE,
-    BindOp,
     CallOp,
     CreateOp,
+    DisconnectOp,
     GatherOp,
+    Reply,
     ServiceBatch,
     ServiceConfig,
     ShutdownOp,
-    server_ops,
 )
-from repro.service.session import DisconnectOp, Session, TenantSpec
+from repro.service.session import Session, TenantSpec
 from repro.vmachine.faults import PeerLostError, RankLostError
 
 __all__ = ["run_service_gateway", "ServiceReport", "TenantReport"]
@@ -114,8 +108,7 @@ def run_service_gateway(
     Collective over the gateway program; returns the
     :class:`ServiceReport` on rank 0 and ``None`` elsewhere.
     """
-    config = config or ServiceConfig()
-    state = make_gateway_state(ctx, server, config)
+    state = GatewayState.open(ctx, server, "src", config or ServiceConfig())
     if ctx.comm.rank != 0:
         gateway_follower_loop(state)
         return None
@@ -154,11 +147,8 @@ class _Dispatcher:
     def notify_work(self) -> None:
         self._work.set()
 
-    def signature_of(self, tenant: int, array_name: str, spec) -> tuple:
+    def signature_of(self, tenant: int, array_name: str) -> tuple:
         return self.state.signature_of(tenant, array_name)
-
-    def cache_would_hit(self, obj: str, attr: str, signature: tuple) -> bool:
-        return self.state.cache.peek(bind_key(obj, attr, signature))
 
     # -- main loop -----------------------------------------------------------
 
@@ -197,10 +187,7 @@ class _Dispatcher:
 
     def _harvest(self) -> list[tuple]:
         """Seal one round: the head op of every ready session, rotated
-        for fairness, at most ``max_batch_ops`` total.  Bind ops get
-        their ``client_hit`` refreshed here — the cache may have moved
-        between submission and dispatch, and the negotiation must see
-        the truth at build time."""
+        for fairness, at most ``max_batch_ops`` total."""
         harvested: list[tuple] = []
         n = len(self.sessions)
         if n == 0:
@@ -212,16 +199,7 @@ class _Dispatcher:
                 continue
             if len(harvested) >= self.config.max_batch_ops:
                 break
-            pending = session.queue.pop(0)
-            op = pending.op
-            if isinstance(op, BindOp):
-                op = replace(
-                    op,
-                    client_hit=self.state.cache.peek(
-                        bind_key(op.obj, op.attr, op.signature)
-                    ),
-                )
-            harvested.append((session, pending, op))
+            harvested.append((session, session.queue.pop(0)))
         self.admission.dispatched(len(harvested))
         return harvested
 
@@ -237,43 +215,23 @@ class _Dispatcher:
     # -- one round -----------------------------------------------------------
 
     def _run_round(self, harvested: list[tuple]) -> None:
-        state = self.state
         seq, self.seq = self.seq, self.seq + 1
-        ops = tuple(op for _, _, op in harvested)
-        batch = ServiceBatch(seq, server_ops(ops))
-        ic = state.ctx.peer(state.server)
-        deadline = self.config.deadline_s
-        if batch.ops:
-            ic.send(0, batch, TAG_SERVICE)
-        grants = ()
-        if batch.has_binds:
-            ack = guard_peer(
-                state.universe, deadline, "bind negotiation",
-                ic.recv, 0, TAG_SERVICE, timeout=deadline,
-            )
-            grants = ack.grants
-        rnd = Round(seq, ops, grants)
-        state.comm.bcast(rnd, root=0)
-        local = execute_round(state, rnd)
-        reply = None
-        if batch.ops:
-            reply = guard_peer(
-                state.universe, deadline, "round reply",
-                ic.recv, 0, TAG_SERVICE, timeout=deadline,
-            )
+        local, reply = lead_round(
+            self.state, seq, tuple(pending.op for _, pending in harvested)
+        )
+        if reply is not None:
             self.server_counters = dict(reply.server_counters)
         self._resolve(harvested, local, reply)
 
-    def _resolve(self, harvested, local: dict, reply) -> None:
+    def _resolve(self, harvested, local: list, reply) -> None:
         replies = iter(reply.replies if reply is not None else ())
-        for i, (session, pending, op) in enumerate(harvested):
+        for i, (session, pending) in enumerate(harvested):
+            op = pending.op
             if isinstance(op, (CreateOp, GatherOp)):
                 result = local[i]
-            elif isinstance(op, DisconnectOp):
-                result = next(replies)
             elif isinstance(op, CallOp) and op.oneway:
                 # Resolved at dispatch: oneway carries no result and
-                # reports no server-side failure (mirroring dobj).
+                # reports no server-side failure.
                 result = Reply(ok=True)
             else:
                 result = next(replies)
@@ -284,7 +242,7 @@ class _Dispatcher:
     def _shutdown_round(self) -> None:
         state = self.state
         seq, self.seq = self.seq, self.seq + 1
-        ic = state.ctx.peer(state.server)
+        ic = state.ctx.peer(state.peer)
         try:
             ic.send(0, ServiceBatch(seq, (ShutdownOp("gateway done"),)),
                     TAG_SERVICE)

@@ -1,13 +1,14 @@
-"""Batched wire protocol of the multi-tenant coupling service.
+"""Batched wire protocol of the coupling service.
 
-The service generalizes the one-client :mod:`repro.dobj` protocol to many
-concurrent *tenant sessions* multiplexed by a gateway program: instead of
-one ``Request`` per control round trip, the gateway's rank 0 ships one
-:class:`ServiceBatch` per dispatch round — the head operation of every
-ready session — and the server answers with one :class:`BatchReply`.
-Heavy traffic thus pays the control-channel latency alpha once per
-*round*, not once per request, and the moves inside a round fuse into one
-:class:`~repro.core.plan.MovePlan` message per processor pair.
+Many concurrent *tenant sessions* are multiplexed by a gateway program:
+instead of one request per control round trip, the gateway's rank 0 ships
+one :class:`ServiceBatch` per dispatch round — the head operation of
+every ready session — and the server answers with one
+:class:`BatchReply`.  Heavy traffic thus pays the control-channel latency
+alpha once per *round*, not once per request, and the moves inside a
+round fuse into one :class:`~repro.core.plan.MovePlan` message per
+processor pair.  A lone client (:mod:`repro.dobj`) is the one-tenant,
+one-op-per-round case of the same protocol.
 
 Binds carry the tenant array's canonical **signature** — the
 ``(distribution, region-set, dtype)`` content key — so both programs can
@@ -22,11 +23,10 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.dobj.protocol import Reply
-
 __all__ = [
     "TAG_SERVICE",
     "ServiceConfig",
+    "Reply",
     "CallOp",
     "BindOp",
     "UnbindOp",
@@ -45,9 +45,9 @@ __all__ = [
 ]
 
 #: control tag of the gateway<->server batch channel (class "user" for the
-#: fault model, like the dobj control tag — chaos plans target the data
-#: plane by default, and the batch channel stays on the reliable setup
-#: transport exactly like schedule construction does)
+#: fault model — chaos plans target the data plane by default, and the
+#: batch channel stays on the reliable setup transport exactly like
+#: schedule construction does)
 TAG_SERVICE = (1 << 21) + 101
 
 PUSH = "push"
@@ -97,6 +97,20 @@ def _pickled_nbytes(obj: Any) -> int:
         return 64
 
 
+@dataclass(frozen=True)
+class Reply:
+    """The outcome of one operation, as its tenant sees it."""
+
+    ok: bool
+    value: Any = None
+    error: str = ""
+    binding: int = -1
+
+    @property
+    def nbytes(self) -> int:
+        return 64
+
+
 # ---------------------------------------------------------------------------
 # per-tenant operations
 # ---------------------------------------------------------------------------
@@ -124,10 +138,11 @@ class BindOp:
     ``signature`` is the canonical content key of the tenant's side of
     the requested copy — ``(lib, distribution, region-set, dtype)`` — and
     ``client_hit`` whether the gateway's shared cache already holds the
-    schedule for ``(obj, attr, signature)``.  ``client_hit`` is refreshed
-    by the dispatcher when the round is sealed (the cache may have moved
-    between submission and dispatch); the server answers through the
-    :class:`BindAck` phase before any collective work starts.
+    schedule for ``(obj, attr, signature)``.  ``client_hit`` is stamped
+    when the round is sealed (:func:`~repro.service.dispatch.lead_round`
+    — the cache may move between submission and dispatch); the server
+    answers through the :class:`BindAck` phase before any collective work
+    starts.
     ``array_name`` stays gateway-local in meaning but rides the op so
     every gateway rank can resolve the tenant's array from the round
     broadcast.
@@ -245,6 +260,19 @@ class ServiceBatch:
     @property
     def shutdown(self) -> bool:
         return any(isinstance(op, ShutdownOp) for op in self.ops)
+
+    @property
+    def expects_reply(self) -> bool:
+        """Does the server answer this round with a :class:`BatchReply`?
+
+        Oneway calls have no reply slot, so a round made only of them (or
+        of nothing the server sees) has nothing to carry back: the server
+        sends no reply and the gateway waits for none — both read the
+        rule off the batch itself.
+        """
+        return any(
+            not (isinstance(op, CallOp) and op.oneway) for op in self.ops
+        )
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,18 @@
-"""Server side of the coupling service: batched rounds over dobj objects.
+"""Server side of the coupling service: parallel objects served in rounds.
 
-:func:`serve_service` is the server program's body — the multi-tenant
-generalization of :func:`repro.dobj.server.serve_objects`.  It serves the
-same :class:`~repro.dobj.server.ParallelObject` instances, but the unit
-of control traffic is one :class:`~repro.service.protocol.ServiceBatch`
-per dispatch round instead of one request, and all of a round's bulk
-transfers in one direction fuse into a single
+A server program constructs :class:`ParallelObject` instances (whose
+state includes distributed arrays and whose methods are SPMD across the
+server's processors), then enters :func:`serve_service` — an ORB-style
+dispatch loop whose unit of control traffic is one
+:class:`~repro.service.protocol.ServiceBatch` per dispatch round, and in
+which all of a round's bulk transfers in one direction fuse into a single
 :class:`~repro.core.plan.MovePlan` message per processor pair.
 
-Round handling mirrors the gateway's canonical order exactly (slot
-acquisition for granted binds first, then batch order, then pushes, then
-pulls — see :mod:`repro.service.dispatch`), because the two programs'
-slot tables, binding tables and caches are *replicas coordinated only by
-the op stream*: as long as both sides apply the same deterministic rules
-to the same ops, no state ever needs to ride the wire.
+Round handling is the gateway's, exactly (:func:`repro.service.rounds.
+apply_round`), because the two programs' slot tables, binding tables and
+caches are *replicas coordinated only by the op stream*: as long as both
+sides apply the same deterministic rules to the same ops, no state ever
+needs to ride the wire.
 
 The bind negotiation is the one extra round trip: rank 0 validates each
 bind locally, previews the slot it will get, peeks its shared schedule
@@ -25,18 +24,10 @@ the schedule) skips the collective build entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import abc
 
-from repro.core.coupling import coupled_universe
-from repro.core.policy import ExecutorPolicy
-from repro.core.schedule import CommSchedule, ScheduleMethod, build_schedule
-from repro.dobj.protocol import Reply, SlotTable
-from repro.dobj.server import ParallelObject, _lookup
 from repro.service.cache import ServiceCache, bind_key
-from repro.service.dispatch import _execute_moves
 from repro.service.protocol import (
-    PULL,
-    PUSH,
     TAG_SERVICE,
     BatchReply,
     BindAck,
@@ -44,27 +35,46 @@ from repro.service.protocol import (
     BindOp,
     CallOp,
     DisconnectOp,
-    MoveOp,
+    Reply,
     ServiceBatch,
     ServiceConfig,
     ShutdownOp,
-    UnbindOp,
 )
+from repro.service.rounds import ServiceState, SlotTable, apply_round
 from repro.vmachine.faults import RankLostError
 from repro.vmachine.program import ProgramContext
 
-__all__ = ["serve_service"]
+__all__ = ["ParallelObject", "serve_service"]
 
 
-@dataclass
-class _ServedBinding:
-    """Server half of one tenant binding (slot-indexed)."""
+class ParallelObject(abc.ABC):
+    """Base class for server-side parallel objects.
 
-    slot: int
-    tenant: int
-    key: tuple
-    schedule: CommSchedule
-    array: object  # the exported array's rank-local piece
+    Subclasses hold distributed arrays and define SPMD methods (plain
+    methods executed by every server rank collectively).  Every method
+    name not starting with ``_`` is remotely callable.  Arrays a client
+    may bind to are published by :meth:`export_array`.
+    """
+
+    @abc.abstractmethod
+    def export_array(self, attr: str):
+        """Return ``(library_name, array, set_of_regions)`` for ``attr``.
+
+        Raise ``KeyError`` for unknown attributes; the error travels back
+        to the client as a failed reply.
+        """
+
+    def _callable(self, method: str) -> bool:
+        return not method.startswith("_") and callable(getattr(self, method, None))
+
+
+def _lookup(objects: dict[str, ParallelObject], name: str) -> ParallelObject:
+    try:
+        return objects[name]
+    except KeyError:
+        raise KeyError(
+            f"no object {name!r} exported; available: {sorted(objects)}"
+        ) from None
 
 
 def serve_service(
@@ -78,22 +88,10 @@ def serve_service(
     Collective over the server program.  Returns a summary dict
     (rounds, ops served, cache counters) for monitoring and tests.
     """
-    config = config or ServiceConfig()
+    state = ServiceState.open(ctx, gateway, "dst", config or ServiceConfig())
     comm = ctx.comm
     ic = ctx.peer(gateway)
-    policy = ExecutorPolicy.coerce(config.policy)
-    universe = coupled_universe(ctx, gateway, "dst")
-    if config.reliability:
-        universe.enable_reliability()
-    metrics = comm.process.metrics
-    cache = ServiceCache(
-        schedule_maxsize=config.schedule_cache_size,
-        plan_maxsize=config.plan_cache_size,
-        metrics=metrics,
-    )
-    slots = SlotTable()
-    bindings: dict[int, _ServedBinding] = {}
-    rounds = 0
+    cache = state.cache
     ops_served = 0
     peer_lost = ""
 
@@ -101,37 +99,32 @@ def serve_service(
         msg = None
         if comm.rank == 0:
             try:
-                batch = ic.recv(0, TAG_SERVICE, timeout=config.deadline_s)
+                batch = ic.recv(0, TAG_SERVICE, timeout=state.config.deadline_s)
             except (RankLostError, TimeoutError) as exc:
                 msg = ("lost", f"{type(exc).__name__}: {exc}")
             else:
                 grants = ()
                 if batch.has_binds:
-                    grants = _grant_binds(batch, objects, cache, slots)
+                    grants = _grant_binds(batch, objects, cache, state.slots)
                     ic.send(0, BindAck(batch.seq, grants), TAG_SERVICE)
                 msg = ("round", batch, grants)
         msg = comm.bcast(msg, root=0)
 
         if msg[0] == "lost":
-            metrics.incr("svc_peer_lost")
+            state.proc.metrics.incr("svc_peer_lost")
             peer_lost = msg[1]
             break
         _, batch, grants = msg
-        rounds += 1
-        metrics.incr("svc_rounds")
-        replies = _execute_batch(
-            ctx, universe, policy, config, objects, cache, slots, bindings,
-            batch, grants,
-        )
+        replies = _execute_batch(state, objects, batch, grants)
         ops_served += len(batch.ops) - (1 if batch.shutdown else 0)
-        if comm.rank == 0:
+        if comm.rank == 0 and batch.expects_reply:
             # Twelve entries, as ever: BatchReply.nbytes charges the
             # logical clock 16 B per piggybacked counter.
             counters = {
                 **cache.counters,
                 "schedule_entries": len(cache),
-                "bindings_live": len(bindings),
-                "slot_high_water": slots.high_water,
+                "bindings_live": len(state.bindings),
+                "slot_high_water": state.slots.high_water,
             }
             ic.send(
                 0, BatchReply(batch.seq, tuple(replies), counters), TAG_SERVICE
@@ -141,10 +134,10 @@ def serve_service(
 
     summary = cache.snapshot()
     summary.update(cache.program_stats())
-    summary["rounds"] = rounds
+    summary["rounds"] = state.rounds
     summary["ops_served"] = ops_served
-    summary["slot_high_water"] = slots.high_water
-    summary["bindings_live"] = len(bindings)
+    summary["slot_high_water"] = state.slots.high_water
+    summary["bindings_live"] = len(state.bindings)
     if peer_lost:
         summary["peer_lost"] = peer_lost
     return summary
@@ -202,137 +195,44 @@ def _grant_binds(
 
 
 def _execute_batch(
-    ctx,
-    universe,
-    policy: ExecutorPolicy,
-    config: ServiceConfig,
+    state: ServiceState,
     objects: dict[str, ParallelObject],
-    cache: ServiceCache,
-    slots: SlotTable,
-    bindings: dict[int, _ServedBinding],
     batch: ServiceBatch,
     grants: tuple,
 ) -> list[Reply]:
     """Execute one round collectively; replies in server-op order
     (oneway calls produce none)."""
-    comm = ctx.comm
-    metrics = comm.process.metrics
 
-    # Phase 1: slot acquisition for granted binds, in batch order.
-    grant_of: dict[int, BindGrant] = {}
-    it = iter(grants)
-    for i, op in enumerate(batch.ops):
-        if isinstance(op, BindOp):
-            grant = next(it)
-            grant_of[i] = grant
-            if grant.ok:
-                slot = slots.acquire()
-                if slot != grant.slot:
-                    raise RuntimeError(
-                        f"server slot table diverged from its own preview: "
-                        f"acquired {slot}, granted {grant.slot}"
-                    )
-
-    # Phase 2: batch order.
-    replies: list[Reply] = []
-    pushes: list[MoveOp] = []
-    pulls: list[MoveOp] = []
-    for i, op in enumerate(batch.ops):
+    def server_op(op):
         if isinstance(op, CallOp):
-            if op.oneway:
-                # Execute, never reply (see serve_objects): failures are
-                # counted, not reported — there is no reply slot to fill.
-                try:
-                    obj = _lookup(objects, op.obj)
-                    if not obj._callable(op.method):
-                        raise AttributeError(op.method)
-                    getattr(obj, op.method)(*op.args)
-                except Exception:  # noqa: BLE001 - deliberately silent
-                    metrics.incr("svc_oneway_errors")
-                continue
-            try:
-                obj = _lookup(objects, op.obj)
-                if not obj._callable(op.method):
-                    raise AttributeError(
-                        f"object {op.obj!r} has no remote method "
-                        f"{op.method!r}"
-                    )
-                value = getattr(obj, op.method)(*op.args)
-                replies.append(Reply(ok=True, value=value))
-            except Exception as exc:  # noqa: BLE001 - reported to the tenant
-                replies.append(
-                    Reply(ok=False, error=f"{type(exc).__name__}: {exc}")
-                )
+            return _invoke(state, objects, op)
+        if isinstance(op, (DisconnectOp, ShutdownOp)):
+            return Reply(ok=True)
+        return Reply(ok=False, error=f"unknown op {type(op).__name__}")
 
-        elif isinstance(op, BindOp):
-            grant = grant_of[i]
-            if not grant.ok:
-                replies.append(Reply(ok=False, error=grant.error))
-                continue
-            lib, array, sor = _lookup(objects, op.obj).export_array(op.attr)
-            key = bind_key(op.obj, op.attr, op.signature)
+    replies = apply_round(
+        state, batch.ops, grants,
+        lambda op: _lookup(objects, op.obj).export_array(op.attr), server_op,
+    )
+    state.proc.metrics.incr("svc_ops", len(batch.ops))
+    return [r for r in replies if r is not None]
 
-            # Mirror of the gateway's resolve (see dispatch._execute_bind).
-            sched = cache.resolve(
-                key,
-                lambda: build_schedule(
-                    universe,
-                    lib, None, None,  # source side lives in the gateway
-                    lib, array, sor,
-                    method=ScheduleMethod.COOPERATION,
-                    policy=policy,
-                ),
-                force=grant.need_build,
+
+def _invoke(state: ServiceState, objects, op: CallOp) -> Reply | None:
+    """Run one SPMD method call.  A oneway call (CORBA 'oneway') executes
+    but *never* replies, success or failure — there is no reply slot to
+    fill; its failures are counted, not reported."""
+    try:
+        obj = _lookup(objects, op.obj)
+        if not obj._callable(op.method):
+            raise AttributeError(
+                f"object {op.obj!r} has no remote method {op.method!r}"
             )
-            bindings[grant.slot] = _ServedBinding(
-                slot=grant.slot, tenant=op.tenant, key=key,
-                schedule=sched, array=array,
-            )
-            replies.append(Reply(ok=True, binding=grant.slot))
-
-        elif isinstance(op, UnbindOp):
-            binding = bindings.pop(op.slot, None)
-            if binding is None:
-                replies.append(
-                    Reply(ok=False,
-                          error=f"KeyError: binding {op.slot} is not live")
-                )
-            else:
-                slots.release(op.slot)
-                replies.append(Reply(ok=True))
-
-        elif isinstance(op, MoveOp):
-            if op.slot not in bindings:
-                replies.append(
-                    Reply(ok=False,
-                          error=f"KeyError: binding {op.slot} is not live")
-                )
-                continue
-            (pushes if op.direction == PUSH else pulls).append(op)
-            replies.append(Reply(ok=True))
-
-        elif isinstance(op, DisconnectOp):
-            for slot in sorted(
-                s for s, b in bindings.items() if b.tenant == op.tenant
-            ):
-                del bindings[slot]
-                slots.release(slot)
-            replies.append(Reply(ok=True))
-
-        elif isinstance(op, ShutdownOp):
-            replies.append(Reply(ok=True))
-
-        else:
-            replies.append(
-                Reply(ok=False, error=f"unknown op {type(op).__name__}")
-            )
-
-    # Phases 3-4: fused bulk transfers (mirror of the gateway's).
-    for ops, direction in ((pushes, PUSH), (pulls, PULL)):
-        group = [bindings[op.slot] for op in ops]
-        _execute_moves(
-            universe, policy, config.deadline_s, cache, group,
-            [b.array for b in group], direction,
-        )
-    metrics.incr("svc_ops", len(batch.ops))
-    return replies
+        reply = Reply(ok=True, value=getattr(obj, op.method)(*op.args))
+    except Exception as exc:  # noqa: BLE001 - reported to the tenant
+        reply = Reply(ok=False, error=f"{type(exc).__name__}: {exc}")
+    if not op.oneway:
+        return reply
+    if not reply.ok:
+        state.proc.metrics.incr("svc_oneway_errors")
+    return None

@@ -27,7 +27,6 @@ from repro.core import mc_new_set_of_regions
 from repro.core.region import IndexRegion, SectionRegion
 from repro.core.setofregions import SetOfRegions
 from repro.distrib.section import Section
-from repro.dobj.protocol import Reply
 from repro.service.admission import BUSY, ServiceBusyError
 from repro.service.protocol import (
     PULL,
@@ -38,6 +37,7 @@ from repro.service.protocol import (
     DisconnectOp,
     GatherOp,
     MoveOp,
+    Reply,
     UnbindOp,
 )
 
@@ -255,11 +255,10 @@ class Session:
 
     async def bind(self, obj: str, attr: str, array_name: str) -> RemoteBinding:
         """Establish a bulk-data path from a session array to an export."""
-        spec = self._array(array_name)
-        signature = self._core.signature_of(self.tenant_id, array_name, spec)
-        client_hit = self._core.cache_would_hit(obj, attr, signature)
+        self._array(array_name)
+        signature = self._core.signature_of(self.tenant_id, array_name)
         reply = await self._transact(
-            BindOp(self.tenant_id, obj, attr, array_name, signature, client_hit)
+            BindOp(self.tenant_id, obj, attr, array_name, signature)
         )
         binding = RemoteBinding(
             slot=reply.binding, obj=obj, attr=attr,

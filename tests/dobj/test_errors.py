@@ -73,10 +73,10 @@ class TestOnewayErrors:
 
         res = run_scenario(client)
         assert all(v == 0.0 for v in res["client"].values)
-        # Failures were counted (on every server rank — the request is
-        # broadcast and each rank executes it), never replied.
+        # All three failures were counted (on every server rank — the
+        # round is broadcast and each rank executes it), never replied.
         assert all(
-            s.get("dobj_oneway_errors") == 2 for s in res["server"].stats
+            s.get("svc_oneway_errors") == 3 for s in res["server"].stats
         )
 
     def test_oneway_success_not_counted_as_error(self):
@@ -88,7 +88,7 @@ class TestOnewayErrors:
             return t
 
         res = run_scenario(client)
-        assert res["server"].total_stat("dobj_oneway_errors") == 0.0
+        assert res["server"].total_stat("svc_oneway_errors") == 0.0
 
 
 class TestReplyOrdering:
@@ -220,11 +220,11 @@ class TestUnbindAndSlotReuse:
 
     def test_unbind_unknown_slot_reports_error(self):
         def client(ctx):
-            from repro.dobj.protocol import Request
+            from repro.service.protocol import UnbindOp
 
             broker = connect(ctx, "server")
             try:
-                broker._transact(Request(kind="unbind", binding=7))
+                broker._round(UnbindOp(0, 7))
                 outcome = "ok"
             except RemoteError as exc:
                 outcome = "error" if "not live" in str(exc) else "other"

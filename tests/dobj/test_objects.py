@@ -7,7 +7,13 @@ from repro.blockparti import BlockPartiArray
 from repro.chaos import ChaosArray
 from repro.core import IndexRegion, SectionRegion, mc_new_set_of_regions
 from repro.distrib.section import Section
-from repro.dobj import ParallelObject, RemoteError, connect, serve_objects
+from repro.dobj import (
+    BoundArray,
+    ParallelObject,
+    RemoteError,
+    connect,
+    serve_objects,
+)
 from repro.hpf import HPFArray, hpf_sum
 from repro.vmachine import ProgramSpec, run_programs
 from repro.vmachine.machine import SPMDError
@@ -57,6 +63,13 @@ def run_scenario(client_fn, nclient=2, nserver=3):
 
 def full_sor():
     return mc_new_set_of_regions(SectionRegion(Section.full((N,))))
+
+
+class TestBoundArray:
+    def test_fields(self):
+        b = BoundArray(binding_id=3, obj="vec", attr="v")
+        assert b.binding_id == 3
+        assert b.local_array is None and not b.closed
 
 
 class TestCalls:

@@ -46,6 +46,21 @@ class TestIterMsFields:
         assert fields == {}
 
 
+    def test_wall_clock_leaves_are_not_model_time(self):
+        """``*wall*_ms`` leaves are host time: not yielded, so neither
+        their growth nor their absence can fail the logical-clock guard."""
+        node = {"elapsed_ms": 2.0, "search_wall_ms": 300.0, "wall_ms": 5.0,
+                "nested": {"exhaustive_wall_ms": 1e3, "fence_ms": 1.0}}
+        assert dict(iter_ms_fields(node)) == {
+            "elapsed_ms": 2.0, "nested.fence_ms": 1.0,
+        }
+        base = {"results": {"c": node}}
+        cur = copy.deepcopy(base)
+        cur["results"]["c"]["search_wall_ms"] *= 10
+        del cur["results"]["c"]["nested"]["exhaustive_wall_ms"]
+        assert compare_benchmarks(base, cur) == ([], [])
+
+
 class TestCompare:
     def test_identical_is_clean(self):
         regs, drifts = compare_benchmarks(BASELINE, BASELINE)

@@ -14,7 +14,7 @@ from repro.core import (
     mc_new_set_of_regions,
 )
 from repro.distrib.section import Section
-from repro.dobj.protocol import SlotTable
+from repro.service.rounds import SlotTable
 from repro.service import ServiceCache, array_signature, bind_key
 from repro.vmachine import VirtualMachine
 

@@ -3,9 +3,11 @@
 Each test runs a two-program topology (gateway + server) under the
 simulated VM: tenants are asyncio tasks on the gateway's rank 0, arrays
 are distributed over the gateway ranks, and the server serves
-:class:`~repro.dobj.server.ParallelObject` exports through batched
+:class:`~repro.service.ParallelObject` exports through batched
 rounds with shared caches.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -347,6 +349,80 @@ class TestErrors:
 
         report, _, _ = run_fleet([TenantSpec("t0", body)])
         assert "no object" in report.tenants[0].result
+
+
+class TestTenantIsolation:
+    def test_foreign_binding_is_refused_and_left_intact(self):
+        """A binding belongs to the tenant that bound it: another
+        tenant's move or unbind on its slot is refused (on the server)
+        and skipped (on the gateway) from the same replicated owner
+        check, so A's data and slot are untouched."""
+        shared = {}
+        bound, attacked = asyncio.Event(), asyncio.Event()
+
+        async def owner(session):
+            await session.create_array(
+                "x", ArraySpec("blockparti", N, fill=("arange",))
+            )
+            shared["binding"] = await session.bind("vec", "v0", "x")
+            bound.set()
+            await attacked.wait()
+            untouched = await session.gather("x")
+            await session.push(shared["binding"])  # still live, still A's
+            total = await session.call("vec", "total", "v0")
+            await session.unbind(shared["binding"])
+            await session.close()
+            return untouched, total
+
+        async def intruder(session):
+            await bound.wait()
+            errors = []
+            for attack in (session.pull, session.unbind):
+                try:
+                    # pull would overwrite A's x with the server's zeros
+                    await attack(shared["binding"])
+                except RemoteServiceError as exc:
+                    errors.append(str(exc))
+            attacked.set()
+            await session.close()
+            return errors
+
+        report, summary, _ = run_fleet(
+            [TenantSpec("a", owner), TenantSpec("b", intruder)]
+        )
+        assert report.ok
+        errors = report.tenant("b").result
+        assert len(errors) == 2
+        assert all("belongs to another tenant" in e for e in errors)
+        untouched, total = report.tenant("a").result
+        np.testing.assert_array_equal(untouched, np.arange(N, dtype=float))
+        assert total == pytest.approx(np.arange(N).sum())
+        assert summary["bindings_live"] == 0
+
+
+class TestOnewayRounds:
+    def test_all_oneway_round_gets_no_batch_reply(self):
+        """A round whose server-visible ops are all oneway calls is one
+        message out and none back: the gateway's rank 0 receives nothing
+        across it, and the next round's reply still pairs up."""
+
+        async def body(session):
+            metrics = session._core.state.proc.metrics
+            await session.create_array("x", ArraySpec("blockparti", N))
+            received = [metrics.get("messages_received")]
+            await session.call_oneway("vec", "scale", "v0", 2.0)
+            received.append(metrics.get("messages_received"))
+            total = await session.call("vec", "total", "v0")
+            received.append(metrics.get("messages_received"))
+            await session.close()
+            return received, total
+
+        report, _, _ = run_fleet([TenantSpec("t0", body)])
+        assert report.ok
+        (before, after_oneway, after_call), total = report.tenants[0].result
+        assert after_oneway == before
+        assert after_call == before + 1
+        assert total == 0.0
 
 
 class TestBatching:

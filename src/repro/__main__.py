@@ -146,8 +146,13 @@ def cmd_plan_summary(args) -> int:
     :class:`~repro.core.plan.MovePlan`, and prints what each rank's fused
     messages carry — driven by :meth:`CommSchedule.stats` and
     :meth:`MovePlan.pair_table`, the same introspection the executors'
-    ``plan:fuse`` trace events use.
+    ``plan:fuse`` trace events use — plus what the plan was lowered to:
+    each pair's program kinds (``slice``/``grid``/``index`` row counts)
+    and the wire size of its fused message (headers and padding
+    included; the self pair is a direct copy and sends none).
     """
+    from collections import Counter
+
     import numpy as np
 
     from repro.blockparti import BlockPartiArray
@@ -160,6 +165,7 @@ def cmd_plan_summary(args) -> int:
         mc_compute_schedule,
         mc_new_set_of_regions,
     )
+    from repro.core.wire import SegmentHeader, WireLayout
     from repro.distrib.section import Section
     from repro.vmachine import VirtualMachine
 
@@ -183,10 +189,19 @@ def cmd_plan_summary(args) -> int:
             )
         plan = mc_compute_plan(schedules)
         per_sched = [s.stats() for s in schedules]
+        rows = plan.pair_table()
+        dtype = A.local.dtype.str  # every source array has the same one
+        for row in rows:
+            program = plan.send_programs[row["peer"]]
+            kinds = Counter(seg.program.kind for seg in program)
+            row["kinds"] = " ".join(f"{kind}:{c}" for kind, c in sorted(kinds.items()))
+            row["wire_bytes"] = 0 if row["peer"] == comm.rank else WireLayout(
+                SegmentHeader(seg.schedule_id, dtype, seg.count) for seg in program
+            ).nbytes
         return comm.gather(
             {
                 "rank": comm.rank,
-                "rows": plan.pair_table(),
+                "rows": rows,
                 "fused": plan.fused_message_count,
                 "unfused": plan.unfused_message_count,
                 "send_fanout": [st.send_fanout for st in per_sched],
@@ -201,21 +216,25 @@ def cmd_plan_summary(args) -> int:
         f"{n}x{n} blockparti -> permuted chaos"
     )
     print(f"{'rank':>4}  {'peer':>4}  {'segs':>4}  {'elems':>7}  "
-          f"{'data_bytes':>10}  {'alpha_saved':>11}")
+          f"{'data_bytes':>10}  {'alpha_saved':>11}  {'wire_bytes':>10}  "
+          f"lowered")
     for s in summaries:
         for row in s["rows"]:
             print(
                 f"{s['rank']:>4}  {row['peer']:>4}  {row['segments']:>4}  "
                 f"{row['elements']:>7}  {row['data_bytes']:>10}  "
-                f"{row['alpha_saved']:>11}"
+                f"{row['alpha_saved']:>11}  {row['wire_bytes']:>10}  "
+                f"{row['kinds']}"
             )
     fused = sum(s["fused"] for s in summaries)
     unfused = sum(s["unfused"] for s in summaries)
     bytes_total = sum(sum(s["send_bytes"]) for s in summaries)
+    wire_total = sum(row["wire_bytes"] for s in summaries for row in s["rows"])
     print(
         f"totals: {fused} fused message(s) replacing {unfused} "
         f"({unfused - fused} message latencies saved per execution), "
-        f"{bytes_total} payload bytes per execution"
+        f"{bytes_total} payload bytes per execution, "
+        f"{wire_total} fused wire bytes"
     )
     return 0
 

@@ -28,7 +28,7 @@ batched advanced-indexing operation, no ``ascontiguousarray`` staging
 copy anywhere on the hot path.
 
 Nothing here touches the clock: callers charge exactly what they charged
-before (``charge_pack(len(offsets))`` equals ``charge_pack(prog.n)``),
+before (the pack charge of ``len(offsets)`` elements is that of ``prog.n``),
 wire accounting keeps reading the greedy ``nruns``, and the compiled
 execution is bit-identical to the per-run reference.
 """
@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.runs import RunList, _run_slice
+from repro.vmachine.process import current_process
 
 __all__ = [
     "MoveProgram",
@@ -306,15 +307,13 @@ def _compile_runlist(rl: RunList) -> MoveProgram:
     return MoveProgram(n, "index", source=rl)
 
 
-def _program_cache_note(name: str) -> None:
+def _program_cache_note(counter: str) -> None:
     """Mirror a MoveProgram memo hit/miss into the calling rank's metrics
     (``cache_program_*``).  Counter bumps are clock-free; outside an SPMD
     run this is a no-op."""
     try:
-        from repro.vmachine.process import current_process
-
-        current_process().metrics.incr(f"cache_program_{name}")
-    except (ImportError, RuntimeError):
+        current_process().metrics.incr(counter)
+    except RuntimeError:
         pass
 
 
@@ -334,9 +333,9 @@ def compile_offsets(offsets) -> MoveProgram:
         if prog is None:
             prog = _compile_runlist(offsets)
             offsets._program = prog
-            _program_cache_note("misses")
+            _program_cache_note("cache_program_misses")
         else:
-            _program_cache_note("hits")
+            _program_cache_note("cache_program_hits")
         return prog
     arr = np.asarray(offsets, dtype=np.int64)
     if arr.ndim != 1:

@@ -26,8 +26,13 @@ per-peer pack/unpack programs; every move in the repo runs one:
   checkout/release never charges the logical clock.
 
 The wire form is a function of k alone (``k = 1 ⇒ bare``): there is no
-option selecting it, and :func:`_pack` / :func:`_unpack` are the only
-code that looks at it.  Everything else exists once:
+option selecting it, and :func:`_fuse` / :func:`_received_segments` are
+the only code that looks at it.  A plan is a *flat program*:
+:func:`compile_plan` lowers every half to its ``MoveProgram`` once, a
+rank's traversal (:class:`_Route`) and a pair's wire layout are memoised
+on the plan, and a move is one loop over those rows — per segment cast
+check → pack charge → one batched NumPy operation (the segment kernels
+of :mod:`repro.core.registry`).  Everything else exists once:
 
 - **one send loop** (:func:`plan_move_send`): destinations in ascending
   (``ORDERED``) or rotated (``OVERLAP``) order, through the reliable
@@ -49,16 +54,22 @@ the executor's own list of active remote sources
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterator, NamedTuple, Sequence
 
+from repro.core.dataplane import MoveProgram, compile_offsets
 from repro.core.policy import ExecutorPolicy, ordered_or_rotated
-from repro.core.registry import LibraryAdapter, get_adapter
-from repro.core.runs import RunList
+from repro.core.registry import (
+    copy_segment,
+    get_adapter,
+    pack_segment,
+    unpack_segment,
+)
 from repro.core.schedule import CommSchedule
 from repro.core.universe import TAG_DATA, Universe
-from repro.core.wire import FusedBuffer, SegmentHeader, segment_layout
+from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout
 from repro.vmachine.comm import waitany
+from repro.vmachine.process import Process
 from repro.vmachine.trace import TraceEvent
 
 __all__ = [
@@ -72,22 +83,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanSegment:
-    """One schedule's contribution to one fused message.
+    """One lowered row of a per-peer program: one schedule's contribution
+    to one message.
 
-    ``schedule_id`` indexes :attr:`MovePlan.schedules`; ``offsets`` is
-    that schedule's run-compressed half for the peer this segment's
-    program addresses (send half on the source side, receive half on the
-    destination side).
+    ``schedule_id`` is the row's *array slot* — it indexes
+    :attr:`MovePlan.schedules` and the arrays handed to a move;
+    ``program`` is that schedule's half for the peer the row's program
+    addresses (send half on the source side, receive half on the
+    destination side), already resolved.  Construction *is* the lowering:
+    pass the half itself and the ``compile_offsets`` memo is consulted
+    here, once, instead of once per segment per move.
     """
 
     schedule_id: int
-    offsets: RunList
+    program: MoveProgram
+
+    def __post_init__(self):
+        object.__setattr__(self, "program", compile_offsets(self.program))
 
     @property
     def count(self) -> int:
-        return len(self.offsets)
+        return self.program.n
 
 
 @dataclass(frozen=True)
@@ -115,6 +133,11 @@ class MovePlan:
     schedules: tuple[CommSchedule, ...]
     send_programs: dict[int, tuple[PlanSegment, ...]]
     recv_programs: dict[int, tuple[PlanSegment, ...]]
+    #: what executing the plan resolves lazily and then reuses: this
+    #: rank's :class:`_Route` per ``(policy, role)`` and the fused
+    #: :class:`~repro.core.wire.WireLayout` per ``(peer, source dtypes)``
+    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- introspection (benchmarks, plan-summary CLI, tests) ----------------
 
@@ -172,9 +195,10 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
     Validates that every member spans the same source/destination group
     sizes (they must have been built over the same
     :class:`~repro.core.universe.Universe` shape).  Only peers a
-    schedule actually exchanges elements with contribute segments, so an
-    empty half adds nothing to any program.  Exactly one schedule yields
-    a *bare* plan (see the module docstring): the wire form follows from
+    schedule actually exchanges elements with contribute rows — each
+    lowered here, once (:class:`PlanSegment`) — so an empty half adds
+    nothing to any program.  Exactly one schedule yields a *bare* plan
+    (see the module docstring): the wire form follows from
     ``len(schedules)`` and nothing else.
     """
     schedules = tuple(schedules)
@@ -228,103 +252,66 @@ def plan_of(schedule: CommSchedule, k: int = 1, reverse: bool = False) -> MovePl
 # ---------------------------------------------------------------------------
 
 
-def _pack(
-    adapters: Sequence[LibraryAdapter],
-    program: tuple[PlanSegment, ...],
-    src_arrays: Sequence[Any],
-    universe: Universe,
-    d: int,
-) -> Any:
-    """The payload for destination rank ``d``: every segment of its
-    program (``adapters[i]`` is member schedule i's source adapter).
-
-    One member schedule packs the bare buffer; several pack into one
-    staging buffer leased from this rank's arena, noted by per-rank
-    fusion counters and a ``plan:fuse`` trace event (kind-prefixed like
-    the fault layer's ``fault:*``, riding the normal trace stream).
-    """
-    proc = universe.process
-    if len(adapters) == 1:
-        with proc.span("pack"):
-            return adapters[0].pack(src_arrays[0], program[0].offsets)
-    headers = tuple([
-        SegmentHeader(
-            seg.schedule_id,
-            adapters[seg.schedule_id].local_data(
-                src_arrays[seg.schedule_id]
-            ).dtype.str,
-            len(seg.offsets),
-        )
-        for seg in program
-    ])
-    _, total = segment_layout(headers)
-    lease = proc.arena.checkout(total, pooled=not proc.copy_on_send)
-    fused = FusedBuffer(headers, lease.buffer, lease=lease)
-    with proc.span("pack"):
-        for i, seg in enumerate(program):
-            adapters[seg.schedule_id].pack_into(
-                src_arrays[seg.schedule_id], seg.offsets, fused.segment(i)
+def _fuse(
+    plan: MovePlan, program: tuple[PlanSegment, ...], datas: Sequence[Any],
+    dtypes: tuple, proc: Process, d: int,
+) -> FusedBuffer:
+    """The fused payload for destination rank ``d``: every row of its
+    program packed into one staging buffer leased from this rank's arena,
+    noted by per-rank fusion counters and a ``plan:fuse`` trace event
+    (kind-prefixed like the fault layer's ``fault:*``, riding the normal
+    trace stream).  One (peer, source dtypes) shares one wire layout."""
+    layouts, key = plan._layouts, (d, dtypes)
+    layout = layouts.get(key)
+    if layout is None:
+        layout = WireLayout([
+            SegmentHeader(
+                seg.schedule_id, dtypes[seg.schedule_id].str, seg.program.n
             )
+            for seg in program
+        ])
+        # Kept from the pair's second message on: a timestep loop reuses
+        # it for ever, a plan executed once (the service compiles one per
+        # round and keeps them resident) retains no per-segment objects.
+        layouts[key] = layout if key in layouts else None
+    lease = proc.arena.checkout(layout.total, pooled=not proc.copy_on_send)
+    fused = FusedBuffer(layout, lease.buffer, lease=lease)
+    with proc.span("pack"):
+        for seg, view in zip(program, fused.segments()):
+            pack_segment(proc, seg.program, datas[seg.schedule_id], view)
     metrics = proc.metrics
     metrics.incr("plan_fused_messages")
-    metrics.incr("plan_fused_segments", fused.nsegments)
-    metrics.incr("plan_alpha_saved", fused.nsegments - 1)
+    metrics.incr("plan_fused_segments", len(program))
+    metrics.incr("plan_alpha_saved", len(program) - 1)
     if proc.trace is not None:
-        proc.trace.append(
-            TraceEvent(
-                "plan:fuse", proc.clock, proc.rank, d, TAG_DATA, fused.nbytes,
-                phase=proc.phase_path,
-            )
-        )
+        proc.trace.append(TraceEvent(
+            "plan:fuse", proc.clock, proc.rank, d, TAG_DATA, fused.nbytes,
+            phase=proc.phase_path,
+        ))
     return fused
 
 
-def _unpack(
-    adapters: Sequence[LibraryAdapter],
-    program: tuple[PlanSegment, ...],
-    dst_arrays: Sequence[Any],
-    payload: Any,
-    s: int,
-    universe: Universe,
-    donate: bool,
-) -> None:
-    """Scatter the payload from source rank ``s`` through its program.
-
-    With ``donate=True`` an eligible buffer or segment (full-coverage
-    unpack, exact dtype) is adopted directly as the destination array's
-    storage.  A fused payload then returns its staging buffer to the
-    sender's arena — unless a segment was donated: the bytes belong to
-    the array now and must never be recycled, so the lease is severed
-    and :meth:`~repro.core.wire.FusedBuffer.release` becomes a no-op.
-    """
-    proc = universe.process
-    if len(adapters) == 1:
-        offsets = program[0].offsets
-        if isinstance(payload, FusedBuffer):
-            raise RuntimeError(
-                f"plan mismatch: source rank {s} sent a fused buffer of "
-                f"{payload.nsegments} segment(s) to a single-schedule move"
-            )
-        if len(payload) != len(offsets):
-            raise RuntimeError(
-                f"schedule mismatch: received {len(payload)} elements from "
-                f"source rank {s} but expected {len(offsets)}"
-            )
-        with proc.span("unpack"):
-            adapters[0].unpack(dst_arrays[0], offsets, payload, donate=donate)
-        return
-    _check_fused(program, payload, s)
-    donated = False
-    with proc.span("unpack"):
-        for i, seg in enumerate(program):
-            if adapters[seg.schedule_id].unpack(
-                dst_arrays[seg.schedule_id], seg.offsets, payload.segment(i),
-                donate=donate,
-            ):
-                donated = True
-    if donated:
-        payload.sever_lease()
-    payload.release()
+def _received_segments(
+    program: tuple[PlanSegment, ...], payload: Any, s: int, bare: bool
+) -> Sequence[Any]:
+    """The payload from source rank ``s`` as one buffer per program row,
+    after checking — on every message — that it is what the program
+    expects: a bare buffer of the row's length, or a fused buffer whose
+    headers match row by row."""
+    if not bare:
+        _check_fused(program, payload, s)
+        return payload.segments()
+    if isinstance(payload, FusedBuffer):
+        raise RuntimeError(
+            f"plan mismatch: source rank {s} sent a fused buffer of "
+            f"{payload.nsegments} segment(s) to a single-schedule move"
+        )
+    if len(payload) != program[0].program.n:
+        raise RuntimeError(
+            f"schedule mismatch: received {len(payload)} elements from "
+            f"source rank {s} but expected {program[0].program.n}"
+        )
+    return (payload,)
 
 
 def _check_fused(
@@ -349,11 +336,11 @@ def _check_fused(
                 f"to schedule {header.schedule_id}, expected "
                 f"{seg.schedule_id}"
             )
-        if header.count != len(seg.offsets):
+        if header.count != seg.program.n:
             raise RuntimeError(
                 f"schedule mismatch: segment {i} (schedule "
                 f"{header.schedule_id}) from source rank {s} carries "
-                f"{header.count} elements but expected {len(seg.offsets)}"
+                f"{header.count} elements but expected {seg.program.n}"
             )
 
 
@@ -393,16 +380,9 @@ def _recv_bounded(
             slice_s *= 2.0
 
 
-def _active_sources(plan: MovePlan, universe: Universe) -> list[int]:
-    """Source ranks this rank receives a message from (ascending)."""
-    return [
-        s for s in sorted(plan.recv_programs) if not universe.same_proc_src(s)
-    ]
-
-
 def _arrivals(
     universe: Universe,
-    active: list[int],
+    active: Sequence[int],
     policy: ExecutorPolicy,
     timeout: float | None,
 ) -> Iterator[tuple[int, Any]]:
@@ -457,17 +437,60 @@ def _check_arrays(plan: MovePlan, arrays: Sequence[Any], side: str) -> None:
         )
 
 
-def _resolve(
-    policy: ExecutorPolicy | str, plan: MovePlan, universe: Universe
-) -> ExecutorPolicy:
-    """Coerce ``policy``; ``"auto"`` resolves per rank from the active
-    remote sources of the plan being executed."""
-    if isinstance(policy, ExecutorPolicy):
-        return policy
-    # Imported here: repro.autotune itself imports repro.core.
-    from repro.autotune.auto import resolve_policy
+class _Route(NamedTuple):
+    """One rank's traversal of a plan: everything a move used to re-derive
+    from the programs and the universe on every call."""
 
-    return resolve_policy(policy, _active_sources(plan, universe))
+    #: the policy executed (``"auto"`` resolved from ``sources``)
+    policy: ExecutorPolicy
+    #: ``(d, program)`` per remote destination, in injection order
+    dests: tuple
+    #: remote source ranks this rank receives a message from, ascending
+    sources: tuple
+    #: single program only: ``(array slot, source program, destination
+    #: program or None)`` per schedule with intra-processor elements
+    local: tuple
+
+
+def _route(
+    plan: MovePlan, universe: Universe, policy: ExecutorPolicy | str
+) -> _Route:
+    """The :class:`_Route` of the calling rank, memoised on the plan per
+    ``(policy, role)``.  ``"auto"`` resolves here, per rank, from the
+    active remote sources of the plan being executed."""
+    me_src, me_dst = universe.my_src_rank, universe.my_dst_rank
+    key = (policy, me_src, me_dst, universe.single_program)
+    route = plan._routes.get(key)
+    if route is not None:
+        return route
+    sources = tuple(
+        s for s in sorted(plan.recv_programs) if not universe.same_proc_src(s)
+    )
+    if not isinstance(policy, ExecutorPolicy):
+        # Imported here: repro.autotune itself imports repro.core.
+        from repro.autotune.auto import resolve_policy
+
+        policy = resolve_policy(policy, sources)
+    dests = local = ()
+    if me_src is not None:
+        dests = tuple(
+            (d, plan.send_programs[d])
+            for d in ordered_or_rotated(
+                list(plan.send_programs), me_src, universe.dst_size, policy
+            )
+            if not universe.same_proc_dst(d)
+        )
+    if universe.single_program:
+        into = {
+            seg.schedule_id: seg.program
+            for seg in plan.recv_programs.get(me_src, ())
+        }
+        local = tuple(
+            (seg.schedule_id, seg.program, into.get(seg.schedule_id))
+            for seg in plan.send_programs.get(me_dst, ())
+        )
+    route = plan._routes[key] = _Route(policy, dests, sources, local)
+    return route
 
 
 def plan_move_send(
@@ -489,6 +512,9 @@ def plan_move_send(
     starting at ``(my_src_rank + 1) % dst_size`` instead of ascending
     rank, staggering injection across the destination group.
 
+    One member schedule packs the bare buffer, the gather of its one
+    row; several pack into one leased staging buffer (:func:`_fuse`).
+
     With reliability enabled (payloads are opaque to the ack/retransmit
     protocol, so bare and fused messages are handled identically),
     ``fence`` controls the end-of-half ack barrier: default ``None``
@@ -502,18 +528,22 @@ def plan_move_send(
     if universe.my_src_rank is None:
         raise RuntimeError("plan_move_send called on a non-source processor")
     _check_arrays(plan, src_arrays, "source")
-    policy = _resolve(policy, plan, universe)
-    adapters = [get_adapter(sched.src_lib) for sched in plan.schedules]
+    route = _route(plan, universe, policy)
+    proc = universe.process
+    datas = [
+        get_adapter(sched.src_lib).local_data(array)
+        for sched, array in zip(plan.schedules, src_arrays)
+    ]
+    dtypes = tuple([data.dtype for data in datas])
+    bare = len(datas) == 1
     rel = universe.reliability
-    for d in ordered_or_rotated(
-        list(plan.send_programs), universe.my_src_rank, universe.dst_size,
-        policy,
-    ):
-        if universe.same_proc_dst(d):
-            continue
-        payload = _pack(
-            adapters, plan.send_programs[d], src_arrays, universe, d
-        )
+    for d, program in route.dests:
+        if bare:
+            with proc.span("pack"):
+                payload = pack_segment(proc, program[0].program, datas[0])
+        else:
+            payload = _fuse(plan, program, datas, dtypes, proc, d)
+        proc.metrics.incr("cache_program_hits", len(program))
         if rel is not None:
             rel.send(universe.data_endpoint_to_dst(), d, payload, TAG_DATA)
         else:
@@ -540,50 +570,69 @@ def plan_move_recv(
 
     Placement depends only on the schedule offsets, so completion order
     never changes the destination data.  ``donate=True`` lets an eligible
-    received buffer be adopted as the destination array's storage
-    instead of scattered through — the zero-copy receive path; the clock
-    trajectory is identical either way.
+    received buffer or segment (full-coverage unpack, exact dtype) be
+    adopted as the destination array's storage instead of scattered
+    through — the zero-copy receive path; the clock trajectory is
+    identical either way.  A fused payload then returns its staging
+    buffer to the sender's arena — unless a segment was donated: the
+    bytes belong to the array now and must never be recycled, so the
+    lease is severed and :meth:`~repro.core.wire.FusedBuffer.release`
+    becomes a no-op.
     """
     if universe.my_dst_rank is None:
         raise RuntimeError(
             "plan_move_recv called on a non-destination processor"
         )
     _check_arrays(plan, dst_arrays, "destination")
-    policy = _resolve(policy, plan, universe)
+    route = _route(plan, universe, policy)
+    proc = universe.process
     adapters = [get_adapter(sched.dst_lib) for sched in plan.schedules]
-    for s, payload in _arrivals(
-        universe, _active_sources(plan, universe), policy, timeout
-    ):
-        _unpack(
-            adapters, plan.recv_programs[s], dst_arrays, payload, s,
-            universe, donate,
-        )
+    datas = [a.local_data(x) for a, x in zip(adapters, dst_arrays)]
+    bare = len(adapters) == 1
+    for s, payload in _arrivals(universe, route.sources, route.policy, timeout):
+        program = plan.recv_programs[s]
+        donated = False
+        segments = _received_segments(program, payload, s, bare)
+        with proc.span("unpack"):
+            for seg, values in zip(program, segments):
+                i = seg.schedule_id
+                if unpack_segment(proc, adapters[i], dst_arrays[i],
+                                  seg.program, datas[i], values, donate):
+                    # Adoption rebound that array's storage: later rows and
+                    # messages (the array may fill several slots) must
+                    # address the new one.
+                    donated = True
+                    datas = [a.local_data(x) for a, x in zip(adapters, dst_arrays)]
+        proc.metrics.incr("cache_program_hits", len(program))
+        if not bare:
+            if donated:
+                payload.sever_lease()
+            payload.release()
 
 
 def _local_copies(
-    schedule: CommSchedule, src_array: Any, dst_array: Any, universe: Universe
+    plan: MovePlan, route: _Route, src_arrays: Sequence[Any],
+    dst_arrays: Sequence[Any], proc: Process,
 ) -> None:
     """Direct intra-processor copies (no intermediate buffer, §5.3).
 
-    Delegates to :meth:`LibraryAdapter.copy_local`, which shares its
-    lossy-cast refusal (:func:`~repro.core.registry.ensure_safe_cast`)
-    with the remote unpack path — local and remote moves reject or allow
-    exactly the same dtype pairs — and executes run-compressed halves as
-    aligned slice-to-slice copies.
+    :func:`~repro.core.registry.copy_segment` shares its lossy-cast
+    refusal with the remote unpack path — local and remote moves reject
+    or allow exactly the same dtype pairs.  Both programs of a pair are
+    linearization-ordered over the same element subset, so the direct
+    aligned copy is correct.
     """
-    src_offsets = schedule.sends.get(universe.my_dst_rank)
-    dst_offsets = schedule.recvs.get(universe.my_src_rank)
-    if src_offsets is None or len(src_offsets) == 0:
-        return
-    if dst_offsets is None or len(dst_offsets) != len(src_offsets):
-        raise RuntimeError("inconsistent local halves of the schedule")
-    # Both offset lists are linearization-ordered over the same element
-    # subset, so a direct aligned copy is correct.
-    with universe.process.span("copy:local"):
-        get_adapter(schedule.dst_lib).copy_local(
-            src_array, src_offsets, dst_array, dst_offsets,
-            src_adapter=get_adapter(schedule.src_lib),
-        )
+    for i, src_program, dst_program in route.local:
+        if dst_program is None or dst_program.n != src_program.n:
+            raise RuntimeError("inconsistent local halves of the schedule")
+        sched = plan.schedules[i]
+        with proc.span("copy:local"):
+            copy_segment(
+                proc,
+                src_program, get_adapter(sched.src_lib).local_data(src_arrays[i]),
+                dst_program, get_adapter(sched.dst_lib).local_data(dst_arrays[i]),
+            )
+    proc.metrics.incr("cache_program_hits", 2 * len(route.local))
 
 
 def plan_move(
@@ -606,12 +655,13 @@ def plan_move(
     rank fences once at the end, after its receive half, when every peer
     is already producing acks.
     """
-    policy = _resolve(policy, plan, universe)
+    route = _route(plan, universe, policy)
+    policy = route.policy
     if universe.single_program:
         _check_arrays(plan, src_arrays, "source")
         _check_arrays(plan, dst_arrays, "destination")
-        for sid, sched in enumerate(plan.schedules):
-            _local_copies(sched, src_arrays[sid], dst_arrays[sid], universe)
+        if route.local:
+            _local_copies(plan, route, src_arrays, dst_arrays, universe.process)
         plan_move_send(plan, src_arrays, universe, policy=policy,
                        timeout=timeout, fence=False)
         plan_move_recv(plan, dst_arrays, universe, policy=policy,

@@ -9,8 +9,9 @@ parallel libraries ... a standard set of inquiry functions."  A
   of a SetOfRegions to (owner rank, local address);
 - :meth:`~LibraryAdapter.local_elements` — enumerate the calling rank's
   own elements of a SetOfRegions (with their linearization positions);
-- :meth:`~LibraryAdapter.pack` / :meth:`~LibraryAdapter.unpack` — move
-  elements between local storage and communication buffers;
+- :meth:`~LibraryAdapter.local_data` / :meth:`~LibraryAdapter.adopt_local`
+  — expose (and, for donation, rebind) the rank-local storage the move
+  executor gathers from and scatters into;
 - :meth:`~LibraryAdapter.export_handle` — produce the exchangeable data
   descriptor the *duplication* schedule method ships between programs.
 
@@ -33,13 +34,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.dataplane import compile_offsets, copy_compiled
+from repro.core.dataplane import MoveProgram, compile_offsets, copy_compiled
 from repro.core.runs import RunList, as_offsets
 from repro.core.setofregions import SetOfRegions
 from repro.core.region import SectionRegion
 from repro.distrib.base import DistDescriptor, Distribution
 from repro.distrib.cartesian import CartesianDist
-from repro.vmachine.process import current_process
+from repro.vmachine.process import Process, current_process
 
 __all__ = [
     "RemoteHandle",
@@ -48,6 +49,9 @@ __all__ = [
     "get_adapter",
     "registered_libraries",
     "ensure_safe_cast",
+    "pack_segment",
+    "unpack_segment",
+    "copy_segment",
 ]
 
 
@@ -136,7 +140,7 @@ class LibraryAdapter(abc.ABC):
     def adopt_local(self, array: Any, values: np.ndarray) -> bool:
         """Adopt ``values`` as the array's new local storage (donation).
 
-        Called by :meth:`unpack` when a received buffer may be donated
+        Called by :func:`unpack_segment` when a received buffer may be donated
         wholesale instead of copied through.  Adapters whose arrays can
         rebind their storage return True after adopting; the default
         declines and the caller falls back to a scatter copy.
@@ -226,51 +230,35 @@ class LibraryAdapter(abc.ABC):
         return np.flatnonzero(mask).astype(np.int64, copy=False), offsets[mask]
 
     # -- data movement ----------------------------------------------------------
+    #
+    # What the move executor (:mod:`repro.core.plan`) needs of an adapter
+    # is :meth:`local_data` and :meth:`adopt_local`; it runs the segment
+    # kernels below on rows it lowered at plan-compile time.  The four
+    # methods here are one-shot conveniences over the *same* kernels, for
+    # callers holding an offset list instead of a compiled plan.
 
     def pack(self, array: Any, offsets: np.ndarray | RunList) -> np.ndarray:
-        """Gather local elements at ``offsets`` into a contiguous buffer.
-
-        Run-compressed offsets execute as slice copies (contiguous runs
-        at memcpy speed, strided runs as strided slices); only genuinely
-        irregular offsets pay a NumPy fancy gather.  The logical-clock
-        charge depends solely on the element count, so both paths cost
-        the same simulated time.
-        """
-        data = self.local_data(array)
-        prog = compile_offsets(as_offsets(offsets))
-        current_process().charge_pack(prog.n)
-        return prog.gather(data)
+        """Gather local elements at ``offsets`` into a fresh contiguous
+        buffer (:func:`pack_segment`)."""
+        return pack_segment(
+            current_process(), compile_offsets(as_offsets(offsets)),
+            self.local_data(array),
+        )
 
     def pack_into(
         self, array: Any, offsets: np.ndarray | RunList, out: np.ndarray
     ) -> None:
-        """:meth:`pack`, but gathering straight into caller-owned storage.
-
-        The fused-plan executor (:mod:`repro.core.plan`) leases one
-        staging buffer per destination from the rank's
-        :class:`~repro.vmachine.message.PackArena` and packs every
-        schedule's segment into its slice of that buffer — no per-segment
-        allocation.  ``out`` must be 1-D with exactly ``len(offsets)``
-        slots of the source array's element type.  The logical-clock
-        charge is identical to :meth:`pack` (same element count), so
-        fused and sequential moves cost the same pack time.
-
-        Rejects lossy element-type conversions via
-        :func:`ensure_safe_cast`, exactly like :meth:`unpack` and
-        :meth:`copy_local` — a fused plan must not silently lossy-cast
-        into a leased staging buffer.
-        """
-        data = self.local_data(array)
+        """:meth:`pack`, but gathering straight into caller-owned storage:
+        ``out`` must be 1-D with exactly ``len(offsets)`` slots.  Same
+        charge as :meth:`pack`; a lossy conversion into ``out`` is
+        refused like everywhere else."""
         prog = compile_offsets(as_offsets(offsets))
         if len(out) != prog.n:
             raise ValueError(
                 f"pack_into buffer has {len(out)} slots for "
                 f"{prog.n} offsets"
             )
-        if prog.n:
-            ensure_safe_cast(data.dtype, out.dtype)
-        current_process().charge_pack(prog.n)
-        prog.gather(data, out=out)
+        pack_segment(current_process(), prog, self.local_data(array), out)
 
     def unpack(
         self,
@@ -279,38 +267,13 @@ class LibraryAdapter(abc.ABC):
         values: np.ndarray,
         donate: bool = False,
     ) -> bool:
-        """Scatter buffer ``values`` into local elements at ``offsets``.
-
-        Rejects lossy element-type conversions via :func:`ensure_safe_cast`
-        (shared with the direct local-copy path).  Compiled offsets
-        scatter as one batched store.
-
-        With ``donate=True`` and a program that overwrites the entire
-        local storage in order (``[0, size)`` ascending, exact dtype
-        match, 1-D writable buffer), the received buffer is *adopted* as
-        the array's storage instead of being copied through — the
-        zero-copy receive path.  Returns True when the buffer was
-        donated (the caller must then stop reusing/releasing it); the
-        logical-clock charge is identical either way.
-        """
-        data = self.local_data(array)
-        prog = compile_offsets(as_offsets(offsets))
-        values = np.asarray(values)
-        if prog.n:
-            ensure_safe_cast(values.dtype, data.dtype)
-        current_process().charge_pack(prog.n)
-        if (
-            donate
-            and values.ndim == 1
-            and values.size == prog.n
-            and values.dtype == data.dtype
-            and values.flags.writeable
-            and prog.is_full_span(data.size)
-            and self.adopt_local(array, values)
-        ):
-            return True
-        prog.scatter(data, values)
-        return False
+        """Scatter buffer ``values`` into local elements at ``offsets``
+        (:func:`unpack_segment`); True when ``values`` was donated."""
+        return unpack_segment(
+            current_process(), self, array,
+            compile_offsets(as_offsets(offsets)), self.local_data(array),
+            values, donate,
+        )
 
     def copy_local(
         self,
@@ -320,23 +283,16 @@ class LibraryAdapter(abc.ABC):
         dst_offsets: np.ndarray | RunList,
         src_adapter: "LibraryAdapter | None" = None,
     ) -> None:
-        """Direct local-to-local copy (no intermediate buffer).
-
-        The paper highlights this as a Meta-Chaos advantage over Multiblock
-        Parti's internal buffering for intra-processor moves (§5.3), so
-        only one pack-side charge applies.  ``self`` is the *destination*
-        library's adapter; pass ``src_adapter`` when the source array
-        belongs to a different library.  Run-compressed halves copy as
-        aligned slice pairs with no per-element indexing.
-        """
-        src_data = (src_adapter or self).local_data(src_array)
-        dst_data = self.local_data(dst_array)
-        src_prog = compile_offsets(as_offsets(src_offsets))
-        dst_prog = compile_offsets(as_offsets(dst_offsets))
-        if src_prog.n:
-            ensure_safe_cast(src_data.dtype, dst_data.dtype)
-        current_process().charge_pack(src_prog.n)
-        copy_compiled(src_prog, src_data, dst_prog, dst_data)
+        """Direct local-to-local copy (:func:`copy_segment`).  ``self`` is
+        the *destination* library's adapter; pass ``src_adapter`` when the
+        source array belongs to a different library."""
+        copy_segment(
+            current_process(),
+            compile_offsets(as_offsets(src_offsets)),
+            (src_adapter or self).local_data(src_array),
+            compile_offsets(as_offsets(dst_offsets)),
+            self.local_data(dst_array),
+        )
 
     # -- duplication-method support ----------------------------------------------
 
@@ -355,6 +311,75 @@ class LibraryAdapter(abc.ABC):
         if isinstance(handle, RemoteHandle):
             return handle.materialize()
         return handle
+
+
+# -- the segment kernels --------------------------------------------------------
+#
+# One segment of a move: cast check -> one pack charge -> one batched NumPy
+# operation, in that order, so a refused cast leaves the clock untouched.
+# The executor's loops and the adapter wrappers above both end here; the
+# cast rule and the pack charge exist nowhere else.  ``ensure_safe_cast``
+# is only consulted when the dtypes differ (equal dtypes are always safe).
+# The charge depends solely on the element count, so every program kind —
+# and the fused and sequential moves built on them — costs the same
+# simulated time.
+
+
+def pack_segment(
+    proc: Process, program: MoveProgram, data: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gather ``data[program]`` into ``out`` (a fresh buffer when None)."""
+    if out is not None and out.dtype != data.dtype and program.n:
+        ensure_safe_cast(data.dtype, out.dtype)
+    proc.charge(proc.cost.pack(program.n), "per_element")
+    return program.gather(data, out=out)
+
+
+def unpack_segment(
+    proc: Process, adapter: "LibraryAdapter", array: Any,
+    program: MoveProgram, data: np.ndarray, values: np.ndarray,
+    donate: bool = False,
+) -> bool:
+    """Scatter ``values`` into ``data[program]`` (``data`` is ``array``'s
+    local storage) as one batched store.
+
+    With ``donate=True`` and a program that overwrites the entire local
+    storage in order (``[0, size)`` ascending, exact dtype match, 1-D
+    writable buffer), the received buffer is *adopted* as the array's
+    storage instead of being copied through — the zero-copy receive
+    path.  Returns True when it was (the caller must then stop reusing
+    or releasing it and re-read ``local_data``); same charge either way.
+    """
+    values = np.asarray(values)
+    if values.dtype != data.dtype and program.n:
+        ensure_safe_cast(values.dtype, data.dtype)
+    proc.charge(proc.cost.pack(program.n), "per_element")
+    if (
+        donate
+        and values.ndim == 1
+        and values.size == program.n
+        and values.dtype == data.dtype
+        and values.flags.writeable
+        and program.is_full_span(data.size)
+        and adapter.adopt_local(array, values)
+    ):
+        return True
+    program.scatter(data, values)
+    return False
+
+
+def copy_segment(
+    proc: Process, src_program: MoveProgram, src_data: np.ndarray,
+    dst_program: MoveProgram, dst_data: np.ndarray,
+) -> None:
+    """``dst_data[dst_program] = src_data[src_program]``, no staging buffer:
+    the paper's advantage over Multiblock Parti's internal buffering for
+    intra-processor moves (§5.3), so only one pack-side charge applies."""
+    if src_data.dtype != dst_data.dtype and src_program.n:
+        ensure_safe_cast(src_data.dtype, dst_data.dtype)
+    proc.charge(proc.cost.pack(src_program.n), "per_element")
+    copy_compiled(src_program, src_data, dst_program, dst_data)
 
 
 # -- helpers shared by the regular-library adapters -----------------------------

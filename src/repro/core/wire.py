@@ -19,7 +19,7 @@ charges the wire exactly what it always did.
 schedules' packed segments to the same destination, each described by a
 :class:`SegmentHeader` (schedule id, element dtype, element count).
 Segment payloads start at 16-byte-aligned offsets computed
-deterministically from the headers alone — :func:`segment_layout` — so
+deterministically from the headers alone — :class:`WireLayout` — so
 sender and receiver agree on the layout without shipping per-segment
 offsets, and every dtype view into the byte buffer is aligned.  The
 buffer's :attr:`~FusedBuffer.nbytes` (what the virtual transport charges)
@@ -42,6 +42,7 @@ __all__ = [
     "FusedBuffer",
     "RunEncoded",
     "SegmentHeader",
+    "WireLayout",
     "count_runs",
     "segment_layout",
 ]
@@ -115,7 +116,7 @@ SEGMENT_HEADER_BYTES = 16
 SEGMENT_ALIGN = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentHeader:
     """Self-describing header of one schedule's segment in a fused message.
 
@@ -143,22 +144,48 @@ def _pad(nbytes: int) -> int:
     return -(-nbytes // SEGMENT_ALIGN) * SEGMENT_ALIGN
 
 
+class WireLayout:
+    """Everything about a fused message that its headers determine.
+
+    Segment ``i`` starts at the running sum of the padded sizes of
+    segments ``0..i-1``, so no offset table travels on the wire.
+    Immutable once built: the plan executor computes one per (peer
+    program, source dtypes) and the sender's pack loop, every
+    :class:`FusedBuffer` of the pair and the receiver's unpack loop share
+    it.  ``views[i]`` is segment ``i``'s ``(first byte, end byte,
+    np.dtype)`` in the staging buffer, ``total`` the padded payload
+    bytes, ``nbytes`` the wire size (fused header + per-segment headers +
+    padded payload — the honest cost of the concatenation, which the
+    virtual transport charges), ``count`` the elements across segments.
+    """
+
+    __slots__ = ("headers", "views", "total", "nbytes", "count")
+
+    def __init__(self, headers):
+        self.headers = tuple(headers)
+        views = []
+        cursor = count = 0
+        for h in self.headers:
+            dtype = np.dtype(h.dtype)
+            size = h.count * dtype.itemsize
+            views.append((cursor, cursor + size, dtype))
+            cursor += _pad(size)
+            count += h.count
+        self.views = tuple(views)
+        self.total = cursor
+        self.nbytes = (
+            FUSED_HEADER_BYTES + SEGMENT_HEADER_BYTES * len(views) + cursor
+        )
+        self.count = count
+
+
 def segment_layout(
     headers: tuple[SegmentHeader, ...]
 ) -> tuple[tuple[int, ...], int]:
-    """(payload byte offsets, total padded payload bytes) of a fused buffer.
-
-    Deterministic in the headers alone: segment ``i`` starts at the
-    running sum of the padded sizes of segments ``0..i-1``.  Both sender
-    (pack) and receiver (unpack) compute the same layout, so no offset
-    table travels on the wire.
-    """
-    offsets = []
-    cursor = 0
-    for h in headers:
-        offsets.append(cursor)
-        cursor += _pad(h.data_nbytes)
-    return tuple(offsets), cursor
+    """(payload byte offsets, total padded payload bytes) of a fused
+    buffer — the :class:`WireLayout` arithmetic as plain numbers."""
+    layout = WireLayout(headers)
+    return tuple(lo for lo, _, _ in layout.views), layout.total
 
 
 class FusedBuffer:
@@ -166,9 +193,10 @@ class FusedBuffer:
 
     ``data`` is a 1-D ``uint8`` array whose capacity is at least the
     layout's total padded payload bytes (arena size classes round up).
-    :meth:`segment` returns the aligned dtype view of one segment's
-    payload — writable on the sender (pack target), read by the receiver
-    (unpack source).
+    :meth:`segments` returns the aligned dtype view of every segment's
+    payload — writable on the sender (pack targets), read by the receiver
+    (unpack sources).  ``headers`` may be a ready :class:`WireLayout`
+    (shared, never copied) or the bare header sequence.
 
     The buffer may be leased from the sender's
     :class:`~repro.vmachine.message.PackArena`; the *receiver* calls
@@ -183,45 +211,39 @@ class FusedBuffer:
     storage.
     """
 
-    __slots__ = ("headers", "data", "_offsets", "_lease")
+    #: ``nbytes`` is a stored value: ``payload_nbytes`` reads it on every
+    #: send, and the layout it comes from never changes
+    __slots__ = ("layout", "data", "nbytes", "_lease")
 
     def __init__(self, headers, data: np.ndarray, lease=None):
-        self.headers = tuple(headers)
-        self.data = data
-        self._offsets, total = segment_layout(self.headers)
-        if len(data) < total:
+        layout = headers if isinstance(headers, WireLayout) else WireLayout(headers)
+        if len(data) < layout.total:
             raise ValueError(
                 f"fused staging buffer has {len(data)} bytes for a "
-                f"{total}-byte segment layout"
+                f"{layout.total}-byte segment layout"
             )
+        self.layout = layout
+        self.data = data
+        self.nbytes = layout.nbytes
         self._lease = lease
 
     @property
-    def nsegments(self) -> int:
-        return len(self.headers)
+    def headers(self) -> tuple[SegmentHeader, ...]:
+        return self.layout.headers
 
     @property
-    def nbytes(self) -> int:
-        """Wire size: fused header + per-segment headers + padded payload.
+    def nsegments(self) -> int:
+        return len(self.layout.views)
 
-        This is what the virtual transport charges (``payload_nbytes``
-        finds it via the ``.nbytes`` attribute) — the honest cost of the
-        concatenated message, including alignment padding and the
-        self-describing headers.
-        """
-        _, total = segment_layout(self.headers)
-        return (
-            FUSED_HEADER_BYTES
-            + SEGMENT_HEADER_BYTES * len(self.headers)
-            + total
-        )
+    def segments(self) -> list[np.ndarray]:
+        """Aligned dtype views of every segment's payload, in order."""
+        data = self.data
+        return [data[lo:hi].view(dtype) for lo, hi, dtype in self.layout.views]
 
     def segment(self, i: int) -> np.ndarray:
         """Aligned dtype view of segment ``i``'s payload."""
-        h = self.headers[i]
-        start = self._offsets[i]
-        raw = self.data[start : start + h.data_nbytes]
-        return raw.view(np.dtype(h.dtype))
+        lo, hi, dtype = self.layout.views[i]
+        return self.data[lo:hi].view(dtype)
 
     def release(self) -> None:
         """Return the staging buffer to the sender's arena (idempotent;
@@ -244,14 +266,15 @@ class FusedBuffer:
         self._lease = None
 
     def __deepcopy__(self, memo) -> "FusedBuffer":
-        # copy-on-send support: the copy owns private storage and no lease.
-        return FusedBuffer(self.headers, self.data.copy(), lease=None)
+        # copy-on-send support: the copy owns private storage and no
+        # lease; the immutable layout is shared.
+        return FusedBuffer(self.layout, self.data.copy(), lease=None)
 
     def __len__(self) -> int:
         # Element count across segments: lets the reliable layer's
         # diagnostics and generic length checks treat fused payloads
         # uniformly with plain packed buffers.
-        return sum(h.count for h in self.headers)
+        return self.layout.count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         segs = ", ".join(

@@ -54,7 +54,7 @@ class _SpanCtx:
     """Context manager behind :meth:`Process.span` — reentrant-safe
     because each ``with`` acquires a fresh instance."""
 
-    __slots__ = ("_proc", "_name", "_t0", "_depth", "_path")
+    __slots__ = ("_proc", "_name", "_t0", "_depth")
 
     def __init__(self, proc, name: str):
         self._proc = proc
@@ -65,7 +65,6 @@ class _SpanCtx:
         self._depth = len(stack)
         self._t0 = self._proc.clock
         stack.append(self._name)
-        self._path = "/".join(stack)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -78,6 +77,10 @@ class _SpanCtx:
             del stack[len(stack) - 1 - stack[::-1].index(self._name)]
         log = self._proc.spans
         if log is not None:
+            # The record is the path's only reader, so it is built here —
+            # from the enclosing spans still open below this one's depth —
+            # and only when logging is on (even if it was enabled inside
+            # this span).
             log.append(
                 SpanRecord(
                     name=self._name,
@@ -85,14 +88,13 @@ class _SpanCtx:
                     end=self._proc.clock,
                     rank=self._proc.rank,
                     depth=self._depth,
-                    path=self._path,
+                    path="/".join([*stack[: self._depth], self._name]),
                 )
             )
 
 
-def span_on(proc, name: str) -> _SpanCtx:
-    """Open a span named ``name`` on ``proc`` (used by ``Process.span``)."""
-    return _SpanCtx(proc, name)
+#: ``span_on(proc, name)`` opens a span named ``name`` on ``proc``
+span_on = _SpanCtx
 
 
 def current_phase(proc) -> str:

@@ -215,7 +215,7 @@ class _Endpoint:
             source_global, wire_tag,
             timeout=timeout if timeout is not None else proc.recv_timeout_s,
             tag_range=self._tag_range(tag),
-            context=self._context_label(),
+            context=self._context_label,
         )
         _account_recv(proc, msg, wire_tag if wire_tag != ANY_TAG else msg.tag)
         return msg.payload
@@ -232,7 +232,7 @@ class _Endpoint:
         msg = proc.mailbox.receive(
             ANY_SOURCE, wire_tag,
             timeout=proc.recv_timeout_s, tag_range=self._tag_range(tag),
-            context=self._context_label(),
+            context=self._context_label,
         )
         _account_recv(proc, msg, wire_tag if wire_tag != ANY_TAG else msg.tag)
         return msg

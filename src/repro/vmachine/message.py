@@ -34,7 +34,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -146,6 +146,31 @@ class Message:
         )
 
 
+def _remaining(
+    deadline: float | None, timeout: float | None
+) -> tuple[float | None, float | None]:
+    """``(deadline, seconds left)`` of a receive that is about to wait.
+
+    The deadline is taken on the first call (``deadline`` None) and
+    passed back in on every later one, so a receive that never waits
+    never reads the clock and a woken one cannot extend its budget.
+    """
+    if timeout is None:
+        return None, None
+    now = time.monotonic()
+    if deadline is None:
+        deadline = now + timeout
+    return deadline, deadline - now
+
+
+def _where(context: str | Callable[[], str] | None) -> str:
+    """`` in <context>`` for a failure text; a callable context (built
+    only now, when raising) is called."""
+    if callable(context):
+        context = context()
+    return f" in {context}" if context else ""
+
+
 class Mailbox:
     """Blocking, condition-variable based receive queue for one rank."""
 
@@ -225,23 +250,25 @@ class Mailbox:
         tag: int,
         timeout: float | None = None,
         tag_range: tuple[int, int] | None = None,
-        context: str | None = None,
+        context: str | Callable[[], str] | None = None,
     ) -> Message:
         """Block until a message matching ``(source, tag)`` arrives.
 
         ``tag_range`` scopes :data:`ANY_TAG` wildcards to one communicator's
         wire-tag block (see :meth:`Message.matches`).  ``context`` is an
         optional human-readable description of the waiting operation
-        (communicator context), included in failure diagnostics.
+        (communicator context) for failure diagnostics — or a callable
+        returning it, called only if the receive fails.
 
         Raises ``TimeoutError`` after ``timeout`` wall-clock seconds
-        (measured against a deadline, so spurious wakeups do not extend
-        the wait), which turns an SPMD deadlock into a diagnosable test
-        failure instead of a hung process; raises
-        :class:`~repro.vmachine.faults.RankLostError` as soon as the
-        awaited source is marked dead.
+        (measured against a deadline fixed when the receive first has to
+        wait, so spurious wakeups do not extend it, and a receive that
+        finds its message queued never reads the clock), which turns an
+        SPMD deadlock into a diagnosable test failure instead of a hung
+        process; raises :class:`~repro.vmachine.faults.RankLostError` as
+        soon as the awaited source is marked dead.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None
         with self._cond:
             while True:
                 for i, msg in enumerate(self._messages):
@@ -254,18 +281,16 @@ class Mailbox:
                         "on a closed mailbox"
                     )
                 self._check_lost(source)
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
+                deadline, remaining = _remaining(deadline, timeout)
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError(self._timeout_text(source, tag, timeout,
                                                           context))
                 self._cond.wait(timeout=remaining)
 
     def _timeout_text(
-        self, source: int, tag: int, timeout: float | None, context: str | None
+        self, source: int, tag: int, timeout: float | None, context
     ) -> str:
-        where = f" in {context}" if context else ""
+        where = _where(context)
         return (
             f"rank {self.rank}: receive(source={source}, "
             f"tag={tag if tag == ANY_TAG else tag & 0xFFFF}){where} "
@@ -276,7 +301,7 @@ class Mailbox:
         self,
         patterns: list[tuple[int, int, tuple[int, int] | None]],
         timeout: float | None = None,
-        context: str | None = None,
+        context: str | Callable[[], str] | None = None,
     ) -> tuple[int, Message]:
         """Wait-any over several ``(source, tag, tag_range)`` patterns.
 
@@ -300,7 +325,7 @@ class Mailbox:
         unmatched pattern's exact source is known dead — that pattern can
         never complete.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None
         with self._cond:
             while True:
                 claimed: set[int] = set()
@@ -337,11 +362,9 @@ class Mailbox:
                     )
                 for source in unmatched_sources:
                     self._check_lost(source)
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
+                deadline, remaining = _remaining(deadline, timeout)
                 if remaining is not None and remaining <= 0:
-                    where = f" in {context}" if context else ""
+                    where = _where(context)
                     raise TimeoutError(
                         f"rank {self.rank}: receive_any_of over "
                         f"{len(patterns)} pattern(s){where} timed out after "

@@ -68,6 +68,44 @@ class TestSpanStack:
         assert [s.name for s in p.spans] == ["inner", "outer"]
 
 
+    def test_records_are_exact(self):
+        """The path is built at exit, from the spans still open beneath:
+        it must be the entry-time path, siblings and all."""
+        from repro.observe.spans import SpanRecord
+
+        p = make_proc()
+        with p.span("a"):
+            p.charge(0.25)
+            with p.span("b"):
+                p.charge(0.5)
+                with p.span("c"):
+                    p.charge(1.0)
+            with p.span("d"):
+                p.charge(2.0)
+        assert p.spans == [
+            SpanRecord("c", 0.75, 1.75, 0, 2, "a/b/c"),
+            SpanRecord("b", 0.25, 1.75, 0, 1, "a/b"),
+            SpanRecord("d", 1.75, 3.75, 0, 1, "a/d"),
+            SpanRecord("a", 0.0, 3.75, 0, 0, "a"),
+        ]
+
+    def test_enabling_observability_inside_a_span(self):
+        """Spans opened before logging was on still close cleanly, with
+        the record they would have had."""
+        p = make_proc(observe=False)
+        with p.span("outer"):
+            with p.span("inner"):
+                p.enable_observability()
+                p.charge(1.0)
+            with p.span("later"):
+                pass
+        assert [(s.name, s.depth, s.path, s.start, s.end) for s in p.spans] == [
+            ("inner", 1, "outer/inner", 0.0, 1.0),
+            ("later", 1, "outer/later", 1.0, 1.0),
+            ("outer", 0, "outer", 0.0, 1.0),
+        ]
+
+
 class TestAttribution:
     def test_charges_bucketed_by_phase_and_term(self):
         p = make_proc()

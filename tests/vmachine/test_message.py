@@ -1,6 +1,7 @@
 """Unit tests for messages and mailboxes."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,65 @@ class TestMailbox:
         mb = Mailbox(0)
         with pytest.raises(TimeoutError, match="timed out"):
             mb.receive(0, 0, timeout=0.05)
+
+    def test_timeout_names_a_lazily_built_context(self):
+        mb = Mailbox(0)
+        mb.deliver(msg(source=3, tag=4, payload=b"12345678"))
+        built = []
+
+        def label():
+            built.append(1)
+            return "communicator context block 7"
+
+        with pytest.raises(TimeoutError) as ei:
+            mb.receive(1, 2, timeout=0.05, context=label)
+        text = str(ei.value)
+        assert "in communicator context block 7 timed out after 0.05s" in text
+        assert "1 undelivered envelope(s): (src=3, tag=4, 0B)" in text
+        with pytest.raises(TimeoutError, match="context block 7"):
+            mb.receive_any_of([(1, 2, None)], timeout=0.05, context=label)
+        assert built == [1, 1]
+
+    def test_queued_message_reads_no_clock_and_builds_no_label(self, monkeypatch):
+        """The hit path: no deadline taken, no diagnostics formatted."""
+        import repro.vmachine.message as message
+
+        def forbidden(*args):
+            raise AssertionError("not on the hit path")
+
+        mb = Mailbox(0)
+        mb.deliver(msg(source=1, tag=1, payload="a"))
+        mb.deliver(msg(source=1, tag=2, payload="b"))
+        monkeypatch.setattr(message.time, "monotonic", forbidden)
+        assert mb.receive(1, 1, timeout=5.0, context=forbidden).payload == "a"
+        k, got = mb.receive_any_of([(1, 2, None)], timeout=5.0, context=forbidden)
+        assert (k, got.payload) == (0, "b")
+
+    @pytest.mark.parametrize("wait_any", [False, True])
+    def test_spurious_wakeups_do_not_extend_the_deadline(self, wait_any):
+        mb = Mailbox(0)
+        stop = threading.Event()
+
+        def pester():  # bounded, so a deadline that did move still ends
+            for _ in range(300):
+                if stop.wait(0.01):
+                    break
+                mb.wake()
+
+        t = threading.Thread(target=pester)
+        t.start()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                if wait_any:
+                    mb.receive_any_of([(1, 1, None)], timeout=0.2)
+                else:
+                    mb.receive(1, 1, timeout=0.2)
+        finally:
+            stop.set()
+            t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert 0.2 <= time.monotonic() - t0 < 2.0
 
     def test_blocking_receive_wakes_on_delivery(self):
         mb = Mailbox(0)

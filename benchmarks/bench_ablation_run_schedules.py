@@ -33,6 +33,7 @@ from repro.core import (
     IndexRegion,
     RunList,
     SectionRegion,
+    compile_offsets,
     mc_compute_schedule,
     mc_copy,
     mc_new_set_of_regions,
@@ -131,12 +132,23 @@ def _best(fn, reps=REPS):
     return best
 
 
+def _lowered(offs):
+    """One half as the executor holds it: ``(run program, dense program)``."""
+    run = offs if isinstance(offs, RunList) else RunList.from_dense(offs)
+    return compile_offsets(run), compile_offsets(np.asarray(offs))
+
+
 def measure_pack_unpack(workload: str):
     """Host-side wall-clock of every rank's pack+unpack, run vs dense.
 
-    Times exactly the executor primitives: ``RunList.gather``/``scatter``
-    on the run path, NumPy fancy indexing on the dense path; identical
-    element counts either way.
+    Times what the executor runs on either representation: each half's
+    lowered ``MoveProgram``, resolved once outside the timer as
+    ``compile_plan`` does — the run-compressed half as stored, against
+    the ``index`` program over the same half's dense int64 offsets
+    (NumPy fancy gather/scatter).  Identical element counts either way,
+    and the same per-call dispatch on both sides, so the shape checks
+    compare kernels.  (The ``RunList.gather``/``scatter`` pass-throughs
+    add an import and a memo look-up per call that no move pays.)
     """
     rng = np.random.default_rng(3)
     run_halves = []
@@ -146,30 +158,25 @@ def measure_pack_unpack(workload: str):
         dst_data = rng.random(max(nd, 1))
         for offs in sends.values():
             if len(offs):
-                run_halves.append(("pack", src_data, offs, None))
-                dense_halves.append(("pack", src_data, np.asarray(offs), None))
+                run, dense = _lowered(offs)
+                run_halves.append((src_data, run, None))
+                dense_halves.append((src_data, dense, None))
         for offs in recvs.values():
             if len(offs):
                 buf = rng.random(len(offs))
-                run_halves.append(("unpack", dst_data, offs, buf))
-                dense_halves.append(("unpack", dst_data, np.asarray(offs), buf))
+                run, dense = _lowered(offs)
+                run_halves.append((dst_data, run, buf))
+                dense_halves.append((dst_data, dense, buf))
 
-    def exec_run():
-        for kind, data, offs, buf in run_halves:
-            rl = offs if isinstance(offs, RunList) else RunList.from_dense(offs)
-            if kind == "pack":
-                rl.gather(data)
+    def execute(halves):
+        for data, program, buf in halves:
+            if buf is None:
+                program.gather(data)
             else:
-                rl.scatter(data, buf)
+                program.scatter(data, buf)
 
-    def exec_dense():
-        for kind, data, offs, buf in dense_halves:
-            if kind == "pack":
-                data[offs]
-            else:
-                data[offs] = buf
-
-    return _best(exec_run), _best(exec_dense)
+    return (_best(lambda: execute(run_halves)),
+            _best(lambda: execute(dense_halves)))
 
 
 def run_ablation():

@@ -15,7 +15,8 @@ better, and an improvement merely changes the baseline the next commit
 should re-record.  Non-``_ms`` fields (message counts, byte totals,
 booleans) are compared for *exact* drift separately — a changed message
 count is a behaviour change, not a perf regression, and gets reported as
-such.
+such.  Host-time leaves (``*wall*``, ``*_s``, ``*_per_s``: noisy run to
+run, measured properly by ``perf/``) are compared in neither pass.
 """
 
 from __future__ import annotations
@@ -77,6 +78,17 @@ class Drift:
         )
 
 
+def _is_host_time(key: Any) -> bool:
+    """Is ``key`` a host wall-clock leaf rather than a logical one?
+
+    ``*wall*`` (``search_wall_ms``, ``wall_s``), seconds ``*_s``
+    (``loop_s``, ``compiled_s``) and rates ``*_per_s``
+    (``throughput_ops_per_s``; also an ``_s`` suffix): every logical
+    duration in a ``BENCH_*.json`` is spelled ``*_ms``.
+    """
+    return isinstance(key, str) and ("wall" in key or key.endswith("_s"))
+
+
 def iter_ms_fields(node: Any, prefix: str = "") -> Iterator[tuple[str, float]]:
     """Yield ``(dotted.path, value)`` for every numeric model-time ``*_ms``
     leaf.
@@ -94,7 +106,7 @@ def iter_ms_fields(node: Any, prefix: str = "") -> Iterator[tuple[str, float]]:
                 and isinstance(value, (int, float))
                 and not isinstance(value, bool)
             ):
-                if "wall" not in key:
+                if not _is_host_time(key):
                     yield path, float(value)
             else:
                 yield from iter_ms_fields(value, path)
@@ -104,7 +116,7 @@ def iter_ms_fields(node: Any, prefix: str = "") -> Iterator[tuple[str, float]]:
 
 
 def _iter_other_fields(node: Any, prefix: str = "") -> Iterator[tuple[str, Any]]:
-    """Non-``_ms`` scalar leaves, for exact-drift comparison."""
+    """Non-``_ms``, non-host-time scalar leaves, for exact-drift comparison."""
     if isinstance(node, dict):
         for key, value in node.items():
             path = f"{prefix}.{key}" if prefix else str(key)
@@ -115,7 +127,8 @@ def _iter_other_fields(node: Any, prefix: str = "") -> Iterator[tuple[str, Any]]
                 # so one regression is not double-reported.
                 if isinstance(key, str) and key.endswith("_pct"):
                     continue
-                yield path, value
+                if not _is_host_time(key):
+                    yield path, value
     elif isinstance(node, list):
         for i, value in enumerate(node):
             if isinstance(value, (dict, list)):

@@ -32,11 +32,13 @@ oracle.
 
 from __future__ import annotations
 
+import contextlib
 import copy as _copy
 from typing import Any, Callable
 
 from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
-from repro.vmachine.message import ANY_TAG, Mailbox, Message, payload_nbytes
+from repro.vmachine.message import (ANY_SOURCE, ANY_TAG, Mailbox, Message,
+                                    payload_nbytes)
 from repro.vmachine.process import Process
 from repro.vmachine.trace import TraceEvent
 
@@ -55,6 +57,9 @@ CONTEXT_STRIDE = 1 << 32
 # handed to program/pair communicators by the program runner.
 _SPLIT_BLOCK_BASE = 1 << 20
 
+#: stands in for the leaf ``wire`` span when nothing reads span labels
+_NO_SPAN = contextlib.nullcontext()
+
 
 def _cantor_pair(a: int, b: int) -> int:
     """Cantor's pairing function: a deterministic injection N x N -> N."""
@@ -62,29 +67,46 @@ def _cantor_pair(a: int, b: int) -> int:
     return s * (s + 1) // 2 + b
 
 
-def _account_recv(proc, msg: Message, wire_tag: int) -> None:
-    """Clock/stats/trace bookkeeping for one completed receive.
+def _crash_check_recv(proc) -> None:
+    """Receive seam, before the match (may raise SimulatedCrash)."""
+    plan = proc.faults
+    if plan is not None:
+        plan.on_recv(proc)
 
-    Runs inside a ``wire`` span: the blocked wait (``alpha``) and the
-    drain overhead (``occupancy``) are attributed to the enclosing phase,
-    and the ``recv`` trace event carries the span path.
-    """
-    with proc.span("wire"):
+
+def _account_recv(proc, msg: Message) -> None:
+    """Receive seam, after the match: advance/charge → count → trace →
+    record.  Hooked, the ``wire`` span attributes the blocked wait
+    (``alpha``) and the drain overhead (``occupancy``) to the enclosing
+    phase, and the ``recv`` trace event carries the span path."""
+    nbytes = msg.nbytes
+    counters = proc.metrics.counters
+    if not proc.hooked:
+        # == advance_to(arrival) + charge(recv_overhead), unattributed
+        if msg.arrival > proc.clock:
+            proc.clock = msg.arrival
+        seconds = proc.cost.recv_overhead(nbytes)
+        if seconds < 0:
+            raise ValueError(f"negative charge {seconds}")
+        proc.clock += seconds * proc.slowdown
+        counters["messages_received"] += 1
+        counters["bytes_received"] += nbytes
+        return
+    with proc.span("wire") if proc.labelled else _NO_SPAN:
         wait = max(0.0, msg.arrival - proc.clock)
         proc.advance_to(msg.arrival)
-        proc.charge(proc.cost.recv_overhead(msg.nbytes), term="occupancy")
-        metrics = proc.metrics
-        metrics.incr("messages_received")
-        metrics.incr("bytes_received", msg.nbytes)
+        proc.charge(proc.cost.recv_overhead(nbytes), term="occupancy")
+        counters["messages_received"] += 1
+        counters["bytes_received"] += nbytes
         if proc.trace is not None:
             proc.trace.append(
                 TraceEvent("recv", proc.clock, proc.rank, msg.source,
-                           wire_tag, msg.nbytes, wait,
+                           msg.tag, nbytes, wait,
                            phase=proc.phase_path)
             )
         rec = proc.recorder
         if rec is not None:
-            rec.on_recv(msg, wire_tag, wait, proc.clock)
+            rec.on_recv(msg, msg.tag, wait, proc.clock)
 
 
 def _probe(proc, source_global: int, wire_tag: int, tag_range=None) -> bool:
@@ -97,9 +119,10 @@ def _probe(proc, source_global: int, wire_tag: int, tag_range=None) -> bool:
     the log's future contents.
     """
     hit = proc.mailbox.probe(source_global, wire_tag, tag_range=tag_range)
-    rec = proc.recorder
-    if rec is not None:
-        rec.on_probe(hit)
+    if proc.hooked:
+        rec = proc.recorder
+        if rec is not None:
+            rec.on_probe(hit)
     return hit
 
 
@@ -146,10 +169,29 @@ class _Endpoint:
     def _send_global(
         self, dest_global: int, payload: Any, tag: int
     ) -> DeliveryReceipt:
+        """The send seam (docs/MODEL.md, *The transport seam*).  Hooked:
+        crash check → copy → size → charge → count → trace → record →
+        fault-apply/deliver; with nothing installed (``proc.hooked``
+        false): size → charge → count → deliver, the same clock arithmetic
+        spelled directly (``test_transport_identity`` holds them equal)."""
         proc = self.process
         mailbox = self._router.get(dest_global)
         if mailbox is None:
             raise ValueError(f"no such rank {dest_global} on this machine")
+        wire_tag = self._context + tag if tag != ANY_TAG else tag
+        counters = proc.metrics.counters
+        if not proc.hooked:
+            nbytes = payload_nbytes(payload)
+            # == charge_send_injection, unattributed
+            proc.clock += (proc.cost.send_occupancy(nbytes, self._contention)
+                           * proc.slowdown)
+            counters["messages_sent"] += 1
+            counters["bytes_sent"] += nbytes
+            mailbox.deliver(Message(
+                proc.rank, dest_global, wire_tag, payload,
+                proc.clock + proc.cost.post_injection_latency(), nbytes,
+            ))
+            return OK_RECEIPT
         plan = proc.faults
         if plan is not None:
             plan.on_send(proc)  # may raise SimulatedCrash
@@ -157,30 +199,23 @@ class _Endpoint:
             # Debug mode: snapshot the payload so later sender-side
             # mutation cannot reach the receiver (zero-copy hazard guard).
             payload = _copy.deepcopy(payload)
-        with proc.span("wire"):
+        with proc.span("wire") if proc.labelled else _NO_SPAN:
             nbytes = payload_nbytes(payload)
             # Sender pays injection (occupancy + wire serialization); the
             # payload becomes available one wire latency after injection
             # completes.
             proc.charge_send_injection(nbytes, self._contention)
-            arrival = proc.clock + proc.cost.post_injection_latency()
-            metrics = proc.metrics
-            metrics.incr("messages_sent")
-            metrics.incr("bytes_sent", nbytes)
+            message = Message(
+                proc.rank, dest_global, wire_tag, payload,
+                proc.clock + proc.cost.post_injection_latency(), nbytes,
+            )
+            counters["messages_sent"] += 1
+            counters["bytes_sent"] += nbytes
             if proc.trace is not None:
                 proc.trace.append(
                     TraceEvent("send", proc.clock, proc.rank, dest_global,
-                               self._context + tag if tag != ANY_TAG else tag,
-                               nbytes, phase=proc.phase_path)
+                               wire_tag, nbytes, phase=proc.phase_path)
                 )
-            message = Message(
-                source=proc.rank,
-                dest=dest_global,
-                tag=self._context + tag if tag != ANY_TAG else tag,
-                payload=payload,
-                arrival=arrival,
-                nbytes=nbytes,
-            )
             rec = proc.recorder
             if rec is not None:
                 # Digest before delivery: the receiver may unpack a fused
@@ -205,36 +240,19 @@ class _Endpoint:
 
     def _recv_global(
         self, source_global: int, tag: int, timeout: float | None = None
-    ) -> Any:
+    ) -> Message:
+        """The receive seam for one pattern (``source_global`` may be
+        :data:`ANY_SOURCE`): crash check → match → account."""
         proc = self.process
-        plan = proc.faults
-        if plan is not None:
-            plan.on_recv(proc)  # may raise SimulatedCrash
-        wire_tag = self._wire_tag(tag)
+        if proc.hooked:
+            _crash_check_recv(proc)
+        exact = tag != ANY_TAG
         msg = proc.mailbox.receive(
-            source_global, wire_tag,
-            timeout=timeout if timeout is not None else proc.recv_timeout_s,
-            tag_range=self._tag_range(tag),
-            context=self._context_label,
+            source_global, self._context + tag if exact else ANY_TAG,
+            timeout if timeout is not None else proc.recv_timeout_s,
+            None if exact else self._tag_range(tag), self._context_label,
         )
-        _account_recv(proc, msg, wire_tag if wire_tag != ANY_TAG else msg.tag)
-        return msg.payload
-
-    def _recv_any_global(self, tag: int) -> Message:
-        """Receive from any source within this endpoint's tag namespace."""
-        from repro.vmachine.message import ANY_SOURCE
-
-        proc = self.process
-        plan = proc.faults
-        if plan is not None:
-            plan.on_recv(proc)
-        wire_tag = self._wire_tag(tag)
-        msg = proc.mailbox.receive(
-            ANY_SOURCE, wire_tag,
-            timeout=proc.recv_timeout_s, tag_range=self._tag_range(tag),
-            context=self._context_label,
-        )
-        _account_recv(proc, msg, wire_tag if wire_tag != ANY_TAG else msg.tag)
+        _account_recv(proc, msg)
         return msg
 
 
@@ -277,7 +295,8 @@ class Request:
         """Complete the operation; returns the payload for receives."""
         if self._done:
             return self._payload
-        self._payload = self._endpoint._recv_global(self._source_global, self._tag)
+        self._payload = self._endpoint._recv_global(
+            self._source_global, self._tag).payload
         self._done = True
         return self._payload
 
@@ -314,15 +333,15 @@ class Request:
              r._endpoint._tag_range(r._tag))
             for _, r in pending
         ]
-        plan = proc.faults
-        if plan is not None:
-            plan.on_recv(proc)
+        if proc.hooked:
+            _crash_check_recv(proc)
         k, msg = proc.mailbox.receive_any_of(
             patterns,
             timeout=timeout if timeout is not None else proc.recv_timeout_s,
+            context=pending[0][1]._endpoint._context_label,
         )
         idx, req = pending[k]
-        _account_recv(proc, msg, msg.tag)
+        _account_recv(proc, msg)
         req._payload = msg.payload
         req._done = True
         return idx, msg.payload
@@ -371,6 +390,7 @@ class Communicator(_Endpoint):
             )
         self.rank = self.members.index(process.rank)
         self.size = len(self.members)
+        self._local_of = {g: i for i, g in enumerate(self.members)}
         self._collective_seq = 0
 
     # -- point-to-point ----------------------------------------------------
@@ -382,7 +402,8 @@ class Communicator(_Endpoint):
         the (possibly fault-injected) transport; callers on a reliable
         machine can ignore it.
         """
-        self._check_rank(dest)
+        if not 0 <= dest < self.size:  # inline: the call is only to raise
+            self._check_rank(dest)
         return self._send_global(self.members[dest], payload, tag)
 
     def recv(
@@ -394,8 +415,9 @@ class Communicator(_Endpoint):
         timeout for this one operation — used by the bounded-retry
         degradation paths.
         """
-        self._check_rank(source)
-        return self._recv_global(self.members[source], tag, timeout=timeout)
+        if not 0 <= source < self.size:
+            self._check_rank(source)
+        return self._recv_global(self.members[source], tag, timeout).payload
 
     def peer_global(self, rank: int) -> int:
         """Global rank of group-local rank ``rank`` (diagnostics/fencing)."""
@@ -428,8 +450,8 @@ class Communicator(_Endpoint):
         is scoped to the context block — so wildcard receives never steal
         another communicator's traffic.
         """
-        msg = self._recv_any_global(tag)
-        return self.members.index(msg.source), msg.payload
+        msg = self._recv_global(ANY_SOURCE, tag)
+        return self._local_of[msg.source], msg.payload
 
     def isend(self, dest: int, payload: Any, tag: int = 0) -> Request:
         """Nonblocking send.  Buffered-eager: complete immediately."""
@@ -688,6 +710,7 @@ class InterComm(_Endpoint):
         self.rank = self.local_members.index(process.rank)
         self.local_size = len(self.local_members)
         self.remote_size = len(self.remote_members)
+        self._remote_of = {g: i for i, g in enumerate(self.remote_members)}
 
     def send(
         self, dest_remote: int, payload: Any, tag: int = 0
@@ -704,8 +727,8 @@ class InterComm(_Endpoint):
         if not 0 <= source_remote < self.remote_size:
             raise ValueError(f"remote rank {source_remote} out of range")
         return self._recv_global(
-            self.remote_members[source_remote], tag, timeout=timeout
-        )
+            self.remote_members[source_remote], tag, timeout
+        ).payload
 
     def peer_global(self, rank: int) -> int:
         """Global rank of remote-group local rank ``rank``."""
@@ -732,8 +755,8 @@ class InterComm(_Endpoint):
         wildcard can only complete traffic addressed through it (only
         remote-group members send on this context toward this process).
         """
-        msg = self._recv_any_global(tag)
-        return self.remote_members.index(msg.source), msg.payload
+        msg = self._recv_global(ANY_SOURCE, tag)
+        return self._remote_of[msg.source], msg.payload
 
     def probe(self, source_remote: int, tag: int = 0) -> bool:
         """Non-blocking, zero-cost test for a pending remote-group message."""

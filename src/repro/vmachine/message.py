@@ -1,7 +1,7 @@
 """Messages, per-rank mailboxes, and the pooled pack-buffer arena.
 
 A :class:`Mailbox` is the receive side of one virtual processor.  Senders
-append :class:`Message` envelopes; the receiver blocks until a message
+enqueue :class:`Message` envelopes; the receiver blocks until a message
 matching ``(source, tag)`` is available.  Matching supports the usual MPI
 wildcards (:data:`ANY_SOURCE`, :data:`ANY_TAG`) and preserves pairwise FIFO
 order: two messages from the same source with the same tag are received in
@@ -51,6 +51,8 @@ __all__ = [
 ANY_SOURCE = -1
 ANY_TAG = -1
 
+_ndarray = np.ndarray
+
 
 def payload_nbytes(payload: Any) -> int:
     """Best-effort size in bytes of a message payload.
@@ -70,7 +72,19 @@ def payload_nbytes(payload: Any) -> int:
     otherwise not a byte count falls back to the fixed envelope instead
     of crashing or mischarging — and a container subclass carrying a
     stray ``nbytes`` attribute is still sized by its contents.
+
+    Runs once per message: the common exact types dispatch on ``type()``;
+    subclasses and the rest take the ladder (same byte counts).
     """
+    kind = type(payload)
+    if kind is _ndarray:
+        return payload.nbytes
+    if payload is None or kind is int or kind is float:
+        return 8
+    if kind is tuple or kind is list:
+        return 8 + sum(map(payload_nbytes, payload))
+    if kind is str:
+        return len(payload.encode("utf-8"))
     if isinstance(payload, (np.ndarray, np.generic, memoryview)):
         return int(payload.nbytes)
     if isinstance(payload, (bytes, bytearray)):
@@ -82,7 +96,7 @@ def payload_nbytes(payload: Any) -> int:
         return 8 + sum(
             payload_nbytes(k) + payload_nbytes(v) for k, v in payload.items()
         )
-    if isinstance(payload, (int, float, bool)) or payload is None:
+    if isinstance(payload, (int, float, bool)):
         return 8
     if isinstance(payload, str):
         # Encoded size, not len(): non-ASCII text serializes to more than
@@ -100,9 +114,20 @@ def payload_nbytes(payload: Any) -> int:
     return 64
 
 
-@dataclass
+def _matches(msg_source: int, msg_tag: int, source: int, tag: int,
+             tag_range: tuple[int, int] | None) -> bool:
+    """The matching rule, shared by :meth:`Message.matches` and the
+    mailbox index (which matches keys, not envelopes)."""
+    if source != ANY_SOURCE and source != msg_source:
+        return False
+    if tag == ANY_TAG:
+        return tag_range is None or tag_range[0] <= msg_tag < tag_range[1]
+    return tag == msg_tag
+
+
+@dataclass(slots=True)
 class Message:
-    """One in-flight message envelope."""
+    """One in-flight message envelope (slotted: one is built per send)."""
 
     source: int
     dest: int
@@ -126,24 +151,14 @@ class Message:
         block — so a wildcard receive or probe can never match another
         communicator's traffic.  Ignored for exact tags.
         """
-        if source != ANY_SOURCE and source != self.source:
-            return False
-        if tag == ANY_TAG:
-            return tag_range is None or tag_range[0] <= self.tag < tag_range[1]
-        return tag == self.tag
+        return _matches(self.source, self.tag, source, tag, tag_range)
 
     def clone(self) -> "Message":
         """Shallow duplicate (same payload reference) — used by the fault
         layer's duplicate injection; the network copies bytes, not the
         application object graph."""
-        return Message(
-            source=self.source,
-            dest=self.dest,
-            tag=self.tag,
-            payload=self.payload,
-            arrival=self.arrival,
-            nbytes=self.nbytes,
-        )
+        return Message(self.source, self.dest, self.tag, self.payload,
+                       self.arrival, self.nbytes)
 
 
 def _remaining(
@@ -171,28 +186,47 @@ def _where(context: str | Callable[[], str] | None) -> str:
     return f" in {context}" if context else ""
 
 
+#: awaited by a blocked wildcard or wait-any receiver: any delivery wakes it
+_ANY_DELIVERY = object()
+
+
 class Mailbox:
-    """Blocking, condition-variable based receive queue for one rank."""
+    """Blocking receive queue of one rank, indexed by ``(source, tag)``.
+
+    Storage is ``(source, tag) -> deque[(seq, Message)]``, ``seq`` being
+    this mailbox's delivery sequence number; a key exists only while its
+    queue is non-empty.  An exact receive or probe is one dict look-up and
+    takes its queue's head (pairwise FIFO); a wildcard scans the keys, not
+    the envelopes, and takes the match with the smallest ``seq`` — the
+    first match of a linear scan in delivery order.  One receiver per
+    mailbox (the rank's thread) is an invariant: it registers what it
+    awaits in ``_waiting`` and sleeps acquiring ``_wake`` (held whenever
+    no wake-up is in flight), and a delivery releases that only for the
+    awaited key — any delivery for wildcards and wait-any, :meth:`wake`
+    and :meth:`close` always.  See docs/MODEL.md, *The transport seam*.
+    """
 
     def __init__(self, rank: int):
         self.rank = rank
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._messages: deque[Message] = deque()
+        self._queues: dict[tuple[int, int], deque[tuple[int, Message]]] = {}
+        self._seq = 0
+        self._waiting: Any = None  # None | awaited key | _ANY_DELIVERY
+        self._wake = threading.Lock()
+        self._wake.acquire()
         self._closed = False
         #: run-wide failure detector (set by VirtualMachine/run_programs)
         self.detector = None
 
     def deliver(self, message: Message) -> None:
         """Called by the sender thread to enqueue a message."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError(
                     f"mailbox of rank {self.rank} is closed; "
                     f"late message from rank {message.source}"
                 )
-            self._messages.append(message)
-            self._cond.notify_all()
+            self._enqueue(message)
 
     def deliver_many(self, messages: list[Message]) -> None:
         """Atomically enqueue several messages (single lock acquisition).
@@ -202,24 +236,93 @@ class Mailbox:
         chosen order — both properties the reliable layer's deterministic
         drain depends on.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError(
                     f"mailbox of rank {self.rank} is closed; "
                     f"late message batch of {len(messages)}"
                 )
-            self._messages.extend(messages)
-            self._cond.notify_all()
+            for message in messages:
+                self._enqueue(message)
 
     def wake(self) -> None:
-        """Wake all blocked receivers so they re-check failure state."""
-        with self._cond:
-            self._cond.notify_all()
+        """Wake the blocked receiver so it re-checks failure state."""
+        with self._lock:
+            self._signal()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._signal()
+
+    # -- index and wait primitive (call with lock held) ---------------------
+
+    def _enqueue(self, message: Message) -> None:
+        key = (message.source, message.tag)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = deque()
+        self._seq = seq = self._seq + 1
+        queue.append((seq, message))
+        waiting = self._waiting
+        if waiting is not None and (waiting is _ANY_DELIVERY or waiting == key):
+            self._signal()
+
+    def _signal(self) -> None:
+        """Wake the blocked receiver, if any — once per wait."""
+        if self._waiting is not None:
+            self._waiting = None
+            self._wake.release()
+
+    def _wait(self, awaited: Any, remaining: float | None) -> None:
+        """Sleep (lock dropped) until a delivery for ``awaited``, a
+        :meth:`wake`/:meth:`close`, or ``remaining`` seconds."""
+        if self._waiting is not None:
+            raise RuntimeError(
+                f"rank {self.rank}: a second thread tried to block on a "
+                "mailbox that has a blocked receiver (one receiver per mailbox)"
+            )
+        self._waiting = awaited
+        self._lock.release()
+        try:
+            self._wake.acquire(timeout=-1 if remaining is None else remaining)
+        finally:
+            self._lock.acquire()
+            self._waiting = None
+            # Re-arm: a signal that landed between a timeout and re-taking
+            # the lock must not be left to satisfy the next wait.
+            self._wake.acquire(False)
+
+    def _first(self, source: int, tag: int,
+               tag_range: tuple[int, int] | None, claimed=()):
+        """Oldest match whose ``seq`` is not in ``claimed``, as ``(seq, key,
+        index in the key's queue, message)``; None without one."""
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            keys = ((source, tag),) if (source, tag) in self._queues else ()
+        else:
+            keys = [key for key in self._queues
+                    if _matches(key[0], key[1], source, tag, tag_range)]
+        best = None
+        for key in keys:
+            for index, (seq, message) in enumerate(self._queues[key]):
+                if seq not in claimed:
+                    if best is None or seq < best[0]:
+                        best = (seq, key, index, message)
+                    break
+        return best
+
+    def _remove(self, key: tuple[int, int], index: int) -> None:
+        queue = self._queues[key]
+        del queue[index]
+        if not queue:
+            del self._queues[key]
 
     # -- failure / diagnostic helpers (call with lock held) ----------------
 
     def _pending_summary(self) -> list[tuple[int, int, int]]:
-        return [(m.source, m.tag, m.nbytes) for m in self._messages]
+        # delivery order; seq is unique, so no two messages are compared
+        entries = sorted(e for queue in self._queues.values() for e in queue)
+        return [(m.source, m.tag, m.nbytes) for _, m in entries]
 
     def _format_pending(self, limit: int = 8) -> str:
         pend = self._pending_summary()
@@ -268,13 +371,23 @@ class Mailbox:
         process; raises :class:`~repro.vmachine.faults.RankLostError` as
         soon as the awaited source is marked dead.
         """
+        exact = source != ANY_SOURCE and tag != ANY_TAG
+        key = (source, tag)
         deadline = None
-        with self._cond:
+        with self._lock:
             while True:
-                for i, msg in enumerate(self._messages):
-                    if msg.matches(source, tag, tag_range):
-                        del self._messages[i]
-                        return msg
+                if exact:
+                    queue = self._queues.get(key)
+                    if queue is not None:
+                        message = queue.popleft()[1]
+                        if not queue:
+                            del self._queues[key]
+                        return message
+                else:
+                    hit = self._first(source, tag, tag_range)
+                    if hit is not None:
+                        self._remove(hit[1], hit[2])
+                        return hit[3]
                 if self._closed:
                     raise RuntimeError(
                         f"rank {self.rank}: receive(source={source}, tag={tag}) "
@@ -285,7 +398,7 @@ class Mailbox:
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError(self._timeout_text(source, tag, timeout,
                                                           context))
-                self._cond.wait(timeout=remaining)
+                self._wait(key if exact else _ANY_DELIVERY, remaining)
 
     def _timeout_text(
         self, source: int, tag: int, timeout: float | None, context
@@ -309,7 +422,8 @@ class Mailbox:
         matching message physically delivered, then removes and returns
         ``(pattern_index, message)`` for the candidate with the earliest
         *logical* arrival time (ties broken by ``(source, tag)``; messages
-        from the same source+tag keep pairwise FIFO order).
+        from the same source+tag keep pairwise FIFO order: each pattern
+        claims the oldest match no earlier pattern claimed).
 
         Waiting for the full candidate set before choosing is what makes
         arrival-order completion *deterministic*: the pick depends only on
@@ -326,35 +440,24 @@ class Mailbox:
         never complete.
         """
         deadline = None
-        with self._cond:
+        with self._lock:
             while True:
                 claimed: set[int] = set()
-                candidates: list[tuple[float, int, int, int, int]] = []
-                complete = True
+                candidates: list[tuple] = []
                 unmatched_sources: list[int] = []
                 for k, (source, tag, tag_range) in enumerate(patterns):
-                    found = False
-                    for i, msg in enumerate(self._messages):
-                        if i in claimed:
-                            continue
-                        if msg.matches(source, tag, tag_range):
-                            # (arrival, source, tag) is a deterministic key;
-                            # deque index i only resolves same-pair FIFO.
-                            candidates.append(
-                                (msg.arrival, msg.source, msg.tag, i, k)
-                            )
-                            claimed.add(i)
-                            found = True
-                            break
-                    if not found:
-                        complete = False
+                    hit = self._first(source, tag, tag_range, claimed)
+                    if hit is None:
                         unmatched_sources.append(source)
-                if complete:
-                    arrival, src, tg, i, k = min(
-                        candidates, key=lambda c: (c[0], c[1], c[2])
-                    )
-                    msg = self._messages[i]
-                    del self._messages[i]
+                    else:
+                        claimed.add(hit[0])
+                        candidates.append((k, *hit))
+                if not unmatched_sources:
+                    # first minimum in pattern order: same-pair FIFO on ties
+                    k, _, key, index, msg = min(
+                        candidates,
+                        key=lambda c: (c[4].arrival, c[4].source, c[4].tag))
+                    self._remove(key, index)
                     return k, msg
                 if self._closed:
                     raise RuntimeError(
@@ -371,7 +474,7 @@ class Mailbox:
                         f"{timeout}s; still unmatched sources "
                         f"{unmatched_sources}; {self._format_pending()}"
                     )
-                self._cond.wait(timeout=remaining)
+                self._wait(_ANY_DELIVERY, remaining)
 
     def probe(
         self,
@@ -381,22 +484,17 @@ class Mailbox:
     ) -> bool:
         """Non-blocking test for a matching pending message."""
         with self._lock:
-            return any(m.matches(source, tag, tag_range) for m in self._messages)
+            return self._first(source, tag, tag_range) is not None
 
     def pending(self) -> int:
         """Number of undelivered messages (used by leak checks in tests)."""
         with self._lock:
-            return len(self._messages)
+            return sum(len(queue) for queue in self._queues.values())
 
     def pending_summary(self) -> list[tuple[int, int, int]]:
-        """Snapshot of undelivered envelopes as ``(source, tag, nbytes)``."""
+        """Undelivered envelopes, ``(source, tag, nbytes)`` in delivery order."""
         with self._lock:
             return self._pending_summary()
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
+from operator import attrgetter
 from typing import Any
 
 from repro.observe.metrics import MetricsRegistry
@@ -58,13 +59,33 @@ def current_process() -> "Process":
     return proc
 
 
+def _concern(name: str) -> property:
+    """An optional per-message concern of :class:`Process`: reading it is a
+    C-level fetch, assigning it refreshes :attr:`Process.hooked`."""
+    slot = "_" + name
+
+    def install(self: "Process", value: Any) -> None:
+        setattr(self, slot, value)
+        self._rehook()
+
+    return property(attrgetter(slot), install)
+
+
 class Process:
     """State of one virtual processor.
 
     The *logical clock* (``self.clock``, seconds) is the process's notion of
     elapsed time.  All charges go through :meth:`charge`/:meth:`advance_to`
-    so the phase timer sees a consistent view.
+    so the phase timer sees a consistent view (the transport's all-off
+    message path spells the same expressions inline; see :meth:`_rehook`).
     """
+
+    # The optional concerns; None/False = off (all five start off).
+    trace = _concern("trace")        # list of TraceEvent while tracing
+    spans = _concern("spans")        # list of SpanRecord while observing
+    faults = _concern("faults")      # FaultPlan (None = reliable transport)
+    recorder = _concern("recorder")  # RankRecorder (zero clock charge)
+    copy_on_send = _concern("copy_on_send")  # debug: deep-copy at send time
 
     def __init__(self, rank: int, nprocs: int, cost_model: CostModel):
         self.rank = rank
@@ -78,28 +99,34 @@ class Process:
         self.metrics = MetricsRegistry()
         #: free-form per-rank scratch for application code
         self.env: dict[str, Any] = {}
-        #: message trace (list of TraceEvent) when tracing is enabled
-        self.trace: list | None = None
         #: open-span name stack (always maintained; labels events/terms)
         self._span_stack: list[str] = []
-        #: closed-span log (list of SpanRecord) when observing is enabled
-        self.spans: list | None = None
         #: per-receive wall-clock timeout (configurable per VirtualMachine
         #: or via the REPRO_RECV_TIMEOUT_S environment variable)
         self.recv_timeout_s: float = default_recv_timeout_s()
-        #: debug mode: deep-copy payloads at send time (catches the
-        #: mutate-after-send hazard of the zero-copy transport)
-        self.copy_on_send: bool = False
         #: clock-slowdown factor applied to every charge (fault injection)
         self.slowdown: float = 1.0
-        #: installed FaultPlan (None = perfectly reliable transport)
-        self.faults = None
-        #: attached RankRecorder (None = not recording); hooks are plain
-        #: appends on this rank's own thread and charge zero clock time
-        self.recorder = None
+        self._trace = self._spans = self._faults = self._recorder = None
+        self._copy_on_send = False
+        self._rehook()
         #: pooled pack/unpack staging buffers (counters mirror into
         #: ``self.metrics``; see :class:`~repro.vmachine.message.PackArena`)
         self.arena = PackArena(self.metrics)
+
+    # -- the transport's one predicate -------------------------------------
+
+    def _rehook(self) -> None:
+        """Refresh the flags the transport reads per message: ``labelled``
+        (something reads span labels — trace events, span records,
+        attributed terms — so the leaf ``wire`` span must be opened) and
+        ``hooked`` (anything that can observe or perturb a message is
+        installed; false = :mod:`repro.vmachine.comm` goes direct).  Run
+        by the concern setters and :meth:`enable_observability`, the only
+        switch of ``metrics.attributing``."""
+        self.labelled = (self._trace is not None or self._spans is not None
+                         or self.metrics.attributing)
+        self.hooked = (self.labelled or self._faults is not None
+                       or self._recorder is not None or self._copy_on_send)
 
     # -- observability -----------------------------------------------------
 
@@ -139,9 +166,10 @@ class Process:
         Pure bookkeeping — the logical clock trajectory is unchanged (the
         tables-byte-identity CI guard holds this to the last bit).
         """
-        if self.spans is None:
-            self.spans = []
         self.metrics.attributing = True
+        if self._spans is None:
+            self._spans = []
+        self._rehook()
 
     # -- clock management --------------------------------------------------
 
@@ -159,13 +187,11 @@ class Process:
         """
         if seconds < 0:
             raise ValueError(f"negative charge {seconds}")
-        metrics = self.metrics
-        if not metrics.attributing:
-            self.clock += seconds * self.slowdown
-            return
         before = self.clock
         self.clock += seconds * self.slowdown
-        metrics.add_term(self.phase, term, self.clock - before)
+        metrics = self.metrics
+        if metrics.attributing:
+            metrics.add_term(self.phase, term, self.clock - before)
 
     def advance_to(self, t: float) -> None:
         """Move the clock forward to absolute logical time ``t`` (no-op if
@@ -187,13 +213,11 @@ class Process:
         ``beta`` (wire serialization, ``nbytes / bandwidth``) and
         ``occupancy`` (fixed ``o_send``) components.
         """
-        seconds = self.cost.send_occupancy(nbytes, contention)
+        before = self.clock
+        self.clock += self.cost.send_occupancy(nbytes, contention) * self.slowdown
         metrics = self.metrics
         if not metrics.attributing:
-            self.clock += seconds * self.slowdown
             return
-        before = self.clock
-        self.clock += seconds * self.slowdown
         delta = self.clock - before
         beta = min(
             delta,

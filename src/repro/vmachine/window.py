@@ -197,7 +197,7 @@ class Window:
     def _annotate(self, kind: str, target: int, nbytes: int) -> None:
         """Kind-prefixed trace annotation (never a message endpoint)."""
         proc = self.comm.process
-        if proc.trace is not None:
+        if proc.hooked and proc.trace is not None:
             proc.trace.append(
                 TraceEvent(kind, proc.clock, proc.rank,
                            self.comm.peer_global(target), self._data_tag,

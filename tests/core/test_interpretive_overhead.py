@@ -19,8 +19,6 @@ below leave ~15 % headroom over that; a change that needs more should
 say why.
 """
 
-import sys
-
 import numpy as np
 
 import repro.blockparti  # noqa: F401
@@ -35,7 +33,7 @@ from repro.core import (
 )
 from repro.vmachine import VirtualMachine
 
-from helpers import index_sor, section_sor
+from helpers import index_sor, python_calls, section_sor
 
 P, N = 4, 64
 CALLS_PER_FUSED_SEGMENT = 16.6
@@ -44,19 +42,7 @@ CALLS_PER_BARE_MESSAGE = 30.0
 
 def _core_calls(op):
     """Python calls into ``repro/core/`` made by ``op()`` on this rank."""
-    count = 0
-
-    def profiler(frame, event, arg):
-        nonlocal count
-        if event == "call" and "/repro/core/" in frame.f_code.co_filename:
-            count += 1
-
-    sys.setprofile(profiler)
-    try:
-        op()
-    finally:
-        sys.setprofile(None)
-    return count
+    return len(python_calls(op, lambda path: "/repro/core/" in path))
 
 
 def _measure(k):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable
 
 import numpy as np
@@ -21,6 +22,27 @@ from repro.vmachine import IBM_SP2, VirtualMachine
 def run_spmd(nprocs: int, fn: Callable, *args: Any, profile=IBM_SP2, **kwargs: Any):
     """Run ``fn(comm, *args, **kwargs)`` on a fresh machine; return result."""
     return VirtualMachine(nprocs, profile).run(fn, *args, **kwargs)
+
+
+def python_calls(fn: Callable[[], Any], keep: Callable[[str], bool]) -> list:
+    """``(file name, function name)`` of every Python-level call ``fn()``
+    makes on this thread into a file whose ``/``-separated path satisfies
+    ``keep`` — a count that repeats exactly where nothing waits, which is
+    what the call-budget tests hold."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename.replace("\\", "/")
+            if keep(path):
+                calls.append((path.rsplit("/", 1)[-1], frame.f_code.co_name))
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def values_of(result) -> list:

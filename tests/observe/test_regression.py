@@ -60,6 +60,25 @@ class TestIterMsFields:
         del cur["results"]["c"]["nested"]["exhaustive_wall_ms"]
         assert compare_benchmarks(base, cur) == ([], [])
 
+    def test_host_time_leaves_are_not_compared_exactly_either(self):
+        """``*_s``, ``*_per_s`` and ``*wall*`` leaves (``BENCH_service`` /
+        ``BENCH_dataplane``) differ on every regeneration: no drift; the
+        logical leaves beside them are still held exactly."""
+        node = {"wall_s": 1.5, "throughput_ops_per_s": 4e3, "tenants": 64,
+                "pack": {"loop_s": 2e-3, "compiled_s": 1e-4, "messages": 12},
+                "rounds": [{"wall_s": 0.1, "ops": 8}], "elapsed_ms": 3.0}
+        base = {"results": {"c": node}}
+        cur = copy.deepcopy(base)
+        cur["results"]["c"]["wall_s"] = 1.7
+        cur["results"]["c"]["throughput_ops_per_s"] = 3.5e3
+        cur["results"]["c"]["pack"].update(loop_s=3e-3, compiled_s=2e-4)
+        cur["results"]["c"]["rounds"][0]["wall_s"] = 0.2
+        assert compare_benchmarks(base, cur) == ([], [])
+        cur["results"]["c"]["pack"]["messages"] = 13
+        cur["results"]["c"]["rounds"][0]["ops"] = 9
+        _, drifts = compare_benchmarks(base, cur)
+        assert [d.field for d in drifts] == ["pack.messages", "rounds[0].ops"]
+
 
 class TestCompare:
     def test_identical_is_clean(self):

@@ -11,9 +11,11 @@ The tag-scoping tests pin the satellite fix: an ``ANY_TAG`` probe,
 another communicator's traffic (wire tags live in per-context blocks).
 """
 
+import numpy as np
 import pytest
 
 from repro.vmachine import ANY_TAG, waitall, waitany
+from repro.vmachine.comm import CONTEXT_STRIDE
 from repro.vmachine.machine import SPMDError
 
 from helpers import run_spmd
@@ -119,6 +121,34 @@ class TestWaitany:
         after_first, after_second = run_spmd(3, spmd).values[0]
         assert after_first < 50e-3  # early completion not dragged to 50 ms
         assert after_second >= 50e-3
+
+    def test_timeout_names_context_unmatched_sources_and_pending(self):
+        """A timed-out ``waitany`` is as diagnosable as a timed-out ``recv``:
+        communicator context block, who is still owed, and what *is*
+        queued — in delivery order, not index order."""
+
+        def spmd(comm):
+            sub = comm.split(0)
+            if comm.rank == 1:
+                sub.send(0, np.zeros(2), tag=9)
+                sub.send(0, None, tag=8)
+                sub.send(0, "x", tag=9)
+            comm.barrier()  # rank 1's three envelopes are queued at rank 0
+            if comm.rank != 0:
+                return None
+            reqs = [sub.irecv(1, tag=4), sub.irecv(2, tag=4), sub.irecv(1, tag=8)]
+            with pytest.raises(TimeoutError) as ei:
+                waitany(reqs, timeout=0.05)
+            for tag in (9, 8, 9):
+                sub.recv(1, tag=tag)
+            return str(ei.value), sub._context // CONTEXT_STRIDE
+
+        text, block = run_spmd(3, spmd).values[0]
+        assert block > 0
+        assert f"in communicator context block {block} timed out" in text
+        assert "still unmatched sources [1, 2]" in text
+        assert ("3 undelivered envelope(s): (src=1, tag=9, 16B), "
+                "(src=1, tag=8, 8B), (src=1, tag=9, 1B)") in text
 
 
 class TestTagScoping:

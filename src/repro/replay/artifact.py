@@ -17,8 +17,10 @@ Layout (JSON, optionally gzip-compressed when the path ends in ``.gz``)::
           "recv_timeout_s": float | null,
           "copy_on_send": bool,
           "observe": bool,
+          "check_leaks": bool,     # an artifact without it replays as
+                                   # true for "vm", false for "programs"
           "workload": {"name": str, "params": {...}} | null,
-        },
+        },                         # written by VirtualMachine._config
         "env": {"REPRO_*": str, ...},
         "env_fingerprint": str,
         "fault_plan": {...} | null,    # full FaultPlan, incl. seed

@@ -3,13 +3,13 @@
 A :class:`Recorder` is handed to :class:`repro.vmachine.machine.VirtualMachine`
 (or :func:`repro.vmachine.program.run_programs`), which attaches one
 :class:`RankRecorder` to each :class:`~repro.vmachine.process.Process`.
-The transport layer then calls three hooks on the hot path:
+The transport layer then calls four hooks on the hot path:
 
 - ``pre_send(message)`` — *before* delivery, while the sender still owns
   the payload bytes (on the zero-copy transport the receiver may unpack
   and recycle the staging buffer the instant ``deliver`` returns);
 - ``on_send(message, receipt, clock)`` — after the fault plan ruled;
-- ``on_recv(message, wire_tag, wait, clock)`` — as a message is consumed;
+- ``on_recv(message, wait, clock)`` — as a message is consumed;
 - ``on_probe(hit)`` — each non-blocking completion/probe outcome.
 
 All hooks are plain Python appends on the calling rank's own thread:
@@ -79,8 +79,7 @@ class RankRecorder:
              encode_receipt(receipt)]
         )
 
-    def on_recv(self, message, wire_tag: int, wait: float,
-                clock: float) -> None:
+    def on_recv(self, message, wait: float, clock: float) -> None:
         src = message.source
         seq = self._recv_seq.get(src, 0)
         self._recv_seq[src] = seq + 1

@@ -10,15 +10,18 @@ is localized to ``(rank, channel, seq)`` by
 
 Single-rank isolation (:func:`replay_rank`) re-executes ONE rank of a
 recorded run — e.g. the one interesting rank of a P=64 chaos failure —
-with its peers *served from the log*:
+with its peers *served from the log*.  It is the same launch
+(``VirtualMachine._launch``) with only that rank's thread started and two
+stand-in mailboxes:
 
 - the rank's mailbox is replaced by a :class:`_LogMailbox` that answers
   every ``receive``/``receive_any_of`` with the next *consumed* message
   from the recorded stream (payloads were captured on the recv side, so
   the rank computes on real bytes), and answers every ``probe`` with the
   recorded outcome stream;
-- outbound messages fall into a sink (the fault plan still rules on
-  them, so send receipts and crash/slowdown draws re-derive exactly).
+- outbound messages fall into a :class:`_SinkBox` (the fault plan still
+  rules on them, so send receipts and crash/slowdown draws re-derive
+  exactly).
 
 Serving probes from the recorded *outcome stream* — rather than from
 what happens to sit in the log — is load-bearing: the reliability layer
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import threading
 from collections import deque
 
 from repro.replay.artifact import (
@@ -49,12 +51,9 @@ from repro.replay.artifact import (
 )
 from repro.replay.divergence import Divergence, ReplayReport, diff_bodies
 from repro.replay.recorder import Recorder
-from repro.vmachine.comm import CONTEXT_STRIDE, Communicator, InterComm
-from repro.vmachine.cost_model import ALPHA_FARM_ATM, CostModel, IBM_SP2
-from repro.vmachine.machine import SPMDError, VirtualMachine
+from repro.vmachine.cost_model import ALPHA_FARM_ATM, IBM_SP2
+from repro.vmachine.machine import ProgramSpec, SPMDError, VirtualMachine
 from repro.vmachine.message import Mailbox, Message
-from repro.vmachine.process import Process
-from repro.vmachine.program import ProgramContext, run_programs
 
 __all__ = [
     "ReplayLogExhausted",
@@ -106,25 +105,49 @@ def recorded_env(env: dict[str, str]):
         os.environ.update(saved)
 
 
-def _resolve_workload(body: dict, fn=None, args=(), kwargs=None, specs=None):
-    """Workload to re-execute: explicit fn/specs win; otherwise the
-    artifact's self-described workload is rebuilt from its parameters."""
-    kind = body["kind"]
-    if kind == "vm" and fn is not None:
-        return fn, args, dict(kwargs or {}), None
-    if kind == "programs" and specs is not None:
-        return None, (), {}, specs
-    wl = body["config"].get("workload")
-    if wl is None:
-        raise ValueError(
-            "artifact does not name a workload; pass fn= (kind 'vm') or "
-            "specs= (kind 'programs') to re-execute it"
-        )
-    from repro.replay.workloads import build_workload
+def _relaunch(body: dict, recorder: Recorder, fn, args, kwargs, specs,
+              isolate=None) -> SPMDError | None:
+    """Launch a recorded run again; returns its :class:`SPMDError`, if any.
 
-    plan = build_workload(wl["name"], wl["params"])
-    return plan.get("fn"), plan.get("args", ()), plan.get("kwargs", {}), \
-        plan.get("specs")
+    The programs to re-execute are an explicit ``fn`` (one-program run) or
+    ``specs`` (coupled run), else the artifact's self-described workload
+    rebuilt from its parameters.  This is the one place replay rebuilds
+    the machine: every setting ``VirtualMachine._config`` wrote is read
+    back by the constructor call below, inside the recorded ``REPRO_*``
+    environment.  An artifact from before ``check_leaks`` was recorded
+    replays as its kind ran then: checked for a one-program run, unchecked
+    for a coupled one.
+    """
+    config = body["config"]
+    world = config["programs"] is None
+    if world and fn is not None:
+        specs = [ProgramSpec("world", config["nprocs"], fn, args, kwargs or {})]
+    elif world or specs is None:
+        wl = config.get("workload")
+        if wl is None:
+            raise ValueError(
+                "artifact does not name a workload; pass fn= (kind 'vm') or "
+                "specs= (kind 'programs') to re-execute it"
+            )
+        from repro.replay.workloads import build_workload
+
+        specs = build_workload(wl["name"], wl["params"])["specs"]
+    with recorded_env(body["env"]):
+        machine = VirtualMachine(
+            config["nprocs"],
+            profile=_profile(config["profile"]),
+            check_leaks=config.get("check_leaks", world),
+            recv_timeout_s=config["recv_timeout_s"],
+            copy_on_send=config["copy_on_send"],
+            observe=config["observe"],
+            faults=faultplan_from_dict(body["fault_plan"]),
+            recorder=recorder,
+        )
+        try:
+            machine._launch(specs, world=world, isolate=isolate)
+        except SPMDError as exc:
+            return exc  # a recorded failure must re-fail identically
+    return None
 
 
 # -- full-fidelity replay ---------------------------------------------------
@@ -144,45 +167,12 @@ def replay_full(
     probe streams, traces and per-rank value digests.
     """
     body = artifact["body"]
-    config = body["config"]
-    fn, args, kwargs, specs = _resolve_workload(body, fn, args, kwargs, specs)
-    plan = faultplan_from_dict(body["fault_plan"])
-    profile = _profile(config["profile"])
     rec = Recorder(payloads=False, note="replay of recorded run")
-
-    with recorded_env(body["env"]):
-        error: BaseException | None = None
-        if body["kind"] == "vm":
-            vm = VirtualMachine(
-                config["nprocs"],
-                profile=profile,
-                recv_timeout_s=config["recv_timeout_s"],
-                copy_on_send=config["copy_on_send"],
-                observe=config["observe"],
-                faults=plan,
-                recorder=rec,
-            )
-            try:
-                vm.run(fn, *args, **kwargs)
-            except SPMDError as exc:
-                error = exc  # a recorded failure must re-fail identically
-        else:
-            try:
-                run_programs(
-                    specs,
-                    profile=profile,
-                    recv_timeout_s=config["recv_timeout_s"],
-                    copy_on_send=config["copy_on_send"],
-                    observe=config["observe"],
-                    faults=plan,
-                    recorder=rec,
-                )
-            except SPMDError as exc:
-                error = exc
-
-    replayed = rec.artifact["body"]
-    report = ReplayReport(mode="full", ranks_compared=config["nprocs"])
-    report.divergences = diff_bodies(body, replayed)
+    error = _relaunch(body, rec, fn, args, kwargs, specs)
+    report = ReplayReport(
+        mode="full", ranks_compared=body["config"]["nprocs"]
+    )
+    report.divergences = diff_bodies(body, rec.artifact["body"])
     if (body["error"] is None) != (error is None):
         report.divergences.append(Divergence(
             "error", None, None, None, "outcome",
@@ -285,28 +275,6 @@ class _LogMailbox(Mailbox):
         return self._probes[i] == "1"
 
 
-def _programs_topology(config: dict):
-    """Replicate :func:`run_programs`' deterministic rank/context math
-    from the recorded ``[[name, nprocs], ...]`` list."""
-    programs = config["programs"]
-    blocks: dict[str, list[int]] = {}
-    base = 0
-    for name, n in programs:
-        blocks[name] = list(range(base, base + n))
-        base += n
-    contexts = {
-        name: (i + 1) * CONTEXT_STRIDE for i, (name, _) in enumerate(programs)
-    }
-    pair_contexts: dict[tuple[str, str], int] = {}
-    next_ctx = (len(programs) + 1) * CONTEXT_STRIDE
-    for i, (a, _) in enumerate(programs):
-        for b, _n in programs[i + 1:]:
-            pair_contexts[(a, b)] = next_ctx
-            pair_contexts[(b, a)] = next_ctx
-            next_ctx += CONTEXT_STRIDE
-    return blocks, contexts, pair_contexts
-
-
 def replay_rank(
     artifact: dict,
     rank: int,
@@ -325,8 +293,7 @@ def replay_rank(
     behaviour.
     """
     body = artifact["body"]
-    config = body["config"]
-    total = config["nprocs"]
+    total = body["config"]["nprocs"]
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} out of range for nprocs={total}")
     if not body["payloads"]:
@@ -334,88 +301,18 @@ def replay_rank(
             "artifact was recorded without payload capture; isolation "
             "replay needs `payloads=True` at record time (CLI: --payloads)"
         )
-    fn, args, kwargs, specs = _resolve_workload(body, fn, args, kwargs, specs)
-    plan = faultplan_from_dict(body["fault_plan"])
-    profile = _profile(config["profile"])
     entry = body["ranks"][rank]
-
-    proc = Process(rank, total, CostModel(profile))
-    proc.mailbox = _LogMailbox(rank, entry["recvs"], entry["probes"])
-    proc.trace = []
-    if config["recv_timeout_s"] is not None:
-        proc.recv_timeout_s = config["recv_timeout_s"]
-    proc.copy_on_send = bool(config["copy_on_send"])
-    if config["observe"]:
-        proc.enable_observability()
-    if plan is not None:
-        proc.faults = plan
-        proc.slowdown = plan.slowdown_for(rank)
+    log = _LogMailbox(rank, entry["recvs"], entry["probes"])
     rec = Recorder(payloads=False, note=f"isolation replay of rank {rank}")
-    proc.recorder = rec.rank_recorder(rank)
-
-    sink = _SinkBox()
-    router = {r: sink for r in range(total)}
-    router[rank] = proc.mailbox
-
-    result: dict = {"value": None, "error": None}
-
-    def worker() -> None:
-        proc.bind()
-        try:
-            with recorded_env(body["env"]):
-                if body["kind"] == "vm":
-                    comm = Communicator(
-                        proc, list(range(total)), router, context=0,
-                        contention=profile.contention_factor(total),
-                    )
-                    result["value"] = fn(comm, *args, **kwargs)
-                else:
-                    blocks, contexts, pair_contexts = (
-                        _programs_topology(config)
-                    )
-                    spec = next(
-                        s for s in specs if rank in blocks[s.name]
-                    )
-                    comm = Communicator(
-                        proc, blocks[spec.name], router,
-                        context=contexts[spec.name],
-                        contention=profile.contention_factor(spec.nprocs),
-                    )
-                    intercomms = {
-                        other.name: InterComm(
-                            proc, blocks[spec.name], blocks[other.name],
-                            router,
-                            context=pair_contexts[(spec.name, other.name)],
-                            contention=profile.contention_factor(spec.nprocs),
-                        )
-                        for other in specs
-                        if other.name != spec.name
-                    }
-                    ctx = ProgramContext(spec.name, comm, intercomms)
-                    result["value"] = spec.fn(ctx, *spec.args, **spec.kwargs)
-        except BaseException as exc:  # noqa: BLE001 - reported in the diff
-            result["error"] = exc
-        finally:
-            proc.unbind()
-
-    t = threading.Thread(target=worker, name=f"replay-{rank}", daemon=True)
-    t.start()
-    t.join()
-
-    replayed_entry = rec.rank_recorder(rank).entry(
-        proc.clock, proc.trace, result["value"]
+    error = _relaunch(
+        body, rec, fn, args, kwargs, specs, isolate=(rank, log, _SinkBox())
     )
-    replayed_body = dict(body)
-    replayed_ranks = list(body["ranks"])
-    replayed_ranks[rank] = replayed_entry
-    replayed_body["ranks"] = replayed_ranks
-
     report = ReplayReport(mode="isolate", ranks_compared=1)
-    report.divergences = diff_bodies(body, replayed_body, ranks=[rank])
-    err = result["error"]
-    if err is not None and body["error"] is None:
+    report.divergences = diff_bodies(body, rec.artifact["body"], ranks=[rank])
+    if error is not None and body["error"] is None:
+        exc = error.errors[0].exception
         report.divergences.append(Divergence(
             "error", rank, None, None, "outcome",
-            None, f"{type(err).__name__}: {err}",
+            None, f"{type(exc).__name__}: {exc}",
         ))
     return report

@@ -17,11 +17,11 @@ Two workloads ship, mirroring the chaos-matrix test idioms:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
+from repro.vmachine import ProgramSpec, VirtualMachine
 from repro.vmachine.faults import FaultPlan, FaultRates
 
 __all__ = ["WORKLOADS", "build_workload", "run_workload", "workload_names"]
@@ -104,9 +104,10 @@ def _build_copy(params: dict) -> dict:
         return B.gather_global()
 
     return {
-        "kind": "vm",
+        "world": True,
         "nprocs": params["procs"],
         "fn": spmd,
+        "specs": [ProgramSpec("world", params["procs"], spmd)],
         "fault_plan": _fault_plan(params),
         "vm_kwargs": {"recv_timeout_s": 30.0},
     }
@@ -169,7 +170,7 @@ def _build_coupled(params: dict) -> dict:
         return out
 
     return {
-        "kind": "programs",
+        "world": False,
         "nprocs": params["psrc"] + params["pdst"],
         "specs": [
             ProgramSpec("srcp", params["psrc"], src_prog),
@@ -210,8 +211,10 @@ def normalize_params(name: str, params: dict | None) -> dict:
 
 
 def build_workload(name: str, params: dict | None = None) -> dict:
-    """Build a workload plan: ``{kind, nprocs, fn|specs, fault_plan,
-    vm_kwargs}`` — pure in (name, params)."""
+    """Build a workload plan: ``{world, nprocs, specs, fault_plan,
+    vm_kwargs}`` — pure in (name, params).  ``world`` says whether
+    ``specs`` is the machine's one world program (whose SPMD function is
+    also under ``fn``) or a list of coupled programs."""
     merged = normalize_params(name, params)
     _, builder = WORKLOADS[name]
     plan = builder(merged)
@@ -220,18 +223,15 @@ def build_workload(name: str, params: dict | None = None) -> dict:
     return plan
 
 
-def run_workload(name: str, params: dict | None, recorder) -> Any:
-    """Execute a workload under a recorder.  The recorder's artifact
-    self-describes the workload so ``replay`` needs no extra flags."""
+def run_workload(name: str, params: dict | None, recorder) -> dict:
+    """Execute a workload under a recorder; returns each program's
+    :class:`~repro.vmachine.machine.SPMDResult` by name.  The recorder's
+    artifact self-describes the workload so ``replay`` needs no extra
+    flags."""
     plan = build_workload(name, params)
     recorder.workload = {"name": name, "params": plan["params"]}
-    if plan["kind"] == "vm":
-        vm = VirtualMachine(
-            plan["nprocs"], faults=plan["fault_plan"], recorder=recorder,
-            **plan["vm_kwargs"],
-        )
-        return vm.run(plan["fn"])
-    return run_programs(
-        plan["specs"], faults=plan["fault_plan"], recorder=recorder,
+    machine = VirtualMachine(
+        plan["nprocs"], faults=plan["fault_plan"], recorder=recorder,
         **plan["vm_kwargs"],
     )
+    return machine._launch(plan["specs"], world=plan["world"])

@@ -106,7 +106,7 @@ def _account_recv(proc, msg: Message) -> None:
             )
         rec = proc.recorder
         if rec is not None:
-            rec.on_recv(msg, msg.tag, wait, proc.clock)
+            rec.on_recv(msg, wait, proc.clock)
 
 
 def _probe(proc, source_global: int, wire_tag: int, tag_range=None) -> bool:

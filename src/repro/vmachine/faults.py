@@ -181,8 +181,8 @@ class CrashEvent:
     completed ``after_sends`` sends (or its first receive after
     ``after_receives`` receives, or the first transport operation once its
     logical clock reaches ``at_time_s``).  ``rank`` is a global rank, or a
-    ``"program:<name>"`` string resolved to every rank of that program by
-    :func:`repro.vmachine.program.run_programs`.
+    ``"program:<name>"`` string resolved to every rank of that program when
+    the run is launched.
     """
 
     rank: int | str
@@ -447,7 +447,8 @@ class FaultPlan:
     def resolve_program_crashes(self, blocks: dict[str, list[int]]) -> None:
         """Expand ``rank="program:<name>"`` crash events to global ranks.
 
-        Called by :func:`repro.vmachine.program.run_programs` once the
+        Called by the launcher
+        (:meth:`repro.vmachine.machine.VirtualMachine._launch`) once the
         program→rank blocks are known.
         """
         resolved: list[CrashEvent] = []

@@ -215,7 +215,7 @@ class Mailbox:
         self._wake = threading.Lock()
         self._wake.acquire()
         self._closed = False
-        #: run-wide failure detector (set by VirtualMachine/run_programs)
+        #: run-wide failure detector (set by VirtualMachine._launch)
         self.detector = None
 
     def deliver(self, message: Message) -> None:

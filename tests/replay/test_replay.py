@@ -14,7 +14,7 @@ from repro.replay import (
     replay_rank,
 )
 from repro.replay.workloads import build_workload, run_workload
-from repro.vmachine import VirtualMachine
+from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
 from repro.vmachine.machine import SPMDError
 from repro.vmachine.timing import TimingReport, merge_timings
 
@@ -93,8 +93,9 @@ class TestIsolationReplay:
 
     def test_coupled_rank_isolation(self):
         art = _record("coupled", {"psrc": 2, "pdst": 2, "seed": 8})
-        report = replay_rank(art, 3)  # a dstp rank, addressed globally
-        assert report.identical, report.summary()
+        for rank in range(4):  # srcp is 0-1, dstp 2-3: addressed globally
+            report = replay_rank(art, rank)
+            assert report.identical, f"rank {rank}: {report.summary()}"
 
     def test_isolation_requires_payload_capture(self):
         art = _record("copy", {"procs": 3, "seed": 1}, payloads=False)
@@ -280,3 +281,61 @@ class TestLogExhaustion:
         # divergences instead of reporting them.
         assert not issubclass(ReplayLogExhausted, RankLostError)
         assert issubclass(ReplayLogExhausted, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# a run setting the artifact records is a setting replay rebuilds
+# ---------------------------------------------------------------------------
+
+
+def _orphan(comm):
+    if comm.rank == 0:
+        comm.send(1, b"never consumed", tag=3)
+
+
+_ORPHAN_SPECS = [ProgramSpec("only", 2, lambda ctx: _orphan(ctx.comm))]
+
+#: artifact kind -> (run it with these settings, how replay re-runs it)
+_ORPHAN_RUNS = {
+    "vm": (lambda **kw: VirtualMachine(2, **kw).run(_orphan),
+           {"fn": _orphan}),
+    "programs": (lambda **kw: run_programs(_ORPHAN_SPECS, **kw),
+                 {"specs": _ORPHAN_SPECS}),
+}
+
+
+class TestLeakSettingIsReplayed:
+    def _record(self, kind, check_leaks):
+        run, rerun = _ORPHAN_RUNS[kind]
+        rec = Recorder()
+        if check_leaks:
+            with pytest.raises(SPMDError, match="1 message"):
+                run(check_leaks=True, recorder=rec)
+        else:
+            run(check_leaks=False, recorder=rec)
+        body = rec.artifact["body"]
+        assert body["kind"] == kind
+        assert body["config"]["check_leaks"] is check_leaks
+        assert (body["error"] is not None) == check_leaks
+        return rec.artifact, rerun
+
+    @pytest.mark.parametrize("kind", ["vm", "programs"])
+    def test_unchecked_orphan_send_replays_identical(self, kind):
+        art, rerun = self._record(kind, check_leaks=False)
+        report = replay_full(art, **rerun)
+        assert report.identical, report.summary()
+
+    @pytest.mark.parametrize("kind", ["vm", "programs"])
+    def test_checked_orphan_send_refails_identically(self, kind):
+        art, rerun = self._record(kind, check_leaks=True)
+        report = replay_full(art, **rerun)
+        assert report.identical, report.summary()
+
+    @pytest.mark.parametrize("kind, checked", [("vm", True),
+                                               ("programs", False)])
+    def test_artifact_from_before_the_key_replays_as_its_kind_ran(
+            self, kind, checked):
+        art, rerun = self._record(kind, check_leaks=checked)
+        del art["body"]["config"]["check_leaks"]
+        report = replay_full(art, **rerun)
+        assert report.identical, report.summary()

@@ -1,10 +1,23 @@
-"""Message-leak detection tests."""
+"""Message-leak detection tests — the check belongs to the launcher, so
+every case runs through both entry points."""
 
 import numpy as np
 import pytest
 
-from repro.vmachine import VirtualMachine
+from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
 from repro.vmachine.machine import SPMDError
+
+
+def _as_machine(nprocs, spmd, **settings):
+    return VirtualMachine(nprocs, **settings).run(spmd).values
+
+
+def _as_program(nprocs, spmd, **settings):
+    spec = ProgramSpec("only", nprocs, lambda ctx: spmd(ctx.comm))
+    return run_programs([spec], **settings)["only"].values
+
+
+ENTRY_POINTS = (_as_machine, _as_program)
 
 
 class TestLeakDetection:
@@ -14,8 +27,9 @@ class TestLeakDetection:
                 comm.send(1, "orphan")  # never received
             return True
 
-        with pytest.raises(SPMDError, match="never received"):
-            VirtualMachine(2).run(spmd)
+        for run in ENTRY_POINTS:
+            with pytest.raises(SPMDError, match="never received"):
+                run(2, spmd)
 
     def test_can_be_disabled(self):
         def spmd(comm):
@@ -23,8 +37,8 @@ class TestLeakDetection:
                 comm.send(1, "orphan")
             return True
 
-        res = VirtualMachine(2, check_leaks=False).run(spmd)
-        assert res.values == [True, True]
+        for run in ENTRY_POINTS:
+            assert run(2, spmd, check_leaks=False) == [True, True]
 
     def test_unwaited_irecv_is_a_leak(self):
         def spmd(comm):
@@ -34,8 +48,9 @@ class TestLeakDetection:
                 comm.irecv(0)  # posted, never waited
             return True
 
-        with pytest.raises(SPMDError, match="never received"):
-            VirtualMachine(2).run(spmd)
+        for run in ENTRY_POINTS:
+            with pytest.raises(SPMDError, match="never received"):
+                run(2, spmd)
 
     def test_clean_program_passes(self):
         def spmd(comm):
@@ -43,7 +58,8 @@ class TestLeakDetection:
             comm.barrier()
             return True
 
-        assert all(VirtualMachine(4).run(spmd).values)
+        for run in ENTRY_POINTS:
+            assert all(run(4, spmd))
 
     def test_leak_report_names_the_rank(self):
         def spmd(comm):
@@ -51,5 +67,6 @@ class TestLeakDetection:
                 comm.send(0, None)
             return True
 
-        with pytest.raises(SPMDError, match="rank 0"):
-            VirtualMachine(3).run(spmd)
+        for run in ENTRY_POINTS:
+            with pytest.raises(SPMDError, match="rank 0"):
+                run(3, spmd)

@@ -135,8 +135,8 @@ class CoupledExchange:
     Parameters
     ----------
     deadline_s:
-        Wall-clock bound for each push/pull.  Receives retry with
-        exponential backoff within the budget; when it expires (or the
+        Wall-clock bound for each wait of a push/pull (a receive, the
+        reliable fence's ack wait); when it expires (or the
         peer is detected dead) the exchange raises
         :class:`~repro.vmachine.faults.PeerLostError` naming the peer
         program.  ``None`` (default) uses the per-process receive

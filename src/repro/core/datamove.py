@@ -10,9 +10,10 @@ buffer.
 The paper's three entry points live here as thin wrappers: a
 single-schedule move *is* a ``k = 1`` :class:`~repro.core.plan.MovePlan`,
 and :mod:`repro.core.plan` is the one executor that runs it — the send
-loop, the arrival source that hides ``reliability × policy``, the
-bounded-retry receive, the local copies and the fence placement are
-documented (and exist) there only.  A one-schedule plan travels the
+loop, the completion loop over the data plane's ``arrivals``, the local
+copies and the fence placement are documented (and exist) there only;
+whether the wire is reliable is a property of the channel the universe
+hands it, not of the executor.  A one-schedule plan travels the
 *bare* wire — the header-less packed buffer, no staging lease, no
 ``plan:fuse`` event, no ``plan_*`` counter — so these entry points
 charge pack, one payload-sized message and unpack per pair, and their
@@ -52,9 +53,9 @@ single-program :func:`data_move` fences once after both halves, releasing
 held-back packets at the half boundary so two ranks holding each other's
 final packet cannot wedge.
 
-Without the layer, ``timeout`` bounds each blocking receive with an
-exponential-backoff retry ladder (short slices first, so a late-but-alive
-peer still succeeds) before surfacing ``TimeoutError`` — a lost peer
+With or without the layer, and under either policy, ``timeout`` bounds
+each wait for a message by one wall-clock budget — one wait, no retry —
+and the ``TimeoutError`` it surfaces names that budget; a lost peer
 raises :class:`~repro.vmachine.faults.RankLostError` immediately via the
 run's failure detector.
 """

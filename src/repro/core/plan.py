@@ -35,13 +35,12 @@ check → pack charge → one batched NumPy operation (the segment kernels
 of :mod:`repro.core.registry`).  Everything else exists once:
 
 - **one send loop** (:func:`plan_move_send`): destinations in ascending
-  (``ORDERED``) or rotated (``OVERLAP``) order, through the reliable
-  layer when the universe carries one, ending in one fence/flush tail;
-- **one completion loop** (:func:`plan_move_recv`) fed by **one arrival
-  source** (:func:`_arrivals`), which hides the ``reliability × policy``
-  choice — reliable wait-any, reliable in-order, ``irecv`` + ``waitany``,
-  or the bounded-retry blocking receive — behind a stream of
-  ``(source rank, payload)`` pairs;
+  (``ORDERED``) or rotated (``OVERLAP``) order, on the universe's data
+  plane (the endpoint, or its reliable view), ending in one
+  :meth:`~repro.core.universe.Universe.end_phase` (fence, or only flush);
+- **one completion loop** (:func:`plan_move_recv`) over the data plane's
+  ``arrivals``: one ``(source rank, payload)`` per active source, in rank
+  order or — ``OVERLAP`` — in arrival order;
 - **one composition** (:func:`plan_move`): in a single program, direct
   intra-processor copies, the send half, the receive half, then one
   fence — fencing between the halves would deadlock, every rank awaiting
@@ -55,7 +54,7 @@ the executor's own list of active remote sources
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.core.dataplane import MoveProgram, compile_offsets
 from repro.core.policy import ExecutorPolicy, ordered_or_rotated
@@ -68,7 +67,6 @@ from repro.core.registry import (
 from repro.core.schedule import CommSchedule
 from repro.core.universe import TAG_DATA, Universe
 from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout
-from repro.vmachine.comm import waitany
 from repro.vmachine.process import Process
 from repro.vmachine.trace import TraceEvent
 
@@ -345,86 +343,6 @@ def _check_fused(
 
 
 # ---------------------------------------------------------------------------
-# arrivals: reliability x policy, hidden behind one stream
-# ---------------------------------------------------------------------------
-
-#: first slice of the bounded-retry receive ladder, as a fraction of the
-#: total budget (doubles each retry; the last slice absorbs the remainder)
-_RETRY_FIRST_FRACTION = 1 / 8
-
-
-def _recv_bounded(
-    universe: Universe, s: int, tag: int, timeout: float | None
-) -> Any:
-    """Blocking receive with a bounded-retry / exponential-backoff ladder.
-
-    ``timeout`` is the *total* wall-clock budget.  The first attempt waits
-    only a fraction of it, and each retry doubles the slice until the
-    budget is spent — so transient wedges (a peer mid-retransmit, a held
-    packet awaiting its fence) get several cheap re-checks while a truly
-    lost peer still fails within the deadline.  Retries are free of
-    logical time; only the eventual receive charges the clock.
-    """
-    if timeout is None:
-        return universe.recv_from_src(s, tag)
-    slice_s = max(timeout * _RETRY_FIRST_FRACTION, 1e-3)
-    waited = 0.0
-    while True:
-        slice_s = min(slice_s, timeout - waited)
-        try:
-            return universe.recv_from_src(s, tag, timeout=slice_s)
-        except TimeoutError:
-            waited += slice_s
-            if waited >= timeout - 1e-12:
-                raise
-            slice_s *= 2.0
-
-
-def _arrivals(
-    universe: Universe,
-    active: Sequence[int],
-    policy: ExecutorPolicy,
-    timeout: float | None,
-) -> Iterator[tuple[int, Any]]:
-    """Yield ``(source rank, payload)`` once per active source.
-
-    ``ORDERED`` (or a single source) completes in ascending rank order
-    with blocking receives; ``OVERLAP`` posts every receive up front and
-    completes in logical-arrival order, so the caller unpacks one
-    message while later ones are still in flight.  Either runs over the
-    reliable layer when the universe carries one.  ``timeout`` bounds
-    each wait (wall-clock seconds): the bare blocking receive retries
-    with exponential backoff inside the budget before raising
-    ``TimeoutError``, and a receive blocked on a rank the failure
-    detector knows dead raises
-    :class:`~repro.vmachine.faults.RankLostError` immediately.
-    """
-    rel = universe.reliability
-    overlap = policy is ExecutorPolicy.OVERLAP and len(active) > 1
-    if rel is not None:
-        endpoint = universe.data_endpoint_to_src()
-        if overlap:
-            remaining = set(active)
-            while remaining:
-                s, payload = rel.recv_any(
-                    endpoint, sorted(remaining), TAG_DATA, timeout=timeout
-                )
-                remaining.discard(s)
-                yield s, payload
-        else:
-            for s in active:
-                yield s, rel.recv(endpoint, s, TAG_DATA, timeout=timeout)
-    elif overlap:
-        requests = [universe.irecv_from_src(s, TAG_DATA) for s in active]
-        for _ in active:
-            idx, payload = waitany(requests, timeout=timeout)
-            yield active[idx], payload
-    else:
-        for s in active:
-            yield s, _recv_bounded(universe, s, TAG_DATA, timeout)
-
-
-# ---------------------------------------------------------------------------
 # the executor
 # ---------------------------------------------------------------------------
 
@@ -536,7 +454,7 @@ def plan_move_send(
     ]
     dtypes = tuple([data.dtype for data in datas])
     bare = len(datas) == 1
-    rel = universe.reliability
+    send = universe.data_plane(universe.to_dst).send
     for d, program in route.dests:
         if bare:
             with proc.span("pack"):
@@ -544,17 +462,10 @@ def plan_move_send(
         else:
             payload = _fuse(plan, program, datas, dtypes, proc, d)
         proc.metrics.incr("cache_program_hits", len(program))
-        if rel is not None:
-            rel.send(universe.data_endpoint_to_dst(), d, payload, TAG_DATA)
-        else:
-            universe.send_to_dst(d, payload, TAG_DATA)
-    if rel is not None:
-        if fence is None:
-            fence = not universe.single_program
-        if fence:
-            rel.fence(timeout=timeout)
-        else:
-            rel.flush()
+        send(d, payload, TAG_DATA)
+    if fence is None:
+        fence = not universe.single_program
+    universe.end_phase(fence, timeout)
 
 
 def plan_move_recv(
@@ -566,7 +477,13 @@ def plan_move_recv(
     donate: bool = False,
 ) -> None:
     """Receive half of a move (``MC_DataMoveRecv``): one message per
-    source processor, unpacked as :func:`_arrivals` delivers them.
+    source processor, unpacked as the data plane's ``arrivals`` delivers
+    them — ascending rank order, or logical-arrival order under
+    ``OVERLAP`` with more than one source.  ``timeout`` bounds each wait
+    (wall-clock seconds, one wait, no retry): it raises ``TimeoutError``
+    naming that budget, and a receive blocked on a rank the failure
+    detector knows dead raises
+    :class:`~repro.vmachine.faults.RankLostError` immediately.
 
     Placement depends only on the schedule offsets, so completion order
     never changes the destination data.  ``donate=True`` lets an eligible
@@ -589,7 +506,10 @@ def plan_move_recv(
     adapters = [get_adapter(sched.dst_lib) for sched in plan.schedules]
     datas = [a.local_data(x) for a, x in zip(adapters, dst_arrays)]
     bare = len(adapters) == 1
-    for s, payload in _arrivals(universe, route.sources, route.policy, timeout):
+    for s, payload in universe.data_plane(universe.to_src).arrivals(
+        route.sources, TAG_DATA,
+        overlap=route.policy is ExecutorPolicy.OVERLAP, timeout=timeout,
+    ):
         program = plan.recv_programs[s]
         donated = False
         segments = _received_segments(program, payload, s, bare)
@@ -666,7 +586,7 @@ def plan_move(
                        timeout=timeout, fence=False)
         plan_move_recv(plan, dst_arrays, universe, policy=policy,
                        timeout=timeout, donate=donate)
-        universe.rel_fence(timeout=timeout)
+        universe.end_phase(timeout=timeout)
         return
     if universe.my_src_rank is not None:
         plan_move_send(plan, src_arrays, universe, policy=policy,

@@ -50,7 +50,6 @@ from repro.core.universe import (
     Universe,
 )
 from repro.core.wire import RunEncoded, count_runs
-from repro.vmachine.comm import waitany
 
 __all__ = [
     "ScheduleMethod",
@@ -413,11 +412,11 @@ def _conformance_size(
     except ValueError as exc:
         my_n, misfit = _BAD_REGION, exc
     if universe.my_src_rank == 0:
-        universe.send_to_dst(0, my_n, TAG_SCHED_SRCINFO)
-        other = universe.recv_from_dst(0, TAG_SCHED_SRCINFO)
+        universe.to_dst.send(0, my_n, TAG_SCHED_SRCINFO)
+        other = universe.to_dst.recv(0, TAG_SCHED_SRCINFO)
     elif universe.my_dst_rank == 0:
-        universe.send_to_src(0, my_n, TAG_SCHED_SRCINFO)
-        other = universe.recv_from_src(0, TAG_SCHED_SRCINFO)
+        universe.to_src.send(0, my_n, TAG_SCHED_SRCINFO)
+        other = universe.to_src.recv(0, TAG_SCHED_SRCINFO)
     else:
         other = my_n
     if misfit is not None:
@@ -467,7 +466,7 @@ def _build_cooperation(
 ):
     src_chunks = chunk_ranges(n, universe.src_size)
     dst_chunks = chunk_ranges(n, universe.dst_size)
-    stash: dict[int, tuple] = {}
+    stash: tuple | None = None  # the piece this rank keeps for itself
 
     # Phase 1: source side dereferences its linearization chunk and ships
     # the (owner, local offset) info to the destination chunk owners.
@@ -489,9 +488,9 @@ def _build_cooperation(
             if universe.same_proc_dst(d):
                 # Never leaves the rank: keep the dense slices, skipping
                 # the compress -> expand round trip of the wire form.
-                stash[universe.my_src_rank] = (olo, ranks_d, offs_d)
+                stash = (olo, ranks_d, offs_d)
             else:
-                universe.send_to_dst(
+                universe.to_dst.send(
                     d, (olo, RunEncoded(ranks_d), RunEncoded(offs_d)),
                     TAG_SCHED_SRCINFO,
                 )
@@ -499,8 +498,8 @@ def _build_cooperation(
     # Phase 2: destination side dereferences its chunk, merges in the
     # source info, and forms complete schedule entries for its chunk.
     # Placement is by each piece's ``olo``, so completion order is free:
-    # under OVERLAP the remote pieces are received in *arrival* order via
-    # wait-any, local stash first.
+    # the local stash first, then the remote pieces in rank order or —
+    # under OVERLAP — in *arrival* order.
     src_pieces: list | None = None
     dst_pieces: list | None = None
     if universe.my_dst_rank is not None:
@@ -513,28 +512,16 @@ def _build_cooperation(
             sranks[olo - dlo : olo - dlo + len(r)] = r
             soffs[olo - dlo : olo - dlo + len(o)] = o
 
-        def _place_wire(piece):
-            olo, r, o = piece
+        if stash is not None:
+            _place(*stash)
+        remote = [
+            s for s in _overlaps(dlo, dhi, src_chunks)
+            if not universe.same_proc_src(s)
+        ]
+        for _, (olo, r, o) in universe.to_src.arrivals(
+            remote, TAG_SCHED_SRCINFO, overlap=policy is ExecutorPolicy.OVERLAP
+        ):
             _place(olo, r.runlist.dense(), o.runlist.dense())
-
-        sources = _overlaps(dlo, dhi, src_chunks)
-        remote = [s for s in sources if not universe.same_proc_src(s)]
-        if policy is ExecutorPolicy.OVERLAP and len(remote) > 1:
-            for s in sources:
-                if universe.same_proc_src(s):
-                    _place(*stash.pop(s))
-            requests = [
-                universe.irecv_from_src(s, TAG_SCHED_SRCINFO) for s in remote
-            ]
-            for _ in range(len(requests)):
-                _, piece = waitany(requests)
-                _place_wire(piece)
-        else:
-            for s in sources:
-                if universe.same_proc_src(s):
-                    _place(*stash.pop(s))
-                else:
-                    _place_wire(universe.recv_from_src(s, TAG_SCHED_SRCINFO))
         dranks, doffs = dst_adapter.deref_range(dst_handle, dst_sor, dlo, dhi)
 
         # Halves for every source-group processor: (dranks, soffs) of the
@@ -611,7 +598,7 @@ def _distribute_pieces(
         for p in ordered_or_rotated(
             [p for p in range(comm_size) if p != me], me, comm_size, policy
         ):
-            universe.send_to_dst(
+            universe.to_dst.send(
                 p, (_encode(src_pieces[p]), _encode(dst_pieces[p])),
                 TAG_SCHED_PIECES,
             )
@@ -627,12 +614,12 @@ def _distribute_pieces(
         for s in ordered_or_rotated(
             list(range(universe.src_size)), me, universe.src_size, policy
         ):
-            universe.send_to_src(s, _encode(src_pieces[s]), TAG_SCHED_PIECES)
+            universe.to_src.send(s, _encode(src_pieces[s]), TAG_SCHED_PIECES)
         for d in ordered_or_rotated(
             [d for d in range(universe.dst_size) if d != me],
             me, universe.dst_size, policy,
         ):
-            universe.send_to_dst(d, _encode(dst_pieces[d]), TAG_SCHED_PIECES)
+            universe.to_dst.send(d, _encode(dst_pieces[d]), TAG_SCHED_PIECES)
         return None, _collect(universe, policy, _decode, mine=dst_pieces[me])
     # Pure source-group member.
     return _collect(universe, policy, _decode), None
@@ -643,16 +630,12 @@ def _collect(universe, policy, decode, mine=None) -> list:
     message from each owner, except that a destination-group caller's
     own slot takes ``mine`` (still dense) as is."""
     me = universe.my_dst_rank
-    owners = [q for q in range(universe.dst_size) if q != me]
     pieces: list = [mine] * universe.dst_size
-    if policy is ExecutorPolicy.OVERLAP and len(owners) > 1:
-        requests = [universe.irecv_from_dst(q, TAG_SCHED_PIECES) for q in owners]
-        for _ in range(len(requests)):
-            idx, piece = waitany(requests)
-            pieces[owners[idx]] = decode(piece)
-    else:
-        for q in owners:
-            pieces[q] = decode(universe.recv_from_dst(q, TAG_SCHED_PIECES))
+    for q, piece in universe.to_dst.arrivals(
+        [q for q in range(universe.dst_size) if q != me], TAG_SCHED_PIECES,
+        overlap=policy is ExecutorPolicy.OVERLAP,
+    ):
+        pieces[q] = decode(piece)
     return pieces
 
 
@@ -710,16 +693,16 @@ def _exchange_descriptors(universe, src_adapter, src_handle, dst_adapter, dst_ha
     if universe.my_src_rank is not None:
         comm = universe.comm  # TwoProgramUniverse attribute
         if universe.my_src_rank == 0:
-            universe.send_to_dst(0, src_adapter.export_handle(src_handle), TAG_DESCRIPTOR)
-            remote = universe.recv_from_dst(0, TAG_DESCRIPTOR)
+            universe.to_dst.send(0, src_adapter.export_handle(src_handle), TAG_DESCRIPTOR)
+            remote = universe.to_dst.recv(0, TAG_DESCRIPTOR)
         else:
             remote = None
         remote = comm.bcast(remote, root=0)
         return src_handle, remote
     comm = universe.comm
     if universe.my_dst_rank == 0:
-        remote = universe.recv_from_src(0, TAG_DESCRIPTOR)
-        universe.send_to_src(0, dst_adapter.export_handle(dst_handle), TAG_DESCRIPTOR)
+        remote = universe.to_src.recv(0, TAG_DESCRIPTOR)
+        universe.to_src.send(0, dst_adapter.export_handle(dst_handle), TAG_DESCRIPTOR)
     else:
         remote = None
     remote = comm.bcast(remote, root=0)

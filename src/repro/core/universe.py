@@ -6,16 +6,20 @@ In the single-program case (paper Figure 2) the two groups are the same
 processors; in the two-program case (Figure 3) they are disjoint programs
 connected by an inter-communicator.
 
-:class:`Universe` hides the difference from the schedule builder and the
-data-move engine: group sizes, role membership, sends addressed by group
-rank, and the dense piece-distribution exchange used during schedule
-construction.
+A :class:`Universe` is the two endpoints a processor reaches those groups
+through — :attr:`~Universe.to_src` and :attr:`~Universe.to_dst`, each the
+program's own communicator toward its own group or the inter-communicator
+toward the peer's — plus group sizes and role membership.  The schedule
+builder and the move executor address ``universe.to_dst.send(d, ...)`` /
+``universe.to_src.arrivals(...)`` by group rank and never ask which kind
+of endpoint they hold.
 
 A universe also owns the (optional) reliable-delivery protocol instance
 for its data plane: :meth:`Universe.enable_reliability` attaches a
-:class:`~repro.vmachine.reliability.Reliability` layer that the data-move
-engine routes ``TAG_DATA`` traffic through, while schedule construction
-stays on the bare transport (mirroring the paper's Alpha-farm split of a
+:class:`~repro.vmachine.reliability.Reliability` layer, after which
+:meth:`Universe.data_plane` hands the move executor an endpoint's
+reliable view instead of the endpoint, while schedule construction stays
+on the bare transport (mirroring the paper's Alpha-farm split of a
 reliable control path and a UDP data path).  The instance is shared with
 the :meth:`Universe.reversed` view, so sequence numbers — and therefore
 duplicate suppression — persist across the two directions of a coupled
@@ -24,10 +28,7 @@ exchange.
 
 from __future__ import annotations
 
-import abc
-from typing import Any
-
-from repro.vmachine.comm import Communicator, InterComm, Request
+from repro.vmachine.comm import Communicator, InterComm
 from repro.vmachine.process import Process
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
 
@@ -40,17 +41,13 @@ TAG_DATA = (1 << 20) + 2
 TAG_DESCRIPTOR = (1 << 20) + 3
 
 
-class Universe(abc.ABC):
-    """Topology of one source-group/destination-group pairing."""
+class Universe:
+    """Topology of one source-group/destination-group pairing: the two
+    endpoints this processor reaches the groups through, their sizes and
+    its own membership.  Constructed as a :class:`SingleProgramUniverse`
+    or a :class:`TwoProgramUniverse`.
+    """
 
-    #: number of processors in the source / destination groups
-    src_size: int
-    dst_size: int
-    #: this processor's rank within each group (None if not a member)
-    my_src_rank: int | None
-    my_dst_rank: int | None
-    #: True when both groups are the same program's processors
-    single_program: bool
     #: opt-in reliable-delivery protocol for the data plane (None = bare
     #: transport; see :meth:`enable_reliability`)
     reliability: Reliability | None = None
@@ -58,9 +55,28 @@ class Universe(abc.ABC):
     #: coupled_universe` for failure diagnostics
     peer_program: str | None = None
 
+    def __init__(self, comm: Communicator, to_src, to_dst,
+                 src_size: int, dst_size: int):
+        #: this program's own communicator
+        self.comm = comm
+        #: the endpoint carrying this processor's traffic to/from the
+        #: source / destination group, addressed by group rank: ``comm``
+        #: toward the program's own group, the inter-communicator toward
+        #: the peer's
+        self.to_src = to_src
+        self.to_dst = to_dst
+        #: number of processors in the source / destination groups
+        self.src_size = src_size
+        self.dst_size = dst_size
+        #: this processor's rank within each group (None if not a member)
+        self.my_src_rank = comm.rank if to_src is comm else None
+        self.my_dst_rank = comm.rank if to_dst is comm else None
+        #: True when both groups are the same program's processors
+        self.single_program = to_src is to_dst
+
     @property
     def process(self) -> Process:
-        return self._process
+        return self.comm.process
 
     # -- reliable data plane --------------------------------------------------
 
@@ -79,61 +95,25 @@ class Universe(abc.ABC):
             self.reliability = Reliability(config)
         return self.reliability
 
-    def rel_fence(self, timeout: float | None = None) -> None:
-        """Block until all reliably sent data is acknowledged (no-op when
-        reliability is disabled).  See :meth:`~repro.vmachine.reliability.
-        Reliability.fence` for failure semantics."""
-        if self.reliability is not None:
-            self.reliability.fence(timeout=timeout)
+    def data_plane(self, endpoint):
+        """``endpoint`` (:attr:`to_src` or :attr:`to_dst`) as the move
+        executor uses it: the endpoint itself, or — once reliability is
+        enabled — its reliable view, with the same ``send``/``recv``/
+        ``arrivals``."""
+        rel = self.reliability
+        return endpoint if rel is None else rel.over(endpoint)
 
-    @abc.abstractmethod
-    def data_endpoint_to_dst(self):
-        """The communicator carrying this processor's traffic *to* the
-        destination group (used by the reliable layer for channel state)."""
-
-    @abc.abstractmethod
-    def data_endpoint_to_src(self):
-        """The communicator carrying this processor's traffic *to/from*
-        the source group."""
-
-    # -- addressed sends/recvs ------------------------------------------------
-
-    @abc.abstractmethod
-    def send_to_src(self, s: int, payload: Any, tag: int) -> None: ...
-
-    @abc.abstractmethod
-    def send_to_dst(self, d: int, payload: Any, tag: int) -> None: ...
-
-    @abc.abstractmethod
-    def recv_from_src(
-        self, s: int, tag: int, timeout: float | None = None
-    ) -> Any: ...
-
-    @abc.abstractmethod
-    def recv_from_dst(
-        self, d: int, tag: int, timeout: float | None = None
-    ) -> Any: ...
-
-    # -- nonblocking / wildcard receives (latency-hiding executor) ------------
-    #
-    # ``irecv_from_*`` posts a nonblocking receive and returns a
-    # :class:`~repro.vmachine.comm.Request`; combined with
-    # :func:`~repro.vmachine.comm.waitany` this lets the OVERLAP executor
-    # complete messages in *arrival* order instead of group-rank order.
-    # ``recv_from_*_any`` is the blocking wildcard variant returning
-    # ``(group_rank, payload)``.
-
-    @abc.abstractmethod
-    def irecv_from_src(self, s: int, tag: int) -> Request: ...
-
-    @abc.abstractmethod
-    def irecv_from_dst(self, d: int, tag: int) -> Request: ...
-
-    @abc.abstractmethod
-    def recv_from_src_any(self, tag: int) -> tuple[int, Any]: ...
-
-    @abc.abstractmethod
-    def recv_from_dst_any(self, tag: int) -> tuple[int, Any]: ...
+    def end_phase(self, fence: bool = True, timeout: float | None = None) -> None:
+        """Close a data-plane phase (no-op when reliability is disabled):
+        block until all reliably sent data is acknowledged, or — ``fence``
+        false — only release held-back packets.  See :meth:`~repro.
+        vmachine.reliability.Reliability.fence` for failure semantics."""
+        rel = self.reliability
+        if rel is not None:
+            if fence:
+                rel.fence(timeout=timeout)
+            else:
+                rel.flush()
 
     # -- same-physical-processor tests -----------------------------------------
 
@@ -145,59 +125,18 @@ class Universe(abc.ABC):
         """Is source-group rank ``s`` this very processor?"""
         return self.single_program and self.my_dst_rank == s
 
-    @abc.abstractmethod
     def reversed(self) -> "Universe":
-        """The same topology with source and destination roles swapped."""
+        """The same topology with source and destination roles swapped.
+        One program is its own reverse; :class:`TwoProgramUniverse`
+        builds the complementary view."""
+        return self
 
 
 class SingleProgramUniverse(Universe):
     """Both data structures live in one SPMD program (paper Figure 2)."""
 
     def __init__(self, comm: Communicator):
-        self.comm = comm
-        self._process = comm.process
-        self.src_size = comm.size
-        self.dst_size = comm.size
-        self.my_src_rank = comm.rank
-        self.my_dst_rank = comm.rank
-        self.single_program = True
-
-    def send_to_src(self, s: int, payload: Any, tag: int) -> None:
-        self.comm.send(s, payload, tag)
-
-    def send_to_dst(self, d: int, payload: Any, tag: int) -> None:
-        self.comm.send(d, payload, tag)
-
-    def recv_from_src(
-        self, s: int, tag: int, timeout: float | None = None
-    ) -> Any:
-        return self.comm.recv(s, tag, timeout=timeout)
-
-    def recv_from_dst(
-        self, d: int, tag: int, timeout: float | None = None
-    ) -> Any:
-        return self.comm.recv(d, tag, timeout=timeout)
-
-    def data_endpoint_to_dst(self) -> Communicator:
-        return self.comm
-
-    def data_endpoint_to_src(self) -> Communicator:
-        return self.comm
-
-    def irecv_from_src(self, s: int, tag: int) -> Request:
-        return self.comm.irecv(s, tag)
-
-    def irecv_from_dst(self, d: int, tag: int) -> Request:
-        return self.comm.irecv(d, tag)
-
-    def recv_from_src_any(self, tag: int) -> tuple[int, Any]:
-        return self.comm.recv_any(tag)
-
-    def recv_from_dst_any(self, tag: int) -> tuple[int, Any]:
-        return self.comm.recv_any(tag)
-
-    def reversed(self) -> "SingleProgramUniverse":
-        return self
+        super().__init__(comm, comm, comm, comm.size, comm.size)
 
 
 class TwoProgramUniverse(Universe):
@@ -211,79 +150,19 @@ class TwoProgramUniverse(Universe):
     def __init__(self, comm: Communicator, intercomm: InterComm, role: str):
         if role not in ("src", "dst"):
             raise ValueError("role must be 'src' or 'dst'")
-        self.comm = comm
         self.intercomm = intercomm
         self.role = role
-        self._process = comm.process
-        self.single_program = False
         if role == "src":
-            self.src_size = comm.size
-            self.dst_size = intercomm.remote_size
-            self.my_src_rank = comm.rank
-            self.my_dst_rank = None
+            super().__init__(comm, comm, intercomm,
+                             comm.size, intercomm.remote_size)
         else:
-            self.src_size = intercomm.remote_size
-            self.dst_size = comm.size
-            self.my_src_rank = None
-            self.my_dst_rank = comm.rank
-
-    def send_to_src(self, s: int, payload: Any, tag: int) -> None:
-        if self.role == "src":
-            self.comm.send(s, payload, tag)
-        else:
-            self.intercomm.send(s, payload, tag)
-
-    def send_to_dst(self, d: int, payload: Any, tag: int) -> None:
-        if self.role == "dst":
-            self.comm.send(d, payload, tag)
-        else:
-            self.intercomm.send(d, payload, tag)
-
-    def recv_from_src(
-        self, s: int, tag: int, timeout: float | None = None
-    ) -> Any:
-        if self.role == "src":
-            return self.comm.recv(s, tag, timeout=timeout)
-        return self.intercomm.recv(s, tag, timeout=timeout)
-
-    def recv_from_dst(
-        self, d: int, tag: int, timeout: float | None = None
-    ) -> Any:
-        if self.role == "dst":
-            return self.comm.recv(d, tag, timeout=timeout)
-        return self.intercomm.recv(d, tag, timeout=timeout)
-
-    def data_endpoint_to_dst(self) -> Communicator | InterComm:
-        """Traffic toward the destination group: intra-comm when this
-        program *is* the destination group, else the inter-communicator."""
-        return self.comm if self.role == "dst" else self.intercomm
-
-    def data_endpoint_to_src(self) -> Communicator | InterComm:
-        return self.comm if self.role == "src" else self.intercomm
-
-    def irecv_from_src(self, s: int, tag: int) -> Request:
-        if self.role == "src":
-            return self.comm.irecv(s, tag)
-        return self.intercomm.irecv(s, tag)
-
-    def irecv_from_dst(self, d: int, tag: int) -> Request:
-        if self.role == "dst":
-            return self.comm.irecv(d, tag)
-        return self.intercomm.irecv(d, tag)
-
-    def recv_from_src_any(self, tag: int) -> tuple[int, Any]:
-        if self.role == "src":
-            return self.comm.recv_any(tag)
-        return self.intercomm.recv_any(tag)
-
-    def recv_from_dst_any(self, tag: int) -> tuple[int, Any]:
-        if self.role == "dst":
-            return self.comm.recv_any(tag)
-        return self.intercomm.recv_any(tag)
+            super().__init__(comm, intercomm, comm,
+                             intercomm.remote_size, comm.size)
 
     def reversed(self) -> "TwoProgramUniverse":
-        flipped = "dst" if self.role == "src" else "src"
-        rev = TwoProgramUniverse(self.comm, self.intercomm, flipped)
+        rev = TwoProgramUniverse(
+            self.comm, self.intercomm, "dst" if self.role == "src" else "src"
+        )
         # The reversed view shares the reliable-delivery protocol instance:
         # sequence numbers must persist across push/pull directions for
         # duplicate suppression to work across retransmissions.

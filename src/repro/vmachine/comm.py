@@ -8,7 +8,11 @@ application messaging instead of being special-cased.
 
 An :class:`InterComm` connects the processes of two different programs (the
 MPI inter-communicator analogue) and is what Meta-Chaos uses for the
-separate-program experiments (paper sections 5.2 and 5.4).
+separate-program experiments (paper sections 5.2 and 5.4).  Both get
+their point-to-point surface — ``send``, ``recv``, ``irecv``, ``probe``,
+``recv_any``, ``arrivals``, addressed by group rank — from the one
+endpoint class they derive from, so code that moves data holds "an
+endpoint" and never asks which kind.
 
 .. warning:: The transport is **zero-copy**: the receiver gets a reference
    to the very object that was sent.  As with any zero-copy messaging
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import copy as _copy
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
 from repro.vmachine.message import (ANY_SOURCE, ANY_TAG, Mailbox, Message,
@@ -109,34 +113,28 @@ def _account_recv(proc, msg: Message) -> None:
             rec.on_recv(msg, wait, proc.clock)
 
 
-def _probe(proc, source_global: int, wire_tag: int, tag_range=None) -> bool:
-    """Mailbox probe with its outcome recorded (when recording).
-
-    Probe outcomes are part of a run's provenance: the reliability layer
-    drains acks/backlog through ``while probe(...)`` loops, so a
-    single-rank isolation replay must answer each probe exactly as the
-    original run did — by consulting the recorded outcome stream, not
-    the log's future contents.
-    """
-    hit = proc.mailbox.probe(source_global, wire_tag, tag_range=tag_range)
-    if proc.hooked:
-        rec = proc.recorder
-        if rec is not None:
-            rec.on_probe(hit)
-    return hit
-
-
 class _Endpoint:
-    """Shared plumbing between intra- and inter-communicators."""
+    """One channel: this process's point-to-point traffic with an ordered
+    group of peers, addressed by group rank.
+
+    ``peers[i]`` is the global rank addressed as rank ``i`` — a
+    communicator's members, an inter-communicator's remote group.  The
+    whole point-to-point surface is defined here, once, so a caller
+    holding an endpoint never asks which kind it is.
+    """
 
     def __init__(
         self,
         process: Process,
+        peers: list[int],
         router: dict[int, Mailbox],
         context: int,
         contention: float,
     ):
         self.process = process
+        self._peers = list(peers)
+        self._npeers = len(self._peers)
+        self._rank_of = {g: i for i, g in enumerate(self._peers)}
         self._router = router
         self._context = context
         self._contention = contention
@@ -231,13 +229,6 @@ class _Endpoint:
                 rec.on_send(message, receipt, proc.clock)
             return receipt
 
-    def _flush_held(self, dest_global: int) -> int:
-        """Deliver fault-plan-held (reordered) messages toward a peer."""
-        plan = self.process.faults
-        if plan is None:
-            return 0
-        return plan.flush_channel(self.process.rank, dest_global)
-
     def _recv_global(
         self, source_global: int, tag: int, timeout: float | None = None
     ) -> Message:
@@ -254,6 +245,123 @@ class _Endpoint:
         )
         _account_recv(proc, msg)
         return msg
+
+    def _probe_global(self, source_global: int, tag: int) -> bool:
+        """Mailbox probe with its outcome recorded (when recording).
+
+        Probe outcomes are part of a run's provenance: the reliability layer
+        drains acks/backlog through ``while probe(...)`` loops, so a
+        single-rank isolation replay must answer each probe exactly as the
+        original run did — by consulting the recorded outcome stream, not
+        the log's future contents.
+        """
+        proc = self.process
+        hit = proc.mailbox.probe(
+            source_global, self._wire_tag(tag), tag_range=self._tag_range(tag)
+        )
+        if proc.hooked:
+            rec = proc.recorder
+            if rec is not None:
+                rec.on_probe(hit)
+        return hit
+
+    # -- point-to-point (group-rank addressed) -----------------------------
+
+    def _check_rank(self, r: int) -> None:
+        if not 0 <= r < self._npeers:
+            raise ValueError(
+                f"rank {r} out of range for a peer group of size {self._npeers}"
+            )
+
+    def peer_global(self, rank: int) -> int:
+        """Global rank of group rank ``rank`` (diagnostics/fencing)."""
+        self._check_rank(rank)
+        return self._peers[rank]
+
+    def send(self, dest: int, payload: Any, tag: int = 0) -> DeliveryReceipt:
+        """Send ``payload`` to group rank ``dest``.
+
+        Returns the :class:`~repro.vmachine.faults.DeliveryReceipt` from
+        the (possibly fault-injected) transport; callers on a reliable
+        machine can ignore it.
+        """
+        if not 0 <= dest < self._npeers:  # inline: the call is only to raise
+            self._check_rank(dest)
+        return self._send_global(self._peers[dest], payload, tag)
+
+    def recv(
+        self, source: int, tag: int = 0, timeout: float | None = None
+    ) -> Any:
+        """Receive a message from group rank ``source``.
+
+        ``timeout`` (wall-clock seconds) overrides the per-process receive
+        timeout for this one operation: one wait, which raises
+        ``TimeoutError`` naming the budget it was given.
+        """
+        if not 0 <= source < self._npeers:
+            self._check_rank(source)
+        return self._recv_global(self._peers[source], tag, timeout).payload
+
+    def irecv(self, source: int, tag: int = 0) -> Request:
+        """Nonblocking receive: match and charge only at ``wait()``.
+
+        Work performed between ``irecv`` and ``wait`` overlaps the message
+        flight time — the classic latency-hiding pattern the inspector/
+        executor libraries of the era used.  Requests of either endpoint
+        kind compose with :func:`waitany`/:func:`waitall`.
+        """
+        self._check_rank(source)
+        return Request(self, self._peers[source], tag)
+
+    def probe(self, source: int, tag: int = 0) -> bool:
+        """Non-blocking, zero-cost test for a pending matching message
+        (ANY_TAG confined to this endpoint's context block)."""
+        self._check_rank(source)
+        return self._probe_global(self._peers[source], tag)
+
+    def recv_any(self, tag: int = 0) -> tuple[int, Any]:
+        """Receive from *any* peer (MPI_ANY_SOURCE).
+
+        Returns ``(source_group_rank, payload)``.  Matching is confined to
+        this endpoint's tag namespace — including for ANY_TAG, which is
+        scoped to the context block — so a wildcard receive never steals
+        another communicator's traffic (only this endpoint's peers send
+        on its context toward this process).
+        """
+        msg = self._recv_global(ANY_SOURCE, tag)
+        return self._rank_of[msg.source], msg.payload
+
+    def arrivals(
+        self,
+        sources: Sequence[int],
+        tag: int = 0,
+        overlap: bool = False,
+        timeout: float | None = None,
+    ) -> Iterator[tuple[int, Any]]:
+        """Yield ``(source, payload)`` once per rank in ``sources``: one
+        message from each of these peers.
+
+        By default, blocking receives in the order given.  With
+        ``overlap`` (and more than one source) every receive is posted up
+        front and completed in *logical-arrival* order (:func:`waitany`),
+        so the caller handles one message while later ones are still in
+        flight.  ``timeout`` bounds each wait (wall-clock seconds).
+        """
+        if overlap and len(sources) > 1:
+            requests = [self.irecv(s, tag) for s in sources]
+            for _ in sources:
+                idx, payload = Request.waitany(requests, timeout=timeout)
+                yield sources[idx], payload
+        else:
+            for s in sources:
+                yield s, self.recv(s, tag, timeout)
+
+    def _flush_held(self, dest: int) -> int:
+        """Deliver fault-plan-held (reordered) messages toward a peer."""
+        plan = self.process.faults
+        if plan is None:
+            return 0
+        return plan.flush_channel(self.process.rank, self.peer_global(dest))
 
 
 class Request:
@@ -285,11 +393,7 @@ class Request:
         """
         if self._done:
             return True
-        ep = self._endpoint
-        return _probe(
-            ep.process, self._source_global, ep._wire_tag(self._tag),
-            tag_range=ep._tag_range(self._tag),
-        )
+        return self._endpoint._probe_global(self._source_global, self._tag)
 
     def wait(self) -> Any:
         """Complete the operation; returns the payload for receives."""
@@ -382,47 +486,17 @@ class Communicator(_Endpoint):
         context: int = 0,
         contention: float = 1.0,
     ):
-        super().__init__(process, router, context, contention)
-        self.members = list(members)
+        super().__init__(process, members, router, context, contention)
+        self.members = self._peers
         if process.rank not in self.members:
             raise ValueError(
                 f"process rank {process.rank} is not in communicator group {members}"
             )
-        self.rank = self.members.index(process.rank)
-        self.size = len(self.members)
-        self._local_of = {g: i for i, g in enumerate(self.members)}
+        self.rank = self._rank_of[process.rank]
+        self.size = self._npeers
         self._collective_seq = 0
 
-    # -- point-to-point ----------------------------------------------------
-
-    def send(self, dest: int, payload: Any, tag: int = 0) -> DeliveryReceipt:
-        """Send ``payload`` to local rank ``dest``.
-
-        Returns the :class:`~repro.vmachine.faults.DeliveryReceipt` from
-        the (possibly fault-injected) transport; callers on a reliable
-        machine can ignore it.
-        """
-        if not 0 <= dest < self.size:  # inline: the call is only to raise
-            self._check_rank(dest)
-        return self._send_global(self.members[dest], payload, tag)
-
-    def recv(
-        self, source: int, tag: int = 0, timeout: float | None = None
-    ) -> Any:
-        """Receive a message from local rank ``source``.
-
-        ``timeout`` (wall-clock seconds) overrides the per-process receive
-        timeout for this one operation — used by the bounded-retry
-        degradation paths.
-        """
-        if not 0 <= source < self.size:
-            self._check_rank(source)
-        return self._recv_global(self.members[source], tag, timeout).payload
-
-    def peer_global(self, rank: int) -> int:
-        """Global rank of group-local rank ``rank`` (diagnostics/fencing)."""
-        self._check_rank(rank)
-        return self.members[rank]
+    # -- point-to-point beyond the endpoint's ------------------------------
 
     def sendrecv(
         self, dest: int, payload: Any, source: int, send_tag: int = 0, recv_tag: int = 0
@@ -431,46 +505,10 @@ class Communicator(_Endpoint):
         self.send(dest, payload, send_tag)
         return self.recv(source, recv_tag)
 
-    def probe(self, source: int, tag: int = 0) -> bool:
-        """Non-blocking, zero-cost test for a pending matching message.
-
-        ANY_TAG probes are confined to this communicator's context block.
-        """
-        self._check_rank(source)
-        return _probe(
-            self.process, self.members[source], self._wire_tag(tag),
-            tag_range=self._tag_range(tag),
-        )
-
-    def recv_any(self, tag: int = 0) -> tuple[int, Any]:
-        """Receive from *any* group member (MPI_ANY_SOURCE).
-
-        Returns ``(source_local_rank, payload)``.  Matching is confined to
-        this communicator's tag namespace — including for ANY_TAG, which
-        is scoped to the context block — so wildcard receives never steal
-        another communicator's traffic.
-        """
-        msg = self._recv_global(ANY_SOURCE, tag)
-        return self._local_of[msg.source], msg.payload
-
     def isend(self, dest: int, payload: Any, tag: int = 0) -> Request:
         """Nonblocking send.  Buffered-eager: complete immediately."""
         self.send(dest, payload, tag)
         return Request(done=True)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Nonblocking receive: match and charge only at ``wait()``.
-
-        Work performed between ``irecv`` and ``wait`` overlaps the message
-        flight time — the classic latency-hiding pattern the inspector/
-        executor libraries of the era used.
-        """
-        self._check_rank(source)
-        return Request(self, self.members[source], tag)
-
-    def _check_rank(self, r: int) -> None:
-        if not 0 <= r < self.size:
-            raise ValueError(f"rank {r} out of range for communicator of size {self.size}")
 
     # -- collectives -------------------------------------------------------
 
@@ -687,8 +725,10 @@ class Communicator(_Endpoint):
 class InterComm(_Endpoint):
     """Connects the processes of two programs (local group vs remote group).
 
-    Ranks passed to :meth:`send`/:meth:`recv` are *remote-group* local
-    ranks, mirroring MPI inter-communicator semantics.
+    Every rank passed to or returned by the point-to-point surface
+    (:meth:`send`, :meth:`recv`, :meth:`irecv`, :meth:`probe`,
+    :meth:`recv_any`, :meth:`arrivals`) is a *remote-group* local rank,
+    mirroring MPI inter-communicator semantics.
     """
 
     def __init__(
@@ -700,69 +740,13 @@ class InterComm(_Endpoint):
         context: int,
         contention: float = 1.0,
     ):
-        super().__init__(process, router, context, contention)
+        super().__init__(process, remote_members, router, context, contention)
         self.local_members = list(local_members)
-        self.remote_members = list(remote_members)
+        self.remote_members = self._peers
         if process.rank not in self.local_members:
             raise ValueError(
                 f"process rank {process.rank} is not in local group {local_members}"
             )
         self.rank = self.local_members.index(process.rank)
         self.local_size = len(self.local_members)
-        self.remote_size = len(self.remote_members)
-        self._remote_of = {g: i for i, g in enumerate(self.remote_members)}
-
-    def send(
-        self, dest_remote: int, payload: Any, tag: int = 0
-    ) -> DeliveryReceipt:
-        """Send to local rank ``dest_remote`` of the *remote* group."""
-        if not 0 <= dest_remote < self.remote_size:
-            raise ValueError(f"remote rank {dest_remote} out of range")
-        return self._send_global(self.remote_members[dest_remote], payload, tag)
-
-    def recv(
-        self, source_remote: int, tag: int = 0, timeout: float | None = None
-    ) -> Any:
-        """Receive from local rank ``source_remote`` of the *remote* group."""
-        if not 0 <= source_remote < self.remote_size:
-            raise ValueError(f"remote rank {source_remote} out of range")
-        return self._recv_global(
-            self.remote_members[source_remote], tag, timeout
-        ).payload
-
-    def peer_global(self, rank: int) -> int:
-        """Global rank of remote-group local rank ``rank``."""
-        if not 0 <= rank < self.remote_size:
-            raise ValueError(f"remote rank {rank} out of range")
-        return self.remote_members[rank]
-
-    def irecv(self, source_remote: int, tag: int = 0) -> Request:
-        """Nonblocking receive from the remote group (match at ``wait()``).
-
-        Composes with :func:`waitany`/:func:`waitall` exactly like
-        intra-communicator requests, which is what lets the OVERLAP
-        executor complete cross-program messages in arrival order.
-        """
-        if not 0 <= source_remote < self.remote_size:
-            raise ValueError(f"remote rank {source_remote} out of range")
-        return Request(self, self.remote_members[source_remote], tag)
-
-    def recv_any(self, tag: int = 0) -> tuple[int, Any]:
-        """Receive from *any* remote-group member (MPI_ANY_SOURCE).
-
-        Returns ``(source_remote_local_rank, payload)``.  Matching is
-        scoped to this inter-communicator's context block, so the
-        wildcard can only complete traffic addressed through it (only
-        remote-group members send on this context toward this process).
-        """
-        msg = self._recv_global(ANY_SOURCE, tag)
-        return self._remote_of[msg.source], msg.payload
-
-    def probe(self, source_remote: int, tag: int = 0) -> bool:
-        """Non-blocking, zero-cost test for a pending remote-group message."""
-        if not 0 <= source_remote < self.remote_size:
-            raise ValueError(f"remote rank {source_remote} out of range")
-        return _probe(
-            self.process, self.remote_members[source_remote],
-            self._wire_tag(tag), tag_range=self._tag_range(tag),
-        )
+        self.remote_size = self._npeers

@@ -50,11 +50,12 @@ would pay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 from repro.vmachine.faults import RankLostError
 
-__all__ = ["ReliabilityConfig", "Reliability", "REL_DATA", "REL_ACK"]
+__all__ = ["ReliabilityConfig", "Reliability", "ReliableView", "REL_DATA",
+           "REL_ACK"]
 
 #: shadow-tag bits: a reliable data envelope for user/runtime tag ``t``
 #: travels on ``t | REL_DATA``; its cumulative acks on ``t | REL_ACK``.
@@ -145,6 +146,11 @@ class Reliability:
         self._out: dict[tuple[int, int, int], _OutChannel] = {}
         self._in: dict[tuple[int, int, int], _InChannel] = {}
 
+    def over(self, endpoint) -> "ReliableView":
+        """``endpoint``'s traffic through this protocol instance, behind
+        the endpoint's own ``send``/``recv``/``arrivals``."""
+        return ReliableView(self, endpoint)
+
     # -- channel lookup ----------------------------------------------------
 
     def _out_channel(self, endpoint, peer: int, tag: int) -> _OutChannel:
@@ -169,6 +175,36 @@ class Reliability:
 
     # -- sender side -------------------------------------------------------
 
+    def _transmit(self, endpoint, peer: int, item: Any, wire_tag: int,
+                  ch, what: str) -> None:
+        """Send ``item`` until the virtual NIC stops reporting it lost.
+
+        The sender's retransmission timer: each lost receipt charges the
+        RTO as logical wait (exponential backoff), then the retransmit
+        goes out as an ordinary (charged, traced) message.  Data
+        envelopes and cumulative acks share this one discipline.
+        """
+        cfg = self.config
+        proc = endpoint.process
+        receipt = endpoint.send(peer, item, wire_tag)
+        attempt = 0
+        while receipt.lost:
+            if attempt >= cfg.max_retries:
+                raise RankLostError(
+                    proc.rank,
+                    endpoint.peer_global(peer),
+                    f"{what} still lost after {cfg.max_retries} "
+                    "retransmissions",
+                    pending=proc.mailbox.pending_summary(),
+                    last_ack=ch.describe(),
+                )
+            rto = cfg.base_rto_s * cfg.backoff ** attempt
+            proc.charge(rto, term="rto")
+            self._bump(proc, "rel_rto_wait_s", rto)
+            receipt = endpoint.send(peer, item, wire_tag)
+            self._bump(proc, "rel_retransmits")
+            attempt += 1
+
     def send(self, endpoint, peer: int, payload: Any, tag: int) -> None:
         """Reliably send ``payload`` to group rank ``peer`` on ``tag``.
 
@@ -176,32 +212,11 @@ class Reliability:
         at :meth:`fence`); blocks only for the logical RTO charges of
         retransmissions when the virtual NIC reports loss.
         """
-        cfg = self.config
-        proc = endpoint.process
         ch = self._out_channel(endpoint, peer, tag)
         seq = ch.next_seq
         ch.next_seq += 1
-        envelope = (seq, payload)
-        receipt = endpoint.send(peer, envelope, REL_DATA | tag)
-        attempt = 0
-        while receipt.lost:
-            if attempt >= cfg.max_retries:
-                raise RankLostError(
-                    proc.rank,
-                    endpoint.peer_global(peer),
-                    f"no acknowledgement after {cfg.max_retries} "
-                    f"retransmissions of seq {seq}",
-                    pending=proc.mailbox.pending_summary(),
-                    last_ack=ch.describe(),
-                )
-            # The sender's retransmission timer: charged logical wait,
-            # exponential backoff — then the retransmit itself goes out as
-            # an ordinary (charged, traced) message.
-            proc.charge(cfg.base_rto_s * cfg.backoff ** attempt, term="rto")
-            self._bump(proc, "rel_rto_wait_s", cfg.base_rto_s * cfg.backoff ** attempt)
-            receipt = endpoint.send(peer, envelope, REL_DATA | tag)
-            self._bump(proc, "rel_retransmits")
-            attempt += 1
+        self._transmit(endpoint, peer, (seq, payload), REL_DATA | tag, ch,
+                       f"seq {seq}")
         # Acks are *not* harvested here: an opportunistic probe-based
         # drain would make the sender's logical clock depend on host
         # thread scheduling (whether an ack is physically present at send
@@ -231,27 +246,10 @@ class Reliability:
         class ``"control"`` to the fault plan, so they are only faulted
         when a rule targets that class).
         """
-        cfg = self.config
-        proc = endpoint.process
-        ack_value = ch.expected - 1
-        receipt = endpoint.send(peer, ack_value, REL_ACK | tag)
-        attempt = 0
-        while receipt.lost:
-            if attempt >= cfg.max_retries:
-                raise RankLostError(
-                    proc.rank,
-                    endpoint.peer_global(peer),
-                    f"unable to deliver cumulative ack {ack_value} after "
-                    f"{cfg.max_retries} retransmissions",
-                    pending=proc.mailbox.pending_summary(),
-                    last_ack=ch.describe(),
-                )
-            proc.charge(cfg.base_rto_s * cfg.backoff ** attempt, term="rto")
-            self._bump(proc, "rel_rto_wait_s", cfg.base_rto_s * cfg.backoff ** attempt)
-            receipt = endpoint.send(peer, ack_value, REL_ACK | tag)
-            self._bump(proc, "rel_retransmits")
-            attempt += 1
-        self._bump(proc, "rel_acks_sent")
+        ack = ch.expected - 1
+        self._transmit(endpoint, peer, ack, REL_ACK | tag, ch,
+                       f"cumulative ack {ack}")
+        self._bump(endpoint.process, "rel_acks_sent")
 
     # -- receiver side -----------------------------------------------------
 
@@ -345,7 +343,7 @@ class Reliability:
         """
         n = 0
         for ch in self._out.values():
-            n += ch.endpoint._flush_held(ch.endpoint.peer_global(ch.peer))
+            n += ch.endpoint._flush_held(ch.peer)
         return n
 
     def fence(self, timeout: float | None = None) -> None:
@@ -364,7 +362,7 @@ class Reliability:
             if ch.acked >= ch.next_seq - 1:
                 self._drain_acks(endpoint, ch.peer, ch.tag, ch)
                 continue
-            endpoint._flush_held(endpoint.peer_global(ch.peer))
+            endpoint._flush_held(ch.peer)
             budget = (
                 timeout
                 if timeout is not None
@@ -400,3 +398,51 @@ class Reliability:
         lines = [ch.describe() for ch in self._out.values()]
         lines += [ch.describe() for ch in self._in.values()]
         return "\n".join(lines) if lines else "no reliable channels"
+
+
+class ReliableView:
+    """One endpoint's traffic routed through a :class:`Reliability`
+    instance (:meth:`Reliability.over`): the ``send``/``recv``/``arrivals``
+    of the endpoint itself, so a caller holds one or the other and never
+    asks which.  Channel state lives on the instance, not here — views
+    are free to create and drop.
+    """
+
+    __slots__ = ("_rel", "_endpoint")
+
+    def __init__(self, rel: Reliability, endpoint):
+        self._rel = rel
+        self._endpoint = endpoint
+
+    def send(self, dest: int, payload: Any, tag: int = 0) -> None:
+        """:meth:`Reliability.send` toward group rank ``dest``."""
+        self._rel.send(self._endpoint, dest, payload, tag)
+
+    def recv(self, source: int, tag: int = 0,
+             timeout: float | None = None) -> Any:
+        """:meth:`Reliability.recv` from group rank ``source``."""
+        return self._rel.recv(self._endpoint, source, tag, timeout)
+
+    def arrivals(
+        self,
+        sources: Sequence[int],
+        tag: int = 0,
+        overlap: bool = False,
+        timeout: float | None = None,
+    ) -> Iterator[tuple[int, Any]]:
+        """Yield ``(source, payload)`` once per rank in ``sources``, each
+        payload the channel's next in-order one: in the order given, or —
+        ``overlap`` and more than one source — :meth:`Reliability.recv_any`
+        over the sources still owed (buffered deliverable payloads first,
+        else the logically earliest arrival)."""
+        rel, endpoint = self._rel, self._endpoint
+        if overlap and len(sources) > 1:
+            owed = set(sources)
+            while owed:
+                s, payload = rel.recv_any(endpoint, sorted(owed), tag,
+                                          timeout=timeout)
+                owed.discard(s)
+                yield s, payload
+        else:
+            for s in sources:
+                yield s, rel.recv(endpoint, s, tag, timeout=timeout)

@@ -125,7 +125,8 @@ class Window:
         or reorders ``"rma"``-class messages.
     reliability:
         Share an existing :class:`Reliability` instance instead (mutually
-        exclusive with ``reliable=True`` creating one).
+        exclusive with ``reliable=True`` / ``reliability_config`` creating
+        one: passing both raises ``ValueError``).
     """
 
     def __init__(
@@ -136,6 +137,12 @@ class Window:
         reliability: Reliability | None = None,
         reliability_config: ReliabilityConfig | None = None,
     ):
+        if reliability is not None and (reliable or reliability_config is not None):
+            raise ValueError(
+                "pass either an existing reliability= instance or "
+                "reliable=True (with an optional reliability_config=), "
+                "not both: the shared instance keeps its own config"
+            )
         local = np.asarray(local)
         if local.ndim != 1:
             raise ValueError(
@@ -157,12 +164,12 @@ class Window:
         self._wid = wid
         self._data_tag = TAG_RMA_BASE + 2 * wid
         self._resp_tag = TAG_RMA_BASE + 2 * wid + 1
-        if reliability is not None:
-            self._rel: Reliability | None = reliability
-        elif reliable:
-            self._rel = Reliability(reliability_config)
-        else:
-            self._rel = None
+        if reliable:
+            reliability = Reliability(reliability_config)
+        self._rel: Reliability | None = reliability
+        #: where every envelope travels: the communicator, or its reliable
+        #: view — same ``send``/``recv``, chosen once
+        self._chan = comm if reliability is None else reliability.over(comm)
         # Collective: learn every peer's extent (and check dtype accord)
         # so origins can bounds-check without touching the target.
         meta = comm.allgather((int(local.size), local.dtype.str))
@@ -207,17 +214,13 @@ class Window:
     def _issue(self, target: int, envelope: tuple, nbytes_hint: int,
                kind: str) -> None:
         """Ship one envelope toward ``target`` (self-targets buffer)."""
-        proc = self.comm.process
         self._annotate(kind, target, nbytes_hint)
         if target == self.comm.rank:
             # Self-targeted: no message; applied in the same deterministic
             # total order at the fence.
             self._self_ops.append(envelope)
             return
-        if self._rel is not None:
-            self._rel.send(self.comm, target, envelope, self._data_tag)
-        else:
-            self.comm.send(target, envelope, self._data_tag)
+        self._chan.send(target, envelope, self._data_tag)
         self._sent_counts[target] += 1
 
     def _next_seq(self) -> int:
@@ -339,7 +342,7 @@ class Window:
         epoch is applied at its target, every handle issued this epoch is
         resolved, and the local region reflects all peers' writes.
         """
-        comm = self.comm
+        comm, chan = self.comm, self._chan
         proc = comm.process
         with proc.span("rma:fence"):
             proc.metrics.incr("rma_fences")
@@ -349,7 +352,7 @@ class Window:
             # reliability fence, which also does this for its own sends).
             for peer in range(comm.size):
                 if peer != comm.rank and self._sent_counts[peer]:
-                    comm._flush_held(comm.peer_global(peer))
+                    comm._flush_held(peer)
             # How many envelopes is each pair owed?  The alltoall also
             # orders the epoch: by the time it completes here, every
             # peer's eager envelope sends have executed.
@@ -361,11 +364,7 @@ class Window:
                 if src == comm.rank:
                     continue
                 for _ in range(incoming[src]):
-                    if self._rel is not None:
-                        env = self._rel.recv(comm, src, self._data_tag)
-                    else:
-                        env = comm.recv(src, self._data_tag)
-                    ops.append((src, env))
+                    ops.append((src, chan.recv(src, self._data_tag)))
             # Deterministic total order: origin rank, then issue order.
             ops.sort(key=lambda o: (o[0], o[1][1]))
             responses = self._apply(ops)
@@ -377,26 +376,18 @@ class Window:
                     self._self_expect.pop(seq)._resolve(value)
                 else:
                     resp_targets.add(origin)
-                    if self._rel is not None:
-                        self._rel.send(comm, origin, (seq, value),
-                                       self._resp_tag)
-                    else:
-                        comm.send(origin, (seq, value), self._resp_tag)
+                    chan.send(origin, (seq, value), self._resp_tag)
             # Release fault-plan-held (delayed/reordered) response
             # envelopes before blocking on our own: two ranks whose held
             # responses to each other are never flushed would otherwise
             # deadlock — the reliability fence's flush runs only *after*
             # this collection loop.
             for origin in sorted(resp_targets):
-                comm._flush_held(comm.peer_global(origin))
+                comm._flush_held(origin)
             # Collect my own responses: exact counts, issue order.
             for target in sorted(self._expect):
                 for handle in self._expect[target]:
-                    if self._rel is not None:
-                        seq, value = self._rel.recv(comm, target,
-                                                    self._resp_tag)
-                    else:
-                        seq, value = comm.recv(target, self._resp_tag)
+                    seq, value = chan.recv(target, self._resp_tag)
                     if seq != handle._seq:
                         raise RuntimeError(
                             f"rma response out of order: expected seq "

@@ -287,3 +287,52 @@ class TestCoupledDegradation:
         assert elapsed < 10.0
         assert peer == "dstp"
         assert "dstp" in text
+
+    @pytest.mark.parametrize("policy, pdst", [
+        (ExecutorPolicy.ORDERED, 1),
+        (ExecutorPolicy.OVERLAP, 2),
+    ], ids=["ordered", "overlap-two-silent-sources"])
+    def test_bare_pull_deadline_is_one_wait_and_reports_its_budget(
+            self, policy, pdst):
+        """No reliability: a pull from a peer that never sends raises
+        after one wait of ``deadline_s`` and the text names that budget —
+        under either policy (ORDERED used to re-enter the wait in slices
+        and report the last slice, 0.125 s, as the time-out)."""
+
+        def src_prog(ctx):
+            A = BlockPartiArray.from_global(ctx.comm, G)
+            uni = coupled_universe(ctx, "dstp", "src")
+            sched = mc_compute_schedule(
+                uni, "blockparti", A, section_sor(SRC_SLICES, SHAPE),
+                "chaos", None, None,
+            )
+            ex = CoupledExchange(uni, sched, policy=policy, deadline_s=1.0)
+            t0 = time.monotonic()
+            try:
+                ex.pull(A)
+            except PeerLostError as exc:
+                return (time.monotonic() - t0, exc.peer_program, str(exc))
+            return None
+
+        def dst_prog(ctx):
+            B = ChaosArray.zeros(ctx.comm, PERM % ctx.comm.size)
+            uni = coupled_universe(ctx, "srcp", "dst")
+            mc_compute_schedule(
+                uni, "blockparti", None, None,
+                "chaos", B, index_sor(PERM),
+            )
+            return None  # never calls pull: nothing is ever sent back
+
+        res = run_programs(
+            [ProgramSpec("srcp", 1, src_prog),
+             ProgramSpec("dstp", pdst, dst_prog)],
+            recv_timeout_s=60.0,
+        )
+        out = res["srcp"].values[0]
+        assert out is not None, "pull did not raise PeerLostError"
+        elapsed, peer, text = out
+        assert 0.9 < elapsed < 10.0
+        assert peer == "dstp"
+        assert "exceeded the 1.0s deadline" in text
+        assert "timed out after 1.0s" in text
+        assert "0.125" not in text

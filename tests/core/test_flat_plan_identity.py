@@ -126,9 +126,9 @@ def ref_send(plan, src_arrays, universe, policy=ORDERED, timeout=None, fence=Non
                     payload.nbytes, phase=proc.phase_path))
         proc.metrics.incr("cache_program_hits", len(segs))
         if rel is not None:
-            rel.send(universe.data_endpoint_to_dst(), d, payload, TAG_DATA)
+            rel.send(universe.to_dst, d, payload, TAG_DATA)
         else:
-            universe.send_to_dst(d, payload, TAG_DATA)
+            universe.to_dst.send(d, payload, TAG_DATA)
     if rel is not None:
         if fence is None:
             fence = not universe.single_program
@@ -144,22 +144,21 @@ def _ref_arrivals(universe, active, policy, timeout):
     if rel is not None and overlap:
         left = set(active)
         while left:
-            s, payload = rel.recv_any(universe.data_endpoint_to_src(),
-                                      sorted(left), TAG_DATA, timeout=timeout)
+            s, payload = rel.recv_any(universe.to_src, sorted(left), TAG_DATA,
+                                      timeout=timeout)
             left.discard(s)
             yield s, payload
     elif overlap:
-        requests = [universe.irecv_from_src(s, TAG_DATA) for s in active]
+        requests = [universe.to_src.irecv(s, TAG_DATA) for s in active]
         for _ in active:
             idx, payload = waitany(requests, timeout=timeout)
             yield active[idx], payload
     else:
         for s in active:
             if rel is not None:
-                yield s, rel.recv(universe.data_endpoint_to_src(), s, TAG_DATA,
-                                  timeout=timeout)
+                yield s, rel.recv(universe.to_src, s, TAG_DATA, timeout=timeout)
             else:
-                yield s, universe.recv_from_src(s, TAG_DATA, timeout=timeout)
+                yield s, universe.to_src.recv(s, TAG_DATA, timeout=timeout)
 
 
 def ref_recv(plan, dst_arrays, universe, policy=ORDERED, timeout=None, donate=False):
@@ -224,7 +223,8 @@ def ref_move(plan, src_arrays, dst_arrays, universe, policy=ORDERED,
         proc.metrics.incr("cache_program_hits", 2 * copies)
     ref_send(plan, src_arrays, universe, policy, timeout, fence=False)
     ref_recv(plan, dst_arrays, universe, policy, timeout, donate)
-    universe.rel_fence(timeout=timeout)
+    if universe.reliability is not None:
+        universe.reliability.fence(timeout=timeout)
 
 
 REFERENCE = {"plan_move": ref_move, "plan_move_send": ref_send,

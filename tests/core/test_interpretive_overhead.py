@@ -14,9 +14,11 @@ Measured when the flat-plan executor landed (parent → change): 44.1 →
 14.5 calls per fused segment (4149 → 1359 calls for 94 segments in 12
 messages), 43.1 → 26.1 calls per bare message (474 → 287 for 11
 messages) — everything under ``repro/core/`` counted, both halves, the
-intra-processor copies and the per-call entry included.  The budgets
-below leave ~15 % headroom over that; a change that needs more should
-say why.
+intra-processor copies and the per-call entry included.  With
+point-to-point on the endpoint (no universe forwarding call, no arrival
+generator or retry wrapper under ``repro/core/``): 14.3 → 13.9 per fused
+segment, 26.1 → 23.2 per bare message.  The budgets below leave ~12-15 %
+headroom over that; a change that needs more should say why.
 """
 
 import numpy as np
@@ -36,8 +38,8 @@ from repro.vmachine import VirtualMachine
 from helpers import index_sor, python_calls, section_sor
 
 P, N = 4, 64
-CALLS_PER_FUSED_SEGMENT = 16.6
-CALLS_PER_BARE_MESSAGE = 30.0
+CALLS_PER_FUSED_SEGMENT = 15.5
+CALLS_PER_BARE_MESSAGE = 27.0
 
 
 def _core_calls(op):

@@ -26,9 +26,9 @@ class TestSingleProgram:
         def spmd(comm):
             u = SingleProgramUniverse(comm)
             if comm.rank == 0:
-                u.send_to_dst(1, "x", 5)
+                u.to_dst.send(1, "x", 5)
             elif comm.rank == 1:
-                return u.recv_from_src(0, 5)
+                return u.to_src.recv(0, 5)
             return None
 
         assert run_spmd(2, spmd).values[1] == "x"
@@ -60,13 +60,13 @@ class TestTwoProgram:
     def test_cross_group_messaging(self):
         def src_prog(ctx):
             u = TwoProgramUniverse(ctx.comm, ctx.peer("d"), "src")
-            u.send_to_dst(0, f"s{ctx.rank}", 1)
+            u.to_dst.send(0, f"s{ctx.rank}", 1)
             return True
 
         def dst_prog(ctx):
             u = TwoProgramUniverse(ctx.comm, ctx.peer("s"), "dst")
             if ctx.rank == 0:
-                return sorted(u.recv_from_src(s, 1) for s in range(u.src_size))
+                return sorted(u.to_src.recv(s, 1) for s in range(u.src_size))
             return None
 
         res = run_programs(
@@ -78,9 +78,9 @@ class TestTwoProgram:
         def src_prog(ctx):
             u = TwoProgramUniverse(ctx.comm, ctx.peer("d"), "src")
             if ctx.rank == 0:
-                u.send_to_src(1, "intra", 2)
+                u.to_src.send(1, "intra", 2)
             elif ctx.rank == 1:
-                return u.recv_from_src(0, 2)
+                return u.to_src.recv(0, 2)
             return None
 
         res = run_programs(

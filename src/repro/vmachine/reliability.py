@@ -356,13 +356,20 @@ class Reliability:
         with last-ack diagnostics when a peer stops acknowledging.
         """
         cfg = self.config
+        # Every unacked channel is released before the first blocking
+        # wait: a receiver completing in arrival order (``recv_any``)
+        # needs all its senders' packets before it acks any, so two
+        # senders each holding one back while awaiting the other
+        # receiver's ack would wait for ever.
+        for ch in self._out.values():
+            if ch.acked < ch.next_seq - 1:
+                ch.endpoint._flush_held(ch.peer)
         for ch in self._out.values():
             endpoint = ch.endpoint
             proc = endpoint.process
             if ch.acked >= ch.next_seq - 1:
                 self._drain_acks(endpoint, ch.peer, ch.tag, ch)
                 continue
-            endpoint._flush_held(ch.peer)
             budget = (
                 timeout
                 if timeout is not None

@@ -11,28 +11,31 @@ matching receive.  This module reproduces that model **on top of** the
 existing two-sided transport, the same way the collectives and the
 reliability protocol are layered, so every one-sided operation is
 
-- **charged like a send** on the origin's logical clock (``alpha +
-  beta * nbytes`` injection; the target stays passive during the epoch
-  and pays only its receive drain at the fence),
+- **charged like a send, once per pair per epoch**: issuing is free on
+  the origin's logical clock; the fence pays one ``alpha + beta *
+  sum(nbytes)`` injection per peer for the whole batch (the target stays
+  passive during the epoch and pays one receive per peer at the fence),
 - **fault-injectable** (window traffic rides a dedicated wire-tag block
   classified ``"rma"`` by :func:`repro.vmachine.faults.tag_class`),
-- **retransmittable** (pass ``reliable=True`` and every envelope rides
+- **retransmittable** (pass ``reliable=True`` and every batch rides
   the :class:`~repro.vmachine.reliability.Reliability` ack protocol),
 - **observable** (``rma:put``/``rma:get``/``rma:acc``/``rma:fetch``
   spans and kind-prefixed trace annotations, ``rma_*`` metrics), and
-- **replayable** (every envelope is an ordinary recorded message, so
-  record/replay works unchanged).
+- **replayable** (every batch is an ordinary recorded message — a plain
+  ``list`` of envelope tuples — so record/replay works unchanged).
 
 Synchronization model — *active target*, fence epochs (the BSP-style
 subset of MPI RMA):
 
-1. Every rank issues any number of one-sided operations; each sends one
-   eager envelope to the target (self-targeted operations buffer
-   locally and send nothing).
+1. Every rank issues any number of one-sided operations; each appends
+   one envelope to the epoch's per-target buffer and sends nothing
+   (the paper's data move likewise aggregates to one message per
+   processor pair).
 2. Every rank calls :meth:`Window.fence` (collective over the window's
-   communicator).  The fence exchanges per-pair envelope counts
-   (alltoall), drains exactly that many envelopes per peer (pairwise
-   FIFO isolates epochs — no trailing barrier is needed), and applies
+   communicator).  The fence is one pairwise exchange of those buffers
+   — exactly one message per ordered pair, an empty list where nothing
+   was issued, so both sides always know what to receive (pairwise FIFO
+   isolates epochs — no trailing barrier is needed) — and applies
    every mutating operation in ``(origin rank, issue order)`` — a
    deterministic total order, so even floating-point ``accumulate`` is
    bitwise reproducible run to run.
@@ -42,7 +45,9 @@ subset of MPI RMA):
    order — which is what makes them usable as cross-epoch atomics for
    the distributed containers (:mod:`repro.containers`).
 4. Handles returned by ``get``/``fetch_add``/``compare_and_swap``
-   resolve at the fence; reading ``.value`` earlier raises.
+   resolve at the fence, from at most one response message per pair
+   (sent only where the batch asked for one); reading ``.value``
+   earlier raises.
 
 Windows over the same communicator draw sequential ids (collective
 construction order) and disjoint tag pairs inside the RMA block, so
@@ -119,7 +124,7 @@ class Window:
         reference and may read it freely between fences (local reads of
         the post-fence state are the point of the model).
     reliable:
-        Route every envelope through a private
+        Route every batch through a private
         :class:`~repro.vmachine.reliability.Reliability` instance, making
         window traffic correct under a fault plan that drops, duplicates
         or reorders ``"rma"``-class messages.
@@ -167,7 +172,7 @@ class Window:
         if reliable:
             reliability = Reliability(reliability_config)
         self._rel: Reliability | None = reliability
-        #: where every envelope travels: the communicator, or its reliable
+        #: where every batch travels: the communicator, or its reliable
         #: view — same ``send``/``recv``, chosen once
         self._chan = comm if reliability is None else reliability.over(comm)
         # Collective: learn every peer's extent (and check dtype accord)
@@ -180,13 +185,18 @@ class Window:
                 f"window dtype mismatch across ranks: {sorted(dtypes)}"
             )
         self.epoch = 0
+        # Pairwise-staggered fence order: step s sends to rank+s and
+        # hears from rank-s.
+        rank, size = comm.rank, comm.size
+        self._dests = [(rank + step) % size for step in range(1, size)]
+        self._sources = [(rank - step) % size for step in range(1, size)]
         # -- per-epoch origin-side state -----------------------------------
         self._op_seq = 0                       # issue order, monotone
-        self._sent_counts = [0] * comm.size    # envelopes sent per target
-        self._self_ops: list[tuple] = []       # ops targeting this rank
+        # this epoch's envelopes, per target (own rank included), in
+        # issue order: what the fence exchanges, one list per pair
+        self._outgoing: list[list[tuple]] = [[] for _ in range(comm.size)]
         # handles awaiting a response, per target, in issue order
         self._expect: dict[int, list[RMAHandle]] = {}
-        self._self_expect: dict[int, RMAHandle] = {}  # seq -> handle
 
     # -- issue-side helpers ----------------------------------------------
 
@@ -201,50 +211,60 @@ class Window:
                 f"{target}'s extent {self.sizes[target]}"
             )
 
-    def _annotate(self, kind: str, target: int, nbytes: int) -> None:
-        """Kind-prefixed trace annotation (never a message endpoint)."""
+    def _issue(self, target: int, kind: str, nbytes_hint: int, op: str,
+               *fields, reply: bool = False) -> RMAHandle | None:
+        """Buffer the envelope ``(op, seq, *fields)`` for ``target`` — it
+        travels at the fence — under a ``kind`` span and trace annotation
+        (never a message endpoint); ``reply`` returns the handle the
+        fence will resolve."""
         proc = self.comm.process
-        if proc.hooked and proc.trace is not None:
-            proc.trace.append(
-                TraceEvent(kind, proc.clock, proc.rank,
-                           self.comm.peer_global(target), self._data_tag,
-                           nbytes, phase=proc.phase_path)
-            )
-
-    def _issue(self, target: int, envelope: tuple, nbytes_hint: int,
-               kind: str) -> None:
-        """Ship one envelope toward ``target`` (self-targets buffer)."""
-        self._annotate(kind, target, nbytes_hint)
-        if target == self.comm.rank:
-            # Self-targeted: no message; applied in the same deterministic
-            # total order at the fence.
-            self._self_ops.append(envelope)
-            return
-        self._chan.send(target, envelope, self._data_tag)
-        self._sent_counts[target] += 1
-
-    def _next_seq(self) -> int:
         seq = self._op_seq
-        self._op_seq += 1
-        return seq
+        self._op_seq = seq + 1
+        self._outgoing[target].append((op, seq, *fields))
+        if proc.labelled:  # something reads span labels
+            with proc.span(kind):
+                if proc.trace is not None:
+                    proc.trace.append(
+                        TraceEvent(kind, proc.clock, proc.rank,
+                                   self.comm.peer_global(target),
+                                   self._data_tag, nbytes_hint,
+                                   phase=proc.phase_path)
+                    )
+        if not reply:
+            return None
+        handle = RMAHandle(seq)
+        self._expect.setdefault(target, []).append(handle)
+        return handle
+
+    def _release_held(self, peers) -> None:
+        """Deliver fault-plan-held (reordered/delayed) messages toward
+        ``peers`` — the network delivering in-flight datagrams at the
+        phase boundary.  A pair carries one message per phase, so a held
+        one has no later traffic to overtake it: without this, two ranks
+        holding each other's would deadlock."""
+        if self.comm.process.faults is not None:
+            for peer in peers:
+                self.comm._flush_held(peer)
 
     # -- one-sided operations ---------------------------------------------
 
     def put(self, target: int, data, start: int = 0) -> None:
         """Replace ``target``'s elements ``[start, start+len(data))``.
 
-        Charged like a send at the origin (injection occupancy + wire
-        time); the target applies it at the next fence.  Zero-copy
-        transport rules apply: do not mutate ``data`` after issuing.
+        Free at issue; the epoch's fence sends it (the origin pays one
+        injection per peer for the whole batch) and the target applies
+        it.  ``data`` belongs to the window until that fence: it is read
+        — and, under ``copy_on_send``, snapshotted — there, not here, so
+        do not mutate it in between.
         """
-        data = np.atleast_1d(np.asarray(data, dtype=self.dtype))
+        data = np.asarray(data, dtype=self.dtype)
+        if data.ndim == 0:
+            data = data.reshape(1)
         self._bounds(target, start, data.size)
-        proc = self.comm.process
-        with proc.span("rma:put"):
-            proc.metrics.incr("rma_puts")
-            proc.metrics.incr("rma_bytes_put", data.nbytes)
-            self._issue(target, ("put", self._next_seq(), start, data),
-                        data.nbytes, "rma:put")
+        metrics = self.comm.process.metrics
+        metrics.incr("rma_puts")
+        metrics.incr("rma_bytes_put", data.nbytes)
+        self._issue(target, "rma:put", data.nbytes, "put", start, data)
 
     def accumulate(self, target: int, data, start: int = 0,
                    op: str = "sum") -> None:
@@ -253,18 +273,20 @@ class Window:
         ``op`` is one of :data:`ACCUMULATE_OPS`.  Applications from all
         origins apply in ``(origin, issue order)`` — a deterministic
         total order, so floating-point accumulation is reproducible.
+        As for :meth:`put`, ``data`` belongs to the window until the
+        epoch's fence.
         """
         if op not in ACCUMULATE_OPS:
             raise ValueError(f"unknown accumulate op {op!r}; "
                              f"expected one of {ACCUMULATE_OPS}")
-        data = np.atleast_1d(np.asarray(data, dtype=self.dtype))
+        data = np.asarray(data, dtype=self.dtype)
+        if data.ndim == 0:
+            data = data.reshape(1)
         self._bounds(target, start, data.size)
-        proc = self.comm.process
-        with proc.span("rma:acc"):
-            proc.metrics.incr("rma_accs")
-            proc.metrics.incr("rma_bytes_acc", data.nbytes)
-            self._issue(target, ("acc", self._next_seq(), start, op, data),
-                        data.nbytes, "rma:acc")
+        metrics = self.comm.process.metrics
+        metrics.incr("rma_accs")
+        metrics.incr("rma_bytes_acc", data.nbytes)
+        self._issue(target, "rma:acc", data.nbytes, "acc", start, op, data)
 
     def get(self, target: int, start: int = 0,
             count: int | None = None) -> RMAHandle:
@@ -277,16 +299,11 @@ class Window:
         if count is None:
             count = self.sizes[target] - start
         self._bounds(target, start, count)
-        proc = self.comm.process
-        with proc.span("rma:get"):
-            proc.metrics.incr("rma_gets")
-            proc.metrics.incr("rma_bytes_got",
-                              count * self.dtype.itemsize)
-            handle = RMAHandle(self._next_seq())
-            env = ("get", handle._seq, start, count)
-            self._issue(target, env, 24, "rma:get")
-            self._register_handle(target, handle)
-        return handle
+        metrics = self.comm.process.metrics
+        metrics.incr("rma_gets")
+        metrics.incr("rma_bytes_got", count * self.dtype.itemsize)
+        return self._issue(target, "rma:get", 24, "get", start, count,
+                           reply=True)
 
     def fetch_add(self, target: int, index: int, value) -> RMAHandle:
         """Atomically add ``value`` to one element; returns the old value.
@@ -297,15 +314,9 @@ class Window:
         containers build reservations on.
         """
         self._bounds(target, index, 1)
-        proc = self.comm.process
-        with proc.span("rma:fetch"):
-            proc.metrics.incr("rma_fetch_ops")
-            handle = RMAHandle(self._next_seq())
-            env = ("fadd", handle._seq, index,
-                   self.dtype.type(value))
-            self._issue(target, env, 24, "rma:fetch")
-            self._register_handle(target, handle)
-        return handle
+        self.comm.process.metrics.incr("rma_fetch_ops")
+        return self._issue(target, "rma:fetch", 24, "fadd", index,
+                           self.dtype.type(value), reply=True)
 
     def compare_and_swap(self, target: int, index: int, expected,
                          desired) -> RMAHandle:
@@ -316,91 +327,70 @@ class Window:
         outcome by comparing the resolved old value against ``expected``.
         """
         self._bounds(target, index, 1)
-        proc = self.comm.process
-        with proc.span("rma:fetch"):
-            proc.metrics.incr("rma_fetch_ops")
-            handle = RMAHandle(self._next_seq())
-            env = ("cas", handle._seq, index,
-                   self.dtype.type(expected), self.dtype.type(desired))
-            self._issue(target, env, 32, "rma:fetch")
-            self._register_handle(target, handle)
-        return handle
-
-    def _register_handle(self, target: int, handle: RMAHandle) -> None:
-        if target == self.comm.rank:
-            self._self_expect[handle._seq] = handle
-        else:
-            self._expect.setdefault(target, []).append(handle)
+        self.comm.process.metrics.incr("rma_fetch_ops")
+        return self._issue(target, "rma:fetch", 32, "cas", index,
+                           self.dtype.type(expected),
+                           self.dtype.type(desired), reply=True)
 
     # -- epoch close -------------------------------------------------------
 
     def fence(self) -> None:
-        """Close the epoch (collective): apply, serve, resolve, resync.
+        """Close the epoch (collective): exchange, apply, serve, resolve.
 
         Every rank must call ``fence`` the same number of times on every
-        window (SPMD discipline).  On return: every put/accumulate of the
-        epoch is applied at its target, every handle issued this epoch is
-        resolved, and the local region reflects all peers' writes.
+        window (SPMD discipline).  Sends each peer this epoch's buffered
+        envelopes as one message, receives one from each, and answers
+        with at most one response message per peer.  On return: every
+        put/accumulate of the epoch is applied at its target, every
+        handle issued this epoch is resolved, and the local region
+        reflects all peers' writes.
         """
         comm, chan = self.comm, self._chan
         proc = comm.process
+        rank, size = comm.rank, comm.size
         with proc.span("rma:fence"):
             proc.metrics.incr("rma_fences")
-            # Release fault-plan-held (reordered) envelopes still sitting
-            # on this origin's channels — the network delivering in-flight
-            # datagrams at the phase boundary (same contract as the
-            # reliability fence, which also does this for its own sends).
-            for peer in range(comm.size):
-                if peer != comm.rank and self._sent_counts[peer]:
-                    comm._flush_held(peer)
-            # How many envelopes is each pair owed?  The alltoall also
-            # orders the epoch: by the time it completes here, every
-            # peer's eager envelope sends have executed.
-            incoming = comm.alltoall(list(self._sent_counts))
-            ops: list[tuple[int, tuple]] = [
-                (comm.rank, env) for env in self._self_ops
-            ]
-            for src in range(comm.size):
-                if src == comm.rank:
-                    continue
-                for _ in range(incoming[src]):
-                    ops.append((src, chan.recv(src, self._data_tag)))
-            # Deterministic total order: origin rank, then issue order.
-            ops.sort(key=lambda o: (o[0], o[1][1]))
-            responses = self._apply(ops)
-            # Serve responses in (origin, seq) order; per-origin FIFO then
-            # delivers them in that origin's issue order.
-            resp_targets = set()
+            # One message per pair, empty or not: the batch is its own
+            # count, and by the time a peer's arrives every envelope that
+            # peer issued this epoch is in it.
+            for dest in self._dests:
+                chan.send(dest, self._outgoing[dest], self._data_tag)
+            self._release_held(self._dests)
+            batches = {rank: self._outgoing[rank]}
+            for src in self._sources:
+                batches[src] = chan.recv(src, self._data_tag)
+            # Deterministic total order: origin rank, then issue order
+            # (each batch already is in its origin's issue order).
+            responses = self._apply(
+                [(src, env) for src in range(size) for env in batches[src]]
+            )
+            # At most one response message per pair, to the origins whose
+            # batch asked; ``_apply`` sorted them by (origin, seq).
+            owed: dict[int, list[tuple]] = {}
             for origin, seq, value in responses:
-                if origin == comm.rank:
-                    self._self_expect.pop(seq)._resolve(value)
-                else:
-                    resp_targets.add(origin)
-                    chan.send(origin, (seq, value), self._resp_tag)
-            # Release fault-plan-held (delayed/reordered) response
-            # envelopes before blocking on our own: two ranks whose held
-            # responses to each other are never flushed would otherwise
-            # deadlock — the reliability fence's flush runs only *after*
-            # this collection loop.
-            for origin in sorted(resp_targets):
-                comm._flush_held(origin)
-            # Collect my own responses: exact counts, issue order.
+                owed.setdefault(origin, []).append((seq, value))
+            mine = owed.pop(rank, [])
+            for origin, answers in owed.items():
+                chan.send(origin, answers, self._resp_tag)
+            self._release_held(owed)
+            # Collect my own: the origin knows from ``_expect`` which
+            # targets owe it one, and the handles' issue order.
             for target in sorted(self._expect):
-                for handle in self._expect[target]:
-                    seq, value = chan.recv(target, self._resp_tag)
-                    if seq != handle._seq:
-                        raise RuntimeError(
-                            f"rma response out of order: expected seq "
-                            f"{handle._seq}, got {seq} (window {self._wid})"
-                        )
+                answers = (mine if target == rank
+                           else chan.recv(target, self._resp_tag))
+                handles = self._expect[target]
+                if [a[0] for a in answers] != [h._seq for h in handles]:
+                    raise RuntimeError(
+                        f"rma responses from rank {target} do not match the "
+                        f"handles issued to it (window {self._wid})"
+                    )
+                for handle, (_, value) in zip(handles, answers):
                     handle._resolve(value)
             if self._rel is not None:
-                # Block until every envelope/response is cumulatively
+                # Block until every batch/response is cumulatively
                 # acked, so retransmit state cannot leak across epochs.
                 self._rel.fence()
-        assert not self._self_expect, "unresolved self-targeted handles"
-        self._sent_counts = [0] * comm.size
-        self._self_ops = []
+        self._outgoing = [[] for _ in range(size)]
         self._expect = {}
         self.epoch += 1
 

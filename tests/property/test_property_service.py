@@ -173,3 +173,18 @@ def test_chaotic_transport_with_reliability(seed, rate, policy):
         totals, final = report.tenants[i].result
         np.testing.assert_allclose(totals, [values.sum()] * 2, rtol=1e-12)
         np.testing.assert_array_equal(final, values)
+
+
+def test_pinned_seed_139_overlap_fence_releases_every_channel_first():
+    """Pinned falsifying example of the property above (it deadlocked).
+
+    Under OVERLAP a server completes its receives in arrival order, so
+    it needs *both* gateways' packets before it acks either.  Each
+    gateway's ``Reliability.fence`` released a held packet only when it
+    reached that channel — after blocking on the previous channel's ack
+    — so two gateways each holding one back, each awaiting the other
+    server's ack, waited out the receive timeout.  The fence now releases
+    every unacked channel before its first blocking wait.
+    """
+    test_chaotic_transport_with_reliability.hypothesis.inner_test(
+        seed=139, rate=0.0625, policy="overlap")

@@ -7,6 +7,7 @@ import pytest
 from repro.vmachine import VirtualMachine, Window
 from repro.vmachine.faults import FaultPlan, FaultRates, tag_class
 from repro.vmachine.machine import SPMDError
+from repro.vmachine.message import payload_nbytes
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
 from repro.vmachine.trace import MESSAGE_KINDS
 from repro.vmachine.window import TAG_RMA_BASE
@@ -259,22 +260,47 @@ class TestValidationAndIsolation:
 
 class TestAccounting:
     def test_put_charges_origin_clock(self):
-        def spmd(comm):
-            before = comm.process.clock
-            win = Window(comm, np.zeros(1024))
-            mid = comm.process.clock
-            if comm.rank == 1:
-                win.put(0, np.ones(1024))
-            after_issue = comm.process.clock
-            win.fence()
-            return mid - before, after_issue - mid
+        # Issuing is free on the origin's clock; the fence pays one
+        # injection (o_send + beta * sum of the batch's bytes) per
+        # non-self pair, whatever the number of ops buffered for it.
+        puts = {0: [np.ones(1024)] + [np.ones(3)] * 9, 2: [np.ones(7)]}
+        # what rank 1's fence sends, in its staggered order (2 then 0),
+        # and what a rank with nothing to say sends
+        seq = iter(range(100))
+        sizes = {t: 8 + sum(payload_nbytes(("put", next(seq), 0, d))
+                            for d in puts[t]) for t in (0, 2)}
+        wire_nbytes = [sizes[2], sizes[0], payload_nbytes([])]
 
-        res = run(2, spmd)
-        ctor_cost, issue_cost = res.values[1]
+        def spmd(comm):
+            proc = comm.process
+            before = proc.clock
+            win = Window(comm, np.zeros(1024))
+            mid = proc.clock
+            if comm.rank == 1:
+                for target, arrays in puts.items():
+                    for data in arrays:
+                        win.put(target, data)
+                win.put(1, np.ones(5))          # self: never on the wire
+            after_issue = proc.clock
+            win.fence()
+            return (mid - before, after_issue - mid,
+                    [proc.cost.send_occupancy(n, comm._contention)
+                     for n in wire_nbytes])
+
+        res = run(3, spmd, observe=True)
+        ctor_cost, _, (*per_pair, empty_pair) = res.values[1]
         assert ctor_cost > 0          # allgather is charged
-        assert issue_cost > 0         # put pays alpha + beta*nbytes at origin
-        # The passive side pays nothing at issue time.
-        assert res.values[0][1] == 0.0
+        assert [v[1] for v in res.values] == [0.0, 0.0, 0.0]
+        assert not any(s.path.startswith("rma:put/") for s in res.spans[1])
+        # the fence's first P-1 wire spans are its sends (then it receives)
+        wires = [[s.end - s.start for s in res.spans[r]
+                  if s.path == "rma:fence/wire"][:2] for r in range(3)]
+        assert wires[1] == pytest.approx(per_pair)
+        # a rank that issued nothing pays what the old count exchange
+        # did: an empty batch sizes like the one integer it replaces
+        assert payload_nbytes([]) == payload_nbytes(0)
+        for r in (0, 2):
+            assert wires[r] == pytest.approx([empty_pair] * 2)
 
     def test_metrics_counters(self):
         def spmd(comm):

@@ -32,7 +32,7 @@ The pieces map one-to-one onto the paper's section 4:
 from repro.core.region import Region, SectionRegion, IndexRegion, MaskRegion
 from repro.core.setofregions import SetOfRegions
 from repro.core.linearization import Linearization
-from repro.core.runs import KeyGroups, RunList, copy_runs, group_by_runs
+from repro.core.runs import KeyGroups, RunList, group_by_runs
 from repro.core.dataplane import (
     MoveProgram,
     accept_local,
@@ -89,7 +89,6 @@ from repro.core.api import (
 __all__ = [
     "RunList",
     "RunEncoded",
-    "copy_runs",
     "count_runs",
     "KeyGroups",
     "group_by_runs",

@@ -1,12 +1,12 @@
 """Compiled data plane: cached executable move programs over strided views.
 
-The executors used to walk every schedule half run-by-run in Python
-(``RunList.gather``/``scatter``/``copy_runs``), and every adapter forced
-its local storage through ``ascontiguousarray().reshape(-1)``.  Both are
-pure implementation overhead — the logical-clock model never sees them —
-so this module lowers each offset sequence *once* into a
-:class:`MoveProgram` and caches it on the ``RunList``.  Execution is
-then one batched NumPy operation per (schedule half, dtype):
+The executors used to walk every schedule half run-by-run in Python, and
+every adapter forced its local storage through
+``ascontiguousarray().reshape(-1)``.  Both are pure implementation
+overhead — the logical-clock model never sees them — so this module
+lowers each offset sequence *once* into a :class:`MoveProgram` and caches
+it on the ``RunList``.  Execution is then one batched NumPy operation per
+(schedule half, dtype):
 
 ``slice``
     A single arithmetic run executes as one basic-slice copy.

@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.dataplane import MoveProgram, compile_offsets, copy_compiled
-from repro.core.runs import RunList, as_offsets
+from repro.core.runs import RunList
 from repro.core.setofregions import SetOfRegions
 from repro.core.region import SectionRegion
 from repro.distrib.base import DistDescriptor, Distribution
@@ -241,7 +241,7 @@ class LibraryAdapter(abc.ABC):
         """Gather local elements at ``offsets`` into a fresh contiguous
         buffer (:func:`pack_segment`)."""
         return pack_segment(
-            current_process(), compile_offsets(as_offsets(offsets)),
+            current_process(), compile_offsets(offsets),
             self.local_data(array),
         )
 
@@ -252,7 +252,7 @@ class LibraryAdapter(abc.ABC):
         ``out`` must be 1-D with exactly ``len(offsets)`` slots.  Same
         charge as :meth:`pack`; a lossy conversion into ``out`` is
         refused like everywhere else."""
-        prog = compile_offsets(as_offsets(offsets))
+        prog = compile_offsets(offsets)
         if len(out) != prog.n:
             raise ValueError(
                 f"pack_into buffer has {len(out)} slots for "
@@ -271,7 +271,7 @@ class LibraryAdapter(abc.ABC):
         (:func:`unpack_segment`); True when ``values`` was donated."""
         return unpack_segment(
             current_process(), self, array,
-            compile_offsets(as_offsets(offsets)), self.local_data(array),
+            compile_offsets(offsets), self.local_data(array),
             values, donate,
         )
 
@@ -288,9 +288,9 @@ class LibraryAdapter(abc.ABC):
         source array belongs to a different library."""
         copy_segment(
             current_process(),
-            compile_offsets(as_offsets(src_offsets)),
+            compile_offsets(src_offsets),
             (src_adapter or self).local_data(src_array),
-            compile_offsets(as_offsets(dst_offsets)),
+            compile_offsets(dst_offsets),
             self.local_data(dst_array),
         )
 

@@ -10,10 +10,10 @@ offset arrays and executed every pack/unpack as a NumPy gather/scatter.
 :class:`RunList` makes the run form the actual representation: an
 immutable sequence of maximal arithmetic-progression runs
 ``(start, step, count)`` with vectorized compress/expand, concat,
-group-by-key, reverse and length operations, plus the executor fast
-paths (:meth:`RunList.gather`, :meth:`RunList.scatter`,
-:func:`copy_runs`) that turn regular section moves into contiguous or
-strided slice copies at memcpy speed.
+group-by-key, reverse and length operations; the executors lower one
+once into a cached move program
+(:func:`repro.core.dataplane.compile_offsets`) that turns regular section
+moves into contiguous or strided slice copies at memcpy speed.
 
 Hybrid storage: genuinely irregular sequences (Chaos-style permutations)
 would *grow* if stored as runs — three int64 per near-singleton run
@@ -36,15 +36,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = [
-    "RunList", "KeyGroups", "run_starts", "group_by_runs", "copy_runs", "as_offsets",
-]
+__all__ = ["RunList", "KeyGroups", "run_starts", "group_by_runs"]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_RUNS = np.zeros((0, 3), dtype=np.int64)
-
-#: sentinel distinguishing "never classified" from "classified: not a grid"
-_UNSET = object()
 
 #: per-run wire cost in bytes: (start, step, count) as three int64
 RUN_WIRE_BYTES = 24
@@ -194,7 +189,7 @@ class RunList:
     expansions returned by :meth:`dense` are read-only views).
     """
 
-    __slots__ = ("_runs", "_dense", "_n", "_nruns", "_canon", "_grid", "_program")
+    __slots__ = ("_runs", "_dense", "_n", "_nruns", "_canon", "_program")
 
     def __init__(self, runs, dense, n: int, nruns: int):
         # Private: use from_dense / from_runs / empty.
@@ -203,7 +198,6 @@ class RunList:
         self._n = int(n)
         self._nruns = int(nruns)
         self._canon = None  # lazy executor-side canonical run table
-        self._grid = _UNSET  # lazy uniform-grid classification of _canon
         self._program = None  # lazy compiled MoveProgram (repro.core.dataplane)
 
     # -- constructors -------------------------------------------------------
@@ -286,6 +280,20 @@ class RunList:
         return _run_table(self._dense, run_starts(self._dense))
 
     @property
+    def stored(self) -> np.ndarray:
+        """The stored representation (read-only): the ``(R, 3)`` run table
+        when compressed, else the dense offsets.  It is the whole logical
+        content — what pickles, what replay hashes; ``_canon`` and
+        ``_program`` are memos derived from it."""
+        return self._runs if self._runs is not None else self._dense
+
+    def __reduce__(self):
+        # Pickle and deep-copy through the constructors, so a snapshot never
+        # carries (and never depends on) the memo slots.
+        rebuild = RunList.from_runs if self.is_compressed else RunList.from_dense
+        return rebuild, (self.stored,)
+
+    @property
     def nbytes_wire(self) -> int:
         """Run-encoded transport size (matches ``RunEncoded.nbytes``)."""
         return RUN_WIRE_HEADER + RUN_WIRE_BYTES * self._nruns
@@ -293,9 +301,7 @@ class RunList:
     @property
     def nbytes_memory(self) -> int:
         """In-memory footprint of the canonical stored representation."""
-        if self._runs is not None:
-            return RUN_WIRE_HEADER + self._runs.nbytes
-        return RUN_WIRE_HEADER + self._dense.nbytes
+        return RUN_WIRE_HEADER + self.stored.nbytes
 
     def __len__(self) -> int:
         return self._n
@@ -396,7 +402,7 @@ class RunList:
             return cls(runs, None, sum(p._n for p in pieces), len(runs))
         return cls.from_dense(np.concatenate([p.dense() for p in pieces]))
 
-    # -- executor fast paths -------------------------------------------------
+    # -- executor side --------------------------------------------------------
 
     def _exec_runs(self) -> np.ndarray:
         """Canonical run table used by the executors (cached).
@@ -417,79 +423,6 @@ class RunList:
             else:
                 self._canon = _coalesce_runs(runs)
         return self._canon
-
-    def _uniform_grid(self):
-        """``(start0, rowstep, step, nrows, count)`` when the canonical run
-        table is a uniform 2-D grid: every run has the same positive step
-        and count and the starts form a positive arithmetic progression.
-        This is exactly a strided section of a row-major array (Multiblock
-        Parti's strided-block descriptor) and executes as one strided-view
-        copy.  Returns ``None`` for anything else.
-
-        The classification is cached alongside ``_canon`` — steady-state
-        plan loops replay the answer without re-analysis.
-        """
-        if self._grid is not _UNSET:
-            return self._grid
-        self._grid = None
-        runs = self._exec_runs()
-        if runs is None or len(runs) < 2:
-            return None
-        step = int(runs[0, 1])
-        count = int(runs[0, 2])
-        if step <= 0 or not (runs[:, 1] == step).all() or not (runs[:, 2] == count).all():
-            return None
-        starts = runs[:, 0]
-        rowstep = int(starts[1] - starts[0])
-        if rowstep <= 0 or not (np.diff(starts) == rowstep).all():
-            return None
-        self._grid = (int(starts[0]), rowstep, step, len(runs), count)
-        return self._grid
-
-    def gather(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``data[self]`` executed through the compiled move program.
-
-        One batched NumPy operation: a basic-slice copy for a single
-        run, strided-view block copies for (piecewise-)uniform grids, a
-        single fancy-index gather through the cached dense index vector
-        for irregular sequences.  ``data`` may be any strided ndarray —
-        1-D views of any step, C-contiguous blocks, or arbitrary
-        non-contiguous layouts (addressed through cached coordinates).
-
-        ``out``, when given, receives the gathered elements in place (it
-        must be 1-D, length ``len(self)``, dtype-compatible) and is
-        returned — the fused-plan executor packs segments straight into a
-        pooled staging buffer this way, with zero intermediate
-        allocation.
-        """
-        from repro.core.dataplane import compile_offsets
-
-        return compile_offsets(self).gather(data, out=out)
-
-    def scatter(self, data: np.ndarray, values: np.ndarray) -> None:
-        """``data[self] = values`` executed through the compiled program.
-
-        Matches NumPy scatter semantics for repeated offsets (the last
-        occurrence wins), though valid schedules never repeat a
-        destination slot.  Interleaved grids (rows closer than one row's
-        extent) never take the strided-view store — every such program
-        is marked scatter-unsafe at compile time and runs as a fancy
-        scatter instead.
-        """
-        from repro.core.dataplane import compile_offsets
-
-        compile_offsets(self).scatter(data, values)
-
-
-def as_offsets(offsets) -> "RunList | np.ndarray":
-    """Normalize an offsets argument for the executors.
-
-    RunLists pass through; anything else becomes an int64 ndarray (the
-    legacy dense path).
-    """
-    if isinstance(offsets, RunList):
-        return offsets
-    return np.asarray(offsets, dtype=np.int64)
 
 
 class KeyGroups:
@@ -572,28 +505,3 @@ def group_by_runs(keys: np.ndarray, values: np.ndarray) -> dict[int, "RunList"]:
     data-sized.  The one-value-array case of :class:`KeyGroups`.
     """
     return KeyGroups(keys).runlists(values)
-
-
-def copy_runs(
-    src_data: np.ndarray,
-    src_offsets,
-    dst_data: np.ndarray,
-    dst_offsets,
-) -> None:
-    """``dst_data[dst_offsets] = src_data[src_offsets]``, compiled.
-
-    Both sides lower to cached move programs and the copy executes as
-    aligned direct stores — slice-to-slice for single runs, strided
-    view-to-view for matched grids — with a single fancy-to-fancy
-    assignment through the cached index vectors for everything else
-    (the Chaos-style irregular path).  No staging buffer in any case,
-    and either data side may be an arbitrarily strided ndarray.
-    """
-    from repro.core.dataplane import compile_offsets, copy_compiled
-
-    src_offsets = as_offsets(src_offsets)
-    dst_offsets = as_offsets(dst_offsets)
-    copy_compiled(
-        compile_offsets(src_offsets), src_data,
-        compile_offsets(dst_offsets), dst_data,
-    )

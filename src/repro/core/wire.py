@@ -96,6 +96,17 @@ class RunEncoded:
         """Run-encoded wire size: (start, step, count) per run."""
         return RUN_WIRE_HEADER + RUN_WIRE_BYTES * self.runlist.nruns
 
+    def __wire__(self, update, feed) -> None:
+        """Canonical bytes (:mod:`repro.vmachine.payload`): the length and
+        what travels — the run table, or the dense offsets of a sequence
+        kept dense — never the lazy expansion or a compiled program."""
+        update(b"R")
+        feed(len(self.runlist), update)
+        feed(self.runlist.stored, update)
+
+    def __reduce__(self):
+        return RunEncoded, (self.runlist,)
+
     def __len__(self) -> int:
         return len(self.runlist)
 
@@ -244,6 +255,16 @@ class FusedBuffer:
         """Aligned dtype view of segment ``i``'s payload."""
         lo, hi, dtype = self.layout.views[i]
         return self.data[lo:hi].view(dtype)
+
+    def __wire__(self, update, feed) -> None:
+        """Canonical bytes (:mod:`repro.vmachine.payload`): the headers and
+        each segment's dtype view — never the raw staging store, whose
+        alignment padding and arena size-class tail are uninitialized."""
+        headers = self.headers
+        update(b"W" + str(len(headers)).encode())
+        for header, segment in zip(headers, self.segments()):
+            update(repr(header).encode())
+            feed(segment, update)
 
     def release(self) -> None:
         """Return the staging buffer to the sender's arena (idempotent;

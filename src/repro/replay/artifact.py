@@ -6,9 +6,9 @@ Layout (JSON, optionally gzip-compressed when the path ends in ``.gz``)::
       "format": "repro-replay",
       "checksum": "<sha256 of the canonical-JSON body>",
       "body": {
-        "version": 1,
+        "version": 2,
         "kind": "vm" | "programs",
-        "payloads": bool,          # recv records carry pickled payloads
+        "payloads": bool,          # recvs carry a "payload" column
         "note": str,
         "config": {
           "nprocs": int,
@@ -26,9 +26,12 @@ Layout (JSON, optionally gzip-compressed when the path ends in ``.gz``)::
         "fault_plan": {...} | null,    # full FaultPlan, incl. seed
         "ranks": [
           {
-            "sends":  [[seq, dst, tag, nbytes, clock, digest, receipt], ...],
-            "recvs":  [[seq, src, tag, nbytes, arrival, clock, wait,
-                        digest(, payload_b64)], ...],
+            "sends":  {"seq": [...], "dst": [...], "tag": [...],
+                       "nbytes": [...], "clock": [...], "digest": [...],
+                       "receipt": [...]},
+            "recvs":  {"seq": [...], "src": [...], "tag": [...],
+                       "nbytes": [...], "arrival": [...], "clock": [...],
+                       "wait": [...], "digest": [...](, "payload": [...])},
             "probes": "0110...",   # probe outcomes, call order
             "trace":  [[kind, time, rank, peer, tag, nbytes, wait, phase]],
             "clock":  float,
@@ -39,11 +42,24 @@ Layout (JSON, optionally gzip-compressed when the path ends in ``.gz``)::
       }
     }
 
+A rank's ``sends`` and ``recvs`` are *named columns* of equal length, one
+entry per message in the order the rank sent (consumed) them; the column
+names are :class:`SendRecord` and :class:`RecvRecord`'s fields, defined
+here and nowhere else, and :func:`records` reads a stream back a message
+at a time.  ``payload`` (base64 text of a snapshot, see
+:func:`encode_payload`) is present exactly when ``body["payloads"]``.
+
 ``seq`` numbers are **per directed channel**: a send record's ``seq``
 counts sends from this rank toward ``dst``; a recv record's ``seq``
 counts messages this rank *consumed* from ``src``.  A divergence or an
 integrity violation therefore always localizes to ``(rank, src → dst,
 seq)``.
+
+``digest`` is :func:`~repro.replay.fingerprint.payload_digest` of the
+payload — sha256 over the canonical bytes its type declares in the
+payload table (:mod:`repro.vmachine.payload`).  Version 1 hashed other
+objects through their pickle (slot layouts, memo slots and all); nothing
+was committed in it and :func:`load_artifact` refuses it.
 
 Floats round-trip exactly through JSON (Python emits the shortest
 repr that parses back to the same double), so "byte-identical clocks"
@@ -66,10 +82,11 @@ import gzip
 import hashlib
 import json
 import pickle
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
-from repro.replay.fingerprint import env_fingerprint, payload_digest
+from repro.replay.fingerprint import payload_digest
 from repro.vmachine.faults import (
     CrashEvent,
     DeliveryReceipt,
@@ -82,6 +99,10 @@ from repro.vmachine.faults import (
 __all__ = [
     "FORMAT",
     "VERSION",
+    "SendRecord",
+    "RecvRecord",
+    "new_stream",
+    "records",
     "ReplayFormatError",
     "IntegrityViolation",
     "faultplan_to_dict",
@@ -98,7 +119,26 @@ __all__ = [
 ]
 
 FORMAT = "repro-replay"
-VERSION = 1
+VERSION = 2
+
+
+#: one sent message; the fields are the ``sends`` column names
+SendRecord = namedtuple(
+    "SendRecord", "seq dst tag nbytes clock digest receipt")
+#: one consumed message; the fields are the ``recvs`` column names
+#: (``payload``, when captured, is one more column beside them)
+RecvRecord = namedtuple(
+    "RecvRecord", "seq src tag nbytes arrival clock wait digest")
+
+
+def new_stream(record: type, *extra: str) -> dict[str, list]:
+    """An empty stream: one list per field of ``record`` (and ``extra``)."""
+    return {name: [] for name in (*record._fields, *extra)}
+
+
+def records(stream: dict[str, list], record: type) -> Iterator:
+    """A stream's messages, in order, as ``record`` tuples."""
+    return map(record._make, zip(*(stream[name] for name in record._fields)))
 
 
 class ReplayFormatError(ValueError):
@@ -326,6 +366,21 @@ def load_artifact(path: str) -> dict:
     return artifact
 
 
+def _payload_damage(encoded: str | None, want: str) -> tuple[str, str] | None:
+    """What is wrong with one stored payload, as ``(kind, detail)``."""
+    if encoded is None:
+        return "record", "payload could not be captured at record time"
+    try:
+        payload = decode_payload(encoded)
+    except Exception as exc:
+        return "payload", (f"stored payload no longer decodes: "
+                           f"{type(exc).__name__}: {exc}")
+    got = payload_digest(payload)
+    if got != want:
+        return "payload", f"payload digest {got} != recorded {want}"
+    return None
+
+
 def verify_artifact(artifact: dict) -> list[IntegrityViolation]:
     """Check artifact integrity, localizing damage to (rank, channel, seq).
 
@@ -349,66 +404,12 @@ def verify_artifact(artifact: dict) -> list[IntegrityViolation]:
         )
     body = artifact.get("body", {})
     for rank, entry in enumerate(body.get("ranks", [])):
-        for rec in entry.get("recvs", []):
-            if len(rec) < 9:
-                continue  # recorded without payloads
-            seq, src = rec[0], rec[1]
-            want = rec[7]
-            encoded = rec[8]
-            channel = (src, rank)
-            if encoded is None:
-                violations.append(
-                    IntegrityViolation(
-                        "record", rank, channel, seq,
-                        "payload could not be captured at record time",
-                    )
-                )
-                continue
-            try:
-                payload = decode_payload(encoded)
-            except Exception as exc:
-                violations.append(
-                    IntegrityViolation(
-                        "payload", rank, channel, seq,
-                        f"stored payload no longer decodes: "
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            got = payload_digest(payload)
-            if got != want:
-                violations.append(
-                    IntegrityViolation(
-                        "payload", rank, channel, seq,
-                        f"payload digest {got} != recorded {want}",
-                    )
-                )
+        recvs = entry["recvs"]
+        # no "payload" column: recorded without payloads
+        for rec, encoded in zip(records(recvs, RecvRecord),
+                                recvs.get("payload", ())):
+            damage = _payload_damage(encoded, rec.digest)
+            if damage is not None:
+                violations.append(IntegrityViolation(
+                    damage[0], rank, (rec.src, rank), rec.seq, damage[1]))
     return violations
-
-
-# -- body assembly (used by the Recorder) -----------------------------------
-
-
-def build_body(
-    *,
-    kind: str,
-    config: dict,
-    env: dict[str, str],
-    fault_plan_dict: dict | None,
-    payloads: bool,
-    note: str,
-    ranks: list[dict],
-    error: str | None,
-) -> dict:
-    return {
-        "version": VERSION,
-        "kind": kind,
-        "payloads": payloads,
-        "note": note,
-        "config": config,
-        "env": env,
-        "env_fingerprint": env_fingerprint(env),
-        "fault_plan": fault_plan_dict,
-        "ranks": ranks,
-        "error": error,
-    }

@@ -80,7 +80,7 @@ def cmd_record(args) -> int:
         return 2
     path = recorder.save(args.out)
     body = recorder.artifact["body"]
-    nmsg = sum(len(r["recvs"]) for r in body["ranks"])
+    nmsg = sum(len(r["recvs"]["seq"]) for r in body["ranks"])
     print(
         f"recorded {args.workload} ({outcome}): {body['config']['nprocs']} "
         f"rank(s), {nmsg} message(s), payloads="

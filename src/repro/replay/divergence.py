@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.replay.artifact import RecvRecord, SendRecord, records
+
 __all__ = ["Divergence", "ReplayReport", "diff_bodies"]
 
 
@@ -71,57 +73,43 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-_SEND_FIELDS = ("seq", "dst", "tag", "nbytes", "clock", "digest", "receipt")
-_RECV_FIELDS = ("seq", "src", "tag", "nbytes", "arrival", "clock", "wait",
-                "digest")
-
-
 def _diff_log(
     out: list[Divergence],
     kind: str,
     rank: int,
-    recorded: list,
-    replayed: list,
-    fields: tuple[str, ...],
-    peer_index: int,
-    channel_of,
+    recorded: dict,
+    replayed: dict,
 ) -> None:
-    """Diff one rank's send or recv log, localizing the *first* mismatch
+    """Diff one rank's send or recv stream, localizing the *first* mismatch
     per directed channel (later mismatches on the same channel are almost
-    always knock-on effects of the first)."""
-    flagged: set[tuple[int, int]] = set()
+    always knock-on effects of the first).  Only the record's columns are
+    compared: payload capture is optional and a replay records none."""
+    record, peer = (SendRecord, "dst") if kind == "send" else (RecvRecord, "src")
     # Group both logs per peer so a divergence names its channel even when
     # interleaving across channels shifted.
-    rec_by_peer: dict[int, list] = {}
-    for r in recorded:
-        rec_by_peer.setdefault(r[peer_index], []).append(r)
-    rep_by_peer: dict[int, list] = {}
-    for r in replayed:
-        rep_by_peer.setdefault(r[peer_index], []).append(r)
-    for peer in sorted(set(rec_by_peer) | set(rep_by_peer)):
-        a = rec_by_peer.get(peer, [])
-        b = rep_by_peer.get(peer, [])
-        channel = channel_of(peer)
-        for i in range(min(len(a), len(b))):
-            ra, rb = a[i], b[i]
-            # Payload capture is optional; compare only the shared prefix.
-            n = min(len(ra), len(rb), len(fields))
-            for j in range(n):
-                if ra[j] != rb[j]:
-                    if channel not in flagged:
-                        flagged.add(channel)
-                        out.append(Divergence(
-                            kind, rank, channel, ra[0], fields[j],
-                            ra[j], rb[j],
-                        ))
-                    break
-            if channel in flagged:
+    rec_by_peer, rep_by_peer = {}, {}
+    for stream, groups in ((recorded, rec_by_peer), (replayed, rep_by_peer)):
+        for rec in records(stream, record):
+            groups.setdefault(getattr(rec, peer), []).append(rec)
+    for who in sorted(set(rec_by_peer) | set(rep_by_peer)):
+        a = rec_by_peer.get(who, [])
+        b = rep_by_peer.get(who, [])
+        channel = (rank, who) if peer == "dst" else (who, rank)
+        for ra, rb in zip(a, b):
+            if ra != rb:
+                name = next(f for f in record._fields
+                            if getattr(ra, f) != getattr(rb, f))
+                out.append(Divergence(
+                    kind, rank, channel, ra.seq, name,
+                    getattr(ra, name), getattr(rb, name),
+                ))
                 break
-        if channel not in flagged and len(a) != len(b):
-            out.append(Divergence(
-                kind, rank, channel, min(len(a), len(b)), "count",
-                len(a), len(b),
-            ))
+        else:
+            if len(a) != len(b):
+                out.append(Divergence(
+                    kind, rank, channel, min(len(a), len(b)), "count",
+                    len(a), len(b),
+                ))
 
 
 def diff_bodies(
@@ -168,10 +156,8 @@ def diff_bodies(
                 "clock", rank, None, None, "clock", a["clock"], b["clock"],
             ))
 
-        _diff_log(out, "send", rank, a["sends"], b["sends"], _SEND_FIELDS,
-                  peer_index=1, channel_of=lambda peer, r=rank: (r, peer))
-        _diff_log(out, "recv", rank, a["recvs"], b["recvs"], _RECV_FIELDS,
-                  peer_index=1, channel_of=lambda peer, r=rank: (peer, r))
+        _diff_log(out, "send", rank, a["sends"], b["sends"])
+        _diff_log(out, "recv", rank, a["recvs"], b["recvs"])
 
         if a["probes"] != b["probes"]:
             pa, pb = a["probes"], b["probes"]

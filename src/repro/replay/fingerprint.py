@@ -1,33 +1,32 @@
 """Content digests and run fingerprints for record/replay.
 
 Everything here is *canonical*: the same logical content always hashes to
-the same hex string, across interpreter runs (no salted ``hash()``),
-across NumPy memory layouts (arrays are digested in C order), and across
-the padding garbage of pooled staging buffers (fused wire buffers are
-digested segment by segment, never through their raw backing storage,
-whose alignment gaps are uninitialized ``np.empty`` bytes).
+the same hex string — across interpreter runs (no salted ``hash()``),
+across NumPy memory layouts, across the padding garbage of pooled staging
+buffers, and across whatever an object has lazily memoised since it was
+built.  What "logical content" means is not decided here: a digest is
+sha256 over the bytes the payload table declares for the value's type
+(:func:`repro.vmachine.payload.canonical_feed` — the table that also says
+what the cost model charges for it).  A value of a type the table does
+not know raises ``TypeError``; nothing is hashed through its in-memory
+representation.
 
 These digests are the atoms of the replay artifact: every recorded wire
 message carries one, so a single corrupted byte — in a replayed run *or*
 in the artifact file itself — is localized to ``(rank, channel, seq)``
 instead of surfacing as "something differed".
-
-This module deliberately imports nothing from :mod:`repro.vmachine`, so
-the machine layer can import it without cycles.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from typing import Any
 
-import numpy as np
+from repro.vmachine.payload import canonical_feed
 
 __all__ = [
     "payload_digest",
-    "values_digest",
     "env_snapshot",
     "env_fingerprint",
     "plan_fingerprint",
@@ -39,68 +38,12 @@ __all__ = [
 DIGEST_LEN = 16
 
 
-def _feed(h, obj: Any) -> None:
-    """Feed one payload object into a hash, canonically and type-tagged."""
-    if obj is None:
-        h.update(b"N")
-    elif isinstance(obj, bool):
-        h.update(b"B1" if obj else b"B0")
-    elif isinstance(obj, int):
-        h.update(b"I" + str(obj).encode())
-    elif isinstance(obj, float):
-        h.update(b"F" + repr(obj).encode())
-    elif isinstance(obj, str):
-        h.update(b"S" + obj.encode("utf-8"))
-    elif isinstance(obj, (bytes, bytearray, memoryview)):
-        h.update(b"Y")
-        h.update(bytes(obj))
-    elif isinstance(obj, np.ndarray):
-        h.update(b"A" + np.dtype(obj.dtype).str.encode()
-                 + repr(obj.shape).encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, np.generic):
-        h.update(b"G" + np.dtype(obj.dtype).str.encode() + obj.tobytes())
-    elif isinstance(obj, (tuple, list)):
-        h.update(b"T" if isinstance(obj, tuple) else b"L")
-        h.update(str(len(obj)).encode())
-        for item in obj:
-            _feed(h, item)
-    elif isinstance(obj, dict):
-        h.update(b"D" + str(len(obj)).encode())
-        for k, v in obj.items():
-            _feed(h, k)
-            _feed(h, v)
-    elif hasattr(obj, "headers") and hasattr(obj, "segment"):
-        # Fused wire buffer (duck-typed to avoid importing repro.core):
-        # digest the self-describing headers and each segment's dtype view.
-        # Never touch the raw backing store — its alignment padding and
-        # arena size-class tail are uninitialized bytes.
-        headers = obj.headers
-        h.update(b"W" + str(len(headers)).encode())
-        for i, hd in enumerate(headers):
-            h.update(repr(hd).encode())
-            _feed(h, obj.segment(i))
-    else:
-        # Opaque runtime object (RunEncoded, descriptors, dataclasses).
-        # pickle is deterministic for the acyclic, slot/dataclass payloads
-        # this transport carries; anything unpicklable degrades to repr.
-        h.update(b"P")
-        try:
-            h.update(pickle.dumps(obj, protocol=4))
-        except Exception:
-            h.update(f"{type(obj).__name__}:{obj!r}".encode())
-
-
 def payload_digest(payload: Any) -> str:
-    """Canonical content digest of one message payload (hex string)."""
+    """Canonical content digest (hex string) of one message payload — or
+    of a rank's return value: same canonical form."""
     h = hashlib.sha256()
-    _feed(h, payload)
+    canonical_feed(payload, h.update)
     return h.hexdigest()[:DIGEST_LEN]
-
-
-def values_digest(value: Any) -> str:
-    """Digest of one rank's SPMD return value (same canonical form)."""
-    return payload_digest(value)
 
 
 def env_snapshot() -> dict[str, str]:
@@ -121,11 +64,7 @@ def env_fingerprint(env: dict[str, str] | None = None) -> str:
 
 def plan_fingerprint(plan_dict: dict | None) -> str | None:
     """Stable digest of a serialized fault plan (None when faults off)."""
-    if plan_dict is None:
-        return None
-    h = hashlib.sha256()
-    _feed(h, plan_dict)
-    return h.hexdigest()[:DIGEST_LEN]
+    return None if plan_dict is None else payload_digest(plan_dict)
 
 
 def replay_handle(

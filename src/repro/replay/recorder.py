@@ -14,7 +14,9 @@ The transport layer then calls four hooks on the hot path:
 
 All hooks are plain Python appends on the calling rank's own thread:
 recording charges **zero logical-clock time** and takes no locks, so
-recorded runs keep the exact clocks of unrecorded ones.
+recorded runs keep the exact clocks of unrecorded ones.  A message is one
+entry on each named column of the rank's ``sends`` / ``recvs`` stream —
+the artifact's on-disk form as it stands.
 
 Probe outcomes matter for single-rank isolation replay: the reliability
 layer drains acks and backlog through ``while endpoint.probe(...)``
@@ -30,16 +32,26 @@ import traceback as _traceback
 from typing import Any
 
 from repro.replay.artifact import (
-    build_body,
+    RecvRecord,
+    SendRecord,
+    VERSION,
     encode_payload,
     encode_receipt,
+    new_stream,
     save_artifact,
     seal_body,
 )
-from repro.replay.fingerprint import env_snapshot, payload_digest, values_digest
+from repro.replay.fingerprint import env_fingerprint, env_snapshot, payload_digest
 from repro.vmachine.trace import event_to_tuple
 
 __all__ = ["Recorder", "RankRecorder"]
+
+
+def _append(stream: dict[str, list], record: tuple) -> None:
+    """One message onto a stream: ``record``'s fields are the stream's
+    leading columns, in order."""
+    for column, value in zip(stream.values(), record):
+        column.append(value)
 
 
 class RankRecorder:
@@ -47,15 +59,14 @@ class RankRecorder:
     per rank), so appends need no synchronization."""
 
     __slots__ = (
-        "rank", "payloads", "sends", "recvs", "probes",
+        "rank", "sends", "recvs", "probes",
         "_send_seq", "_recv_seq", "_pending_digest",
     )
 
     def __init__(self, rank: int, payloads: bool = False) -> None:
         self.rank = rank
-        self.payloads = payloads
-        self.sends: list[list] = []
-        self.recvs: list[list] = []
+        self.sends = new_stream(SendRecord)
+        self.recvs = new_stream(RecvRecord, *(("payload",) if payloads else ()))
         self.probes: list[str] = []
         self._send_seq: dict[int, int] = {}
         self._recv_seq: dict[int, int] = {}
@@ -63,31 +74,37 @@ class RankRecorder:
 
     # -- hooks (hot path, zero clock charge) -------------------------------
 
+    def _digest(self, message) -> str:
+        try:
+            return payload_digest(message.payload)
+        except TypeError as exc:
+            raise TypeError(
+                f"{exc}; in the message rank {message.source} -> "
+                f"{message.dest}, tag {message.tag & 0xFFFF}"
+            ) from None
+
     def pre_send(self, message) -> None:
         # Digest now: after delivery the receiver may already have
         # unpacked the fused buffer and released its arena lease.
-        self._pending_digest = payload_digest(message.payload)
+        self._pending_digest = self._digest(message)
 
     def on_send(self, message, receipt, clock: float) -> None:
         dst = message.dest
         seq = self._send_seq.get(dst, 0)
         self._send_seq[dst] = seq + 1
-        digest = self._pending_digest
-        self._pending_digest = None
-        self.sends.append(
-            [seq, dst, message.tag, message.nbytes, clock, digest,
-             encode_receipt(receipt)]
-        )
+        _append(self.sends, SendRecord(
+            seq, dst, message.tag, message.nbytes, clock,
+            self._pending_digest, encode_receipt(receipt)))
 
     def on_recv(self, message, wait: float, clock: float) -> None:
         src = message.source
         seq = self._recv_seq.get(src, 0)
         self._recv_seq[src] = seq + 1
-        rec = [seq, src, message.tag, message.nbytes, message.arrival,
-               clock, wait, payload_digest(message.payload)]
-        if self.payloads:
-            rec.append(encode_payload(message.payload))
-        self.recvs.append(rec)
+        _append(self.recvs, RecvRecord(
+            seq, src, message.tag, message.nbytes, message.arrival, clock,
+            wait, self._digest(message)))
+        if "payload" in self.recvs:
+            self.recvs["payload"].append(encode_payload(message.payload))
 
     def on_probe(self, hit: bool) -> None:
         self.probes.append("1" if hit else "0")
@@ -99,9 +116,9 @@ class RankRecorder:
             "sends": self.sends,
             "recvs": self.recvs,
             "probes": "".join(self.probes),
-            "trace": [event_to_tuple(e) for e in (trace or [])],
+            "trace": [event_to_tuple(e) for e in trace],
             "clock": clock,
-            "value": values_digest(value),
+            "value": payload_digest(value),
         }
 
 
@@ -142,39 +159,37 @@ class Recorder:
         config: dict,
         fault_plan_dict: dict | None,
         clocks: list[float],
-        traces: list | None,
-        values: list | None,
+        traces: list,
+        values: list,
         error: BaseException | str | None = None,
     ) -> dict:
-        """Build and seal the artifact.  Returns the sealed envelope."""
-        nprocs = config["nprocs"]
+        """Build and seal the artifact (``clocks``, ``traces`` and ``values``
+        hold one entry per rank).  Returns the sealed envelope."""
         config = dict(config)
         if self.workload is not None and config.get("workload") is None:
             config["workload"] = self.workload
-        ranks = []
-        for rank in range(nprocs):
-            rec = self._ranks.get(rank)
-            if rec is None:
-                rec = RankRecorder(rank, self.payloads)
-            trace = traces[rank] if traces is not None else []
-            value = values[rank] if values is not None else None
-            clock = clocks[rank] if rank < len(clocks) else 0.0
-            ranks.append(rec.entry(clock, trace, value))
+        ranks = [
+            self.rank_recorder(rank).entry(clocks[rank], traces[rank],
+                                           values[rank])
+            for rank in range(config["nprocs"])
+        ]
         if isinstance(error, BaseException):
             error = "".join(
                 _traceback.format_exception_only(type(error), error)
             ).strip()
-        body = build_body(
-            kind=kind,
-            config=config,
-            env=env_snapshot(),
-            fault_plan_dict=fault_plan_dict,
-            payloads=self.payloads,
-            note=self.note,
-            ranks=ranks,
-            error=error,
-        )
-        self.artifact = seal_body(body)
+        env = env_snapshot()
+        self.artifact = seal_body({
+            "version": VERSION,
+            "kind": kind,
+            "payloads": self.payloads,
+            "note": self.note,
+            "config": config,
+            "env": env,
+            "env_fingerprint": env_fingerprint(env),
+            "fault_plan": fault_plan_dict,
+            "ranks": ranks,
+            "error": error,
+        })
         return self.artifact
 
     def save(self, path: str) -> str:

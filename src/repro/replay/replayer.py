@@ -46,8 +46,10 @@ import os
 from collections import deque
 
 from repro.replay.artifact import (
+    RecvRecord,
     decode_payload,
     faultplan_from_dict,
+    records,
 )
 from repro.replay.divergence import Divergence, ReplayReport, diff_bodies
 from repro.replay.recorder import Recorder
@@ -198,30 +200,29 @@ class _SinkBox:
         pass
 
 
-class _LogMailbox(Mailbox):
+class _LogMailbox(_SinkBox, Mailbox):
     """Mailbox that serves one rank from its recorded streams.
 
     ``receive``/``receive_any_of`` hand out recorded messages in
     *consumption order* (pattern-checked against the caller's request);
-    ``probe`` replays the recorded outcome stream; inbound delivery is a
-    no-op (self-sends are already in the recv log).  Never blocks.
+    ``probe`` replays the recorded outcome stream; inbound delivery falls
+    into the sink (self-sends are already in the recv log).  Never blocks.
     """
 
-    def __init__(self, rank: int, recvs: list, probes: str):
+    def __init__(self, rank: int, recvs: dict, probes: str):
         super().__init__(rank)
         self._log: deque[Message] = deque()
-        for recd in recvs:
-            encoded = recd[8] if len(recd) > 8 else None
+        for recd, encoded in zip(records(recvs, RecvRecord), recvs["payload"]):
             if encoded is None:
                 raise ReplayLogExhausted(
-                    f"rank {rank}: recv seq {recd[0]} from {recd[1]} has no "
-                    "captured payload — record with payloads=True "
-                    "(CLI: --payloads) for isolation replay"
+                    f"rank {rank}: recv seq {recd.seq} from {recd.src} has no "
+                    "captured payload (it could not be snapshotted at record "
+                    "time), so the rank cannot be replayed in isolation"
                 )
             self._log.append(Message(
-                source=recd[1], dest=rank, tag=recd[2],
+                source=recd.src, dest=rank, tag=recd.tag,
                 payload=decode_payload(encoded),
-                arrival=recd[4], nbytes=recd[3],
+                arrival=recd.arrival, nbytes=recd.nbytes,
             ))
         self._probes = probes
         self._probe_cursor = 0
@@ -236,12 +237,6 @@ class _LogMailbox(Mailbox):
                 "original run — divergence)"
             )
         return self._log.popleft()
-
-    def deliver(self, message) -> None:
-        pass
-
-    def deliver_many(self, messages) -> None:
-        pass
 
     def receive(self, source, tag, timeout=None, tag_range=None, context=""):
         msg = self._next(f"receive(source={source}, tag={tag})")

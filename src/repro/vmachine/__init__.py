@@ -26,7 +26,8 @@ by the same cost model.
 """
 
 from repro.vmachine.cost_model import CostModel, MachineProfile, IBM_SP2, ALPHA_FARM_ATM
-from repro.vmachine.message import Message, Mailbox, ANY_SOURCE, ANY_TAG, payload_nbytes
+from repro.vmachine.message import Message, Mailbox, ANY_SOURCE, ANY_TAG
+from repro.vmachine.payload import payload_nbytes
 from repro.vmachine.process import Process, current_process, default_recv_timeout_s
 from repro.vmachine.comm import Communicator, InterComm, Request, waitall, waitany
 from repro.vmachine.machine import VirtualMachine, RankError, SPMDError

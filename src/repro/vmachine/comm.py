@@ -41,8 +41,8 @@ import copy as _copy
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
-from repro.vmachine.message import (ANY_SOURCE, ANY_TAG, Mailbox, Message,
-                                    payload_nbytes)
+from repro.vmachine.message import ANY_SOURCE, ANY_TAG, Mailbox, Message
+from repro.vmachine.payload import payload_nbytes
 from repro.vmachine.process import Process
 from repro.vmachine.trace import TraceEvent
 

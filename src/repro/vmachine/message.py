@@ -45,73 +45,10 @@ __all__ = [
     "Message",
     "Mailbox",
     "PackArena",
-    "payload_nbytes",
 ]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-_ndarray = np.ndarray
-
-
-def payload_nbytes(payload: Any) -> int:
-    """Best-effort size in bytes of a message payload.
-
-    Buffer-like objects (NumPy arrays and scalars, ``memoryview``) report
-    their buffer size via ``.nbytes``; strings are charged their encoded
-    UTF-8 length (what would actually cross the wire, not the code-point
-    count); tuples/lists/dicts are sized recursively; everything else is
-    charged a small fixed envelope.  The size feeds the cost model only —
-    it does not have to be exact, just monotone in the real data volume.
-
-    The ``.nbytes`` probe is restricted to genuinely buffer-like types up
-    front; for opaque objects it is honored only when the attribute is a
-    plain non-negative integer.  Schedules and descriptors define exactly
-    such an ``nbytes`` property, so they stay precisely charged, while an
-    arbitrary object whose ``nbytes`` is a method, a dtype quirk, or
-    otherwise not a byte count falls back to the fixed envelope instead
-    of crashing or mischarging — and a container subclass carrying a
-    stray ``nbytes`` attribute is still sized by its contents.
-
-    Runs once per message: the common exact types dispatch on ``type()``;
-    subclasses and the rest take the ladder (same byte counts).
-    """
-    kind = type(payload)
-    if kind is _ndarray:
-        return payload.nbytes
-    if payload is None or kind is int or kind is float:
-        return 8
-    if kind is tuple or kind is list:
-        return 8 + sum(map(payload_nbytes, payload))
-    if kind is str:
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, (np.ndarray, np.generic, memoryview)):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray)):
-        # len() *is* the byte count for these.
-        return len(payload)
-    if isinstance(payload, (tuple, list)):
-        return 8 + sum(payload_nbytes(item) for item in payload)
-    if isinstance(payload, dict):
-        return 8 + sum(
-            payload_nbytes(k) + payload_nbytes(v) for k, v in payload.items()
-        )
-    if isinstance(payload, (int, float, bool)):
-        return 8
-    if isinstance(payload, str):
-        # Encoded size, not len(): non-ASCII text serializes to more than
-        # one byte per code point (ASCII is unchanged, so historical
-        # logical clocks are unaffected).
-        return len(payload.encode("utf-8"))
-    nbytes = getattr(payload, "nbytes", None)
-    if (
-        isinstance(nbytes, (int, np.integer))
-        and not isinstance(nbytes, bool)
-        and nbytes >= 0
-    ):
-        return int(nbytes)
-    # Opaque object with no usable size: charge an envelope.
-    return 64
 
 
 def _matches(msg_source: int, msg_tag: int, source: int, tag: int,

@@ -3,7 +3,7 @@
 A plan is lowered once so that a move does not re-interpret it: per
 segment the executor should make a handful of Python calls (the segment
 kernel, the charge, the batched NumPy operation), not walk adapter →
-``as_offsets`` → ``compile_offsets`` → cast rule → ``charge_pack`` again.
+``compile_offsets`` → cast rule → ``charge_pack`` again.
 Wall-clock cannot guard that in CI, a count can: ``sys.setprofile``
 "call" events whose code lives under ``repro/core/`` (no wait loop runs
 there, so the count repeats exactly) for one steady-state fused k = 8
@@ -22,6 +22,7 @@ headroom over that; a change that needs more should say why.
 """
 
 import numpy as np
+import pytest
 
 import repro.blockparti  # noqa: F401
 import repro.chaos  # noqa: F401
@@ -36,6 +37,10 @@ from repro.core import (
 from repro.vmachine import VirtualMachine
 
 from helpers import index_sor, python_calls, section_sor
+
+#: the budgets are the all-hooks-off executor's (a recorder hashes every
+#: fused segment through ``repro/core/wire.py``)
+pytestmark = pytest.mark.usefixtures("clean_repro_env")
 
 P, N = 4, 64
 CALLS_PER_FUSED_SEGMENT = 15.5

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.runs import RunList, copy_runs, group_by_runs, run_starts
+from repro.core.dataplane import compile_offsets
+from repro.core.runs import RunList, group_by_runs, run_starts
 from repro.core.wire import count_runs
 
 
@@ -187,7 +188,7 @@ class TestExecutorFastPaths:
     def test_gather_matches_fancy_indexing(self, name, arr):
         data = np.random.default_rng(9).random(max(int(arr.max()) + 1 if len(arr) else 1, 1))
         rl = RunList.from_dense(arr)
-        np.testing.assert_array_equal(rl.gather(data), data[arr])
+        np.testing.assert_array_equal(compile_offsets(rl).gather(data), data[arr])
 
     @pytest.mark.parametrize("name,arr", _cases().items(), ids=_cases().keys())
     def test_scatter_matches_fancy_indexing(self, name, arr):
@@ -196,42 +197,8 @@ class TestExecutorFastPaths:
         expect = np.zeros(n)
         expect[arr] = values
         got = np.zeros(n)
-        RunList.from_dense(arr).scatter(got, values)
+        compile_offsets(RunList.from_dense(arr)).scatter(got, values)
         np.testing.assert_array_equal(got, expect)
-
-    def test_copy_runs_aligned_slices(self):
-        rng = np.random.default_rng(11)
-        src = rng.random(4000)
-        # Different run partitions of the same length force refinement.
-        src_off = np.concatenate([np.arange(0, 900, 3), np.arange(2000, 2100)])
-        dst_off = np.concatenate([np.arange(500, 250, -1), np.arange(1000, 1150)])
-        a, b = RunList.from_dense(src_off), RunList.from_dense(dst_off)
-        assert a.is_compressed and b.is_compressed
-        expect = np.zeros(4000)
-        expect[dst_off] = src[src_off]
-        got = np.zeros(4000)
-        copy_runs(src, a, got, b)
-        np.testing.assert_array_equal(got, expect)
-
-    def test_copy_runs_dense_fallback_and_mixed(self):
-        rng = np.random.default_rng(12)
-        src = rng.random(1000)
-        src_off = rng.permutation(1000)[:300]
-        dst_off = np.arange(300)
-        expect = np.zeros(1000)
-        expect[dst_off] = src[src_off]
-        for s, d in [
-            (src_off, dst_off),
-            (RunList.from_dense(src_off), RunList.from_dense(dst_off)),
-            (src_off, RunList.from_dense(dst_off)),
-        ]:
-            got = np.zeros(1000)
-            copy_runs(src, s, got, d)
-            np.testing.assert_array_equal(got, expect)
-
-    def test_copy_runs_length_mismatch(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            copy_runs(np.zeros(5), np.arange(3), np.zeros(5), np.arange(4))
 
     def test_grid_fast_path_matches_fancy_indexing(self):
         """Rows-with-gap offsets: greedy brackets each row jump with a
@@ -243,29 +210,32 @@ class TestExecutorFastPaths:
         # Wire accounting keeps the greedy count; execution canonicalizes.
         assert rl.nruns == count_runs(arr) == 2 * rows - 1
         assert len(rl._exec_runs()) == rows
-        assert rl._uniform_grid() == (0, pitch, 1, rows, width)
+        prog = compile_offsets(rl)
+        assert prog.kind == "grid"
+        assert prog.grids.tolist() == [[0, pitch, 1, rows, width]]
         data = np.random.default_rng(13).random(rows * pitch)
-        np.testing.assert_array_equal(rl.gather(data), data[arr])
+        np.testing.assert_array_equal(prog.gather(data), data[arr])
         vals = np.random.default_rng(14).random(len(arr))
         expect = np.zeros(rows * pitch)
         expect[arr] = vals
         got = np.zeros(rows * pitch)
-        rl.scatter(got, vals)
+        prog.scatter(got, vals)
         np.testing.assert_array_equal(got, expect)
 
     def test_grid_strided_columns(self):
         """Grid with strided (step > 1) runs also collapses to one view."""
         arr = np.concatenate([r * 100 + np.arange(0, 30, 3) for r in range(1, 20)])
         rl = RunList.from_dense(arr)
-        grid = rl._uniform_grid()
-        assert grid is not None and grid[2] == 3
+        prog = compile_offsets(rl)
+        assert prog.kind == "grid"
+        assert prog.grids.tolist() == [[100, 100, 3, 19, 10]]
         data = np.random.default_rng(15).random(2000)
-        np.testing.assert_array_equal(rl.gather(data), data[arr])
+        np.testing.assert_array_equal(prog.gather(data), data[arr])
         got = np.zeros(2000)
         vals = np.arange(float(len(arr)))
         got2 = np.zeros(2000)
         got2[arr] = vals
-        rl.scatter(got, vals)
+        prog.scatter(got, vals)
         np.testing.assert_array_equal(got, got2)
 
     def test_interleaved_grid_scatter_falls_back(self):
@@ -274,13 +244,15 @@ class TestExecutorFastPaths:
         arr = np.concatenate([r + np.arange(0, 40, 4) for r in range(4)])
         assert len(np.unique(arr)) == len(arr)
         rl = RunList.from_dense(arr)
-        grid = rl._uniform_grid()
-        assert grid is not None and grid[1] < grid[4] * grid[2]  # interleaved
+        prog = compile_offsets(rl)
+        assert prog.kind == "grid" and not prog.scatter_safe
+        (_, rowstep, step, _, count), = prog.grids.tolist()
+        assert rowstep < count * step  # interleaved
         vals = np.random.default_rng(16).random(len(arr))
         expect = np.zeros(60)
         expect[arr] = vals
         got = np.zeros(60)
-        rl.scatter(got, vals)
+        prog.scatter(got, vals)
         np.testing.assert_array_equal(got, expect)
 
     def test_canonicalization_is_internal_only(self):
@@ -288,7 +260,7 @@ class TestExecutorFastPaths:
         arr = np.concatenate([r * 50 + np.arange(20) for r in range(10)])
         rl = RunList.from_dense(arr)
         before = rl.runs.copy()
-        rl.gather(np.zeros(500))  # forces _exec_runs
+        compile_offsets(rl).gather(np.zeros(500))  # forces _exec_runs
         np.testing.assert_array_equal(rl.runs, before)
         assert rl.nruns == count_runs(arr)
         np.testing.assert_array_equal(rl.dense(), arr)
@@ -296,9 +268,9 @@ class TestExecutorFastPaths:
     def test_constant_run_gather_scatter(self):
         rl = RunList.from_dense(np.full(6, 2))
         data = np.array([0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(rl.gather(data), np.full(6, 2.0))
+        np.testing.assert_array_equal(compile_offsets(rl).gather(data), np.full(6, 2.0))
         out = np.zeros(4)
-        rl.scatter(out, np.arange(6.0))
+        compile_offsets(rl).scatter(out, np.arange(6.0))
         assert out[2] == 5.0  # last write wins, like data[offs] = values
 
 
@@ -317,12 +289,12 @@ def test_property_gather_scatter_equivalence(values):
     arr = np.array(values, dtype=np.int64)
     rl = RunList.from_dense(arr)
     data = np.arange(201, dtype=float) * 1.5
-    np.testing.assert_array_equal(rl.gather(data), data[arr])
+    np.testing.assert_array_equal(compile_offsets(rl).gather(data), data[arr])
     vals = np.random.default_rng(0).random(len(arr))
     a = np.zeros(201)
     b = np.zeros(201)
     a[arr] = vals
-    rl.scatter(b, vals)
+    compile_offsets(rl).scatter(b, vals)
     np.testing.assert_array_equal(a, b)
 
 

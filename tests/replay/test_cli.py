@@ -63,15 +63,12 @@ class TestRecordReplayCLI:
         art = json.loads(gzip.decompress(recorded.read_bytes()))
         # Flip one byte inside the first captured payload we can find.
         for rank in art["body"]["ranks"]:
-            for rec in rank["recvs"]:
-                if len(rec) > 8 and rec[8]:
-                    raw = bytearray(base64.b64decode(rec[8]))
-                    raw[-1] ^= 0x01
-                    rec[8] = base64.b64encode(bytes(raw)).decode()
-                    break
-            else:
-                continue
-            break
+            payloads = rank["recvs"]["payload"]
+            if payloads:
+                raw = bytearray(base64.b64decode(payloads[0]))
+                raw[-1] ^= 0x01
+                payloads[0] = base64.b64encode(bytes(raw)).decode()
+                break
         else:
             pytest.skip("no captured payload in artifact")
         bad = tmp_path / "tampered.replay.json"

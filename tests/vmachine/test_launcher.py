@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.replay import Recorder, replay_full, replay_rank
+from repro.replay.artifact import RecvRecord, new_stream
 from repro.replay.replayer import _LogMailbox, _SinkBox
 from repro.replay.workloads import build_workload
 from repro.vmachine import (ALPHA_FARM_ATM, CrashEvent, FaultPlan, FaultRates,
@@ -26,10 +27,7 @@ from repro.vmachine.machine import SPMDError
 from tests.vmachine.test_transport_identity import exercise, norm
 
 
-@pytest.fixture(autouse=True)
-def no_env_hooks(monkeypatch):
-    for name in ("REPRO_OBSERVE", "REPRO_RECORD", "REPRO_COPY_ON_SEND"):
-        monkeypatch.delenv(name, raising=False)
+pytestmark = pytest.mark.usefixtures("clean_repro_env")
 
 
 # -- (a) run(fn) is the one-program case of run_programs ---------------------
@@ -101,8 +99,9 @@ def test_run_is_the_one_program_case_of_run_programs(variant):
         for ours, theirs in zip(a["ranks"], b["ranks"]):
             assert [ours[k] for k in ("clock", "value", "probes")] == \
                 [theirs[k] for k in ("clock", "value", "probes")]
-            assert [s[:2] + s[3:] for s in ours["sends"]] == \
-                [s[:2] + s[3:] for s in theirs["sends"]]
+            # every send column but the tag (it carries the context block)
+            assert {**ours["sends"], "tag": None} == \
+                {**theirs["sends"], "tag": None}
 
 
 def test_thread_names_are_kept():
@@ -196,7 +195,8 @@ LAUNCHES = {
         [ProgramSpec("a", 3, lambda ctx: fn(ctx.comm))], recv_timeout_s=60.0),
     "isolation": lambda fn: VirtualMachine(3)._launch(
         [ProgramSpec("world", 3, fn)], world=True,
-        isolate=(1, _LogMailbox(1, [], ""), _SinkBox())),
+        isolate=(1, _LogMailbox(1, new_stream(RecvRecord, "payload"), ""),
+                 _SinkBox())),
 }
 
 

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.vmachine.message import ANY_SOURCE, ANY_TAG, Mailbox, Message, payload_nbytes
+from repro.vmachine.message import ANY_SOURCE, ANY_TAG, Mailbox, Message
+from repro.vmachine.payload import payload_nbytes
 
 
 def msg(source=0, tag=0, payload=None, arrival=0.0):

@@ -155,3 +155,80 @@ class TestNbytesProbeBoundaries:
         assert payload_nbytes((1, b"abc")) == 8 + 8 + 3
         assert payload_nbytes(0) == 8
         assert payload_nbytes(None) == 8
+
+
+def _ladder_nbytes(payload):
+    """The two ladders ``payload_nbytes`` was before the payload table —
+    kept as the oracle: the table must charge exactly what they did."""
+    if isinstance(payload, (np.ndarray, np.generic, memoryview)):
+        return int(payload.nbytes)
+    if isinstance(payload, (bytes, bytearray)):
+        return len(payload)
+    if isinstance(payload, (tuple, list)):
+        return 8 + sum(_ladder_nbytes(item) for item in payload)
+    if isinstance(payload, dict):
+        return 8 + sum(
+            _ladder_nbytes(k) + _ladder_nbytes(v) for k, v in payload.items()
+        )
+    if payload is None or isinstance(payload, (int, float, bool)):
+        return 8
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    nbytes = getattr(payload, "nbytes", None)
+    if (
+        isinstance(nbytes, (int, np.integer))
+        and not isinstance(nbytes, bool)
+        and nbytes >= 0
+    ):
+        return int(nbytes)
+    return 64
+
+
+class TestTableChargesWhatTheLaddersDid:
+    def test_every_kind_of_payload(self):
+        import enum
+        from collections import namedtuple
+        from dataclasses import dataclass
+
+        from repro.core.wire import FusedBuffer, RunEncoded, SegmentHeader
+
+        class Colour(enum.Enum):
+            RED = 1
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        @dataclass
+        class Sized:
+            nbytes: int = 48
+
+        @dataclass
+        class Unsized:
+            x: int = 0
+
+        class Listy(list):
+            nbytes = 10**6
+
+        class Texty(str):
+            pass
+
+        Pair = namedtuple("Pair", "a b")
+        a = np.arange(12, dtype=np.float32).reshape(3, 4)
+        fused = FusedBuffer((SegmentHeader(0, "<f8", 3),), np.zeros(256, np.uint8))
+        zoo = [
+            None, True, 0, 1 << 80, 2.5, "", "café", Texty("sub"), b"abc",
+            bytearray(7), memoryview(b"view"), memoryview(np.zeros(10))[::2],
+            a, a.T, a[::2], np.zeros(0), np.array(1.0), a.view(np.recarray),
+            np.float64(1.0), np.float32(1.0), np.int8(1), np.bool_(True),
+            np.str_("four"), np.bytes_(b"four"), np.complex128(1j),
+            (), [], {}, (1, ("abcd", 2.0)), Listy([a, a]), Pair(1, "b"),
+            {"ab": a, 3: [None, b"xy"]}, ("put", 3, 17, np.zeros(4)),
+            np.dtype("f8"), Colour.RED, Level.HIGH, Sized(), Unsized(),
+            object(), RunEncoded(np.arange(0, 64, 2)),
+            RunEncoded(np.random.default_rng(1).permutation(30)), fused,
+        ]
+        for payload in zoo:
+            assert payload_nbytes(payload) == _ladder_nbytes(payload), \
+                repr(payload)
+        assert [payload_nbytes(x) for x in
+                (True, np.dtype("f8"), Colour.RED)] == [8, 64, 64]

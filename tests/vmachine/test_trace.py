@@ -22,6 +22,7 @@ def ring(comm):
 
 
 class TestTracing:
+    @pytest.mark.usefixtures("clean_repro_env")  # REPRO_RECORD implies tracing
     def test_disabled_by_default(self):
         res = VirtualMachine(3).run(ring)
         assert res.traces == [[], [], []]

@@ -37,10 +37,7 @@ CONCERNS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def no_env_hooks(monkeypatch):
-    for name in ("REPRO_OBSERVE", "REPRO_RECORD", "REPRO_COPY_ON_SEND"):
-        monkeypatch.delenv(name, raising=False)
+pytestmark = pytest.mark.usefixtures("clean_repro_env")
 
 
 def norm(value):
@@ -184,7 +181,7 @@ def test_every_concern_leaves_clocks_counters_and_payloads_equal(run, reliable):
             body = hooks["recorder"].artifact["body"]
             assert [e["clock"] for e in body["ranks"]] == \
                 [c for res in got for c in res.clocks]
-            assert sum(len(e["sends"]) for e in body["ranks"]) == \
+            assert sum(len(e["sends"]["seq"]) for e in body["ranks"]) == \
                 sum(res.total_stat("messages_sent") for res in got)
 
 
@@ -220,7 +217,8 @@ def midrun(comm, install):
         trace=[(e.kind, e.phase) for e in proc.trace or []][:2],
         terms=dict(proc.metrics.terms) if install == "observe" else {},
         spans=[(s.name, s.path, s.depth) for s in proc.spans or []][:3],
-        recorded=(len(proc.recorder.sends), len(proc.recorder.recvs))
+        recorded=(len(proc.recorder.sends["seq"]),
+                  len(proc.recorder.recvs["seq"]))
         if proc.recorder is not None else None,
         fault_ops=dict(plan._counts(proc.rank)) if plan is not None else None,
     )

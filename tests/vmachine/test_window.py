@@ -7,7 +7,7 @@ import pytest
 from repro.vmachine import VirtualMachine, Window
 from repro.vmachine.faults import FaultPlan, FaultRates, tag_class
 from repro.vmachine.machine import SPMDError
-from repro.vmachine.message import payload_nbytes
+from repro.vmachine.payload import payload_nbytes
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
 from repro.vmachine.trace import MESSAGE_KINDS
 from repro.vmachine.window import TAG_RMA_BASE

@@ -32,25 +32,22 @@ regime of a timestep loop replaying one schedule.
 
 Logical clocks are byte-identical under both executions by construction;
 the end-to-end ``elapsed_ms`` fields recorded here are deterministic
-logical-clock values and are guarded by ``check_regression.py``, while
-the wall-clock fields (``*_s``, ``speedup_x``) are environment-dependent
-and exempt.
+logical-clock values, guarded byte for byte by ``python check.py bench``;
+the wall-clock timings and speedups are printed and shape-checked, never
+written.
 
 Shape expectations: compiled pack is >=10x the loop on the regular
 profile and >=3x on the irregular one; all three operations produce
 byte-identical results under both executions.
 
-Results land in ``BENCH_dataplane.json`` at the repo root and
-``results/ablation_dataplane.json``.
+Results land in ``BENCH_dataplane.json`` at the repo root.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from common import check_shape, print_header, record
+from common import check_shape, print_header, write_trajectory
 from repro.blockparti import BlockPartiArray
 from repro.chaos import ChaosArray
 from repro.core import (
@@ -67,7 +64,6 @@ from repro.vmachine import IBM_SP2, VirtualMachine
 
 N = 65536                    # paper scale: the 65536-point irregular mesh
 REPEATS = 7                  # best-of timing repetitions
-REPO_ROOT = Path(__file__).parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +232,8 @@ def best_of(fn, *args) -> float:
 
 def elapsed_end_to_end(profile_name: str) -> float:
     """Deterministic logical elapsed time (ms) of an end-to-end copy of
-    the profile's offsets on the IBM SP2 at P=4 — the regression-guard
-    anchor proving the compiled plane charges exactly the old costs."""
+    the profile's offsets on the IBM SP2 at P=4 — the guarded anchor
+    proving the compiled plane charges exactly the old costs."""
     n = 4096  # smaller end-to-end instance; clock identity is scale-free
     if profile_name == "regular":
         idx = regular_offsets()
@@ -321,47 +317,31 @@ def run_ablation():
         t_loop_c = best_of(loop_copy, data, rl_loop, copy_a, dst_rl_loop)
         t_comp_c = best_of(copy_compiled, prog, data, dst_prog, copy_b)
 
-        speedup = {
-            "pack": t_loop_g / t_comp_g,
-            "unpack": t_loop_s / t_comp_s,
-            "copy": t_loop_c / t_comp_c,
+        wall = {
+            "pack": (t_loop_g, t_comp_g),
+            "unpack": (t_loop_s, t_comp_s),
+            "copy": (t_loop_c, t_comp_c),
         }
-        speedups[name] = speedup
+        speedups[name] = {op: loop / comp for op, (loop, comp) in wall.items()}
         results[name] = {
             "profile": name,
             "nprocs": 1,
             "nelements": n,
             "nruns": rl_loop.nruns,
             "program_kind": prog.kind,
-            "pack": {
-                "loop_s": t_loop_g,
-                "compiled_s": t_comp_g,
-                "speedup_x": speedup["pack"],
-            },
-            "unpack": {
-                "loop_s": t_loop_s,
-                "compiled_s": t_comp_s,
-                "speedup_x": speedup["unpack"],
-            },
-            "copy": {
-                "loop_s": t_loop_c,
-                "compiled_s": t_comp_c,
-                "speedup_x": speedup["copy"],
-            },
             # deterministic logical clock of an end-to-end copy — the
-            # regression-guarded proof the compiled plane is clock-neutral
+            # guarded proof the compiled plane is clock-neutral
             "elapsed_ms": elapsed_end_to_end(name),
         }
         print(
             f"  {name:<10} ({n} elements, {rl_loop.nruns} runs -> "
             f"{prog.kind} program)"
         )
-        for op in ("pack", "unpack", "copy"):
-            r = results[name][op]
+        for op, (loop, comp) in wall.items():
             print(
-                f"    {op:<7} loop {r['loop_s'] * 1e3:8.3f} ms   "
-                f"compiled {r['compiled_s'] * 1e3:8.3f} ms   "
-                f"({r['speedup_x']:6.1f}x)"
+                f"    {op:<7} loop {loop * 1e3:8.3f} ms   "
+                f"compiled {comp * 1e3:8.3f} ms   "
+                f"({speedups[name][op]:6.1f}x)"
             )
 
     check_shape(
@@ -375,20 +355,17 @@ def run_ablation():
         f"({speedups['irregular']['pack']:.1f}x)",
     )
 
-    record("ablation_dataplane", results)
-    trajectory = {
-        "benchmark": "compiled_dataplane_ablation",
-        "workload": {
+    write_trajectory(
+        "dataplane",
+        "compiled_dataplane_ablation",
+        {
             "nelements": N,
             "pattern": "piecewise-uniform two-pitch section (regular) and "
                        "shuffled 8-16 element blocks (irregular); loop "
                        "reference is the pre-dataplane per-run executor",
             "operations": ["pack", "unpack", "copy"],
         },
-        "results": results,
-    }
-    (REPO_ROOT / "BENCH_dataplane.json").write_text(
-        json.dumps(trajectory, indent=2) + "\n"
+        results,
     )
     return results
 

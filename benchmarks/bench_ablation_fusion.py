@@ -30,17 +30,15 @@ Shape expectations, per profile and P ∈ {4, 8, 16}:
   bare, header-less wire, so its elapsed time equals the sequential
   copy's to the last bit.
 
-Results land in ``BENCH_fusion.json`` at the repo root (machine-readable
-trajectory for regression tracking) and ``results/ablation_fusion.json``.
+Results land in ``BENCH_fusion.json`` at the repo root (logical numbers
+only, guarded by ``python check.py bench``).
 """
 
 import functools
-import json
-from pathlib import Path
 
 import numpy as np
 
-from common import check_shape, print_header, record
+from common import check_shape, print_header, write_trajectory
 from repro.blockparti import BlockPartiArray
 from repro.chaos import ChaosArray
 from repro.core import (
@@ -59,7 +57,6 @@ N = 32                       # each field is N x N doubles (small: latency-bound
 K_VALUES = (1, 2, 4, 8)
 PROC_COUNTS = (4, 8, 16)
 PROFILES = (IBM_SP2, ALPHA_FARM_ATM)
-REPO_ROOT = Path(__file__).parent.parent
 
 
 #: the one mesh mapping all k fields share (paper §5.1: several physical
@@ -174,19 +171,16 @@ def run_ablation():
         f"({sp2_16_k8['improvement_pct']:.1f}%)",
     )
 
-    record("ablation_fusion", results)
-    trajectory = {
-        "benchmark": "fused_move_plan_ablation",
-        "workload": {
+    write_trajectory(
+        "fusion",
+        "fused_move_plan_ablation",
+        {
             "field": [N, N],
             "pattern": "k Parti row-block fields scattered onto k permuted "
                        "Chaos destinations; fused = one MovePlan execution",
             "k_values": list(K_VALUES),
         },
-        "results": results,
-    }
-    (REPO_ROOT / "BENCH_fusion.json").write_text(
-        json.dumps(trajectory, indent=2) + "\n"
+        results,
     )
     return results
 

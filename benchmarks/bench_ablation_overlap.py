@@ -20,16 +20,16 @@ pipelines each unpack under the next message's flight time.
 
 Shape expectations: >=10% logical-elapsed-time reduction at P=16 on the
 IBM SP2 profile, measurable reductions elsewhere, *identical* destination
-data and message/byte counts under both policies.  Results also land in
-``BENCH_overlap.json`` at the repo root (machine-readable trajectory for
-regression tracking).
+data and message/byte counts under both policies.  Results land in
+``BENCH_overlap.json`` at the repo root (logical numbers only; ``python
+check.py bench`` requires a re-run to reproduce it byte for byte).
 """
 
 import functools
 
 import numpy as np
 
-from common import check_shape, grid_sweep, print_header, record, write_trajectory
+from common import check_shape, grid_sweep, print_header, write_trajectory
 from repro.blockparti import BlockPartiArray
 from repro.core import (
     ExecutorPolicy,
@@ -146,7 +146,6 @@ def run_ablation():
         f"({sp2_16['improvement_pct']:.1f}%)",
     )
 
-    record("ablation_overlap", results)
     write_trajectory(
         "overlap",
         "overlap_executor_ablation",

@@ -21,16 +21,14 @@ Shape expectations: the destination array is byte-identical across all
 three configurations (that is the point of the protocol); reliable/clean
 costs more than raw; reliable/lossy costs more than reliable/clean and
 records retransmissions.  Results land in ``BENCH_reliability.json`` at
-the repo root (machine-readable trajectory for regression tracking).
+the repo root (logical numbers only, guarded by ``python check.py bench``).
 """
 
 import functools
-import json
-from pathlib import Path
 
 import numpy as np
 
-from common import check_shape, print_header, record
+from common import check_shape, print_header, write_trajectory
 from repro.blockparti import BlockPartiArray
 from repro.core import (
     IndexRegion,
@@ -48,7 +46,6 @@ N = 128                      # global array is N x N doubles
 PROC_COUNTS = (4, 8, 16)
 PROFILES = (IBM_SP2, ALPHA_FARM_ATM)
 SEED = 1997
-REPO_ROOT = Path(__file__).parent.parent
 
 PERM = np.random.default_rng(SEED).permutation(N * N)
 
@@ -152,20 +149,17 @@ def run_ablation():
                 f"{int(s_loss['faults_drop'])} drops)",
             )
 
-    record("ablation_reliability", results)
-    trajectory = {
-        "benchmark": "reliability_protocol_ablation",
-        "workload": {
+    write_trajectory(
+        "reliability",
+        "reliability_protocol_ablation",
+        {
             "array": [N, N],
             "pattern": "full-array global permutation (IndexRegion)",
             "lossy_rates": {"drop": 0.1, "dup": 0.1, "reorder": 0.1,
                             "delay": 0.1},
             "seed": SEED,
         },
-        "results": results,
-    }
-    (REPO_ROOT / "BENCH_reliability.json").write_text(
-        json.dumps(trajectory, indent=2) + "\n"
+        results,
     )
     return results
 

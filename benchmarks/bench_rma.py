@@ -16,16 +16,14 @@ variants.  Every cell cross-checks the gathered factors against the
 serial NumPy oracle (rtol 1e-10) and records the window operation and
 byte counts, and the messages the run really sent for them, next to the
 clock times.  Results land in
-``BENCH_rma.json`` at the repo root for regression tracking.
+``BENCH_rma.json`` at the repo root, guarded by ``python check.py bench``.
 """
 
 import functools
-import json
-from pathlib import Path
 
 import numpy as np
 
-from common import check_shape, print_header, record
+from common import check_shape, print_header, write_trajectory
 from repro.apps.cp_als import cp_als_serial, cp_als_spmd
 from repro.vmachine import IBM_SP2, VirtualMachine
 
@@ -36,7 +34,6 @@ ITERS = 3
 SEED = 7
 PROC_COUNTS = (4, 8, 16)
 VARIANTS = ("accumulate", "queue")
-REPO_ROOT = Path(__file__).parent.parent
 
 RMA_COUNTERS = (
     "rma_puts", "rma_gets", "rma_accs", "rma_fetch_ops",
@@ -128,20 +125,17 @@ def run_bench():
             f"{acc['one_sided_bytes']})",
         )
 
-    record("rma_cp_als", results)
-    trajectory = {
-        "benchmark": "one_sided_cp_als",
-        "workload": {
+    write_trajectory(
+        "rma",
+        "one_sided_cp_als",
+        {
             "tensor": list(SHAPE),
             "cp_rank": RANK_R,
             "raw_nnz": NNZ,
             "sweeps": ITERS,
             "seed": SEED,
         },
-        "results": results,
-    }
-    (REPO_ROOT / "BENCH_rma.json").write_text(
-        json.dumps(trajectory, indent=2) + "\n"
+        results,
     )
     return results
 

@@ -12,35 +12,31 @@ Measures the three claims the service makes:
 ``throughput vs tenant count``
     Fleets of 16 / 128 / 1024 concurrent demo tenants (8 shape
     classes, so the shared cache serves all but the first binder of
-    each class) against one server group.  Records wall-clock
-    throughput and p50/p99 per-op latency, the deterministic logical
-    clock, round counts, and the cache counters proving cross-tenant
-    sharing.
+    each class) against one server group.  Prints wall-clock
+    throughput and p50/p99 per-op latency; records the deterministic
+    logical clock, round counts, and the cache counters proving
+    cross-tenant sharing.
 
 ``overload``
     256 retrying tenants against a queue-depth watermark of 64: sheds
     stay bounded, the queue never exceeds the watermark, and *every*
     session completes — zero wedged.
 
-Wall-clock fields use ``_us``/``_s`` suffixes (environment-dependent,
-exempt from the regression guard); the deterministic logical
-``elapsed_ms`` fields are guarded by ``check_regression.py``.
-
-Results land in ``BENCH_service.json`` at the repo root and
-``results/service.json``.  ``--smoke`` (or ``BENCH_SMOKE=1``) runs a
-reduced matrix for CI.
+Wall-clock measurements are printed and feed the shape checks but are
+never written: ``BENCH_service.json`` at the repo root holds logical
+clocks and counts only, and ``python check.py bench`` requires a re-run
+to reproduce it byte for byte.  ``--smoke`` (or ``BENCH_SMOKE=1``) runs
+a reduced matrix, asserts the same invariants and writes nothing.
 """
 
 import asyncio
-import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-from common import check_shape, print_header, record
+from common import check_shape, print_header, write_trajectory
 from repro.apps.service_demo import DemoVectors, demo_tenant, run_service_demo
 from repro.service import (
     ArraySpec,
@@ -51,8 +47,6 @@ from repro.service import (
     serve_service,
 )
 from repro.vmachine import ProgramSpec, run_programs
-
-REPO_ROOT = Path(__file__).parent.parent
 
 SMOKE = "--smoke" in sys.argv or os.environ.get("BENCH_SMOKE") == "1"
 TENANT_COUNTS = (8, 32) if SMOKE else (16, 128, 1024)
@@ -113,22 +107,19 @@ def run_cold_warm():
     out = {
         "signatures": PROBE_K,
         "elements": PROBE_N,
-        "cold_p50_us": percentile(cold, 50) * 1e6,
-        "cold_p99_us": percentile(cold, 99) * 1e6,
-        "warm_p50_us": percentile(warm, 50) * 1e6,
-        "warm_p99_us": percentile(warm, 99) * 1e6,
-        "speedup_x": percentile(cold, 50) / percentile(warm, 50),
         "schedule_hits": report.cache["schedule_hits"],
         "schedule_misses": report.cache["schedule_misses"],
     }
+    cold_p50, warm_p50 = percentile(cold, 50), percentile(warm, 50)
+    speedup = cold_p50 / warm_p50
     print(
-        f"  cold p50 {out['cold_p50_us'] / 1e3:8.2f} ms   "
-        f"warm p50 {out['warm_p50_us'] / 1e3:8.2f} ms   "
-        f"({out['speedup_x']:.1f}x)"
+        f"  cold p50 {cold_p50 * 1e3:8.2f} ms   "
+        f"warm p50 {warm_p50 * 1e3:8.2f} ms   "
+        f"({speedup:.1f}x)"
     )
     check_shape(
-        out["speedup_x"] >= 5.0,
-        f"warm bind p50 >=5x lower than cold ({out['speedup_x']:.1f}x)",
+        speedup >= 5.0,
+        f"warm bind p50 >=5x lower than cold ({speedup:.1f}x)",
     )
     check_shape(
         out["schedule_misses"] == PROBE_K
@@ -162,12 +153,8 @@ def run_throughput(tenants: int):
         "shapes": shapes,
         "ops": total_ops,
         "rounds": report.rounds,
-        # deterministic logical clock — guarded by check_regression.py
+        # deterministic logical clock
         "elapsed_ms": res["gateway"].elapsed_ms,
-        "wall_s": wall_s,
-        "throughput_ops_per_s": total_ops / wall_s,
-        "latency_p50_us": percentile(latencies, 50) * 1e6,
-        "latency_p99_us": percentile(latencies, 99) * 1e6,
         "schedule_hits": report.cache["schedule_hits"],
         "schedule_misses": report.cache["schedule_misses"],
         "plan_hits": report.cache["plan_hits"],
@@ -177,9 +164,9 @@ def run_throughput(tenants: int):
         "ops_served": summary["ops_served"],
     }
     print(
-        f"  {tenants:>5} tenants: {out['throughput_ops_per_s']:8.0f} ops/s  "
-        f"p50 {out['latency_p50_us'] / 1e3:7.2f} ms  "
-        f"p99 {out['latency_p99_us'] / 1e3:7.2f} ms  "
+        f"  {tenants:>5} tenants: {total_ops / wall_s:8.0f} ops/s  "
+        f"p50 {percentile(latencies, 50) * 1e3:7.2f} ms  "
+        f"p99 {percentile(latencies, 99) * 1e3:7.2f} ms  "
         f"rounds {out['rounds']:>4}  "
         f"cache {out['schedule_hits']}/{out['schedule_hits'] + out['schedule_misses']}"
     )
@@ -251,17 +238,14 @@ def run_overload():
             ctx, "gateway", {"vec": DemoVectors(ctx.comm, sizes)}, config
         )
 
-    t0 = time.perf_counter()
     res = run_programs(
         [ProgramSpec("gateway", 2, gateway), ProgramSpec("server", 2, server)]
     )
-    wall_s = time.perf_counter() - t0
     report = res["gateway"].values[0]
     retries = sum(t.result[1] for t in report.tenants if t.result)
     out = {
         "tenants": OVERLOAD_TENANTS,
         "queue_watermark": OVERLOAD_QUEUE,
-        "wall_s": wall_s,
         "completed": sum(1 for t in report.tenants if t.ok),
         "shed": report.admission["shed_queue_full"]
         + report.admission["shed_tenant_cap"],
@@ -320,21 +304,17 @@ def run_bench():
         # committed full-matrix trajectory files.
         return results
 
-    record("service", results)
-    trajectory = {
-        "benchmark": "multi_tenant_coupling_service",
-        "smoke": SMOKE,
-        "workload": {
+    write_trajectory(
+        "service",
+        "multi_tenant_coupling_service",
+        {
             "tenant_counts": list(TENANT_COUNTS),
             "pattern": "demo fleet: create/bind/push/total/pull per tenant, "
                        "8 shape classes sharing one schedule cache; "
                        "cold/warm probe binds permutation-region "
                        "signatures twice; overload fleet retries on busy",
         },
-        "results": results,
-    }
-    (REPO_ROOT / "BENCH_service.json").write_text(
-        json.dumps(trajectory, indent=2) + "\n"
+        results,
     )
     return results
 

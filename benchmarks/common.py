@@ -92,9 +92,8 @@ def grid_sweep(cell, profiles, proc_counts) -> dict:
     """Run ``cell(profile, nprocs)`` over the full grid.
 
     ``cell`` returns a dict of JSON-friendly numbers for one grid point;
-    the sweep keys it as ``"<profile>/P<nprocs>"`` (the shape
-    ``check_regression.py`` diffs) and stamps ``profile``/``nprocs`` in
-    if the cell didn't.
+    the sweep keys it as ``"<profile>/P<nprocs>"`` and stamps
+    ``profile``/``nprocs`` in if the cell didn't.
     """
     results = {}
     for profile in profiles:
@@ -110,8 +109,10 @@ def write_trajectory(name: str, benchmark: str, workload, results) -> Path:
     """Write ``BENCH_<name>.json`` at the repo root.
 
     The committed trajectory files share one shape — ``{"benchmark",
-    "workload", "results"}`` with ``*_ms`` leaves under ``results`` —
-    which is exactly what ``check_regression.py`` walks.
+    "workload", "results"}`` — and hold logical numbers only (model
+    clocks, counts, flags): regenerating one must reproduce it byte for
+    byte, which is how ``python check.py bench`` guards it.  Wall-clock
+    measurements are printed and shape-checked, never passed here.
     """
     path = REPO_ROOT / f"BENCH_{name}.json"
     path.write_text(
@@ -138,8 +139,10 @@ def print_header(title: str) -> None:
 def record(name: str, payload) -> None:
     """Persist one experiment's data under benchmarks/results/<name>.json.
 
-    Numbers (and lists/dicts of numbers) only — the record is meant for
-    regenerating EXPERIMENTS.md tables and for regression diffing.
+    For the paper's tables and figures and the record-only ablations;
+    numbers (and lists/dicts of numbers) only, deterministic ones —
+    ``report.py`` renders the records into EXPERIMENTS.md tables and
+    ``python check.py`` requires re-runs to reproduce them byte for byte.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     out = {

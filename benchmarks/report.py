@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Render recorded benchmark results as Markdown.
 
-Every ``bench_*.py`` module persists its numbers under
-``benchmarks/results/<name>.json`` when it runs; this script turns those
-records into the Markdown tables EXPERIMENTS.md quotes, so the document
-can be refreshed mechanically::
+The table, figure and record-only ablation benches persist their
+numbers under ``benchmarks/results/<name>.json`` when they run
+(``common.record``; the trajectory benches write ``BENCH_<name>.json`` at
+the repo root instead); this script turns those records into the Markdown
+tables EXPERIMENTS.md quotes, so the document can be refreshed
+mechanically::
 
     pytest benchmarks/ --benchmark-only     # produce/refresh the records
     python benchmarks/report.py             # print all tables

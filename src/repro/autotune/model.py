@@ -42,12 +42,7 @@ from repro.autotune.workload import (
     run_matrix,
 )
 from repro.core.policy import ExecutorPolicy, ordered_or_rotated
-from repro.core.wire import (
-    FUSED_HEADER_BYTES,
-    RUN_WIRE_BYTES,
-    SEGMENT_ALIGN,
-    SEGMENT_HEADER_BYTES,
-)
+from repro.core.wire import RUN_WIRE_BYTES, fused_nbytes
 from repro.vmachine.cost_model import MachineProfile
 
 __all__ = ["Coefficients", "CostModel", "Prediction", "TERMS"]
@@ -113,10 +108,6 @@ class Prediction:
             "move_terms_ms": {t: v * 1e3 for t, v in self.move_terms.items()},
             "build_terms_ms": {t: v * 1e3 for t, v in self.build_terms.items()},
         }
-
-
-def _pad(nbytes: int) -> int:
-    return -(-nbytes // SEGMENT_ALIGN) * SEGMENT_ALIGN
 
 
 class CostModel:
@@ -186,6 +177,11 @@ class CostModel:
         note = (lambda t, v: None) if terms is None else (
             lambda t, v: terms.__setitem__(t, terms.get(t, 0.0) + v)
         )
+        # one pair's message: plain packed bytes, or the fused wire form
+        wire_nbytes = (
+            (lambda n: fused_nbytes((n * itemsize,) * nseg)) if fused
+            else (lambda n: n * itemsize)
+        )
         # Plain Python ints once, outside the hot loops: element-wise
         # numpy scalar reads dominate the replay's wall time at P=64.
         rows = counts.tolist() if hasattr(counts, "tolist") else counts
@@ -206,7 +202,7 @@ class CostModel:
                 for _ in range(nseg):
                     c = c + n * pack
                     note("per_element", n * pack)
-                nbytes = self._message_nbytes(n, itemsize, nseg, fused)
+                nbytes = wire_nbytes(n)
                 c = c + (p.o_send + contention * nbytes / p.bandwidth)
                 note("occupancy", p.o_send)
                 note("beta", contention * nbytes / p.bandwidth)
@@ -232,24 +228,13 @@ class CostModel:
                     note("alpha", a - c)
                     c = a
                 n = int(rows[s][r])
-                nbytes = self._message_nbytes(n, itemsize, nseg, fused)
+                nbytes = wire_nbytes(n)
                 c = c + (p.o_recv + nbytes * p.gamma_byte * 0.25)
                 note("occupancy", p.o_recv + nbytes * p.gamma_byte * 0.25)
                 for _ in range(nseg):
                     c = c + n * pack
                     note("per_element", n * pack)
             clocks[r] = c
-
-    @staticmethod
-    def _message_nbytes(n: int, itemsize: int, nseg: int, fused: bool) -> int:
-        """Wire size of one pair's message (plain packed or fused)."""
-        if not fused:
-            return n * itemsize
-        return (
-            FUSED_HEADER_BYTES
-            + SEGMENT_HEADER_BYTES * nseg
-            + nseg * _pad(n * itemsize)
-        )
 
     # -- approximate tier: schedule build + table residency ----------------
 

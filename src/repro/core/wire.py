@@ -44,6 +44,7 @@ __all__ = [
     "SegmentHeader",
     "WireLayout",
     "count_runs",
+    "fused_nbytes",
     "segment_layout",
 ]
 
@@ -155,6 +156,16 @@ def _pad(nbytes: int) -> int:
     return -(-nbytes // SEGMENT_ALIGN) * SEGMENT_ALIGN
 
 
+def fused_nbytes(segment_nbytes) -> int:
+    """Wire size of a fused message from its segments' payload byte
+    counts: the fused header, one header per segment and each payload
+    padded to the alignment.  What :class:`WireLayout` charges and what
+    the autotune replay predicts — one spelling."""
+    return FUSED_HEADER_BYTES + sum(
+        SEGMENT_HEADER_BYTES + _pad(n) for n in segment_nbytes
+    )
+
+
 class WireLayout:
     """Everything about a fused message that its headers determine.
 
@@ -184,9 +195,7 @@ class WireLayout:
             count += h.count
         self.views = tuple(views)
         self.total = cursor
-        self.nbytes = (
-            FUSED_HEADER_BYTES + SEGMENT_HEADER_BYTES * len(views) + cursor
-        )
+        self.nbytes = fused_nbytes(hi - lo for lo, hi, _ in views)
         self.count = count
 
 

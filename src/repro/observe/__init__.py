@@ -23,10 +23,6 @@ the logical time go?* — for any run on the virtual machine:
 :mod:`repro.observe.report`
     Text profile rendering (``python -m repro profile``).
 
-:mod:`repro.observe.regression`
-    ``BENCH_*.json`` trajectory diffing behind
-    ``benchmarks/check_regression.py``.
-
 Enable per run with ``VirtualMachine(observe=True)`` /
 ``run_programs(observe=True)`` or globally with ``REPRO_OBSERVE=1``.
 Observability is *zero-cost to the logical clocks*: published tables are
@@ -38,12 +34,6 @@ from repro.observe.perfetto import (
     chrome_trace,
     export_chrome_trace,
     write_chrome_trace,
-)
-from repro.observe.regression import (
-    Drift,
-    Regression,
-    compare_benchmarks,
-    iter_ms_fields,
 )
 from repro.observe.report import format_phase_table, format_profile, profile_result
 from repro.observe.spans import SpanRecord, current_phase, phase_path, span_on
@@ -62,8 +52,4 @@ __all__ = [
     "format_profile",
     "format_phase_table",
     "profile_result",
-    "Regression",
-    "Drift",
-    "compare_benchmarks",
-    "iter_ms_fields",
 ]

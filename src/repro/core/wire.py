@@ -179,9 +179,11 @@ class WireLayout:
     bytes, ``nbytes`` the wire size (fused header + per-segment headers +
     padded payload — the honest cost of the concatenation, which the
     virtual transport charges), ``count`` the elements across segments.
+    :attr:`rows` is what replay hashes of a buffer of this layout,
+    compiled on the first digest: an unrecorded run never builds them.
     """
 
-    __slots__ = ("headers", "views", "total", "nbytes", "count")
+    __slots__ = ("headers", "views", "total", "nbytes", "count", "_rows")
 
     def __init__(self, headers):
         self.headers = tuple(headers)
@@ -197,6 +199,23 @@ class WireLayout:
         self.total = cursor
         self.nbytes = fused_nbytes(hi - lo for lo, hi, _ in views)
         self.count = count
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple:
+        """``(head, ((prefix, lo, hi), ...))``: a fused message's canonical
+        bytes are ``head``, then per segment ``prefix`` (its header and the
+        array tag of its dtype view) and the staging bytes ``[lo, hi)``."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = (
+                b"W" + str(len(self.headers)).encode(),
+                tuple(
+                    (f"{h!r}A{dtype.str}{(int(h.count),)!r}".encode(), lo, hi)
+                    for h, (lo, hi, dtype) in zip(self.headers, self.views)
+                ),
+            )
+        return rows
 
 
 def segment_layout(
@@ -266,14 +285,16 @@ class FusedBuffer:
         return self.data[lo:hi].view(dtype)
 
     def __wire__(self, update, feed) -> None:
-        """Canonical bytes (:mod:`repro.vmachine.payload`): the headers and
-        each segment's dtype view — never the raw staging store, whose
-        alignment padding and arena size-class tail are uninitialized."""
-        headers = self.headers
-        update(b"W" + str(len(headers)).encode())
-        for header, segment in zip(headers, self.segments()):
-            update(repr(header).encode())
-            feed(segment, update)
+        """Canonical bytes (:mod:`repro.vmachine.payload`): the layout's
+        compiled :attr:`~WireLayout.rows`, the segment bytes fed in place
+        — never the raw staging store, whose alignment padding and arena
+        size-class tail are uninitialized."""
+        head, rows = self.layout.rows
+        data = self.data
+        update(head)
+        for prefix, lo, hi in rows:
+            update(prefix)
+            update(data[lo:hi])
 
     def release(self) -> None:
         """Return the staging buffer to the sender's arena (idempotent;

@@ -42,16 +42,9 @@ from repro.replay.artifact import (
     seal_body,
 )
 from repro.replay.fingerprint import env_fingerprint, env_snapshot, payload_digest
-from repro.vmachine.trace import event_to_tuple
+from repro.vmachine.trace import event_to_tuple, format_tag
 
 __all__ = ["Recorder", "RankRecorder"]
-
-
-def _append(stream: dict[str, list], record: tuple) -> None:
-    """One message onto a stream: ``record``'s fields are the stream's
-    leading columns, in order."""
-    for column, value in zip(stream.values(), record):
-        column.append(value)
 
 
 class RankRecorder:
@@ -59,7 +52,7 @@ class RankRecorder:
     per rank), so appends need no synchronization."""
 
     __slots__ = (
-        "rank", "sends", "recvs", "probes",
+        "rank", "sends", "recvs", "probes", "_send_cols", "_recv_cols",
         "_send_seq", "_recv_seq", "_pending_digest",
     )
 
@@ -67,6 +60,10 @@ class RankRecorder:
         self.rank = rank
         self.sends = new_stream(SendRecord)
         self.recvs = new_stream(RecvRecord, *(("payload",) if payloads else ()))
+        # one message is one append per column, in the record's field order
+        # (then ``payload``): the appends are bound here, once per rank
+        self._send_cols = [column.append for column in self.sends.values()]
+        self._recv_cols = [column.append for column in self.recvs.values()]
         self.probes: list[str] = []
         self._send_seq: dict[int, int] = {}
         self._recv_seq: dict[int, int] = {}
@@ -80,7 +77,7 @@ class RankRecorder:
         except TypeError as exc:
             raise TypeError(
                 f"{exc}; in the message rank {message.source} -> "
-                f"{message.dest}, tag {message.tag & 0xFFFF}"
+                f"{message.dest}, tag {format_tag(message.tag)}"
             ) from None
 
     def pre_send(self, message) -> None:
@@ -92,19 +89,22 @@ class RankRecorder:
         dst = message.dest
         seq = self._send_seq.get(dst, 0)
         self._send_seq[dst] = seq + 1
-        _append(self.sends, SendRecord(
-            seq, dst, message.tag, message.nbytes, clock,
-            self._pending_digest, encode_receipt(receipt)))
+        row = (seq, dst, message.tag, message.nbytes, clock,
+               self._pending_digest, encode_receipt(receipt))
+        for append, value in zip(self._send_cols, row):
+            append(value)
 
     def on_recv(self, message, wait: float, clock: float) -> None:
         src = message.source
         seq = self._recv_seq.get(src, 0)
         self._recv_seq[src] = seq + 1
-        _append(self.recvs, RecvRecord(
-            seq, src, message.tag, message.nbytes, message.arrival, clock,
-            wait, self._digest(message)))
+        # hashed here, from what this end holds: never the sender's digest
+        row = (seq, src, message.tag, message.nbytes, message.arrival, clock,
+               wait, self._digest(message))
         if "payload" in self.recvs:
-            self.recvs["payload"].append(encode_payload(message.payload))
+            row += (encode_payload(message.payload),)
+        for append, value in zip(self._recv_cols, row):
+            append(value)
 
     def on_probe(self, hit: bool) -> None:
         self.probes.append("1" if hit else "0")

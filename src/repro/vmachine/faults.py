@@ -51,7 +51,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.vmachine.trace import TraceEvent
+from repro.vmachine.trace import TraceEvent, format_tag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.vmachine.message import Mailbox, Message
@@ -245,7 +245,7 @@ class RankLostError(RuntimeError):
             f"  undelivered envelopes in rank {rank}'s mailbox: "
             + (
                 ", ".join(
-                    f"(src={s}, tag={t & 0xFFFF}, {n}B)"
+                    f"(src={s}, tag={format_tag(t)}, {n}B)"
                     for s, t, n in self.pending[:8]
                 )
                 + (" ..." if len(self.pending) > 8 else "")

@@ -38,6 +38,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.vmachine.trace import format_tag
+
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
@@ -266,7 +268,7 @@ class Mailbox:
         if not pend:
             return "no undelivered envelopes pending"
         shown = ", ".join(
-            f"(src={s}, tag={t & 0xFFFF}, {n}B)" for s, t, n in pend[:limit]
+            f"(src={s}, tag={format_tag(t)}, {n}B)" for s, t, n in pend[:limit]
         )
         more = f" ... and {len(pend) - limit} more" if len(pend) > limit else ""
         return f"{len(pend)} undelivered envelope(s): {shown}{more}"
@@ -343,7 +345,7 @@ class Mailbox:
         where = _where(context)
         return (
             f"rank {self.rank}: receive(source={source}, "
-            f"tag={tag if tag == ANY_TAG else tag & 0xFFFF}){where} "
+            f"tag={format_tag(tag)}){where} "
             f"timed out after {timeout}s; {self._format_pending()}"
         )
 

@@ -88,14 +88,27 @@ def _feed_bytes(obj, update: Update) -> None:
 
 def _feed_ndarray(obj, update: Update) -> None:
     update(b"A" + obj.dtype.str.encode() + repr(obj.shape).encode())
-    update(np.ascontiguousarray(obj).tobytes())  # C order, whatever the view
+    if obj.dtype.hasobject:
+        # the elements, not the pointer table ``tobytes()`` would spell
+        for item in obj.reshape(-1).tolist():
+            canonical_feed(item, update)
+    elif obj.flags.c_contiguous:
+        update(obj)  # in place: chunking never moves a sha256
+    else:
+        update(obj.tobytes())  # C order, whatever the view
 
 
 def _feed_seq(tag: bytes) -> Callable[[Any, Update], None]:
     def feed(obj, update: Update) -> None:
+        # ``canonical_feed`` of each item, spelled in the loop like
+        # ``_seq_nbytes``: most items are scalars
         update(tag + str(len(obj)).encode())
         for item in obj:
-            canonical_feed(item, update)
+            try:
+                feed_item = _TABLE[type(item)][1]
+            except KeyError:
+                feed_item = _resolve(type(item))[1]
+            feed_item(item, update)
 
     return feed
 

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from repro.vmachine.faults import RankLostError
+from repro.vmachine.trace import format_tag
 
 __all__ = ["ReliabilityConfig", "Reliability", "ReliableView", "REL_DATA",
            "REL_ACK"]
@@ -103,7 +104,8 @@ class _OutChannel:
 
     def describe(self) -> str:
         return (
-            f"out-channel to group rank {self.peer} tag {self.tag & 0xFFFF}: "
+            f"out-channel to group rank {self.peer} tag "
+            f"{format_tag(self.endpoint._wire_tag(self.tag))}: "
             f"sent seqs [0, {self.next_seq}), last cumulative ack "
             f"{self.acked}"
         )
@@ -126,7 +128,8 @@ class _InChannel:
 
     def describe(self) -> str:
         return (
-            f"in-channel from group rank {self.peer} tag {self.tag & 0xFFFF}: "
+            f"in-channel from group rank {self.peer} tag "
+            f"{format_tag(self.endpoint._wire_tag(self.tag))}: "
             f"delivered seqs [0, {self.expected}), {len(self.buffer)} "
             f"buffered out-of-order, {self.dups} duplicate(s) suppressed"
         )

@@ -336,7 +336,22 @@ class TestCanonicalForms:
             VirtualMachine(1, recorder=Recorder()).run(program)
         text = str(failure.value)
         assert "TypeError" in text and "Thing" in text
-        assert "rank 0 -> 0, tag 7" in text
+        assert "rank 0 -> 0, tag 0:7" in text
+
+    def test_object_array_is_its_elements_not_its_pointers(self):
+        # at the parent: ``tobytes()`` of the PyObject* table, so two
+        # equal-content arrays differed (and differed from run to run)
+        def make(last=3.0):
+            return np.array([{"x": 1}, "s", last], dtype=object)
+
+        assert payload_digest(make()) == payload_digest(make())
+        assert payload_digest(make()) != payload_digest(make(4.0))
+        grid = np.array([[1, "a"], [2.5, None]], dtype=object)
+        assert payload_digest(grid) == payload_digest(np.asfortranarray(grid))
+        assert payload_digest(grid) != payload_digest(grid.reshape(4))
+        assert payload_digest(grid) != payload_digest(grid.T)
+        with pytest.raises(TypeError, match="has no declared canonical form"):
+            payload_digest(np.array([1, object()], dtype=object))
 
 
 def _stream(record, **extra):

@@ -95,10 +95,10 @@ class TestConfigurableTimeout:
             [e for e in ei.value.errors if e.rank == 0][0].exception
         )
         assert "source=1" in msg
-        assert "tag=7" in msg
+        assert "tag=0:7" in msg
         assert "communicator context block" in msg
         assert "undelivered envelope" in msg
-        assert "(src=1, tag=9, 8B)" in msg
+        assert "(src=1, tag=0:9, 8B)" in msg
 
     def test_per_call_timeout_overrides_machine_default(self):
         def spmd(comm):

@@ -71,7 +71,8 @@ class LinearMailbox:
 def pending_text(summary, limit=8):
     if not summary:
         return "no undelivered envelopes pending"
-    shown = ", ".join(f"(src={s}, tag={t & 0xFFFF}, {n}B)"
+    # ``format_tag``'s block:user_tag, spelled out (CONTEXT_STRIDE = 1 << 32)
+    shown = ", ".join(f"(src={s}, tag={t >> 32}:{t & 0xFFFFFFFF}, {n}B)"
                       for s, t, n in summary[:limit])
     more = f" ... and {len(summary) - limit} more" if len(summary) > limit else ""
     return f"{len(summary)} undelivered envelope(s): {shown}{more}"
@@ -176,8 +177,8 @@ def test_pending_summary_lists_delivery_order_across_keys():
         box.deliver(Message(source, 0, tag, None, 0.0, n))
     assert box.pending_summary() == [(s, t, n) for n, (s, t) in enumerate(order)]
     with pytest.raises(TimeoutError, match=r"5 undelivered envelope\(s\): "
-                       r"\(src=2, tag=7, 0B\), \(src=1, tag=7, 1B\), "
-                       r"\(src=2, tag=5, 2B\)"):
+                       r"\(src=2, tag=0:7, 0B\), \(src=1, tag=0:7, 1B\), "
+                       r"\(src=2, tag=0:5, 2B\)"):
         box.receive(3, 3, timeout=0)
 
 

@@ -97,10 +97,31 @@ class TestMailbox:
             mb.receive(1, 2, timeout=0.05, context=label)
         text = str(ei.value)
         assert "in communicator context block 7 timed out after 0.05s" in text
-        assert "1 undelivered envelope(s): (src=3, tag=4, 0B)" in text
+        assert "1 undelivered envelope(s): (src=3, tag=0:4, 0B)" in text
         with pytest.raises(TimeoutError, match="context block 7"):
             mb.receive_any_of([(1, 2, None)], timeout=0.05, context=label)
         assert built == [1, 1]
+
+    def test_diagnostics_tell_two_communicators_apart(self):
+        # contexts are multiples of 1 << 32, so every pair of communicators
+        # differs by a multiple of 1 << 16: ``tag & 0xFFFF`` printed both 7
+        from repro.vmachine.comm import CONTEXT_STRIDE
+        from repro.vmachine.faults import RankLostError
+
+        one, two = 1 * CONTEXT_STRIDE + 7, 2 * CONTEXT_STRIDE + 7
+        assert (one & 0xFFFF) == (two & 0xFFFF) == 7
+        mb = Mailbox(0)
+        mb.deliver(msg(source=3, tag=one))
+        mb.deliver(msg(source=3, tag=two))
+        with pytest.raises(TimeoutError) as ei:
+            mb.receive(3, 3 * CONTEXT_STRIDE + 7, timeout=0)
+        text = str(ei.value)
+        assert "receive(source=3, tag=3:7)" in text
+        assert "(src=3, tag=1:7, 0B), (src=3, tag=2:7, 0B)" in text
+        with pytest.raises(TimeoutError, match=r"tag=-1\)"):
+            mb.receive(2, ANY_TAG, timeout=0)
+        lost = str(RankLostError(0, 3, "crashed", [(3, one, 8), (3, two, 8)]))
+        assert "(src=3, tag=1:7, 8B), (src=3, tag=2:7, 8B)" in lost
 
     def test_queued_message_reads_no_clock_and_builds_no_label(self, monkeypatch):
         """The hit path: no deadline taken, no diagnostics formatted."""

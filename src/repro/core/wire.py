@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.runs import RUN_WIRE_BYTES, RUN_WIRE_HEADER, RunList, run_starts
+from repro.vmachine.payload import array_prefix
 
 __all__ = [
     "FUSED_HEADER_BYTES",
@@ -205,17 +206,17 @@ class WireLayout:
     def rows(self) -> tuple:
         """``(head, ((prefix, lo, hi), ...))``: a fused message's canonical
         bytes are ``head``, then per segment ``prefix`` (its header and the
-        array tag of its dtype view) and the staging bytes ``[lo, hi)``."""
-        rows = self._rows
+        array tag of its dtype view) and the staging bytes ``[lo, hi)``.
+        A snapshot pickled before the memo existed restores without it."""
+        rows = getattr(self, "_rows", None)
         if rows is None:
-            rows = self._rows = (
-                b"W" + str(len(self.headers)).encode(),
-                tuple(
-                    (f"{h!r}A{dtype.str}{(int(h.count),)!r}".encode(), lo, hi)
-                    for h, (lo, hi, dtype) in zip(self.headers, self.views)
-                ),
-            )
+            rows = self._rows = (b"W" + str(len(self.headers)).encode(), tuple(
+                (repr(h).encode() + array_prefix(dtype, (int(h.count),)), lo, hi)
+                for h, (lo, hi, dtype) in zip(self.headers, self.views)))
         return rows
+
+    def __reduce__(self):  # the headers alone: a snapshot carries no memo
+        return WireLayout, (self.headers,)
 
 
 def segment_layout(

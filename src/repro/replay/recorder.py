@@ -91,7 +91,7 @@ class RankRecorder:
         self._send_seq[dst] = seq + 1
         row = (seq, dst, message.tag, message.nbytes, clock,
                self._pending_digest, encode_receipt(receipt))
-        for append, value in zip(self._send_cols, row):
+        for append, value in zip(self._send_cols, row, strict=True):
             append(value)
 
     def on_recv(self, message, wait: float, clock: float) -> None:
@@ -103,7 +103,7 @@ class RankRecorder:
                wait, self._digest(message))
         if "payload" in self.recvs:
             row += (encode_payload(message.payload),)
-        for append, value in zip(self._recv_cols, row):
+        for append, value in zip(self._recv_cols, row, strict=True):
             append(value)
 
     def on_probe(self, hit: bool) -> None:

@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["payload_nbytes", "canonical_feed"]
+__all__ = ["payload_nbytes", "canonical_feed", "array_prefix"]
 
 #: sink of byte chunks — a ``hashlib`` object's ``update``
 Update = Callable[[bytes], None]
@@ -86,8 +86,14 @@ def _feed_bytes(obj, update: Update) -> None:
     update(bytes(obj))
 
 
+def array_prefix(dtype: np.dtype, shape: tuple) -> bytes:
+    """What opens an ndarray's canonical bytes, ahead of its C-order data
+    (``repro.core.wire.WireLayout.rows`` compiles it in per segment)."""
+    return b"A" + dtype.str.encode() + repr(shape).encode()
+
+
 def _feed_ndarray(obj, update: Update) -> None:
-    update(b"A" + obj.dtype.str.encode() + repr(obj.shape).encode())
+    update(array_prefix(obj.dtype, obj.shape))
     if obj.dtype.hasobject:
         # the elements, not the pointer table ``tobytes()`` would spell
         for item in obj.reshape(-1).tolist():
@@ -100,15 +106,9 @@ def _feed_ndarray(obj, update: Update) -> None:
 
 def _feed_seq(tag: bytes) -> Callable[[Any, Update], None]:
     def feed(obj, update: Update) -> None:
-        # ``canonical_feed`` of each item, spelled in the loop like
-        # ``_seq_nbytes``: most items are scalars
         update(tag + str(len(obj)).encode())
         for item in obj:
-            try:
-                feed_item = _TABLE[type(item)][1]
-            except KeyError:
-                feed_item = _resolve(type(item))[1]
-            feed_item(item, update)
+            canonical_feed(item, update)
 
     return feed
 

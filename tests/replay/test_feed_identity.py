@@ -10,12 +10,16 @@ still hash what *they* hold.
 """
 
 import hashlib
+import pickle
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout
 from repro.replay import Recorder
+from repro.replay.artifact import (
+    RecvRecord, SendRecord, decode_payload, encode_payload, records,
+)
 from repro.replay.fingerprint import DIGEST_LEN, payload_digest
 from repro.vmachine import VirtualMachine
 from repro.vmachine.message import Message
@@ -112,6 +116,68 @@ def test_an_unrecorded_layout_compiles_no_rows(clean_repro_env):
     head, rows = layout._rows
     assert head == b"W2" and [(lo, hi) for _, lo, hi in rows] == \
         [(lo, hi) for lo, hi, _ in layout.views]
+
+
+class _PreMemoLayout:
+    """Pickles as a ``WireLayout`` did before it had ``_rows`` or a
+    ``__reduce__``: a bare ``__new__`` plus the state of its five slots —
+    what a v2 ``--payloads`` artifact recorded back then carries."""
+
+    SLOTS = ("headers", "views", "total", "nbytes", "count")
+
+    def __init__(self, layout):
+        self.layout = layout
+
+    def __reduce__(self):
+        state = {slot: getattr(self.layout, slot) for slot in self.SLOTS}
+        return object.__new__, (WireLayout,), (None, state)
+
+
+def test_a_snapshot_carries_no_memo_and_an_old_one_still_digests():
+    layout = WireLayout([SegmentHeader(0, "<f8", 4), SegmentHeader(1, "<i4", 3)])
+    data = np.arange(layout.total, dtype=np.uint8)
+    fresh = pickle.dumps(layout, protocol=4)
+    want = payload_digest(FusedBuffer(layout, data))
+    assert layout._rows is not None
+    # a snapshot is the headers: taken after a digest it is the same bytes
+    assert pickle.dumps(layout, protocol=4) == fresh
+    snapshot = decode_payload(encode_payload(FusedBuffer(layout, data)))
+    assert snapshot.layout._rows is None and snapshot.layout.views == layout.views
+    assert payload_digest(snapshot) == want
+    old = pickle.loads(pickle.dumps(_PreMemoLayout(layout), protocol=4))
+    assert type(old) is WireLayout and not hasattr(old, "_rows")
+    assert payload_digest(FusedBuffer(old, data)) == want
+    assert old._rows == layout._rows
+
+
+def test_a_message_lands_in_the_columns_its_record_names(clean_repro_env):
+    """The recorder appends a positional row through column appends bound
+    once per rank: pin every value to the column ``SendRecord`` /
+    ``RecvRecord`` name for it."""
+    payload = np.arange(5, dtype=np.int32)
+
+    def program(comm):
+        comm.send(0, payload, tag=3)
+        sent = comm.process.clock
+        comm.recv(0, tag=3)
+        return sent, comm.process.clock
+
+    recorder = Recorder(payloads=True)
+    sent_at, got_at = VirtualMachine(1, recorder=recorder).run(program).values[0]
+    rank = recorder.artifact["body"]["ranks"][0]
+    assert list(rank["sends"]) == list(SendRecord._fields)
+    assert list(rank["recvs"]) == [*RecvRecord._fields, "payload"]
+    (sent,) = records(rank["sends"], SendRecord)
+    (got,) = records(rank["recvs"], RecvRecord)
+    digest = payload_digest(payload)
+    assert sent == SendRecord(seq=0, dst=0, tag=3, nbytes=payload.nbytes,
+                              clock=sent_at, digest=digest, receipt="ok")
+    assert got == RecvRecord(seq=0, src=0, tag=3, nbytes=payload.nbytes,
+                             arrival=got.arrival, clock=got_at,
+                             wait=got.wait, digest=digest)
+    assert 0.0 < got.arrival <= got_at and got.wait >= 0.0
+    (encoded,) = rank["recvs"]["payload"]
+    assert np.array_equal(decode_payload(encoded), payload)
 
 
 def test_both_ends_hash_what_they_hold(clean_repro_env):

@@ -179,6 +179,35 @@ class TestFence:
         next_seq, acked = run(2, spmd).values[0]
         assert next_seq == 5 and acked == 4
 
+    def test_describe_tells_two_communicators_apart(self):
+        # one user tag on two communicators: ``tag & 0xFFFF`` printed both 11
+        from repro.vmachine.comm import CONTEXT_STRIDE
+
+        def spmd(comm):
+            sub = comm.split(0)
+            rel = Reliability()
+            if comm.rank == 0:
+                rel.send(sub, 1, "x", TAG)
+                rel.send(comm, 1, "y", TAG)
+                rel.fence()
+            else:
+                rel.recv(sub, 0, TAG)
+                rel.recv(comm, 0, TAG)
+            return rel.describe(), sub._context // CONTEXT_STRIDE
+
+        (out, block), (inn, _) = run(2, spmd).values
+        assert block != 0
+        assert out.splitlines() == [
+            f"out-channel to group rank 1 tag {block}:{TAG}: "
+            "sent seqs [0, 1), last cumulative ack 0",
+            f"out-channel to group rank 1 tag 0:{TAG}: "
+            "sent seqs [0, 1), last cumulative ack 0",
+        ]
+        assert [line.split(":")[0:2] for line in inn.splitlines()] == [
+            [f"in-channel from group rank 0 tag {block}", str(TAG)],
+            ["in-channel from group rank 0 tag 0", str(TAG)],
+        ]
+
     def test_fence_releases_held_final_message(self):
         plan = FaultPlan(seed=1, rates=FaultRates(reorder=1.0),
                          classes=("user",))

@@ -18,7 +18,10 @@ one leaves ``git status`` clean.  CI is a matrix over ``--list``.
 """
 
 import argparse
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -150,6 +153,80 @@ bad = {name: (w["failed"], w["unresolved"]) for name, w in workloads.items()
 assert workloads and not bad, bad
 """
 
+#: the documents whose backticked names the ``docs`` gate resolves: a
+#: ``repro.…`` dotted name, a ``path.py::name`` (repo-relative or under
+#: ``src/repro``) and a ``src/`` / ``tests/`` / ``benchmarks/`` / ``docs/`` path
+DOCS = ("docs/API.md", "docs/MODEL.md", "CONTRIBUTING.md", "README.md")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
+_DEFINED = re.compile(r"([\w./-]+\.py)((?:::\w+)+)")
+_PATH = re.compile(r"(?<![\w./-])(?:src|tests|benchmarks|docs)/[\w./*-]*")
+
+
+def _resolves(dotted: str) -> bool:
+    """``repro.a.b.C.d``: the longest importable prefix, then attributes
+    (an annotated class field without a default counts as one)."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if hasattr(obj, attr):
+                obj = getattr(obj, attr)
+            elif isinstance(obj, type) and any(
+                    attr in getattr(k, "__annotations__", {}) for k in obj.__mro__):
+                return True
+            else:
+                return False
+        return True
+    return False
+
+
+def _defines(path: Path, names: list[str]) -> bool:
+    """Whether ``path`` defines ``names[0]`` at module level, ``names[1]``
+    inside it, and so on."""
+    body = ast.parse(path.read_text()).body
+    for name in names:
+        for node in body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [node])
+            if any(getattr(t, "name", getattr(t, "id", None)) == name
+                   for t in targets):
+                body = getattr(node, "body", [])
+                break
+        else:
+            return False
+    return True
+
+
+def stale_references(doc: Path) -> list[str]:
+    """Every backticked name in ``doc`` (outside fenced blocks) that does
+    not resolve, one line each."""
+    text = re.sub(r"^```.*?^```", "", doc.read_text(), flags=re.M | re.S)
+    stale = []
+    for span in _CODE_SPAN.findall(text):
+        span = re.sub(r"::\s+", "::", span)
+        stale += [name for name in _DOTTED.findall(span) if not _resolves(name)]
+        for file, names in _DEFINED.findall(span):
+            path = next((p for p in (ROOT / file, ROOT / "src/repro" / file)
+                         if p.is_file()), None)
+            if path is None or not _defines(path, names.split("::")[1:]):
+                stale.append(file + names)
+        stale += [path for path in _PATH.findall(_DEFINED.sub("", span))
+                  if not any(ROOT.glob(path.rstrip("/.")))]
+    return [f"{doc}: `{name}` does not resolve" for name in stale]
+
+
+DOCS_OK = """
+import sys, check
+stale = [line for doc in sys.argv[1:] for line in check.stale_references(check.ROOT / doc)]
+assert not stale, "\\n".join(stale)
+"""
+
+
 GATES = {gate.name: gate for gate in (
     Gate("tier1", (py(*PYTEST, env=FRESH),)),
     Gate("tier1-recorded", (py(*PYTEST, env={**FRESH, "REPRO_RECORD": "1"}),)),
@@ -187,6 +264,7 @@ GATES = {gate.name: gate for gate in (
         py("-c", IMPORTS_NONE_OF, f"repro.{package}",
            *(f"repro.{other}" for other in banned))
         for package, banned in LAYERING)),
+    Gate("docs", (py("-c", DOCS_OK, *DOCS),)),
     Gate("perf-smoke", (
         py("perf/run.py", "--smoke"),
         py("-c", LEDGER_OK),

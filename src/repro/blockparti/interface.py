@@ -7,18 +7,12 @@ elements of a SetOfRegions are enumerated by block intersection.
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
 from repro.blockparti.array import BlockPartiArray
 from repro.core.registry import (
     LibraryAdapter,
     cartesian_local_elements,
     register_adapter,
 )
-from repro.core.setofregions import SetOfRegions
-from repro.distrib.base import Distribution
 from repro.vmachine.process import current_process
 
 __all__ = ["BlockPartiAdapter"]
@@ -28,37 +22,11 @@ class BlockPartiAdapter(LibraryAdapter):
     """Interface functions for ``"blockparti"``-distributed arrays."""
 
     name = "blockparti"
-
-    def dist_of(self, handle: Any) -> Distribution:
-        return handle.dist
-
-    def shape_of(self, handle: Any) -> tuple[int, ...]:
-        if isinstance(handle, BlockPartiArray):
-            return handle.global_shape
-        return handle.shape  # MaterializedHandle
-
-    def local_data(self, array: Any) -> np.ndarray:
-        if not isinstance(array, BlockPartiArray):
-            raise TypeError("a local BlockPartiArray is required for data access")
-        return array.local
-
-    def adopt_local(self, array: Any, values: np.ndarray) -> bool:
-        array.local = values
-        return True
-
-    def itemsize_of(self, handle: Any) -> int:
-        return handle.itemsize
+    array_type = BlockPartiArray
+    local_elements = cartesian_local_elements
 
     def charge_deref(self, n: int) -> None:
         current_process().charge_deref_regular(n)
-
-    def local_elements(
-        self, handle: Any, sor: SetOfRegions, rank: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return cartesian_local_elements(
-            self.dist_of(handle), self.shape_of(handle), sor, rank,
-            charge=self.charge_locate,
-        )
 
 
 register_adapter(BlockPartiAdapter())

@@ -17,7 +17,6 @@ import numpy as np
 from repro.chaos.array import ChaosArray
 from repro.core.registry import LibraryAdapter, register_adapter
 from repro.core.setofregions import SetOfRegions
-from repro.distrib.base import Distribution
 from repro.vmachine.process import current_process
 
 __all__ = ["ChaosAdapter"]
@@ -27,26 +26,7 @@ class ChaosAdapter(LibraryAdapter):
     """Interface functions for ``"chaos"``-distributed arrays."""
 
     name = "chaos"
-
-    def dist_of(self, handle: Any) -> Distribution:
-        return handle.dist
-
-    def shape_of(self, handle: Any) -> tuple[int, ...]:
-        if isinstance(handle, ChaosArray):
-            return handle.global_shape
-        return handle.shape
-
-    def local_data(self, array: Any) -> np.ndarray:
-        if not isinstance(array, ChaosArray):
-            raise TypeError("a local ChaosArray is required for data access")
-        return array.local
-
-    def adopt_local(self, array: Any, values: np.ndarray) -> bool:
-        array.local = values
-        return True
-
-    def itemsize_of(self, handle: Any) -> int:
-        return handle.itemsize
+    array_type = ChaosArray
 
     def charge_deref(self, n: int) -> None:
         current_process().charge_deref_irregular(n)

@@ -17,10 +17,12 @@ parallel libraries ... a standard set of inquiry functions."  A
 
 "A major concern in designing Meta-Chaos was to require that relatively
 few procedures be provided by the data parallel library implementor" —
-the base class derives almost everything from the library's
-:class:`~repro.distrib.base.Distribution`, so a concrete adapter mostly
-chooses a *cost policy* (closed-form regular arithmetic vs. per-element
-translation-table lookups).
+the base class derives everything from four attributes every library
+array has (``dist``, ``global_shape``, ``itemsize``, ``local``), so a
+concrete adapter is a name, its array type and a *cost policy*
+(closed-form regular arithmetic vs. per-element translation-table
+lookups), plus ``local_elements`` where the library enumerates its own
+elements differently.
 
 Adapters register by library name in a process-global registry, which is
 what the paper's ``MC_ComputeSched(HPF, ...)`` first argument looks up.
@@ -100,7 +102,7 @@ class MaterializedHandle:
 
     def __init__(self, remote: RemoteHandle):
         self.library = remote.library
-        self.shape = remote.shape
+        self.global_shape = remote.shape
         self.itemsize = remote.itemsize
         self.dist = remote.descriptor.materialize()
 
@@ -108,25 +110,33 @@ class MaterializedHandle:
 class LibraryAdapter(abc.ABC):
     """Interface functions of one data parallel library.
 
-    Concrete adapters supply :attr:`name`, the handle introspection
-    methods, and the cost policy; the heavy lifting (linearization
-    arithmetic, owner lookup) is generic.
+    A concrete adapter supplies :attr:`name`, :attr:`array_type` and the
+    cost policy :meth:`charge_deref`.  A handle is a local
+    :attr:`array_type` instance or a :class:`MaterializedHandle`; both
+    answer ``dist``, ``global_shape`` and ``itemsize``, and a local array
+    also holds its storage in ``local``.  The heavy lifting
+    (linearization arithmetic, owner lookup) is generic.
     """
 
     #: registry key; the paper's library identifier (e.g. "hpf", "chaos")
     name: str = ""
+    #: the library's local array class — what :meth:`local_data` accepts
+    array_type: type
 
-    # -- handle introspection (override per library) -------------------------
+    # -- handle introspection ------------------------------------------------
 
-    @abc.abstractmethod
     def dist_of(self, handle: Any) -> Distribution:
         """The distribution of an array handle (local or materialized)."""
+        return handle.dist
 
-    @abc.abstractmethod
     def shape_of(self, handle: Any) -> tuple[int, ...]:
         """Global shape of the handle."""
+        return handle.global_shape
 
-    @abc.abstractmethod
+    def itemsize_of(self, handle: Any) -> int:
+        """Element size in bytes."""
+        return handle.itemsize
+
     def local_data(self, array: Any) -> np.ndarray:
         """The rank-local storage of a *local* array handle.
 
@@ -136,20 +146,21 @@ class LibraryAdapter(abc.ABC):
         them without a staging copy; flat offsets index the storage in
         logical (C) order.
         """
+        if not isinstance(array, self.array_type):
+            raise TypeError(
+                f"a local {self.array_type.__name__} is required for data access"
+            )
+        return array.local
 
     def adopt_local(self, array: Any, values: np.ndarray) -> bool:
         """Adopt ``values`` as the array's new local storage (donation).
 
-        Called by :func:`unpack_segment` when a received buffer may be donated
-        wholesale instead of copied through.  Adapters whose arrays can
-        rebind their storage return True after adopting; the default
-        declines and the caller falls back to a scatter copy.
+        Called by :func:`unpack_segment` when a received buffer may be
+        donated wholesale instead of copied through; rebinds
+        ``array.local`` and returns True.
         """
-        return False
-
-    @abc.abstractmethod
-    def itemsize_of(self, handle: Any) -> int:
-        """Element size in bytes."""
+        array.local = values
+        return True
 
     # -- cost policy (override per library) -----------------------------------
 
@@ -386,21 +397,21 @@ def copy_segment(
 
 
 def cartesian_local_elements(
-    dist: CartesianDist,
-    shape: tuple[int, ...],
-    sor: SetOfRegions,
-    rank: int,
-    charge,
+    adapter: LibraryAdapter, handle: Any, sor: SetOfRegions, rank: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ``local_elements`` for Cartesian block distributions.
+    """Closed-form :meth:`LibraryAdapter.local_elements` for Cartesian
+    block distributions — an adapter adopts it as
+    ``local_elements = cartesian_local_elements``.
 
     Intersects every SectionRegion with the rank's owned block per
     dimension, producing the rank's elements without dereferencing the
     rest.  Falls back to a full (cheap, vectorized) scan for CYCLIC-style
     dims where ownership is not a contiguous block, and for IndexRegions.
-
-    ``charge(nruns, nelems)`` is the adapter's locate cost hook.
+    Every piece is charged through the adapter's ``charge_locate``.
     """
+    dist: CartesianDist = adapter.dist_of(handle)
+    shape = adapter.shape_of(handle)
+    charge = adapter.charge_locate
     positions: list[np.ndarray] = []
     offsets: list[np.ndarray] = []
     start = 0

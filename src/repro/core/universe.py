@@ -31,14 +31,16 @@ from __future__ import annotations
 from repro.vmachine.comm import Communicator, InterComm
 from repro.vmachine.process import Process
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
+# Reserved tags for Meta-Chaos traffic (outside user tag space), re-exported
+# for the schedule builder and the move executor.
+from repro.vmachine.tags import (  # noqa: F401
+    TAG_DATA,
+    TAG_DESCRIPTOR,
+    TAG_SCHED_PIECES,
+    TAG_SCHED_SRCINFO,
+)
 
 __all__ = ["Universe", "SingleProgramUniverse", "TwoProgramUniverse"]
-
-# Reserved tag blocks for Meta-Chaos traffic (outside user tag space).
-TAG_SCHED_SRCINFO = 1 << 20
-TAG_SCHED_PIECES = (1 << 20) + 1
-TAG_DATA = (1 << 20) + 2
-TAG_DESCRIPTOR = (1 << 20) + 3
 
 
 class Universe:

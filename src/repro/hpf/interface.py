@@ -9,17 +9,11 @@ same small interface.
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
 from repro.core.registry import (
     LibraryAdapter,
     cartesian_local_elements,
     register_adapter,
 )
-from repro.core.setofregions import SetOfRegions
-from repro.distrib.base import Distribution
 from repro.hpf.array import HPFArray
 from repro.vmachine.process import current_process
 
@@ -30,37 +24,11 @@ class HPFAdapter(LibraryAdapter):
     """Interface functions for ``"hpf"``-distributed arrays."""
 
     name = "hpf"
-
-    def dist_of(self, handle: Any) -> Distribution:
-        return handle.dist
-
-    def shape_of(self, handle: Any) -> tuple[int, ...]:
-        if isinstance(handle, HPFArray):
-            return handle.global_shape
-        return handle.shape
-
-    def local_data(self, array: Any) -> np.ndarray:
-        if not isinstance(array, HPFArray):
-            raise TypeError("a local HPFArray is required for data access")
-        return array.local
-
-    def adopt_local(self, array: Any, values: np.ndarray) -> bool:
-        array.local = values
-        return True
-
-    def itemsize_of(self, handle: Any) -> int:
-        return handle.itemsize
+    array_type = HPFArray
+    local_elements = cartesian_local_elements
 
     def charge_deref(self, n: int) -> None:
         current_process().charge_deref_regular(n)
-
-    def local_elements(
-        self, handle: Any, sor: SetOfRegions, rank: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return cartesian_local_elements(
-            self.dist_of(handle), self.shape_of(handle), sor, rank,
-            charge=self.charge_locate,
-        )
 
 
 register_adapter(HPFAdapter())

@@ -3,18 +3,13 @@
 Tulip dereferences an element through the collection's alignment objects
 — a virtual call and a few divisions, cheaper than a Chaos table lookup
 but costlier than raw block arithmetic.  The adapter charges a fixed
-multiple of the regular dereference rate to reflect that.
+multiple of the regular dereference rate to reflect that; its elements
+are enumerated by the generic dereference-and-filter scan.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
 from repro.core.registry import LibraryAdapter, register_adapter
-from repro.core.setofregions import SetOfRegions
-from repro.distrib.base import Distribution
 from repro.pcxx.collection import DistributedCollection
 from repro.vmachine.process import current_process
 
@@ -28,42 +23,11 @@ class PCxxAdapter(LibraryAdapter):
     """Interface functions for ``"pcxx"`` collections."""
 
     name = "pcxx"
-
-    def dist_of(self, handle: Any) -> Distribution:
-        return handle.dist
-
-    def shape_of(self, handle: Any) -> tuple[int, ...]:
-        if isinstance(handle, DistributedCollection):
-            return handle.global_shape
-        return handle.shape
-
-    def local_data(self, array: Any) -> np.ndarray:
-        if not isinstance(array, DistributedCollection):
-            raise TypeError("a local DistributedCollection is required")
-        return array.local
-
-    def adopt_local(self, array: Any, values: np.ndarray) -> bool:
-        array.local = values
-        return True
-
-    def itemsize_of(self, handle: Any) -> int:
-        return handle.itemsize
+    array_type = DistributedCollection
 
     def charge_deref(self, n: int) -> None:
         proc = current_process()
         proc.charge(n * _TULIP_DEREF_FACTOR * proc.cost.profile.deref_regular)
-
-    def local_elements(
-        self, handle: Any, sor: SetOfRegions, rank: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scan the region element list against the collection's layout."""
-        shape = self.shape_of(handle)
-        dist = self.dist_of(handle)
-        gidx = sor.global_flat(shape)
-        ranks, offsets = dist.owner_of_flat(gidx)
-        self.charge_deref(len(gidx))
-        mask = ranks == rank
-        return np.flatnonzero(mask).astype(np.int64), offsets[mask]
 
 
 register_adapter(PCxxAdapter())

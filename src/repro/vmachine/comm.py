@@ -44,18 +44,18 @@ from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
 from repro.vmachine.message import ANY_SOURCE, ANY_TAG, Mailbox, Message
 from repro.vmachine.payload import payload_nbytes
 from repro.vmachine.process import Process
+from repro.vmachine.tags import COLLECTIVE_TAG_BASE, CONTEXT_STRIDE
 from repro.vmachine.trace import TraceEvent
 
 __all__ = ["Communicator", "InterComm", "Request", "waitany", "waitall",
            "CONTEXT_STRIDE"]
 
-# Tags >= _COLLECTIVE_TAG_BASE are reserved for internal collective traffic.
-_COLLECTIVE_TAG_BASE = 1 << 24
-# Context-id spacing between communicators: each communicator owns the
-# wire-tag block [context, context + CONTEXT_STRIDE).  ANY_TAG wildcards
-# (receives, probes, Request.test) are scoped to this block so they can
-# never match another communicator's traffic.
-CONTEXT_STRIDE = 1 << 32
+# Each communicator owns the wire-tag block [context, context +
+# CONTEXT_STRIDE), tags >= COLLECTIVE_TAG_BASE in it reserved for internal
+# collective traffic (repro.vmachine.tags).  ANY_TAG wildcards (receives,
+# probes, Request.test) are scoped to this block so they can never match
+# another communicator's traffic.
+#
 # Split-derived communicators draw their context-block indices from above
 # this floor so they can never collide with the small sequential indices
 # handed to program/pair communicators by the program runner.
@@ -149,14 +149,14 @@ class _Endpoint:
         """Tag block scoping an ANY_TAG wildcard; None for exact tags.
 
         The wildcard covers this communicator's *user* tags only — wire
-        tags ``[context, context + _COLLECTIVE_TAG_BASE)``.  Internal
-        collective traffic lives above ``_COLLECTIVE_TAG_BASE`` within the
+        tags ``[context, context + COLLECTIVE_TAG_BASE)``.  Internal
+        collective traffic lives above ``COLLECTIVE_TAG_BASE`` within the
         same context block and must never satisfy an application wildcard
         (e.g. a neighbour already inside the next barrier).
         """
         if tag != ANY_TAG:
             return None
-        return (self._context, self._context + _COLLECTIVE_TAG_BASE)
+        return (self._context, self._context + COLLECTIVE_TAG_BASE)
 
     def _context_label(self) -> str:
         """Human-readable communicator context for failure diagnostics."""
@@ -514,7 +514,7 @@ class Communicator(_Endpoint):
 
     def _next_tag(self) -> int:
         self._collective_seq += 1
-        return _COLLECTIVE_TAG_BASE + self._collective_seq
+        return COLLECTIVE_TAG_BASE + self._collective_seq
 
     def barrier(self) -> None:
         """Dissemination barrier: ceil(log2 P) rounds of pairwise messages."""

@@ -176,17 +176,6 @@ class CostModel:
         p = self.profile
         return p.o_recv + nbytes * p.gamma_byte * 0.25
 
-    # Backwards-compatible composite view used by tests/analyses:
-
-    def send_overhead(self, nbytes: int) -> float:
-        """Sender occupancy at unit contention (compatibility alias)."""
-        return self.send_occupancy(nbytes, 1.0)
-
-    def wire_time(self, nbytes: int, contention: float = 1.0) -> float:
-        """Total sender-clock-to-availability time of one message."""
-        p = self.profile
-        return p.alpha + contention * nbytes / p.bandwidth
-
     # -- local work --------------------------------------------------------
 
     def flops(self, n: float) -> float:

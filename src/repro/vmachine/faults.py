@@ -51,6 +51,17 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from repro.vmachine.tags import (
+    COLLECTIVE_TAG_BASE,
+    CONTEXT_STRIDE,
+    REL_ACK,
+    REL_DATA,
+    TAG_DATA,
+    TAG_DESCRIPTOR,
+    TAG_RMA_BASE,
+    TAG_SCHED_PIECES,
+    TAG_SCHED_SRCINFO,
+)
 from repro.vmachine.trace import TraceEvent, format_tag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -69,18 +80,6 @@ __all__ = [
     "SimulatedCrash",
     "tag_class",
 ]
-
-# Tag-block layout (mirrors repro.vmachine.comm / repro.core.universe /
-# repro.vmachine.reliability — kept numeric here to avoid import cycles):
-_CONTEXT_STRIDE = 1 << 32          # comm.CONTEXT_STRIDE
-_COLLECTIVE_BASE = 1 << 24         # comm._COLLECTIVE_TAG_BASE
-_REL_ACK_BIT = 1 << 23             # reliability ack/control envelopes
-_REL_DATA_BIT = 1 << 22            # reliability data envelopes
-_TAG_SCHED_SRCINFO = 1 << 20       # universe.TAG_SCHED_SRCINFO
-_TAG_SCHED_PIECES = (1 << 20) + 1  # universe.TAG_SCHED_PIECES
-_TAG_DATA = (1 << 20) + 2          # universe.TAG_DATA
-_TAG_DESCRIPTOR = (1 << 20) + 3    # universe.TAG_DESCRIPTOR
-_TAG_RMA_BASE = 3 << 20            # window.TAG_RMA_BASE (one-sided block)
 
 
 def tag_class(wire_tag: int) -> str:
@@ -102,18 +101,18 @@ def tag_class(wire_tag: int) -> str:
     so a plan targeting ``"data"`` (or ``"rma"``) faults the same logical
     traffic whether or not the reliable layer is interposed.
     """
-    offset = wire_tag % _CONTEXT_STRIDE
-    if offset >= _COLLECTIVE_BASE:
+    offset = wire_tag % CONTEXT_STRIDE
+    if offset >= COLLECTIVE_TAG_BASE:
         return "collective"
-    if offset & _REL_ACK_BIT:
+    if offset & REL_ACK:
         return "control"
-    if offset & _REL_DATA_BIT:
-        return tag_class(offset ^ _REL_DATA_BIT)
-    if offset == _TAG_DATA:
+    if offset & REL_DATA:
+        return tag_class(offset ^ REL_DATA)
+    if offset == TAG_DATA:
         return "data"
-    if offset in (_TAG_SCHED_SRCINFO, _TAG_SCHED_PIECES, _TAG_DESCRIPTOR):
+    if offset in (TAG_SCHED_SRCINFO, TAG_SCHED_PIECES, TAG_DESCRIPTOR):
         return "sched"
-    if _TAG_RMA_BASE <= offset < _REL_DATA_BIT:
+    if TAG_RMA_BASE <= offset < REL_DATA:
         return "rma"
     return "user"
 

@@ -53,17 +53,16 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from repro.vmachine.faults import RankLostError
+from repro.vmachine.tags import REL_ACK, REL_DATA
 from repro.vmachine.trace import format_tag
 
 __all__ = ["ReliabilityConfig", "Reliability", "ReliableView", "REL_DATA",
            "REL_ACK"]
 
-#: shadow-tag bits: a reliable data envelope for user/runtime tag ``t``
-#: travels on ``t | REL_DATA``; its cumulative acks on ``t | REL_ACK``.
-#: Both stay below the collective tag block (1 << 24) and inside the
-#: owning communicator's context block, so context scoping still applies.
-REL_DATA = 1 << 22
-REL_ACK = 1 << 23
+# Shadow-tag bits (repro.vmachine.tags): a reliable data envelope for
+# user/runtime tag ``t`` travels on ``t | REL_DATA``; its cumulative acks
+# on ``t | REL_ACK``.  Both stay below the collective tag block and inside
+# the owning communicator's context block, so context scoping still applies.
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,11 @@ class PhaseTimer:
         with proc.timer.phase("schedule"):
             ...  # any logical-clock charges land in the "schedule" bucket
 
-    Nested phases are allowed; inner time is charged to the inner phase
-    only (the context manager samples the clock on entry and exit).
+    Nested phases are allowed.  Each phase samples the clock on entry and
+    exit, so an outer phase's time *includes* the time of the phases
+    nested in it (inclusive, not self, time) — and
+    :meth:`TimingReport.total_ms` over nested phases counts the inner
+    time once per enclosing phase.
     """
 
     def __init__(self, clock_fn):

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.vmachine.tags import CONTEXT_STRIDE
+
 __all__ = [
     "TraceEvent",
     "MESSAGE_KINDS",
@@ -91,13 +93,11 @@ def format_tag(tag: int) -> str:
     """Render a wire tag as ``context_block:user_tag``.
 
     Wire tags are ``context + user_tag`` where ``context`` is a multiple
-    of :data:`~repro.vmachine.comm.CONTEXT_STRIDE`; split communicators
+    of :data:`~repro.vmachine.tags.CONTEXT_STRIDE`; split communicators
     use large Cantor-paired block indices, so truncating with ``& 0xFFFF``
     aliases distinct communicators.  Negative tags (``ANY_TAG``) render
     as-is.
     """
-    from repro.vmachine.comm import CONTEXT_STRIDE
-
     if tag < 0:
         return str(tag)
     return f"{tag // CONTEXT_STRIDE}:{tag % CONTEXT_STRIDE}"

@@ -62,15 +62,14 @@ import numpy as np
 
 from repro.vmachine.comm import Communicator
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
+from repro.vmachine.tags import REL_DATA, TAG_RMA_BASE
 from repro.vmachine.trace import TraceEvent
 
 __all__ = ["Window", "RMAHandle", "TAG_RMA_BASE", "ACCUMULATE_OPS"]
 
-#: base of the one-sided wire-tag block ``[TAG_RMA_BASE, 1 << 22)`` —
-#: above the user/app tag space, below the reliability shadow bits, and
-#: classified ``"rma"`` by :func:`repro.vmachine.faults.tag_class`
-#: (mirrored there as ``_TAG_RMA_BASE``).
-TAG_RMA_BASE = 3 << 20
+# The one-sided wire-tag block is [TAG_RMA_BASE, REL_DATA) — above the
+# user/app tag space, below the reliability shadow bits, and classified
+# "rma" by repro.vmachine.faults.tag_class (repro.vmachine.tags).
 
 #: supported elementwise ``accumulate`` combiners
 ACCUMULATE_OPS = ("sum", "min", "max", "replace")
@@ -164,7 +163,7 @@ class Window:
         # without coordination — and each window owns a disjoint tag pair.
         wid = getattr(comm, "_rma_window_seq", 0)
         comm._rma_window_seq = wid + 1
-        if 2 * wid + 1 >= (1 << 22) - TAG_RMA_BASE:
+        if 2 * wid + 1 >= REL_DATA - TAG_RMA_BASE:
             raise ValueError("window id space exhausted on this communicator")
         self._wid = wid
         self._data_tag = TAG_RMA_BASE + 2 * wid

@@ -22,7 +22,7 @@ def test_list_prints_each_gate_once(capsys):
     listed = capsys.readouterr().out.split()
     assert listed == list(GATES) and len(set(listed)) == len(listed)
     assert {"tier1", "tier1-recorded", "tables", "bench", "bench-autotune",
-            "replay", "cli", "layering", "perf-smoke"} == set(listed)
+            "replay", "cli", "layering", "docs", "perf-smoke"} == set(listed)
     # a bare run leaves out only the eight-minute one
     assert [n for n, g in GATES.items() if not g.default] == ["bench-autotune"]
 
@@ -107,6 +107,26 @@ def test_layering_pairs_hold_in_fresh_interpreters():
     gate = GATES["layering"]
     assert len(gate.cmds) == len(check.LAYERING)
     assert check.run_gate(gate)
+
+
+def test_docs_gate_fails_on_a_stale_name(tmp_path, capfd):
+    good = ("`repro.core.registry.LibraryAdapter.array_type`, "
+            "`check.py::Gate`, `tests/core/test_registry.py::TestRegistry::"
+            "test_unknown_library`, `core/registry.py::cartesian_local_elements`, "
+            "`src/repro/vmachine/tags.py`, `benchmarks/bench_*.py`, `docs/`\n"
+            "```\nrepro.in.a.fenced.block `is not read`\n```\n")
+    doc = tmp_path / "doc.md"
+    doc.write_text(good)
+    docs = Gate("docs", (py("-c", check.DOCS_OK, str(doc)),))
+    assert check.run_gate(docs)
+    bad = ("`repro.core.registry.LibraryAdapter.wire_time`",
+           "`tests/core/test_registry.py::TestRegistry::test_gone`",
+           "`core/registry.py::MaterialisedHandle`",
+           "`src/repro/vmachine/tag_map.py`")
+    doc.write_text(good + "\n".join(bad))
+    assert not check.run_gate(docs)
+    out = capfd.readouterr().out
+    assert all(f"{name} does not resolve" in out for name in bad)
 
 
 def test_layering_check_catches_a_violation(capfd):

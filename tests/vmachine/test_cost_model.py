@@ -12,23 +12,31 @@ def sp2():
     return CostModel(IBM_SP2)
 
 
+def wire_time(cm: CostModel, nbytes: int, contention: float = 1.0) -> float:
+    """A message's time from the start of its send to its availability at
+    the receiver: the sender's occupancy, then one wire latency."""
+    return cm.send_occupancy(nbytes, contention) + cm.post_injection_latency()
+
+
 class TestCharges:
     def test_wire_time_includes_latency(self, sp2):
-        assert sp2.wire_time(0) == pytest.approx(IBM_SP2.alpha)
+        assert sp2.post_injection_latency() == IBM_SP2.alpha
+        assert wire_time(sp2, 0) == pytest.approx(IBM_SP2.o_send + IBM_SP2.alpha)
 
     def test_wire_time_scales_with_bytes(self, sp2):
-        t1 = sp2.wire_time(1_000_000)
-        t2 = sp2.wire_time(2_000_000)
+        t1 = wire_time(sp2, 1_000_000)
+        t2 = wire_time(sp2, 2_000_000)
         assert t2 - t1 == pytest.approx(1_000_000 / IBM_SP2.bandwidth)
 
     def test_wire_time_contention_multiplies_transfer_only(self, sp2):
-        base = sp2.wire_time(70_000, contention=1.0)
-        double = sp2.wire_time(70_000, contention=2.0)
+        base = sp2.send_occupancy(70_000, contention=1.0)
+        double = sp2.send_occupancy(70_000, contention=2.0)
         assert double - base == pytest.approx(70_000 / IBM_SP2.bandwidth)
+        assert sp2.send_occupancy(0, contention=4.0) == sp2.send_occupancy(0)
 
     def test_send_overhead_at_least_o_send(self, sp2):
-        assert sp2.send_overhead(0) == pytest.approx(IBM_SP2.o_send)
-        assert sp2.send_overhead(1000) > IBM_SP2.o_send
+        assert sp2.send_occupancy(0) == pytest.approx(IBM_SP2.o_send)
+        assert sp2.send_occupancy(1000) > IBM_SP2.o_send
 
     def test_recv_overhead_at_least_o_recv(self, sp2):
         assert sp2.recv_overhead(0) == pytest.approx(IBM_SP2.o_recv)
@@ -93,4 +101,4 @@ class TestProfileValidation:
             locate_elem=1e-9, startup=1e-5,
         )
         cm = CostModel(p)
-        assert cm.wire_time(1000) == pytest.approx(1e-6 + 1000 / 1e9)
+        assert wire_time(cm, 1000) == pytest.approx(1e-6 + 1e-6 + 1000 / 1e9)

@@ -44,6 +44,18 @@ class TestPhaseTimer:
                 raise RuntimeError
         assert t.report.get_ms("p") == pytest.approx(1000.0)
 
+    def test_outer_phase_includes_nested_phases(self):
+        clock = [0.0]
+        t = PhaseTimer(lambda: clock[0])
+        with t.phase("outer"):
+            clock[0] += 1.0
+            with t.phase("inner"):
+                clock[0] += 2.0
+            clock[0] += 4.0
+        assert t.report.get_ms("inner") == pytest.approx(2000.0)
+        assert t.report.get_ms("outer") == pytest.approx(7000.0)
+        assert t.report.total_ms() == pytest.approx(9000.0)
+
 
 class TestMerge:
     def test_max_merge(self):

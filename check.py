@@ -137,12 +137,54 @@ LAYERING = (
     ("autotune", ("service",)),
     ("service", ("dobj", "apps")),
 )
+#: (file under ``src/repro``, module it imports) -> why that function-local
+#: import of a banned package is allowed
+LAYERING_ALLOWED = {
+    ("vmachine/machine.py", "repro.replay.recorder"):
+        "REPRO_RECORD=1 makes the machine build its own recorder",
+    ("vmachine/machine.py", "repro.replay.artifact"):
+        "a recorded launch stores its fault plan in artifact form",
+    ("vmachine/machine.py", "repro.replay.fingerprint"):
+        "a failing recorded launch names its replay handle",
+}
+
+
+def banned_imports(root: Path = ROOT) -> list[str]:
+    """Every ``import``/``from`` of a package ``LAYERING`` bans, at any
+    depth in ``src/repro/<package>`` (function-local ones included) and
+    not named in ``LAYERING_ALLOWED``, one line each."""
+    found = []
+    for package, banned in LAYERING:
+        banned = {f"repro.{name}" for name in banned}
+        for path in sorted((root / "src/repro" / package).rglob("*.py")):
+            rel = path.relative_to(root / "src/repro").as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    modules = [node.module]
+                else:
+                    continue
+                found += [
+                    f"{rel}:{node.lineno} imports {module}"
+                    for module in modules
+                    if ".".join(module.split(".")[:2]) in banned
+                    and (rel, module) not in LAYERING_ALLOWED
+                ]
+    return found
+
+
 IMPORTS_NONE_OF = """
 import importlib, sys
 importlib.import_module(sys.argv[1])
 bad = sorted(m for m in sys.modules
              if ".".join(m.split(".")[:2]) in sys.argv[2:])
 assert not bad, f"{sys.argv[1]} imports {bad}"
+"""
+NO_BANNED_IMPORTS = """
+import sys, check
+found = check.banned_imports(check.Path(sys.argv[1]))
+assert not found, "\\n".join(found)
 """
 #: a renamed function the ledger wraps by name would just stop being measured
 LEDGER_OK = """
@@ -263,7 +305,8 @@ GATES = {gate.name: gate for gate in (
     Gate("layering", tuple(
         py("-c", IMPORTS_NONE_OF, f"repro.{package}",
            *(f"repro.{other}" for other in banned))
-        for package, banned in LAYERING)),
+        for package, banned in LAYERING) + (
+        py("-c", NO_BANNED_IMPORTS, str(ROOT)),)),
     Gate("docs", (py("-c", DOCS_OK, *DOCS),)),
     Gate("perf-smoke", (
         py("perf/run.py", "--smoke"),

@@ -17,11 +17,11 @@ Layering:
   branch-and-bound ranking.
 - :mod:`repro.autotune.calibrate` — execute candidates under
   ``observe=True``, refit per-term coefficients from measured spans.
-- :mod:`repro.autotune.auto` — the ``policy="auto"`` runtime hook used
-  by ``mc_copy`` / ``mc_copy_many`` / ``CoupledExchange``.
+
+``policy="auto"`` is not the mapper's: the move executor resolves it per
+rank (:func:`repro.core.policy.resolve_policy`).
 """
 
-from repro.autotune.auto import choose_policy, resolve_policy
 from repro.autotune.calibrate import (
     MeasuredRun,
     calibrate,
@@ -55,11 +55,9 @@ __all__ = [
     "TERMS",
     "WorkloadSpec",
     "calibrate",
-    "choose_policy",
     "mapping_space",
     "measure_mapping",
     "pair_matrix",
-    "resolve_policy",
     "run_matrix",
     "search_mapping",
     "validate_top",

@@ -3,19 +3,17 @@
 Two tiers of fidelity, deliberately separated:
 
 **Exact tier — the data move.**  :meth:`CostModel.simulate_move` is a
-discrete-event replay of the single-program executor's charge sequence
-(:mod:`repro.core.plan`), reproducing the virtual machine's
-floating-point arithmetic *operation for operation*: per rank, the local
-copy's pack charge, then each send's pack + injection
-(``o_send + contention·nbytes/bandwidth``) with arrival one ``alpha``
-later, then each receive's ``advance_to`` wait, drain overhead
-(``o_recv + nbytes·γ_byte·0.25``) and unpack charge, in exactly the
-order :class:`~repro.core.policy.ExecutorPolicy` dictates.  Because
-every send of a move completes before any receive of that move consumes
-it, arrival times are computable without iteration, and the predicted
-per-rank clocks equal the measured logical clocks **to the last bit**
-for pure data moves (single schedule, no reliability layer) — the
-property suite pins this across methods, distributions and P.
+discrete-event replay of the move executor (:mod:`repro.core.plan`)
+that owns neither the order nor the price of a charge: each rank walks
+the route the executor itself builds (:func:`repro.core.plan.traversal`
+— local copies, sends, receives) and every duration comes from the
+machine's :class:`repro.vmachine.cost_model.CostModel` (the charges of
+MODEL.md §1).  Because every send of a move completes before any
+receive of that move consumes it, arrival times are computable without
+iteration, and the predicted per-rank clocks equal the measured logical
+clocks **to the last bit**: the suite pins single, fused and sequential
+multi-array moves, ORDERED and OVERLAP, on both machine profiles,
+across methods, distributions and P.
 
 **Approximate tier — schedule build and table residency.**
 :meth:`CostModel.build_terms` composes per-term estimates
@@ -41,9 +39,10 @@ from repro.autotune.workload import (
     pair_matrix,
     run_matrix,
 )
-from repro.core.policy import ExecutorPolicy, ordered_or_rotated
-from repro.core.wire import RUN_WIRE_BYTES, fused_nbytes
-from repro.vmachine.cost_model import MachineProfile
+from repro.core import plan
+from repro.core.policy import ExecutorPolicy
+from repro.core.wire import RUN_WIRE_BYTES
+from repro.vmachine.cost_model import CostModel as MachineCost, MachineProfile
 
 __all__ = ["Coefficients", "CostModel", "Prediction", "TERMS"]
 
@@ -119,6 +118,7 @@ class CostModel:
         coefficients: Coefficients | None = None,
     ):
         self.profile = profile
+        self.cost = MachineCost(profile)
         self.coefficients = coefficients or Coefficients()
 
     # -- exact tier: the data move ----------------------------------------
@@ -127,7 +127,7 @@ class CostModel:
         self,
         counts: np.ndarray,
         itemsize: int,
-        policy: ExecutorPolicy = ExecutorPolicy.ORDERED,
+        policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
         start_clocks: list[float] | None = None,
         segments: int = 1,
         fused: bool = False,
@@ -145,96 +145,83 @@ class CostModel:
         move's alpha/beta/occupancy/per_element decomposition — kept out
         of the clock arithmetic so the replay stays bit-exact.
 
-        The arithmetic deliberately mirrors
-        :meth:`~repro.vmachine.process.Process.charge` /
-        :meth:`~repro.vmachine.comm._account_recv`: same expressions,
-        same evaluation order, plain Python floats.
+        Each rank walks the executor's own route
+        (:func:`~repro.core.plan.traversal`) and charges the machine's
+        own durations (:class:`~repro.vmachine.cost_model.CostModel`),
+        added to plain Python float clocks as the engine adds them.
         """
         counts = np.asarray(counts)
         P = counts.shape[0]
         if counts.shape != (P, P):
             raise ValueError(f"counts must be square, got {counts.shape}")
-        policy = ExecutorPolicy.coerce(policy)
-        clocks = list(start_clocks) if start_clocks else [0.0] * P
+        clocks = [0.0] * P if start_clocks is None else list(start_clocks)
         if len(clocks) != P:
             raise ValueError(f"{len(clocks)} start clocks for {P} ranks")
-        if fused:
-            self._one_move(counts, itemsize, policy, clocks, segments, True,
-                           terms)
-        else:
-            for _ in range(segments):
-                self._one_move(counts, itemsize, policy, clocks, 1, False,
-                               terms)
-        return clocks
-
-    def _one_move(self, counts, itemsize, policy, clocks, nseg, fused,
-                  terms) -> None:
-        p = self.profile
-        P = len(clocks)
-        contention = p.contention_factor(P)
-        pack = p.pack_per_elem
-        arrivals: dict[tuple[int, int], float] = {}
+        cost = self.cost
+        contention = self.profile.contention_factor(P)
+        latency = cost.post_injection_latency()
         note = (lambda t, v: None) if terms is None else (
             lambda t, v: terms.__setitem__(t, terms.get(t, 0.0) + v)
         )
-        # one pair's message: plain packed bytes, or the fused wire form
-        wire_nbytes = (
-            (lambda n: fused_nbytes((n * itemsize,) * nseg)) if fused
-            else (lambda n: n * itemsize)
-        )
         # Plain Python ints once, outside the hot loops: element-wise
         # numpy scalar reads dominate the replay's wall time at P=64.
-        rows = counts.tolist() if hasattr(counts, "tolist") else counts
-        # Send half of every rank completes before any receive consumes
-        # it (the executors send before they receive, and the virtual
-        # transport buffers eagerly), so arrivals resolve in one pass.
-        for r in range(P):
-            c = clocks[r]
-            row = rows[r]
-            nloc = int(row[r])
-            if nloc > 0:
-                for _ in range(nseg):
-                    c = c + nloc * pack
-                    note("per_element", nloc * pack)
-            dests = [d for d in range(P) if d != r and row[d] > 0]
-            for d in ordered_or_rotated(dests, r, P, policy):
-                n = int(row[d])
-                for _ in range(nseg):
-                    c = c + n * pack
-                    note("per_element", n * pack)
-                nbytes = wire_nbytes(n)
-                c = c + (p.o_send + contention * nbytes / p.bandwidth)
-                note("occupancy", p.o_send)
-                note("beta", contention * nbytes / p.bandwidth)
-                arrivals[(r, d)] = c + p.alpha
-            clocks[r] = c
-        for r in range(P):
-            c = clocks[r]
-            srcs = [s for s in range(P) if s != r and rows[s][r] > 0]
-            if policy is ExecutorPolicy.OVERLAP and len(srcs) > 1:
-                # waitany completes the logically earliest message:
-                # smallest (arrival, source) among those still pending.
-                remaining = set(srcs)
-                order = []
-                while remaining:
-                    s = min(remaining, key=lambda s: (arrivals[(s, r)], s))
-                    remaining.discard(s)
-                    order.append(s)
-            else:
-                order = sorted(srcs)
-            for s in order:
-                a = arrivals[(s, r)]
-                if a > c:
-                    note("alpha", a - c)
-                    c = a
-                n = int(rows[s][r])
-                nbytes = wire_nbytes(n)
-                c = c + (p.o_recv + nbytes * p.gamma_byte * 0.25)
-                note("occupancy", p.o_recv + nbytes * p.gamma_byte * 0.25)
-                for _ in range(nseg):
-                    c = c + n * pack
-                    note("per_element", n * pack)
-            clocks[r] = c
+        rows = counts.tolist()
+        routes = [
+            plan.traversal(
+                policy, r, P, row[r],
+                {d: n for d, n in enumerate(row) if n and d != r},
+                [s for s in range(P) if s != r and rows[s][r]],
+            )
+            for r, row in enumerate(rows)
+        ]
+        nseg, moves = (segments, 1) if fused else (1, segments)
+        for _ in range(moves):
+            # Send half of every rank completes before any receive
+            # consumes it (the executors send before they receive, and
+            # the virtual transport buffers eagerly), so arrivals
+            # resolve in one pass.
+            arrivals: dict[tuple[int, int], float] = {}
+            for r, route in enumerate(routes):
+                c = clocks[r]
+                if route.local:
+                    pack = cost.pack(route.local)
+                    for _ in range(nseg):
+                        c = c + pack
+                        note("per_element", pack)
+                for d, n in route.dests:
+                    pack = cost.pack(n)
+                    for _ in range(nseg):
+                        c = c + pack
+                        note("per_element", pack)
+                    nbytes = plan.wire_nbytes((n * itemsize,) * nseg)
+                    before = c
+                    c = c + cost.send_occupancy(nbytes, contention)
+                    beta, occupancy = cost.split_injection(
+                        c - before, nbytes, contention
+                    )
+                    note("beta", beta)
+                    note("occupancy", occupancy)
+                    arrivals[r, d] = c + latency
+                clocks[r] = c
+            for r, route in enumerate(routes):
+                c = clocks[r]
+                for s in route.completion(lambda s: arrivals[s, r]):
+                    a = arrivals[s, r]
+                    if a > c:
+                        note("alpha", a - c)
+                        c = a
+                    n = rows[s][r]
+                    drain = cost.recv_overhead(
+                        plan.wire_nbytes((n * itemsize,) * nseg)
+                    )
+                    c = c + drain
+                    note("occupancy", drain)
+                    pack = cost.pack(n)
+                    for _ in range(nseg):
+                        c = c + pack
+                        note("per_element", pack)
+                clocks[r] = c
+        return clocks
 
     # -- approximate tier: schedule build + table residency ----------------
 

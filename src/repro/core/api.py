@@ -28,7 +28,7 @@ tables.
 
 Every ``policy`` argument accepts an :class:`ExecutorPolicy`, its string
 value, or ``"auto"``, which the executor resolves per rank from the plan
-it is about to run (:func:`repro.autotune.auto.resolve_policy`).
+it is about to run (:func:`repro.core.policy.resolve_policy`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.core.plan import (
     plan_move_recv,
     plan_move_send,
 )
-from repro.core.policy import ExecutorPolicy
+from repro.core.policy import ExecutorPolicy, resolve_policy
 from repro.core.region import Region
 from repro.core.schedule import CommSchedule, ScheduleMethod, build_schedule
 from repro.core.setofregions import SetOfRegions
@@ -121,17 +121,15 @@ def mc_compute_schedule(
     ``policy`` orders the schedule-build exchanges
     (:class:`~repro.core.policy.ExecutorPolicy`); the resulting schedule is
     identical under either policy.  ``"auto"`` defers the choice to the
-    executors (the build itself runs ORDERED — there is no schedule yet
-    to choose from).
+    executors: the build itself resolves it with no sources yet to
+    receive from, so it runs ORDERED.
     """
-    if isinstance(policy, str) and policy.lower() == "auto":
-        policy = ExecutorPolicy.ORDERED
     return build_schedule(
         _as_universe(where),
         src_lib, src_array, src_sor,
         dst_lib, dst_array, dst_sor,
         method=method,
-        policy=policy,
+        policy=resolve_policy(policy, ()),
     )
 
 

@@ -26,13 +26,13 @@ per-peer pack/unpack programs; every move in the repo runs one:
   checkout/release never charges the logical clock.
 
 The wire form is a function of k alone (``k = 1 ⇒ bare``): there is no
-option selecting it, and :func:`_fuse` / :func:`_received_segments` are
-the only code that looks at it.  A plan is a *flat program*:
-:func:`compile_plan` lowers every half to its ``MoveProgram`` once, a
-rank's traversal (:class:`_Route`) and a pair's wire layout are memoised
-on the plan, and a move is one loop over those rows — per segment cast
-check → pack charge → one batched NumPy operation (the segment kernels
-of :mod:`repro.core.registry`).  Everything else exists once:
+option selecting it, and :func:`_fuse` / :func:`_received_segments` /
+:func:`wire_nbytes` are the only code that looks at it.  A plan is a
+*flat program*: :func:`compile_plan` lowers every half to its
+``MoveProgram`` once, a rank's traversal (:class:`Route`) and a pair's
+wire layout are memoised on the plan, and a move is one loop over those
+rows — per segment cast check → pack charge → one batched NumPy
+operation (the segment kernels of :mod:`repro.core.registry`).  Everything else exists once:
 
 - **one send loop** (:func:`plan_move_send`): destinations in ascending
   (``ORDERED``) or rotated (``OVERLAP``) order, on the universe's data
@@ -46,18 +46,22 @@ of :mod:`repro.core.registry`).  Everything else exists once:
   fence — fencing between the halves would deadlock, every rank awaiting
   acks its peers only produce in *their* receive half.
 
-``policy="auto"`` is resolved here, per executed plan and per rank, from
-the executor's own list of active remote sources
-(:func:`repro.autotune.auto.resolve_policy`).
+A rank's traversal — local copies, sends in injection order, receives
+— is built by one function, :func:`traversal`, which also resolves
+``policy="auto"`` per executed plan and per rank from the active remote
+sources (:func:`repro.core.policy.resolve_policy`).  The autotune replay
+(:meth:`repro.autotune.model.CostModel.simulate_move`) walks routes built
+by the same function, and prices each pair's message with
+:func:`wire_nbytes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core.dataplane import MoveProgram, compile_offsets
-from repro.core.policy import ExecutorPolicy, ordered_or_rotated
+from repro.core.policy import ExecutorPolicy, ordered_or_rotated, resolve_policy
 from repro.core.registry import (
     copy_segment,
     get_adapter,
@@ -66,18 +70,21 @@ from repro.core.registry import (
 )
 from repro.core.schedule import CommSchedule
 from repro.core.universe import TAG_DATA, Universe
-from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout
+from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout, fused_nbytes
 from repro.vmachine.process import Process
 from repro.vmachine.trace import TraceEvent
 
 __all__ = [
     "MovePlan",
     "PlanSegment",
+    "Route",
     "compile_plan",
     "plan_of",
     "plan_move",
     "plan_move_send",
     "plan_move_recv",
+    "traversal",
+    "wire_nbytes",
 ]
 
 
@@ -132,7 +139,7 @@ class MovePlan:
     send_programs: dict[int, tuple[PlanSegment, ...]]
     recv_programs: dict[int, tuple[PlanSegment, ...]]
     #: what executing the plan resolves lazily and then reuses: this
-    #: rank's :class:`_Route` per ``(policy, role)`` and the fused
+    #: rank's :class:`Route` per ``(policy, role)`` and the fused
     #: :class:`~repro.core.wire.WireLayout` per ``(peer, source dtypes)``
     _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -250,6 +257,15 @@ def plan_of(schedule: CommSchedule, k: int = 1, reverse: bool = False) -> MovePl
 # ---------------------------------------------------------------------------
 
 
+def wire_nbytes(segment_nbytes: Sequence[int]) -> int:
+    """Bytes one pair's message puts on the wire, from its segments'
+    payload bytes: the bare buffer itself for one segment, the fused
+    form (:func:`~repro.core.wire.fused_nbytes`) for several."""
+    if len(segment_nbytes) == 1:
+        return segment_nbytes[0]
+    return fused_nbytes(segment_nbytes)
+
+
 def _fuse(
     plan: MovePlan, program: tuple[PlanSegment, ...], datas: Sequence[Any],
     dtypes: tuple, proc: Process, d: int,
@@ -355,49 +371,62 @@ def _check_arrays(plan: MovePlan, arrays: Sequence[Any], side: str) -> None:
         )
 
 
-class _Route(NamedTuple):
-    """One rank's traversal of a plan: everything a move used to re-derive
-    from the programs and the universe on every call."""
+class Route(NamedTuple):
+    """One rank's traversal of a move, in the order it is charged: the
+    direct local copies, then one send per remote destination, then one
+    receive per remote source.  The executor builds it from a compiled
+    plan (:func:`_route`), the autotune replay from a row of pair counts
+    — both through :func:`traversal`, so the two cannot order a move
+    differently."""
 
     #: the policy executed (``"auto"`` resolved from ``sources``)
     policy: ExecutorPolicy
-    #: ``(d, program)`` per remote destination, in injection order
+    #: ``(d, row)`` per remote destination, in injection order
     dests: tuple
     #: remote source ranks this rank receives a message from, ascending
     sources: tuple
-    #: single program only: ``(array slot, source program, destination
-    #: program or None)`` per schedule with intra-processor elements
-    local: tuple
+    #: the intra-processor work, as the caller supplied it
+    local: Any
+
+    def completion(self, arrival: Callable[[int], float]) -> list[int]:
+        """The order the receives complete in, given each source's
+        logical ``arrival``: ascending rank, or under ``OVERLAP`` the
+        wait-any order — smallest ``(arrival, rank)`` first."""
+        if self.policy is ExecutorPolicy.OVERLAP:
+            return sorted(self.sources, key=lambda s: (arrival(s), s))
+        return list(self.sources)
+
+
+def traversal(
+    policy: ExecutorPolicy | str, me: int | None, size: int, local: Any,
+    sends: dict[int, Any], sources: Iterable[int],
+) -> Route:
+    """The :class:`Route` of rank ``me`` of a ``size``-rank destination
+    group: ``sends`` maps each remote destination to its row, ``sources``
+    lists the remote source ranks.  ``"auto"`` resolves here, per rank,
+    from those sources; destinations are visited ascending (``ORDERED``)
+    or rotated (``OVERLAP``)."""
+    sources = tuple(sorted(sources))
+    policy = resolve_policy(policy, sources)
+    dests = tuple(
+        (d, sends[d]) for d in ordered_or_rotated(list(sends), me, size, policy)
+    ) if sends else ()
+    return Route(policy, dests, sources, local)
 
 
 def _route(
     plan: MovePlan, universe: Universe, policy: ExecutorPolicy | str
-) -> _Route:
-    """The :class:`_Route` of the calling rank, memoised on the plan per
-    ``(policy, role)``.  ``"auto"`` resolves here, per rank, from the
-    active remote sources of the plan being executed."""
+) -> Route:
+    """The calling rank's :class:`Route` of ``plan``, memoised on the plan
+    per ``(policy, role)``.  ``local`` holds, in a single program, one
+    ``(array slot, source program, destination program or None)`` per
+    schedule with intra-processor elements."""
     me_src, me_dst = universe.my_src_rank, universe.my_dst_rank
     key = (policy, me_src, me_dst, universe.single_program)
     route = plan._routes.get(key)
     if route is not None:
         return route
-    sources = tuple(
-        s for s in sorted(plan.recv_programs) if not universe.same_proc_src(s)
-    )
-    if not isinstance(policy, ExecutorPolicy):
-        # Imported here: repro.autotune itself imports repro.core.
-        from repro.autotune.auto import resolve_policy
-
-        policy = resolve_policy(policy, sources)
-    dests = local = ()
-    if me_src is not None:
-        dests = tuple(
-            (d, plan.send_programs[d])
-            for d in ordered_or_rotated(
-                list(plan.send_programs), me_src, universe.dst_size, policy
-            )
-            if not universe.same_proc_dst(d)
-        )
+    local = ()
     if universe.single_program:
         into = {
             seg.schedule_id: seg.program
@@ -407,7 +436,14 @@ def _route(
             (seg.schedule_id, seg.program, into.get(seg.schedule_id))
             for seg in plan.send_programs.get(me_dst, ())
         )
-    route = plan._routes[key] = _Route(policy, dests, sources, local)
+    sends = {} if me_src is None else {
+        d: program for d, program in plan.send_programs.items()
+        if not universe.same_proc_dst(d)
+    }
+    route = plan._routes[key] = traversal(
+        policy, me_src, universe.dst_size, local, sends,
+        [s for s in plan.recv_programs if not universe.same_proc_src(s)],
+    )
     return route
 
 
@@ -531,7 +567,7 @@ def plan_move_recv(
 
 
 def _local_copies(
-    plan: MovePlan, route: _Route, src_arrays: Sequence[Any],
+    plan: MovePlan, route: Route, src_arrays: Sequence[Any],
     dst_arrays: Sequence[Any], proc: Process,
 ) -> None:
     """Direct intra-processor copies (no intermediate buffer, §5.3).

@@ -23,6 +23,9 @@ low-numbered source even when higher-numbered sources have already arrived.
     ``ORDERED`` (placement depends only on the schedule, never on completion
     order); only the logical clocks change.
 
+``"auto"`` (:func:`resolve_policy`) picks between the two per rank, from
+the remote sources the executor is about to receive from.
+
 This module is dependency-free within :mod:`repro.core` so that both
 :mod:`repro.core.plan` and :mod:`repro.core.schedule` can import it
 without creating a cycle.
@@ -33,7 +36,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Sequence
 
-__all__ = ["ExecutorPolicy", "rotated_order", "ordered_or_rotated"]
+__all__ = [
+    "ExecutorPolicy",
+    "choose_policy",
+    "ordered_or_rotated",
+    "resolve_policy",
+    "rotated_order",
+]
 
 
 class ExecutorPolicy(Enum):
@@ -82,3 +91,29 @@ def ordered_or_rotated(
     if policy is ExecutorPolicy.OVERLAP:
         return rotated_order(ranks, my_rank, group_size)
     return sorted(ranks)
+
+
+def choose_policy(sources: Sequence[int]) -> ExecutorPolicy:
+    """The executor policy for a rank that receives from the remote
+    ``sources``: OVERLAP when there is more than one, else ORDERED.
+
+    ORDERED and OVERLAP charge the same pack, injection and drain totals
+    and differ only in the ``alpha`` waits: rotated injection staggers
+    arrivals and arrival-order completion consumes them in that order,
+    so OVERLAP never finishes later than ORDERED and finishes earlier as
+    soon as a rank drains more than one peer.  With at most one source
+    the two issue the same charges, and ORDERED (the paper's executor)
+    wins the tie.  Policy orders messages, never places data, so ranks
+    that choose differently still fill identical destinations.
+    """
+    return ExecutorPolicy.OVERLAP if len(sources) > 1 else ExecutorPolicy.ORDERED
+
+
+def resolve_policy(
+    policy: ExecutorPolicy | str, sources: Sequence[int]
+) -> ExecutorPolicy:
+    """Coerce a ``policy=`` argument, resolving the string ``"auto"``
+    with :func:`choose_policy` from the rank's remote ``sources``."""
+    if isinstance(policy, str) and policy.lower() == "auto":
+        return choose_policy(sources)
+    return ExecutorPolicy.coerce(policy)

@@ -167,6 +167,16 @@ class CostModel:
         p = self.profile
         return p.o_send + contention * nbytes / p.bandwidth
 
+    def split_injection(
+        self, delta: float, nbytes: int, contention: float = 1.0,
+        slowdown: float = 1.0,
+    ) -> tuple[float, float]:
+        """``(beta, occupancy)`` of an injection that moved a clock by
+        ``delta``: the wire serialization (``nbytes / bandwidth``, capped
+        at ``delta``) and the rest, so the two sum to ``delta`` exactly."""
+        beta = min(delta, contention * nbytes / self.profile.bandwidth * slowdown)
+        return beta, delta - beta
+
     def post_injection_latency(self) -> float:
         """Wire latency from injection completion to availability."""
         return self.profile.alpha

@@ -210,22 +210,20 @@ class Process:
         Exactly ``charge(cost.send_occupancy(nbytes, contention))`` on
         the clock — the single-charge expression is preserved so clocks
         stay byte-identical — but the attributed delta is split into its
-        ``beta`` (wire serialization, ``nbytes / bandwidth``) and
-        ``occupancy`` (fixed ``o_send``) components.
+        ``beta`` and ``occupancy`` components
+        (:meth:`~repro.vmachine.cost_model.CostModel.split_injection`).
         """
         before = self.clock
         self.clock += self.cost.send_occupancy(nbytes, contention) * self.slowdown
         metrics = self.metrics
         if not metrics.attributing:
             return
-        delta = self.clock - before
-        beta = min(
-            delta,
-            (contention * nbytes / self.cost.profile.bandwidth) * self.slowdown,
+        beta, occupancy = self.cost.split_injection(
+            self.clock - before, nbytes, contention, self.slowdown
         )
         phase = self.phase
         metrics.add_term(phase, "beta", beta)
-        metrics.add_term(phase, "occupancy", delta - beta)
+        metrics.add_term(phase, "occupancy", occupancy)
 
     # -- convenience charge helpers ---------------------------------------
 

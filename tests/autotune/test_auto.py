@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.autotune import choose_policy, resolve_policy
 from repro.core import (
     mc_compute_schedule,
     mc_copy,
@@ -11,53 +10,70 @@ from repro.core import (
     mc_new_set_of_regions,
 )
 from repro.core.coupling import CoupledExchange, coupled_universe
-from repro.core.policy import ExecutorPolicy
+from repro.core.plan import _route, plan_of
+from repro.core.policy import ExecutorPolicy, choose_policy, resolve_policy
 from repro.core.region import IndexRegion, SectionRegion
+from repro.core.universe import SingleProgramUniverse
 from repro.distrib.section import Section
 from repro.hpf.array import HPFArray
 from repro.chaos import ChaosArray
 from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
 
 
-class _Sched:
-    def __init__(self, recvs):
-        self.recvs = recvs
+def _auto_routes(owner_shifts):
+    """Each rank's executed route of a single-program move under "auto":
+    rank ``r`` owns source elements ``2r, 2r+1``, which land on ranks
+    ``r + owner_shifts[0]`` and ``r + owner_shifts[1]`` (mod 4)."""
+    n = 8
 
+    def spmd(comm):
+        src = HPFArray.distribute(comm, (n,), ("block",))
+        owners = [(i // 2 + owner_shifts[i % 2]) % comm.size for i in range(n)]
+        dst = ChaosArray.zeros(comm, np.array(owners))
+        sched = mc_compute_schedule(
+            comm, "hpf", src,
+            mc_new_set_of_regions(SectionRegion(Section.full((n,)))),
+            "chaos", dst, mc_new_set_of_regions(IndexRegion(np.arange(n))),
+        )
+        route = _route(plan_of(sched), SingleProgramUniverse(comm), "auto")
+        return route.policy, route.sources
 
-class _Plan:
-    def __init__(self, recv_programs):
-        self.recv_programs = recv_programs
+    return VirtualMachine(4).run(spmd).values
 
 
 class TestChoosePolicy:
     def test_multi_peer_receives_pick_overlap(self):
-        s = _Sched({0: [1, 2], 1: [3], 2: []})
-        assert choose_policy(s) is ExecutorPolicy.OVERLAP
+        assert choose_policy([0, 1]) is ExecutorPolicy.OVERLAP
+        assert choose_policy((0, 2, 3)) is ExecutorPolicy.OVERLAP
 
     def test_single_peer_picks_ordered(self):
-        assert choose_policy(_Sched({0: [1, 2]})) is ExecutorPolicy.ORDERED
-        assert choose_policy(_Sched({})) is ExecutorPolicy.ORDERED
+        assert choose_policy([0]) is ExecutorPolicy.ORDERED
+        assert choose_policy([]) is ExecutorPolicy.ORDERED
 
     def test_local_entry_excluded(self):
-        # Rank 1's direct local copy (recvs[1]) is not a message.
-        s = _Sched({0: [1], 1: [2, 3]})
-        assert choose_policy(s, my_rank=1) is ExecutorPolicy.ORDERED
-        assert choose_policy(s, my_rank=2) is ExecutorPolicy.OVERLAP
+        # Every rank keeps one element (a direct local copy, not a
+        # message) and receives one from its left neighbour.
+        for r, (policy, sources) in enumerate(_auto_routes((0, 1))):
+            assert sources == ((r - 1) % 4,)
+            assert policy is ExecutorPolicy.ORDERED
 
     def test_plan_objects(self):
-        assert choose_policy(_Plan({0: "p", 2: "q"})) is ExecutorPolicy.OVERLAP
-        assert choose_policy(_Plan({0: "p"})) is ExecutorPolicy.ORDERED
+        # The executor resolves "auto" from the plan it runs: two remote
+        # sources per rank.
+        for r, (policy, sources) in enumerate(_auto_routes((1, 2))):
+            assert sources == tuple(sorted({(r - 1) % 4, (r - 2) % 4}))
+            assert policy is ExecutorPolicy.OVERLAP
 
     def test_resolve_passthrough(self):
-        s = _Sched({0: [1], 1: [2]})
-        assert resolve_policy("overlap", s) is ExecutorPolicy.OVERLAP
-        assert resolve_policy(ExecutorPolicy.ORDERED, s) \
+        sources = [0, 1]
+        assert resolve_policy("overlap", sources) is ExecutorPolicy.OVERLAP
+        assert resolve_policy(ExecutorPolicy.ORDERED, sources) \
             is ExecutorPolicy.ORDERED
-        assert resolve_policy("AUTO", s) is ExecutorPolicy.OVERLAP
+        assert resolve_policy("AUTO", sources) is ExecutorPolicy.OVERLAP
 
     def test_resolve_rejects_unknown_strings(self):
         with pytest.raises(ValueError):
-            resolve_policy("fastest", _Sched({}))
+            resolve_policy("fastest", [])
 
 
 def _permuted_copy(policy, n=256, nprocs=4):
@@ -136,7 +152,8 @@ class TestAutoPolicyEndToEnd:
                 )
                 mc_copy(comm, sched, src, dst, policy=policy)
                 resolved = (
-                    choose_policy(sched, comm.rank)
+                    choose_policy([s for s, off in sched.recvs.items()
+                                   if len(off) and s != comm.rank])
                     if policy == "auto" else policy
                 )
                 return comm.process.clock, resolved

@@ -1,13 +1,16 @@
 """The cost model's exact tier: predicted clocks == measured clocks.
 
-The headline property (ISSUE 9, satellite 3): for pure data moves —
-single schedule, ORDERED, fusion 1 — the analytical replay reproduces
-the virtual machine's per-rank logical clocks **to the last bit**,
-across schedule method × distribution pair × processor count.  No
-tolerance, no approximation: ``==`` on floats.
+The headline property: for data moves — single, fused and sequential
+multi-array, ORDERED and OVERLAP, on both machine profiles — the
+analytical replay reproduces the virtual machine's per-rank logical
+clocks **to the last bit**, across schedule method × distribution pair ×
+processor count.  No tolerance, no approximation: ``==`` on floats.
 """
 
+import numpy as np
 import pytest
+
+import repro.core.plan as plan_mod
 
 from repro.autotune import (
     CostModel,
@@ -97,26 +100,68 @@ class TestBitExactMoves:
         )
         assert predicted == list(run.move_clocks)
 
-    @pytest.mark.parametrize("fusion,label", [(3, "fused"), (1, "sequential")])
-    def test_multi_array_moves(self, fusion, label):
-        k = 3
+    @pytest.mark.parametrize("k,fusion,policy,profile,nprocs", [
+        (3, 3, ExecutorPolicy.ORDERED, IBM_SP2, 4),
+        (3, 1, ExecutorPolicy.ORDERED, IBM_SP2, 4),
+        (3, 3, ExecutorPolicy.OVERLAP, IBM_SP2, 8),
+        (3, 1, ExecutorPolicy.OVERLAP, IBM_SP2, 8),
+        # at P=8 the Alpha farm packs four ranks per node: contention 4
+        (1, 1, ExecutorPolicy.OVERLAP, ALPHA_FARM_ATM, 8),
+        (3, 3, ExecutorPolicy.OVERLAP, ALPHA_FARM_ATM, 8),
+    ], ids=["3-fused", "1-sequential", "overlap-fused", "overlap-sequential",
+            "overlap-atm", "overlap-atm-fused"])
+    def test_multi_array_moves(self, k, fusion, policy, profile, nprocs):
         wl = WorkloadSpec(
-            "multi", nelems=256, nprocs=4, pattern="permute",
-            narrays=k, reuse=2,
+            "multi", nelems=256, nprocs=nprocs, pattern="permute",
+            narrays=k, reuse=2, profile=profile,
         )
         mapping = MappingPoint(
-            DistSpec("block"), DistSpec("irregular", seed=5), fusion=fusion
+            DistSpec("block"), DistSpec("irregular", seed=5),
+            policy=policy, fusion=fusion,
         )
-        run = measure_mapping(wl, mapping)
-        counts = pair_matrix(wl, mapping.src, mapping.dst)
-        clocks = list(run.move_start_clocks)
-        model = CostModel(wl.profile)
-        for _ in range(wl.reuse):
-            clocks = model.simulate_move(
-                counts, wl.itemsize, mapping.policy,
-                start_clocks=clocks, segments=k, fused=fusion > 1,
+        predicted, measured = _replayed_and_measured(wl, mapping)
+        assert predicted == measured
+
+    def test_equality_is_by_construction(self, monkeypatch):
+        """Executor and replay walk routes from one builder: reverse its
+        send order and both clocks move, together."""
+        wl = WorkloadSpec("mut", nelems=256, nprocs=8, pattern="permute",
+                          reuse=2)
+        mapping = MappingPoint(DistSpec("block"), DistSpec("irregular", seed=5))
+        before = _replayed_and_measured(wl, mapping)
+        traversal = plan_mod.traversal
+
+        def reversed_sends(*args):
+            route = traversal(*args)
+            return route._replace(dests=route.dests[::-1])
+
+        monkeypatch.setattr(plan_mod, "traversal", reversed_sends)
+        predicted, measured = _replayed_and_measured(wl, mapping)
+        assert predicted == measured
+        assert predicted != before[0] and measured != before[1]
+
+
+def _replayed_and_measured(wl, mapping):
+    """The reuse loop's per-rank end clocks, replayed from the measured
+    start clocks, and as measured."""
+    run = measure_mapping(wl, mapping)
+    counts = pair_matrix(wl, mapping.src, mapping.dst)
+    clocks = list(run.move_start_clocks)
+    model = CostModel(wl.profile)
+    for _ in range(wl.reuse):
+        clocks = model.simulate_move(
+            counts, wl.itemsize, mapping.policy, start_clocks=clocks,
+            segments=wl.narrays, fused=mapping.fusion > 1,
+        )
+    return clocks, list(run.move_clocks)
+
+
+class TestStartClocks:
+    def test_empty_list_is_a_length_mismatch(self):
+        with pytest.raises(ValueError, match="0 start clocks for 4 ranks"):
+            CostModel(IBM_SP2).simulate_move(
+                np.ones((4, 4), dtype=int), 8, start_clocks=[]
             )
-        assert clocks == list(run.move_clocks)
 
 
 class TestMoveTerms:

@@ -27,7 +27,6 @@ import pytest
 import repro.blockparti  # noqa: F401
 import repro.chaos  # noqa: F401
 import repro.core.plan as plan_mod
-from repro.autotune.auto import resolve_policy
 from repro.blockparti import BlockPartiArray
 from repro.chaos import ChaosArray
 from repro.core import (
@@ -41,7 +40,7 @@ from repro.core import (
 )
 from repro.core.coupling import CoupledExchange, coupled_universe
 from repro.core.dataplane import read_flat
-from repro.core.policy import rotated_order
+from repro.core.policy import resolve_policy, rotated_order
 from repro.core.universe import TAG_DATA, SingleProgramUniverse
 from repro.core.wire import FusedBuffer, SegmentHeader, segment_layout
 from repro.vmachine import ProgramSpec, VirtualMachine, run_programs, waitany

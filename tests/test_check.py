@@ -105,8 +105,18 @@ def test_ci_matrix_is_the_gate_list():
 
 def test_layering_pairs_hold_in_fresh_interpreters():
     gate = GATES["layering"]
-    assert len(gate.cmds) == len(check.LAYERING)
+    assert len(gate.cmds) == len(check.LAYERING) + 1  # + the static scan
     assert check.run_gate(gate)
+
+
+def test_layering_gate_sees_a_function_local_import(tmp_path, capfd):
+    # importing the package would never load this: only a call would
+    late = tmp_path / "src/repro/vmachine/late.py"
+    late.parent.mkdir(parents=True)
+    late.write_text("def f():\n    from repro.core.plan import plan_move\n")
+    scan = Gate("scan", (py("-c", check.NO_BANNED_IMPORTS, str(tmp_path)),))
+    assert not check.run_gate(scan)
+    assert "vmachine/late.py:2 imports repro.core.plan" in capfd.readouterr().out
 
 
 def test_docs_gate_fails_on_a_stale_name(tmp_path, capfd):

@@ -198,11 +198,24 @@ assert workloads and not bad, bad
 #: the documents whose backticked names the ``docs`` gate resolves: a
 #: ``repro.…`` dotted name, a ``path.py::name`` (repo-relative or under
 #: ``src/repro``) and a ``src/`` / ``tests/`` / ``benchmarks/`` / ``docs/`` path
-DOCS = ("docs/API.md", "docs/MODEL.md", "CONTRIBUTING.md", "README.md")
+#: (globs and brace sets ``{a,b}`` allowed: every alternative must exist)
+DOCS = ("docs/API.md", "docs/MODEL.md", "CONTRIBUTING.md", "README.md",
+        "DESIGN.md", "EXPERIMENTS.md")
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 _DEFINED = re.compile(r"([\w./-]+\.py)((?:::\w+)+)")
-_PATH = re.compile(r"(?<![\w./-])(?:src|tests|benchmarks|docs)/[\w./*-]*")
+_PATH = re.compile(
+    r"(?<![\w./-])(?:src|tests|benchmarks|docs)/(?:[\w./*-]|\{[\w.,*-]*\})*")
+_BRACES = re.compile(r"\{([^}]*)\}")
+
+
+def _alternatives(path: str) -> list[str]:
+    """``a/{b,c}.json`` -> ``["a/b.json", "a/c.json"]`` (every brace set)."""
+    m = _BRACES.search(path)
+    if m is None:
+        return [path]
+    return [out for alt in m.group(1).split(",")
+            for out in _alternatives(path[:m.start()] + alt + path[m.end():])]
 
 
 def _resolves(dotted: str) -> bool:
@@ -258,7 +271,8 @@ def stale_references(doc: Path) -> list[str]:
             if path is None or not _defines(path, names.split("::")[1:]):
                 stale.append(file + names)
         stale += [path for path in _PATH.findall(_DEFINED.sub("", span))
-                  if not any(ROOT.glob(path.rstrip("/.")))]
+                  if not all(any(ROOT.glob(alt.rstrip("/.")))
+                             for alt in _alternatives(path))]
     return [f"{doc}: `{name}` does not resolve" for name in stale]
 
 

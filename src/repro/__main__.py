@@ -363,19 +363,12 @@ def cmd_serve(args) -> int:
         p99 = lat[min(len(lat) - 1, int(len(lat) * 0.99))] * 1e6
         print(f"op latency p50 {p50:.0f} us, p99 {p99:.0f} us "
               f"({len(lat)} resolved ops)")
+    # The server's store is a replica of the gateway's: one line for both.
     print(
-        f"gateway cache: {c['schedule_hits']} schedule hits / "
+        f"cache: {c['schedule_hits']} schedule hits / "
         f"{c['schedule_misses']} misses, {c['plan_hits']} plan hits / "
         f"{c['plan_misses']} misses, {c['halves_lowered']} lowered halves"
     )
-    s = report.server_counters
-    if s:
-        print(
-            f"server cache:  {s.get('schedule_hits', 0)} schedule hits / "
-            f"{s.get('schedule_misses', 0)} misses, "
-            f"{s.get('plan_hits', 0)} plan hits / "
-            f"{s.get('plan_misses', 0)} misses"
-        )
     print(f"server: {server_summary.get('ops_served', 0)} ops served")
     return 0 if report.ok else 1
 

@@ -49,7 +49,7 @@ class MeasuredRun:
     move_s: float
     #: build + reuse × move — same objective the search ranks by
     total_s: float
-    #: per-term build totals, averaged over ranks (MetricsRegistry.diff)
+    #: per-term build totals, averaged over ranks (MetricsSnapshot.diff)
     build_terms: dict[str, float]
     #: per-term move totals, averaged over ranks
     move_terms: dict[str, float]

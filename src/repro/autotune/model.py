@@ -22,7 +22,7 @@ taxonomy, MODEL.md §10) for the COOPERATION and DUPLICATION builders and
 for replicated vs paged translation tables.  These estimates carry a
 :class:`Coefficients` vector of per-term multipliers that the
 calibration path refits from measured span totals
-(:meth:`~repro.observe.metrics.MetricsRegistry.diff`), closing the
+(:meth:`~repro.observe.metrics.MetricsSnapshot.diff`), closing the
 model↔measurement loop without ever claiming build-time bit-exactness.
 """
 

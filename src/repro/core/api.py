@@ -50,6 +50,7 @@ from repro.core.schedule import CommSchedule, ScheduleMethod, build_schedule
 from repro.core.setofregions import SetOfRegions
 from repro.core.universe import SingleProgramUniverse, Universe
 from repro.vmachine.comm import Communicator
+from repro.vmachine.process import current_process
 
 __all__ = [
     "mc_new_set_of_regions",
@@ -90,10 +91,8 @@ def _maybe_span(name: str):
     a virtual-machine run (plan compilation is purely local and legal to
     call from the host)."""
     try:
-        from repro.vmachine.process import current_process
-
         proc = current_process()
-    except (ImportError, RuntimeError):
+    except RuntimeError:
         return nullcontext()
     return proc.span(name)
 

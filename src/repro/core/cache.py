@@ -42,6 +42,7 @@ from repro.core.region import IndexRegion, MaskRegion, Region, SectionRegion
 from repro.core.registry import get_adapter
 from repro.core.schedule import CommSchedule, ScheduleMethod
 from repro.core.setofregions import SetOfRegions
+from repro.vmachine.process import current_process
 
 __all__ = ["LayeredStore", "ScheduleCache", "region_key", "sor_key", "dist_key"]
 
@@ -95,7 +96,6 @@ def _freeze(obj: Any):
 #: metrics registry as ``<prefix><name>``
 COUNTERS = (
     "schedule_hits", "schedule_misses", "schedule_evictions",
-    "schedule_forced_rebuilds",
     "plan_hits", "plan_misses", "plan_evictions", "plan_invalidations",
     "plan_uncached",
 )
@@ -105,7 +105,7 @@ class LayeredStore:
     """One rank's schedule → plan store (see the module docstring).
 
     ``schedule_maxsize`` / ``plan_maxsize`` bound each layer with LRU
-    eviction (hits, rebuilds and stores refresh recency); ``None`` is
+    eviction (hits and stores refresh recency); ``None`` is
     unbounded.  Eviction is as deterministic as the keys, so a bounded
     store stays collective-safe: every rank evicts the same entry at the
     same call.
@@ -181,11 +181,6 @@ class LayeredStore:
 
     # -- schedule layer -----------------------------------------------------
 
-    def peek(self, key: tuple) -> bool:
-        """Would ``key`` hit?  No counter movement, no LRU touch — the
-        service's bind negotiation asks before committing to an answer."""
-        return key in self._schedules
-
     def lookup(self, key: tuple) -> CommSchedule | None:
         """Hit (refreshing recency) or miss; counters move either way."""
         hit = self._schedules.get(key)
@@ -214,27 +209,12 @@ class LayeredStore:
                 self._bump("schedule_evictions")
                 self._drop_plans_over(evicted)
 
-    def resolve(
-        self, key: tuple, build: Callable[[], CommSchedule], force: bool = False
-    ) -> CommSchedule:
+    def resolve(self, key: tuple, build: Callable[[], CommSchedule]) -> CommSchedule:
         """Get-or-build: the resident schedule under ``key``, else
-        ``build()`` stored under it.
-
-        ``force`` skips the lookup: someone else decided the (collective)
-        build must run — the service's bind negotiation, when the peer
-        program's replica missed — so whatever this store holds is moot.
-        Counted as a miss, and additionally as a forced rebuild when this
-        store *did* hold the key: the cost of keeping two independent
-        stores coherent.
-        """
-        if force:
-            if key in self._schedules:
-                self._bump("schedule_forced_rebuilds")
-            self._bump("schedule_misses")
-        else:
-            hit = self.lookup(key)
-            if hit is not None:
-                return hit
+        ``build()`` stored under it."""
+        hit = self.lookup(key)
+        if hit is not None:
+            return hit
         sched = build()
         self.store(key, sched)
         return sched
@@ -335,10 +315,8 @@ class ScheduleCache(LayeredStore):
         if metrics is None:
             # Inside an SPMD run, mirror into the calling rank's registry.
             try:
-                from repro.vmachine.process import current_process
-
                 metrics = current_process().metrics
-            except (ImportError, RuntimeError):
+            except RuntimeError:
                 metrics = None
         super().__init__(maxsize, maxsize, metrics, "cache_")
         self._where = where

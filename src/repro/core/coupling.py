@@ -56,7 +56,7 @@ def coupled_universe(
     return universe
 
 
-def guard_peer(universe: Universe, deadline_s, direction: str, fn, *args, **kwargs):
+def guard_peer(universe: Universe, direction: str, fn, *args, **kwargs):
     """Run one coupled phase, upgrading transport-level failures
     (:class:`~repro.vmachine.faults.RankLostError`, ``TimeoutError``) to
     :class:`~repro.vmachine.faults.PeerLostError` naming the peer program
@@ -68,12 +68,16 @@ def guard_peer(universe: Universe, deadline_s, direction: str, fn, *args, **kwar
     except PeerLostError:
         raise
     except (RankLostError, TimeoutError) as exc:
-        raise peer_lost(universe, deadline_s, exc, direction) from exc
+        raise peer_lost(universe, exc, direction) from exc
 
 
 def peer_lost(
-    universe: Universe, deadline_s, exc: BaseException, direction: str
+    universe: Universe, exc: BaseException, direction: str
 ) -> PeerLostError:
+    """The :class:`~repro.vmachine.faults.PeerLostError` for ``exc``.  A
+    time-out's text is the ``TimeoutError``'s own, which names the budget
+    that actually bounded the wait (a ``timeout=`` or the process receive
+    time-out)."""
     proc = universe.process
     if isinstance(exc, RankLostError):
         return PeerLostError(
@@ -88,7 +92,7 @@ def peer_lost(
     return PeerLostError(
         proc.rank,
         -1,
-        f"{direction} exceeded the {deadline_s}s deadline: {exc}",
+        f"{direction}: {exc}",
         peer_program=universe.peer_program,
         pending=proc.mailbox.pending_summary(),
         last_ack=rel.describe() if rel is not None else None,
@@ -101,13 +105,14 @@ def exchange(
     universe: TwoProgramUniverse,
     reverse: bool,
     policy: ExecutorPolicy | str,
-    deadline_s: float | None,
+    deadline_s: float | None = None,
     donate: bool = False,
 ) -> None:
     """Run ``plan`` forward (push) or, with ``reverse``, over the reversed
     universe (pull; the plan must fuse the reversed schedules): the
     program that owns the direction's source sends, its peer receives,
-    either half bounded by ``deadline_s`` (:func:`guard_peer`)."""
+    each wait of either half bounded by ``deadline_s``, else by the
+    process receive time-out (:func:`guard_peer`)."""
     if reverse:
         universe = universe.reversed()
     sending = universe.my_src_rank is not None
@@ -116,10 +121,10 @@ def exchange(
         f"({'send' if sending else 'receive'} half)"
     )
     if sending:
-        guard_peer(universe, deadline_s, direction, plan_move_send, plan,
+        guard_peer(universe, direction, plan_move_send, plan,
                    arrays, universe, policy=policy, timeout=deadline_s)
     else:
-        guard_peer(universe, deadline_s, direction, plan_move_recv, plan,
+        guard_peer(universe, direction, plan_move_recv, plan,
                    arrays, universe, policy=policy, timeout=deadline_s,
                    donate=donate)
 

@@ -25,15 +25,12 @@ misses}``                    (:func:`~repro.core.dataplane.
                              compile_offsets`)
 ============================ =========================================
 
-``<counter>`` is one of ``schedule_{hits, misses, evictions,
-forced_rebuilds}`` (a forced rebuild: the resolve was told to build over
-a key this store held — the service's bind negotiation, when the peer
-program's replica missed) and ``plan_{hits, misses, evictions,
-invalidations, uncached}`` (an invalidation: a member schedule was
-evicted or replaced under a cached plan; uncached: a plan compiled over
-members the store does not currently hold, handed to the caller but not
-kept).  ``snapshot()[<counter>]`` on either class equals the mirrored
-counter.
+``<counter>`` is one of ``schedule_{hits, misses, evictions}`` and
+``plan_{hits, misses, evictions, invalidations, uncached}`` (an
+invalidation: a member schedule was evicted or replaced under a cached
+plan; uncached: a plan compiled over members the store does not
+currently hold, handed to the caller but not kept).
+``snapshot()[<counter>]`` on either class equals the mirrored counter.
 
 Cache mirroring is clock-free by construction — a counter bump never
 advances logical time, so observed runs stay byte-identical with caching
@@ -45,9 +42,10 @@ caused it, bucketed by the enclosing :meth:`~repro.vmachine.process.
 Process.span` phase.  Term attribution is *opt-in* (``attributing=True``,
 enabled by ``VirtualMachine(observe=True)``): when enabled, the registry
 records the **exact** floating-point delta applied to the clock, so the
-sum of all term entries reproduces the rank's final logical clock to the
-last bit (the ``profile`` CLI and the test suite assert a 1e-9 bound to
-stay safe against future decompositions).
+sum of all term entries (:meth:`MetricsSnapshot.attributed_seconds` of a
+:meth:`MetricsRegistry.snapshot`) reproduces the rank's final logical
+clock to the last bit (the ``profile`` CLI and the test suite assert a
+1e-9 bound to stay safe against future decompositions).
 
 The term taxonomy (see MODEL.md §10):
 
@@ -169,46 +167,20 @@ class MetricsRegistry:
         key = (phase, term)
         self.terms[key] = self.terms.get(key, 0.0) + seconds
 
-    def term_totals(self) -> dict[str, float]:
-        """Logical seconds per cost term, summed over phases."""
-        return _totals_by(self.terms, 1)
-
-    def phase_totals(self) -> dict[str, float]:
-        """Logical seconds per phase, summed over terms."""
-        return _totals_by(self.terms, 0)
-
-    def attributed_seconds(self) -> float:
-        """Sum of every term entry — equals the rank's logical clock when
-        attribution was enabled for the whole run."""
-        return sum(self.terms.values())
-
-    # -- snapshot / diff ----------------------------------------------------
+    # -- snapshot ------------------------------------------------------------
 
     def snapshot(self) -> MetricsSnapshot:
-        """Immutable copy of the current state."""
-        return MetricsSnapshot(counters=dict(self.counters),
-                               terms=dict(self.terms))
-
-    def diff(self, earlier: MetricsSnapshot) -> MetricsSnapshot:
-        """What happened since ``earlier``: per-key deltas, zeros dropped.
+        """Immutable copy of the current state; its views (totals per
+        term or phase, attributed seconds, ``diff``) are the snapshot's.
 
         The idiom benchmarks use to attribute one phase of a longer run::
 
             before = proc.metrics.snapshot()
             ...  # the phase under measurement
-            delta = proc.metrics.diff(before)
+            delta = proc.metrics.snapshot().diff(before)
         """
-        counters = {
-            k: v - earlier.counters.get(k, 0)
-            for k, v in self.counters.items()
-            if v != earlier.counters.get(k, 0)
-        }
-        terms = {
-            k: v - earlier.terms.get(k, 0.0)
-            for k, v in self.terms.items()
-            if v != earlier.terms.get(k, 0.0)
-        }
-        return MetricsSnapshot(counters=counters, terms=terms)
+        return MetricsSnapshot(counters=dict(self.counters),
+                               terms=dict(self.terms))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

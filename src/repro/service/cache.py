@@ -19,10 +19,11 @@ tenant: the first tenant with a given signature pays the collective
 schedule build, plan fusion and program lowering; all later tenants hit.
 Keys are computed locally and deterministically, so all ranks of a
 program hit or miss together, and the gateway's and the server's stores
-are replicas coordinated only by the op stream; the one place they could
-disagree — a schedule one side holds and the other evicted — is settled
-by the bind negotiation, which both sides apply as
-``resolve(key, build, force=grant.need_build)``.
+are replicas coordinated only by the op stream: both programs call plain
+``resolve(key, build)`` at the same point of the same round, so they
+hit, miss and evict together — given equal sizes, which is what the
+config fingerprint checks once per connection
+(:meth:`~repro.service.protocol.ServiceConfig.fingerprint`).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ def array_signature(lib: str, array: Any, sor: SetOfRegions) -> tuple:
 
     Deterministic and cheap after first use (irregular distributions and
     index regions cache their content digests on the object), identical
-    on every rank — the currency of the service's shared caches and of
-    the bind negotiation on the wire.
+    on every rank — the currency of the service's shared caches, carried
+    on the wire by every bind.
     """
     adapter = get_adapter(lib)
     handle = adapter.resolve_handle(array)

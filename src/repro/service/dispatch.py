@@ -1,8 +1,8 @@
 """One dispatch round on the gateway program's ranks.
 
 One dispatch *round* is the unit of collective work: the gateway's rank 0
-seals a batch (at most one operation per tenant session), negotiates the
-bind phase with the server, and broadcasts a :class:`Round` to the other
+seals a batch (at most one operation per tenant session), takes the
+server's bind grants, and broadcasts a :class:`Round` to the other
 gateway ranks (:func:`lead_round`); every gateway rank then executes the
 identical round through :func:`execute_round` (ranks >= 1 from
 :func:`follow_round`) while the server program executes its mirror image
@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.coupling import guard_peer
-from repro.service.cache import array_signature, bind_key
+from repro.service.cache import array_signature
 from repro.service.protocol import (
     TAG_SERVICE,
     BatchReply,
-    BindOp,
     CreateOp,
     DisconnectOp,
     GatherOp,
@@ -45,6 +44,7 @@ __all__ = [
     "lead_round",
     "follow_round",
     "gateway_follower_loop",
+    "send_batch",
 ]
 
 
@@ -76,6 +76,8 @@ class GatewayState(ServiceState):
 
     #: (tenant, name) -> (library, array, set-of-regions)
     arrays: dict[tuple, tuple] = field(default_factory=dict)
+    #: has a batch carried the config fingerprint to the server yet?
+    fingerprint_sent: bool = False
 
     def signature_of(self, tenant: int, name: str) -> tuple:
         """Canonical content key of one tenant array (rank-local)."""
@@ -125,31 +127,19 @@ def execute_round(state: GatewayState, rnd: Round) -> list:
 def lead_round(
     state: GatewayState, seq: int, ops: tuple
 ) -> tuple[list, BatchReply | None]:
-    """Rank 0's half of one round: ship the server-visible slice, settle
-    the bind negotiation, broadcast the :class:`Round`, execute it, and
-    collect the server's reply (``None`` when the batch expects none).
+    """Rank 0's half of one round: ship the server-visible slice, take
+    the server's bind grants, broadcast the :class:`Round`, execute it,
+    and collect the server's reply (``None`` when the batch expects none).
     Returns ``(gateway replies, server reply)``.
-
-    Bind ops get their ``client_hit`` stamped here, as the round is
-    sealed — the store may have moved since the op was submitted, and the
-    negotiation must see the truth at build time.
     """
-    ops = tuple(
-        replace(op, client_hit=state.cache.peek(
-            bind_key(op.obj, op.attr, op.signature)))
-        if isinstance(op, BindOp) else op
-        for op in ops
-    )
     batch = ServiceBatch(seq, server_ops(ops))
     ic = state.ctx.peer(state.peer)
-    deadline = state.config.deadline_s
     if batch.ops:
-        ic.send(0, batch, TAG_SERVICE)
+        send_batch(state, batch)
     grants = ()
     if batch.has_binds:
         grants = guard_peer(
-            state.universe, deadline, "bind negotiation",
-            ic.recv, 0, TAG_SERVICE, timeout=deadline,
+            state.universe, "bind grants", ic.recv, 0, TAG_SERVICE
         ).grants
     rnd = Round(seq, ops, grants)
     state.comm.bcast(rnd, root=0)
@@ -157,10 +147,18 @@ def lead_round(
     reply = None
     if batch.expects_reply:
         reply = guard_peer(
-            state.universe, deadline, "round reply",
-            ic.recv, 0, TAG_SERVICE, timeout=deadline,
+            state.universe, "round reply", ic.recv, 0, TAG_SERVICE
         )
     return local, reply
+
+
+def send_batch(state: GatewayState, batch: ServiceBatch) -> None:
+    """Ship ``batch`` to the server (rank 0); the first one carries the
+    config fingerprint the server checks its own against."""
+    if not state.fingerprint_sent:
+        batch = replace(batch, fingerprint=state.config.fingerprint())
+        state.fingerprint_sent = True
+    state.ctx.peer(state.peer).send(0, batch, TAG_SERVICE)
 
 
 def follow_round(state: GatewayState) -> Round | Shutdown:

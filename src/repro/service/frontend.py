@@ -6,12 +6,12 @@ run :func:`~repro.service.dispatch.gateway_follower_loop`, executing the
 rounds rank 0 broadcasts.  The dispatcher alternates two modes:
 
 - **cooperative** — tenant tasks run, submitting operations into their
-  session queues (bounded by admission control) for ``batch_window``
+  session queues (bounded by admission control) for :data:`BATCH_WINDOW`
   scheduler passes;
 - **collective** — the dispatcher seals a round (the head operation of
   every ready session, so every op in a round belongs to a *different*
   tenant and all are mutually independent), ships the server-visible
-  slice to the server, negotiates binds, broadcasts the round to the
+  slice to the server, takes its bind grants, broadcasts the round to the
   gateway ranks, executes it, and resolves the tenants' futures from the
   server's batched reply.
 
@@ -24,8 +24,8 @@ Failure containment: a tenant task that raises is *evicted* — its queued
 operations are cancelled, its admission credit returned, and a system
 disconnect reclaims its binding slots on both programs — while every
 other session keeps running.  A lost server peer surfaces as
-:class:`~repro.vmachine.faults.PeerLostError` within the configured
-deadline; the dispatcher then fails all sessions, releases the follower
+:class:`~repro.vmachine.faults.PeerLostError` within the process receive
+time-out; the dispatcher then fails all sessions, releases the follower
 ranks, and returns a report (no wedged sessions, no hung ranks).
 """
 
@@ -41,6 +41,7 @@ from repro.service.dispatch import (
     Shutdown,
     gateway_follower_loop,
     lead_round,
+    send_batch,
 )
 from repro.service.protocol import (
     TAG_SERVICE,
@@ -57,6 +58,12 @@ from repro.service.session import Session, TenantSpec
 from repro.vmachine.faults import PeerLostError, RankLostError
 
 __all__ = ["run_service_gateway", "ServiceReport", "TenantReport"]
+
+#: largest number of ops dispatched in one round
+MAX_BATCH_OPS = 256
+#: cooperative-scheduling yields granted to runnable tenant tasks before a
+#: round is sealed (the batching window)
+BATCH_WINDOW = 2
 
 
 @dataclass
@@ -82,7 +89,6 @@ class ServiceReport:
     rounds: int
     cache: dict
     admission: dict
-    server_counters: dict
     slot_high_water: int
     peer_lost: str = ""
 
@@ -126,7 +132,6 @@ class _Dispatcher:
 
     def __init__(self, state: GatewayState, tenants, loop):
         self.state = state
-        self.config = state.config
         self.loop = loop
         self.admission = AdmissionControl(
             state.config.max_queue_depth,
@@ -137,7 +142,6 @@ class _Dispatcher:
         self.sessions: list[Session] = []
         self.tasks: list[asyncio.Task] = []
         self.seq = 0
-        self.server_counters: dict = {}
         self._work = asyncio.Event()
         self._reaped: set[int] = set()
         self._tenant_errors: dict[str, str] = {}
@@ -159,7 +163,7 @@ class _Dispatcher:
             self.tasks.append(self.loop.create_task(spec.fn(session)))
         peer_lost = ""
         while True:
-            for _ in range(max(1, self.config.batch_window)):
+            for _ in range(BATCH_WINDOW):
                 await asyncio.sleep(0)
             self._reap_finished()
             harvested = self._harvest()
@@ -187,7 +191,7 @@ class _Dispatcher:
 
     def _harvest(self) -> list[tuple]:
         """Seal one round: the head op of every ready session, rotated
-        for fairness, at most ``max_batch_ops`` total."""
+        for fairness, at most :data:`MAX_BATCH_OPS` total."""
         harvested: list[tuple] = []
         n = len(self.sessions)
         if n == 0:
@@ -197,7 +201,7 @@ class _Dispatcher:
             session = self.sessions[(start + i) % n]
             if not session.queue:
                 continue
-            if len(harvested) >= self.config.max_batch_ops:
+            if len(harvested) >= MAX_BATCH_OPS:
                 break
             harvested.append((session, session.queue.pop(0)))
         self.admission.dispatched(len(harvested))
@@ -219,8 +223,6 @@ class _Dispatcher:
         local, reply = lead_round(
             self.state, seq, tuple(pending.op for _, pending in harvested)
         )
-        if reply is not None:
-            self.server_counters = dict(reply.server_counters)
         self._resolve(harvested, local, reply)
 
     def _resolve(self, harvested, local: list, reply) -> None:
@@ -242,12 +244,9 @@ class _Dispatcher:
     def _shutdown_round(self) -> None:
         state = self.state
         seq, self.seq = self.seq, self.seq + 1
-        ic = state.ctx.peer(state.peer)
         try:
-            ic.send(0, ServiceBatch(seq, (ShutdownOp("gateway done"),)),
-                    TAG_SERVICE)
-            reply = ic.recv(0, TAG_SERVICE, timeout=self.config.deadline_s)
-            self.server_counters = dict(reply.server_counters)
+            send_batch(state, ServiceBatch(seq, (ShutdownOp("gateway done"),)))
+            state.ctx.peer(state.peer).recv(0, TAG_SERVICE)
         except (RankLostError, TimeoutError):
             pass  # peer already gone; the report still assembles
 
@@ -335,7 +334,6 @@ class _Dispatcher:
             rounds=self.state.rounds,
             cache=cache,
             admission=self.admission.snapshot(),
-            server_counters=self.server_counters,
             slot_high_water=self.state.slots.high_water,
             peer_lost=peer_lost,
         )

@@ -11,16 +11,20 @@ processor pair.  A lone client (:mod:`repro.dobj`) is the one-tenant,
 one-op-per-round case of the same protocol.
 
 Binds carry the tenant array's canonical **signature** — the
-``(distribution, region-set, dtype)`` content key — so both programs can
-consult their shared cross-tenant caches; the :class:`BindAck` phase
-negotiates, per bind, whether the collective schedule build can be
-skipped (both sides hit) before either program commits to it.
+``(distribution, region-set, dtype)`` content key of both programs'
+shared cross-tenant stores — and the :class:`BindAck` phase answers what
+only the server knows (does the export exist, which slot the bind takes)
+before either program commits to the collective schedule build.  No
+cache state rides the wire: the two stores are replicas of one op
+stream.  Their one precondition, a config both programs agree on (store
+sizes, reliable delivery), is checked once — the gateway's first batch
+carries its config fingerprint.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
@@ -56,12 +60,12 @@ PULL = "pull"
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs of the coupling service, shared by gateway and server.
+    """Knobs of the coupling service, passed to gateway and server.
 
-    The cache sizes must agree *within* each program (every rank of a
-    program decides hits deterministically together); across programs the
-    :class:`BindAck` negotiation keeps the two cache hierarchies coherent
-    even when their sizes differ.
+    The fields of :meth:`fingerprint` must be equal on both programs: the
+    gateway's first :class:`ServiceBatch` carries its fingerprint and the
+    server refuses a different one.  ``policy`` may differ — it orders
+    local work, never placement.
     """
 
     #: admission watermark: total queued ops across all sessions beyond
@@ -69,8 +73,6 @@ class ServiceConfig:
     max_queue_depth: int = 1024
     #: per-tenant cap on submitted-but-unresolved operations
     max_inflight_per_tenant: int = 8
-    #: largest number of ops dispatched in one batch round
-    max_batch_ops: int = 256
     #: entries in the shared schedule cache (None = unbounded)
     schedule_cache_size: int | None = None
     #: entries in the shared fused-plan cache (None = unbounded)
@@ -79,15 +81,15 @@ class ServiceConfig:
     policy: str = "ordered"
     #: enable the reliable-delivery layer on the data plane
     reliability: bool = False
-    #: wall-clock bound per collective phase before declaring the peer lost
-    deadline_s: float | None = None
-    #: cooperative-scheduling yields granted to runnable tenant tasks
-    #: before a round is sealed (the batching window)
-    batch_window: int = 2
 
     def fingerprint(self) -> tuple:
-        """The cross-program compatibility core of the config."""
-        return ("v1", self.policy, self.reliability)
+        """``(name, value)`` of every field both programs must share: the
+        store sizes (the two stores are replicas, so they must evict
+        alike) and ``reliability`` (both ends of the data plane run it)."""
+        return tuple(
+            (name, getattr(self, name))
+            for name in ("schedule_cache_size", "plan_cache_size", "reliability")
+        )
 
 
 def _pickled_nbytes(obj: Any) -> int:
@@ -136,11 +138,8 @@ class BindOp:
     """Establish a bulk-data path between a tenant array and an export.
 
     ``signature`` is the canonical content key of the tenant's side of
-    the requested copy — ``(lib, distribution, region-set, dtype)`` — and
-    ``client_hit`` whether the gateway's shared cache already holds the
-    schedule for ``(obj, attr, signature)``.  ``client_hit`` is stamped
-    when the round is sealed (:func:`~repro.service.dispatch.lead_round`
-    — the cache may move between submission and dispatch); the server
+    the requested copy — ``(lib, distribution, region-set, dtype)`` —
+    under which both programs' stores hold the schedule; the server
     answers through the :class:`BindAck` phase before any collective work
     starts.
     ``array_name`` stays gateway-local in meaning but rides the op so
@@ -153,7 +152,6 @@ class BindOp:
     attr: str
     array_name: str
     signature: tuple
-    client_hit: bool = False
 
     @property
     def nbytes(self) -> int:
@@ -244,14 +242,20 @@ def server_ops(ops: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class ServiceBatch:
-    """One dispatch round's server-visible operations, in batch order."""
+    """One dispatch round's server-visible operations, in batch order.
+
+    The gateway's first batch also carries its
+    :meth:`ServiceConfig.fingerprint`, charged 16 B per field.
+    """
 
     seq: int
     ops: tuple = ()
+    fingerprint: tuple | None = None
 
     @property
     def nbytes(self) -> int:
-        return 32 + sum(op.nbytes for op in self.ops)
+        return (32 + sum(op.nbytes for op in self.ops)
+                + 16 * len(self.fingerprint or ()))
 
     @property
     def has_binds(self) -> bool:
@@ -277,13 +281,13 @@ class ServiceBatch:
 
 @dataclass(frozen=True)
 class BindGrant:
-    """Server's per-bind verdict, delivered before collective work."""
+    """Server's per-bind verdict, delivered before collective work: what
+    only the server knows — does the export exist, which slot the bind
+    takes."""
 
     tenant: int
     ok: bool
     slot: int = -1
-    #: must both programs run the collective schedule build?
-    need_build: bool = True
     error: str = ""
 
     nbytes = 48
@@ -291,7 +295,7 @@ class BindGrant:
 
 @dataclass(frozen=True)
 class BindAck:
-    """Bind-negotiation phase of a round (sent only when binds exist)."""
+    """Bind-grant phase of a round (sent only when binds exist)."""
 
     seq: int
     grants: tuple = ()
@@ -307,11 +311,7 @@ class BatchReply:
 
     seq: int
     replies: tuple = ()
-    #: server-side counters piggybacked for gateway-side observability
-    server_counters: dict = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
-        return 32 + sum(r.nbytes for r in self.replies) + 16 * len(
-            self.server_counters
-        )
+        return 32 + sum(r.nbytes for r in self.replies)

@@ -14,8 +14,8 @@ Execution order within a round is canonical:
 1. **slot acquisition** — granted binds acquire slots in batch order
    (before any unbind frees one, so both programs' slot tables stay in
    lockstep with the ids the server previewed into the grants);
-2. **batch order** — binds (collective schedule build when the
-   negotiation said so, shared-store lookup otherwise), unbinds,
+2. **batch order** — binds (``resolve`` on the shared store: a hit on
+   both programs or a collective build on both), unbinds,
    disconnects, and each program's own operations (creates and gathers
    on the gateway, calls on the server);
 3. **all pushes**, as one :class:`~repro.core.plan.MovePlan` — one
@@ -62,8 +62,9 @@ _OK = Reply(ok=True)
 
 
 class ProtocolError(RuntimeError):
-    """The two programs' mirrored state diverged — a service bug, raised
-    loudly instead of letting a desynchronized collective hang."""
+    """The two programs' mirrored state diverged (a service bug) or could
+    not stay mirrored (their config fingerprints differ) — raised loudly
+    instead of letting a desynchronized collective hang."""
 
 
 class SlotTable:
@@ -110,7 +111,7 @@ class SlotTable:
         """The ``k`` slot ids the next ``k`` :meth:`acquire` calls would
         return, without mutating the table.
 
-        The bind negotiation answers clients *before* the collective
+        The bind grant answers clients *before* the collective
         phase in which both programs actually acquire the slots, so the
         server previews its assignment to put authoritative ids on the
         wire while keeping all mutation in one ordered phase.
@@ -267,23 +268,18 @@ def _bind(state: ServiceState, op: BindOp, grant: BindGrant, local_half) -> Repl
     lib, array, sor = local_half(op)
     mine, theirs = (lib, array, sor), (lib, None, None)
     key = bind_key(op.obj, op.attr, op.signature)
-    # ``force``: the negotiation saw a miss on at least one side.  Not
-    # forced, a miss here means the key was evicted between the
-    # negotiation's peek and now (store smaller than one round's distinct
-    # keys); both stores are deterministic replicas of the same op
-    # stream, so the peer reaches the identical conclusion and joins this
-    # collective rebuild.
+    # The two stores are replicas of one op stream: the peer misses
+    # exactly when this store does, and joins this collective build.
     schedule = state.cache.resolve(
         key,
         lambda: guard_peer(
-            state.universe, state.config.deadline_s, "bind (schedule build)",
+            state.universe, "bind (schedule build)",
             build_schedule,
             state.universe,
             *(mine + theirs if state.universe.role == "src" else theirs + mine),
             method=ScheduleMethod.COOPERATION,
             policy=state.policy,
         ),
-        force=grant.need_build,
     )
     state.bindings[grant.slot] = Binding(
         grant.slot, op.tenant, key, schedule, array
@@ -311,6 +307,5 @@ def _execute_moves(state: ServiceState, group: list[Binding], direction: str) ->
         [b.key for b in group], [b.schedule for b in group], reverse
     )
     exchange(
-        plan, [b.array for b in group], state.universe, reverse,
-        state.policy, state.config.deadline_s,
+        plan, [b.array for b in group], state.universe, reverse, state.policy
     )

@@ -10,23 +10,23 @@ which all of a round's bulk transfers in one direction fuse into a single
 
 Round handling is the gateway's, exactly (:func:`repro.service.rounds.
 apply_round`), because the two programs' slot tables, binding tables and
-caches are *replicas coordinated only by the op stream*: as long as both
+stores are *replicas coordinated only by the op stream*: as long as both
 sides apply the same deterministic rules to the same ops, no state ever
-needs to ride the wire.
+needs to ride the wire.  The one precondition — configs that agree on
+store sizes and reliable delivery — is checked once, against the
+fingerprint the gateway's first batch carries.
 
-The bind negotiation is the one extra round trip: rank 0 validates each
-bind locally, previews the slot it will get, peeks its shared schedule
-cache, and answers a :class:`~repro.service.protocol.BindAck` *before*
-any collective work — so a failed export never strands the gateway in a
-half-started schedule build, and a double cache hit (both programs hold
-the schedule) skips the collective build entirely.
+The bind grant is the one extra round trip: rank 0 validates each bind
+against its exports, previews the slot it will get, and answers a
+:class:`~repro.service.protocol.BindAck` *before* any collective work —
+so a failed export never strands the gateway in a half-started schedule
+build.
 """
 
 from __future__ import annotations
 
 import abc
 
-from repro.service.cache import ServiceCache, bind_key
 from repro.service.protocol import (
     TAG_SERVICE,
     BatchReply,
@@ -40,7 +40,12 @@ from repro.service.protocol import (
     ServiceConfig,
     ShutdownOp,
 )
-from repro.service.rounds import ServiceState, SlotTable, apply_round
+from repro.service.rounds import (
+    ProtocolError,
+    ServiceState,
+    SlotTable,
+    apply_round,
+)
 from repro.vmachine.faults import RankLostError
 from repro.vmachine.program import ProgramContext
 
@@ -87,11 +92,13 @@ def serve_service(
 
     Collective over the server program.  Returns a summary dict
     (rounds, ops served, cache counters) for monitoring and tests.
+    Raises :class:`~repro.service.rounds.ProtocolError` (on rank 0) if
+    the gateway's config fingerprint differs from this one.
     """
     state = ServiceState.open(ctx, gateway, "dst", config or ServiceConfig())
     comm = ctx.comm
     ic = ctx.peer(gateway)
-    cache = state.cache
+    mine = state.config.fingerprint()
     ops_served = 0
     peer_lost = ""
 
@@ -99,13 +106,19 @@ def serve_service(
         msg = None
         if comm.rank == 0:
             try:
-                batch = ic.recv(0, TAG_SERVICE, timeout=state.config.deadline_s)
+                batch = ic.recv(0, TAG_SERVICE)
             except (RankLostError, TimeoutError) as exc:
                 msg = ("lost", f"{type(exc).__name__}: {exc}")
             else:
+                if batch.fingerprint not in (None, mine):
+                    raise ProtocolError(
+                        f"gateway config fingerprint {batch.fingerprint} != "
+                        f"server config fingerprint {mine}: the two stores "
+                        "would not stay replicas"
+                    )
                 grants = ()
                 if batch.has_binds:
-                    grants = _grant_binds(batch, objects, cache, state.slots)
+                    grants = _grant_binds(batch, objects, state.slots)
                     ic.send(0, BindAck(batch.seq, grants), TAG_SERVICE)
                 msg = ("round", batch, grants)
         msg = comm.bcast(msg, root=0)
@@ -118,22 +131,12 @@ def serve_service(
         replies = _execute_batch(state, objects, batch, grants)
         ops_served += len(batch.ops) - (1 if batch.shutdown else 0)
         if comm.rank == 0 and batch.expects_reply:
-            # Twelve entries, as ever: BatchReply.nbytes charges the
-            # logical clock 16 B per piggybacked counter.
-            counters = {
-                **cache.counters,
-                "schedule_entries": len(cache),
-                "bindings_live": len(state.bindings),
-                "slot_high_water": state.slots.high_water,
-            }
-            ic.send(
-                0, BatchReply(batch.seq, tuple(replies), counters), TAG_SERVICE
-            )
+            ic.send(0, BatchReply(batch.seq, tuple(replies)), TAG_SERVICE)
         if batch.shutdown:
             break
 
-    summary = cache.snapshot()
-    summary.update(cache.program_stats())
+    summary = state.cache.snapshot()
+    summary.update(state.cache.program_stats())
     summary["rounds"] = state.rounds
     summary["ops_served"] = ops_served
     summary["slot_high_water"] = state.slots.high_water
@@ -146,24 +149,18 @@ def serve_service(
 def _grant_binds(
     batch: ServiceBatch,
     objects: dict[str, ParallelObject],
-    cache: ServiceCache,
     slots: SlotTable,
 ) -> tuple:
-    """Rank 0's bind pre-pass: validate, preview slots, consult the cache.
+    """Rank 0's bind pre-pass: validate exports, preview slots.
 
-    Pure with respect to the slot table and the cache — every mutation
-    waits for the collective phase, so the previewed ids are exactly the
-    ones both programs will acquire there (in batch order, before any
-    unbind in the same round frees a slot).
+    Pure with respect to the slot table — every mutation waits for the
+    collective phase, so the previewed ids are exactly the ones both
+    programs will acquire there (in batch order, before any unbind in the
+    same round frees a slot).
     """
     bind_ops = [op for op in batch.ops if isinstance(op, BindOp)]
     previewed = iter(slots.preview(len(bind_ops)))
     grants = []
-    #: keys already granted a build earlier in THIS round — by the time a
-    #: later identical bind executes, both programs have stored the
-    #: schedule (binds run in batch order on both sides), so duplicate
-    #: signatures in one round pay the collective build exactly once.
-    building: set = set()
     for op in bind_ops:
         try:
             obj = _lookup(objects, op.obj)
@@ -174,23 +171,7 @@ def _grant_binds(
                           error=f"{type(exc).__name__}: {exc}")
             )
             continue
-        key = bind_key(op.obj, op.attr, op.signature)
-        if key in building:
-            need_build = False
-        else:
-            need_build = not (
-                op.client_hit and cache.peek(key)
-            )
-            if need_build:
-                building.add(key)
-        grants.append(
-            BindGrant(
-                op.tenant,
-                ok=True,
-                slot=next(previewed),
-                need_build=need_build,
-            )
-        )
+        grants.append(BindGrant(op.tenant, ok=True, slot=next(previewed)))
     return tuple(grants)
 
 

@@ -172,7 +172,6 @@ class RemoteBinding:
 class _Pending:
     op: Any
     future: asyncio.Future
-    submitted_at: float
 
 
 @dataclass
@@ -214,7 +213,7 @@ class Session:
                 fut.set_result(Reply(ok=False, error=BUSY))
                 return fut
         self.inflight += 1
-        self.queue.append(_Pending(op, fut, time.perf_counter()))
+        self.queue.append(_Pending(op, fut))
         self._core.notify_work()
         return fut
 

@@ -333,6 +333,7 @@ class TestCoupledDegradation:
         elapsed, peer, text = out
         assert 0.9 < elapsed < 10.0
         assert peer == "dstp"
-        assert "exceeded the 1.0s deadline" in text
-        assert "timed out after 1.0s" in text
+        # the one budget that bounded the wait, named once
+        assert text.count("timed out after 1.0s") == 1
+        assert "deadline" not in text
         assert "0.125" not in text

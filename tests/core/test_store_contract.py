@@ -4,8 +4,8 @@ Every case runs against both configurations of
 :class:`~repro.core.cache.LayeredStore` the repo ships — the one
 :class:`~repro.core.ScheduleCache` builds (``cache_`` prefix) and the
 service's :class:`~repro.service.ServiceCache` (``cache_svc_`` prefix) —
-through the store's whole surface: ``peek``, ``lookup``, ``store``,
-``resolve`` and ``plan``.  The single rule under test: a plan is cached
+through the store's whole surface: ``lookup``, ``store``, ``resolve``
+and ``plan``.  The single rule under test: a plan is cached
 only while every member is the resident object under its key, and
 evicting *or replacing* a member drops every plan over it.
 """
@@ -82,23 +82,13 @@ class TestScheduleLayer:
         assert c.counters["schedule_hits"] == 1
         assert len(c) == 1
 
-    def test_peek_moves_no_counters_and_no_recency(self, make):
-        c = make(maxsize=2)
-        assert not c.peek(key(0))
-        filled(c, 2)
-        assert c.peek(key(0))
-        assert c.counters["schedule_hits"] == 0
-        assert c.counters["schedule_misses"] == 0
-        c.store(key(2), sched(2))          # key 0 is still the LRU entry
-        assert not c.peek(key(0)) and c.peek(key(1))
-
     def test_lru_order_hits_refresh_recency(self, make):
         c = make(maxsize=2)
         s0, _ = filled(c, 2)
         assert c.resolve(key(0), None) is s0   # a hit: refreshes key 0
         c.store(key(2), sched(2))              # evicts key 1, not key 0
         assert c.lookup(key(0)) is s0
-        assert not c.peek(key(1))
+        assert c.lookup(key(1)) is None
         assert c.counters["schedule_evictions"] == 1
 
     def test_eviction_accounting(self, make):
@@ -135,16 +125,6 @@ class TestScheduleLayer:
         assert len(built) == 1
         assert c.counters["schedule_misses"] == 1
         assert c.counters["schedule_hits"] == 1
-
-    def test_forced_rebuild_accounting(self, make):
-        c = make()
-        s0 = c.resolve(key(0), sched, force=True)   # plain cold miss
-        assert c.counters["schedule_forced_rebuilds"] == 0
-        s1 = c.resolve(key(0), sched, force=True)   # held it, peer missed
-        assert c.counters["schedule_forced_rebuilds"] == 1
-        assert c.counters["schedule_misses"] == 2
-        assert c.counters["schedule_hits"] == 0
-        assert s1 is not s0 and c.lookup(key(0)) is s1
 
 
 class TestPlanLayer:
@@ -202,11 +182,9 @@ class TestPlanLayer:
         assert c.plan([key(1)], [s1]) is kept
         assert c.validate() == []
 
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_replacement_invalidates_plans_over_member(self, make, forced):
-        """Storing a different object under a resident key (a negotiated
-        forced rebuild does exactly this) drops the plans fused over the
-        old object — at the parent commit the service store kept them."""
+    def test_replacement_invalidates_plans_over_member(self, make):
+        """Storing a different object under a resident key drops the plans
+        fused over the old object."""
         c = make()
         s0, s1 = filled(c, 2)
         stale = c.plan([key(0), key(1)], [s0, s1])
@@ -214,10 +192,7 @@ class TestPlanLayer:
         c.store(key(0), s0)                        # same object: no-op
         assert c.plan_count == 2
         fresh = sched(7)
-        if forced:
-            assert c.resolve(key(0), lambda: fresh, force=True) is fresh
-        else:
-            c.store(key(0), fresh)
+        c.store(key(0), fresh)
         assert c.counters["plan_invalidations"] == 1
         assert c.plan([key(1)], [s1]) is other     # untouched
         rebuilt = c.plan([key(0), key(1)], [fresh, s1])
@@ -251,7 +226,7 @@ def _exercise_every_counter(c):
     c.plan([key(0)], [s0])
     c.plan([key(1)], [s1])
     c.plan([key(0), key(1)], [s0, s1])             # plan eviction
-    c.resolve(key(0), sched, force=True)           # forced; invalidates
+    c.store(key(0), sched(0))                      # replaced; invalidates
     c.plan([key(3)], [sched(3)])                   # uncached
     c.store(key(2), sched(2))                      # schedule eviction
     return c.snapshot()

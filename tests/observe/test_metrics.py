@@ -33,11 +33,12 @@ class TestTerms:
         m.add_term("wire", "occupancy", 2.0)
         m.add_term("pack", "per_element", 4.0)
         assert m.terms[("wire", "beta")] == 1.5
-        assert m.term_totals() == {
+        snap = m.snapshot()
+        assert snap.term_totals() == {
             "beta": 1.5, "occupancy": 2.0, "per_element": 4.0
         }
-        assert m.phase_totals() == {"wire": 3.5, "pack": 4.0}
-        assert m.attributed_seconds() == 7.5
+        assert snap.phase_totals() == {"wire": 3.5, "pack": 4.0}
+        assert snap.attributed_seconds() == 7.5
 
     def test_cost_terms_taxonomy(self):
         assert COST_TERMS == (

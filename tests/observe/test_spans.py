@@ -114,7 +114,7 @@ class TestAttribution:
         p.charge(1.0)  # untagged, outside any span
         assert p.metrics.terms[("wire", "occupancy")] == pytest.approx(2.0)
         assert p.metrics.terms[("", "other")] == pytest.approx(1.0)
-        assert p.metrics.attributed_seconds() == pytest.approx(p.clock)
+        assert p.metrics.snapshot().attributed_seconds() == pytest.approx(p.clock)
 
     def test_advance_to_is_alpha(self):
         p = make_proc()

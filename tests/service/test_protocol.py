@@ -1,6 +1,7 @@
 """Wire-record tests of the service protocol (the one RPC stack: the
 ``repro.dobj`` façade ships these same records, one op per round)."""
 
+import dataclasses
 import pickle
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from repro.service.protocol import (
     MoveOp,
     Reply,
     ServiceBatch,
+    ServiceConfig,
     ShutdownOp,
 )
 
@@ -65,10 +67,40 @@ class TestExpectsReply:
         for op in (CallOp(1, "o", "m"), MoveOp(1, 0, PUSH), ShutdownOp()):
             assert ServiceBatch(0, (oneway, op)).expects_reply
 
-    def test_counter_piggyback_costs_16_bytes_each(self):
-        counters = {f"c{i}": i for i in range(12)}
-        reply = BatchReply(0, (Reply(ok=True),), counters)
-        assert reply.nbytes == 32 + 64 + 16 * 12
+
+class TestNbytes:
+    def test_batch_reply_carries_its_replies_only(self):
+        """No server counters ride the reply: the gateway's store is a
+        replica of the server's, so it already holds them."""
+        assert BatchReply(0, (Reply(ok=True),)).nbytes == 32 + 64
+
+    def test_fingerprint_costs_16_bytes_per_field(self):
+        fingerprint = ServiceConfig().fingerprint()
+        assert [name for name, _ in fingerprint] == [
+            "schedule_cache_size", "plan_cache_size", "reliability"]
+        op = CallOp(0, "o", "m")
+        plain = ServiceBatch(0, (op,))
+        first = ServiceBatch(0, (op,), fingerprint)
+        assert first.nbytes == plain.nbytes + 16 * 3
+
+
+class TestServiceConfig:
+    def test_fingerprint_is_what_both_programs_must_share(self):
+        base = ServiceConfig()
+        # per program: admission is the gateway's, policy orders local work
+        for same in (ServiceConfig(max_queue_depth=2),
+                     ServiceConfig(max_inflight_per_tenant=1),
+                     ServiceConfig(policy="overlap")):
+            assert same.fingerprint() == base.fingerprint()
+        for other in (ServiceConfig(schedule_cache_size=1),
+                      ServiceConfig(plan_cache_size=1),
+                      ServiceConfig(reliability=True)):
+            assert other.fingerprint() != base.fingerprint()
+
+    def test_six_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "max_queue_depth", "max_inflight_per_tenant",
+            "schedule_cache_size", "plan_cache_size", "policy", "reliability"]
 
 
 def test_service_does_not_import_the_dobj_facade():

@@ -8,6 +8,7 @@ rounds with shared caches.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from repro.service import (
     run_service_gateway,
     serve_service,
 )
-from repro.vmachine import ProgramSpec, run_programs
+from repro.service.rounds import ProtocolError
+from repro.vmachine import ProgramSpec, SPMDError, run_programs
+from repro.vmachine.faults import FaultPlan, FaultRates
 
 N = 24
 
@@ -118,12 +121,9 @@ class TestSharedCaches:
         assert report.ok
         assert report.cache["schedule_misses"] == 1
         assert report.cache["schedule_hits"] == 7
-        # The server's mirror cache agrees (negotiated coherently).
+        # The server's store is a replica: it agrees without being told.
         assert summary["schedule_misses"] == 1
         assert summary["schedule_hits"] == 7
-        # The per-round piggyback is charged 16 B per entry on the logical
-        # clock (BatchReply.nbytes): its size is part of the model.
-        assert len(report.server_counters) == 12
 
     def test_distinct_signatures_build_separately(self):
         report, _ = run_service_demo(
@@ -155,6 +155,64 @@ class TestSharedCaches:
         # on both programs' stores).
         assert report.cache["plan_uncached"] > 0
         assert stores and all(c.validate() == [] for c in stores)
+
+
+def _chaos_fleet():
+    """The chaos + reliability fleet of the service property tests."""
+    from property.test_property_service import run_fleet as property_fleet
+
+    specs = [
+        ArraySpec("blockparti", 16, fill=("value", 2.0)),
+        ArraySpec("hpf", 20, fill=("arange",)),
+        ArraySpec("chaos", 12, fill=("rng", 7), owners=("stride", 3)),
+    ]
+    rates = FaultRates(drop=0.08, dup=0.08, reorder=0.08, delay=0.08)
+    report = property_fleet(
+        specs, 2, ServiceConfig(policy="overlap", reliability=True),
+        fault_plan=FaultPlan(seed=7, rates=rates), server_procs=3,
+    )
+    return report, None
+
+
+REPLICA_SCENARIOS = {
+    "shapes1": lambda: run_service_demo(
+        tenants=8, shapes=1, iterations=1, size=N),
+    "evicting": lambda: run_service_demo(
+        tenants=6, shapes=3, iterations=2, size=N,
+        schedule_cache_size=2, plan_cache_size=2),
+    "duplicate-binds": lambda: run_service_demo(
+        tenants=6, shapes=3, iterations=1, size=N, schedule_cache_size=2),
+    "overlap": lambda: run_service_demo(
+        tenants=6, shapes=3, iterations=2, size=N, policy="overlap",
+        schedule_cache_size=3, plan_cache_size=1),
+    "chaos-reliability": _chaos_fleet,
+}
+
+
+class TestReplicas:
+    @pytest.mark.parametrize("scenario", sorted(REPLICA_SCENARIOS))
+    def test_every_store_of_both_programs_is_one_replica(self, stores, scenario):
+        """Binds resolve plainly on both programs and no store state rides
+        the wire, yet every rank of both programs (2 gateway + 3 server)
+        ends with the same counters and the same key order — so the
+        gateway's own report is the server's too."""
+        report, summary = REPLICA_SCENARIOS[scenario]()[0:2]
+        assert report.ok
+        assert len(stores) == 5
+
+        def replica(store):
+            return store.snapshot(), list(store._schedules), list(store._plans)
+
+        first = replica(stores[0])
+        assert all(replica(store) == first for store in stores[1:])
+        snapshot = first[0]
+        assert {k: report.cache[k] for k in snapshot} == snapshot
+        if summary is not None:
+            assert {k: summary[k] for k in snapshot} == snapshot
+            assert summary["slot_high_water"] == report.slot_high_water
+            assert summary["bindings_live"] == 0
+        if scenario == "evicting":
+            assert snapshot["schedule_evictions"] > 0
 
 
 class TestBackpressure:
@@ -306,7 +364,7 @@ class TestErrors:
                 err = str(exc)
             else:
                 err = "bound?!"
-            # The session (and the negotiation channel) survive: a real
+            # The session (and the grant channel) survive: a real
             # bind plus a transfer still work afterwards.
             b = await session.bind("vec", "v0", "x")
             await session.push(b)
@@ -442,9 +500,9 @@ class TestBatching:
         assert res["gateway"].total_stat("plan_fused_messages") > 0
 
     def test_small_cache_with_duplicate_binds_in_one_round(self, stores):
-        """Regression: a within-round dedup'd bind whose schedule was
-        evicted by a later store in the same round must trigger the
-        symmetric fallback rebuild, not a protocol error."""
+        """Regression: a duplicate bind in one round whose schedule a
+        later store in the same round evicted is an ordinary miss on both
+        programs — one symmetric rebuild, not a protocol error."""
         report, summary = run_service_demo(
             tenants=6, shapes=3, iterations=1, size=N,
             schedule_cache_size=2,
@@ -452,3 +510,88 @@ class TestBatching:
         assert report.ok
         assert summary["bindings_live"] == 0
         assert stores and all(c.validate() == [] for c in stores)
+
+
+class TestConfigFingerprint:
+    def test_different_store_sizes_fail_the_first_round(self):
+        """Regression: a gateway store of one entry against an unbounded
+        server store, binds A then [B, A] in one round.  The stores could
+        not stay replicas, so the server refuses the gateway's first
+        batch — at once, naming both fingerprints — instead of the
+        gateway stranding a one-sided schedule build for the whole
+        receive time-out and blaming the server as lost."""
+        bound = asyncio.Event()
+
+        def tenant(attr, first):
+            async def body(session):
+                await session.create_array("x", ArraySpec("blockparti", N))
+                if not first:
+                    await bound.wait()
+                await session.bind("vec", attr, "x")
+                bound.set()
+                await session.close()
+            return body
+
+        # After A, the waiters' binds cycle B, A, B, A: whichever session
+        # the round's fairness rotation starts at, a B precedes an A.
+        fleet = [TenantSpec("a", tenant("v0", True))] + [
+            TenantSpec(f"{attr}{i}", tenant(attr, False))
+            for i in range(2) for attr in ("v1", "v0")]
+        gateway_config = ServiceConfig(schedule_cache_size=1)
+        server_config = ServiceConfig()
+
+        def gateway(ctx):
+            return run_service_gateway(ctx, "server", fleet, gateway_config)
+
+        def server(ctx):
+            return serve_service(
+                ctx, "gateway", {"vec": DemoVectors(ctx.comm, [N, N])},
+                server_config,
+            )
+
+        t0 = time.monotonic()
+        with pytest.raises(SPMDError) as info:
+            run_programs([ProgramSpec("gateway", 2, gateway),
+                          ProgramSpec("server", 3, server)],
+                         recv_timeout_s=60.0)
+        assert time.monotonic() - t0 < 5.0
+        (cause,) = info.value.root_causes
+        assert isinstance(cause.exception, ProtocolError)
+        text = str(cause.exception)
+        assert str(gateway_config.fingerprint()) in text
+        assert str(server_config.fingerprint()) in text
+
+
+class SlowVectors(DemoVectors):
+    def stall(self, seconds):
+        time.sleep(seconds)
+        return seconds
+
+
+class TestTimeouts:
+    def test_a_service_time_out_names_the_budget_that_bounded_it(self):
+        """The server stalls past the receive time-out: the gateway's
+        peer-lost report and the server's own name the real budget (the
+        process receive time-out), never an unset deadline."""
+
+        async def body(session):
+            await session.call("vec", "stall", 1.0)
+
+        def gateway(ctx):
+            return run_service_gateway(ctx, "server", [TenantSpec("t", body)])
+
+        def server(ctx):
+            return serve_service(ctx, "gateway",
+                                 {"vec": SlowVectors(ctx.comm, [N])})
+
+        # The stalled call's reply is never received: no leak check.
+        res = run_programs([ProgramSpec("gateway", 1, gateway),
+                            ProgramSpec("server", 1, server)],
+                           recv_timeout_s=0.5, check_leaks=False)
+        report, summary = res["gateway"].values[0], res["server"].values[0]
+        assert not report.ok
+        for text in (report.peer_lost, report.tenants[0].error,
+                     summary["peer_lost"]):
+            assert "timed out after 0.5s" in text
+            assert "None" not in text
+        assert "round reply" in report.peer_lost

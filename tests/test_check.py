@@ -139,6 +139,19 @@ def test_docs_gate_fails_on_a_stale_name(tmp_path, capfd):
     assert all(f"{name} does not resolve" in out for name in bad)
 
 
+def test_docs_gate_reads_every_alternative_of_a_brace_set(tmp_path, capfd):
+    assert {"DESIGN.md", "EXPERIMENTS.md"} <= set(check.DOCS)
+    doc = tmp_path / "doc.md"
+    docs = Gate("docs", (py("-c", check.DOCS_OK, str(doc)),))
+    doc.write_text("`benchmarks/results/table{3,4,5}.json` and "
+                   "`src/repro/service/{protocol,rounds}.py`\n")
+    assert check.run_gate(docs)
+    doc.write_text("`benchmarks/results/table{3,9}.json`\n")
+    assert not check.run_gate(docs)
+    assert "`benchmarks/results/table{3,9}.json` does not resolve" in (
+        capfd.readouterr().out)
+
+
 def test_layering_check_catches_a_violation(capfd):
     # dobj is a façade over service, so this direction must be reported
     upward = Gate("upward", (py("-c", check.IMPORTS_NONE_OF, "repro.dobj",

@@ -47,18 +47,18 @@ def run_one(kind: str):
         # owner of its first endpoint (the standard Chaos arrangement),
         # so the gather halo is exactly the partition's edge cut.
         mine = np.flatnonzero(owners[MESH.ia] == comm.rank)
-        with proc.timer.phase("inspector"):
+        with proc.span("inspector"):
             sweep = EdgeSweep(x, MESH.ia[mine], MESH.ib[mine])
         comm.barrier()
         b0 = proc.stats["bytes_sent"]
-        with proc.timer.phase("executor"):
+        with proc.span("executor"):
             sweep.execute(x, y)
         return proc.stats["bytes_sent"] - b0
 
     result = VirtualMachine(P).run(spmd)
-    t = result.merged_timing
     bytes_moved = int(sum(result.values))
-    return t.get_ms("inspector"), t.get_ms("executor"), bytes_moved, cut
+    return (result.span_ms("inspector"), result.span_ms("executor"),
+            bytes_moved, cut)
 
 
 def run_ablation():

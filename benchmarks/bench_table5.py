@@ -46,9 +46,9 @@ def run_one(nprocs: int, backend: str):
         B = BlockPartiArray.zeros(comm, (N, N), nprocs_grid=grid)
         A.local[:] = comm.rank + 1.0
         if backend == "parti":
-            with proc.timer.phase("sched"):
+            with proc.span("sched"):
                 sched = build_copy_schedule(A, SRC_REGION, B, DST_REGION)
-            with proc.timer.phase("copy"):
+            with proc.span("copy"):
                 sched.execute(A, B)
         else:
             method = (
@@ -56,20 +56,19 @@ def run_one(nprocs: int, backend: str):
                 if backend == "mc-coop"
                 else ScheduleMethod.DUPLICATION
             )
-            with proc.timer.phase("sched"):
+            with proc.span("sched"):
                 sched = mc_compute_schedule(
                     comm,
                     "blockparti", A, mc_new_set_of_regions(SRC_REGION),
                     "blockparti", B, mc_new_set_of_regions(DST_REGION),
                     method,
                 )
-            with proc.timer.phase("copy"):
+            with proc.span("copy"):
                 mc_copy(comm, sched, A, B)
         return True
 
     result = VirtualMachine(nprocs).run(spmd)
-    t = result.merged_timing
-    return t.get_ms("sched"), t.get_ms("copy")
+    return result.span_ms("sched"), result.span_ms("copy")
 
 
 def run_table5():

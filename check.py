@@ -67,6 +67,13 @@ PYTEST = ("-m", "pytest", "-x", "-q")
 #: must not be replayed into this tree's verdict
 FRESH = {"HYPOTHESIS_STORAGE_DIRECTORY": f"{TMP}/hypothesis"}
 TABLES = ("table3", "table4", "table5")
+#: the other paper benches, run under the default variant only, and the
+#: records they regenerate
+PAPER_BENCHES = ("table1", "table2", "fig10_12", "fig13", "fig14", "fig15",
+                 "ablation_schedule_reuse")
+PAPER_RECORDS = ("table1", "table2", "fig10_12_client1", "fig10_12_client2",
+                 "fig10_12_client4", "fig13", "fig14", "fig15",
+                 "ablation_schedule_reuse")
 #: (modules imported in the bench process before it runs, extra env): a
 #: layer that claims to be invisible to the logical clock proves it by
 #: reproducing the paper tables while loaded or switched on
@@ -290,12 +297,17 @@ GATES = {gate.name: gate for gate in (
         py("-c", "".join(f"import {module}; " for module in imports)
            + f"import runpy; runpy.run_path('bench_{table}.py', "
              f"run_name='__main__')", env=env, cwd="benchmarks")
-        for imports, env in TABLE_VARIANTS for table in TABLES),
-        tuple(f"benchmarks/results/{table}.json" for table in TABLES)),
+        for imports, env in TABLE_VARIANTS for table in TABLES)
+        + tuple(bench(f"bench_{name}.py") for name in PAPER_BENCHES),
+        tuple(f"benchmarks/results/{name}.json"
+              for name in TABLES + PAPER_RECORDS)),
     Gate("bench", (
         *(bench(f"bench_{name}.py") for name in (
             "ablation_overlap", "ablation_fusion", "ablation_reliability",
-            "ablation_dataplane", "rma", "service", "ablation_run_schedules")),
+            "ablation_dataplane", "rma", "service", "ablation_run_schedules",
+            # record nothing: run for their shape checks
+            "ablation_aggregation", "ablation_paged_table",
+            "ablation_partitioners", "ablation_vectorized")),
         # reduced matrices, run for their acceptance asserts: write nothing
         bench("bench_service.py", "--smoke"),
         bench("bench_autotune.py", "--smoke"),

@@ -50,9 +50,9 @@ def spmd(comm):
     x = ChaosArray.from_global(comm, X0, bad)
     y = ChaosArray.like(x)
     mine = np.flatnonzero(bad[MESH.ia] == comm.rank)
-    with proc.timer.phase("inspector-bad"):
+    with proc.span("inspector-bad"):
         sweep = EdgeSweep(x, MESH.ia[mine], MESH.ib[mine])
-    with proc.timer.phase("executor-bad"):
+    with proc.span("executor-bad"):
         for _ in range(STEPS_BEFORE):
             y.local[:] = 0.0
             sweep.execute(x, y)
@@ -60,14 +60,14 @@ def spmd(comm):
 
     # Phase 2: repartition with RCB and remap both node arrays.
     good = rcb_owners(MESH.coords, comm.size)
-    with proc.timer.phase("remap"):
+    with proc.span("remap"):
         sched, table = build_remap_schedule(x, good)
         x = remap(x, good, sched, table)
         y = remap(y, good, sched, table)
     mine = np.flatnonzero(good[MESH.ia] == comm.rank)
-    with proc.timer.phase("inspector-good"):
+    with proc.span("inspector-good"):
         sweep = EdgeSweep(x, MESH.ia[mine], MESH.ib[mine])
-    with proc.timer.phase("executor-good"):
+    with proc.span("executor-good"):
         for _ in range(STEPS_AFTER):
             y.local[:] = 0.0
             sweep.execute(x, y)
@@ -92,10 +92,9 @@ def main():
     for nprocs in (4, 8):
         result = VirtualMachine(nprocs).run(spmd)
         assert np.isclose(result.values[0], oracle()), "remap changed the physics!"
-        t = result.merged_timing
-        bad = t.get_ms("executor-bad") / STEPS_BEFORE
-        good = t.get_ms("executor-good") / STEPS_AFTER
-        remap_cost = t.get_ms("remap") + t.get_ms("inspector-good")
+        bad = result.span_ms("executor-bad") / STEPS_BEFORE
+        good = result.span_ms("executor-good") / STEPS_AFTER
+        remap_cost = result.span_ms("remap") + result.span_ms("inspector-good")
         print(f"-- {nprocs} processors --")
         print(f"   executor per step: {bad:8.2f} ms (random partition) -> "
               f"{good:8.2f} ms (RCB)   [{bad / good:.1f}x faster]")

@@ -42,7 +42,7 @@ def client_program(ctx):
     result = BlockPartiArray.zeros(comm, (N,))
 
     universe = coupled_universe(ctx, "server", "src")
-    with proc.timer.phase("setup"):
+    with proc.span("setup"):
         mat_sched = mc_compute_schedule(
             universe,
             "blockparti", M, mc_new_set_of_regions(SectionRegion(Section.full((N, N)))),
@@ -63,7 +63,7 @@ def client_program(ctx):
         # Fresh operand: v_k[i] = sin(i + k)
         (lo, hi), = vec.owned_block()
         vec.local[:] = np.sin(np.arange(lo, hi) + float(k))
-        with proc.timer.phase("per_vector"):
+        with proc.span("per_vector"):
             vec_exchange.push(vec)
             vec_exchange.pull(result)
         # Verify against a locally computed oracle.
@@ -78,8 +78,9 @@ def client_program(ctx):
         assert worst < 1e-10, f"server result wrong by {worst}"
         print(f"  {NVECTORS} server-side multiplies verified "
               f"(max |error| = {worst:.2e})")
-        setup = proc.timer.report.get_ms("setup")
-        per_vec = proc.timer.report.get_ms("per_vector") / NVECTORS
+        spent = proc.metrics.span_seconds
+        setup = spent["setup"] * 1e3
+        per_vec = spent["per_vector"] * 1e3 / NVECTORS
         print(f"  one-time setup (schedules + matrix): {setup:8.2f} ms")
         print(f"  per additional vector:               {per_vec:8.2f} ms")
     return True

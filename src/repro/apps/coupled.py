@@ -12,7 +12,8 @@ inter-library copy) is handled by Meta-Chaos (cooperation or duplication)
 or — the Table 2 baseline — by Chaos alone after pointwise-wrapping the
 regular mesh in a translation table.
 
-Phase timings follow the paper's reporting:
+Each phase is a span (:meth:`~repro.vmachine.process.Process.span`),
+named and reported as in the paper:
 
 - ``inspector``  — intra-mesh schedule building (ghost + edge), total;
 - ``executor``   — both sweeps, accumulated over time-steps;
@@ -44,7 +45,7 @@ from repro.core import (
     mc_copy,
     mc_new_set_of_regions,
 )
-from repro.core.coupling import CoupledExchange, coupled_universe
+from repro.core.coupling import CoupledExchange, coupled_universe, sync_programs
 from repro.distrib.section import Section
 from repro.vmachine import (
     IBM_SP2,
@@ -75,36 +76,18 @@ class CoupledTimings:
 
     @classmethod
     def from_results(
-        cls, timings, timesteps: int, total_messages: int, checksum: float = 0.0
+        cls, result, timesteps: int, total_messages: int, checksum: float = 0.0
     ) -> "CoupledTimings":
+        """From a run's result: anything with ``span_ms(name)``."""
         return cls(
-            inspector_ms=timings.get_ms("inspector"),
-            executor_per_iter_ms=timings.get_ms("executor") / timesteps,
-            sched_ms=timings.get_ms("sched"),
-            copy_per_iter_ms=timings.get_ms("copy") / timesteps,
+            inspector_ms=result.span_ms("inspector"),
+            executor_per_iter_ms=result.span_ms("executor") / timesteps,
+            sched_ms=result.span_ms("sched"),
+            copy_per_iter_ms=result.span_ms("copy") / timesteps,
             timesteps=timesteps,
             total_messages=total_messages,
             checksum=checksum,
         )
-
-
-_SYNC_TAG = (1 << 21) + 7
-
-
-def _sync_programs(ctx, peer: str) -> None:
-    """Align the two programs' logical clocks before a timed phase.
-
-    Without this, the faster program's next timed phase absorbs the other
-    program's unrelated preceding work (e.g. the irregular side's
-    inspector) as blocked-receive wait time.  Rank 0s exchange a token;
-    the intra-program barriers propagate the aligned clock.
-    """
-    ic = ctx.peer(peer)
-    ctx.comm.barrier()
-    if ctx.rank == 0:
-        ic.send(0, None, _SYNC_TAG)
-        ic.recv(0, _SYNC_TAG)
-    ctx.comm.barrier()
 
 
 def _regular_sor(mapping, shape):
@@ -156,11 +139,11 @@ def run_coupled_single_program(
         # the partition's edge cut (the standard Chaos arrangement).
         mine = np.flatnonzero(owners[mesh.ia] == comm.rank)
 
-        with proc.timer.phase("inspector"):
+        with proc.span("inspector"):
             ghost = build_ghost_schedule(a)
             sweep = EdgeSweep(x, mesh.ia[mine], mesh.ib[mine])
 
-        with proc.timer.phase("sched"):
+        with proc.span("sched"):
             if remap.startswith("mc-"):
                 method = (
                     ScheduleMethod.COOPERATION
@@ -185,16 +168,16 @@ def run_coupled_single_program(
                 )
 
         for _ in range(timesteps):
-            with proc.timer.phase("executor"):
+            with proc.span("executor"):
                 jacobi_sweep(a, ghost)
-            with proc.timer.phase("copy"):
+            with proc.span("copy"):
                 if remap.startswith("mc-"):
                     mc_copy(comm, sched, a, x)
                 else:
                     csched.execute(a.local, x.local, comm)
-            with proc.timer.phase("executor"):
+            with proc.span("executor"):
                 sweep.execute(x, y)
-            with proc.timer.phase("copy"):
+            with proc.span("copy"):
                 if remap.startswith("mc-"):
                     mc_copy(comm, sched.reverse(), x, a)
                 else:
@@ -206,7 +189,7 @@ def run_coupled_single_program(
 
     result = VirtualMachine(nprocs, profile).run(spmd)
     return CoupledTimings.from_results(
-        result.merged_timing,
+        result,
         timesteps,
         int(result.total_stat("messages_sent")),
         checksum=float(result.values[0]),
@@ -238,11 +221,11 @@ def run_coupled_two_programs(
         a = BlockPartiArray.from_function(
             comm, mesh_shape, lambda i, j: (i + 2.0 * j) / (i + j + 1.0)
         )
-        with proc.timer.phase("inspector"):
+        with proc.span("inspector"):
             ghost = build_ghost_schedule(a)
         universe = coupled_universe(ctx, "irreg", "src")
-        _sync_programs(ctx, "irreg")
-        with proc.timer.phase("sched"):
+        sync_programs(ctx, "irreg")
+        with proc.span("sched"):
             sched = mc_compute_schedule(
                 universe,
                 "blockparti", a, _regular_sor(mapping, mesh_shape),
@@ -251,11 +234,11 @@ def run_coupled_two_programs(
             )
         exchange = CoupledExchange(universe, sched)
         for _ in range(timesteps):
-            with proc.timer.phase("executor"):
+            with proc.span("executor"):
                 jacobi_sweep(a, ghost)
-            with proc.timer.phase("copy"):
+            with proc.span("copy"):
                 exchange.push(a)   # regular -> irregular
-            with proc.timer.phase("copy"):
+            with proc.span("copy"):
                 exchange.pull(a)   # irregular -> regular
         return comm.allreduce(float(a.local.sum()), lambda p, q: p + q)
 
@@ -266,11 +249,11 @@ def run_coupled_two_programs(
         x = ChaosArray.zeros(comm, owners)
         y = ChaosArray.like(x)
         mine = np.flatnonzero(owners[mesh.ia] == comm.rank)
-        with proc.timer.phase("inspector"):
+        with proc.span("inspector"):
             sweep = EdgeSweep(x, mesh.ia[mine], mesh.ib[mine])
         universe = coupled_universe(ctx, "reg", "dst")
-        _sync_programs(ctx, "reg")
-        with proc.timer.phase("sched"):
+        sync_programs(ctx, "reg")
+        with proc.span("sched"):
             sched = mc_compute_schedule(
                 universe,
                 "blockparti", None, None,
@@ -279,11 +262,11 @@ def run_coupled_two_programs(
             )
         exchange = CoupledExchange(universe, sched)
         for _ in range(timesteps):
-            with proc.timer.phase("copy"):
+            with proc.span("copy"):
                 exchange.push(x)
-            with proc.timer.phase("executor"):
+            with proc.span("executor"):
                 sweep.execute(x, y)
-            with proc.timer.phase("copy"):
+            with proc.span("copy"):
                 exchange.pull(x)
         return comm.allreduce(
             float(x.local.sum() + y.local.sum()), lambda p, q: p + q
@@ -296,14 +279,9 @@ def run_coupled_two_programs(
         ],
         profile=profile,
     )
-    from repro.vmachine.timing import merge_timings
-
-    merged = merge_timings(
-        result["reg"].timings + result["irreg"].timings, how="max"
-    )
     msgs = int(
         result["reg"].total_stat("messages_sent")
         + result["irreg"].total_stat("messages_sent")
     )
     checksum = float(result["reg"].values[0] + result["irreg"].values[0])
-    return CoupledTimings.from_results(merged, timesteps, msgs, checksum=checksum)
+    return CoupledTimings.from_results(result, timesteps, msgs, checksum=checksum)

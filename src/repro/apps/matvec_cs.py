@@ -26,27 +26,12 @@ from dataclasses import dataclass
 
 from repro.blockparti import BlockPartiArray
 from repro.core import ScheduleMethod, SectionRegion, mc_compute_schedule, mc_new_set_of_regions
-from repro.core.coupling import CoupledExchange, coupled_universe
+from repro.core.coupling import CoupledExchange, coupled_universe, sync_programs
 from repro.distrib.section import Section
 from repro.hpf import HPFArray, distributed_matvec, local_matvec_time
 from repro.vmachine import ALPHA_FARM_ATM, MachineProfile, ProgramSpec, run_programs
-from repro.vmachine.timing import merge_timings
 
 __all__ = ["MatvecTimings", "run_client_server_matvec"]
-
-_SYNC_TAG = (1 << 21) + 9
-
-
-def _sync(ctx, peer: str) -> None:
-    """Align the two programs' logical clocks at a phase boundary, so the
-    per-phase breakdown attributes wait time to the phase that caused it
-    (the paper measures each component separately the same way)."""
-    ic = ctx.peer(peer)
-    ctx.comm.barrier()
-    if ctx.rank == 0:
-        ic.send(0, None, _SYNC_TAG)
-        ic.recv(0, _SYNC_TAG)
-    ctx.comm.barrier()
 
 
 @dataclass
@@ -91,7 +76,7 @@ def run_client_server_matvec(
         vec = BlockPartiArray.from_function(comm, (n,), lambda i: i + 1.0)
         result = BlockPartiArray.zeros(comm, (n,))
         universe = coupled_universe(ctx, "server", "src")
-        with proc.timer.phase("sched"):
+        with proc.span("sched"):
             mat_sched = mc_compute_schedule(
                 universe,
                 "blockparti", M, mc_new_set_of_regions(SectionRegion(full_matrix)),
@@ -106,12 +91,12 @@ def run_client_server_matvec(
             )
         mat_exchange = CoupledExchange(universe, mat_sched)
         vec_exchange = CoupledExchange(universe, vec_sched)
-        with proc.timer.phase("matrix"):
+        with proc.span("matrix"):
             mat_exchange.push(M)
-            _sync(ctx, "server")
+            sync_programs(ctx, "server")
         for k in range(nvectors):
             vec.local[:] = vec.local + float(k)  # a fresh operand each time
-            with proc.timer.phase("client_vector"):
+            with proc.span("client_vector"):
                 vec_exchange.push(vec)
                 vec_exchange.pull(result)
         return True
@@ -123,7 +108,7 @@ def run_client_server_matvec(
         x = HPFArray.distribute(comm, (n,), ("block",))
         y = HPFArray.distribute(comm, (n,), ("block",))
         universe = coupled_universe(ctx, "client", "dst")
-        with proc.timer.phase("sched"):
+        with proc.span("sched"):
             mat_sched = mc_compute_schedule(
                 universe,
                 "blockparti", None, None,
@@ -138,12 +123,12 @@ def run_client_server_matvec(
             )
         mat_exchange = CoupledExchange(universe, mat_sched)
         vec_exchange = CoupledExchange(universe, vec_sched)
-        with proc.timer.phase("matrix"):
+        with proc.span("matrix"):
             mat_exchange.push(A)
-            _sync(ctx, "client")
+            sync_programs(ctx, "client")
         for _ in range(nvectors):
             vec_exchange.push(x)
-            with proc.timer.phase("server"):
+            with proc.span("server"):
                 distributed_matvec(A, x, y)
             vec_exchange.pull(y)
         return True
@@ -155,17 +140,14 @@ def run_client_server_matvec(
         ],
         profile=profile,
     )
-    merged = merge_timings(
-        result["client"].timings + result["server"].timings, how="max"
-    )
-    server_ms = merged.get_ms("server")
-    vector_ms = max(0.0, merged.get_ms("client_vector") - server_ms)
+    server_ms = result.span_ms("server")
+    vector_ms = max(0.0, result.span_ms("client_vector") - server_ms)
     # The client-local alternative: nvectors sequential n x n multiplies
     # spread over the client's processors.
     local_ms = local_matvec_time(n, n, profile) * nvectors / nclient * 1e3
     return MatvecTimings(
-        sched_ms=merged.get_ms("sched"),
-        matrix_ms=merged.get_ms("matrix"),
+        sched_ms=result.span_ms("sched"),
+        matrix_ms=result.span_ms("matrix"),
         server_ms=server_ms,
         vector_ms=vector_ms,
         nvectors=nvectors,

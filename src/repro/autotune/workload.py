@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import ScheduleMethod
+from repro.core.wire import count_runs
 from repro.distrib.cartesian import BLOCK, BLOCK_CYCLIC, CYCLIC, CartesianDist, DimDist
 from repro.distrib.irregular import IrregularDist
 from repro.vmachine.cost_model import IBM_SP2, MachineProfile
@@ -223,13 +224,6 @@ def run_matrix(
     starts = np.concatenate(([0], boundaries + 1))
     stops = np.concatenate((boundaries + 1, [len(sorted_pair)]))
     for lo, hi in zip(starts, stops):
-        if hi <= lo:
-            continue
-        seq = sorted_dst[lo:hi]
-        if len(seq) < 3:
-            nruns = 1
-        else:
-            step = np.diff(seq)
-            nruns = 1 + int(np.count_nonzero(np.diff(step)))
-        runs[sorted_pair[lo]] = nruns
+        if hi > lo:
+            runs[sorted_pair[lo]] = count_runs(sorted_dst[lo:hi])
     return runs.reshape(P, P)

@@ -2,6 +2,7 @@
 
 Convenience layer over :class:`~repro.core.universe.TwoProgramUniverse`:
 build the universe from a :class:`~repro.vmachine.program.ProgramContext`,
+align two programs' clocks at a phase boundary (:func:`sync_programs`),
 and drive repeated bidirectional exchanges with one symmetric schedule —
 "the communication schedule is also symmetric ... the only change required
 would be to switch the calls to MC_DataMoveSend and MC_DataMoveRecv
@@ -38,7 +39,28 @@ from repro.vmachine.faults import PeerLostError, RankLostError
 from repro.vmachine.program import ProgramContext
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
 
-__all__ = ["coupled_universe", "guard_peer", "exchange", "CoupledExchange"]
+__all__ = ["coupled_universe", "sync_programs", "guard_peer", "exchange",
+           "CoupledExchange"]
+
+_TAG_SYNC = (1 << 21) + 7
+
+
+def sync_programs(ctx: ProgramContext, peer: str) -> None:
+    """Align this program's logical clocks with program ``peer``'s at a
+    phase boundary (collective over both programs).
+
+    Without it, the faster program's next phase absorbs the other
+    program's unrelated preceding work as blocked-receive wait, so a
+    per-phase breakdown would charge one phase for another's cost (the
+    paper measures each component separately).  Rank 0s exchange a
+    token; the intra-program barriers propagate the aligned clock.
+    """
+    ic = ctx.peer(peer)
+    ctx.comm.barrier()
+    if ctx.rank == 0:
+        ic.send(0, None, _TAG_SYNC)
+        ic.recv(0, _TAG_SYNC)
+    ctx.comm.barrier()
 
 
 def coupled_universe(

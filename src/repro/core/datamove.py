@@ -78,7 +78,6 @@ def data_move_send(
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    fence: bool | None = None,
 ) -> None:
     """Execute the send half of a schedule (the paper's ``MC_DataMoveSend``).
 
@@ -87,7 +86,7 @@ def data_move_send(
     and ``timeout`` semantics: :func:`~repro.core.plan.plan_move_send`.
     """
     plan_move_send(plan_of(schedule), (src_array,), universe, policy=policy,
-                   timeout=timeout, fence=fence)
+                   timeout=timeout)
 
 
 def data_move_recv(

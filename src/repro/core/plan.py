@@ -71,6 +71,7 @@ from repro.core.registry import (
 from repro.core.schedule import CommSchedule
 from repro.core.universe import TAG_DATA, Universe
 from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout, fused_nbytes
+from repro.observe.spans import NO_SPAN
 from repro.vmachine.process import Process
 from repro.vmachine.trace import TraceEvent
 
@@ -290,7 +291,7 @@ def _fuse(
         layouts[key] = layout if key in layouts else None
     lease = proc.arena.checkout(layout.total, pooled=not proc.copy_on_send)
     fused = FusedBuffer(layout, lease.buffer, lease=lease)
-    with proc.span("pack"):
+    with proc.span("pack") if proc.labelled else NO_SPAN:
         for seg, view in zip(program, fused.segments()):
             pack_segment(proc, seg.program, datas[seg.schedule_id], view)
     metrics = proc.metrics
@@ -453,7 +454,6 @@ def plan_move_send(
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    fence: bool | None = None,
 ) -> None:
     """Send half of a move (the paper's ``MC_DataMoveSend``): one message
     per destination processor.
@@ -470,14 +470,13 @@ def plan_move_send(
     row; several pack into one leased staging buffer (:func:`_fuse`).
 
     With reliability enabled (payloads are opaque to the ack/retransmit
-    protocol, so bare and fused messages are handled identically),
-    ``fence`` controls the end-of-half ack barrier: default ``None``
-    fences in the coupled (two-program) case — a pure sender must learn
-    its peer received everything — and skips it in the single-program
-    case, where :func:`plan_move` fences once after the receive half.  A
-    skipped fence still flushes held-back packets so the receive half
-    cannot wedge on a reordered final message.  ``timeout`` bounds the
-    fence's ack wait.
+    protocol, so bare and fused messages are handled identically), the
+    half ends in the ack barrier in the coupled (two-program) case — a
+    pure sender must learn its peer received everything — and skips it
+    in the single-program case, where :func:`plan_move` fences once after
+    the receive half.  A skipped fence still flushes held-back packets so
+    the receive half cannot wedge on a reordered final message.
+    ``timeout`` bounds the fence's ack wait.
     """
     if universe.my_src_rank is None:
         raise RuntimeError("plan_move_send called on a non-source processor")
@@ -493,15 +492,13 @@ def plan_move_send(
     send = universe.data_plane(universe.to_dst).send
     for d, program in route.dests:
         if bare:
-            with proc.span("pack"):
+            with proc.span("pack") if proc.labelled else NO_SPAN:
                 payload = pack_segment(proc, program[0].program, datas[0])
         else:
             payload = _fuse(plan, program, datas, dtypes, proc, d)
         proc.metrics.incr("cache_program_hits", len(program))
         send(d, payload, TAG_DATA)
-    if fence is None:
-        fence = not universe.single_program
-    universe.end_phase(fence, timeout)
+    universe.end_phase(not universe.single_program, timeout)
 
 
 def plan_move_recv(
@@ -549,7 +546,7 @@ def plan_move_recv(
         program = plan.recv_programs[s]
         donated = False
         segments = _received_segments(program, payload, s, bare)
-        with proc.span("unpack"):
+        with proc.span("unpack") if proc.labelled else NO_SPAN:
             for seg, values in zip(program, segments):
                 i = seg.schedule_id
                 if unpack_segment(proc, adapters[i], dst_arrays[i],
@@ -582,7 +579,7 @@ def _local_copies(
         if dst_program is None or dst_program.n != src_program.n:
             raise RuntimeError("inconsistent local halves of the schedule")
         sched = plan.schedules[i]
-        with proc.span("copy:local"):
+        with proc.span("copy:local") if proc.labelled else NO_SPAN:
             copy_segment(
                 proc,
                 src_program, get_adapter(sched.src_lib).local_data(src_arrays[i]),
@@ -619,7 +616,7 @@ def plan_move(
         if route.local:
             _local_copies(plan, route, src_arrays, dst_arrays, universe.process)
         plan_move_send(plan, src_arrays, universe, policy=policy,
-                       timeout=timeout, fence=False)
+                       timeout=timeout)
         plan_move_recv(plan, dst_arrays, universe, policy=policy,
                        timeout=timeout, donate=donate)
         universe.end_phase(timeout=timeout)

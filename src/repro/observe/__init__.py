@@ -5,15 +5,15 @@ the logical time go?* — for any run on the virtual machine:
 
 :mod:`repro.observe.spans`
     Zero-clock-charge phase spans (:meth:`~repro.vmachine.process.
-    Process.span`).  The span *stack* is always on (it labels trace
-    events and metrics); the span *log* only accumulates when
-    observability is enabled.
+    Process.span`).  The span *stack* (it labels trace events and
+    metrics) and each name's inclusive logical-time total are always on;
+    the span *log* only accumulates when observability is enabled.
 
 :mod:`repro.observe.metrics`
-    Per-rank :class:`MetricsRegistry`: named counters (always on) plus
-    opt-in cost-term attribution — every clock advance bucketed by
-    ``(phase, term)`` with the exact floating-point delta, so the term
-    sum reproduces the rank's clock.
+    Per-rank :class:`MetricsRegistry`: named counters and span totals
+    (always on) plus opt-in cost-term attribution — every clock advance
+    bucketed by ``(phase, term)`` with the exact floating-point delta,
+    so the term sum reproduces the rank's clock.
 
 :mod:`repro.observe.perfetto`
     Chrome/Perfetto ``trace.json`` export: one track per rank, spans as
@@ -35,8 +35,8 @@ from repro.observe.perfetto import (
     export_chrome_trace,
     write_chrome_trace,
 )
-from repro.observe.report import format_phase_table, format_profile, profile_result
-from repro.observe.spans import SpanRecord, current_phase, phase_path, span_on
+from repro.observe.report import format_phase_table, format_profile
+from repro.observe.spans import SpanRecord, span_on
 
 __all__ = [
     "COST_TERMS",
@@ -44,12 +44,9 @@ __all__ = [
     "MetricsSnapshot",
     "SpanRecord",
     "span_on",
-    "current_phase",
-    "phase_path",
     "chrome_trace",
     "export_chrome_trace",
     "write_chrome_trace",
     "format_profile",
     "format_phase_table",
-    "profile_result",
 ]

@@ -1,7 +1,7 @@
-"""Per-rank metrics: named counters plus cost-term attribution.
+"""Per-rank metrics: named counters, span totals and cost-term attribution.
 
 :class:`MetricsRegistry` is the one place a virtual processor's
-observability state accumulates.  It carries two kinds of data:
+observability state accumulates.  It carries three kinds of data:
 
 **Counters** (``counters``: name → number) — the event tallies that used
 to grow ad hoc inside ``proc.stats`` (``messages_sent``, ``faults_drop``,
@@ -35,6 +35,13 @@ currently hold, handed to the caller but not kept).
 Cache mirroring is clock-free by construction — a counter bump never
 advances logical time, so observed runs stay byte-identical with caching
 enabled or disabled.
+
+**Span totals** (``span_seconds``: span name → logical seconds) — every
+:meth:`~repro.vmachine.process.Process.span` adds its *inclusive*
+duration (exit clock minus entry clock, nested spans included) to its
+name on exit.  Always on, like the counters: the paper's per-phase
+numbers (``inspector``, ``sched``, ``copy`` ...) are these totals, merged
+across ranks by :meth:`~repro.vmachine.machine.SPMDResult.span_ms`.
 
 **Cost terms** (``terms``: (phase, term) → logical seconds) — every
 logical-clock advance attributed to the analytical cost-model term that
@@ -89,6 +96,12 @@ def _totals_by(terms: dict[tuple[str, str], float], index: int) -> dict[str, flo
     return out
 
 
+def _delta(now: dict, before: dict, zero: float) -> dict:
+    """Per-key ``now - before``, keys whose value did not move dropped."""
+    return {k: v - before.get(k, zero) for k, v in now.items()
+            if v != before.get(k, zero)}
+
+
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """Immutable copy of a registry's state (or a diff of two states)."""
@@ -96,13 +109,17 @@ class MetricsSnapshot:
     counters: dict[str, float] = field(default_factory=dict)
     #: (phase, term) → logical seconds
     terms: dict[tuple[str, str], float] = field(default_factory=dict)
+    #: span name → inclusive logical seconds
+    span_seconds: dict[str, float] = field(default_factory=dict)
 
     def term_totals(self) -> dict[str, float]:
         """Logical seconds per cost term, summed over phases."""
         return _totals_by(self.terms, 1)
 
     def phase_totals(self) -> dict[str, float]:
-        """Logical seconds per phase, summed over terms."""
+        """Logical seconds per phase, summed over terms: *exclusive*, each
+        charge counted once, under its innermost span (compare
+        :attr:`span_seconds`, inclusive per name)."""
         return _totals_by(self.terms, 0)
 
     def attributed_seconds(self) -> float:
@@ -111,17 +128,11 @@ class MetricsSnapshot:
 
     def diff(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
         """What happened since ``earlier``: per-key deltas, zeros dropped."""
-        counters = {
-            k: v - earlier.counters.get(k, 0)
-            for k, v in self.counters.items()
-            if v != earlier.counters.get(k, 0)
-        }
-        terms = {
-            k: v - earlier.terms.get(k, 0.0)
-            for k, v in self.terms.items()
-            if v != earlier.terms.get(k, 0.0)
-        }
-        return MetricsSnapshot(counters=counters, terms=terms)
+        return MetricsSnapshot(
+            counters=_delta(self.counters, earlier.counters, 0),
+            terms=_delta(self.terms, earlier.terms, 0.0),
+            span_seconds=_delta(self.span_seconds, earlier.span_seconds, 0.0),
+        )
 
 
 class MetricsRegistry:
@@ -132,7 +143,7 @@ class MetricsRegistry:
     (the same contract as the logical clock), so no locking is needed.
     """
 
-    __slots__ = ("counters", "terms", "attributing")
+    __slots__ = ("counters", "terms", "span_seconds", "attributing")
 
     #: counters every process starts with (kept in insertion order so
     #: ``proc.stats`` renders identically to the historical dict)
@@ -146,6 +157,8 @@ class MetricsRegistry:
     def __init__(self, attributing: bool = False):
         self.counters: dict[str, float] = {k: 0 for k in self.BASE_COUNTERS}
         self.terms: dict[tuple[str, str], float] = {}
+        #: span name → inclusive logical seconds (written by the span exit)
+        self.span_seconds: dict[str, float] = {}
         #: record cost-term attribution for every clock advance?
         self.attributing = attributing
 
@@ -180,7 +193,8 @@ class MetricsRegistry:
             delta = proc.metrics.snapshot().diff(before)
         """
         return MetricsSnapshot(counters=dict(self.counters),
-                               terms=dict(self.terms))
+                               terms=dict(self.terms),
+                               span_seconds=dict(self.span_seconds))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -10,11 +10,11 @@ reader can see the attribution closing to within float noise.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.observe.metrics import COST_TERMS, MetricsSnapshot
 
-__all__ = ["format_profile", "format_phase_table", "profile_result"]
+__all__ = ["format_profile", "format_phase_table"]
 
 
 def _fmt_ms(seconds: float, width: int = 10) -> str:
@@ -57,31 +57,35 @@ def format_profile(
 def format_phase_table(
     metrics: Sequence[MetricsSnapshot], top: int = 12
 ) -> str:
-    """Machine-wide phase x term breakdown, largest phases first."""
+    """Machine-wide phase x term breakdown, largest phases first.
+
+    The term columns and ``total`` are exclusive (each charge under its
+    innermost span, :meth:`~repro.observe.metrics.MetricsSnapshot.
+    phase_totals`); ``inclusive`` is the span's own total, nested spans
+    included (:attr:`~repro.observe.metrics.MetricsSnapshot.
+    span_seconds`).  Both are summed over ranks.
+    """
     agg: dict[str, dict[str, float]] = {}
+    inclusive: dict[str, float] = {}
     for snap in metrics:
         for (phase, term), seconds in snap.terms.items():
             agg.setdefault(phase or "(no span)", {}).setdefault(term, 0.0)
             agg[phase or "(no span)"][term] += seconds
-    order = sorted(agg, key=lambda p: -sum(agg[p].values()))[:top]
+        for name, seconds in snap.span_seconds.items():
+            agg.setdefault(name, {})
+            inclusive[name] = inclusive.get(name, 0.0) + seconds
+    order = sorted(agg, key=lambda p: -max(sum(agg[p].values()),
+                                           inclusive.get(p, 0.0)))[:top]
     lines = [f"{'phase':<18}" + "".join(f"{t:>12}" for t in COST_TERMS)
-             + f"{'total':>12}"]
+             + f"{'total':>12}{'inclusive':>12}"]
     for phase in order:
         row = f"{phase:<18}"
         for t in COST_TERMS:
             row += f"{_fmt_ms(agg[phase].get(t, 0.0), 12)}"
         row += f"{_fmt_ms(sum(agg[phase].values()), 12)}"
+        row += (_fmt_ms(inclusive[phase], 12) if phase in inclusive
+                else f"{'-':>12}")
         lines.append(row)
     if len(agg) > top:
         lines.append(f"... {len(agg) - top} more phase(s)")
     return "\n".join(lines)
-
-
-def profile_result(result: Any) -> str:
-    """Full profile text for an ``SPMDResult``-like object (``metrics`` +
-    ``clocks`` attributes): term table, then phase breakdown."""
-    chunks = [format_profile(result.metrics, result.clocks)]
-    if any(snap.terms for snap in result.metrics):
-        chunks.append("")
-        chunks.append(format_phase_table(result.metrics))
-    return "\n".join(chunks)

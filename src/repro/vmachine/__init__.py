@@ -32,7 +32,6 @@ from repro.vmachine.process import Process, current_process, default_recv_timeou
 from repro.vmachine.comm import Communicator, InterComm, Request, waitall, waitany
 from repro.vmachine.machine import VirtualMachine, RankError, SPMDError
 from repro.vmachine.program import ProgramSpec, run_programs, CoupledResult
-from repro.vmachine.timing import PhaseTimer, TimingReport, merge_timings
 from repro.vmachine.trace import (
     MESSAGE_KINDS,
     TraceEvent,
@@ -78,9 +77,6 @@ __all__ = [
     "ProgramSpec",
     "run_programs",
     "CoupledResult",
-    "PhaseTimer",
-    "TimingReport",
-    "merge_timings",
     "TraceEvent",
     "MESSAGE_KINDS",
     "format_tag",

@@ -36,10 +36,10 @@ oracle.
 
 from __future__ import annotations
 
-import contextlib
 import copy as _copy
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.observe.spans import NO_SPAN
 from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
 from repro.vmachine.message import ANY_SOURCE, ANY_TAG, Mailbox, Message
 from repro.vmachine.payload import payload_nbytes
@@ -60,9 +60,6 @@ __all__ = ["Communicator", "InterComm", "Request", "waitany", "waitall",
 # this floor so they can never collide with the small sequential indices
 # handed to program/pair communicators by the program runner.
 _SPLIT_BLOCK_BASE = 1 << 20
-
-#: stands in for the leaf ``wire`` span when nothing reads span labels
-_NO_SPAN = contextlib.nullcontext()
 
 
 def _cantor_pair(a: int, b: int) -> int:
@@ -96,7 +93,7 @@ def _account_recv(proc, msg: Message) -> None:
         counters["messages_received"] += 1
         counters["bytes_received"] += nbytes
         return
-    with proc.span("wire") if proc.labelled else _NO_SPAN:
+    with proc.span("wire") if proc.labelled else NO_SPAN:
         wait = max(0.0, msg.arrival - proc.clock)
         proc.advance_to(msg.arrival)
         proc.charge(proc.cost.recv_overhead(nbytes), term="occupancy")
@@ -197,7 +194,7 @@ class _Endpoint:
             # Debug mode: snapshot the payload so later sender-side
             # mutation cannot reach the receiver (zero-copy hazard guard).
             payload = _copy.deepcopy(payload)
-        with proc.span("wire") if proc.labelled else _NO_SPAN:
+        with proc.span("wire") if proc.labelled else NO_SPAN:
             nbytes = payload_nbytes(payload)
             # Sender pays injection (occupancy + wire serialization); the
             # payload becomes available one wire latency after injection

@@ -32,7 +32,6 @@ from repro.vmachine.comm import CONTEXT_STRIDE, Communicator, InterComm
 from repro.vmachine.cost_model import CostModel, IBM_SP2, MachineProfile
 from repro.vmachine.faults import FailureDetector, FaultPlan, RankLostError
 from repro.vmachine.process import Process
-from repro.vmachine.timing import TimingReport, merge_timings
 
 __all__ = [
     "VirtualMachine",
@@ -88,12 +87,12 @@ class SPMDResult:
 
     values: list[Any]
     clocks: list[float]
-    timings: list[TimingReport]
     stats: list[dict[str, float]]
     #: per-rank message traces (populated when the run traced messages)
     traces: list[list] = field(default_factory=list)
     #: per-rank :class:`~repro.observe.metrics.MetricsSnapshot` (counters
-    #: always; (phase, term) attribution when the run observed)
+    #: and span totals always; (phase, term) attribution when the run
+    #: observed)
     metrics: list = field(default_factory=list)
     #: per-rank closed-span logs (populated when the run observed)
     spans: list[list] = field(default_factory=list)
@@ -107,16 +106,16 @@ class SPMDResult:
         """Logical elapsed time of the run: the slowest rank's clock."""
         return max(self.clocks) * 1e3 if self.clocks else 0.0
 
-    @property
-    def merged_timing(self) -> TimingReport:
-        """Per-phase times merged across ranks (max per phase)."""
-        return merge_timings(self.timings, how="max")
+    def span_ms(self, name: str) -> float:
+        """Logical ms the slowest rank spent inside spans named ``name``
+        (its inclusive total; 0 if no rank opened one): an SPMD phase
+        takes as long as its slowest processor."""
+        return max((m.span_seconds.get(name, 0.0) for m in self.metrics),
+                   default=0.0) * 1e3
 
     def total_stat(self, key: str) -> float:
         """Sum of one counter (e.g. ``messages_sent``) across all ranks."""
         return sum(s.get(key, 0.0) for s in self.stats)
-
-
 
 
 @dataclass
@@ -467,7 +466,6 @@ class VirtualMachine:
             return SPMDResult(
                 values=[values[g] for g in granks],
                 clocks=[p.clock for p in procs],
-                timings=[p.timer.report for p in procs],
                 stats=[p.stats for p in procs],
                 traces=[traces[g] for g in granks],
                 metrics=[p.metrics.snapshot() for p in procs],

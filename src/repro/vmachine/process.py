@@ -1,11 +1,11 @@
 """Virtual processor context.
 
 Each SPMD rank executes in its own thread with a :class:`Process` object as
-its identity: global rank, logical clock, mailbox, cost model and phase
-timer.  Library code retrieves the ambient process via
-:func:`current_process`, so application kernels read like ordinary SPMD
-code (``comm.rank``, ``comm.send(...)``) without threading machinery
-leaking through.
+its identity: global rank, logical clock, mailbox, cost model and metrics
+(whose span totals are the per-phase times).  Library code retrieves the
+ambient process via :func:`current_process`, so application kernels read
+like ordinary SPMD code (``comm.rank``, ``comm.send(...)``) without
+threading machinery leaking through.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.observe.metrics import MetricsRegistry
 from repro.observe.spans import span_on
 from repro.vmachine.cost_model import CostModel
 from repro.vmachine.message import Mailbox, PackArena
-from repro.vmachine.timing import PhaseTimer
 
 __all__ = ["Process", "current_process", "default_recv_timeout_s"]
 
@@ -76,7 +75,7 @@ class Process:
 
     The *logical clock* (``self.clock``, seconds) is the process's notion of
     elapsed time.  All charges go through :meth:`charge`/:meth:`advance_to`
-    so the phase timer sees a consistent view (the transport's all-off
+    so term attribution sees a consistent view (the transport's all-off
     message path spells the same expressions inline; see :meth:`_rehook`).
     """
 
@@ -93,9 +92,9 @@ class Process:
         self.cost = cost_model
         self.clock = 0.0
         self.mailbox = Mailbox(rank)
-        self.timer = PhaseTimer(lambda: self.clock)
-        #: per-rank observability state: named counters (always on) plus
-        #: opt-in cost-term attribution of every clock advance
+        #: per-rank observability state: named counters and span totals
+        #: (always on) plus opt-in cost-term attribution of every clock
+        #: advance
         self.metrics = MetricsRegistry()
         #: free-form per-rank scratch for application code
         self.env: dict[str, Any] = {}
@@ -118,7 +117,8 @@ class Process:
     def _rehook(self) -> None:
         """Refresh the flags the transport reads per message: ``labelled``
         (something reads span labels — trace events, span records,
-        attributed terms — so the leaf ``wire`` span must be opened) and
+        attributed terms — so the leaf spans ``wire``, ``pack``,
+        ``unpack``, ``copy:local`` and ``rma:*`` must be opened) and
         ``hooked`` (anything that can observe or perturb a message is
         installed; false = :mod:`repro.vmachine.comm` goes direct).  Run
         by the concern setters and :meth:`enable_observability`, the only
@@ -143,9 +143,11 @@ class Process:
         """Open a zero-clock-charge phase span (context manager).
 
         Everything executed inside carries ``name`` as its phase: trace
-        events record it, cost-term attribution buckets by it, and (when
-        observing) a :class:`~repro.observe.spans.SpanRecord` is logged
-        at exit for the Perfetto exporter.  Never charges the clock.
+        events record it, cost-term attribution buckets by it.  At exit
+        the span's inclusive logical duration is added to
+        ``metrics.span_seconds[name]`` and (when observing) a
+        :class:`~repro.observe.spans.SpanRecord` is logged for the
+        Perfetto exporter.  Never charges the clock.
         """
         return span_on(self, name)
 

@@ -38,6 +38,10 @@ class CoupledResult:
     def elapsed_ms(self) -> float:
         return max(r.elapsed_ms for r in self.programs.values())
 
+    def span_ms(self, name: str) -> float:
+        """:meth:`SPMDResult.span_ms` over every program's ranks."""
+        return max(r.span_ms(name) for r in self.programs.values())
+
 
 def run_programs(specs: list[ProgramSpec], *args, **settings) -> CoupledResult:
     """Run several programs concurrently on disjoint processor sets.

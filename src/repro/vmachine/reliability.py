@@ -75,9 +75,6 @@ class ReliabilityConfig:
     backoff: float = 2.0
     #: lost deliveries tolerated per message before declaring the peer lost
     max_retries: int = 8
-    #: wall-clock bound for the fence's blocking ack collection (seconds);
-    #: ``None`` uses the process receive timeout
-    fence_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.base_rto_s < 0:
@@ -356,8 +353,9 @@ class Reliability:
         them — before waiting, so a held final packet cannot wedge the
         receiver.  Raises :class:`~repro.vmachine.faults.RankLostError`
         with last-ack diagnostics when a peer stops acknowledging.
+        ``timeout`` bounds each ack wait, like every other wait: ``None``
+        is the process receive time-out.
         """
-        cfg = self.config
         # Every unacked channel is released before the first blocking
         # wait: a receiver completing in arrival order (``recv_any``)
         # needs all its senders' packets before it acks any, so two
@@ -372,13 +370,7 @@ class Reliability:
             if ch.acked >= ch.next_seq - 1:
                 self._drain_acks(endpoint, ch.peer, ch.tag, ch)
                 continue
-            budget = (
-                timeout
-                if timeout is not None
-                else cfg.fence_timeout_s
-                if cfg.fence_timeout_s is not None
-                else proc.recv_timeout_s
-            )
+            budget = timeout if timeout is not None else proc.recv_timeout_s
             while ch.acked < ch.next_seq - 1:
                 try:
                     ack = endpoint.recv(ch.peer, REL_ACK | ch.tag,

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.apps import coupled
 from repro.apps.coupled import (
     run_coupled_single_program,
     run_coupled_two_programs,
 )
 from repro.apps.meshes import full_remap_mapping, grid_mesh
+from repro.observe import format_phase_table
+from repro.vmachine import VirtualMachine
 
 SHAPE = (12, 12)
 MESH = grid_mesh(12, 12)
@@ -69,6 +72,49 @@ class TestTwoPrograms:
         a = run_coupled_two_programs(2, 4, SHAPE, MESH, MAPPING).copy_per_iter_ms
         b = run_coupled_two_programs(4, 2, SHAPE, MESH, MAPPING).copy_per_iter_ms
         assert abs(a - b) < 0.6 * max(a, b)
+
+
+class TestPhasesAreSpans:
+    """The paper's phases are ordinary spans: an observed run shows them
+    next to the runtime's own, and observing moves no phase's time."""
+
+    PHASES = ("inspector", "sched", "executor", "copy")
+    #: opened per message or copy, and only when something reads labels
+    LEAVES = {"wire", "pack", "unpack", "copy:local"}
+
+    def coupled_run(self, monkeypatch, observe):
+        results = []
+
+        class Machine(VirtualMachine):
+            def __init__(self, nprocs, profile):
+                super().__init__(nprocs, profile, observe=observe)
+
+            def run(self, fn):
+                results.append(super().run(fn))
+                return results[-1]
+
+        monkeypatch.setattr(coupled, "VirtualMachine", Machine)
+        timings = run_coupled_single_program(4, SHAPE, MESH, MAPPING)
+        return timings, results[0]
+
+    def test_observed_run_shows_the_phases(self, monkeypatch):
+        _, result = self.coupled_run(monkeypatch, observe=True)
+        for spans in result.spans:
+            names = {s.name for s in spans}
+            assert set(self.PHASES) <= names
+            assert "copy/copy:execute" in {s.path for s in spans}
+        table = format_phase_table(result.metrics, top=100)
+        rows = {line.split()[0] for line in table.splitlines()[1:]}
+        assert set(self.PHASES) <= rows
+
+    def test_observing_moves_no_phase_time(self, monkeypatch):
+        off_timings, off = self.coupled_run(monkeypatch, observe=False)
+        on_timings, on = self.coupled_run(monkeypatch, observe=True)
+        assert on_timings == off_timings
+        names = set().union(*(m.span_seconds for m in on.metrics))
+        assert self.LEAVES <= names
+        for name in names - self.LEAVES:
+            assert on.span_ms(name) == off.span_ms(name), name
 
 
 class TestNumericalEquivalence:

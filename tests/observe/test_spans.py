@@ -1,7 +1,19 @@
 """Span-stack semantics on a real virtual processor."""
 
+import numpy as np
 import pytest
 
+from repro.blockparti import BlockPartiArray
+from repro.chaos import ChaosArray
+from repro.core import (
+    IndexRegion,
+    ScheduleMethod,
+    SectionRegion,
+    mc_compute_schedule,
+    mc_copy,
+    mc_new_set_of_regions,
+)
+from repro.distrib.section import Section
 from repro.vmachine import VirtualMachine
 from repro.vmachine.cost_model import CostModel, IBM_SP2
 from repro.vmachine.process import Process
@@ -132,6 +144,50 @@ class TestAttribution:
         p = make_proc(observe=False)
         p.stats["custom"] = p.stats.get("custom", 0) + 2
         assert p.metrics.get("custom") == 2
+
+
+def _copy(comm):
+    """A schedule build and one move with both local and remote
+    elements: every leaf span kind of the executor."""
+    n = 16
+    perm = np.random.default_rng(0).permutation(n * n)
+    A = BlockPartiArray.from_global(comm, np.arange(n * n, dtype=float).reshape(n, n))
+    B = ChaosArray.zeros(comm, perm % comm.size)
+    sched = mc_compute_schedule(
+        comm, "blockparti", A, mc_new_set_of_regions(SectionRegion(Section.full((n, n)))),
+        "chaos", B, mc_new_set_of_regions(IndexRegion(perm)),
+        ScheduleMethod.COOPERATION,
+    )
+    mc_copy(comm, sched, A, B)
+
+
+class TestLeafSpans:
+    LEAVES = {"pack", "unpack", "copy:local", "wire"}
+
+    @staticmethod
+    def names(result) -> set:
+        return set().union(*(m.span_seconds for m in result.metrics))
+
+    def test_leaf_totals_only_when_labelled(self, clean_repro_env):
+        off = VirtualMachine(4).run(_copy)
+        assert not self.names(off) & self.LEAVES
+        assert {"schedule:build", "copy:execute"} <= self.names(off)
+        for settings in ({"trace": True}, {"observe": True}):
+            on = VirtualMachine(4, **settings).run(_copy)
+            assert self.LEAVES <= self.names(on), settings
+            for name in self.names(off):
+                assert on.span_ms(name) == off.span_ms(name), (settings, name)
+
+    def test_snapshot_diff_carries_span_totals(self):
+        p = make_proc(observe=False)
+        with p.span("a"):
+            p.charge(1.0)
+        before = p.metrics.snapshot()
+        with p.span("b"):
+            p.charge(0.5)
+        delta = p.metrics.snapshot().diff(before)
+        assert delta.span_seconds == {"b": 0.5}
+        assert before.span_seconds == {"a": 1.0}
 
 
 class TestResultPlumbing:

@@ -16,7 +16,6 @@ from repro.replay import (
 from repro.replay.workloads import build_workload, run_workload
 from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
 from repro.vmachine.machine import SPMDError
-from repro.vmachine.timing import TimingReport, merge_timings
 
 
 def _record(name, params, payloads=True):
@@ -250,22 +249,6 @@ class TestRecordingNeutrality:
         assert clocks_off == clocks_on
         assert events_off == events_on
         np.testing.assert_array_equal(val_off, val_on)
-
-
-# ---------------------------------------------------------------------------
-# satellite: deterministic iteration in merge_timings
-# ---------------------------------------------------------------------------
-
-
-class TestTimingMergeDeterminism:
-    def test_merge_order_independent_of_insertion_order(self):
-        a = TimingReport(phases={"zeta": 1.0, "alpha": 2.0, "mid": 3.0})
-        b = TimingReport(phases={"mid": 1.0, "zeta": 4.0, "alpha": 0.5})
-        m1 = merge_timings([a, b])
-        m2 = merge_timings([b, a])
-        assert list(m1.phases) == sorted(m1.phases)
-        assert list(m1.phases) == list(m2.phases)
-        assert m1.phases == {"alpha": 2.0, "mid": 3.0, "zeta": 4.0}
 
 
 # ---------------------------------------------------------------------------

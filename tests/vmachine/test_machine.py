@@ -80,13 +80,21 @@ class TestResult:
         res = run_spmd(4, spmd)
         assert res.elapsed_ms == pytest.approx(4.0)
 
-    def test_merged_timing_is_max(self):
+    def test_span_ms_is_max(self):
         def spmd(comm):
-            with comm.process.timer.phase("p"):
+            if comm.rank < 2:
+                with comm.process.span("a"):
+                    comm.process.charge(0.001 * (2 - comm.rank))
+            with comm.process.span("p"):
                 comm.process.charge(0.001 * comm.rank)
 
         res = run_spmd(3, spmd)
-        assert res.merged_timing.get_ms("p") == pytest.approx(2.0)
+        assert res.span_ms("p") == pytest.approx(2.0)
+        # a rank that never opened the span counts as zero
+        assert res.span_ms("a") == pytest.approx(2.0)
+        assert res.span_ms("never") == 0.0
+        assert [m.span_seconds.get("a", 0.0) for m in res.metrics] == [
+            0.002, 0.001, 0.0]
 
     def test_total_stat_sums_ranks(self):
         def spmd(comm):

@@ -1,5 +1,8 @@
 """Unit tests for the virtual processor context."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.vmachine.cost_model import IBM_SP2, CostModel
@@ -57,24 +60,78 @@ class TestClock:
 
 
 class TestTimer:
+    """A phase is a span: ``metrics.span_seconds`` keeps each name's
+    logical time, inclusive of the spans nested in it."""
+
     def test_phase_accumulates_logical_time(self, proc):
-        with proc.timer.phase("work"):
+        with proc.span("work"):
             proc.charge(2e-3)
-        with proc.timer.phase("work"):
+        with proc.span("work"):
             proc.charge(3e-3)
-        assert proc.timer.report.get_ms("work") == pytest.approx(5.0)
+        assert proc.metrics.span_seconds == {"work": 2e-3 + 3e-3}
 
     def test_untimed_phase_reads_zero(self, proc):
-        assert proc.timer.report.get_ms("nothing") == 0.0
+        assert proc.metrics.snapshot().span_seconds == {}
+        with proc.span("idle"):
+            pass
+        assert proc.metrics.span_seconds == {"idle": 0.0}
 
     def test_nested_phases(self, proc):
-        with proc.timer.phase("outer"):
+        with proc.span("outer"):
             proc.charge(1e-3)
-            with proc.timer.phase("inner"):
+            with proc.span("inner"):
                 proc.charge(2e-3)
-        assert proc.timer.report.get_ms("inner") == pytest.approx(2.0)
+            proc.charge(4e-3)
+        totals = proc.metrics.span_seconds
+        assert totals["inner"] == pytest.approx(2e-3)
         # outer includes inner's time (it wraps it on the same clock)
-        assert proc.timer.report.get_ms("outer") == pytest.approx(3.0)
+        assert totals["outer"] == pytest.approx(7e-3)
+        assert totals["outer"] == proc.clock
+        # a nested phase counts once in every span enclosing it
+        assert sum(totals.values()) == pytest.approx(9e-3)
+
+    def test_exception_still_records(self, proc):
+        with pytest.raises(RuntimeError):
+            with proc.span("p"):
+                proc.charge(1e-3)
+                raise RuntimeError
+        assert proc.metrics.span_seconds == {"p": 1e-3}
+        assert proc.phase == ""
+
+    def test_observing_changes_no_total(self, proc):
+        observed = Process(rank=0, nprocs=4, cost_model=CostModel(IBM_SP2))
+        observed.enable_observability()
+        for p in (proc, observed):
+            with p.span("outer"):
+                p.charge(1e-3)
+                with p.span("inner"):
+                    p.charge(2e-3)
+        assert proc.metrics.span_seconds == observed.metrics.span_seconds
+        assert [s.duration for s in observed.spans] == [
+            observed.metrics.span_seconds["inner"],
+            observed.metrics.span_seconds["outer"],
+        ]
+
+
+class TestLifetime:
+    def test_dropped_process_is_freed_by_reference_counting(self):
+        """Nothing a process owns points back at it, so dropping the last
+        reference frees it — with its trace, span log and arena — at
+        once, not when the cyclic collector next runs."""
+        gc.collect()
+        gc.disable()
+        try:
+            p = Process(rank=0, nprocs=1, cost_model=CostModel(IBM_SP2))
+            p.enable_observability()
+            p.trace = []
+            with p.span("work"):
+                p.charge(1e-3)
+            p.arena.checkout(64).release()
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestBinding:

@@ -228,10 +228,10 @@ class TestFence:
                          crashes=[CrashEvent(rank=1, after_receives=0)])
 
         def spmd(comm):
-            rel = Reliability(ReliabilityConfig(fence_timeout_s=2.0))
+            rel = Reliability()
             if comm.rank == 0:
                 rel.send(comm, 1, "x", TAG)
-                rel.fence()
+                rel.fence(timeout=2.0)
             else:
                 rel.recv(comm, 0, TAG)  # crash fires before the receive
 

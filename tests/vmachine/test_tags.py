@@ -10,11 +10,19 @@ import repro
 from repro.vmachine import tags
 
 SRC = Path(repro.__file__).parent
-TAG_NAME = re.compile(r"_?TAG_\w+")
+#: ``TAG_*`` / ``_TAG_*`` / ``*_TAG``; ``ANY_TAG`` is the receive wildcard
+TAG_NAME = re.compile(r"_?TAG_\w+|(?!ANY_TAG$)\w+_TAG")
+
+
+def test_the_pattern_sees_every_spelling_of_a_tag_name():
+    for name in ("TAG_DATA", "_TAG_SYNC", "_SYNC_TAG", "SERVICE_TAG"):
+        assert TAG_NAME.fullmatch(name), name
+    for name in ("ANY_TAG", "COLLECTIVE_TAG_BASE", "CONTEXT_STRIDE"):
+        assert not TAG_NAME.fullmatch(name), name
 
 
 def named_tags() -> dict[str, int]:
-    """``module.NAME -> value`` for every module-level ``TAG_*`` / ``_TAG_*``
+    """``module.NAME -> value`` for every module-level tag-named
     assignment (an import of one is not a definition)."""
     found = {}
     for path in sorted(SRC.rglob("*.py")):

@@ -9,6 +9,8 @@
 (c) A ``Universe`` is two endpoints and one data plane.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -137,22 +139,19 @@ def _exchange(reliable, overlap, sources, faults, oracle):
     """Ranks in ``sources`` each send rank 0 one ``TAG_DATA`` message per
     round — the bigger the rank the smaller the message, so arrival order
     is not rank order — and rank 0 collects a round through ``arrivals``
-    or through the oracle."""
+    or through the oracle.
+
+    Every round is on the wire before rank 0 collects any: the reliable
+    receive drains whatever envelopes are physically pending, so a later
+    round still in a sender's hands would make the outcome depend on host
+    thread scheduling rather than on the path being compared.  The wait
+    is wall-clock only and charges no logical time."""
+    posted = threading.Barrier(4, timeout=30.0)
 
     def body(comm):
         rel = Reliability() if reliable else None
-        got = []
-        for round_ in range(ROUNDS):
-            if comm.rank == 0:
-                if oracle:
-                    stream = oracle_arrivals(comm, rel, sources, TAG_DATA,
-                                             overlap, 30.0)
-                else:
-                    chan = comm if rel is None else rel.over(comm)
-                    stream = chan.arrivals(sources, TAG_DATA, overlap=overlap,
-                                           timeout=30.0)
-                got.append([(s, p.tolist()) for s, p in stream])
-            elif comm.rank in sources:
+        if comm.rank in sources:
+            for round_ in range(ROUNDS):
                 payload = np.full(600 // comm.rank ** 2, 10.0 * round_ + comm.rank)
                 if rel is not None:
                     rel.send(comm, 0, payload, TAG_DATA)
@@ -162,6 +161,20 @@ def _exchange(reliable, overlap, sources, faults, oracle):
                     while comm.send(0, payload, TAG_DATA).lost:
                         pass
                     comm._flush_held(0)
+            if rel is not None:
+                rel.flush()
+        posted.wait()
+        got = []
+        if comm.rank == 0:
+            for _ in range(ROUNDS):
+                if oracle:
+                    stream = oracle_arrivals(comm, rel, sources, TAG_DATA,
+                                             overlap, 30.0)
+                else:
+                    chan = comm if rel is None else rel.over(comm)
+                    stream = chan.arrivals(sources, TAG_DATA, overlap=overlap,
+                                           timeout=30.0)
+                got.append([(s, p.tolist()) for s, p in stream])
         if rel is not None:
             rel.fence()
         return got

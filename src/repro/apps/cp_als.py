@@ -19,13 +19,14 @@ two distribution styles the paper couples —
   :class:`~repro.containers.DistQueue` and folded owner-side), with no
   receiver-side matching code anywhere.
 
-Every iteration per mode: fetch the needed remote rows of the other two
-factors (one epoch), compute local MTTKRP partials, scatter-add them
-into the target factor's accumulator (one epoch), allreduce the R x R
-Gram matrices, and solve ``A <- M @ pinv(G)`` — the identical update
-expression the serial oracle uses, so the distributed result matches
-the oracle to float round-off (the deterministic ``(origin, seq)``
-apply order differs from the serial summation order only in grouping).
+Every iteration per mode: fetch the other two factors' needed rows (one
+group epoch), compute local MTTKRP partials, scatter-add them into the
+target factor's accumulator (one epoch), allreduce the R x R Grams, and
+solve ``A <- M @ pinv(G)`` into the factor window's own storage — the
+serial oracle's update expression, so the result matches it to float
+round-off (the ``(origin, seq)`` apply order differs from the serial
+sum only in grouping).  The new rows need no fence: a peer's next
+``get`` is served inside this rank's next fence, after the write.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from repro.chaos.array import ChaosArray
 from repro.containers import DistHashMap, DistQueue
 from repro.hpf.array import HPFArray
 from repro.vmachine.comm import Communicator
-from repro.vmachine.window import Window
+from repro.vmachine.reliability import Reliability
+from repro.vmachine.window import Window, fence
 
 __all__ = [
     "sparse_entries",
@@ -180,64 +182,62 @@ def cp_als_spmd(
         full = _init_factors(shape, R, seed)
         factors = [HPFArray.from_global(comm, f, ("block", "*"))
                    for f in full]
-        fwin = [Window(comm, f.local, reliable=reliable) for f in factors]
-        acc = [Window(comm, np.zeros_like(f.local), reliable=reliable)
+        rel = Reliability() if reliable else None
+        fwin = [Window(comm, f.local, reliability=rel) for f in factors]
+        acc = [Window(comm, np.zeros_like(f.local), reliability=rel)
                for f in factors]
         queue = None
         if use_queue:
             depth = max(64, 4 * max(shape))
             queue = DistQueue(comm, capacity=depth, record_width=R + 1,
                               reliable=reliable)
-        row_dim = [f.dist.dims[0] for f in factors]
+        # Per mode, the rows my nonzeros touch (sorted, as ints) and
+        # their (owner, local row): fixed for the whole solve.
+        touched = []
+        for mode in range(3):
+            need = np.unique(my_coords[:, mode])
+            owner, local_row = factors[mode].dist.dims[0].map(need)
+            touched.append(list(zip(need.tolist(), owner.tolist(),
+                                    local_row.tolist())))
 
     others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
-    def fetch_rows(mode: int) -> dict[int, np.ndarray]:
-        """One-sided gather of the factor rows my nonzeros touch."""
-        need = np.unique(my_coords[:, mode])
-        handles = {}
-        owners_pc, local_rows = row_dim[mode].map(need)
-        for g, owner, lr in zip(need, owners_pc, local_rows):
-            handles[int(g)] = fwin[mode].get(int(owner), int(lr) * R, R)
-        fwin[mode].fence()
-        return {g: h.value for g, h in handles.items()}
+    def fetch_rows(a: int, b: int) -> list[dict[int, np.ndarray]]:
+        """One-sided gather of factors ``a`` and ``b``'s rows my nonzeros
+        touch, in one group epoch."""
+        handles = [{g: fwin[m].get(owner, lr * R, R)
+                    for g, owner, lr in touched[m]} for m in (a, b)]
+        fence(fwin[a], fwin[b])
+        return [{g: h.value for g, h in hs.items()} for hs in handles]
 
     with proc.span("cp_als:iterate"):
         for _ in range(iters):
             for mode in range(3):
                 a, b = others[mode]
-                rows_a = fetch_rows(a)
-                rows_b = fetch_rows(b)
+                rows_a, rows_b = fetch_rows(a, b)
                 # local MTTKRP partials, pre-combined per target row
                 partials: dict[int, np.ndarray] = {}
                 for (i3, v) in zip(my_coords, my_vals):
                     t = int(i3[mode])
-                    kr = rows_a[int(i3[a])] * rows_b[int(i3[b])]
-                    contrib = v * kr
-                    if t in partials:
-                        partials[t] = partials[t] + contrib
-                    else:
-                        partials[t] = contrib
+                    contrib = v * (rows_a[int(i3[a])] * rows_b[int(i3[b])])
+                    partials[t] = (partials[t] + contrib if t in partials
+                                   else contrib)
                 proc.charge_flops(3 * R * len(my_vals))
-                # scatter-add into the target factor's accumulator
+                # scatter-add into the target factor's accumulator; the
+                # partials' rows are exactly the rows this mode needs
                 acc[mode].local[:] = 0.0
-                tpc, tlr = row_dim[mode].map(
-                    np.array(sorted(partials), dtype=np.int64))
                 if use_queue:
-                    items = []
-                    for (t, owner, lr) in zip(sorted(partials), tpc, tlr):
-                        items.append((int(owner), np.concatenate(
-                            ([float(lr)], partials[t]))))
-                    queue.push_all(items)
-                    acc[mode].fence()  # keep window epochs collective
+                    queue.push_all([
+                        (owner, np.concatenate(([float(lr)], partials[t])))
+                        for t, owner, lr in touched[mode]])
                     for rec in queue.pop_all():
                         lr = int(rec[0])
                         acc[mode].local[lr * R:(lr + 1) * R] += rec[1:]
                         proc.charge_flops(R)
                 else:
-                    for (t, owner, lr) in zip(sorted(partials), tpc, tlr):
-                        acc[mode].accumulate(int(owner), partials[t],
-                                             start=int(lr) * R)
+                    for t, owner, lr in touched[mode]:
+                        acc[mode].accumulate(owner, partials[t],
+                                             start=lr * R)
                     acc[mode].fence()
                 # Gram matrices from local BLOCK rows + allreduce
                 la = factors[a].local_nd
@@ -250,8 +250,6 @@ def cp_als_spmd(
                 M = acc[mode].local.reshape(-1, R)
                 factors[mode].local[:] = (M @ np.linalg.pinv(G)).reshape(-1)
                 proc.charge_flops(2 * R * R * M.shape[0])
-                # republish before anyone fetches the new rows
-                fwin[mode].fence()
 
     with proc.span("cp_als:gather"):
         gathered = [comm.bcast(f.gather_global(), root=0) for f in factors]

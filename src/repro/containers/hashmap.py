@@ -10,15 +10,20 @@ the keys window, writing a value is a ``put``/``accumulate`` on the
 values window.
 
 Insertion runs in collective *rounds* (the BCL idiom adapted to fence
-epochs).  In each round every rank CASes its pending keys into their
+epochs).  The two windows always fence as one group, so a round is one
+epoch.  In each round every rank CASes its pending keys into their
 current probe slots and fences; the resolved old values tell it whether
 it claimed the slot, found the key already present, or collided with a
-different key and must probe on.  Value writes happen in a second epoch,
-after which the ranks agree (allreduce) whether anyone still has pending
+different key and must probe on.  Value writes happen in a second
+epoch: they ride the next round's CAS epoch, and one trailing epoch
+carries the last round's, so a write costs ``rounds + 1`` fences.  After
+each round the ranks agree (allreduce) whether anyone still has pending
 items.  Two origins inserting the *same* key in the same round resolve
 deterministically: the window's ``(origin, issue order)`` total order
 picks one CAS winner; the loser's old value equals its own key, which is
 indistinguishable from "already present" — exactly the semantics wanted.
+A slot's value writes all land in the epoch after its claim, in origin
+order, so the pipelining changes no sum.
 
 Duplicate keys with ``accumulate_all`` combine by vector sum (duplicates
 within one batch are pre-combined locally, so one accumulate per key per
@@ -30,7 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.vmachine.comm import Communicator
-from repro.vmachine.window import Window
+from repro.vmachine.reliability import Reliability
+from repro.vmachine.window import Window, fence
 
 __all__ = ["DistHashMap", "EMPTY_KEY"]
 
@@ -81,11 +87,12 @@ class DistHashMap:
         self.cap_local = int(capacity_per_rank)
         self.capacity = self.cap_local * comm.size
         self.value_width = int(value_width)
+        rel = Reliability() if reliable else None
         self._keys = Window(
             comm, np.full(self.cap_local, EMPTY_KEY, dtype=np.int64),
-            reliable=reliable)
+            reliability=rel)
         self._values = Window(
-            comm, np.zeros(self.cap_local * value_width), reliable=reliable)
+            comm, np.zeros(self.cap_local * value_width), reliability=rel)
 
     # -- slot arithmetic ---------------------------------------------------
 
@@ -123,13 +130,9 @@ class DistHashMap:
                     raise ValueError(f"keys must be non-negative (got {key})")
                 vec = np.asarray(vec, dtype=np.float64).reshape(
                     self.value_width)
-                if key in batch:
-                    if op == "sum":
-                        batch[key] = batch[key] + vec
-                    else:
-                        batch[key] = vec
-                else:
-                    batch[key] = vec
+                if op == "sum" and key in batch:
+                    vec = batch[key] + vec
+                batch[key] = vec
             proc.metrics.incr("hashmap_writes", len(batch))
             # pending: key -> (vector, probe distance); iterate rounds in
             # sorted-key order so issue order (hence the total order the
@@ -144,28 +147,23 @@ class DistHashMap:
                     h = self._keys.compare_and_swap(owner, idx,
                                                     EMPTY_KEY, key)
                     handles.append((key, owner, idx, h))
-                self._keys.fence()
-                self._values.fence()  # paired epochs keep SPMD discipline
-                writable = []
+                # this round's claims + the previous round's value writes
+                fence(self._keys, self._values)
+                rounds += 1
                 for key, owner, idx, h in handles:
                     old = int(h.value)
                     if old == EMPTY_KEY or old == key:
-                        writable.append((key, owner, idx))
+                        vec, _ = pending.pop(key)
+                        self._values.accumulate(
+                            owner, vec, start=idx * self.value_width, op=op)
                     else:  # genuine collision with a different key
                         vec, probe = pending[key]
                         if probe + 1 >= self.capacity:
                             raise RuntimeError("DistHashMap is full")
                         pending[key] = (vec, probe + 1)
-                for key, owner, idx in writable:
-                    vec, _ = pending.pop(key)
-                    self._values.accumulate(
-                        owner, vec, start=idx * self.value_width, op=op)
-                self._keys.fence()
-                self._values.fence()
-                rounds += 1
-                still = comm.allreduce(len(pending), max)
-                if still == 0:
+                if comm.allreduce(len(pending), max) == 0:
                     break
+            fence(self._keys, self._values)  # the last round's writes
             proc.metrics.incr("hashmap_write_rounds", rounds)
 
     def find_all(self, keys) -> dict[int, np.ndarray | None]:
@@ -184,23 +182,15 @@ class DistHashMap:
                     vh = self._values.get(
                         owner, idx * self.value_width, self.value_width)
                     khandles.append((key, kh, vh))
-                self._keys.fence()
-                self._values.fence()
+                fence(self._keys, self._values)
                 for key, kh, vh in khandles:
                     stored = int(kh.value[0])
-                    if stored == key:
-                        out[key] = vh.value
+                    probe = pending[key] + 1
+                    if stored in (key, EMPTY_KEY) or probe >= self.capacity:
+                        out[key] = vh.value if stored == key else None
                         del pending[key]
-                    elif stored == EMPTY_KEY:
-                        out[key] = None
-                        del pending[key]
-                    else:
-                        probe = pending[key] + 1
-                        if probe >= self.capacity:
-                            out[key] = None
-                            del pending[key]
-                        else:
-                            pending[key] = probe
+                    else:  # a different key: probe on
+                        pending[key] = probe
                 if comm.allreduce(len(pending), max) == 0:
                     break
             return out

@@ -18,7 +18,8 @@ from the reservation itself and raised on every rank that over-claimed.
 
 All batch operations are collective (pass empty batches to
 participate); producers and the draining owner are synchronized by the
-window fences inside.
+window fences inside.  The two windows always fence as one group —
+paired fences, one epoch — so a push is two epochs and a drain one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.vmachine.comm import Communicator
-from repro.vmachine.window import Window
+from repro.vmachine.reliability import Reliability
+from repro.vmachine.window import Window, fence
 
 __all__ = ["DistQueue", "QueueOverflow"]
 
@@ -64,10 +66,11 @@ class DistQueue:
         self.comm = comm
         self.capacity = int(capacity)
         self.record_width = int(record_width)
+        rel = Reliability() if reliable else None
         self._tail = Window(comm, np.zeros(1, dtype=np.int64),
-                            reliable=reliable)
+                            reliability=rel)
         self._data = Window(comm, np.zeros(capacity * record_width),
-                            reliable=reliable)
+                            reliability=rel)
 
     def push_all(self, items) -> None:
         """Append ``(host_rank, record)`` pairs; collective.
@@ -92,8 +95,7 @@ class DistQueue:
                 recs = batch[host]
                 h = self._tail.fetch_add(host, 0, len(recs))
                 reservations.append((host, recs, h))
-            self._tail.fence()
-            self._data.fence()
+            fence(self._tail, self._data)
             # Epoch 2: fill the claimed slots.
             w = self.record_width
             overflow = None
@@ -104,8 +106,7 @@ class DistQueue:
                     continue
                 block = np.concatenate(recs)
                 self._data.put(host, block, start=start * w)
-            self._tail.fence()
-            self._data.fence()
+            fence(self._tail, self._data)
             if overflow is not None:
                 host, claimed = overflow
                 raise QueueOverflow(
@@ -117,16 +118,15 @@ class DistQueue:
         """Drain this rank's queue; collective (synchronizes producers).
 
         Returns the resident records in FIFO (reservation) order and
-        resets the queue.  The paired fences guarantee every record
+        resets the queue.  The group fence guarantees every record
         pushed before the enclosing ``pop_all`` round is visible.
         """
         comm = self.comm
         proc = comm.process
         with proc.span("container:queue_pop"):
-            # One empty epoch pair orders this drain against concurrent
+            # One empty epoch orders this drain against concurrent
             # producers: their fills fenced before entering pop_all.
-            self._tail.fence()
-            self._data.fence()
+            fence(self._tail, self._data)
             n = int(self._tail.local[0])
             w = self.record_width
             out = [self._data.local[i * w:(i + 1) * w].copy()

@@ -31,27 +31,28 @@ subset of MPI RMA):
    one envelope to the epoch's per-target buffer and sends nothing
    (the paper's data move likewise aggregates to one message per
    processor pair).
-2. Every rank calls :meth:`Window.fence` (collective over the window's
-   communicator).  The fence is one pairwise exchange of those buffers
-   — exactly one message per ordered pair, an empty list where nothing
-   was issued, so both sides always know what to receive (pairwise FIFO
-   isolates epochs — no trailing barrier is needed) — and applies
-   every mutating operation in ``(origin rank, issue order)`` — a
-   deterministic total order, so even floating-point ``accumulate`` is
-   bitwise reproducible run to run.
+2. Every rank calls :func:`fence` over one window or a *group* of
+   windows sharing a communicator and a channel (collective;
+   ``win.fence()`` is the one-member group).  It is one pairwise
+   exchange — exactly one message per ordered pair, carrying every
+   member's envelopes behind the members' ids, even where nothing was
+   issued, so both sides know what to receive and pairwise FIFO
+   isolates epochs — and applies every mutating operation in
+   ``(window, origin rank, issue order)``: a deterministic total order,
+   so even floating-point ``accumulate`` is bitwise reproducible.
 3. ``get`` requests are served *after* all applies: a get observes the
-   fully-updated post-epoch window.  ``fetch_add`` / ``compare_and_swap``
-   are mutating and return the value seen at their position in the total
-   order — which is what makes them usable as cross-epoch atomics for
-   the distributed containers (:mod:`repro.containers`).
-4. Handles returned by ``get``/``fetch_add``/``compare_and_swap``
-   resolve at the fence, from at most one response message per pair
-   (sent only where the batch asked for one); reading ``.value``
-   earlier raises.
+   post-epoch window, including every local store its target made
+   before fencing.  ``fetch_add`` / ``compare_and_swap`` return the
+   value seen at their position in the total order — cross-epoch
+   atomics for the distributed containers (:mod:`repro.containers`).
+4. Handles resolve at the fence, from at most one response message per
+   pair for the whole group (sent only where a batch asked for one);
+   reading ``.value`` earlier raises.
 
 Windows over the same communicator draw sequential ids (collective
 construction order) and disjoint tag pairs inside the RMA block, so
-multiple windows never cross-match each other's traffic.
+multiple windows never cross-match each other's traffic; a group
+travels on its first member's pair.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from repro.vmachine.reliability import Reliability, ReliabilityConfig
 from repro.vmachine.tags import REL_DATA, TAG_RMA_BASE
 from repro.vmachine.trace import TraceEvent
 
-__all__ = ["Window", "RMAHandle", "TAG_RMA_BASE", "ACCUMULATE_OPS"]
+__all__ = ["Window", "RMAHandle", "fence", "TAG_RMA_BASE", "ACCUMULATE_OPS"]
 
 # The one-sided wire-tag block is [TAG_RMA_BASE, REL_DATA) — above the
 # user/app tag space, below the reliability shadow bits, and classified
@@ -128,9 +129,9 @@ class Window:
         window traffic correct under a fault plan that drops, duplicates
         or reorders ``"rma"``-class messages.
     reliability:
-        Share an existing :class:`Reliability` instance instead (mutually
-        exclusive with ``reliable=True`` / ``reliability_config`` creating
-        one: passing both raises ``ValueError``).
+        Share an existing :class:`Reliability` instance instead, as
+        windows fenced as one group must (passing it with ``reliable=True``
+        or ``reliability_config`` raises ``ValueError``).
     """
 
     def __init__(
@@ -199,9 +200,13 @@ class Window:
 
     # -- issue-side helpers ----------------------------------------------
 
-    def _bounds(self, target: int, start: int, count: int) -> None:
+    def _bounds(self, target: int, start: int, count: int | None) -> int:
+        """Check ``[start, start+count)`` on ``target`` (``count=None``:
+        to the end of its extent); returns the count."""
         if not 0 <= target < self.comm.size:
             raise ValueError(f"target rank {target} out of range")
+        if count is None:
+            count = self.sizes[target] - start
         if count < 0:
             raise ValueError(f"negative element count {count}")
         if start < 0 or start + count > self.sizes[target]:
@@ -209,6 +214,7 @@ class Window:
                 f"window range [{start}, {start + count}) exceeds rank "
                 f"{target}'s extent {self.sizes[target]}"
             )
+        return count
 
     def _issue(self, target: int, kind: str, nbytes_hint: int, op: str,
                *fields, reply: bool = False) -> RMAHandle | None:
@@ -236,11 +242,10 @@ class Window:
         return handle
 
     def _release_held(self, peers) -> None:
-        """Deliver fault-plan-held (reordered/delayed) messages toward
-        ``peers`` — the network delivering in-flight datagrams at the
-        phase boundary.  A pair carries one message per phase, so a held
-        one has no later traffic to overtake it: without this, two ranks
-        holding each other's would deadlock."""
+        """Deliver fault-plan-held messages toward ``peers`` at the phase
+        boundary: a pair carries one message per phase, so a held one has
+        nothing behind it to overtake it, and two ranks holding each
+        other's would deadlock."""
         if self.comm.process.faults is not None:
             for peer in peers:
                 self.comm._flush_held(peer)
@@ -256,9 +261,7 @@ class Window:
         — and, under ``copy_on_send``, snapshotted — there, not here, so
         do not mutate it in between.
         """
-        data = np.asarray(data, dtype=self.dtype)
-        if data.ndim == 0:
-            data = data.reshape(1)
+        data = np.atleast_1d(np.asarray(data, dtype=self.dtype))
         self._bounds(target, start, data.size)
         metrics = self.comm.process.metrics
         metrics.incr("rma_puts")
@@ -278,9 +281,7 @@ class Window:
         if op not in ACCUMULATE_OPS:
             raise ValueError(f"unknown accumulate op {op!r}; "
                              f"expected one of {ACCUMULATE_OPS}")
-        data = np.asarray(data, dtype=self.dtype)
-        if data.ndim == 0:
-            data = data.reshape(1)
+        data = np.atleast_1d(np.asarray(data, dtype=self.dtype))
         self._bounds(target, start, data.size)
         metrics = self.comm.process.metrics
         metrics.incr("rma_accs")
@@ -295,9 +296,7 @@ class Window:
         the fence and reflects the *post-epoch* window state (every put/
         accumulate of the epoch applies first).
         """
-        if count is None:
-            count = self.sizes[target] - start
-        self._bounds(target, start, count)
+        count = self._bounds(target, start, count)
         metrics = self.comm.process.metrics
         metrics.incr("rma_gets")
         metrics.incr("rma_bytes_got", count * self.dtype.itemsize)
@@ -333,18 +332,32 @@ class Window:
 
     # -- epoch close -------------------------------------------------------
 
-    def fence(self) -> None:
+    def fence(self, *others: Window) -> None:
         """Close the epoch (collective): exchange, apply, serve, resolve.
 
-        Every rank must call ``fence`` the same number of times on every
-        window (SPMD discipline).  Sends each peer this epoch's buffered
-        envelopes as one message, receives one from each, and answers
-        with at most one response message per peer.  On return: every
-        put/accumulate of the epoch is applied at its target, every
-        handle issued this epoch is resolved, and the local region
-        reflects all peers' writes.
+        ``fence(a, b, ...)`` — the module-level name of this function —
+        closes a *group* of distinct windows sharing a communicator and a
+        channel (one ``reliability=`` instance, or none) in one exchange;
+        anything else raises ``ValueError`` before a message is sent.
+        Every rank must fence the same groups, in the same member order
+        (SPMD discipline): a batch naming other members raises
+        ``RuntimeError`` before anything is applied.
+
+        Sends each peer one message carrying every member's envelopes,
+        receives one from each, applies in ``(window, origin, issue
+        order)`` and answers each asking origin with one message for the
+        whole group.  On return every put/accumulate of the epoch is
+        applied, every handle issued in it resolved.
         """
+        windows = (self, *others)
         comm, chan = self.comm, self._chan
+        wids = tuple(w._wid for w in windows)
+        if len(set(map(id, windows))) < len(windows) or any(
+                w.comm is not comm or w._rel is not self._rel for w in others):
+            raise ValueError(
+                f"fence group {wids} must list distinct windows on one "
+                f"communicator and one channel (the same reliability= "
+                f"instance, or none)")
         proc = comm.process
         rank, size = comm.rank, comm.size
         with proc.span("rma:fence"):
@@ -353,45 +366,54 @@ class Window:
             # count, and by the time a peer's arrives every envelope that
             # peer issued this epoch is in it.
             for dest in self._dests:
-                chan.send(dest, self._outgoing[dest], self._data_tag)
+                chan.send(dest, [wids, *(w._outgoing[dest] for w in windows)],
+                          self._data_tag)
             self._release_held(self._dests)
-            batches = {rank: self._outgoing[rank]}
+            batches = {rank: [w._outgoing[rank] for w in windows]}
             for src in self._sources:
-                batches[src] = chan.recv(src, self._data_tag)
-            # Deterministic total order: origin rank, then issue order
-            # (each batch already is in its origin's issue order).
-            responses = self._apply(
-                [(src, env) for src in range(size) for env in batches[src]]
-            )
-            # At most one response message per pair, to the origins whose
-            # batch asked; ``_apply`` sorted them by (origin, seq).
-            owed: dict[int, list[tuple]] = {}
-            for origin, seq, value in responses:
-                owed.setdefault(origin, []).append((seq, value))
-            mine = owed.pop(rank, [])
-            for origin, answers in owed.items():
-                chan.send(origin, answers, self._resp_tag)
+                ids, *batch = chan.recv(src, self._data_tag)
+                if ids != wids:
+                    raise RuntimeError(
+                        f"rank {rank} fenced windows {wids} but rank {src}'s "
+                        f"batch carries windows {ids}: every rank must fence "
+                        f"the same group")
+                batches[src] = batch
+            # Total order: window, origin rank, issue order (a batch is in
+            # its origin's issue order).  One response per asking origin:
+            # an answer list per member, sorted by seq (``_apply`` sorts).
+            owed: dict[int, list[list[tuple]]] = {}
+            for m, win in enumerate(windows):
+                for origin, seq, value in win._apply(
+                        [(src, env) for src in range(size)
+                         for env in batches[src][m]]):
+                    owed.setdefault(origin, [[] for _ in windows])[m].append(
+                        (seq, value))
+            mine = owed.pop(rank, None)
+            for origin in sorted(owed):
+                chan.send(origin, owed[origin], self._resp_tag)
             self._release_held(owed)
             # Collect my own: the origin knows from ``_expect`` which
             # targets owe it one, and the handles' issue order.
-            for target in sorted(self._expect):
+            for target in sorted({t for w in windows for t in w._expect}):
                 answers = (mine if target == rank
                            else chan.recv(target, self._resp_tag))
-                handles = self._expect[target]
-                if [a[0] for a in answers] != [h._seq for h in handles]:
-                    raise RuntimeError(
-                        f"rma responses from rank {target} do not match the "
-                        f"handles issued to it (window {self._wid})"
-                    )
-                for handle, (_, value) in zip(handles, answers):
-                    handle._resolve(value)
+                for win, got in zip(windows, answers):
+                    handles = win._expect.get(target, [])
+                    if [a[0] for a in got] != [h._seq for h in handles]:
+                        raise RuntimeError(
+                            f"rma responses from rank {target} do not match "
+                            f"the handles issued to it (window {win._wid})"
+                        )
+                    for handle, (_, value) in zip(handles, got):
+                        handle._resolve(value)
             if self._rel is not None:
                 # Block until every batch/response is cumulatively
                 # acked, so retransmit state cannot leak across epochs.
                 self._rel.fence()
-        self._outgoing = [[] for _ in range(size)]
-        self._expect = {}
-        self.epoch += 1
+        for win in windows:
+            win._outgoing = [[] for _ in range(size)]
+            win._expect = {}
+            win.epoch += 1
 
     def _apply(self, ops: list[tuple[int, tuple]]) -> list[tuple]:
         """Apply mutating ops in total order; gets observe the final state.
@@ -454,16 +476,6 @@ class Window:
         responses.sort(key=lambda r: (r[0], r[1]))
         return responses
 
-    # -- conveniences ------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        """This rank's exposed extent, in elements."""
-        return int(self.local.size)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Window(id={self._wid}, rank={self.comm.rank}/{self.comm.size}, "
-            f"size={self.local.size}, dtype={self.dtype}, epoch={self.epoch}, "
-            f"reliable={self._rel is not None})"
-        )
+#: ``fence(*windows)``: one epoch close over a group — :meth:`Window.fence`
+fence = Window.fence

@@ -2,6 +2,7 @@
 checked here, and the mechanism is driven with injected rows in a
 throw-away git repository."""
 
+import ast
 import importlib.util
 import re
 import subprocess
@@ -27,6 +28,14 @@ def test_list_prints_each_gate_once(capsys):
     assert [n for n, g in GATES.items() if not g.default] == ["bench-autotune"]
 
 
+def _scripts(cmd) -> list[Path]:
+    """The scripts a gate command runs, as paths."""
+    scripts = [a for a in cmd.argv if a.endswith(".py")]
+    if "-c" in cmd.argv:  # the tables rows run their bench by name
+        scripts += re.findall(r"'(bench_\w+\.py)'", cmd.argv[2])
+    return [ROOT / cmd.cwd / script for script in scripts]
+
+
 def test_every_script_and_path_a_row_names_exists():
     for gate in GATES.values():
         for path in gate.watched:
@@ -34,13 +43,30 @@ def test_every_script_and_path_a_row_names_exists():
         for cmd in gate.cmds:
             if cmd.cwd == TMP:
                 continue
-            cwd = ROOT / cmd.cwd
-            assert cwd.is_dir(), (gate.name, cmd.cwd)
-            scripts = [a for a in cmd.argv if a.endswith(".py")]
-            if "-c" in cmd.argv:  # the tables rows run their bench by name
-                scripts += re.findall(r"'(bench_\w+\.py)'", cmd.argv[2])
-            for script in scripts:
-                assert (cwd / script).is_file(), (gate.name, script)
+            assert (ROOT / cmd.cwd).is_dir(), (gate.name, cmd.cwd)
+            for script in _scripts(cmd):
+                assert script.is_file(), (gate.name, script)
+
+
+def ungated_shape_checks(gates) -> list[str]:
+    """``benchmarks/*.py`` scripts that call ``check_shape`` but that no
+    command of ``gates`` runs: their checks would check nothing."""
+    gated = {script.resolve() for gate in gates.values()
+             for cmd in gate.cmds if cmd.cwd != TMP for script in _scripts(cmd)}
+    return [
+        path.name for path in sorted((ROOT / "benchmarks").glob("*.py"))
+        if path.resolve() not in gated
+        and any(isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "check_shape"
+                for node in ast.walk(ast.parse(path.read_text())))
+    ]
+
+
+def test_every_shape_checked_bench_runs_under_a_gate():
+    assert ungated_shape_checks(GATES) == []
+    # the scan sees a script once no gate runs it
+    without_bench = {name: g for name, g in GATES.items() if name != "bench"}
+    assert "bench_rma.py" in ungated_shape_checks(without_bench)
     modules = {m for imports, _ in check.TABLE_VARIANTS for m in imports}
     for package, banned in check.LAYERING:
         modules |= {f"repro.{name}" for name in (package, *banned)}

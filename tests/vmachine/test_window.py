@@ -196,6 +196,21 @@ class TestValidationAndIsolation:
         for err in res.values:
             assert err is not None and "extent" in err
 
+    def test_get_to_the_end_checks_the_target_first(self):
+        """``get(target)`` with no ``count`` reads the target's extent:
+        an out-of-range target is the same ``ValueError`` every other op
+        raises, not an ``IndexError`` from the extent lookup."""
+
+        def spmd(comm):
+            win = Window(comm, np.zeros(2))
+            for count in (None, 1):
+                with pytest.raises(ValueError,
+                                   match=f"target rank {comm.size} out of range"):
+                    win.get(comm.size, 0, count)
+            win.fence()
+
+        run(2, spmd)
+
     def test_rejects_unknown_accumulate_op(self):
         def spmd(comm):
             win = Window(comm, np.zeros(2))
@@ -265,11 +280,13 @@ class TestAccounting:
         # non-self pair, whatever the number of ops buffered for it.
         puts = {0: [np.ones(1024)] + [np.ones(3)] * 9, 2: [np.ones(7)]}
         # what rank 1's fence sends, in its staggered order (2 then 0),
-        # and what a rank with nothing to say sends
+        # and what a rank with nothing to say sends: a one-member group
+        # batch is the member ids, then the member's envelope list
         seq = iter(range(100))
-        sizes = {t: 8 + sum(payload_nbytes(("put", next(seq), 0, d))
-                            for d in puts[t]) for t in (0, 2)}
-        wire_nbytes = [sizes[2], sizes[0], payload_nbytes([])]
+        batches = {t: [(0,), [("put", next(seq), 0, d) for d in puts[t]]]
+                   for t in (0, 2)}
+        wire_nbytes = [payload_nbytes(batches[2]), payload_nbytes(batches[0]),
+                       payload_nbytes([(0,), []])]
 
         def spmd(comm):
             proc = comm.process
@@ -296,9 +313,9 @@ class TestAccounting:
         wires = [[s.end - s.start for s in res.spans[r]
                   if s.path == "rma:fence/wire"][:2] for r in range(3)]
         assert wires[1] == pytest.approx(per_pair)
-        # a rank that issued nothing pays what the old count exchange
-        # did: an empty batch sizes like the one integer it replaces
-        assert payload_nbytes([]) == payload_nbytes(0)
+        # a rank that issued nothing pays the bare header: the outer
+        # list, the one-id tuple and an empty envelope list
+        assert payload_nbytes([(0,), []]) == 8 + 16 + 8
         for r in (0, 2):
             assert wires[r] == pytest.approx([empty_pair] * 2)
 

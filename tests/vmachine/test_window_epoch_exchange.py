@@ -1,12 +1,13 @@
 """An epoch is one exchange: window ops buffer per target and cross the
-wire as one message per pair at the fence.
+wire as one message per pair at the fence — for one window, or for a
+group of windows fenced together.
 
 Message counts are read off ``proc.stats["messages_sent"]`` (what the
 transport really sent, not the ``rma_*`` op counters); results are held
 to a sequential oracle that replays every epoch in the documented
-``(origin rank, issue order)`` total order; and the fence's two release
-points for fault-plan-held messages are exercised on a bare window, with
-no container in between.
+``(window, origin rank, issue order)`` total order; and the fence's two
+release points for fault-plan-held messages are exercised on a bare
+window, with no container in between.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 
 from repro.vmachine import VirtualMachine, Window
 from repro.vmachine.faults import FaultPlan, FaultRates
+from repro.vmachine.reliability import Reliability
+from repro.vmachine.window import fence
 
 P = 4
 WIN = 12  # elements exposed per rank
@@ -94,8 +97,9 @@ class TestMessageCounts:
 
         res = VirtualMachine(3).run(spmd)
         for empty, own, values in res.values:
-            # same messages AND bytes as a fence with nothing issued
-            assert own == empty == (2, 2 * 8)
+            # same messages AND bytes as a fence with nothing issued: one
+            # bare header per peer (outer list 8, ids (0,) 16, empty list 8)
+            assert own == empty == (2, 2 * 32)
             assert values == [1.0, [6.0, 2.0, 3.0, 4.0]]
 
 
@@ -238,3 +242,161 @@ class TestHeldMessagesAreReleased:
         faults = {k: res.total_stat(k)
                   for k in ("faults_drop", "faults_dup", "faults_hold")}
         assert all(faults.values()), faults
+
+
+# -- group epochs: several windows, one fence --------------------------------
+
+
+def _group_program(scripts, reliable):
+    """One window per member script.  Every epoch issues the members'
+    ops interleaved one by one across the members, then fences the
+    whole group once."""
+
+    def spmd(comm):
+        rel = Reliability() if reliable else None
+        wins = [Window(comm, np.zeros(WIN), reliability=rel) for _ in scripts]
+        values = [[] for _ in wins]
+        for epoch in range(EPOCHS):
+            queues = [list(s[epoch][comm.rank]) for s in scripts]
+            handles = [[] for _ in wins]
+            while any(queues):
+                for m, win in enumerate(wins):
+                    if queues[m]:
+                        handles[m] += _issue(win, [queues[m].pop(0)])
+            fence(*wins)
+            for m, hs in enumerate(handles):
+                values[m] += [np.asarray(h.value).tolist() for h in hs]
+        assert [w.epoch for w in wins] == [EPOCHS] * len(wins)
+        return [(w.local.copy(), v) for w, v in zip(wins, values)]
+
+    return spmd
+
+
+def _assert_group_matches_oracle(res, scripts):
+    # members own disjoint memory, so (window, origin, issue order) is
+    # each member's own (origin, issue order) replay
+    for m, epochs in enumerate(scripts):
+        state, resolved = _oracle(epochs)
+        for rank in range(P):
+            local, values = res.values[rank][m]
+            np.testing.assert_array_equal(local, state[rank])
+            assert values == resolved[rank]
+
+
+def _group_scripts(seed):
+    return [_scripts(100 * seed + m) for m in range(2 + seed % 2)]
+
+
+class TestGroupFence:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_group_matches_window_origin_issue_order(self, seed):
+        scripts = _group_scripts(seed)
+        res = VirtualMachine(P).run(_group_program(scripts, False))
+        _assert_group_matches_oracle(res, scripts)
+
+    def test_one_batch_per_peer_and_one_response_per_asker(self):
+        def spmd(comm):
+            rank = comm.rank
+            wins = [Window(comm, np.zeros(WIN)) for _ in range(3)]
+            counts = [_sent(comm, lambda: fence(*wins))[0]]
+
+            def writes():
+                for win in wins:
+                    for peer in range(P):
+                        win.put(peer, [1.0], start=rank)
+                fence(*wins)
+            counts.append(_sent(comm, writes)[0])
+
+            # three members ask rank+1 (two of them) and rank+2: every
+            # rank, as a target, answers two origins, once each
+            def reads():
+                wins[0].get((rank + 1) % P, 0, 4)
+                wins[1].fetch_add((rank + 1) % P, 0, 1.0)
+                wins[2].compare_and_swap((rank + 2) % P, 1, 0.0, 9.0)
+                fence(*wins)
+            counts.append(_sent(comm, reads)[0])
+            return counts, dict(comm.process.stats)
+
+        res = VirtualMachine(P).run(spmd)
+        for counts, stats in res.values:
+            assert counts == [P - 1, P - 1, (P - 1) + 2]
+            assert stats["rma_fences"] == 3  # one per group, not per member
+
+    def test_bad_groups_raise_before_sending(self):
+        def spmd(comm):
+            half = comm.split(comm.rank % 2)
+            a = Window(comm, np.zeros(2))
+            b = Window(comm, np.zeros(2))
+            other = Window(half, np.zeros(2))
+            private = Window(comm, np.zeros(2), reliable=True)
+            shared = Reliability()
+            s1 = Window(comm, np.zeros(2), reliability=shared)
+            s2 = Window(comm, np.zeros(2), reliability=shared)
+            sent = comm.process.stats["messages_sent"]
+            # another communicator, a window twice, reliable + unreliable,
+            # two private reliability instances
+            for group in ((a, other), (a, b, a), (a, private), (private, s1)):
+                with pytest.raises(ValueError, match="distinct windows on one "
+                                   "communicator and one channel"):
+                    fence(*group)
+            assert comm.process.stats["messages_sent"] == sent
+            s1.put((comm.rank + 1) % comm.size, [1.0])
+            fence(s1, s2)  # one shared instance is one channel
+            return s1.local.tolist()
+
+        assert VirtualMachine(2).run(spmd).values == [[1.0, 0.0]] * 2
+
+    def test_mismatched_group_sizes_raise_and_apply_nothing(self):
+        def spmd(comm):
+            a = Window(comm, np.zeros(2))
+            b = Window(comm, np.zeros(2))
+            a.put(0, [float(comm.rank + 1)], start=1)
+            try:
+                fence(a, b) if comm.rank == 0 else fence(a)
+            except RuntimeError as exc:
+                return str(exc), a.local.tolist()
+            return None, a.local.tolist()
+
+        res = VirtualMachine(3, check_leaks=False).run(spmd)
+        errors = [err for err, _ in res.values]
+        assert all(errors), errors
+        assert "rank 0 fenced windows (0, 1)" in errors[0]
+        assert "carries windows (0,)" in errors[0]
+        assert "carries windows (0, 1)" in errors[1]
+        # the puts bound for rank 0's window never applied
+        assert res.values[0][1] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reliable_group_under_chaos_matches_oracle(self, seed):
+        plan = FaultPlan(
+            seed=seed,
+            rates=FaultRates(drop=0.2, dup=0.2, reorder=0.2, delay=0.2),
+            classes=("rma",))
+        scripts = _group_scripts(seed)
+        res = VirtualMachine(P, faults=plan, recv_timeout_s=5.0).run(
+            _group_program(scripts, True))
+        _assert_group_matches_oracle(res, scripts)
+        faults = {k: res.total_stat(k)
+                  for k in ("faults_drop", "faults_dup", "faults_hold")}
+        assert all(faults.values()), faults
+
+
+class TestLocalStores:
+    def test_peer_get_sees_a_local_write_made_after_it_was_issued(self):
+        """A get is served inside its target's next fence, which in
+        program order comes after the target's local stores: the write
+        needs no fence of its own (what CP-ALS's factor update uses)."""
+
+        def spmd(comm):
+            rank, size = comm.rank, comm.size
+            win = Window(comm, np.zeros(4))
+            win.fence()
+            h = win.get((rank + 1) % size, 0, 4)
+            comm.barrier()  # every get is issued before any write below
+            win.local[:] = 10.0 * (rank + 1)
+            win.fence()
+            return h.value.tolist()
+
+        res = VirtualMachine(P).run(spmd)
+        for rank, value in enumerate(res.values):
+            assert value == [10.0 * ((rank + 1) % P + 1)] * 4

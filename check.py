@@ -293,12 +293,14 @@ assert not stale, "\\n".join(stale)
 GATES = {gate.name: gate for gate in (
     Gate("tier1", (py(*PYTEST, env=FRESH),)),
     Gate("tier1-recorded", (py(*PYTEST, env={**FRESH, "REPRO_RECORD": "1"}),)),
+    # one process per variant; the default one also runs the other benches
     Gate("tables", tuple(
         py("-c", "".join(f"import {module}; " for module in imports)
-           + f"import runpy; runpy.run_path('bench_{table}.py', "
-             f"run_name='__main__')", env=env, cwd="benchmarks")
-        for imports, env in TABLE_VARIANTS for table in TABLES)
-        + tuple(bench(f"bench_{name}.py") for name in PAPER_BENCHES),
+           + "import runpy; " + "; ".join(
+               f"runpy.run_path('bench_{name}.py', run_name='__main__')"
+               for name in TABLES + (PAPER_BENCHES if row == 0 else ())),
+           env=env, cwd="benchmarks")
+        for row, (imports, env) in enumerate(TABLE_VARIANTS)),
         tuple(f"benchmarks/results/{name}.json"
               for name in TABLES + PAPER_RECORDS)),
     Gate("bench", (

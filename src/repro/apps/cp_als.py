@@ -19,14 +19,20 @@ two distribution styles the paper couples —
   :class:`~repro.containers.DistQueue` and folded owner-side), with no
   receiver-side matching code anywhere.
 
-Every iteration per mode: fetch the other two factors' needed rows (one
-group epoch), compute local MTTKRP partials, scatter-add them into the
-target factor's accumulator (one epoch), allreduce the R x R Grams, and
-solve ``A <- M @ pinv(G)`` into the factor window's own storage — the
-serial oracle's update expression, so the result matches it to float
-round-off (the ``(origin, seq)`` apply order differs from the serial
-sum only in grouping).  The new rows need no fence: a peer's next
-``get`` is served inside this rank's next fence, after the write.
+Once per solve, each rank cuts the rows of each factor its nonzeros
+touch into maximal *runs* of consecutive rows on one owner; a run
+crosses the wire as one ``get`` (fetch) and one ``accumulate``
+(scatter).  Every iteration per mode: refresh the fetched rows of the
+factors that changed (one epoch), compute local MTTKRP partials,
+scatter-add them into the target factor's accumulator (one epoch),
+allreduce the R x R Grams, and solve ``A <- M @ pinv(G)`` into the
+factor window's own storage — the serial oracle's update expression, so
+the result matches it to float round-off (the ``(origin, seq)`` apply
+order differs from the serial sum only in grouping).  The new rows need
+no fence: a peer's next ``get`` is served inside this rank's next fence,
+after the write.  Fetched rows stay valid until the mode that solves
+their factor, so the first mode fetches factors 1 and 2 (one group
+epoch) and every later mode only the factor solved in the mode before.
 """
 
 from __future__ import annotations
@@ -191,52 +197,59 @@ def cp_als_spmd(
             depth = max(64, 4 * max(shape))
             queue = DistQueue(comm, capacity=depth, record_width=R + 1,
                               reliable=reliable)
-        # Per mode, the rows my nonzeros touch (sorted, as ints) and
-        # their (owner, local row): fixed for the whole solve.
-        touched = []
-        for mode in range(3):
-            need = np.unique(my_coords[:, mode])
-            owner, local_row = factors[mode].dist.dims[0].map(need)
-            touched.append(list(zip(need.tolist(), owner.tolist(),
-                                    local_row.tolist())))
+        # Per factor, the rows my nonzeros touch as maximal runs of
+        # consecutive rows on one owner, (owner, local row, global row, n):
+        # fixed for the whole solve, shared by the fetch and the scatter.
+        runs = []
+        for m in range(3):
+            need = np.unique(my_coords[:, m])
+            owner, local_row = factors[m].dist.dims[0].map(need)
+            new = np.ones(len(need), dtype=bool)
+            new[1:] = (np.diff(need) != 1) | (np.diff(owner) != 0)
+            first = np.flatnonzero(new)
+            cols = (owner[first], local_row[first], need[first],
+                    np.diff(first, append=len(need)))
+            runs.append(list(zip(*(c.tolist() for c in cols))))
+        # my copy of each factor's touched rows, by global row
+        rows = [np.zeros((s, R)) for s in shape]
 
     others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
-    def fetch_rows(a: int, b: int) -> list[dict[int, np.ndarray]]:
-        """One-sided gather of factors ``a`` and ``b``'s rows my nonzeros
-        touch, in one group epoch."""
-        handles = [{g: fwin[m].get(owner, lr * R, R)
-                    for g, owner, lr in touched[m]} for m in (a, b)]
-        fence(fwin[a], fwin[b])
-        return [{g: h.value for g, h in hs.items()} for hs in handles]
+    def fetch(*ms: int) -> None:
+        """Refresh ``rows[m]`` for each factor in ``ms``: one ``get`` per
+        run, all in one (group) epoch."""
+        handles = [(m, g, n, fwin[m].get(owner, lr * R, n * R))
+                   for m in ms for owner, lr, g, n in runs[m]]
+        fence(*(fwin[m] for m in ms))
+        for m, g, n, h in handles:
+            rows[m][g:g + n] = h.value.reshape(n, R)
 
     with proc.span("cp_als:iterate"):
+        stale = (1, 2)  # the factors whose rows mode 0 needs and lacks
         for _ in range(iters):
             for mode in range(3):
                 a, b = others[mode]
-                rows_a, rows_b = fetch_rows(a, b)
-                # local MTTKRP partials, pre-combined per target row
-                partials: dict[int, np.ndarray] = {}
-                for (i3, v) in zip(my_coords, my_vals):
-                    t = int(i3[mode])
-                    contrib = v * (rows_a[int(i3[a])] * rows_b[int(i3[b])])
-                    partials[t] = (partials[t] + contrib if t in partials
-                                   else contrib)
+                fetch(*stale)
+                # local MTTKRP partials, summed per target row in nonzero
+                # order (np.add.at applies its indices in order)
+                part = np.zeros((shape[mode], R))
+                np.add.at(part, my_coords[:, mode], my_vals[:, None] * (
+                    rows[a][my_coords[:, a]] * rows[b][my_coords[:, b]]))
                 proc.charge_flops(3 * R * len(my_vals))
-                # scatter-add into the target factor's accumulator; the
-                # partials' rows are exactly the rows this mode needs
+                # scatter-add into the target factor's accumulator: one
+                # op per run of the rows my nonzeros touch
                 acc[mode].local[:] = 0.0
                 if use_queue:
                     queue.push_all([
-                        (owner, np.concatenate(([float(lr)], partials[t])))
-                        for t, owner, lr in touched[mode]])
+                        (owner, np.concatenate(([float(lr + i)], part[g + i])))
+                        for owner, lr, g, n in runs[mode] for i in range(n)])
                     for rec in queue.pop_all():
                         lr = int(rec[0])
                         acc[mode].local[lr * R:(lr + 1) * R] += rec[1:]
                         proc.charge_flops(R)
                 else:
-                    for t, owner, lr in touched[mode]:
-                        acc[mode].accumulate(owner, partials[t],
+                    for owner, lr, g, n in runs[mode]:
+                        acc[mode].accumulate(owner, part[g:g + n].reshape(-1),
                                              start=lr * R)
                     acc[mode].fence()
                 # Gram matrices from local BLOCK rows + allreduce
@@ -250,6 +263,7 @@ def cp_als_spmd(
                 M = acc[mode].local.reshape(-1, R)
                 factors[mode].local[:] = (M @ np.linalg.pinv(G)).reshape(-1)
                 proc.charge_flops(2 * R * R * M.shape[0])
+                stale = (mode,)
 
     with proc.span("cp_als:gather"):
         gathered = [comm.bcast(f.gather_global(), root=0) for f in factors]

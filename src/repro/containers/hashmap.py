@@ -46,14 +46,12 @@ EMPTY_KEY = -1
 #: 64-bit multiplicative mixer (splitmix64's constant) — Python's own
 #: ``hash`` of small ints is the identity, which clusters catastrophically
 #: under linear probing on a block-partitioned table.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+_MIX = 0x9E3779B97F4A7C15
 
 
 def _slot_hash(key: int) -> int:
-    with np.errstate(over="ignore"):  # wrap-around is the point
-        h = np.uint64(key) * _MIX
-    h ^= h >> np.uint64(31)
-    return int(h)
+    h = key * _MIX & (2**64 - 1)  # uint64 wrap-around is the point
+    return h ^ (h >> 31)
 
 
 class DistHashMap:
@@ -126,8 +124,9 @@ class DistHashMap:
             batch: dict[int, np.ndarray] = {}
             for key, vec in items:
                 key = int(key)
-                if key < 0:
-                    raise ValueError(f"keys must be non-negative (got {key})")
+                if not 0 <= key < 2**63:  # what the int64 keys window holds
+                    raise ValueError(
+                        f"keys must be in [0, 2**63) (got {key})")
                 vec = np.asarray(vec, dtype=np.float64).reshape(
                     self.value_width)
                 if op == "sum" and key in batch:

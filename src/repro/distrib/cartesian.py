@@ -177,6 +177,7 @@ class CartesianDist(Distribution):
         self._extents = tuple(
             int(e[0]) if (e == e[0]).all() else e for e in extents
         )
+        self._local_shapes: dict[int, tuple[int, ...]] = {}  # rank -> shape
 
     # -- construction helpers ------------------------------------------------
 
@@ -208,8 +209,12 @@ class CartesianDist(Distribution):
         return tuple(int(c) for c in np.unravel_index(rank, self.grid))
 
     def local_shape(self, rank: int) -> tuple[int, ...]:
-        coords = self.coords_of_rank(rank)
-        return tuple(int(d.extent(c)) for d, c in zip(self.dims, coords))
+        shape = self._local_shapes.get(rank)
+        if shape is None:  # the dist is immutable: compute once per rank
+            coords = self.coords_of_rank(rank)
+            shape = self._local_shapes[rank] = tuple(
+                int(d.extent(c)) for d, c in zip(self.dims, coords))
+        return shape
 
     def local_size(self, rank: int) -> int:
         return int(np.prod(self.local_shape(rank)))

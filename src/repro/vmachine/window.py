@@ -205,8 +205,8 @@ class Window:
         to the end of its extent); returns the count."""
         if not 0 <= target < self.comm.size:
             raise ValueError(f"target rank {target} out of range")
-        if count is None:
-            count = self.sizes[target] - start
+        if count is None:  # a start past the end is the range error below
+            count = max(self.sizes[target] - start, 0)
         if count < 0:
             raise ValueError(f"negative element count {count}")
         if start < 0 or start + count > self.sizes[target]:

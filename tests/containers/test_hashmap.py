@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.containers import DistHashMap
+from repro.containers.hashmap import _slot_hash
 from repro.vmachine import VirtualMachine
 from repro.vmachine.faults import FaultPlan, FaultRates
 from repro.vmachine.machine import SPMDError
@@ -78,6 +79,28 @@ class TestInsertFind:
             return True
 
         assert all(run(2, spmd).values)
+
+    def test_rejects_a_key_the_keys_window_cannot_hold(self):
+        def spmd(comm):
+            m = DistHashMap(comm, capacity_per_rank=4)
+            with pytest.raises(ValueError, match=str(2**63)):
+                m.insert_all([(2**63, [0.0])])
+            m.insert_all([(2**63 - 1, [1.0])])  # the largest that fits
+            return m.find_all([2**63 - 1])[2**63 - 1]
+
+        for found in run(2, spmd).values:
+            np.testing.assert_array_equal(found, [1.0])
+
+    def test_slot_hash_is_the_uint64_splitmix_step(self):
+        def numpy_hash(key):
+            with np.errstate(over="ignore"):
+                h = np.uint64(key) * np.uint64(0x9E3779B97F4A7C15)
+            return int(h ^ (h >> np.uint64(31)))
+
+        rng = np.random.default_rng(5)
+        keys = [0, 1, 2**31, 2**32 - 1, 2**62, 2**63 - 1,
+                *rng.integers(0, 2**63, size=500, dtype=np.int64).tolist()]
+        assert [_slot_hash(k) for k in keys] == [numpy_hash(k) for k in keys]
 
 
 class TestAccumulate:

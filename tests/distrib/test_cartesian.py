@@ -129,6 +129,15 @@ class TestCartesianDist:
             d2.owner_of_flat(g)[0], dist.owner_of_flat(g)[0]
         )
 
+    def test_local_shape_is_memoised_per_rank(self, dist):
+        twin = CartesianDist(dist.dims)  # equal, never asked
+        for r in range(dist.nprocs):
+            shape = dist.local_shape(r)
+            assert dist.local_shape(r) is shape
+            assert shape == tuple(d.extent(c) for d, c in
+                                  zip(dist.dims, dist.coords_of_rank(r)))
+        assert dist == twin and twin == dist and hash(dist) == hash(twin)
+
     def test_descriptor_compact(self, dist):
         # Regular descriptors are O(ndims), never data-sized.
         assert dist.descriptor().nbytes < 200

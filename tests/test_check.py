@@ -74,6 +74,18 @@ def test_every_shape_checked_bench_runs_under_a_gate():
         assert importlib.util.find_spec(module) is not None, module
 
 
+def test_tables_runs_one_process_per_variant():
+    cmds = GATES["tables"].cmds
+    assert len(cmds) == len(check.TABLE_VARIANTS)
+    for cmd, (imports, env) in zip(cmds, check.TABLE_VARIANTS):
+        assert cmd.env == env
+        assert all(f"import {module}; " in cmd.argv[2] for module in imports)
+    names = [[s.stem.removeprefix("bench_") for s in _scripts(cmd)]
+             for cmd in cmds]
+    assert names[0] == [*check.TABLES, *check.PAPER_BENCHES]
+    assert all(n == list(check.TABLES) for n in names[1:])
+
+
 def test_unknown_gate_exits_2():
     with pytest.raises(SystemExit) as exit_info:
         check.main(["no-such-gate"])

@@ -211,6 +211,23 @@ class TestValidationAndIsolation:
 
         run(2, spmd)
 
+    def test_get_to_the_end_past_the_extent_is_a_range_error(self):
+        """``get(target, start)`` with no ``count`` and ``start`` past the
+        extent raises the ``IndexError`` every out-of-range start does,
+        not a negative-count ``ValueError``."""
+
+        def spmd(comm):
+            win = Window(comm, np.zeros(2))
+            for count in (None, 1):
+                with pytest.raises(IndexError,
+                                   match=r"\[3, \d\) exceeds rank 1's extent 2"):
+                    win.get(1, 3, count)
+            at_end = win.get(1, 2)  # start == extent: an empty read
+            win.fence()
+            return at_end.value.size
+
+        assert run(2, spmd).values == [0, 0]
+
     def test_rejects_unknown_accumulate_op(self):
         def spmd(comm):
             win = Window(comm, np.zeros(2))

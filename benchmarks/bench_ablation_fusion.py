@@ -185,9 +185,5 @@ def run_ablation():
     return results
 
 
-def test_ablation_fusion(benchmark):
-    benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_ablation()

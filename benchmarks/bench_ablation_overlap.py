@@ -159,9 +159,5 @@ def run_ablation():
     return results
 
 
-def test_ablation_overlap(benchmark):
-    benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_ablation()

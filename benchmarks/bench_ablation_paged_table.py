@@ -70,9 +70,5 @@ def run_ablation():
     )
 
 
-def test_ablation_paged_table(benchmark):
-    benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_ablation()

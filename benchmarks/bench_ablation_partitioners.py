@@ -103,9 +103,5 @@ def run_ablation():
     return rows
 
 
-def test_ablation_partitioners(benchmark):
-    benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_ablation()

@@ -203,9 +203,5 @@ def run_ablation():
     return results
 
 
-def test_ablation_run_schedules(benchmark):
-    benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_ablation()

@@ -107,9 +107,5 @@ def run_ablation():
     return times
 
 
-def test_ablation_schedule_reuse(benchmark):
-    benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_ablation()

@@ -74,9 +74,5 @@ def run_fig10_12():
     return all_results
 
 
-def test_fig10_12(benchmark):
-    benchmark.pedantic(run_fig10_12, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_fig10_12()

@@ -62,9 +62,5 @@ def run_fig13():
     return results
 
 
-def test_fig13(benchmark):
-    benchmark.pedantic(run_fig13, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_fig13()

@@ -58,9 +58,5 @@ def run_fig14():
     return results
 
 
-def test_fig14(benchmark):
-    benchmark.pedantic(run_fig14, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_fig14()

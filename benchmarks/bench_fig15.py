@@ -82,9 +82,5 @@ def run_fig15():
     return table
 
 
-def test_fig15(benchmark):
-    benchmark.pedantic(run_fig15, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_fig15()

@@ -140,9 +140,5 @@ def run_bench():
     return results
 
 
-def test_bench_rma(benchmark):
-    benchmark.pedantic(run_bench, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_bench()

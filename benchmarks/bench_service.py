@@ -7,13 +7,13 @@ Measures the three claims the service makes:
     The first pass pays the collective schedule build per bind (real
     per-element index work on a 40k-element permutation); the second
     pass hits the shared schedule cache on both programs and skips the
-    build entirely.  Expectation: warm p50 bind latency >=5x lower.
+    build entirely.  Expectation: K misses on the first pass, then K
+    hits — zero schedule builds on a warm bind.
 
-``throughput vs tenant count``
+``fleets by tenant count``
     Fleets of 16 / 128 / 1024 concurrent demo tenants (8 shape
     classes, so the shared cache serves all but the first binder of
-    each class) against one server group.  Prints wall-clock
-    throughput and p50/p99 per-op latency; records the deterministic
+    each class) against one server group.  Records the deterministic
     logical clock, round counts, and the cache counters proving
     cross-tenant sharing.
 
@@ -22,22 +22,17 @@ Measures the three claims the service makes:
     stay bounded, the queue never exceeds the watermark, and *every*
     session completes — zero wedged.
 
-Wall-clock measurements are printed and feed the shape checks but are
-never written: ``BENCH_service.json`` at the repo root holds logical
-clocks and counts only, and ``python check.py bench`` requires a re-run
-to reproduce it byte for byte.  ``--smoke`` (or ``BENCH_SMOKE=1``) runs
-a reduced matrix, asserts the same invariants and writes nothing.
+Every check is on logical numbers: ``BENCH_service.json`` at the repo
+root holds logical clocks and counts only, and ``python check.py bench``
+requires a re-run to reproduce it byte for byte.  ``--smoke`` runs a
+reduced matrix, asserts the same invariants and writes nothing.
 """
 
 import asyncio
-import os
 import sys
-import time
-
-import numpy as np
 
 from common import check_shape, print_header, write_trajectory
-from repro.apps.service_demo import DemoVectors, demo_tenant, run_service_demo
+from repro.apps.service_demo import DemoVectors, run_service_demo
 from repro.service import (
     ArraySpec,
     ServiceBusyError,
@@ -48,7 +43,7 @@ from repro.service import (
 )
 from repro.vmachine import ProgramSpec, run_programs
 
-SMOKE = "--smoke" in sys.argv or os.environ.get("BENCH_SMOKE") == "1"
+SMOKE = "--smoke" in sys.argv
 TENANT_COUNTS = (8, 32) if SMOKE else (16, 128, 1024)
 PROBE_N = 8_000 if SMOKE else 40_000
 PROBE_K = 4 if SMOKE else 6
@@ -56,12 +51,8 @@ OVERLOAD_TENANTS = 48 if SMOKE else 256
 OVERLOAD_QUEUE = 16 if SMOKE else 64
 
 
-def percentile(values, q):
-    return float(np.percentile(np.asarray(values, dtype=float), q))
-
-
 # ---------------------------------------------------------------------------
-# Cold vs warm bind latency
+# Cold vs warm binds
 # ---------------------------------------------------------------------------
 
 
@@ -76,15 +67,11 @@ def run_cold_warm():
                 ArraySpec("chaos", PROBE_N, region=("perm", i),
                           owners=("rng", i)),
             )
-        cold, warm = [], []
-        for times in (cold, warm):
+        for _ in range(2):
             for i in range(PROBE_K):
-                t0 = time.perf_counter()
                 binding = await session.bind("vec", f"v{i}", f"x{i}")
-                times.append(time.perf_counter() - t0)
                 await session.unbind(binding)
         await session.close()
-        return cold, warm
 
     config = ServiceConfig()
 
@@ -103,24 +90,12 @@ def run_cold_warm():
     )
     report = res["gateway"].values[0]
     assert report.ok, report.tenants[0].error
-    cold, warm = report.tenants[0].result
     out = {
         "signatures": PROBE_K,
         "elements": PROBE_N,
         "schedule_hits": report.cache["schedule_hits"],
         "schedule_misses": report.cache["schedule_misses"],
     }
-    cold_p50, warm_p50 = percentile(cold, 50), percentile(warm, 50)
-    speedup = cold_p50 / warm_p50
-    print(
-        f"  cold p50 {cold_p50 * 1e3:8.2f} ms   "
-        f"warm p50 {warm_p50 * 1e3:8.2f} ms   "
-        f"({speedup:.1f}x)"
-    )
-    check_shape(
-        speedup >= 5.0,
-        f"warm bind p50 >=5x lower than cold ({speedup:.1f}x)",
-    )
     check_shape(
         out["schedule_misses"] == PROBE_K
         and out["schedule_hits"] == PROBE_K,
@@ -130,13 +105,12 @@ def run_cold_warm():
 
 
 # ---------------------------------------------------------------------------
-# Throughput vs tenant count
+# Fleets by tenant count
 # ---------------------------------------------------------------------------
 
 
-def run_throughput(tenants: int):
+def run_fleet(tenants: int):
     shapes = min(8, tenants)
-    t0 = time.perf_counter()
     report, summary, res = run_service_demo(
         tenants=tenants,
         shapes=shapes,
@@ -144,9 +118,7 @@ def run_throughput(tenants: int):
         iterations=1,
         max_queue_depth=max(1024, tenants),
     )
-    wall_s = time.perf_counter() - t0
     assert report.ok, [t.error for t in report.tenants if not t.ok][:3]
-    latencies = [lat for t in report.tenants for lat in t.latencies]
     total_ops = sum(t.ops_ok for t in report.tenants)
     out = {
         "tenants": tenants,
@@ -164,9 +136,8 @@ def run_throughput(tenants: int):
         "ops_served": summary["ops_served"],
     }
     print(
-        f"  {tenants:>5} tenants: {total_ops / wall_s:8.0f} ops/s  "
-        f"p50 {percentile(latencies, 50) * 1e3:7.2f} ms  "
-        f"p99 {percentile(latencies, 99) * 1e3:7.2f} ms  "
+        f"  {tenants:>5} tenants: {total_ops:>5} ops  "
+        f"{out['elapsed_ms']:8.2f} model ms  "
         f"rounds {out['rounds']:>4}  "
         f"cache {out['schedule_hits']}/{out['schedule_hits'] + out['schedule_misses']}"
     )
@@ -288,13 +259,13 @@ def run_bench():
     )
     results = {}
 
-    print("cold vs warm bind latency "
+    print("cold vs warm binds "
           f"({PROBE_K} x {PROBE_N}-element permutation signatures)")
     results["cold_warm"] = run_cold_warm()
 
-    print("throughput vs tenant count (8 shape classes, shared caches)")
+    print("fleets by tenant count (8 shape classes, shared caches)")
     for tenants in TENANT_COUNTS:
-        results[f"tenants_{tenants}"] = run_throughput(tenants)
+        results[f"tenants_{tenants}"] = run_fleet(tenants)
 
     print("overload (retrying tenants vs queue-depth watermark)")
     results["overload"] = run_overload()
@@ -317,10 +288,6 @@ def run_bench():
         results,
     )
     return results
-
-
-def test_bench_service(benchmark):
-    benchmark.pedantic(run_bench, rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

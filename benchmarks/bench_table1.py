@@ -66,9 +66,5 @@ def run_table1():
     return results
 
 
-def test_table1(benchmark):
-    benchmark.pedantic(run_table1, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_table1()

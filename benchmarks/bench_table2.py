@@ -79,9 +79,5 @@ def run_table2():
     return results
 
 
-def test_table2(benchmark):
-    benchmark.pedantic(run_table2, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_table2()

@@ -46,9 +46,5 @@ def run_table3():
     return results
 
 
-def test_table3(benchmark):
-    benchmark.pedantic(run_table3, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_table3()

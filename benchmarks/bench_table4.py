@@ -57,9 +57,5 @@ def run_table4():
     return results
 
 
-def test_table4(benchmark):
-    benchmark.pedantic(run_table4, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_table4()

@@ -132,9 +132,5 @@ def run_table5():
     return results
 
 
-def test_table5(benchmark):
-    benchmark.pedantic(run_table5, rounds=1, iterations=1)
-
-
 if __name__ == "__main__":
     run_table5()

@@ -6,15 +6,16 @@ scale on the virtual machine; the numbers printed are logical-clock
 milliseconds next to the paper's measured 1996 values.  Expectation:
 *shape* agreement (who wins, scaling, crossovers), not absolute equality.
 
-Run with output visible::
+Each ``bench_*.py`` is a script; the gates run them all::
 
-    pytest benchmarks/ --benchmark-only -s
+    python check.py tables bench bench-autotune
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import sys
 from pathlib import Path
 
 from repro.apps.coupled import (
@@ -170,6 +171,23 @@ def print_series(label: str, procs, ours, paper=None, unit="ms") -> None:
     if paper is not None:
         prow = "".join(f"{v:>10.0f}" for v in paper)
         print(f"{label + ' (paper)':<28}{prow}")
+
+
+def python_calls(fn, *args) -> int:
+    """How many Python and C function calls ``fn(*args)`` makes on this
+    thread: a cost that repeats exactly, where a wall time does not."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def check_shape(condition: bool, message: str) -> None:

@@ -8,8 +8,8 @@ the repo root instead); this script turns those records into the Markdown
 tables EXPERIMENTS.md quotes, so the document can be refreshed
 mechanically::
 
-    pytest benchmarks/ --benchmark-only     # produce/refresh the records
-    python benchmarks/report.py             # print all tables
+    python check.py tables bench bench-autotune   # produce/refresh the records
+    python benchmarks/report.py                   # print all tables
     python benchmarks/report.py table2 fig15
 """
 
@@ -99,7 +99,7 @@ def main(argv: list[str]) -> int:
         results_dir = Path(argv[1])
         argv = argv[2:]
     if not results_dir.exists():
-        print("no results yet — run `pytest benchmarks/ --benchmark-only` first")
+        print("no results yet — run `python check.py tables bench bench-autotune` first")
         return 1
     wanted = set(argv) if argv else None
     shown = 0

@@ -68,7 +68,12 @@ PYTEST = ("-m", "pytest", "-x", "-q")
 FRESH = {"HYPOTHESIS_STORAGE_DIRECTORY": f"{TMP}/hypothesis"}
 TABLES = ("table3", "table4", "table5")
 #: the other paper benches, run under the default variant only, and the
-#: records they regenerate
+#: records they regenerate.  Default row only, on purpose: in one process
+#: per row (2-vCPU Xeon, Python 3.11, unloaded; seconds) tables 3/4/5 take
+#: 3.7-5.4 and these seven 7.6 (default row), 8.1, 9.3, 10.1, 8.8, 8.0,
+#: 7.8 (rows 1-6), so the six other rows would add ~52 s to ``tables``,
+#: well over a 20 s budget.  Their records came back byte-identical under
+#: every row.
 PAPER_BENCHES = ("table1", "table2", "fig10_12", "fig13", "fig14", "fig15",
                  "ablation_schedule_reuse")
 PAPER_RECORDS = ("table1", "table2", "fig10_12_client1", "fig10_12_client2",

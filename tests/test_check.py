@@ -74,6 +74,37 @@ def test_every_shape_checked_bench_runs_under_a_gate():
         assert importlib.util.find_spec(module) is not None, module
 
 
+def script_form_faults(path: Path) -> list[str]:
+    """How ``path`` breaks the one way to run a bench, ``python
+    bench_X.py``: a host-clock or pytest import (at any depth), a
+    ``test_*`` function, no ``if __name__ == "__main__":`` block."""
+    tree = ast.parse(path.read_text())
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        faults += [f"imports {m}" for m in modules
+                   if m.split(".")[0] in ("time", "pytest")]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name.startswith("test_"):
+            faults.append(f"defines {node.name}")
+    if not any(isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"
+               for node in tree.body):
+        faults.append("has no __main__ block")
+    return faults
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "benchmarks").glob("bench_*.py")),
+                         ids=lambda path: path.name)
+def test_every_bench_is_a_script_off_the_host_clock(path):
+    assert script_form_faults(path) == []
+
+
 def test_tables_runs_one_process_per_variant():
     cmds = GATES["tables"].cmds
     assert len(cmds) == len(check.TABLE_VARIANTS)

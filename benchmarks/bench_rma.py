@@ -1,25 +1,24 @@
-"""Benchmark: one-sided windows driving sparse CP-ALS through containers.
+"""Benchmark: sparse CP-ALS, hash-map assembly then a scheduled sweep.
 
-The coupling pattern the two-sided schedules cannot express cheaply:
-data-dependent assembly (duplicate COO entries summed into a
-:class:`~repro.containers.DistHashMap`) followed by an iterative solve
-whose every remote access is one-sided — factor rows fetched with window
-``get``, MTTKRP partials scattered with window ``accumulate`` (or pushed
-through a :class:`~repro.containers.DistQueue` in the ``queue`` variant).
-The receiver never posts a matching receive; an epoch's operations cross
-the wire as one batch per processor pair at the fence and are charged on
-the logical clock like that one send, so the numbers below are
+Data-dependent assembly (duplicate COO entries summed into a
+:class:`~repro.containers.DistHashMap` over one-sided windows) followed
+by an iterative solve whose access pattern is fixed: an inspector run
+once per solve tells each owner which of its factor rows each reader
+reads, and every fetch and scatter is then one message per communicating
+(owner, reader) pair.  The only fences left are the assembly's.  Every
+message is charged on the logical clock, so the numbers below are
 deterministic trajectories.
 
-Configurations: P in {4, 8, 16} on the SP2 profile, both scatter
-variants.  Every cell cross-checks the gathered factors against the
-serial NumPy oracle (rtol 1e-10) and records the window operation and
-byte counts, and the messages the run really sent for them, next to the
-clock times.  Results land in
+Configurations: P in {4, 8, 16} on the SP2 profile.  Every cell
+cross-checks the gathered factors against the serial NumPy oracle (rtol
+1e-10), records their sha256 (a change of summation order moves it), and
+records the window operation and byte counts and the messages the run
+really sent next to the clock times.  Results land in
 ``BENCH_rma.json`` at the repo root, guarded by ``python check.py bench``.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 
@@ -33,12 +32,11 @@ NNZ = 200
 ITERS = 3
 SEED = 7
 PROC_COUNTS = (4, 8, 16)
-VARIANTS = ("accumulate", "queue")
 
 RMA_COUNTERS = (
     "rma_puts", "rma_gets", "rma_accs", "rma_fetch_ops",
     "rma_bytes_put", "rma_bytes_got", "rma_fences",
-    "hashmap_writes", "hashmap_write_rounds", "queue_pushes",
+    "hashmap_writes", "hashmap_write_rounds",
 )
 
 
@@ -48,12 +46,11 @@ def oracle():
 
 
 @functools.cache
-def run_cp_als(nprocs: int, variant: str):
+def run_cp_als(nprocs: int):
     def spmd(comm):
         t0 = comm.process.clock
         out = cp_als_spmd(comm, shape=SHAPE, R=RANK_R, nnz=NNZ,
-                          iters=ITERS, seed=SEED,
-                          use_queue=(variant == "queue"))
+                          iters=ITERS, seed=SEED)
         return comm.process.clock - t0, out
 
     vm = VirtualMachine(nprocs, profile=IBM_SP2, recv_timeout_s=120.0)
@@ -73,57 +70,49 @@ def run_cp_als(nprocs: int, variant: str):
 
 def run_bench():
     print_header(
-        f"One-sided windows: sparse CP-ALS {SHAPE} rank {RANK_R}, "
-        f"{NNZ} raw nonzeros, {ITERS} sweeps"
+        f"Sparse CP-ALS {SHAPE} rank {RANK_R}, {NNZ} raw nonzeros, "
+        f"{ITERS} sweeps: hash-map assembly, scheduled sweep"
     )
     results = {}
     for nprocs in PROC_COUNTS:
-        for variant in VARIANTS:
-            elapsed, outs, counters, match = run_cp_als(nprocs, variant)
-            window_ops = int(
-                counters["rma_puts"] + counters["rma_gets"]
-                + counters["rma_accs"] + counters["rma_fetch_ops"])
-            messages_sent = int(counters["messages_sent"])
-            one_sided_bytes = int(
-                counters["rma_bytes_put"] + counters["rma_bytes_got"])
-            key = f"IBM_SP2/P{nprocs}/{variant}"
-            results[key] = {
-                "profile": "IBM_SP2",
-                "nprocs": nprocs,
-                "variant": variant,
-                "cp_als_ms": elapsed * 1e3,
-                "window_ops": window_ops,
-                "messages_sent": messages_sent,
-                "one_sided_bytes": one_sided_bytes,
-                "fences": int(counters["rma_fences"]),
-                "hashmap_write_rounds": int(
-                    counters["hashmap_write_rounds"]),
-                "queue_pushes": int(counters["queue_pushes"]),
-                "dedup_nnz": int(sum(o.local_nnz for o in outs)),
-                "oracle_match": bool(match),
-            }
-            print(
-                f"  P={nprocs:<3} {variant:<11} "
-                f"{elapsed * 1e3:9.3f} ms   "
-                f"{window_ops:6d} window ops -> "
-                f"{messages_sent:6d} messages   "
-                f"{one_sided_bytes:8d} bytes   oracle "
-                f"{'OK' if match else 'MISMATCH'}"
-            )
-            check_shape(match, f"{key}: factors match the serial oracle "
-                               f"(rtol 1e-10)")
-            check_shape(window_ops > 0,
-                        f"{key}: traffic is one-sided "
-                        f"({window_ops} window ops)")
-    for nprocs in PROC_COUNTS:
-        acc = results[f"IBM_SP2/P{nprocs}/accumulate"]
-        que = results[f"IBM_SP2/P{nprocs}/queue"]
-        check_shape(
-            que["one_sided_bytes"] > acc["one_sided_bytes"],
-            f"P{nprocs}: the queue detour moves extra bytes — records "
-            f"carry their row index ({que['one_sided_bytes']} vs "
-            f"{acc['one_sided_bytes']})",
+        elapsed, outs, counters, match = run_cp_als(nprocs)
+        window_ops = int(
+            counters["rma_puts"] + counters["rma_gets"]
+            + counters["rma_accs"] + counters["rma_fetch_ops"])
+        messages_sent = int(counters["messages_sent"])
+        one_sided_bytes = int(
+            counters["rma_bytes_put"] + counters["rma_bytes_got"])
+        digests = {hashlib.sha256(b"".join(f.tobytes() for f in o.factors))
+                   .hexdigest() for o in outs}
+        key = f"IBM_SP2/P{nprocs}"
+        results[key] = {
+            "profile": "IBM_SP2",
+            "nprocs": nprocs,
+            "cp_als_ms": elapsed * 1e3,
+            "window_ops": window_ops,
+            "messages_sent": messages_sent,
+            "one_sided_bytes": one_sided_bytes,
+            "fences": int(counters["rma_fences"]),
+            "hashmap_write_rounds": int(counters["hashmap_write_rounds"]),
+            "dedup_nnz": int(sum(o.local_nnz for o in outs)),
+            "oracle_match": bool(match),
+            "factors_sha256": min(digests),
+        }
+        print(
+            f"  P={nprocs:<3} {elapsed * 1e3:9.3f} ms   "
+            f"{window_ops:6d} window ops   {messages_sent:6d} messages   "
+            f"{one_sided_bytes:8d} bytes   oracle "
+            f"{'OK' if match else 'MISMATCH'}"
         )
+        check_shape(match, f"{key}: factors match the serial oracle "
+                           f"(rtol 1e-10)")
+        check_shape(len(digests) == 1,
+                    f"{key}: every rank gathers the same factor bytes")
+        fences = results[key]["fences"]
+        rounds = results[key]["hashmap_write_rounds"]
+        check_shape(fences == rounds + nprocs,
+                    f"{key}: the only fences are the assembly's "
+                    f"({fences} == {rounds} write rounds + {nprocs})")
 
     write_trajectory(
         "rma",

@@ -1,38 +1,32 @@
 """Sparse CP-ALS coupling an irregular tensor partition to BLOCK factors.
 
-The demonstration app for the one-sided layer: a 3-way sparse tensor is
-CP-decomposed (canonical polyadic, alternating least squares) with the
-two distribution styles the paper couples —
+A 3-way sparse tensor is CP-decomposed (canonical polyadic, alternating
+least squares) with the two distribution styles the paper couples —
 
 - the **nonzeros** live in a Chaos-style *irregular* partition: raw
   coordinate/value entries (with duplicates) are assembled into a
-  :class:`~repro.containers.DistHashMap`, whose hash distribution *is*
-  the data-dependent ownership map: each rank solves with the entries
-  its slots hold;
+  :class:`~repro.containers.DistHashMap` over one-sided windows, whose
+  hash distribution *is* the data-dependent ownership map: each rank
+  solves with the entries its slots hold;
 - the **factor matrices** are HPF ``(BLOCK, *)`` row distributions
-  (:class:`~repro.hpf.array.HPFArray`), and each factor's local storage
-  is registered directly as a one-sided :class:`Window` — remote factor
-  rows are fetched with ``get`` and MTTKRP partials are scattered back
-  with ``accumulate`` (or, with ``use_queue=True``, pushed through a
-  :class:`~repro.containers.DistQueue` and folded owner-side), with no
-  receiver-side matching code anywhere.
+  (:class:`~repro.hpf.array.HPFArray`).
 
-Once per solve, each rank cuts the rows of each factor its nonzeros
-touch into maximal *runs* of consecutive rows on one owner; a run
-crosses the wire as one ``get`` (fetch) and one ``accumulate``
-(scatter).  Every iteration per mode: refresh the fetched rows of the
-factors that changed (one epoch), compute local MTTKRP partials,
-scatter-add them into the target factor's accumulator (one epoch),
-allreduce the R x R Grams, and solve ``A <- M @ pinv(G)`` into the
-factor window's own storage — the serial oracle's update expression, so
-the result matches it to float round-off (the ``(origin, seq)`` apply
-order differs from the serial sum only in grouping).  The new rows need
-no fence: a peer's next ``get`` is served inside this rank's next fence,
-after the write.  Fetched rows stay valid until the mode that solves
-their factor, so the first mode fetches factors 1 and 2 (one group
-epoch) and every later mode only the factor solved in the mode before.
-Setup is what the solve reads: one registration for the six windows,
-one ``allgather`` of the ``(BLOCK, *)`` blocks for the final gather.
+The access pattern is fixed for the whole solve, so the sweep runs on a
+schedule built once: per factor, the rows a rank's nonzeros touch are
+mapped to their owners by the closed-form BLOCK map, and one
+``alltoall_sparse`` tells each owner, for all three factors, which of
+its local rows each reader reads.  Every iteration per mode: refresh
+the fetched rows of the factors that changed (each owner sends each
+reader its rows, one message per pair that has rows), compute local
+MTTKRP partials, send them to the owners (one message per pair), where
+they are summed in reader-rank order, allreduce the R x R Grams, and
+solve ``A <- M @ pinv(G)`` into the factor's own storage — the serial
+oracle's update expression, so the result matches it to float round-off
+(the reader-rank order differs from the serial sum only in grouping).
+Fetched rows stay valid until the mode that solves their factor, so the
+first mode fetches factors 1 and 2 and every later mode only the factor
+solved in the mode before.  The owner's gather is charged like a served
+``get``, the fold like an applied ``accumulate``.
 """
 
 from __future__ import annotations
@@ -41,11 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.containers import DistHashMap, DistQueue
+from repro.containers import DistHashMap
 from repro.hpf.array import HPFArray
 from repro.vmachine.comm import Communicator
-from repro.vmachine.reliability import Reliability
-from repro.vmachine.window import Window, fence
 
 __all__ = [
     "sparse_entries",
@@ -53,6 +45,10 @@ __all__ = [
     "cp_als_spmd",
     "CPALSResult",
 ]
+
+# the sweep's two executors: factor rows out to readers, partials home
+_TAG_FETCH = 1 << 19
+_TAG_SCATTER = (1 << 19) + 1
 
 
 def sparse_entries(shape, nnz: int, seed: int):
@@ -126,7 +122,8 @@ class CPALSResult:
     factors: list = field(default_factory=list)
     #: deduplicated nonzeros resident on this rank after assembly
     local_nnz: int = 0
-    #: this rank's counter snapshot (rma_*, hashmap_*, queue_* included)
+    #: this rank's counter snapshot (the assembly's rma_* and hashmap_*
+    #: included; the sweep is plain send/recv)
     stats: dict = field(default_factory=dict)
 
 
@@ -137,27 +134,20 @@ def cp_als_spmd(
     nnz: int = 200,
     iters: int = 3,
     seed: int = 7,
-    use_queue: bool = False,
-    reliable: bool = False,
 ) -> CPALSResult:
-    """Run distributed sparse CP-ALS; collective over ``comm``.
-
-    ``use_queue=True`` scatters MTTKRP partials through a
-    :class:`DistQueue` (owner folds drained records) instead of direct
-    window ``accumulate`` — same result, different one-sided idiom.
-    """
+    """Run distributed sparse CP-ALS; collective over ``comm``."""
     proc = comm.process
+    rank = comm.rank
     P = comm.size
     coords, vals = sparse_entries(shape, nnz, seed)
 
     # -- assembly: raw entries -> DistHashMap (irregular ownership) --------
     with proc.span("cp_als:assembly"):
-        lo = comm.rank * nnz // P
-        hi = (comm.rank + 1) * nnz // P
+        lo = rank * nnz // P
+        hi = (rank + 1) * nnz // P
         keys = _linearize(coords[lo:hi], shape)
         cap = max(16, 2 * (nnz // P) + 16)
-        hmap = DistHashMap(comm, capacity_per_rank=cap, value_width=1,
-                           reliable=reliable)
+        hmap = DistHashMap(comm, capacity_per_rank=cap, value_width=1)
         hmap.accumulate_all(
             [(int(k), [float(v)]) for k, v in zip(keys, vals[lo:hi])])
         owned = sorted(hmap.local_items())  # [(key, [val])] on this rank
@@ -165,77 +155,76 @@ def cp_als_spmd(
         my_vals = np.array([v[0] for _, v in owned])
         my_coords = _delinearize(my_keys, shape)
 
-    # -- factors: HPF (BLOCK, *) rows, local storage exposed as windows ----
+    # -- inspector: factors are HPF (BLOCK, *) rows; who reads which -------
     with proc.span("cp_als:factors"):
         full = _init_factors(shape, R, seed)
         factors = [HPFArray.from_global(comm, f, ("block", "*"))
                    for f in full]
-        # the factor windows, then their accumulators: one registration
-        wins = Window.group(
-            comm, *(f.local for f in factors),
-            *(np.zeros_like(f.local) for f in factors),
-            reliability=Reliability() if reliable else None)
-        fwin, acc = wins[:3], wins[3:]
-        queue = None
-        if use_queue:
-            depth = max(64, 4 * max(shape))
-            queue = DistQueue(comm, capacity=depth, record_width=R + 1,
-                              reliable=reliable)
-        # Per factor, the rows my nonzeros touch as maximal runs of
-        # consecutive rows on one owner, (owner, local row, global row, n):
-        # fixed for the whole solve, shared by the fetch and the scatter.
-        runs = []
+        # reads[m][owner] = (global rows, owner's local rows) of factor m
+        # my nonzeros touch, by the closed-form BLOCK map
+        reads: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
         for m in range(3):
             need = np.unique(my_coords[:, m])
             owner, local_row = factors[m].dist.dims[0].map(need)
-            new = np.ones(len(need), dtype=bool)
-            new[1:] = (np.diff(need) != 1) | (np.diff(owner) != 0)
-            first = np.flatnonzero(new)
-            cols = (owner[first], local_row[first], need[first],
-                    np.diff(first, append=len(need)))
-            runs.append(list(zip(*(c.tolist() for c in cols))))
+            reads.append({int(o): (need[owner == o], local_row[owner == o])
+                          for o in np.unique(owner)})
+        # one exchange for all three factors: serves[m][reader] = my local
+        # rows of factor m that reader reads, in reader-rank order
+        empty = np.empty(0, dtype=np.int64)
+        asked = comm.alltoall_sparse({
+            o: [reads[m][o][1] if o in reads[m] else empty for m in range(3)]
+            for o in sorted(set().union(*reads))})
+        serves = [{r: asked[r][m] for r in sorted(asked) if len(asked[r][m])}
+                  for m in range(3)]
         # my copy of each factor's touched rows, by global row
         rows = [np.zeros((s, R)) for s in shape]
 
     others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
-    def fetch(*ms: int) -> None:
-        """Refresh ``rows[m]`` for each factor in ``ms``: one ``get`` per
-        run, all in one (group) epoch."""
-        handles = [(m, g, n, fwin[m].get(owner, lr * R, n * R))
-                   for m in ms for owner, lr, g, n in runs[m]]
-        fence(*(fwin[m] for m in ms))
-        for m, g, n, h in handles:
-            rows[m][g:g + n] = h.value.reshape(n, R)
+    def fetch(m: int) -> None:
+        """Refresh ``rows[m]``: each owner sends each reader its rows in
+        one message; my own rows are a copy."""
+        local = factors[m].local_nd
+        for reader, lrows in serves[m].items():
+            got = local[lrows]
+            proc.charge_mem(got.nbytes)
+            if reader == rank:
+                rows[m][reads[m][rank][0]] = got
+            else:
+                comm.send(reader, got, _TAG_FETCH)
+        for owner, (grows, _) in reads[m].items():
+            if owner != rank:
+                rows[m][grows] = comm.recv(owner, _TAG_FETCH)
+
+    def scatter(mode: int, part: np.ndarray) -> np.ndarray:
+        """Sum the readers' partials of my rows of factor ``mode`` in
+        reader-rank order, my own at my rank's place."""
+        for owner, (grows, _) in reads[mode].items():
+            if owner != rank:
+                comm.send(owner, part[grows], _TAG_SCATTER)
+        acc = np.zeros_like(factors[mode].local_nd)
+        for reader, lrows in serves[mode].items():
+            got = (part[reads[mode][rank][0]] if reader == rank
+                   else comm.recv(reader, _TAG_SCATTER))
+            acc[lrows] += got
+            proc.charge_flops(got.size)
+            proc.charge_mem(got.nbytes)
+        return acc
 
     with proc.span("cp_als:iterate"):
         stale = (1, 2)  # the factors whose rows mode 0 needs and lacks
         for _ in range(iters):
             for mode in range(3):
                 a, b = others[mode]
-                fetch(*stale)
+                for m in stale:
+                    fetch(m)
                 # local MTTKRP partials, summed per target row in nonzero
                 # order (np.add.at applies its indices in order)
                 part = np.zeros((shape[mode], R))
                 np.add.at(part, my_coords[:, mode], my_vals[:, None] * (
                     rows[a][my_coords[:, a]] * rows[b][my_coords[:, b]]))
                 proc.charge_flops(3 * R * len(my_vals))
-                # scatter-add into the target factor's accumulator: one
-                # op per run of the rows my nonzeros touch
-                acc[mode].local[:] = 0.0
-                if use_queue:
-                    queue.push_all([
-                        (owner, np.concatenate(([float(lr + i)], part[g + i])))
-                        for owner, lr, g, n in runs[mode] for i in range(n)])
-                    for rec in queue.pop_all():
-                        lr = int(rec[0])
-                        acc[mode].local[lr * R:(lr + 1) * R] += rec[1:]
-                        proc.charge_flops(R)
-                else:
-                    for owner, lr, g, n in runs[mode]:
-                        acc[mode].accumulate(owner, part[g:g + n].reshape(-1),
-                                             start=lr * R)
-                    acc[mode].fence()
+                M = scatter(mode, part)
                 # Gram matrices from local BLOCK rows + allreduce
                 la = factors[a].local_nd
                 lb = factors[b].local_nd
@@ -244,7 +233,6 @@ def cp_als_spmd(
                     lambda x, y: x + y)
                 proc.charge_flops(2 * R * R * (la.shape[0] + lb.shape[0]))
                 G = G[0] * G[1]
-                M = acc[mode].local.reshape(-1, R)
                 factors[mode].local[:] = (M @ np.linalg.pinv(G)).reshape(-1)
                 proc.charge_flops(2 * R * R * M.shape[0])
                 stale = (mode,)

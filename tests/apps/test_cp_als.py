@@ -1,4 +1,6 @@
-"""Sparse CP-ALS over one-sided containers vs the serial NumPy oracle."""
+"""Sparse CP-ALS (hash-map assembly, scheduled sweep) vs the serial oracle."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from repro.chaos.array import ChaosArray
 from repro.hpf.array import HPFArray
 from repro.vmachine import VirtualMachine
 from repro.vmachine.comm import Communicator
-from repro.vmachine.window import Window, fence
 
 SHAPE = (12, 11, 10)
 R = 3
@@ -19,9 +20,11 @@ SEED = 7
 
 
 def run(nprocs, **kwargs):
+    args = {"shape": SHAPE, "R": R, "nnz": NNZ, "iters": ITERS, "seed": SEED,
+            **kwargs}
+
     def spmd(comm):
-        return cp_als_spmd(comm, shape=SHAPE, R=R, nnz=NNZ, iters=ITERS,
-                           seed=SEED, **kwargs)
+        return cp_als_spmd(comm, **args)
 
     return VirtualMachine(nprocs, recv_timeout_s=60.0).run(spmd)
 
@@ -29,6 +32,29 @@ def run(nprocs, **kwargs):
 @pytest.fixture(scope="module")
 def oracle():
     return cp_als_serial(SHAPE, R, NNZ, ITERS, SEED)
+
+
+#: sha256 of the gathered factors' bytes (factor 0, 1, 2 concatenated) for
+#: SHAPE, R, NNZ and ITERS, as the one-sided (window get/accumulate) sweep
+#: computed them: a change of summation order moves these
+DIGESTS = {
+    (3, 7): "0f2c02d751193d8be0faca339db234c5bb3ea65a7b46b87bd4732937e31d055a",
+    (3, 12): "46a48569f6147c0d6f5d612bf93a7a7104b62073722ce6082c5bf47cc970888d",
+    (3, 1009): "d8062aad218b51cb4bb7b19dab9bd332e1dee954f89b53beb51ddb2de2e10ea8",
+    (4, 7): "e17a7e7d0b05a44bd073409d4c43eb83fedcba42fb2e0e6b518ced5fb9080ced",
+    (4, 12): "aea1062ab6f7740ad36f95de306491e3ba7b594d5c69743159a9ba982f3941b0",
+    (4, 1009): "81535a90369660d67b3ef89795b06802bebba2f3895a5e6e0c5967e78cfd57c5",
+    (8, 7): "cb4a60eb80f64d429b343d2d9af7016fec2f1e2b6cc9a046af808d12bc62123a",
+    (8, 12): "d5ce84a11f7f05cbf3438e196da539af2b4e8fd5512bdac7f5d004462a739d60",
+    (8, 1009): "90b93254f70f7cbab6ac21f5a8c37c38c20246dbc238ad9356b281bea4cdfa04",
+    (16, 7): "d077f9a4b2faa6fffb9f68e8d3e2daffd4f2c007d3fabbeed92882cfac5e9020",
+    (16, 12): "d56b7ae3ce766e632189fb70e4e73f4897ea70d948f604cee66faaebc726ebbd",
+    (16, 1009): "1efedb16fac85a812872e7b0db04f6cc110081fb2cb00074f4e812ea1e92279f",
+}
+
+
+def factors_sha256(factors) -> str:
+    return hashlib.sha256(b"".join(f.tobytes() for f in factors)).hexdigest()
 
 
 class TestOracleMatch:
@@ -42,13 +68,6 @@ class TestOracleMatch:
                 np.testing.assert_allclose(
                     out.factors[mode], oracle[mode], rtol=1e-10, atol=1e-12)
 
-    def test_queue_variant_matches(self, oracle):
-        res = run(4, use_queue=True)
-        for mode in range(3):
-            np.testing.assert_allclose(
-                res.values[0].factors[mode], oracle[mode],
-                rtol=1e-10, atol=1e-12)
-
     def test_assembly_partitions_all_nonzeros(self):
         res = run(4)
         coords, _ = sparse_entries(SHAPE, NNZ, SEED)
@@ -58,14 +77,26 @@ class TestOracleMatch:
         assert sum(v.local_nnz for v in res.values) == len(keys)
 
     def test_one_sided_traffic_is_accounted(self):
+        """Only the assembly is one-sided: the sweep issues no window op,
+        and each rank's fences are its hash map's write rounds plus the
+        epoch that ends the find loop."""
         res = run(4)
-        stats = res.values[0].stats
-        total = lambda k: sum(v.stats.get(k, 0) for v in res.values)
-        assert total("rma_gets") > 0
-        assert total("rma_accs") > 0
-        assert total("rma_bytes_got") > 0
-        assert total("hashmap_writes") > 0
-        assert stats["rma_fences"] > 0
+        setup = run(4, iters=0)
+        rma = ("rma_puts", "rma_gets", "rma_accs", "rma_fetch_ops",
+               "rma_fences")
+        for out, bare in zip(res.values, setup.values):
+            assert {k: out.stats.get(k, 0) for k in rma} == {
+                k: bare.stats.get(k, 0) for k in rma}
+        assert sum(v.stats.get("hashmap_writes", 0) for v in res.values) > 0
+        for out in res.values:
+            stats = out.stats
+            assert stats["hashmap_write_rounds"] > 0
+            assert stats["rma_fences"] == stats["hashmap_write_rounds"] + 1
+
+    @pytest.mark.parametrize("nprocs,seed", sorted(DIGESTS))
+    def test_factors_match_the_pinned_digest(self, nprocs, seed):
+        for out in run(nprocs, seed=seed).values:
+            assert factors_sha256(out.factors) == DIGESTS[nprocs, seed]
 
     def test_deterministic_across_runs(self):
         a = run(4)
@@ -75,67 +106,103 @@ class TestOracleMatch:
                     == b.values[0].factors[mode].tobytes())
         assert a.clocks == b.clocks
 
-    def test_queue_and_accumulate_agree_closely(self):
-        acc = run(4)
-        que = run(4, use_queue=True)
-        for mode in range(3):
-            np.testing.assert_allclose(
-                acc.values[0].factors[mode], que.values[0].factors[mode],
-                rtol=1e-10, atol=1e-12)
+
+def sweep_traffic(monkeypatch, nprocs):
+    """Run at ``nprocs`` and return, per rank, the inspector's answer
+    (``asked[reader][m]``: my local rows of factor ``m`` that ``reader``
+    reads) and every sweep send as ``(mode, tag, dest, factor)``.  A
+    fetch's factor is found by its payload: the owner's rows of it."""
+    asked, sends, built, modes = {}, {}, {}, {}
+    original_from_global = HPFArray.from_global.__func__
+
+    def from_global(cls, comm, *args, **kw):
+        arr = original_from_global(cls, comm, *args, **kw)
+        built.setdefault(comm.rank, []).append(arr)
+        return arr
+
+    def spy(name, record):
+        original = getattr(Communicator, name)
+
+        def wrapped(self, *args, **kw):
+            out = original(self, *args, **kw)
+            record(self, out, *args)
+            return out
+
+        monkeypatch.setattr(Communicator, name, wrapped)
+
+    def on_exchange(comm, out, payloads):
+        asked[comm.rank] = out
+
+    def on_allreduce(comm, out, *args):
+        if "cp_als:iterate" in comm.process.phase_path:
+            modes[comm.rank] = modes.get(comm.rank, 0) + 1
+
+    def on_send(comm, out, dest, payload, tag=0):
+        if tag == cp_als._TAG_FETCH:
+            factors = built[comm.rank]
+            [m] = [m for m in range(3)
+                   if np.array_equal(factors[m].local_nd[
+                       asked[comm.rank][dest][m]], payload)]
+        elif tag == cp_als._TAG_SCATTER:
+            m = None
+        else:
+            return
+        sends.setdefault(comm.rank, []).append(
+            (modes.get(comm.rank, 0), tag, dest, m))
+
+    monkeypatch.setattr(HPFArray, "from_global", classmethod(from_global))
+    spy("alltoall_sparse", on_exchange)
+    spy("allreduce", on_allreduce)
+    spy("send", on_send)
+    res = run(nprocs)
+    return res, asked, sends
 
 
 class TestSweepTraffic:
-    """What a sweep puts on the wire: only the factor that changed, and
-    one op per run of consecutive rows on one owner."""
+    """What a sweep puts on the wire: only the factor that changed, one
+    message per communicating (owner, reader) pair."""
 
-    def test_a_mode_fetches_only_the_factor_solved_before_it(self, monkeypatch):
-        calls: dict[int, list[tuple[int, ...]]] = {}
+    def test_a_mode_fetches_only_the_factor_solved_before_it(self,
+                                                             monkeypatch):
+        _, _, sends = sweep_traffic(monkeypatch, 4)
+        for rank, sent in sends.items():
+            for step in range(3 * ITERS):
+                fetched = {m for mode, tag, _, m in sent
+                           if mode == step and tag == cp_als._TAG_FETCH}
+                stale = {1, 2} if step == 0 else {(step - 1) % 3}
+                assert fetched <= stale, (rank, step, fetched)
+        every = {(mode, m) for sent in sends.values()
+                 for mode, tag, _, m in sent if tag == cp_als._TAG_FETCH}
+        assert every == {(0, 1), (0, 2)} | {
+            (step, (step - 1) % 3) for step in range(1, 3 * ITERS)}
 
-        def spy(*windows):
-            calls.setdefault(windows[0].comm.rank, []).append(
-                tuple(w._wid for w in windows))
-            return fence(*windows)
-
-        monkeypatch.setattr(cp_als, "fence", spy)
-        run(4)
-        assert len(calls) == 4 and all(c == calls[0] for c in calls.values())
-        # the factor windows are registered in factor order
-        base = calls[0][0][0] - 1
-        fetched = [tuple(wid - base for wid in c) for c in calls[0]]
-        assert fetched == [(1, 2)] + [((step - 1) % 3,)
-                                      for step in range(1, 3 * ITERS)]
-
-    def test_one_op_per_run(self, monkeypatch):
-        ops = []
-
-        def spy(name, count):
-            original = getattr(Window, name)
-
-            def wrapped(self, target, *args, **kw):
-                proc = self.comm.process
-                if "cp_als:iterate" in proc.phase_path:
-                    start, n = count(self, target, *args, **kw)
-                    ops.append(((proc.rank, self._wid, self.epoch, target),
-                                start, n))
-                return original(self, target, *args, **kw)
-
-            monkeypatch.setattr(Window, name, wrapped)
-
-        spy("get", lambda w, t, start=0, count=None: (start, count))
-        spy("accumulate",
-            lambda w, t, data, start=0, op="sum": (start, np.size(data)))
-        res = run(4)
-        assert {n for _, _, n in ops} - {R}, "no run spans two rows"
-        ranges: dict[tuple, list[tuple[int, int]]] = {}
-        for key, start, n in ops:
-            ranges.setdefault(key, []).append((start, start + n))
-        for key, spans in ranges.items():
-            ends = {end for _, end in spans}
-            assert not any(start in ends for start, _ in spans), key
-        for mode in range(3):
-            for r in range(1, 4):
-                assert (res.values[r].factors[mode].tobytes()
-                        == res.values[0].factors[mode].tobytes())
+    def test_one_message_per_communicating_pair(self, monkeypatch):
+        nprocs = 8
+        res, asked, sends = sweep_traffic(monkeypatch, nprocs)
+        # rows of factor 0 (12 of them) live on ranks 0-5 only
+        assert all(len(asked.get(rank, {}).get(reader, [[]])[0]) == 0
+                   for rank in (6, 7) for reader in range(nprocs))
+        for rank in range(nprocs):
+            sent = sends.get(rank, [])
+            readers = [{r for r, rows in asked[rank].items()
+                        if r != rank and len(rows[m])} for m in range(3)]
+            for step in range(3 * ITERS):
+                stale = (1, 2) if step == 0 else ((step - 1) % 3,)
+                for m in stale:
+                    dests = [d for mode, tag, d, f in sent
+                             if mode == step and f == m]
+                    assert sorted(dests) == sorted(readers[m]), (rank, step)
+                # the partials go home: one message per owner I read from
+                owners = {o for o, rows in asked.items() if o != rank
+                          and rank in rows and len(rows[rank][step % 3])}
+                dests = [d for mode, tag, d, _ in sent
+                         if mode == step and tag == cp_als._TAG_SCATTER]
+                assert sorted(dests) == sorted(owners), (rank, step)
+        assert not any(f == 0 for rank in (6, 7)
+                       for *_, f in sends.get(rank, []))
+        for out in res.values[1:]:
+            assert factors_sha256(out.factors) == factors_sha256(
+                res.values[0].factors)
 
     def test_ranks_without_nonzeros_still_match_the_oracle(self):
         nnz = 5
@@ -171,12 +238,13 @@ class TestSweepTraffic:
 
 
 class TestSetupCollectives:
-    """Setup does only what the solve reads: the windows register in two
-    collectives (three with the queue), the factors come home in one, and
-    the Grams are the only allreduces."""
+    """Setup does only what the solve reads: the hash map registers in one
+    collective, the inspector's exchange learns its senders in one, the
+    factors come home in one, and the Grams are the only allreduces — on
+    a rank with no nonzeros too (``sparse``: 5 raw nonzeros)."""
 
-    @pytest.mark.parametrize("use_queue", [False, True])
-    def test_collectives_per_solve(self, monkeypatch, use_queue):
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_collectives_per_solve(self, monkeypatch, sparse):
         calls: dict[str, list[int]] = {}
 
         def spy(cls, name):
@@ -192,18 +260,18 @@ class TestSetupCollectives:
         for name in ("allgather", "allreduce", "gather", "bcast"):
             spy(Communicator, name)
         spy(ChaosArray, "__init__")
-        run(4, use_queue=use_queue)
+        run(4, **({"nnz": 5} if sparse else {}))
         per_rank = {name: len(ranks) // 4 for name, ranks in calls.items()}
-        # registrations (hash map; factors + accumulators; queue) + gather;
-        # an allgather is a gather and a bcast, an allreduce ends in one
-        nall, ngram = 3 + use_queue, 3 * ITERS
+        # hash-map registration + inspector + gather; an allgather is a
+        # gather and a bcast, an allreduce ends in one
+        nall, ngram = 3, 3 * ITERS
         assert per_rank == {"allgather": nall, "gather": nall,
                             "bcast": nall + ngram, "allreduce": ngram}
 
     @pytest.mark.parametrize("nprocs", [3, 4, 8])
-    @pytest.mark.parametrize("use_queue", [False, True])
+    @pytest.mark.parametrize("sparse", [False, True])
     def test_gather_is_byte_equal_to_gather_global(self, monkeypatch,
-                                                   nprocs, use_queue):
+                                                   nprocs, sparse):
         built = []
         original = HPFArray.from_global.__func__
 
@@ -215,8 +283,9 @@ class TestSetupCollectives:
         monkeypatch.setattr(HPFArray, "from_global", classmethod(spy))
 
         def spmd(comm):
-            out = cp_als_spmd(comm, shape=SHAPE, R=R, nnz=NNZ, iters=ITERS,
-                              seed=SEED, use_queue=use_queue)
+            out = cp_als_spmd(comm, shape=SHAPE, R=R,
+                              nnz=5 if sparse else NNZ, iters=ITERS,
+                              seed=SEED)
             mine = [a for a in built if a.comm is comm]
             ref = [comm.bcast(f.gather_global(), root=0) for f in mine]
             return ([f.tobytes() for f in out.factors],

@@ -13,7 +13,8 @@ Configurations: P in {4, 8, 16} on the SP2 profile.  Every cell
 cross-checks the gathered factors against the serial NumPy oracle (rtol
 1e-10), records their sha256 (a change of summation order moves it), and
 records the window operation and byte counts and the messages the run
-really sent next to the clock times.  Results land in
+really sent next to the clock times, the solve's split into the slowest
+rank's assembly and sweep spans among them.  Results land in
 ``BENCH_rma.json`` at the repo root, guarded by ``python check.py bench``.
 """
 
@@ -61,11 +62,13 @@ def run_cp_als(nprocs: int):
         k: sum(o.stats.get(k, 0) for o in outs) for k in RMA_COUNTERS
     }
     counters["messages_sent"] = result.total_stat("messages_sent")
+    spans = {"assembly_ms": result.span_ms("cp_als:assembly"),
+             "sweep_ms": result.span_ms("cp_als:iterate")}
     match = all(
         np.allclose(o.factors[m], oracle()[m], rtol=1e-10, atol=1e-12)
         for o in outs for m in range(3)
     )
-    return elapsed, outs, counters, match
+    return elapsed, outs, counters, spans, match
 
 
 def run_bench():
@@ -75,7 +78,7 @@ def run_bench():
     )
     results = {}
     for nprocs in PROC_COUNTS:
-        elapsed, outs, counters, match = run_cp_als(nprocs)
+        elapsed, outs, counters, spans, match = run_cp_als(nprocs)
         window_ops = int(
             counters["rma_puts"] + counters["rma_gets"]
             + counters["rma_accs"] + counters["rma_fetch_ops"])
@@ -89,6 +92,7 @@ def run_bench():
             "profile": "IBM_SP2",
             "nprocs": nprocs,
             "cp_als_ms": elapsed * 1e3,
+            **spans,
             "window_ops": window_ops,
             "messages_sent": messages_sent,
             "one_sided_bytes": one_sided_bytes,

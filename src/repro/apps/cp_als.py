@@ -16,17 +16,18 @@ schedule built once: per factor, the rows a rank's nonzeros touch are
 mapped to their owners by the closed-form BLOCK map, and one
 ``alltoall_sparse`` tells each owner, for all three factors, which of
 its local rows each reader reads.  Every iteration per mode: refresh
-the fetched rows of the factors that changed (each owner sends each
-reader its rows, one message per pair that has rows), compute local
-MTTKRP partials, send them to the owners (one message per pair), where
-they are summed in reader-rank order, allreduce the R x R Grams, and
-solve ``A <- M @ pinv(G)`` into the factor's own storage — the serial
+the fetched rows of the factor solved the mode before (each owner sends
+each reader its rows, one message per pair that has rows; every rank
+drew the initial factors, so the first mode fetches nothing), compute
+local MTTKRP and R x R Gram partials and send both to every holder of
+the mode's factor in one message.  A holder sums the rows in
+reader-rank order, folds the Grams as ``Communicator.reduce`` would
+(:func:`~repro.vmachine.comm.tree_fold`, so no collective runs) and
+solves ``A <- M @ pinv(G)`` into the factor's own storage — the serial
 oracle's update expression, so the result matches it to float round-off
 (the reader-rank order differs from the serial sum only in grouping).
-Fetched rows stay valid until the mode that solves their factor, so the
-first mode fetches factors 1 and 2 and every later mode only the factor
-solved in the mode before.  The owner's gather is charged like a served
-``get``, the fold like an applied ``accumulate``.
+The owner's gather is charged like a served ``get``, the fold like an
+applied ``accumulate``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.containers import DistHashMap
 from repro.hpf.array import HPFArray
-from repro.vmachine.comm import Communicator
+from repro.vmachine.comm import Communicator, tree_fold
 
 __all__ = [
     "sparse_entries",
@@ -89,8 +90,9 @@ def _delinearize(keys: np.ndarray, shape) -> np.ndarray:
 def cp_als_serial(shape, R: int, nnz: int, iters: int, seed: int):
     """Sequential NumPy reference: same entries, same update expression."""
     coords, vals = sparse_entries(shape, nnz, seed)
-    # Combine duplicates in first-appearance order (matches the map's
-    # per-key accumulation order).
+    # Combine duplicates in first-appearance order.  The map pre-sums a
+    # rank's copies of a key, then adds the ranks' sums in rank order:
+    # the same float sum unless a later rank holds the key twice.
     combined: dict[int, float] = {}
     for key, v in zip(_linearize(coords, shape), vals):
         combined[int(key)] = combined.get(int(key), 0.0) + float(v)
@@ -176,8 +178,12 @@ def cp_als_spmd(
             for o in sorted(set().union(*reads))})
         serves = [{r: asked[r][m] for r in sorted(asked) if len(asked[r][m])}
                   for m in range(3)]
-        # my copy of each factor's touched rows, by global row
-        rows = [np.zeros((s, R)) for s in shape]
+        # the ranks holding rows of each factor, by the same closed form
+        holders = [np.unique(f.dist.dims[0].map(np.arange(s))[0]).tolist()
+                   for f, s in zip(factors, shape)]
+        # my copy of each factor's touched rows, by global row: every rank
+        # drew the initial factors, so none is stale yet
+        rows = full
 
     others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
@@ -196,23 +202,34 @@ def cp_als_spmd(
             if owner != rank:
                 rows[m][grows] = comm.recv(owner, _TAG_FETCH)
 
-    def scatter(mode: int, part: np.ndarray) -> np.ndarray:
-        """Sum the readers' partials of my rows of factor ``mode`` in
-        reader-rank order, my own at my rank's place."""
-        for owner, (grows, _) in reads[mode].items():
-            if owner != rank:
-                comm.send(owner, part[grows], _TAG_SCATTER)
-        acc = np.zeros_like(factors[mode].local_nd)
-        for reader, lrows in serves[mode].items():
-            got = (part[reads[mode][rank][0]] if reader == rank
-                   else comm.recv(reader, _TAG_SCATTER))
-            acc[lrows] += got
-            proc.charge_flops(got.size)
-            proc.charge_mem(got.nbytes)
-        return acc
+    def solve(mode: int, part: np.ndarray, gram: np.ndarray) -> None:
+        """Send every holder of factor ``mode`` my partials of its rows
+        (``None`` if I touch none) with my Gram partials.  A holder sums
+        the rows in reader-rank order, my own at my rank's place, folds
+        the Grams as the binomial reduce would and solves its rows."""
+        out = {h: (part[reads[mode][h][0]] if h in reads[mode] else None,
+                   gram) for h in holders[mode]}
+        for holder, payload in out.items():
+            if holder != rank:
+                comm.send(holder, payload, _TAG_SCATTER)
+        if rank not in out:
+            return
+        M = np.zeros_like(factors[mode].local_nd)
+        grams = []
+        for reader in range(P):
+            got, g = (out[rank] if reader == rank
+                      else comm.recv(reader, _TAG_SCATTER))
+            grams.append(g)
+            if got is not None:
+                M[serves[mode][reader]] += got
+                proc.charge_flops(got.size)
+                proc.charge_mem(got.nbytes)
+        G = tree_fold(grams, lambda x, y: x + y)
+        factors[mode].local[:] = (M @ np.linalg.pinv(G[0] * G[1])).reshape(-1)
+        proc.charge_flops(2 * R * R * M.shape[0])
 
     with proc.span("cp_als:iterate"):
-        stale = (1, 2)  # the factors whose rows mode 0 needs and lacks
+        stale = ()  # the factors whose fetched rows are out of date
         for _ in range(iters):
             for mode in range(3):
                 a, b = others[mode]
@@ -224,17 +241,12 @@ def cp_als_spmd(
                 np.add.at(part, my_coords[:, mode], my_vals[:, None] * (
                     rows[a][my_coords[:, a]] * rows[b][my_coords[:, b]]))
                 proc.charge_flops(3 * R * len(my_vals))
-                M = scatter(mode, part)
-                # Gram matrices from local BLOCK rows + allreduce
+                # Gram partials from my local BLOCK rows
                 la = factors[a].local_nd
                 lb = factors[b].local_nd
-                G = comm.allreduce(
-                    np.stack([la.T @ la, lb.T @ lb]),
-                    lambda x, y: x + y)
+                gram = np.stack([la.T @ la, lb.T @ lb])
                 proc.charge_flops(2 * R * R * (la.shape[0] + lb.shape[0]))
-                G = G[0] * G[1]
-                factors[mode].local[:] = (M @ np.linalg.pinv(G)).reshape(-1)
-                proc.charge_flops(2 * R * R * M.shape[0])
+                solve(mode, part, gram)
                 stale = (mode,)
 
     with proc.span("cp_als:gather"):

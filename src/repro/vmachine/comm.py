@@ -48,7 +48,7 @@ from repro.vmachine.tags import COLLECTIVE_TAG_BASE, CONTEXT_STRIDE
 from repro.vmachine.trace import TraceEvent
 
 __all__ = ["Communicator", "InterComm", "Request", "waitany", "waitall",
-           "CONTEXT_STRIDE"]
+           "tree_fold", "CONTEXT_STRIDE"]
 
 # Each communicator owns the wire-tag block [context, context +
 # CONTEXT_STRIDE), tags >= COLLECTIVE_TAG_BASE in it reserved for internal
@@ -717,6 +717,19 @@ class Communicator(_Endpoint):
         """Tree reduce at rank 0, then binomial broadcast: O(log P) depth."""
         reduced = self.reduce(value, op, root=0)
         return self.bcast(reduced, root=0)
+
+
+def tree_fold(values: Sequence[Any], op: Callable[[Any, Any], Any]) -> Any:
+    """What :meth:`Communicator.reduce` returns at root 0 when rank ``r``
+    holds ``values[r]``, computed locally in the same binomial grouping —
+    so a float fold is bit-for-bit the collective's."""
+    acc = list(values)
+    mask = 1
+    while mask < len(acc):
+        for v in range(0, len(acc) - mask, 2 * mask):
+            acc[v] = op(acc[v], acc[v + mask])
+        mask <<= 1
+    return acc[0]
 
 
 class InterComm(_Endpoint):

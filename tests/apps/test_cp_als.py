@@ -108,11 +108,14 @@ class TestOracleMatch:
 
 
 def sweep_traffic(monkeypatch, nprocs):
-    """Run at ``nprocs`` and return, per rank, the inspector's answer
-    (``asked[reader][m]``: my local rows of factor ``m`` that ``reader``
-    reads) and every sweep send as ``(mode, tag, dest, factor)``.  A
-    fetch's factor is found by its payload: the owner's rows of it."""
-    asked, sends, built, modes = {}, {}, {}, {}
+    """Run at ``nprocs`` and return the inspector's answer per rank
+    (``asked[rank][reader][m]``: the rank's local rows of factor ``m``
+    that ``reader`` reads), the holders of each factor (the ranks whose
+    block of it has rows), every sweep send per rank in order as
+    ``(tag, dest, what)``, and the scatter messages each rank received.
+    A fetch's ``what`` is its factor, found by its payload (the owner's
+    rows of it); a scatter's is whether it carried rows."""
+    asked, sends, received, built = {}, {}, {}, {}
     original_from_global = HPFArray.from_global.__func__
 
     def from_global(cls, comm, *args, **kw):
@@ -133,73 +136,103 @@ def sweep_traffic(monkeypatch, nprocs):
     def on_exchange(comm, out, payloads):
         asked[comm.rank] = out
 
-    def on_allreduce(comm, out, *args):
-        if "cp_als:iterate" in comm.process.phase_path:
-            modes[comm.rank] = modes.get(comm.rank, 0) + 1
-
     def on_send(comm, out, dest, payload, tag=0):
         if tag == cp_als._TAG_FETCH:
             factors = built[comm.rank]
-            [m] = [m for m in range(3)
-                   if np.array_equal(factors[m].local_nd[
-                       asked[comm.rank][dest][m]], payload)]
+            [what] = [m for m in range(3)
+                      if np.array_equal(factors[m].local_nd[
+                          asked[comm.rank][dest][m]], payload)]
         elif tag == cp_als._TAG_SCATTER:
-            m = None
+            what = payload[0] is not None
         else:
             return
-        sends.setdefault(comm.rank, []).append(
-            (modes.get(comm.rank, 0), tag, dest, m))
+        sends.setdefault(comm.rank, []).append((tag, dest, what))
+
+    def on_recv(comm, out, source, tag=0, *rest):
+        if tag == cp_als._TAG_SCATTER:
+            received[comm.rank] = received.get(comm.rank, 0) + 1
 
     monkeypatch.setattr(HPFArray, "from_global", classmethod(from_global))
     spy("alltoall_sparse", on_exchange)
-    spy("allreduce", on_allreduce)
     spy("send", on_send)
+    spy("recv", on_recv)
     res = run(nprocs)
-    return res, asked, sends
+    holders = [{r for r in range(nprocs) if len(built[r][m].local_nd)}
+               for m in range(3)]
+    return res, asked, holders, sends, received
+
+
+def by_step(sent, holders, rank):
+    """Split one rank's sweep sends into the solve's ``3 * ITERS`` mode
+    steps.  Step ``k`` ends in its scatter, one message to each holder of
+    factor ``k % 3`` but the rank; its fetches come before it.  A rank
+    that sends more or fewer scatter messages fails the split."""
+    steps, pending = [], iter(sent)
+    for step in range(3 * ITERS):
+        want = len(holders[step % 3] - {rank})
+        chunk: list = []
+        while sum(tag == cp_als._TAG_SCATTER for tag, *_ in chunk) < want:
+            chunk.append(next(pending))
+        steps.append(chunk)
+    assert next(pending, None) is None, rank
+    return steps
 
 
 class TestSweepTraffic:
     """What a sweep puts on the wire: only the factor that changed, one
-    message per communicating (owner, reader) pair."""
+    fetch message per communicating (owner, reader) pair, and one scatter
+    message from every rank to every other holder of the mode's factor —
+    no collective."""
 
     def test_a_mode_fetches_only_the_factor_solved_before_it(self,
                                                              monkeypatch):
-        _, _, sends = sweep_traffic(monkeypatch, 4)
+        _, _, holders, sends, _ = sweep_traffic(monkeypatch, 4)
+        every = set()
         for rank, sent in sends.items():
-            for step in range(3 * ITERS):
-                fetched = {m for mode, tag, _, m in sent
-                           if mode == step and tag == cp_als._TAG_FETCH}
-                stale = {1, 2} if step == 0 else {(step - 1) % 3}
+            for step, chunk in enumerate(by_step(sent, holders, rank)):
+                fetched = {m for tag, _, m in chunk
+                           if tag == cp_als._TAG_FETCH}
+                # every rank drew the initial factors: mode 0 of the
+                # first sweep fetches nothing
+                stale = set() if step == 0 else {(step - 1) % 3}
                 assert fetched <= stale, (rank, step, fetched)
-        every = {(mode, m) for sent in sends.values()
-                 for mode, tag, _, m in sent if tag == cp_als._TAG_FETCH}
-        assert every == {(0, 1), (0, 2)} | {
-            (step, (step - 1) % 3) for step in range(1, 3 * ITERS)}
+                every |= {(step, m) for m in fetched}
+        assert every == {(step, (step - 1) % 3)
+                         for step in range(1, 3 * ITERS)}
 
     def test_one_message_per_communicating_pair(self, monkeypatch):
         nprocs = 8
-        res, asked, sends = sweep_traffic(monkeypatch, nprocs)
+        res, asked, holders, sends, received = sweep_traffic(monkeypatch,
+                                                             nprocs)
         # rows of factor 0 (12 of them) live on ranks 0-5 only
+        assert holders[0] == set(range(6))
         assert all(len(asked.get(rank, {}).get(reader, [[]])[0]) == 0
                    for rank in (6, 7) for reader in range(nprocs))
         for rank in range(nprocs):
-            sent = sends.get(rank, [])
             readers = [{r for r, rows in asked[rank].items()
                         if r != rank and len(rows[m])} for m in range(3)]
-            for step in range(3 * ITERS):
-                stale = (1, 2) if step == 0 else ((step - 1) % 3,)
+            steps = by_step(sends.get(rank, []), holders, rank)
+            for step, chunk in enumerate(steps):
+                stale = () if step == 0 else ((step - 1) % 3,)
                 for m in stale:
-                    dests = [d for mode, tag, d, f in sent
-                             if mode == step and f == m]
+                    dests = [d for tag, d, f in chunk
+                             if tag == cp_als._TAG_FETCH and f == m]
                     assert sorted(dests) == sorted(readers[m]), (rank, step)
-                # the partials go home: one message per owner I read from
+                # the partials go to every other holder, rows only to the
+                # owners I read from
+                mode = step % 3
+                scatter = {d: rows for tag, d, rows in chunk
+                           if tag == cp_als._TAG_SCATTER}
+                assert set(scatter) == holders[mode] - {rank}, (rank, step)
                 owners = {o for o, rows in asked.items() if o != rank
-                          and rank in rows and len(rows[rank][step % 3])}
-                dests = [d for mode, tag, d, _ in sent
-                         if mode == step and tag == cp_als._TAG_SCATTER]
-                assert sorted(dests) == sorted(owners), (rank, step)
-        assert not any(f == 0 for rank in (6, 7)
-                       for *_, f in sends.get(rank, []))
+                          and rank in rows and len(rows[rank][mode])}
+                assert {d for d, rows in scatter.items() if rows} == owners
+            # a holder hears from every other rank, a non-holder from none
+            assert received.get(rank, 0) == (nprocs - 1) * sum(
+                rank in holders[step % 3] for step in range(3 * ITERS))
+        assert received.get(6, 0) == received.get(7, 0) == 0
+        assert not any(tag == cp_als._TAG_FETCH and f == 0
+                       for rank in (6, 7) for tag, _, f in sends.get(rank, []))
         for out in res.values[1:]:
             assert factors_sha256(out.factors) == factors_sha256(
                 res.values[0].factors)
@@ -240,8 +273,9 @@ class TestSweepTraffic:
 class TestSetupCollectives:
     """Setup does only what the solve reads: the hash map registers in one
     collective, the inspector's exchange learns its senders in one, the
-    factors come home in one, and the Grams are the only allreduces — on
-    a rank with no nonzeros too (``sparse``: 5 raw nonzeros)."""
+    factors come home in one, and the sweep runs none (its Grams ride the
+    scatter) — on a rank with no nonzeros too (``sparse``: 5 raw
+    nonzeros)."""
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_collectives_per_solve(self, monkeypatch, sparse):
@@ -263,10 +297,10 @@ class TestSetupCollectives:
         run(4, **({"nnz": 5} if sparse else {}))
         per_rank = {name: len(ranks) // 4 for name, ranks in calls.items()}
         # hash-map registration + inspector + gather; an allgather is a
-        # gather and a bcast, an allreduce ends in one
-        nall, ngram = 3, 3 * ITERS
+        # gather and a bcast; no allreduce
+        nall = 3
         assert per_rank == {"allgather": nall, "gather": nall,
-                            "bcast": nall + ngram, "allreduce": ngram}
+                            "bcast": nall}
 
     @pytest.mark.parametrize("nprocs", [3, 4, 8])
     @pytest.mark.parametrize("sparse", [False, True])

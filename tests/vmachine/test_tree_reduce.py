@@ -6,14 +6,17 @@ fold, while keeping the *operand order* linear in virtual-rank order
 (``root, root+1, ..., P-1, 0, ..., root-1``).  That ordering contract is
 what lets non-commutative (but associative) operators work unchanged —
 these tests pin it with list concatenation, the canonical associative
-non-commutative op.
+non-commutative op.  ``tree_fold`` computes the same value locally, in
+the same grouping.
 """
 
+import functools
 import math
 
 import pytest
 
 from repro.vmachine import VirtualMachine
+from repro.vmachine.comm import tree_fold
 
 from helpers import run_spmd
 
@@ -107,3 +110,34 @@ class TestTreeShape:
         t32 = max(run_spmd(32, spmd).values)
         # Linear fold would scale by ~31/7 > 4.4; tree depth by 5/3 < 1.7.
         assert t32 / t8 < 2.5
+
+
+def _pair(a, b):
+    """Shows the grouping: ``((0, 1), (2, 3))``, not ``(((0, 1), 2), 3)``."""
+    return (a, b)
+
+
+class TestTreeFold:
+    def test_grouping_is_the_reduce_at_root_zero(self):
+        for size in (1, 2, 3, 5, 6, 7, 8, 13, 16):
+            def spmd(comm):
+                return comm.reduce(comm.rank, _pair, root=0)
+
+            got = run_spmd(size, spmd).values[0]
+            assert tree_fold(list(range(size)), _pair) == got, size
+
+    def test_float_fold_is_bit_for_bit_the_reduce(self):
+        """1 + (2**-53 + 2**-53) is 1 + 2**-52, while either linear fold
+        rounds each 2**-53 away: a linear fold, or one that drops the
+        zero partial (which regroups the rest), gets 1.0."""
+        values = [1.0, 0.0, 2.0 ** -53, 2.0 ** -53]
+
+        def spmd(comm):
+            return comm.reduce(values[comm.rank], lambda x, y: x + y,
+                               root=0)
+
+        got = run_spmd(len(values), spmd).values[0]
+        add = lambda x, y: x + y  # noqa: E731
+        assert tree_fold(values, add) == got == 1.0 + 2.0 ** -52
+        assert functools.reduce(add, values) == 1.0
+        assert tree_fold([v for v in values if v], add) == 1.0

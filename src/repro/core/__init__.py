@@ -17,7 +17,7 @@ The pieces map one-to-one onto the paper's section 4:
 - :mod:`repro.core.dataplane` — the compiled data plane: offset
   sequences lowered once into cached batched move programs
   (slice / strided-grid / fancy-index) over arbitrarily strided
-  local storage, with receive-side buffer donation;
+  local storage;
 - :mod:`repro.core.plan` — the one move executor and its multi-array
   extension: k schedules compiled into a
   :class:`~repro.core.plan.MovePlan` whose execution sends one message

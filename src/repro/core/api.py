@@ -139,19 +139,12 @@ def mc_copy(
     dst_array: Any,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    donate: bool = False,
 ) -> None:
     """One-shot data move within a single program (``MC_Copy``).
 
     ``policy=ExecutorPolicy.OVERLAP`` selects the latency-hiding executor
     (rotated injection + arrival-order completion); the destination array
     is identical either way.
-
-    ``donate=True`` enables buffer donation on the receive side: a
-    message that overwrites a destination's entire local storage (exact
-    dtype) is adopted as that storage instead of scattered through.
-    Opt-in because adoption rebinds ``array.local`` — callers holding
-    aliases of the old storage keep the old bytes.
 
     To run the move over an unreliable (fault-injected) transport, pass a
     :class:`~repro.core.universe.Universe` on which
@@ -167,7 +160,7 @@ def mc_copy(
         )
     with universe.process.span("copy:execute"):
         data_move(schedule, src_array, dst_array, universe, policy=policy,
-                  timeout=timeout, donate=donate)
+                  timeout=timeout)
 
 
 def mc_compute_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
@@ -190,7 +183,6 @@ def mc_copy_many(
     dst_arrays: Sequence[Any],
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    donate: bool = False,
 ) -> MovePlan:
     """Fused one-shot move of several arrays within a single program.
 
@@ -215,7 +207,7 @@ def mc_copy_many(
     )
     with universe.process.span("plan:execute"):
         plan_move(plan, src_arrays, dst_arrays, universe, policy=policy,
-                  timeout=timeout, donate=donate)
+                  timeout=timeout)
     return plan
 
 
@@ -238,12 +230,11 @@ def mc_plan_move_recv(
     dst_arrays: Sequence[Any],
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    donate: bool = False,
 ) -> None:
     """Receive half of a fused multi-array move (destination group)."""
     universe = _as_universe(where)
     plan_move_recv(plan, dst_arrays, universe, policy=policy,
-                   timeout=timeout, donate=donate)
+                   timeout=timeout)
 
 
 def mc_data_move_send(
@@ -265,9 +256,8 @@ def mc_data_move_recv(
     dst_array: Any,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    donate: bool = False,
 ) -> None:
     """Receive half of a data move (``MC_DataMoveRecv``)."""
     universe = _as_universe(where)
     data_move_recv(schedule, dst_array, universe, policy=policy,
-                   timeout=timeout, donate=donate)
+                   timeout=timeout)

@@ -37,7 +37,6 @@ from repro.core.schedule import CommSchedule
 from repro.core.universe import TwoProgramUniverse, Universe
 from repro.vmachine.faults import PeerLostError, RankLostError
 from repro.vmachine.program import ProgramContext
-from repro.vmachine.reliability import Reliability, ReliabilityConfig
 
 __all__ = ["coupled_universe", "sync_programs", "guard_peer", "exchange",
            "CoupledExchange"]
@@ -128,7 +127,6 @@ def exchange(
     reverse: bool,
     policy: ExecutorPolicy | str,
     deadline_s: float | None = None,
-    donate: bool = False,
 ) -> None:
     """Run ``plan`` forward (push) or, with ``reverse``, over the reversed
     universe (pull; the plan must fuse the reversed schedules): the
@@ -147,8 +145,7 @@ def exchange(
                    arrays, universe, policy=policy, timeout=deadline_s)
     else:
         guard_peer(universe, direction, plan_move_recv, plan,
-                   arrays, universe, policy=policy, timeout=deadline_s,
-                   donate=donate)
+                   arrays, universe, policy=policy, timeout=deadline_s)
 
 
 class CoupledExchange:
@@ -169,11 +166,10 @@ class CoupledExchange:
         program.  ``None`` (default) uses the per-process receive
         timeout.
     reliability:
-        Opt-in reliable delivery for the exchanged data: ``True`` (default
-        config), a :class:`~repro.vmachine.reliability.ReliabilityConfig`,
-        or an existing :class:`~repro.vmachine.reliability.Reliability`
-        instance to share.  Attached to the universe, so both directions
-        of the exchange use one protocol instance.
+        Opt-in reliable delivery for the exchanged data
+        (:meth:`~repro.core.universe.Universe.enable_reliability`).
+        Attached to the universe, so both directions of the exchange use
+        one protocol instance.
     """
 
     def __init__(
@@ -182,7 +178,7 @@ class CoupledExchange:
         schedule: CommSchedule,
         policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
         deadline_s: float | None = None,
-        reliability: Reliability | ReliabilityConfig | bool | None = None,
+        reliability: bool = False,
     ):
         self.universe = universe
         self.schedule = schedule
@@ -196,11 +192,7 @@ class CoupledExchange:
         self.policy = policy
         #: wall-clock budget per exchange before declaring the peer lost
         self.deadline_s = deadline_s
-        if isinstance(reliability, Reliability):
-            universe.reliability = reliability
-        elif isinstance(reliability, ReliabilityConfig):
-            universe.enable_reliability(reliability)
-        elif reliability:
+        if reliability:
             universe.enable_reliability()
 
     @property
@@ -208,35 +200,29 @@ class CoupledExchange:
         """Name of the peer program (when built via :func:`coupled_universe`)."""
         return self.universe.peer_program
 
-    def _exchange(
-        self, arrays: Sequence[Any], reverse: bool, donate: bool
-    ) -> None:
+    def _exchange(self, arrays: Sequence[Any], reverse: bool) -> None:
         """Move ``arrays`` forward (push) or in reverse (pull) over k
         copies of the exchange schedule (or of its reverse) — the plan
         :func:`~repro.core.plan.plan_of` memoises on the schedule, so a
         timestep loop exchanging the same k fields compiles it once."""
         exchange(
             plan_of(self.schedule, len(arrays), reverse), arrays,
-            self.universe, reverse, self.policy, self.deadline_s, donate,
+            self.universe, reverse, self.policy, self.deadline_s,
         )
 
-    def push(self, local_array: Any, donate: bool = False) -> None:
+    def push(self, local_array: Any) -> None:
         """Forward copy: source program sends, destination receives.
-
-        ``donate`` applies on the receiving side only: an eligible
-        message (full-coverage unpack, exact dtype) is adopted as the
-        local array's storage instead of scattered through.
 
         Raises :class:`~repro.vmachine.faults.PeerLostError` within the
         deadline when the peer program has failed.
         """
-        self._exchange((local_array,), False, donate)
+        self._exchange((local_array,), False)
 
-    def pull(self, local_array: Any, donate: bool = False) -> None:
+    def pull(self, local_array: Any) -> None:
         """Reverse copy along the same (symmetric) schedule."""
-        self._exchange((local_array,), True, donate)
+        self._exchange((local_array,), True)
 
-    def push_many(self, local_arrays: Sequence[Any], donate: bool = False) -> None:
+    def push_many(self, local_arrays: Sequence[Any]) -> None:
         """Forward copy of several fields in one fused message per pair.
 
         Equivalent to ``for a in local_arrays: push(a)`` — identical
@@ -245,8 +231,8 @@ class CoupledExchange:
         latency k-1 times per pair and per timestep.  Both programs must
         pass the same number of arrays, in the same order.
         """
-        self._exchange(local_arrays, False, donate)
+        self._exchange(local_arrays, False)
 
-    def pull_many(self, local_arrays: Sequence[Any], donate: bool = False) -> None:
+    def pull_many(self, local_arrays: Sequence[Any]) -> None:
         """Reverse fused copy of several fields (symmetric schedule)."""
-        self._exchange(local_arrays, True, donate)
+        self._exchange(local_arrays, True)

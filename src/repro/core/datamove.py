@@ -95,17 +95,14 @@ def data_move_recv(
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    donate: bool = False,
 ) -> None:
     """Execute the receive half of a schedule (``MC_DataMoveRecv``).
 
-    ``donate=True`` lets an eligible received buffer (full-coverage
-    unpack, exact dtype) be adopted directly as the destination array's
-    storage instead of scattered through.  Completion order, ``timeout``
-    and failure semantics: :func:`~repro.core.plan.plan_move_recv`.
+    Completion order, ``timeout`` and failure semantics:
+    :func:`~repro.core.plan.plan_move_recv`.
     """
     plan_move_recv(plan_of(schedule), (dst_array,), universe, policy=policy,
-                   timeout=timeout, donate=donate)
+                   timeout=timeout)
 
 
 def data_move(
@@ -115,10 +112,9 @@ def data_move(
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    donate: bool = False,
 ) -> None:
     """Full copy for processors holding both roles (single program), or a
     convenience wrapper dispatching to the proper half otherwise
     (:func:`~repro.core.plan.plan_move`)."""
     plan_move(plan_of(schedule), (src_array,), (dst_array,), universe,
-              policy=policy, timeout=timeout, donate=donate)
+              policy=policy, timeout=timeout)

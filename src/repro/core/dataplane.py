@@ -157,19 +157,6 @@ class MoveProgram:
             self._coords[shape] = got
         return got
 
-    def is_full_span(self, size: int) -> bool:
-        """True when the program is exactly ``[0, size)`` ascending by 1.
-
-        The buffer-donation eligibility test: such an unpack overwrites
-        every element of the destination in order, so adopting the
-        received buffer as the new storage is indistinguishable from
-        copying through it.
-        """
-        return (
-            self.kind == "slice" and self.start == 0 and self.step == 1
-            and self.n == size
-        )
-
     # -- executors -----------------------------------------------------------
 
     def gather(self, data: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:

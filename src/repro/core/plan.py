@@ -507,7 +507,6 @@ def plan_move_recv(
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    donate: bool = False,
 ) -> None:
     """Receive half of a move (``MC_DataMoveRecv``): one message per
     source processor, unpacked as the data plane's ``arrivals`` delivers
@@ -519,15 +518,9 @@ def plan_move_recv(
     :class:`~repro.vmachine.faults.RankLostError` immediately.
 
     Placement depends only on the schedule offsets, so completion order
-    never changes the destination data.  ``donate=True`` lets an eligible
-    received buffer or segment (full-coverage unpack, exact dtype) be
-    adopted as the destination array's storage instead of scattered
-    through — the zero-copy receive path; the clock trajectory is
-    identical either way.  A fused payload then returns its staging
-    buffer to the sender's arena — unless a segment was donated: the
-    bytes belong to the array now and must never be recycled, so the
-    lease is severed and :meth:`~repro.core.wire.FusedBuffer.release`
-    becomes a no-op.
+    never changes the destination data.  Each slot's local storage is
+    read once per call; a fused payload returns its staging buffer to
+    the sender's arena once unpacked.
     """
     if universe.my_dst_rank is None:
         raise RuntimeError(
@@ -536,30 +529,23 @@ def plan_move_recv(
     _check_arrays(plan, dst_arrays, "destination")
     route = _route(plan, universe, policy)
     proc = universe.process
-    adapters = [get_adapter(sched.dst_lib) for sched in plan.schedules]
-    datas = [a.local_data(x) for a, x in zip(adapters, dst_arrays)]
-    bare = len(adapters) == 1
+    datas = [
+        get_adapter(sched.dst_lib).local_data(array)
+        for sched, array in zip(plan.schedules, dst_arrays)
+    ]
+    bare = len(datas) == 1
     for s, payload in universe.data_plane(universe.to_src).arrivals(
         route.sources, TAG_DATA,
         overlap=route.policy is ExecutorPolicy.OVERLAP, timeout=timeout,
     ):
         program = plan.recv_programs[s]
-        donated = False
         segments = _received_segments(program, payload, s, bare)
         with proc.span("unpack") if proc.labelled else NO_SPAN:
             for seg, values in zip(program, segments):
-                i = seg.schedule_id
-                if unpack_segment(proc, adapters[i], dst_arrays[i],
-                                  seg.program, datas[i], values, donate):
-                    # Adoption rebound that array's storage: later rows and
-                    # messages (the array may fill several slots) must
-                    # address the new one.
-                    donated = True
-                    datas = [a.local_data(x) for a, x in zip(adapters, dst_arrays)]
+                unpack_segment(proc, seg.program, datas[seg.schedule_id],
+                               values)
         proc.metrics.incr("cache_program_hits", len(program))
         if not bare:
-            if donated:
-                payload.sever_lease()
             payload.release()
 
 
@@ -595,7 +581,6 @@ def plan_move(
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
     timeout: float | None = None,
-    donate: bool = False,
 ) -> None:
     """Full move for processors holding both roles (single program), or
     role dispatch to the proper half otherwise.
@@ -618,7 +603,7 @@ def plan_move(
         plan_move_send(plan, src_arrays, universe, policy=policy,
                        timeout=timeout)
         plan_move_recv(plan, dst_arrays, universe, policy=policy,
-                       timeout=timeout, donate=donate)
+                       timeout=timeout)
         universe.end_phase(timeout=timeout)
         return
     if universe.my_src_rank is not None:
@@ -626,4 +611,4 @@ def plan_move(
                        timeout=timeout)
     if universe.my_dst_rank is not None:
         plan_move_recv(plan, dst_arrays, universe, policy=policy,
-                       timeout=timeout, donate=donate)
+                       timeout=timeout)

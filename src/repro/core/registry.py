@@ -9,9 +9,8 @@ parallel libraries ... a standard set of inquiry functions."  A
   of a SetOfRegions to (owner rank, local address);
 - :meth:`~LibraryAdapter.local_elements` — enumerate the calling rank's
   own elements of a SetOfRegions (with their linearization positions);
-- :meth:`~LibraryAdapter.local_data` / :meth:`~LibraryAdapter.adopt_local`
-  — expose (and, for donation, rebind) the rank-local storage the move
-  executor gathers from and scatters into;
+- :meth:`~LibraryAdapter.local_data` — expose the rank-local storage the
+  move executor gathers from and scatters into;
 - :meth:`~LibraryAdapter.export_handle` — produce the exchangeable data
   descriptor the *duplication* schedule method ships between programs.
 
@@ -152,16 +151,6 @@ class LibraryAdapter(abc.ABC):
             )
         return array.local
 
-    def adopt_local(self, array: Any, values: np.ndarray) -> bool:
-        """Adopt ``values`` as the array's new local storage (donation).
-
-        Called by :func:`unpack_segment` when a received buffer may be
-        donated wholesale instead of copied through; rebinds
-        ``array.local`` and returns True.
-        """
-        array.local = values
-        return True
-
     # -- cost policy (override per library) -----------------------------------
 
     @abc.abstractmethod
@@ -243,8 +232,8 @@ class LibraryAdapter(abc.ABC):
     # -- data movement ----------------------------------------------------------
     #
     # What the move executor (:mod:`repro.core.plan`) needs of an adapter
-    # is :meth:`local_data` and :meth:`adopt_local`; it runs the segment
-    # kernels below on rows it lowered at plan-compile time.  The four
+    # is :meth:`local_data`; it runs the segment kernels below on rows it
+    # lowered at plan-compile time.  The four
     # methods here are one-shot conveniences over the *same* kernels, for
     # callers holding an offset list instead of a compiled plan.
 
@@ -272,18 +261,13 @@ class LibraryAdapter(abc.ABC):
         pack_segment(current_process(), prog, self.local_data(array), out)
 
     def unpack(
-        self,
-        array: Any,
-        offsets: np.ndarray | RunList,
-        values: np.ndarray,
-        donate: bool = False,
-    ) -> bool:
+        self, array: Any, offsets: np.ndarray | RunList, values: np.ndarray
+    ) -> None:
         """Scatter buffer ``values`` into local elements at ``offsets``
-        (:func:`unpack_segment`); True when ``values`` was donated."""
-        return unpack_segment(
-            current_process(), self, array,
-            compile_offsets(offsets), self.local_data(array),
-            values, donate,
+        (:func:`unpack_segment`)."""
+        unpack_segment(
+            current_process(), compile_offsets(offsets),
+            self.local_data(array), values,
         )
 
     def copy_local(
@@ -292,15 +276,13 @@ class LibraryAdapter(abc.ABC):
         src_offsets: np.ndarray | RunList,
         dst_array: Any,
         dst_offsets: np.ndarray | RunList,
-        src_adapter: "LibraryAdapter | None" = None,
     ) -> None:
-        """Direct local-to-local copy (:func:`copy_segment`).  ``self`` is
-        the *destination* library's adapter; pass ``src_adapter`` when the
-        source array belongs to a different library."""
+        """Direct local-to-local copy between two arrays of this library
+        (:func:`copy_segment`)."""
         copy_segment(
             current_process(),
             compile_offsets(src_offsets),
-            (src_adapter or self).local_data(src_array),
+            self.local_data(src_array),
             compile_offsets(dst_offsets),
             self.local_data(dst_array),
         )
@@ -348,36 +330,14 @@ def pack_segment(
 
 
 def unpack_segment(
-    proc: Process, adapter: "LibraryAdapter", array: Any,
-    program: MoveProgram, data: np.ndarray, values: np.ndarray,
-    donate: bool = False,
-) -> bool:
-    """Scatter ``values`` into ``data[program]`` (``data`` is ``array``'s
-    local storage) as one batched store.
-
-    With ``donate=True`` and a program that overwrites the entire local
-    storage in order (``[0, size)`` ascending, exact dtype match, 1-D
-    writable buffer), the received buffer is *adopted* as the array's
-    storage instead of being copied through — the zero-copy receive
-    path.  Returns True when it was (the caller must then stop reusing
-    or releasing it and re-read ``local_data``); same charge either way.
-    """
+    proc: Process, program: MoveProgram, data: np.ndarray, values: np.ndarray,
+) -> None:
+    """Scatter ``values`` into ``data[program]`` as one batched store."""
     values = np.asarray(values)
     if values.dtype != data.dtype and program.n:
         ensure_safe_cast(values.dtype, data.dtype)
     proc.charge(proc.cost.pack(program.n), "per_element")
-    if (
-        donate
-        and values.ndim == 1
-        and values.size == program.n
-        and values.dtype == data.dtype
-        and values.flags.writeable
-        and program.is_full_span(data.size)
-        and adapter.adopt_local(array, values)
-    ):
-        return True
     program.scatter(data, values)
-    return False
 
 
 def copy_segment(

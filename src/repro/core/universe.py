@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from repro.vmachine.comm import Communicator, InterComm
 from repro.vmachine.process import Process
-from repro.vmachine.reliability import Reliability, ReliabilityConfig
+from repro.vmachine.reliability import Reliability
 # Reserved tags for Meta-Chaos traffic (outside user tag space), re-exported
 # for the schedule builder and the move executor.
 from repro.vmachine.tags import (  # noqa: F401
@@ -82,19 +82,17 @@ class Universe:
 
     # -- reliable data plane --------------------------------------------------
 
-    def enable_reliability(
-        self, config: ReliabilityConfig | None = None
-    ) -> Reliability:
+    def enable_reliability(self) -> Reliability:
         """Attach (or return the existing) reliable-delivery layer.
 
         Once enabled, :func:`~repro.core.datamove.data_move` and friends
         route every ``TAG_DATA`` payload through the sequence-numbered
         ack/retransmit protocol; schedule-construction traffic keeps using
         the bare transport.  Idempotent: a second call returns the same
-        instance (``config`` is only honoured on the first).
+        instance.
         """
         if self.reliability is None:
-            self.reliability = Reliability(config)
+            self.reliability = Reliability()
         return self.reliability
 
     def data_plane(self, endpoint):

@@ -305,18 +305,6 @@ class FusedBuffer:
         if lease is not None:
             lease.release()
 
-    def sever_lease(self) -> None:
-        """Detach the arena lease *without* recycling the storage.
-
-        Called when a segment of this buffer was donated as a
-        destination array's storage: the bytes live on in the array, so
-        they must never return to the sender's pool (a later lease
-        would scribble over the array).  A subsequent :meth:`release`
-        becomes a no-op; the arena allocates fresh storage on its next
-        miss.
-        """
-        self._lease = None
-
     def __deepcopy__(self, memo) -> "FusedBuffer":
         # copy-on-send support: the copy owns private storage and no
         # lease; the immutable layout is shared.

@@ -20,9 +20,12 @@ LayeredStore`) with one counter table, mirrored under two prefixes:
 ``cache_svc_<counter>``      the service's :class:`~repro.service.
                              cache.ServiceCache` (bind-keyed), one per
                              rank of the gateway and of the server
-``cache_program_{hits,       MoveProgram memoization on RunList halves
-misses}``                    (:func:`~repro.core.dataplane.
-                             compile_offsets`)
+``cache_program_{hits,       MoveProgram rows: a miss is a RunList
+misses}``                    half's first lowering (:func:`~repro.
+                             core.dataplane.compile_offsets`); a hit
+                             is a memo hit there or a row a move
+                             executes, counted per message by its
+                             segment count (docs/MODEL.md §8)
 ============================ =========================================
 
 ``<counter>`` is one of ``schedule_{hits, misses, evictions}`` and

@@ -52,7 +52,7 @@ from repro.vmachine.faults import (
     SimulatedCrash,
     tag_class,
 )
-from repro.vmachine.reliability import Reliability, ReliabilityConfig
+from repro.vmachine.reliability import Reliability
 from repro.vmachine.window import Window, RMAHandle, TAG_RMA_BASE, ACCUMULATE_OPS
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
     "SimulatedCrash",
     "tag_class",
     "Reliability",
-    "ReliabilityConfig",
     "Window",
     "RMAHandle",
     "TAG_RMA_BASE",

@@ -21,10 +21,10 @@ Per directed channel ``(communicator context, peer, tag)``:
   :class:`~repro.vmachine.faults.DeliveryReceipt` is the *retransmission
   oracle*: a real sender only learns of a lost datagram when its
   retransmission timer (RTO) expires, so on a lost receipt the layer
-  charges the RTO (exponential backoff: ``base_rto_s * backoff**attempt``)
+  charges the RTO (exponential backoff: ``BASE_RTO_S * BACKOFF**attempt``)
   to the sender's logical clock and retransmits — the same logical cost
   and the same wire traffic as a timer-driven ARQ, with none of the
-  wall-clock non-determinism.  After ``max_retries`` lost receipts the
+  wall-clock non-determinism.  After ``MAX_RETRIES`` lost receipts the
   peer is declared lost (:class:`~repro.vmachine.faults.RankLostError`
   carrying the channel's last-ack state).
 - **Receiver**: accepts envelopes, suppresses duplicates, buffers
@@ -49,15 +49,14 @@ would pay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from repro.vmachine.faults import RankLostError
 from repro.vmachine.tags import REL_ACK, REL_DATA
 from repro.vmachine.trace import format_tag
 
-__all__ = ["ReliabilityConfig", "Reliability", "ReliableView", "REL_DATA",
-           "REL_ACK"]
+__all__ = ["Reliability", "ReliableView", "REL_DATA", "REL_ACK",
+           "BASE_RTO_S", "BACKOFF", "MAX_RETRIES"]
 
 # Shadow-tag bits (repro.vmachine.tags): a reliable data envelope for
 # user/runtime tag ``t`` travels on ``t | REL_DATA``; its cumulative acks
@@ -65,24 +64,12 @@ __all__ = ["ReliabilityConfig", "Reliability", "ReliableView", "REL_DATA",
 # the owning communicator's context block, so context scoping still applies.
 
 
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Tunables of the ack/retransmit protocol."""
-
-    #: initial retransmission timeout charged on the first lost delivery
-    base_rto_s: float = 2e-3
-    #: multiplicative backoff applied per successive retransmission
-    backoff: float = 2.0
-    #: lost deliveries tolerated per message before declaring the peer lost
-    max_retries: int = 8
-
-    def __post_init__(self) -> None:
-        if self.base_rto_s < 0:
-            raise ValueError("base_rto_s must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+#: initial retransmission timeout charged on the first lost delivery
+BASE_RTO_S = 2e-3
+#: multiplicative backoff applied per successive retransmission
+BACKOFF = 2.0
+#: lost deliveries tolerated per message before declaring the peer lost
+MAX_RETRIES = 8
 
 
 class _OutChannel:
@@ -140,8 +127,7 @@ class Reliability:
     duplicate suppression across retransmissions requires.
     """
 
-    def __init__(self, config: ReliabilityConfig | None = None):
-        self.config = config or ReliabilityConfig()
+    def __init__(self):
         self._out: dict[tuple[int, int, int], _OutChannel] = {}
         self._in: dict[tuple[int, int, int], _InChannel] = {}
 
@@ -183,21 +169,20 @@ class Reliability:
         goes out as an ordinary (charged, traced) message.  Data
         envelopes and cumulative acks share this one discipline.
         """
-        cfg = self.config
         proc = endpoint.process
         receipt = endpoint.send(peer, item, wire_tag)
         attempt = 0
         while receipt.lost:
-            if attempt >= cfg.max_retries:
+            if attempt >= MAX_RETRIES:
                 raise RankLostError(
                     proc.rank,
                     endpoint.peer_global(peer),
-                    f"{what} still lost after {cfg.max_retries} "
+                    f"{what} still lost after {MAX_RETRIES} "
                     "retransmissions",
                     pending=proc.mailbox.pending_summary(),
                     last_ack=ch.describe(),
                 )
-            rto = cfg.base_rto_s * cfg.backoff ** attempt
+            rto = BASE_RTO_S * BACKOFF ** attempt
             proc.charge(rto, term="rto")
             self._bump(proc, "rel_rto_wait_s", rto)
             receipt = endpoint.send(peer, item, wire_tag)

@@ -65,7 +65,7 @@ import numpy as np
 
 from repro.vmachine.comm import Communicator
 from repro.vmachine.payload import SizedList
-from repro.vmachine.reliability import Reliability, ReliabilityConfig
+from repro.vmachine.reliability import Reliability
 from repro.vmachine.tags import REL_DATA, TAG_RMA_BASE
 from repro.vmachine.trace import TraceEvent
 
@@ -134,7 +134,7 @@ class Window:
     reliability:
         Share an existing :class:`Reliability` instance instead, as
         windows fenced as one group must (passing it with ``reliable=True``
-        or ``reliability_config`` raises ``ValueError``).
+        raises ``ValueError``).
     """
 
     def __init__(
@@ -143,16 +143,13 @@ class Window:
         local: np.ndarray,
         reliable: bool = False,
         reliability: Reliability | None = None,
-        reliability_config: ReliabilityConfig | None = None,
     ):
-        if reliability is not None and (reliable or reliability_config is not None):
+        if reliability is not None and reliable:
             raise ValueError(
                 "pass either an existing reliability= instance or "
-                "reliable=True (with an optional reliability_config=), "
-                "not both: the shared instance keeps its own config"
+                "reliable=True, not both"
             )
-        self._bind(comm, local, Reliability(reliability_config)
-                   if reliable else reliability)
+        self._bind(comm, local, Reliability() if reliable else reliability)
         _learn_extents(comm, [self])
 
     @classmethod

@@ -15,8 +15,10 @@ library's arrays.  This file holds that claim two ways:
   under both schedule methods, every result equal to the serial oracle;
 - the conformance suite every registered library (and the fifth) passes:
   dereference ∘ local-elements consistency, a linearization bijection
-  against the serial oracle, a handle export → materialize round trip,
-  donation, and dereference charges equal to the adapter's own policy.
+  against the serial oracle, a handle export → materialize round trip, a
+  full-span receive that keeps the array's storage and returns the fused
+  staging buffer, and dereference charges equal to the adapter's own
+  policy.
 """
 
 import inspect
@@ -41,15 +43,13 @@ from repro.core import (
 )
 from repro.core import registry
 from repro.core.coupling import CoupledExchange, coupled_universe
-from repro.core.dataplane import compile_offsets, read_flat
+from repro.core.dataplane import read_flat
 from repro.core.registry import (
     LibraryAdapter,
     get_adapter,
     register_adapter,
     registered_libraries,
-    unpack_segment,
 )
-from repro.core.runs import RunList
 from repro.distrib.irregular import IrregularDist
 from repro.distrib.section import Section
 from repro.hpf import HPFArray
@@ -117,7 +117,7 @@ def test_the_fifth_library_fits_in_forty_lines_and_leaves_no_entry_behind():
 
 def test_the_shipped_adapters_copy_no_introspection():
     assert SHIPPED == ["blockparti", "chaos", "hpf", "pcxx"]
-    derived = {"dist_of", "shape_of", "itemsize_of", "local_data", "adopt_local"}
+    derived = {"dist_of", "shape_of", "itemsize_of", "local_data"}
     for lib in SHIPPED:
         assert not derived & set(vars(type(get_adapter(lib)))), lib
     assert "local_elements" not in vars(type(get_adapter("pcxx")))
@@ -305,19 +305,66 @@ def test_exported_handle_materializes_the_same_structure(segvec, lib):
     assert all(conformance(lib, check))
 
 
-@pytest.mark.parametrize("lib", LIBRARIES)
-def test_a_full_span_receive_is_donated(segvec, lib):
-    def check(comm, adapter, arr, sor):
-        data = adapter.local_data(arr)
-        values = np.arange(data.size, dtype=data.dtype)
-        full_span = compile_offsets(RunList.from_dense(np.arange(data.size)))
-        donated = unpack_segment(comm.process, adapter, arr, full_span, data,
-                                 values, donate=True)
-        assert donated or data.size == 0  # an empty span has nothing to adopt
-        assert adapter.local_data(arr) is (values if donated else data)
-        return True
+def full_span_move(comm, lib):
+    """A ``segvec`` source and a SetOfRegions onto ``lib``'s structure
+    such that each rank's whole local storage arrives, in offset order,
+    in one message from the rank to its left: the schedule, the source
+    maker (values -> array) and the serial oracle maker."""
+    P = comm.size
+    ranks, offs = get_adapter(lib).dist_of(make(lib, comm)).owner_of_flat(np.arange(N))
+    order = np.lexsort((offs, (ranks - 1) % P))  # rank 1's block first
+    counts = np.bincount(ranks, minlength=P)
+    sizes = counts[(np.arange(P) + 1) % P]  # source rank j feeds rank j + 1
 
-    assert all(conformance(lib, check))
+    def source(values):
+        vec = SegmentedVector(comm, sizes)
+        vec.local[:] = values[vec.start:vec.start + vec.local.size]
+        return vec
+
+    src_sor = SetOfRegions([SectionRegion(Section((0,), (N,), (1,)))])
+    dst_sor = SetOfRegions([IndexRegion(order)])
+    sched = mc_compute_schedule(comm, "segvec", source(VALUES), src_sor,
+                                lib, make(lib, comm), dst_sor)
+    mine = counts[comm.rank]
+    assert {p: o.dense().tolist() for p, o in sched.recvs.items() if len(o)} == (
+        {(comm.rank - 1) % P: list(range(mine))} if mine else {})
+
+    def oracle(values):
+        shape = SHAPE_2D if lib in ("blockparti", "hpf") else (N,)
+        return oracle_copy(values, src_sor, np.zeros(shape), dst_sor).reshape(-1)
+
+    return sched, source, oracle, sizes[comm.rank] > 0
+
+
+@pytest.mark.parametrize("lib", LIBRARIES)
+def test_a_full_span_receive_keeps_the_storage(segvec, lib):
+    """A receive that overwrites a rank's whole local storage still
+    scatters into that storage: ``local_data`` is the same object after
+    the move, bare and fused, and holds the oracle values; the fused
+    staging buffer goes back to the sender's arena, so the same move
+    again leases it from the pool."""
+    def spmd(comm):
+        adapter = get_adapter(lib)
+        sched, source, oracle, sends = full_span_move(comm, lib)
+        bare = make(lib, comm)
+        before = adapter.local_data(bare)
+        mc_copy(comm, sched, source(VALUES), bare)
+        assert adapter.local_data(bare) is before
+        fused = [make(lib, comm), make(lib, comm)]
+        kept = [adapter.local_data(a) for a in fused]
+        srcs = [source(VALUES), source(-VALUES)]
+        plan = mc_copy_many(comm, [sched, sched], srcs, fused)
+        comm.barrier()  # every receiver has released the first move's buffers
+        hits = comm.process.stats.get("arena_hits", 0)
+        mc_copy_many(comm, plan, srcs, fused)
+        assert comm.process.stats.get("arena_hits", 0) - hits == int(sends)
+        assert all(adapter.local_data(a) is k for a, k in zip(fused, kept))
+        got = [gather(lib, a) for a in (bare, *fused)]
+        return got, [oracle(VALUES), oracle(VALUES), oracle(-VALUES)]
+
+    got, want = run_spmd(4, spmd).values[0]
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 @pytest.mark.parametrize("lib", LIBRARIES)

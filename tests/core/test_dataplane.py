@@ -1,12 +1,12 @@
-"""Compiled data plane: move-program lowering, strided layouts, donation.
+"""Compiled data plane: move-program lowering, strided layouts, casts.
 
 The data plane replaces per-run Python loops with cached
 :class:`~repro.core.dataplane.MoveProgram` lowerings (slice / strided
 grid / fancy index) and makes every adapter accept arbitrarily strided
 local storage with no hidden ``ascontiguousarray`` copy.  These tests
 pin the lowering decisions, the layout matrix (contiguous, reversed,
-strided 1-D, transposed and sliced 2-D), receive-side buffer donation,
-and the ``pack_into`` lossy-cast regression.
+strided 1-D, transposed and sliced 2-D) and the ``pack_into`` lossy-cast
+regression.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.core import (
     MoveProgram,
     mc_compute_schedule,
     mc_copy,
-    mc_copy_many,
 )
 from repro.core.dataplane import (
     accept_local,
@@ -143,13 +142,6 @@ class TestCompileKinds:
         rl = RunList.from_dense(np.random.default_rng(1).permutation(32))
         prog = compile_offsets(rl)
         assert prog.index() is prog.index()
-
-    def test_is_full_span(self):
-        assert compile_offsets(RunList.from_dense(np.arange(16))).is_full_span(16)
-        assert not compile_offsets(RunList.from_dense(np.arange(16))).is_full_span(17)
-        assert not compile_offsets(RunList.from_dense(np.arange(1, 17))).is_full_span(16)
-        perm = np.random.default_rng(2).permutation(16)
-        assert not compile_offsets(RunList.from_dense(perm)).is_full_span(16)
 
 
 # ---------------------------------------------------------------------------
@@ -370,130 +362,6 @@ class TestLayoutAgnosticEndToEnd:
         base = clocks["contiguous"]
         for layout, c in clocks.items():
             assert c == base, layout
-
-
-# ---------------------------------------------------------------------------
-# Receive-side buffer donation.
-# ---------------------------------------------------------------------------
-
-
-class TestDonation:
-    def _full_span_offsets(self, n):
-        return RunList.from_dense(np.arange(n))
-
-    def test_adapter_unpack_adopts_eligible_buffer(self):
-        def spmd(comm):
-            dst = ChaosArray.zeros(comm, np.arange(8) % comm.size)
-            n = dst.local.size
-            buf = np.random.default_rng(1).random(n)
-            adopted = get_adapter("chaos").unpack(
-                dst, self._full_span_offsets(n), buf, donate=True
-            )
-            assert adopted
-            assert dst.local is buf
-            return True
-
-        assert all(run_spmd(2, spmd).values)
-
-    def test_ineligible_buffers_fall_back_to_scatter(self):
-        def spmd(comm):
-            adapter = get_adapter("chaos")
-            dst = ChaosArray.zeros(comm, np.arange(8) % comm.size)
-            n = dst.local.size
-            old = dst.local
-
-            # donate=False never adopts
-            assert not adapter.unpack(
-                dst, self._full_span_offsets(n), np.ones(n), donate=False
-            )
-            assert dst.local is old
-
-            # partial span
-            if n > 1:
-                assert not adapter.unpack(
-                    dst, RunList.from_dense(np.arange(n - 1)),
-                    np.ones(n - 1), donate=True,
-                )
-                assert dst.local is old
-
-            # dtype mismatch (safe widening still scatters, never adopts)
-            assert not adapter.unpack(
-                dst, self._full_span_offsets(n),
-                np.ones(n, dtype=np.float32), donate=True,
-            )
-            assert dst.local is old
-
-            # read-only buffer
-            ro = np.ones(n)
-            ro.setflags(write=False)
-            assert not adapter.unpack(
-                dst, self._full_span_offsets(n), ro, donate=True
-            )
-            assert dst.local is old
-            return True
-
-        assert all(run_spmd(2, spmd).values)
-
-    def _donation_case(self, donate):
-        """Each rank's destination block arrives whole from the other
-        rank, so every receive is donation-eligible."""
-        full = np.random.default_rng(15).random(16)
-        owners = np.array([1] * 8 + [0] * 8)
-
-        def spmd(comm):
-            src = BlockPartiArray.from_global(comm, full)
-            dst = ChaosArray.zeros(comm, owners % comm.size)
-            before = dst.local
-            sor = index_sor(np.arange(16))
-            sched = mc_compute_schedule(
-                comm, "blockparti", src, sor, "chaos", dst, sor
-            )
-            mc_copy(comm, sched, src, dst, donate=donate)
-            rebound = dst.local is not before
-            return dst.gather_global(), rebound, comm.process.clock
-
-        res = run_spmd(2, spmd)
-        gathered = res.values[0][0]
-        rebound = [v[1] for v in res.values]
-        clocks = [v[2] for v in res.values]
-        return gathered, rebound, clocks
-
-    def test_end_to_end_donation_single_program(self):
-        got_d, rebound_d, clocks_d = self._donation_case(donate=True)
-        got_n, rebound_n, clocks_n = self._donation_case(donate=False)
-        np.testing.assert_allclose(got_d, got_n)
-        assert all(rebound_d), "donation did not adopt the received buffers"
-        assert not any(rebound_n)
-        assert clocks_d == clocks_n, "donation must be clock-neutral"
-
-    def test_fused_donation_severs_arena_lease(self):
-        """Bytes adopted from a fused message must never return to the
-        sender's pack arena: a later fused move through the same pooled
-        buffers must not corrupt the adopted storage."""
-        full_a = np.random.default_rng(16).random(16)
-        full_b = np.random.default_rng(17).random(16)
-        owners = np.array([1] * 8 + [0] * 8)
-
-        def spmd(comm):
-            sor = index_sor(np.arange(16))
-            src_a = BlockPartiArray.from_global(comm, full_a)
-            dst_a = ChaosArray.zeros(comm, owners % comm.size)
-            sched = mc_compute_schedule(
-                comm, "blockparti", src_a, sor, "chaos", dst_a, sor
-            )
-            plan = mc_copy_many(comm, [sched], [src_a], [dst_a], donate=True)
-            snap = read_flat(dst_a.local).copy()
-            src_b = BlockPartiArray.from_global(comm, full_b)
-            dst_b = ChaosArray.zeros(comm, owners % comm.size)
-            mc_copy_many(comm, plan, [src_b], [dst_b], donate=True)
-            assert (read_flat(dst_a.local) == snap).all(), (
-                "arena recycled donated bytes"
-            )
-            return dst_a.gather_global(), dst_b.gather_global()
-
-        got_a, got_b = run_spmd(2, spmd).values[0]
-        np.testing.assert_allclose(got_a, full_a)
-        np.testing.assert_allclose(got_b, full_b)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def _ref_arrivals(universe, active, policy, timeout):
                 yield s, universe.to_src.recv(s, TAG_DATA, timeout=timeout)
 
 
-def ref_recv(plan, dst_arrays, universe, policy=ORDERED, timeout=None, donate=False):
+def ref_recv(plan, dst_arrays, universe, policy=ORDERED, timeout=None):
     scheds, proc = plan.schedules, universe.process
     active = _peers(scheds, "recvs",
                     universe.my_dst_rank if universe.single_program else None)
@@ -174,36 +174,26 @@ def ref_recv(plan, dst_arrays, universe, policy=ORDERED, timeout=None, donate=Fa
             assert [(h.schedule_id, h.count) for h in payload.headers] == [
                 (i, len(off)) for i, off in segs]
             parts = [payload.segment(j) for j in range(len(segs))]
-        donated = False
         with proc.span("unpack"):
             for (i, off), values in zip(segs, parts):
-                adapter = get_adapter(scheds[i].dst_lib)
-                data = adapter.local_data(dst_arrays[i])
+                data = get_adapter(scheds[i].dst_lib).local_data(dst_arrays[i])
                 _refuse_lossy(values.dtype, data.dtype)
                 proc.charge_pack(len(off))
-                if (donate and values.dtype == data.dtype
-                        and values.flags.writeable
-                        and np.array_equal(off, np.arange(data.size))
-                        and adapter.adopt_local(dst_arrays[i], values)):
-                    donated = True
-                else:
-                    _store(data, off, values)
+                _store(data, off, values)
         proc.metrics.incr("cache_program_hits", len(segs))
         if len(scheds) > 1:
-            if donated:
-                payload.sever_lease()
             payload.release()
 
 
 def ref_move(plan, src_arrays, dst_arrays, universe, policy=ORDERED,
-             timeout=None, donate=False):
+             timeout=None):
     proc = universe.process
     policy = _ref_policy(policy, plan, universe)
     if not universe.single_program:
         if universe.my_src_rank is not None:
             ref_send(plan, src_arrays, universe, policy, timeout)
         if universe.my_dst_rank is not None:
-            ref_recv(plan, dst_arrays, universe, policy, timeout, donate)
+            ref_recv(plan, dst_arrays, universe, policy, timeout)
         return
     copies = 0
     for i, sched in enumerate(plan.schedules):
@@ -221,7 +211,7 @@ def ref_move(plan, src_arrays, dst_arrays, universe, policy=ORDERED,
     if copies:
         proc.metrics.incr("cache_program_hits", 2 * copies)
     ref_send(plan, src_arrays, universe, policy, timeout, fence=False)
-    ref_recv(plan, dst_arrays, universe, policy, timeout, donate)
+    ref_recv(plan, dst_arrays, universe, policy, timeout)
     if universe.reliability is not None:
         universe.reliability.fence(timeout=timeout)
 
@@ -339,7 +329,7 @@ F8, F4, I8 = np.float64, np.float32, np.int64
 MIXED = [(F8, F8), (F4, F8), (I8, I8), (I8, F8)]  # incl. two widening casts
 
 
-def single_program(k, policy, donate, layout="contiguous", dtypes=MIXED,
+def single_program(k, policy, layout="contiguous", dtypes=MIXED,
                    partial=False, reliability=False, faults=None,
                    copy_on_send=False, rounds=3):
     """A fused (or, for k = 1, bare) move repeated ``rounds`` times — the
@@ -358,7 +348,7 @@ def single_program(k, policy, donate, layout="contiguous", dtypes=MIXED,
             universe.enable_reliability()
         for _ in range(rounds):
             mc_copy_many(universe, plan, srcs, dsts, policy=policy,
-                         donate=donate, timeout=60.0)
+                         timeout=60.0)
         back = [s.reverse() for s in scheds]
         for (src_t, dst_t), rev, b, a in zip(
                 [dtypes[j % len(dtypes)] for j in range(k)], back, dsts, srcs):
@@ -382,77 +372,36 @@ def both(monkeypatch, scenario, *args, **kwargs):
 class TestSingleProgram:
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     @pytest.mark.parametrize("policy", [ORDERED, OVERLAP])
-    @pytest.mark.parametrize("donate", [False, True])
-    def test_fused_and_bare_moves(self, monkeypatch, k, policy, donate):
-        assert_identical(*both(monkeypatch, single_program, k, policy, donate))
+    def test_fused_and_bare_moves(self, monkeypatch, k, policy):
+        assert_identical(*both(monkeypatch, single_program, k, policy))
 
     @pytest.mark.parametrize("layout", ["strided", "transposed"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_strided_and_transposed_storage(self, monkeypatch, layout, k):
         assert_identical(*both(
-            monkeypatch, single_program, k, ORDERED, False, layout=layout))
+            monkeypatch, single_program, k, ORDERED, layout=layout))
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_empty_halves(self, monkeypatch, k):
         """Most pairs exchange nothing and members disagree on which."""
-        real, ref = both(monkeypatch, single_program, k, "auto", False,
-                         partial=True)
+        real, ref = both(monkeypatch, single_program, k, "auto", partial=True)
         assert_identical(real, ref)
 
     def test_copy_on_send(self, monkeypatch):
         assert_identical(*both(
-            monkeypatch, single_program, 3, ORDERED, True, copy_on_send=True))
+            monkeypatch, single_program, 3, ORDERED, copy_on_send=True))
 
     @pytest.mark.parametrize("policy", [ORDERED, OVERLAP])
     def test_reliability_under_faults(self, monkeypatch, policy):
         def scenario():
             faults = FaultPlan(seed=1997, rates=FaultRates(
                 drop=0.05, dup=0.05, reorder=0.05, delay=0.05))
-            return single_program(3, policy, False, reliability=True,
+            return single_program(3, policy, reliability=True,
                                   faults=faults, rounds=4)
 
         real, ref = both(monkeypatch, scenario)
         assert_identical(real, ref)
         assert sum(c.get("rel_retransmits", 0) for c in real["counters"]) > 0
-
-
-class TestDonation:
-    def _scenario(self):
-        """Array 0's destination block arrives whole from the left
-        neighbour (full span: adopted).  The same destination array also
-        fills slot 1, whose schedule writes three more elements into it —
-        one later in the adopting message itself, two in later messages
-        from higher ranks — which must all land in the adopted storage."""
-
-        def body(comm):
-            P, n = comm.size, 6
-            owners = np.repeat((np.arange(P) + 1) % P, n)  # shifted blocks
-            src = BlockPartiArray.from_global(comm, np.arange(P * n, dtype=F8))
-            top = BlockPartiArray.from_global(comm, -1.0 - np.arange(P * n))
-            dst = ChaosArray.zeros(comm, owners)
-            whole = index_sor(np.arange(P * n))
-            full = mc_compute_schedule(comm, "blockparti", src, whole,
-                                       "chaos", dst, whole)
-            picks, onto = np.array([0, 2 * n, 3 * n]), np.array([2, 1, n + 1])
-            some = mc_compute_schedule(comm, "blockparti", top, index_sor(picks),
-                                       "chaos", dst, index_sor(onto))
-            plan = mc_compute_plan([full, some])
-            old = dst.local
-            mc_copy_many(comm, plan, [src, top], [dst, dst], donate=True)
-            first = snapshot([dst])
-            rebound = dst.local is not old
-            mc_copy_many(comm, plan, [src, top], [dst, dst], donate=True)
-            got = dst.gather_global()
-            return first, snapshot([dst]), rebound, got is not None and got.tolist()
-
-        return outcome(VirtualMachine(4, trace=True, observe=True).run(body))
-
-    def test_second_message_lands_in_adopted_storage(self, monkeypatch):
-        real, ref = both(monkeypatch, self._scenario)
-        assert_identical(real, ref)
-        assert all(v[2] for v in real["values"]), "nothing was donated"
-        got = np.array(real["values"][0][3])
-        assert (got < 0).sum() == 3, "the second schedule's writes were lost"
 
 
 class TestRefusedCast:
@@ -482,7 +431,7 @@ class TestRefusedCast:
             assert text.startswith("refusing lossy element conversion float64")
 
 
-def two_programs(k, policy, donate, reliability=False):
+def two_programs(k, policy, reliability=False):
     """``push_many`` then ``pull_many`` of k same-schedule fields, 2 + 2."""
     base = 7.0 + np.arange(N)
     perm = np.random.default_rng(k).permutation(N)
@@ -497,8 +446,8 @@ def two_programs(k, policy, donate, reliability=False):
             "chaos", None, None)
         ex = CoupledExchange(uni, sched, policy=policy, reliability=reliability)
         for _ in range(3):
-            ex.push_many(arrays, donate=donate)
-            ex.pull_many(arrays, donate=donate)
+            ex.push_many(arrays)
+            ex.pull_many(arrays)
         return snapshot(arrays)
 
     def dst_prog(ctx):
@@ -510,11 +459,11 @@ def two_programs(k, policy, donate, reliability=False):
         ex = CoupledExchange(uni, sched, policy=policy, reliability=reliability)
         seen = []
         for _ in range(3):
-            ex.push_many(arrays, donate=donate)
+            ex.push_many(arrays)
             seen.append(snapshot(arrays))
             for a in arrays:
                 a.local *= 2.0
-            ex.pull_many(arrays, donate=donate)
+            ex.pull_many(arrays)
         return seen
 
     res = run_programs(
@@ -527,12 +476,12 @@ class TestTwoPrograms:
     @pytest.mark.parametrize("k", [1, 2, 8])
     @pytest.mark.parametrize("policy", [ORDERED, OVERLAP, "auto"])
     def test_push_many_pull_many(self, monkeypatch, k, policy):
-        real, ref = both(monkeypatch, two_programs, k, policy, False)
+        real, ref = both(monkeypatch, two_programs, k, policy)
         for prog in real:
             assert_identical(real[prog], ref[prog])
 
-    def test_donating_reliable_exchange(self, monkeypatch):
-        real, ref = both(monkeypatch, two_programs, 3, ORDERED, True,
+    def test_reliable_exchange(self, monkeypatch):
+        real, ref = both(monkeypatch, two_programs, 3, ORDERED,
                          reliability=True)
         for prog in real:
             assert_identical(real[prog], ref[prog])
@@ -578,11 +527,11 @@ class TestAdapterWrappers:
 
     def test_unpack(self):
         def fn(adapter, array, proc):
-            donated = adapter.unpack(array, self.OFFS, np.full(4, 9, dtype=F4))
-            return donated, array.local.tolist()
+            adapter.unpack(array, self.OFFS, np.full(4, 9, dtype=F4))
+            return array.local.tolist()
 
-        (donated, got), charged, one = self._run(fn)
-        assert not donated and charged == one
+        got, charged, one = self._run(fn)
+        assert charged == one
         assert got == [0.0, 9.0, 9.0, 3.0, 9.0, 5.0, 6.0, 9.0, 8.0, 9.0]
 
     def test_copy_local(self):

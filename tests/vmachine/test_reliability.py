@@ -13,10 +13,12 @@ from repro.vmachine.faults import (
 )
 from repro.vmachine.machine import SPMDError
 from repro.vmachine.reliability import (
+    BACKOFF,
+    BASE_RTO_S,
+    MAX_RETRIES,
     REL_ACK,
     REL_DATA,
     Reliability,
-    ReliabilityConfig,
 )
 
 TAG = 11  # plain user tag; rules below target the "user" class
@@ -29,12 +31,12 @@ def run(nprocs, fn, *, faults=None, trace=False, check_leaks=True,
     return vm.run(fn)
 
 
-def _pipeline(n, cfg=None):
+def _pipeline(n):
     """Rank 0 reliably streams ``n`` integers to rank 1; both return their
     (values, stats) observations."""
 
     def spmd(comm):
-        rel = Reliability(cfg)
+        rel = Reliability()
         if comm.rank == 0:
             for i in range(n):
                 rel.send(comm, 1, i, TAG)
@@ -44,16 +46,6 @@ def _pipeline(n, cfg=None):
         return got, dict(comm.process.stats)
 
     return spmd
-
-
-class TestConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(base_rto_s=-1.0)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(backoff=0.5)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(max_retries=-1)
 
 
 class TestReliableDelivery:
@@ -115,7 +107,7 @@ class TestReliableDelivery:
         one, by at least the charged RTO waits."""
 
         def spmd(comm):
-            rel = Reliability(ReliabilityConfig(base_rto_s=1e-3))
+            rel = Reliability()
             if comm.rank == 0:
                 for i in range(30):
                     rel.send(comm, 1, i, TAG)
@@ -246,19 +238,24 @@ class TestFence:
         plan = FaultPlan(seed=2, rates=FaultRates(drop=1.0),
                          classes=("user",))
 
+        waited = []
+
         def spmd(comm):
-            rel = Reliability(ReliabilityConfig(base_rto_s=1e-4,
-                                                max_retries=3))
+            rel = Reliability()
             if comm.rank == 0:
-                rel.send(comm, 1, "doomed", TAG)
+                try:
+                    rel.send(comm, 1, "doomed", TAG)
+                finally:
+                    waited.append(comm.process.stats["rel_rto_wait_s"])
             return None
 
         with pytest.raises(SPMDError) as ei:
             run(2, spmd, faults=plan, check_leaks=False)
         lost = ei.value.errors[0].exception
         assert isinstance(lost, RankLostError)
-        assert "3 retransmissions" in lost.reason
+        assert "8 retransmissions" in lost.reason
         assert lost.last_ack is not None
+        assert waited == [sum(BASE_RTO_S * BACKOFF**i for i in range(MAX_RETRIES))]
 
 
 class TestRecvAny:

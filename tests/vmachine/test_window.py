@@ -8,7 +8,7 @@ from repro.vmachine import VirtualMachine, Window
 from repro.vmachine.faults import FaultPlan, FaultRates, tag_class
 from repro.vmachine.machine import SPMDError
 from repro.vmachine.payload import payload_nbytes
-from repro.vmachine.reliability import Reliability, ReliabilityConfig
+from repro.vmachine.reliability import Reliability
 from repro.vmachine.trace import MESSAGE_KINDS
 from repro.vmachine.window import TAG_RMA_BASE
 
@@ -238,17 +238,14 @@ class TestValidationAndIsolation:
         run(2, spmd)
 
     def test_shared_instance_excludes_creating_one(self):
-        """``reliability=rel`` with ``reliable=True`` or a config used to
-        be accepted and the config dropped; it is refused before anything
-        collective happens (no message sent, no window id drawn)."""
+        """``reliability=rel`` with ``reliable=True`` is refused before
+        anything collective happens (no message sent, no window id drawn)."""
 
         def spmd(comm):
             rel = Reliability()
             sent = comm.process.stats["messages_sent"]
-            for extra in ({"reliable": True},
-                          {"reliability_config": ReliabilityConfig(max_retries=2)}):
-                with pytest.raises(ValueError, match="not both"):
-                    Window(comm, np.zeros(2), reliability=rel, **extra)
+            with pytest.raises(ValueError, match="not both"):
+                Window(comm, np.zeros(2), reliability=rel, reliable=True)
             assert comm.process.stats["messages_sent"] == sent
             win = Window(comm, np.zeros(2), reliability=rel)
             assert win._wid == 0 and win._rel is rel

@@ -17,8 +17,8 @@ it on the ``RunList``.  Execution is then one batched NumPy operation per
     Parti strided-section move at memcpy speed.
 ``index``
     Anything irregular executes as a single fancy-index gather/scatter
-    over a lazily built, cached dense int64 index vector (built at most
-    once per schedule half, regardless of how many times the plan runs).
+    over a dense int64 index vector, built once when the half is compiled
+    (regardless of how many times the plan runs).
 
 Programs are layout-agnostic on the data side: a 1-D view of any stride
 is addressed directly through its own strides, a C-contiguous ndarray is
@@ -122,7 +122,7 @@ class MoveProgram:
         self.grids = grids        # grid kind: (G, 5) int64 rows
         self.scatter_safe = scatter_safe
         self._source = source     # RunList/ndarray the index is built from
-        self._index = index       # cached dense int64 index vector
+        self._index = index       # dense int64 index (``index``: given)
         self._coords = None       # shape -> unravel_index coords cache
 
     def __repr__(self) -> str:
@@ -131,7 +131,8 @@ class MoveProgram:
     # -- cached lowerings ----------------------------------------------------
 
     def index(self) -> np.ndarray:
-        """The dense int64 index vector (built lazily, cached forever)."""
+        """The dense int64 index vector (built on first use by the kinds
+        that do not execute through it, cached forever)."""
         if self._index is None:
             src = self._source
             if isinstance(src, RunList):
@@ -160,27 +161,25 @@ class MoveProgram:
     # -- executors -----------------------------------------------------------
 
     def gather(self, data: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """``data[program]`` batched; fresh array unless ``out`` is given."""
+        """``data[program]`` batched; fresh array unless ``out`` is given.
+        First branch: an irregular segment on 1-D (adapter) storage."""
         if out is not None and out.size != self.n:
             raise ValueError(
                 f"gather out buffer has {out.size} slots for {self.n} elements"
             )
-        if self.kind == "empty":
+        kind = self.kind
+        flat = data if data.ndim == 1 else flat_view(data)
+        if kind == "index" and flat is not None:
+            picked = flat[self._index]
+        elif kind == "empty":
             return out if out is not None else np.empty(0, dtype=data.dtype)
-        flat = flat_view(data)
-        if flat is None:
+        elif flat is None:
             picked = data[self.coords(data.shape)]
+        elif kind == "slice":
+            picked = flat[_run_slice(self.start, self.step, self.n)]
             if out is None:
-                return picked
-            out[...] = picked
-            return out
-        if self.kind == "slice":
-            seg = flat[_run_slice(self.start, self.step, self.n)]
-            if out is None:
-                return np.array(seg)
-            out[...] = seg
-            return out
-        if self.kind == "grid":
+                return np.array(picked)
+        else:
             if out is None:
                 out = np.empty(self.n, dtype=data.dtype)
             st = flat.strides[0]
@@ -198,26 +197,26 @@ class MoveProgram:
                     seg[...] = view.reshape(-1)
                 pos += m
             return out
-        picked = flat[self.index()]
         if out is None:
             return picked
         out[...] = picked
         return out
 
     def scatter(self, data: np.ndarray, values: np.ndarray) -> None:
-        """``data[program] = values`` batched (last write wins, as NumPy)."""
-        if self.kind == "empty":
+        """``data[program] = values`` batched (last write wins, as NumPy),
+        in the same branch order as :meth:`gather`."""
+        kind = self.kind
+        flat = data if data.ndim == 1 else flat_view(data)
+        if kind == "index" and flat is not None:
+            flat[self._index] = values
+        elif kind == "empty":
             return
-        values = np.asarray(values)
-        scalar = values.ndim == 0
-        flat = flat_view(data)
-        if flat is None:
+        elif flat is None:
             data[self.coords(data.shape)] = values
-            return
-        if self.kind == "slice":
+        elif kind == "slice":
             flat[_run_slice(self.start, self.step, self.n)] = values
-            return
-        if self.kind == "grid" and self.scatter_safe:
+        elif kind == "grid" and self.scatter_safe:
+            values = np.asarray(values)
             st = flat.strides[0]
             pos = 0
             for start0, rowstep, step, nrows, count in self.grids.tolist():
@@ -225,13 +224,13 @@ class MoveProgram:
                     flat[start0:], shape=(nrows, count),
                     strides=(rowstep * st, step * st),
                 )
-                if scalar:
+                if values.ndim == 0:
                     view[...] = values
                 else:
                     view[...] = values[pos : pos + nrows * count].reshape(nrows, count)
                 pos += nrows * count
-            return
-        flat[self.index()] = values
+        else:
+            flat[self.index()] = values
 
 
 def _piecewise_grids(runs: np.ndarray):
@@ -277,21 +276,20 @@ def _compile_runlist(rl: RunList) -> MoveProgram:
     n = len(rl)
     if n == 0:
         return MoveProgram(0, "empty")
-    if not rl.is_compressed:
-        return MoveProgram(n, "index", source=rl, index=rl.dense())
-    runs = rl._exec_runs()
+    runs = rl._exec_runs() if rl.is_compressed else ()
     if len(runs) == 1:
         start, step, count = (int(v) for v in runs[0])
         if count == 1:
             return MoveProgram(1, "slice", start=start, step=1, source=rl)
         if step != 0:
             return MoveProgram(n, "slice", start=start, step=step, source=rl)
-        return MoveProgram(n, "index", source=rl)
-    grids = _piecewise_grids(runs)
-    if grids is not None:
-        safe = bool((grids[:, 1] >= grids[:, 4] * grids[:, 2]).all())
-        return MoveProgram(n, "grid", grids=grids, scatter_safe=safe, source=rl)
-    return MoveProgram(n, "index", source=rl)
+    elif len(runs):
+        grids = _piecewise_grids(runs)
+        if grids is not None:
+            safe = bool((grids[:, 1] >= grids[:, 4] * grids[:, 2]).all())
+            return MoveProgram(n, "grid", grids=grids, scatter_safe=safe,
+                               source=rl)
+    return MoveProgram(n, "index", source=rl, index=rl.dense())
 
 
 def _program_cache_note(counter: str) -> None:
@@ -356,8 +354,8 @@ def copy_compiled(
         )
     if src_prog.n == 0:
         return
-    sflat = flat_view(src_data)
-    dflat = flat_view(dst_data)
+    sflat = src_data if src_data.ndim == 1 else flat_view(src_data)
+    dflat = dst_data if dst_data.ndim == 1 else flat_view(dst_data)
     if sflat is not None and dflat is not None:
         if src_prog.kind == "slice" and dst_prog.kind == "slice":
             dflat[_run_slice(dst_prog.start, dst_prog.step, dst_prog.n)] = \

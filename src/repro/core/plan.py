@@ -31,8 +31,9 @@ option selecting it, and :func:`_fuse` / :func:`_received_segments` /
 *flat program*: :func:`compile_plan` lowers every half to its
 ``MoveProgram`` once, a rank's traversal (:class:`Route`) and a pair's
 wire layout are memoised on the plan, and a move is one loop over those
-rows — per segment cast check → pack charge → one batched NumPy
-operation (the segment kernels of :mod:`repro.core.registry`).  Everything else exists once:
+rows — a message's segments, run by one call of the row kernel
+(:func:`repro.core.registry.move_row`: per segment cast check → pack
+charge → one batched NumPy operation).  Everything else exists once:
 
 - **one send loop** (:func:`plan_move_send`): destinations in ascending
   (``ORDERED``) or rotated (``OVERLAP``) order, on the universe's data
@@ -60,18 +61,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from repro.core.dataplane import MoveProgram, compile_offsets
+from repro.core.dataplane import MoveProgram
 from repro.core.policy import ExecutorPolicy, ordered_or_rotated, resolve_policy
-from repro.core.registry import (
-    copy_segment,
-    get_adapter,
-    pack_segment,
-    unpack_segment,
-)
+from repro.core.registry import PlanSegment, get_adapter, move_row
 from repro.core.schedule import CommSchedule
 from repro.core.universe import TAG_DATA, Universe
 from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout, fused_nbytes
-from repro.observe.spans import NO_SPAN
 from repro.vmachine.process import Process
 from repro.vmachine.trace import TraceEvent
 
@@ -87,31 +82,6 @@ __all__ = [
     "traversal",
     "wire_nbytes",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class PlanSegment:
-    """One lowered row of a per-peer program: one schedule's contribution
-    to one message.
-
-    ``schedule_id`` is the row's *array slot* — it indexes
-    :attr:`MovePlan.schedules` and the arrays handed to a move;
-    ``program`` is that schedule's half for the peer the row's program
-    addresses (send half on the source side, receive half on the
-    destination side), already resolved.  Construction *is* the lowering:
-    pass the half itself and the ``compile_offsets`` memo is consulted
-    here, once, instead of once per segment per move.
-    """
-
-    schedule_id: int
-    program: MoveProgram
-
-    def __post_init__(self):
-        object.__setattr__(self, "program", compile_offsets(self.program))
-
-    @property
-    def count(self) -> int:
-        return self.program.n
 
 
 @dataclass(frozen=True)
@@ -201,11 +171,11 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
     Validates that every member spans the same source/destination group
     sizes (they must have been built over the same
     :class:`~repro.core.universe.Universe` shape).  Only peers a
-    schedule actually exchanges elements with contribute rows — each
-    lowered here, once (:class:`PlanSegment`) — so an empty half adds
-    nothing to any program.  Exactly one schedule yields a *bare* plan
-    (see the module docstring): the wire form follows from
-    ``len(schedules)`` and nothing else.
+    schedule actually exchanges elements with contribute segments — each
+    lowered here, once (:class:`~repro.core.registry.PlanSegment`) — so
+    an empty half adds nothing to any program.  Exactly one schedule
+    yields a *bare* plan (see the module docstring): the wire form follows
+    from ``len(schedules)`` and nothing else.
     """
     schedules = tuple(schedules)
     if not schedules:
@@ -271,11 +241,11 @@ def _fuse(
     plan: MovePlan, program: tuple[PlanSegment, ...], datas: Sequence[Any],
     dtypes: tuple, proc: Process, d: int,
 ) -> FusedBuffer:
-    """The fused payload for destination rank ``d``: every row of its
-    program packed into one staging buffer leased from this rank's arena,
-    noted by per-rank fusion counters and a ``plan:fuse`` trace event
-    (kind-prefixed like the fault layer's ``fault:*``, riding the normal
-    trace stream).  One (peer, source dtypes) shares one wire layout."""
+    """The fused payload for destination rank ``d``: its row packed into
+    one staging buffer leased from this rank's arena, noted by a
+    ``plan:fuse`` trace event (kind-prefixed like the fault layer's
+    ``fault:*``, riding the normal trace stream).  One (peer, source
+    dtypes) shares one wire layout."""
     layouts, key = plan._layouts, (d, dtypes)
     layout = layouts.get(key)
     if layout is None:
@@ -291,13 +261,7 @@ def _fuse(
         layouts[key] = layout if key in layouts else None
     lease = proc.arena.checkout(layout.total, pooled=not proc.copy_on_send)
     fused = FusedBuffer(layout, lease.buffer, lease=lease)
-    with proc.span("pack") if proc.labelled else NO_SPAN:
-        for seg, view in zip(program, fused.segments()):
-            pack_segment(proc, seg.program, datas[seg.schedule_id], view)
-    metrics = proc.metrics
-    metrics.incr("plan_fused_messages")
-    metrics.incr("plan_fused_segments", len(program))
-    metrics.incr("plan_alpha_saved", len(program) - 1)
+    move_row(proc, "gather", program, datas, fused.segments(), "pack")
     if proc.trace is not None:
         proc.trace.append(TraceEvent(
             "plan:fuse", proc.clock, proc.rank, d, TAG_DATA, fused.nbytes,
@@ -309,10 +273,10 @@ def _fuse(
 def _received_segments(
     program: tuple[PlanSegment, ...], payload: Any, s: int, bare: bool
 ) -> Sequence[Any]:
-    """The payload from source rank ``s`` as one buffer per program row,
-    after checking — on every message — that it is what the program
-    expects: a bare buffer of the row's length, or a fused buffer whose
-    headers match row by row."""
+    """The payload from source rank ``s`` as one buffer per segment of
+    its row, after checking — on every message — that it is what the row
+    expects: a bare buffer of the segment's length, or a fused buffer
+    whose headers match segment by segment."""
     if not bare:
         _check_fused(program, payload, s)
         return payload.segments()
@@ -364,14 +328,6 @@ def _check_fused(
 # ---------------------------------------------------------------------------
 
 
-def _check_arrays(plan: MovePlan, arrays: Sequence[Any], side: str) -> None:
-    if len(arrays) != len(plan.schedules):
-        raise ValueError(
-            f"plan fuses {len(plan.schedules)} schedule(s) but "
-            f"{len(arrays)} {side} array(s) were supplied"
-        )
-
-
 class Route(NamedTuple):
     """One rank's traversal of a move, in the order it is charged: the
     direct local copies, then one send per remote destination, then one
@@ -420,8 +376,8 @@ def _route(
 ) -> Route:
     """The calling rank's :class:`Route` of ``plan``, memoised on the plan
     per ``(policy, role)``.  ``local`` holds, in a single program, one
-    ``(array slot, source program, destination program or None)`` per
-    schedule with intra-processor elements."""
+    copy segment (its destination half in ``into``) per schedule with
+    intra-processor elements."""
     me_src, me_dst = universe.my_src_rank, universe.my_dst_rank
     key = (policy, me_src, me_dst, universe.single_program)
     route = plan._routes.get(key)
@@ -434,7 +390,7 @@ def _route(
             for seg in plan.recv_programs.get(me_src, ())
         }
         local = tuple(
-            (seg.schedule_id, seg.program, into.get(seg.schedule_id))
+            PlanSegment(seg.schedule_id, seg.program, _into(into, seg))
             for seg in plan.send_programs.get(me_dst, ())
         )
     sends = {} if me_src is None else {
@@ -446,6 +402,30 @@ def _route(
         [s for s in plan.recv_programs if not universe.same_proc_src(s)],
     )
     return route
+
+
+def _into(into: dict, seg: PlanSegment) -> MoveProgram:
+    """The destination half of ``seg``'s local copy: both are ordered by
+    linearization position, so the direct aligned copy is correct."""
+    program = into.get(seg.schedule_id)
+    if program is None or program.n != seg.count:
+        raise RuntimeError("inconsistent local halves of the schedule")
+    return program
+
+
+def _storage(plan: MovePlan, arrays: Sequence[Any], side: str) -> list:
+    """Each slot's rank-local storage, from the move's ``side``
+    (``"source"`` / ``"destination"``) arrays, one per member schedule."""
+    if len(arrays) != len(plan.schedules):
+        raise ValueError(
+            f"plan fuses {len(plan.schedules)} schedule(s) but "
+            f"{len(arrays)} {side} array(s) were supplied"
+        )
+    lib = "src_lib" if side == "source" else "dst_lib"
+    return [
+        get_adapter(getattr(sched, lib)).local_data(array)
+        for sched, array in zip(plan.schedules, arrays)
+    ]
 
 
 def plan_move_send(
@@ -467,7 +447,8 @@ def plan_move_send(
     rank, staggering injection across the destination group.
 
     One member schedule packs the bare buffer, the gather of its one
-    row; several pack into one leased staging buffer (:func:`_fuse`).
+    segment; several pack into one leased staging buffer (:func:`_fuse`).
+    The move's counters are bumped once, after the loop.
 
     With reliability enabled (payloads are opaque to the ack/retransmit
     protocol, so bare and fused messages are handled identically), the
@@ -480,24 +461,29 @@ def plan_move_send(
     """
     if universe.my_src_rank is None:
         raise RuntimeError("plan_move_send called on a non-source processor")
-    _check_arrays(plan, src_arrays, "source")
+    datas = _storage(plan, src_arrays, "source")
     route = _route(plan, universe, policy)
     proc = universe.process
-    datas = [
-        get_adapter(sched.src_lib).local_data(array)
-        for sched, array in zip(plan.schedules, src_arrays)
-    ]
-    dtypes = tuple([data.dtype for data in datas])
-    bare = len(datas) == 1
     send = universe.data_plane(universe.to_dst).send
-    for d, program in route.dests:
-        if bare:
-            with proc.span("pack") if proc.labelled else NO_SPAN:
-                payload = pack_segment(proc, program[0].program, datas[0])
-        else:
-            payload = _fuse(plan, program, datas, dtypes, proc, d)
-        proc.metrics.incr("cache_program_hits", len(program))
-        send(d, payload, TAG_DATA)
+    segments = 0
+    if len(datas) == 1:
+        for d, program in route.dests:
+            # a bare message is its one segment gathered into a fresh buffer
+            send(d, move_row(proc, "gather", program, datas, (None,), "pack"),
+                 TAG_DATA)
+            segments += 1
+    else:
+        dtypes = tuple([data.dtype for data in datas])
+        for d, program in route.dests:
+            send(d, _fuse(plan, program, datas, dtypes, proc, d), TAG_DATA)
+            segments += len(program)
+        if segments:
+            metrics, messages = proc.metrics, len(route.dests)
+            metrics.incr("plan_fused_messages", messages)
+            metrics.incr("plan_fused_segments", segments)
+            metrics.incr("plan_alpha_saved", segments - messages)
+    if segments:
+        proc.metrics.incr("cache_program_hits", segments)
     universe.end_phase(not universe.single_program, timeout)
 
 
@@ -526,52 +512,24 @@ def plan_move_recv(
         raise RuntimeError(
             "plan_move_recv called on a non-destination processor"
         )
-    _check_arrays(plan, dst_arrays, "destination")
+    datas = _storage(plan, dst_arrays, "destination")
     route = _route(plan, universe, policy)
     proc = universe.process
-    datas = [
-        get_adapter(sched.dst_lib).local_data(array)
-        for sched, array in zip(plan.schedules, dst_arrays)
-    ]
     bare = len(datas) == 1
+    programs = plan.recv_programs
+    segments = 0
     for s, payload in universe.data_plane(universe.to_src).arrivals(
         route.sources, TAG_DATA,
         overlap=route.policy is ExecutorPolicy.OVERLAP, timeout=timeout,
     ):
-        program = plan.recv_programs[s]
-        segments = _received_segments(program, payload, s, bare)
-        with proc.span("unpack") if proc.labelled else NO_SPAN:
-            for seg, values in zip(program, segments):
-                unpack_segment(proc, seg.program, datas[seg.schedule_id],
-                               values)
-        proc.metrics.incr("cache_program_hits", len(program))
+        program = programs[s]
+        move_row(proc, "scatter", program, datas,
+                 _received_segments(program, payload, s, bare), "unpack")
+        segments += len(program)
         if not bare:
             payload.release()
-
-
-def _local_copies(
-    plan: MovePlan, route: Route, src_arrays: Sequence[Any],
-    dst_arrays: Sequence[Any], proc: Process,
-) -> None:
-    """Direct intra-processor copies (no intermediate buffer, §5.3).
-
-    :func:`~repro.core.registry.copy_segment` shares its lossy-cast
-    refusal with the remote unpack path — local and remote moves reject
-    or allow exactly the same dtype pairs.  Both programs of a pair are
-    linearization-ordered over the same element subset, so the direct
-    aligned copy is correct.
-    """
-    for i, src_program, dst_program in route.local:
-        if dst_program is None or dst_program.n != src_program.n:
-            raise RuntimeError("inconsistent local halves of the schedule")
-        sched = plan.schedules[i]
-        with proc.span("copy:local") if proc.labelled else NO_SPAN:
-            copy_segment(
-                proc,
-                src_program, get_adapter(sched.src_lib).local_data(src_arrays[i]),
-                dst_program, get_adapter(sched.dst_lib).local_data(dst_arrays[i]),
-            )
-    proc.metrics.incr("cache_program_hits", 2 * len(route.local))
+    if segments:
+        proc.metrics.incr("cache_program_hits", segments)
 
 
 def plan_move(
@@ -586,20 +544,24 @@ def plan_move(
     role dispatch to the proper half otherwise.
 
     In the single-program case the intra-processor elements of every
-    member schedule are copied directly, buffer-free — fusion only
-    changes the *inter*-processor message structure — then the
-    aggregated messages flow (sends first; the virtual transport is
-    buffered, so this cannot deadlock).  With reliability enabled the
-    rank fences once at the end, after its receive half, when every peer
-    is already producing acks.
+    member schedule are copied directly, buffer-free (§5.3), one copy row
+    per schedule — so local and remote moves refuse exactly the same
+    dtype pairs — then the aggregated messages flow (sends first; the
+    virtual transport is buffered, so this cannot deadlock).  With
+    reliability enabled the rank fences once at the end, after its
+    receive half, when every peer is already producing acks.
     """
     route = _route(plan, universe, policy)
     policy = route.policy
     if universe.single_program:
-        _check_arrays(plan, src_arrays, "source")
-        _check_arrays(plan, dst_arrays, "destination")
+        src = _storage(plan, src_arrays, "source")
+        dst = _storage(plan, dst_arrays, "destination")
         if route.local:
-            _local_copies(plan, route, src_arrays, dst_arrays, universe.process)
+            proc = universe.process
+            for seg in route.local:
+                move_row(proc, "copy", (seg,), src, (dst[seg.schedule_id],),
+                         "copy:local")
+            proc.metrics.incr("cache_program_hits", 2 * len(route.local))
         plan_move_send(plan, src_arrays, universe, policy=policy,
                        timeout=timeout)
         plan_move_recv(plan, dst_arrays, universe, policy=policy,

@@ -53,6 +53,9 @@ class ExecutorPolicy(Enum):
     #: latency-hiding: rotated injection + arrival-order (wait-any) completion
     OVERLAP = "overlap"
 
+    #: singletons compared by identity: hashed in C, not by Enum's Python call
+    __hash__ = object.__hash__
+
     @classmethod
     def coerce(cls, value: "ExecutorPolicy | str") -> "ExecutorPolicy":
         """Accept either an enum member or its string value (CLI friendly)."""

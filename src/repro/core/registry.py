@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -50,9 +50,8 @@ __all__ = [
     "get_adapter",
     "registered_libraries",
     "ensure_safe_cast",
-    "pack_segment",
-    "unpack_segment",
-    "copy_segment",
+    "PlanSegment",
+    "move_row",
 ]
 
 
@@ -232,18 +231,15 @@ class LibraryAdapter(abc.ABC):
     # -- data movement ----------------------------------------------------------
     #
     # What the move executor (:mod:`repro.core.plan`) needs of an adapter
-    # is :meth:`local_data`; it runs the segment kernels below on rows it
-    # lowered at plan-compile time.  The four
-    # methods here are one-shot conveniences over the *same* kernels, for
-    # callers holding an offset list instead of a compiled plan.
+    # is :meth:`local_data`; it runs :func:`move_row` on rows it lowered at
+    # plan-compile time.  The four methods here are one-segment rows of the
+    # *same* kernel, for callers holding an offset list instead of a plan.
 
     def pack(self, array: Any, offsets: np.ndarray | RunList) -> np.ndarray:
         """Gather local elements at ``offsets`` into a fresh contiguous
-        buffer (:func:`pack_segment`)."""
-        return pack_segment(
-            current_process(), compile_offsets(offsets),
-            self.local_data(array),
-        )
+        buffer."""
+        return move_row(current_process(), "gather", (PlanSegment(0, offsets),),
+                        (self.local_data(array),), (None,))
 
     def pack_into(
         self, array: Any, offsets: np.ndarray | RunList, out: np.ndarray
@@ -252,23 +248,21 @@ class LibraryAdapter(abc.ABC):
         ``out`` must be 1-D with exactly ``len(offsets)`` slots.  Same
         charge as :meth:`pack`; a lossy conversion into ``out`` is
         refused like everywhere else."""
-        prog = compile_offsets(offsets)
-        if len(out) != prog.n:
+        seg = PlanSegment(0, offsets)
+        if len(out) != seg.count:
             raise ValueError(
                 f"pack_into buffer has {len(out)} slots for "
-                f"{prog.n} offsets"
+                f"{seg.count} offsets"
             )
-        pack_segment(current_process(), prog, self.local_data(array), out)
+        move_row(current_process(), "gather", (seg,), (self.local_data(array),),
+                 (out,))
 
     def unpack(
         self, array: Any, offsets: np.ndarray | RunList, values: np.ndarray
     ) -> None:
-        """Scatter buffer ``values`` into local elements at ``offsets``
-        (:func:`unpack_segment`)."""
-        unpack_segment(
-            current_process(), compile_offsets(offsets),
-            self.local_data(array), values,
-        )
+        """Scatter buffer ``values`` into local elements at ``offsets``."""
+        move_row(current_process(), "scatter", (PlanSegment(0, offsets),),
+                 (self.local_data(array),), (np.asarray(values),))
 
     def copy_local(
         self,
@@ -277,15 +271,10 @@ class LibraryAdapter(abc.ABC):
         dst_array: Any,
         dst_offsets: np.ndarray | RunList,
     ) -> None:
-        """Direct local-to-local copy between two arrays of this library
-        (:func:`copy_segment`)."""
-        copy_segment(
-            current_process(),
-            compile_offsets(src_offsets),
-            self.local_data(src_array),
-            compile_offsets(dst_offsets),
-            self.local_data(dst_array),
-        )
+        """Direct local-to-local copy between two arrays of this library."""
+        move_row(current_process(), "copy",
+                 (PlanSegment(0, src_offsets, dst_offsets),),
+                 (self.local_data(src_array),), (self.local_data(dst_array),))
 
     # -- duplication-method support ----------------------------------------------
 
@@ -306,51 +295,80 @@ class LibraryAdapter(abc.ABC):
         return handle
 
 
-# -- the segment kernels --------------------------------------------------------
+# -- the row kernel --------------------------------------------------------------
 #
-# One segment of a move: cast check -> one pack charge -> one batched NumPy
-# operation, in that order, so a refused cast leaves the clock untouched.
-# The executor's loops and the adapter wrappers above both end here; the
-# cast rule and the pack charge exist nowhere else.  ``ensure_safe_cast``
-# is only consulted when the dtypes differ (equal dtypes are always safe).
-# The charge depends solely on the element count, so every program kind —
-# and the fused and sequential moves built on them — costs the same
-# simulated time.
+# The executor's loops call :func:`move_row` once per message, the adapter
+# wrappers above with one-segment rows: the cast rule (consulted only when
+# the dtypes differ) and the pack charge exist nowhere else.  The charge
+# depends solely on the element count, so every program kind -- and the
+# fused and sequential moves built on them -- costs the same simulated time.
 
 
-def pack_segment(
-    proc: Process, program: MoveProgram, data: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gather ``data[program]`` into ``out`` (a fresh buffer when None)."""
-    if out is not None and out.dtype != data.dtype and program.n:
-        ensure_safe_cast(data.dtype, out.dtype)
-    proc.charge(proc.cost.pack(program.n), "per_element")
-    return program.gather(data, out=out)
+@dataclass(frozen=True, slots=True)
+class PlanSegment:
+    """One segment of a row: one schedule's contribution to one message.
+    ``schedule_id`` is its *array slot* (it indexes ``MovePlan.schedules``
+    and a move's arrays), ``program`` that schedule's half for the row's
+    peer, ``into`` the destination half of an intra-processor copy.
+    Construction *is* the lowering: ``compile_offsets`` is consulted here,
+    once, instead of once per segment per move."""
+
+    schedule_id: int
+    program: MoveProgram
+    into: MoveProgram | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "program", compile_offsets(self.program))
+        if self.into is not None:
+            object.__setattr__(self, "into", compile_offsets(self.into))
+
+    @property
+    def count(self) -> int:
+        return self.program.n
 
 
-def unpack_segment(
-    proc: Process, program: MoveProgram, data: np.ndarray, values: np.ndarray,
-) -> None:
-    """Scatter ``values`` into ``data[program]`` as one batched store."""
-    values = np.asarray(values)
-    if values.dtype != data.dtype and program.n:
-        ensure_safe_cast(values.dtype, data.dtype)
-    proc.charge(proc.cost.pack(program.n), "per_element")
-    program.scatter(data, values)
-
-
-def copy_segment(
-    proc: Process, src_program: MoveProgram, src_data: np.ndarray,
-    dst_program: MoveProgram, dst_data: np.ndarray,
-) -> None:
-    """``dst_data[dst_program] = src_data[src_program]``, no staging buffer:
-    the paper's advantage over Multiblock Parti's internal buffering for
-    intra-processor moves (§5.3), so only one pack-side charge applies."""
-    if src_data.dtype != dst_data.dtype and src_program.n:
-        ensure_safe_cast(src_data.dtype, dst_data.dtype)
-    proc.charge(proc.cost.pack(src_program.n), "per_element")
-    copy_compiled(src_program, src_data, dst_program, dst_data)
+def move_row(
+    proc: Process, kind: str, row: Sequence[PlanSegment],
+    datas: Sequence[np.ndarray], ends: Sequence[Any], span: str | None = None,
+) -> np.ndarray | None:
+    """Run one message: per segment ``row[i]``, in order, cast check ->
+    ``CostModel.pack(n)`` added to the clock -> one batched NumPy operation
+    between its slot's storage ``datas[row[i].schedule_id]`` and ``ends[i]``.
+    ``"gather"`` packs into ``ends[i]`` (a staging view; None: a fresh
+    array, returned), ``"scatter"`` stores the received ``ends[i]`` (an
+    ndarray), ``"copy"`` copies into its ``row[i].into`` elements with no
+    buffer between the arrays (§5.3).  The clock is stored once per row --
+    the float additions ``Process.charge`` makes, also when a segment
+    raises, so a refused cast leaves exactly the earlier segments charged
+    -- and an attributing rank records one term per row.  ``span`` names
+    the leaf span opened when the rank is ``labelled``.
+    """
+    if span is not None and proc.labelled:
+        with proc.span(span):
+            return move_row(proc, kind, row, datas, ends)
+    clock = start = proc.clock
+    pack, slowdown = proc.cost.pack, proc.slowdown
+    scatter = kind == "scatter"
+    out = None
+    try:
+        for seg, end in zip(row, ends):
+            program, data = seg.program, datas[seg.schedule_id]
+            if end is not None and end.dtype != data.dtype and program.n:
+                ensure_safe_cast(*((end.dtype, data.dtype) if scatter
+                                   else (data.dtype, end.dtype)))
+            clock += pack(program.n) * slowdown
+            if scatter:
+                program.scatter(data, end)
+            elif kind == "gather":
+                out = program.gather(data, end)
+            else:
+                copy_compiled(program, data, seg.into, end)
+    finally:
+        proc.clock = clock
+        metrics = proc.metrics
+        if metrics.attributing and clock != start:
+            metrics.add_term(proc.phase, "per_element", clock - start)
+    return out
 
 
 # -- helpers shared by the regular-library adapters -----------------------------

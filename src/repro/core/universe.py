@@ -59,8 +59,9 @@ class Universe:
 
     def __init__(self, comm: Communicator, to_src, to_dst,
                  src_size: int, dst_size: int):
-        #: this program's own communicator
+        #: this program's own communicator, and the calling rank's process
         self.comm = comm
+        self.process: Process = comm.process
         #: the endpoint carrying this processor's traffic to/from the
         #: source / destination group, addressed by group rank: ``comm``
         #: toward the program's own group, the inter-communicator toward
@@ -75,10 +76,6 @@ class Universe:
         self.my_dst_rank = comm.rank if to_dst is comm else None
         #: True when both groups are the same program's processors
         self.single_program = to_src is to_dst
-
-    @property
-    def process(self) -> Process:
-        return self.comm.process
 
     # -- reliable data plane --------------------------------------------------
 

@@ -253,7 +253,7 @@ class FusedBuffer:
 
     #: ``nbytes`` is a stored value: ``payload_nbytes`` reads it on every
     #: send, and the layout it comes from never changes
-    __slots__ = ("layout", "data", "nbytes", "_lease")
+    __slots__ = ("layout", "data", "nbytes", "_lease", "_views")
 
     def __init__(self, headers, data: np.ndarray, lease=None):
         layout = headers if isinstance(headers, WireLayout) else WireLayout(headers)
@@ -276,9 +276,16 @@ class FusedBuffer:
         return len(self.layout.views)
 
     def segments(self) -> list[np.ndarray]:
-        """Aligned dtype views of every segment's payload, in order."""
-        data = self.data
-        return [data[lo:hi].view(dtype) for lo, hi, dtype in self.layout.views]
+        """Aligned dtype views of every segment's payload, in order, built
+        once per buffer: the receiver unpacks through the sender's views.
+        Unset until then, so a deep-copied snapshot pickles as before."""
+        views = getattr(self, "_views", None)
+        if views is None:
+            data = self.data
+            views = self._views = [
+                data[lo:hi].view(dtype) for lo, hi, dtype in self.layout.views
+            ]
+        return views
 
     def segment(self, i: int) -> np.ndarray:
         """Aligned dtype view of segment ``i``'s payload."""

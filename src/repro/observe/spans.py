@@ -26,8 +26,9 @@ A *leaf* span — one opened per message or per copy (``wire``, ``pack``,
 ``unpack``, ``copy:local``, the window's ``rma:*`` issues) — is opened
 only when ``proc.labelled``: something reads span labels (a trace, the
 span log, term attribution).  Otherwise the caller enters
-:data:`NO_SPAN` instead, so the per-message path pays for no stack push
-and no total, and the leaf names are absent from ``span_seconds``.
+:data:`NO_SPAN` instead (the row kernel opens nothing at all), so the
+per-message path pays for no stack push and no total, and the leaf names
+are absent from ``span_seconds``.
 
 Spans *never* charge the clock: a record's ``start``/``end`` are
 read-only observations of ``proc.clock``, so enabling observability

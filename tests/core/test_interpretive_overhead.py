@@ -1,9 +1,10 @@
 """A budget on the executor's interpretive overhead.
 
 A plan is lowered once so that a move does not re-interpret it: per
-segment the executor should make a handful of Python calls (the segment
-kernel, the charge, the batched NumPy operation), not walk adapter →
-``compile_offsets`` → cast rule → ``charge_pack`` again.
+message the executor makes one row-kernel call, and per segment a
+handful of Python calls (the pack charge, the batched NumPy operation),
+not a walk through adapter → ``compile_offsets`` → cast rule →
+``charge_pack`` again.
 Wall-clock cannot guard that in CI, a count can: ``sys.setprofile``
 "call" events whose code lives under ``repro/core/`` (no wait loop runs
 there, so the count repeats exactly) for one steady-state fused k = 8
@@ -17,8 +18,13 @@ messages) — everything under ``repro/core/`` counted, both halves, the
 intra-processor copies and the per-call entry included.  With
 point-to-point on the endpoint (no universe forwarding call, no arrival
 generator or retry wrapper under ``repro/core/``): 14.3 → 13.9 per fused
-segment, 26.1 → 23.2 per bare message.  The budgets below leave ~12-15 %
-headroom over that; a change that needs more should say why.
+segment, 26.1 → 23.2 per bare message.  With one row-kernel call per
+message (``repro.core.registry.move_row``: the clock stored once per row,
+the counters bumped once per loop, no null span) and ``MoveProgram``
+reading 1-D storage and the built index directly: 15.3 → 8.9 per fused
+segment (1435 → 833 calls), 24.3 → 18.3 per bare message (267 → 201).
+The budgets below leave ~13-15 % headroom over that; a change that
+needs more should say why.
 """
 
 import numpy as np
@@ -43,8 +49,8 @@ from helpers import index_sor, python_calls, section_sor
 pytestmark = pytest.mark.usefixtures("clean_repro_env")
 
 P, N = 4, 64
-CALLS_PER_FUSED_SEGMENT = 15.5
-CALLS_PER_BARE_MESSAGE = 27.0
+CALLS_PER_FUSED_SEGMENT = 10.0
+CALLS_PER_BARE_MESSAGE = 21.0
 
 
 def _core_calls(op):

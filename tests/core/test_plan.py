@@ -29,6 +29,7 @@ from repro.core import (
     ScheduleMethod,
     SegmentHeader,
     compile_plan,
+    ensure_safe_cast,
     mc_compute_plan,
     mc_compute_schedule,
     mc_copy,
@@ -46,7 +47,9 @@ from repro.core.plan import (
 from repro.core.runs import RunList
 from repro.core.schedule import CommSchedule
 from repro.core.universe import SingleProgramUniverse
-from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
+from repro.vmachine import (
+    IBM_SP2, CostModel, ProgramSpec, VirtualMachine, run_programs,
+)
 from repro.vmachine.faults import FaultPlan, FaultRates
 
 from helpers import both_methods, index_sor, oracle_copy, run_spmd, section_sor
@@ -211,6 +214,50 @@ class TestExecutorValidation:
             return True
 
         assert all(run_spmd(2, spmd).values)
+
+    def test_refused_cast_mid_row_charges_the_earlier_segments(self):
+        """A fused k = 4 move on two ranks, every element bound for the
+        other rank, whose third member converts float64 -> int64: each
+        rank's unpack row refuses at its third segment.  The error is the
+        cast rule's own; the clock stops at the receive's clock plus
+        exactly the first two segments' pack charges, and the attributed
+        terms still sum to the clock."""
+        k, n = 4, 16
+
+        def spmd(comm):
+            owners = (np.arange(n) // (n // comm.size) + 1) % comm.size
+            srcs = [BlockPartiArray.from_global(comm, np.arange(n) + 100.0 * j)
+                    for j in range(k)]
+            dsts = [ChaosArray.zeros(comm, owners,
+                                     dtype=np.int64 if j == 2 else np.float64)
+                    for j in range(k)]
+            scheds = [
+                mc_compute_schedule(
+                    comm, "blockparti", a, section_sor((slice(0, n),), (n,)),
+                    "chaos", b, index_sor(np.arange(n)))
+                for a, b in zip(srcs, dsts)
+            ]
+            plan = mc_compute_plan(scheds)
+            (row,) = plan.recv_programs.values()
+            try:
+                mc_copy_many(comm, plan, srcs, dsts)
+            except TypeError as exc:
+                return str(exc), comm.process.clock, [seg.count for seg in row]
+            return "not refused", None, None
+
+        res = VirtualMachine(2, trace=True, observe=True,
+                             check_leaks=False).run(spmd)
+        with pytest.raises(TypeError) as refusal:
+            ensure_safe_cast(np.dtype(np.float64), np.dtype(np.int64))
+        for rank, (text, clock, counts) in enumerate(res.values):
+            assert text == str(refusal.value)
+            assert len(counts) == k
+            recv = [e for e in res.traces[rank] if e.kind == "recv"][-1]
+            expected = recv.time
+            for count in counts[:2]:
+                expected += CostModel(IBM_SP2).pack(count)
+            assert clock == expected == res.clocks[rank]
+            assert abs(res.metrics[rank].attributed_seconds() - clock) < 1e-9
 
 
 class TestCheckFused:

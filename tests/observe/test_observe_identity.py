@@ -43,7 +43,13 @@ def make_spmd(method: ScheduleMethod, policy: ExecutorPolicy):
         mc_copy(comm, sched, A, B, policy=policy)
         plan = mc_compute_plan([sched])
         mc_copy_many(comm, plan, [A], [B], policy=policy)
-        return B.local.tobytes()
+        # a fused k = 4 plan: a pack or unpack row of four segments is
+        # charged, and attributed, once per row
+        fields = [B] + [ChaosArray.zeros(comm, perm % comm.size)
+                        for _ in range(3)]
+        mc_copy_many(comm, mc_compute_plan([sched] * 4), [A] * 4, fields,
+                     policy=policy)
+        return b"".join(f.local.tobytes() for f in fields)
 
     return spmd
 

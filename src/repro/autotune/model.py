@@ -41,7 +41,7 @@ from repro.autotune.workload import (
 )
 from repro.core import plan
 from repro.core.policy import ExecutorPolicy
-from repro.core.wire import RUN_WIRE_BYTES
+from repro.core.runs import RUN_WIRE_BYTES
 from repro.vmachine.cost_model import CostModel as MachineCost, MachineProfile
 
 __all__ = ["Coefficients", "CostModel", "Prediction", "TERMS"]

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import ScheduleMethod
-from repro.core.wire import count_runs
+from repro.core.runs import run_starts
 from repro.distrib.cartesian import BLOCK, BLOCK_CYCLIC, CYCLIC, CartesianDist, DimDist
 from repro.distrib.irregular import IrregularDist
 from repro.vmachine.cost_model import IBM_SP2, MachineProfile
@@ -225,5 +225,5 @@ def run_matrix(
     stops = np.concatenate((boundaries + 1, [len(sorted_pair)]))
     for lo, hi in zip(starts, stops):
         if hi > lo:
-            runs[sorted_pair[lo]] = count_runs(sorted_dst[lo:hi])
+            runs[sorted_pair[lo]] = len(run_starts(sorted_dst[lo:hi]))
     return runs.reshape(P, P)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.core.region import SectionRegion
-from repro.distrib.section import Section
 
-__all__ = ["parti_region", "parti_region_slices"]
+__all__ = ["parti_region"]
 
 
 def parti_region(
@@ -20,9 +19,3 @@ def parti_region(
     """
     return SectionRegion.from_bounds(lower, upper, stride)
 
-
-def parti_region_slices(
-    slices: tuple[slice, ...], shape: tuple[int, ...]
-) -> SectionRegion:
-    """Region from Python slice syntax resolved against the global shape."""
-    return SectionRegion(Section.from_slices(slices, shape))

@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.blockparti.array import BlockPartiArray
 from repro.core.region import SectionRegion
-from repro.core.runs import KeyGroups
-from repro.core.wire import RunEncoded
+from repro.core.runs import KeyGroups, RunList
 from repro.distrib.section import Section
 from repro.vmachine.process import current_process
 
@@ -229,7 +228,7 @@ def build_copy_schedule(
             by_dst.keys, by_dst.split(soffs), by_dst.split(doffs)
         ):
             sched.sends[d] = so
-            recv_pieces[d] = RunEncoded(do)
+            recv_pieces[d] = RunList.from_dense(do)
 
     # Dense distribution of receive halves (every rank to every rank, so
     # receivers know exactly what to expect).
@@ -240,7 +239,7 @@ def build_copy_schedule(
     for s in range(comm.size):
         piece = recv_pieces[s] if s == comm.rank else comm.recv(s, _TAG_PIECES)
         if piece is not None and len(piece):
-            sched.recvs[s] = piece.array
+            sched.recvs[s] = piece.dense()
     return sched
 
 

@@ -36,7 +36,7 @@ from repro.chaos.schedule import (
     build_gather_schedule,
     build_chaos_copy_schedule,
 )
-from repro.chaos.ops import edge_sweep, EdgeSweep
+from repro.chaos.ops import EdgeSweep
 from repro.chaos.sparse import DistributedCSR
 from repro.chaos.interface import ChaosAdapter
 
@@ -55,7 +55,6 @@ __all__ = [
     "ChaosCopySchedule",
     "build_gather_schedule",
     "build_chaos_copy_schedule",
-    "edge_sweep",
     "DistributedCSR",
     "EdgeSweep",
     "ChaosAdapter",

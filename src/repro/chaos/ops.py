@@ -20,7 +20,7 @@ from repro.chaos.array import ChaosArray
 from repro.chaos.schedule import build_gather_schedule
 from repro.vmachine.process import current_process
 
-__all__ = ["EdgeSweep", "edge_sweep"]
+__all__ = ["EdgeSweep"]
 
 
 class EdgeSweep:
@@ -49,11 +49,3 @@ class EdgeSweep:
         current_process().charge_flops(6 * self.nedges)
         self.schedule.scatter_add(y, contrib)
 
-
-def edge_sweep(
-    x: ChaosArray, y: ChaosArray, my_ia: np.ndarray, my_ib: np.ndarray
-) -> EdgeSweep:
-    """One-shot inspector + executor (returns the reusable sweep object)."""
-    sweep = EdgeSweep(x, my_ia, my_ib)
-    sweep.execute(x, y)
-    return sweep

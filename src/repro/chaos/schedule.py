@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.chaos.array import ChaosArray
 from repro.chaos.translation import TranslationTable
-from repro.core.runs import KeyGroups
-from repro.core.wire import RunEncoded
+from repro.core.runs import KeyGroups, RunList
 from repro.vmachine.comm import Communicator
 from repro.vmachine.process import current_process
 
@@ -152,11 +151,11 @@ def build_gather_schedule(
     # Tell each owner which of its elements we need (offset lists; for
     # irregular meshes these barely compress, matching Chaos reality).
     incoming = comm.alltoall_sparse(
-        {owner: RunEncoded(offs) for owner, offs in requests.items()}
+        {owner: RunList.from_dense(offs) for owner, offs in requests.items()}
     )
     for requester, enc in incoming.items():
         if requester != me:
-            sched.sends[requester] = enc.array
+            sched.sends[requester] = enc.dense()
     sched.positions = positions_of_unique
     return sched, positions_of_unique[inverse]
 
@@ -236,13 +235,13 @@ def build_chaos_copy_schedule(
 
     sched = ChaosCopySchedule(n_elements=len(src_gidx))
     by_src = KeyGroups(sranks)
-    requests: dict[int, RunEncoded] = {}
+    requests: dict[int, RunList] = {}
     for s, so, do in zip(
         by_src.keys, by_src.split(soffs), by_src.split(my_dst_offsets)
     ):
         sched.recvs[s] = do
-        requests[s] = RunEncoded(so)
+        requests[s] = RunList.from_dense(so)
     incoming = comm.alltoall_sparse(requests)
     for requester, enc in incoming.items():
-        sched.sends[requester] = enc.array
+        sched.sends[requester] = enc.dense()
     return sched

@@ -39,7 +39,7 @@ from repro.core.dataplane import (
     compile_offsets,
     copy_compiled,
 )
-from repro.core.wire import FusedBuffer, RunEncoded, SegmentHeader, count_runs
+from repro.core.wire import FusedBuffer, SegmentHeader
 from repro.core.registry import (
     LibraryAdapter,
     RemoteHandle,
@@ -88,8 +88,6 @@ from repro.core.api import (
 
 __all__ = [
     "RunList",
-    "RunEncoded",
-    "count_runs",
     "KeyGroups",
     "group_by_runs",
     "MoveProgram",

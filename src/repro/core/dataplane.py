@@ -121,7 +121,7 @@ class MoveProgram:
         self.step = int(step)     # slice kind
         self.grids = grids        # grid kind: (G, 5) int64 rows
         self.scatter_safe = scatter_safe
-        self._source = source     # RunList/ndarray the index is built from
+        self._source = source     # RunList the index is built from
         self._index = index       # dense int64 index (``index``: given)
         self._coords = None       # shape -> unravel_index coords cache
 
@@ -134,12 +134,7 @@ class MoveProgram:
         """The dense int64 index vector (built on first use by the kinds
         that do not execute through it, cached forever)."""
         if self._index is None:
-            src = self._source
-            if isinstance(src, RunList):
-                idx = src.dense()
-            else:
-                idx = np.asarray(src, dtype=np.int64)
-            self._index = idx
+            self._index = self._source.dense()
         return self._index
 
     def coords(self, shape: tuple) -> tuple:
@@ -325,7 +320,7 @@ def compile_offsets(offsets) -> MoveProgram:
     arr = np.asarray(offsets, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("offset sequences must be one-dimensional")
-    return MoveProgram(len(arr), "index", source=arr, index=arr)
+    return MoveProgram(len(arr), "index", index=arr)
 
 
 def _grid_shapes_match(a: MoveProgram, b: MoveProgram) -> bool:

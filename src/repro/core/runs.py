@@ -2,27 +2,24 @@
 
 Multiblock Parti describes a regular transfer as a handful of strided
 blocks, and that is the whole reason regular schedules are cheap to
-build, store and replay (paper §4.1.4, Table 5).  The original port only
-*accounted* for that compression (``RunEncoded`` charged the wire an RLE
-size) while every schedule still materialized dense O(elements) int64
-offset arrays and executed every pack/unpack as a NumPy gather/scatter.
-
-:class:`RunList` makes the run form the actual representation: an
-immutable sequence of maximal arithmetic-progression runs
-``(start, step, count)`` with vectorized compress/expand, concat,
-group-by-key, reverse and length operations; the executors lower one
-once into a cached move program
+build, store and replay (paper §4.1.4, Table 5).  :class:`RunList` is
+that description, and the only one: an immutable sequence of maximal
+arithmetic-progression runs ``(start, step, count)`` with vectorized
+compress/expand, group-by-key and length operations.  The executors
+lower one once into a cached move program
 (:func:`repro.core.dataplane.compile_offsets`) that turns regular section
-moves into contiguous or strided slice copies at memcpy speed.
+moves into contiguous or strided slice copies at memcpy speed, and the
+schedule builders send their pieces as RunLists: :attr:`RunList.nbytes`
+is what the virtual transport charges (16 bytes plus 24 per greedy run)
+and :meth:`RunList.__wire__` what replay hashes (the stored form).
 
 Hybrid storage: genuinely irregular sequences (Chaos-style permutations)
 would *grow* if stored as runs — three int64 per near-singleton run
 versus one per element — so :meth:`RunList.from_dense` keeps such
 sequences dense internally and the executor falls back to NumPy fancy
 indexing.  Either way the object reports the greedy run count of its
-expansion, which is exactly what :func:`repro.core.wire.count_runs`
-computes, so wire-size accounting (and therefore every logical clock in
-the benchmarks) is byte-for-byte unchanged.
+expansion (:func:`run_starts`), so wire-size accounting does not depend
+on the storage form.
 
 The greedy split (a new run wherever the step between consecutive
 elements changes) can overcount the optimal run partition by at most 2x:
@@ -57,7 +54,7 @@ def _step_changes(arr: np.ndarray) -> np.ndarray:
 def run_starts(arr: np.ndarray) -> np.ndarray:
     """Indices where a new greedy arithmetic-progression run begins.
 
-    Matches :func:`repro.core.wire.count_runs` exactly: for ``n <= 2``
+    The greedy split :attr:`RunList.nruns` counts: for ``n <= 2``
     the whole array is one run; otherwise a new run starts at element
     ``i`` (``i >= 2``) whenever ``arr[i] - arr[i-1]`` differs from
     ``arr[i-1] - arr[i-2]``.
@@ -294,9 +291,18 @@ class RunList:
         return rebuild, (self.stored,)
 
     @property
-    def nbytes_wire(self) -> int:
-        """Run-encoded transport size (matches ``RunEncoded.nbytes``)."""
+    def nbytes(self) -> int:
+        """Run-encoded wire size, what the virtual transport charges:
+        ``(start, step, count)`` per greedy run plus a fixed header."""
         return RUN_WIRE_HEADER + RUN_WIRE_BYTES * self._nruns
+
+    def __wire__(self, update, feed) -> None:
+        """Canonical bytes (:mod:`repro.vmachine.payload`): the length and
+        the stored form — the run table, or the dense offsets of a
+        sequence kept dense — never an expansion or a compiled program."""
+        update(b"R")
+        feed(self._n, update)
+        feed(self.stored, update)
 
     @property
     def nbytes_memory(self) -> int:
@@ -365,42 +371,6 @@ class RunList:
             return self._dense.max()
         ends = self._runs[:, 0] + self._runs[:, 1] * (self._runs[:, 2] - 1)
         return max(int(self._runs[:, 0].max()), int(ends.max()))
-
-    # -- structural ops -----------------------------------------------------
-
-    def reverse(self) -> "RunList":
-        """The same offsets in reverse order (still run-compressed)."""
-        if self._runs is None:
-            return RunList.from_dense(self._dense[::-1])
-        if len(self._runs) == 0:
-            return RunList.empty()
-        starts, steps, counts = (
-            self._runs[::-1, 0], self._runs[::-1, 1], self._runs[::-1, 2]
-        )
-        rev = np.column_stack([starts + steps * (counts - 1), -steps, counts])
-        rev = rev.astype(np.int64)
-        rev.setflags(write=False)
-        return RunList(rev, None, self._n, self._nruns)
-
-    @classmethod
-    def concat(cls, pieces: Iterable["RunList | np.ndarray"]) -> "RunList":
-        """Concatenate offset sequences.
-
-        All-compressed inputs are concatenated in run space (O(total
-        runs), boundary runs kept distinct); any dense piece forces a
-        canonical greedy recompression of the dense concatenation.
-        """
-        pieces = [p if isinstance(p, RunList) else cls.from_dense(p) for p in pieces]
-        pieces = [p for p in pieces if len(p)]
-        if not pieces:
-            return cls.empty()
-        if len(pieces) == 1:
-            return pieces[0]
-        if all(p.is_compressed for p in pieces):
-            runs = np.vstack([p._runs for p in pieces]).astype(np.int64)
-            runs.setflags(write=False)
-            return cls(runs, None, sum(p._n for p in pieces), len(runs))
-        return cls.from_dense(np.concatenate([p.dense() for p in pieces]))
 
     # -- executor side --------------------------------------------------------
 

@@ -49,7 +49,6 @@ from repro.core.universe import (
     TAG_SCHED_SRCINFO,
     Universe,
 )
-from repro.core.wire import RunEncoded, count_runs
 
 __all__ = [
     "ScheduleMethod",
@@ -274,7 +273,7 @@ def _half_nbytes(offsets) -> int:
 
 
 def _half_nruns(offsets) -> int:
-    return count_runs(offsets)
+    return RunList.from_dense(offsets).nruns
 
 
 def chunk_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -491,8 +490,7 @@ def _build_cooperation(
                 stash = (olo, ranks_d, offs_d)
             else:
                 universe.to_dst.send(
-                    d, (olo, RunEncoded(ranks_d), RunEncoded(offs_d)),
-                    TAG_SCHED_SRCINFO,
+                    d, (olo, *_encode((ranks_d, offs_d))), TAG_SCHED_SRCINFO
                 )
 
     # Phase 2: destination side dereferences its chunk, merges in the
@@ -521,7 +519,7 @@ def _build_cooperation(
         for _, (olo, r, o) in universe.to_src.arrivals(
             remote, TAG_SCHED_SRCINFO, overlap=policy is ExecutorPolicy.OVERLAP
         ):
-            _place(olo, r.runlist.dense(), o.runlist.dense())
+            _place(olo, r.dense(), o.dense())
         dranks, doffs = dst_adapter.deref_range(dst_handle, dst_sor, dlo, dhi)
 
         # Halves for every source-group processor: (dranks, soffs) of the
@@ -560,12 +558,12 @@ def _halves(groups: KeyGroups, nranks: int, first, second) -> list[tuple]:
 
 def _encode(piece: tuple) -> tuple:
     """Wire form of one ``(peers, offsets)`` piece: run-compressed."""
-    return RunEncoded(piece[0]), RunEncoded(piece[1])
+    return RunList.from_dense(piece[0]), RunList.from_dense(piece[1])
 
 
 def _decode(piece: tuple) -> tuple:
     """Dense (read-only) form of a received :func:`_encode` piece."""
-    return piece[0].runlist.dense(), piece[1].runlist.dense()
+    return piece[0].dense(), piece[1].dense()
 
 
 def _assemble(half: list[tuple]) -> dict[int, RunList]:

@@ -1,18 +1,8 @@
-"""Wire encoding of schedule index arrays.
+"""Wire format of fused data messages.
 
-Real data parallel runtime schedules do not ship per-element offset lists
-when the offsets are regular: Multiblock Parti describes a transfer as a
-handful of strided blocks, and that is why exchanging schedule pieces for
-regular meshes is cheap (paper Table 5) while Chaos-style pointwise lists
-are as large as the data (paper section 5.1, translation tables).
-
-:class:`RunEncoded` captures that: it wraps an offset sequence as a
-:class:`~repro.core.runs.RunList` and reports, as its transport size, the
-size of the run-length encoding (maximal arithmetic-progression runs, 24
-bytes per run).  The compressed form is what actually travels: the
-receiver expands lazily, on first access to :attr:`RunEncoded.array` —
-regular schedule pieces stay layout-sized end to end, and the cost model
-charges the wire exactly what it always did.
+Schedule pieces travel as :class:`~repro.core.runs.RunList` itself — its
+``nbytes`` is the run encoding's size and its ``__wire__`` the stored
+form, so no wrapper type stands between a piece and the transport.
 
 :class:`FusedBuffer` is the wire format of a *fused* data message (the
 :mod:`repro.core.plan` executor): one staging buffer carrying several
@@ -33,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.runs import RUN_WIRE_BYTES, RUN_WIRE_HEADER, RunList, run_starts
+from repro.core.runs import RunList
 from repro.vmachine.payload import array_prefix
 
 __all__ = [
@@ -41,79 +31,17 @@ __all__ = [
     "SEGMENT_ALIGN",
     "SEGMENT_HEADER_BYTES",
     "FusedBuffer",
-    "RunEncoded",
     "SegmentHeader",
     "WireLayout",
-    "count_runs",
     "fused_nbytes",
-    "segment_layout",
 ]
 
 
-def count_runs(arr: np.ndarray) -> int:
-    """Number of maximal arithmetic-progression runs in ``arr`` (greedy).
-
-    Vectorized: a new run starts wherever the step between consecutive
-    elements changes.  The greedy split can overcount the optimal run
-    partition by at most 2x (a singleton after each break), which is an
-    acceptable bound for wire-size accounting.
-    """
-    if isinstance(arr, RunList):
-        return arr.nruns
-    return len(run_starts(arr))
-
-
-class RunEncoded:
-    """An int64 offset sequence that travels in run-compressed form.
-
-    ``nbytes`` (what the virtual transport charges) is the run encoding's
-    size: ``(start, step, count)`` per run plus a fixed header —
-    unchanged from when instances carried dense arrays.  ``array``
-    expands on first access and caches the dense (writable) form, so
-    receiver-side code that merges pieces keeps working verbatim while
-    senders of regular pieces never materialize O(elements) storage.
-    """
-
-    __slots__ = ("runlist", "_array")
-
-    def __init__(self, array: np.ndarray | RunList):
-        # from_dense never aliases its input: instances travel through the
-        # zero-copy transport and must not see builder-side mutations.
-        self.runlist = RunList.from_dense(array)
-        self._array: np.ndarray | None = None
-
-    @property
-    def array(self) -> np.ndarray:
-        """The dense expansion (lazy; cached after the first access)."""
-        if self._array is None:
-            self._array = self.runlist.expand()
-        return self._array
-
-    @property
-    def nruns(self) -> int:
-        return self.runlist.nruns
-
-    @property
-    def nbytes(self) -> int:
-        """Run-encoded wire size: (start, step, count) per run."""
-        return RUN_WIRE_HEADER + RUN_WIRE_BYTES * self.runlist.nruns
-
-    def __wire__(self, update, feed) -> None:
-        """Canonical bytes (:mod:`repro.vmachine.payload`): the length and
-        what travels — the run table, or the dense offsets of a sequence
-        kept dense — never the lazy expansion or a compiled program."""
-        update(b"R")
-        feed(len(self.runlist), update)
-        feed(self.runlist.stored, update)
-
-    def __reduce__(self):
-        return RunEncoded, (self.runlist,)
-
-    def __len__(self) -> int:
-        return len(self.runlist)
-
-    def __repr__(self) -> str:
-        return f"RunEncoded(n={len(self.runlist)}, runs={self.runlist.nruns})"
+#: Unpickling alias, not an export: the committed replay corpus
+#: (tests/replay/corpus) pickles schedule pieces as
+#: ``RunEncoded(<RunList>)``, the wrapper type pieces used to travel in,
+#: and this name must keep loading them — as the RunList itself.
+RunEncoded = RunList.from_dense
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +145,6 @@ class WireLayout:
 
     def __reduce__(self):  # the headers alone: a snapshot carries no memo
         return WireLayout, (self.headers,)
-
-
-def segment_layout(
-    headers: tuple[SegmentHeader, ...]
-) -> tuple[tuple[int, ...], int]:
-    """(payload byte offsets, total padded payload bytes) of a fused
-    buffer — the :class:`WireLayout` arithmetic as plain numbers."""
-    layout = WireLayout(headers)
-    return tuple(lo for lo, _, _ in layout.views), layout.total
 
 
 class FusedBuffer:

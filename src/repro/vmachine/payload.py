@@ -19,8 +19,9 @@ an in-memory representation:
 - an ``Enum`` member is its class and member name; an ``np.dtype`` its
   ``.str``;
 - a class with a ``__wire__(self, update, feed)`` method feeds itself
-  (``repro.core.wire``'s ``RunEncoded`` and ``FusedBuffer`` — which is
-  what keeps ``repro.core`` out of this module's imports).
+  (``repro.core.runs.RunList``, a schedule piece, and
+  ``repro.core.wire.FusedBuffer`` — which is what keeps ``repro.core``
+  out of this module's imports).
 
 Anything else still has a size, but feeding it raises ``TypeError``.
 """

@@ -42,7 +42,7 @@ from repro.core.coupling import CoupledExchange, coupled_universe
 from repro.core.dataplane import read_flat
 from repro.core.policy import resolve_policy, rotated_order
 from repro.core.universe import TAG_DATA, SingleProgramUniverse
-from repro.core.wire import FusedBuffer, SegmentHeader, segment_layout
+from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout
 from repro.vmachine import ProgramSpec, VirtualMachine, run_programs, waitany
 from repro.vmachine.faults import FaultPlan, FaultRates
 from repro.vmachine.trace import TraceEvent
@@ -109,7 +109,7 @@ def ref_send(plan, src_arrays, universe, policy=ORDERED, timeout=None, fence=Non
         else:
             headers = tuple(SegmentHeader(i, data.dtype.str, len(off))
                             for (i, off), data in zip(segs, local))
-            lease = proc.arena.checkout(segment_layout(headers)[1],
+            lease = proc.arena.checkout(WireLayout(headers).total,
                                         pooled=not proc.copy_on_send)
             payload = FusedBuffer(headers, lease.buffer, lease=lease)
             with proc.span("pack"):

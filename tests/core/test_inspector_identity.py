@@ -181,7 +181,7 @@ def _same_runlists(got, want):
         np.testing.assert_array_equal(got[k].dense(), want[k].dense())
         assert got[k].nruns == want[k].nruns
         assert got[k].is_compressed == want[k].is_compressed
-        assert got[k].nbytes_wire == want[k].nbytes_wire
+        assert got[k].nbytes == want[k].nbytes
 
 
 class TestGroupingMatchesReference:
@@ -426,7 +426,7 @@ def _side(lib, comm, side):
 def _describe(sched, clock):
     def half(d):
         return {
-            k: (np.asarray(v).tolist(), v.nruns, v.is_compressed, v.nbytes_wire)
+            k: (np.asarray(v).tolist(), v.nruns, v.is_compressed, v.nbytes)
             for k, v in sorted(d.items())
         }
     return half(sched.sends), half(sched.recvs), clock

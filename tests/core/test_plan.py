@@ -268,9 +268,9 @@ class TestCheckFused:
         )
 
     def _fused(self, headers):
-        from repro.core.wire import segment_layout
+        from repro.core.wire import WireLayout
 
-        _, total = segment_layout(tuple(headers))
+        total = WireLayout(headers).total
         return FusedBuffer(headers, np.zeros(max(total, 1), dtype=np.uint8))
 
     def test_accepts_matching(self):
@@ -546,7 +546,7 @@ class TestMessageReduction:
         from repro.core.wire import (
             FUSED_HEADER_BYTES,
             SEGMENT_HEADER_BYTES,
-            segment_layout,
+            WireLayout,
         )
 
         def spmd(comm):
@@ -574,7 +574,7 @@ class TestMessageReduction:
                 want += (
                     FUSED_HEADER_BYTES
                     + len(headers) * SEGMENT_HEADER_BYTES
-                    + segment_layout(headers)[1]
+                    + WireLayout(headers).total
                 )
             sent = comm.process.stats.get("bytes_sent", 0)
             mc_copy_many(
@@ -593,10 +593,10 @@ class TestMessageReduction:
         from repro.core.wire import (
             FUSED_HEADER_BYTES,
             SEGMENT_HEADER_BYTES,
-            segment_layout,
+            WireLayout,
         )
 
-        _, total = segment_layout(h)
+        total = WireLayout(h).total
         fused = FusedBuffer(h, np.zeros(total, dtype=np.uint8))
         raw = 10 * 8 + 3 * 4
         assert fused.nbytes >= raw

@@ -1,4 +1,4 @@
-"""RunList compression, structural-op and executor-fast-path tests."""
+"""RunList compression, wire form and executor-fast-path tests."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.dataplane import compile_offsets
 from repro.core.runs import RunList, group_by_runs, run_starts
-from repro.core.wire import count_runs
 
 
 def _cases():
@@ -37,19 +36,18 @@ class TestCompressExpand:
     @pytest.mark.parametrize("name,arr", _cases().items(), ids=_cases().keys())
     def test_nruns_matches_count_runs(self, name, arr):
         """Wire accounting depends on this identity staying exact."""
-        assert RunList.from_dense(arr).nruns == count_runs(arr)
+        rl = RunList.from_dense(arr)
+        assert rl.nruns == len(run_starts(arr))
+        assert rl.nbytes == 16 + 24 * rl.nruns
 
     def test_empty(self):
         rl = RunList.from_dense(np.zeros(0, dtype=np.int64))
         assert len(rl) == 0 and rl.nruns == 0
         assert rl.dense().shape == (0,)
-        assert count_runs(np.array([])) == 0
 
     def test_length_one_and_two_are_single_runs(self):
         assert RunList.from_dense(np.array([3])).nruns == 1
         assert RunList.from_dense(np.array([3, -40])).nruns == 1
-        assert count_runs(np.array([3])) == 1
-        assert count_runs(np.array([3, -40])) == 1
 
     def test_constant_array_is_one_step0_run(self):
         rl = RunList.from_dense(np.full(64, 7))
@@ -60,7 +58,7 @@ class TestCompressExpand:
         arr = np.array([0, 5, 0, 5, 0, 5])
         rl = RunList.from_dense(arr)
         # Greedy: [0,5], then every change of step opens a new run.
-        assert rl.nruns == count_runs(arr) == 5
+        assert rl.nruns == len(run_starts(arr)) == 5
         np.testing.assert_array_equal(rl.dense(), arr)
 
     def test_irregular_stays_dense_hybrid(self):
@@ -83,7 +81,7 @@ class TestCompressExpand:
         assert rl.dense()[0] != -999
 
     def test_greedy_vs_optimal_2x_bound(self):
-        """The wire.py docstring claim: greedy <= 2x the optimal partition.
+        """The runs.py docstring claim: greedy <= 2x the optimal partition.
 
         Constructed families with known optimal counts: R contiguous rows
         at irregular row jumps (optimal R: one run per row) — the greedy
@@ -93,10 +91,10 @@ class TestCompressExpand:
         for rows in (1, 2, 10, 100):
             jumps = np.cumsum(rng.integers(100, 1000, size=rows))
             arr = np.concatenate([j + np.arange(20) for j in jumps])
-            greedy = count_runs(arr)
+            greedy = RunList.from_dense(arr).nruns
             assert rows <= greedy <= 2 * rows
         # A single arithmetic progression is optimal and greedy alike.
-        assert count_runs(np.arange(0, 990, 3)) == 1
+        assert RunList.from_dense(np.arange(0, 990, 3)).nruns == 1
 
 
 class TestArrayProtocol:
@@ -145,28 +143,6 @@ class TestArrayProtocol:
 
 
 class TestStructuralOps:
-    def test_reverse(self):
-        for arr in _cases().values():
-            rl = RunList.from_dense(arr)
-            np.testing.assert_array_equal(rl.reverse().dense(), arr[::-1])
-            assert len(rl.reverse()) == len(arr)
-
-    def test_concat_compressed_stays_in_run_space(self):
-        a = RunList.from_dense(np.arange(0, 100, 2))
-        b = RunList.from_dense(np.arange(1000, 1100))
-        cat = RunList.concat([a, b])
-        assert cat.is_compressed and cat.nruns <= a.nruns + b.nruns
-        np.testing.assert_array_equal(
-            cat.dense(), np.concatenate([np.arange(0, 100, 2), np.arange(1000, 1100)])
-        )
-
-    def test_concat_mixed_and_empty(self):
-        assert len(RunList.concat([])) == 0
-        rng = np.random.default_rng(5)
-        parts = [np.arange(10), rng.permutation(200), np.zeros(0, dtype=np.int64)]
-        cat = RunList.concat([RunList.from_dense(p) for p in parts])
-        np.testing.assert_array_equal(cat.dense(), np.concatenate(parts))
-
     def test_from_runs(self):
         rl = RunList.from_runs([(0, 1, 5), (100, -2, 3)])
         np.testing.assert_array_equal(rl.dense(), [0, 1, 2, 3, 4, 100, 98, 96])
@@ -208,7 +184,7 @@ class TestExecutorFastPaths:
         arr = np.concatenate([r * pitch + np.arange(width) for r in range(rows)])
         rl = RunList.from_dense(arr)
         # Wire accounting keeps the greedy count; execution canonicalizes.
-        assert rl.nruns == count_runs(arr) == 2 * rows - 1
+        assert rl.nruns == len(run_starts(arr)) == 2 * rows - 1
         assert len(rl._exec_runs()) == rows
         prog = compile_offsets(rl)
         assert prog.kind == "grid"
@@ -262,7 +238,7 @@ class TestExecutorFastPaths:
         before = rl.runs.copy()
         compile_offsets(rl).gather(np.zeros(500))  # forces _exec_runs
         np.testing.assert_array_equal(rl.runs, before)
-        assert rl.nruns == count_runs(arr)
+        assert rl.nruns == len(run_starts(arr))
         np.testing.assert_array_equal(rl.dense(), arr)
 
     def test_constant_run_gather_scatter(self):
@@ -279,9 +255,8 @@ def test_property_roundtrip_and_counts(values):
     arr = np.array(values, dtype=np.int64)
     rl = RunList.from_dense(arr)
     np.testing.assert_array_equal(rl.dense(), arr)
-    assert rl.nruns == count_runs(arr)
+    assert rl.nruns == len(run_starts(arr))
     assert len(rl) == len(arr)
-    np.testing.assert_array_equal(rl.reverse().dense(), arr[::-1])
 
 
 @given(st.lists(st.integers(0, 200), min_size=1, max_size=200))

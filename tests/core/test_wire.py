@@ -1,74 +1,82 @@
-"""Run-length wire-encoding tests."""
+"""Wire forms: a schedule piece (a RunList, sized by its greedy runs) and
+the fused data message."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.wire import RunEncoded, count_runs
+from repro.core.runs import RunList
+
+
+def nruns(values) -> int:
+    return RunList.from_dense(np.asarray(values, dtype=np.int64)).nruns
 
 
 class TestCountRuns:
+    """The greedy run count a piece is charged by (``RunList.nruns``)."""
+
     def test_empty(self):
-        assert count_runs(np.array([])) == 0
+        assert nruns([]) == 0
 
     def test_singleton(self):
-        assert count_runs(np.array([5])) == 1
+        assert nruns([5]) == 1
 
     def test_pair_always_one_run(self):
-        assert count_runs(np.array([5, 100])) == 1
+        assert nruns([5, 100]) == 1
 
     def test_arithmetic_progression(self):
-        assert count_runs(np.arange(0, 1000, 7)) == 1
+        assert nruns(np.arange(0, 1000, 7)) == 1
 
     def test_constant(self):
-        assert count_runs(np.zeros(50, dtype=int)) == 1
+        assert nruns(np.zeros(50, dtype=int)) == 1
 
     def test_two_blocks(self):
         arr = np.concatenate([np.arange(10), np.arange(100, 105)])
-        assert count_runs(arr) <= 3  # greedy may add one singleton
+        assert nruns(arr) <= 3  # greedy may add one singleton
 
     def test_random_is_many_runs(self):
         rng = np.random.default_rng(0)
         arr = rng.permutation(1000)
-        assert count_runs(arr) > 300
+        assert nruns(arr) > 300
 
 
 class TestRunEncoded:
+    """A schedule piece on the wire: ``nbytes == 16 + 24 * nruns``."""
+
     def test_regular_offsets_compress(self):
-        enc = RunEncoded(np.arange(0, 100_000, 3))
-        assert enc.nbytes < 100  # vs 800 KB raw
+        piece = RunList.from_dense(np.arange(0, 100_000, 3))
+        assert piece.nbytes == 16 + 24 * piece.nruns < 100  # vs 800 KB raw
 
     def test_irregular_offsets_stay_data_sized(self):
         rng = np.random.default_rng(1)
-        enc = RunEncoded(rng.permutation(10_000))
-        assert enc.nbytes > 10_000  # comparable to the raw data
+        piece = RunList.from_dense(rng.permutation(10_000))
+        assert piece.nbytes == 16 + 24 * piece.nruns > 10_000
 
     def test_array_is_copied(self):
         src = np.arange(10)
-        enc = RunEncoded(src)
+        piece = RunList.from_dense(src)
         src[0] = 99
-        assert enc.array[0] == 0
+        assert piece.dense()[0] == 0
 
     def test_len(self):
-        assert len(RunEncoded(np.arange(7))) == 7
+        assert len(RunList.from_dense(np.arange(7))) == 7
 
     def test_blockwise_structure(self):
         # 100 rows of 50 contiguous offsets each, row stride 1000: the
         # optimal encoding is 100 runs; the greedy splitter may emit one
         # extra singleton per row jump (its documented 2x bound).
         rows = [np.arange(r * 1000, r * 1000 + 50) for r in range(100)]
-        enc = RunEncoded(np.concatenate(rows))
-        assert 100 <= enc.nruns <= 200
-        assert enc.nbytes <= 16 + 24 * 200  # ~5 KB vs 40 KB raw
+        piece = RunList.from_dense(np.concatenate(rows))
+        assert 100 <= piece.nruns <= 200
+        assert piece.nbytes <= 16 + 24 * 200  # ~5 KB vs 40 KB raw
 
 
 @given(st.lists(st.integers(-1000, 1000), min_size=0, max_size=200))
 def test_property_runs_bounded_by_length(values):
-    arr = np.array(values, dtype=np.int64)
-    r = count_runs(arr)
-    assert 0 <= r <= max(1, len(arr))
-    if len(arr) >= 1:
+    r = nruns(values)
+    assert 0 <= r <= max(1, len(values))
+    if len(values) >= 1:
         assert r >= 1
 
 
@@ -78,8 +86,7 @@ def test_property_runs_bounded_by_length(values):
     n=st.integers(1, 100),
 )
 def test_property_progressions_are_one_run(start, step, n):
-    arr = start + step * np.arange(n)
-    assert count_runs(arr) == 1
+    assert nruns(start + step * np.arange(n)) == 1
 
 
 class TestSegmentLayout:
@@ -93,11 +100,12 @@ class TestSegmentLayout:
         )
 
     def test_offsets_are_aligned(self):
-        from repro.core.wire import SEGMENT_ALIGN, segment_layout
+        from repro.core.wire import SEGMENT_ALIGN, WireLayout
 
-        offsets, total = segment_layout(self._headers())
+        layout = WireLayout(self._headers())
+        offsets = tuple(lo for lo, _, _ in layout.views)
         assert offsets == (0, 48, 64)
-        assert total == 80
+        assert layout.total == 80
         assert all(o % SEGMENT_ALIGN == 0 for o in offsets)
 
     def test_header_sizes(self):
@@ -108,18 +116,18 @@ class TestSegmentLayout:
         assert h.data_nbytes == 28
 
     def test_empty_headers(self):
-        from repro.core.wire import segment_layout
+        from repro.core.wire import WireLayout
 
-        assert segment_layout(()) == ((), 0)
+        layout = WireLayout(())
+        assert layout.views == () and layout.total == 0
 
 
 class TestFusedBuffer:
     def _fused(self):
-        from repro.core.wire import FusedBuffer, SegmentHeader, segment_layout
+        from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout
 
         headers = (SegmentHeader(0, "<f8", 4), SegmentHeader(1, "<f4", 6))
-        offsets, total = segment_layout(headers)
-        data = np.zeros(total, dtype=np.uint8)
+        data = np.zeros(WireLayout(headers).total, dtype=np.uint8)
         fused = FusedBuffer(headers, data)
         fused.segment(0)[:] = np.arange(4, dtype=np.float64)
         fused.segment(1)[:] = np.arange(6, dtype=np.float32) * 0.5
@@ -161,11 +169,10 @@ class TestFusedBuffer:
         from repro.vmachine.message import PackArena
 
         arena = PackArena({})
-        from repro.core.wire import FusedBuffer, SegmentHeader, segment_layout
+        from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout
 
         headers = (SegmentHeader(0, "<f8", 2),)
-        _, total = segment_layout(headers)
-        lease = arena.checkout(total)
+        lease = arena.checkout(WireLayout(headers).total)
         fused = FusedBuffer(headers, lease.buffer, lease=lease)
         clone = copy.deepcopy(fused)
         clone.segment(0)[:] = 7.0
@@ -177,12 +184,11 @@ class TestFusedBuffer:
 
     def test_release_idempotent(self):
         from repro.vmachine.message import PackArena
-        from repro.core.wire import FusedBuffer, SegmentHeader, segment_layout
+        from repro.core.wire import FusedBuffer, SegmentHeader, WireLayout
 
         arena = PackArena({})
         headers = (SegmentHeader(0, "<f4", 2),)
-        _, total = segment_layout(headers)
-        lease = arena.checkout(total)
+        lease = arena.checkout(WireLayout(headers).total)
         fused = FusedBuffer(headers, lease.buffer, lease=lease)
         fused.release()
         fused.release()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.dataplane import compile_offsets
 from repro.core.runs import RunList
-from repro.core.wire import FusedBuffer, RunEncoded, SegmentHeader
+from repro.core.wire import FusedBuffer, SegmentHeader
 
 from repro.replay.artifact import (
     IntegrityViolation,
@@ -43,6 +43,7 @@ from repro.vmachine.faults import (
     FaultRule,
     OK_RECEIPT,
 )
+from repro.vmachine.payload import canonical_feed
 from repro.vmachine.trace import TraceEvent, event_from_tuple, event_to_tuple
 
 #: every event kind the runtime emits (messages, fault annotations from
@@ -252,18 +253,16 @@ class TestCanonicalForms:
         assert payload_digest(moved) != payload_digest(_fused(0))
 
     def test_run_encoded_ignores_its_memo_slots(self):
-        # fails at the parent: v1 hashed the pickle, memo slots and all
-        r = RunEncoded(np.arange(0, 64, 2))
+        # a schedule piece is a RunList: its memo slots are never content
+        r = RunList.from_dense(np.arange(0, 64, 2))
         digest, text = payload_digest(r), encode_payload(r)
-        for fill_a_memo in (lambda: compile_offsets(r.runlist),
-                            lambda: r.array,
-                            lambda: r.runlist._exec_runs()):
+        for fill_a_memo in (lambda: compile_offsets(r), r.dense, r._exec_runs):
             fill_a_memo()
             assert payload_digest(r) == digest
             assert encode_payload(r) == text
         back = decode_payload(text)
         assert payload_digest(back) == digest
-        np.testing.assert_array_equal(back.array, r.array)
+        np.testing.assert_array_equal(back.dense(), r.dense())
         assert (back.nbytes, back.nruns, len(back)) == (r.nbytes, r.nruns, len(r))
 
     @pytest.mark.parametrize("offsets", [
@@ -273,16 +272,17 @@ class TestCanonicalForms:
         np.zeros(0, dtype=np.int64),
     ], ids=["run", "runs", "dense", "empty"])
     def test_run_encoded_is_its_length_and_stored_form(self, offsets):
-        from_dense = RunEncoded(offsets)
-        from_runlist = RunEncoded(RunList.from_dense(offsets))
-        assert payload_digest(from_dense) == payload_digest(from_runlist)
-        assert encode_payload(from_dense) == encode_payload(from_runlist)
-        other = RunEncoded(np.append(offsets, 1000))
-        assert payload_digest(other) != payload_digest(from_dense)
-        round_trip = decode_payload(encode_payload(from_dense))
-        assert round_trip.runlist.is_compressed == \
-            from_dense.runlist.is_compressed
-        np.testing.assert_array_equal(round_trip.array, offsets)
+        piece = RunList.from_dense(offsets)
+        spelled = hashlib.sha256(b"R")
+        for part in (len(offsets), piece.stored):
+            canonical_feed(part, spelled.update)
+        assert payload_digest(piece) == spelled.hexdigest()[:DIGEST_LEN]
+        assert piece.nbytes == 16 + 24 * piece.nruns
+        other = RunList.from_dense(np.append(offsets, 1000))
+        assert payload_digest(other) != payload_digest(piece)
+        round_trip = decode_payload(encode_payload(piece))
+        assert round_trip.is_compressed == piece.is_compressed
+        np.testing.assert_array_equal(round_trip.dense(), offsets)
 
     def test_dataclass_is_its_name_and_compared_fields(self):
         def make(name):

@@ -221,6 +221,19 @@ def test_docs_gate_reads_every_alternative_of_a_brace_set(tmp_path, capfd):
         capfd.readouterr().out)
 
 
+def test_model_declared_row_names_every_wire_class():
+    """docs/MODEL.md §1 names the classes defining ``__wire__`` by bare
+    name, which the docs gate does not resolve: the row and the source
+    must agree on the set."""
+    row = next(line for line in (ROOT / "docs/MODEL.md").read_text().splitlines()
+               if line.startswith("| **declared:** class with `__wire__"))
+    defined = {node.name for path in (ROOT / "src/repro").rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(f, "name", "") == "__wire__" for f in node.body)}
+    assert set(re.findall(r"`(\w+)` →", row)) == defined
+
+
 def test_layering_check_catches_a_violation(capfd):
     # dobj is a façade over service, so this direction must be reported
     upward = Gate("upward", (py("-c", check.IMPORTS_NONE_OF, "repro.dobj",

@@ -190,7 +190,8 @@ class TestTableChargesWhatTheLaddersDid:
         from collections import namedtuple
         from dataclasses import dataclass
 
-        from repro.core.wire import FusedBuffer, RunEncoded, SegmentHeader
+        from repro.core.runs import RunList
+        from repro.core.wire import FusedBuffer, SegmentHeader
 
         class Colour(enum.Enum):
             RED = 1
@@ -224,8 +225,8 @@ class TestTableChargesWhatTheLaddersDid:
             (), [], {}, (1, ("abcd", 2.0)), Listy([a, a]), Pair(1, "b"),
             {"ab": a, 3: [None, b"xy"]}, ("put", 3, 17, np.zeros(4)),
             np.dtype("f8"), Colour.RED, Level.HIGH, Sized(), Unsized(),
-            object(), RunEncoded(np.arange(0, 64, 2)),
-            RunEncoded(np.random.default_rng(1).permutation(30)), fused,
+            object(), RunList.from_dense(np.arange(0, 64, 2)),
+            RunList.from_dense(np.random.default_rng(1).permutation(30)), fused,
         ]
         for payload in zoo:
             assert payload_nbytes(payload) == _ladder_nbytes(payload), \

@@ -22,8 +22,10 @@ Measures the three claims the service makes:
     stay bounded, the queue never exceeds the watermark, and *every*
     session completes — zero wedged.
 
-Every check is on logical numbers: ``BENCH_service.json`` at the repo
-root holds logical clocks and counts only, and ``python check.py bench``
+Every check is on logical numbers or counts (a spy on
+``CommSchedule.reverse`` bounds a fleet's reversals to one per bound
+schedule per rank): ``BENCH_service.json`` at the repo root holds
+logical clocks and counts only, and ``python check.py bench``
 requires a re-run to reproduce it byte for byte.  ``--smoke`` runs a
 reduced matrix, asserts the same invariants and writes nothing.
 """
@@ -33,6 +35,7 @@ import sys
 
 from common import check_shape, print_header, write_trajectory
 from repro.apps.service_demo import DemoVectors, run_service_demo
+from repro.core.schedule import CommSchedule
 from repro.service import (
     ArraySpec,
     ServiceBusyError,
@@ -109,9 +112,26 @@ def run_cold_warm():
 # ---------------------------------------------------------------------------
 
 
+def reversals(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), how many times it called CommSchedule.reverse)``."""
+    real = CommSchedule.reverse
+    calls = []
+
+    def spy(self):
+        calls.append(None)  # list.append: atomic across rank threads
+        return real(self)
+
+    CommSchedule.reverse = spy
+    try:
+        return fn(*args, **kwargs), len(calls)
+    finally:
+        CommSchedule.reverse = real
+
+
 def run_fleet(tenants: int):
     shapes = min(8, tenants)
-    report, summary, res = run_service_demo(
+    (report, summary, res), reverses = reversals(
+        run_service_demo,
         tenants=tenants,
         shapes=shapes,
         size=64,
@@ -145,6 +165,12 @@ def run_fleet(tenants: int):
         out["schedule_misses"] == shapes,
         f"{tenants} tenants built exactly {shapes} schedules "
         f"(got {out['schedule_misses']})",
+    )
+    ranks = sum(len(r.values) for r in res.programs.values())
+    check_shape(
+        reverses <= out["schedule_misses"] * ranks,
+        f"{tenants} tenants: {reverses} schedule reversals, at most one per "
+        f"bound schedule per rank ({out['schedule_misses']} x {ranks} ranks)",
     )
     check_shape(
         out["rounds"] < total_ops,

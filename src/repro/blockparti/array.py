@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 
 from repro.core.dataplane import accept_local, read_flat
-from repro.distrib.cartesian import CartesianDist
+from repro.distrib.cartesian import DIST_MEMO_SIZE, CartesianDist
 from repro.vmachine.comm import Communicator
 
 __all__ = ["BlockPartiArray"]
@@ -95,6 +96,7 @@ class BlockPartiArray:
         return cls(comm, dist, local.astype(full.dtype, copy=True))
 
     @staticmethod
+    @functools.lru_cache(maxsize=DIST_MEMO_SIZE)
     def _make_dist(
         shape: tuple[int, ...], nprocs: int, grid: tuple[int, ...] | None
     ) -> CartesianDist:

@@ -36,7 +36,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.api import mc_compute_schedule
-from repro.core.plan import MovePlan, compile_plan
+from repro.core.plan import MovePlan, compile_plan, plan_of
 from repro.core.policy import ExecutorPolicy
 from repro.core.region import IndexRegion, MaskRegion, Region, SectionRegion
 from repro.core.registry import get_adapter
@@ -232,8 +232,8 @@ class LayeredStore:
         schedules: Sequence[CommSchedule],
         reverse: bool = False,
     ) -> MovePlan:
-        """The fused plan over ``schedules`` (or, with ``reverse``, over
-        their reverses — materialized here, and only on a miss).
+        """The fused plan over ``schedules`` (or their memoised reverses); a
+        miss reads the members' :func:`~repro.core.plan.plan_of` plans.
 
         Keyed by the ordered member keys and the direction, so a hit
         costs the key tuple and one lookup.  Residency is checked once,
@@ -251,7 +251,8 @@ class LayeredStore:
             return hit[0]
         self._bump("plan_misses")
         members = tuple(schedules)
-        plan = compile_plan([s.reverse() for s in members] if reverse else members)
+        own = [plan_of(s, 1, reverse) for s in members]
+        plan = own[0] if len(own) == 1 else compile_plan([p.schedules[0] for p in own])
         if not self._resident(key[0], members):
             self._bump("plan_uncached")
             return plan

@@ -170,12 +170,13 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
 
     Validates that every member spans the same source/destination group
     sizes (they must have been built over the same
-    :class:`~repro.core.universe.Universe` shape).  Only peers a
-    schedule actually exchanges elements with contribute segments — each
-    lowered here, once (:class:`~repro.core.registry.PlanSegment`) — so
-    an empty half adds nothing to any program.  Exactly one schedule
-    yields a *bare* plan (see the module docstring): the wire form follows
-    from ``len(schedules)`` and nothing else.
+    :class:`~repro.core.universe.Universe` shape).  One schedule is
+    lowered here: one :class:`~repro.core.registry.PlanSegment` per half
+    with elements.  Several are assembled from each member's memoised
+    rows (:func:`plan_of`), renumbered to its slot, so no half is lowered
+    twice.  Exactly one schedule yields a *bare* plan (see the module
+    docstring): the wire form follows from ``len(schedules)`` and nothing
+    else.
     """
     schedules = tuple(schedules)
     if not schedules:
@@ -188,22 +189,21 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
                 f"{sched.src_size}x{sched.dst_size} but schedule 0 spans "
                 f"{s0.src_size}x{s0.dst_size}; a plan needs one universe"
             )
-    send_programs: dict[int, list[PlanSegment]] = {}
-    recv_programs: dict[int, list[PlanSegment]] = {}
-    for sid, sched in enumerate(schedules):
-        for programs, halves in (
-            (send_programs, sched.sends), (recv_programs, sched.recvs)
-        ):
-            for peer, offsets in halves.items():
-                if len(offsets):
-                    programs.setdefault(peer, []).append(
-                        PlanSegment(sid, offsets)
-                    )
-    return MovePlan(
-        schedules=schedules,
-        send_programs={d: tuple(p) for d, p in sorted(send_programs.items())},
-        recv_programs={s: tuple(p) for s, p in sorted(recv_programs.items())},
-    )
+    if len(schedules) == 1:
+        return MovePlan(schedules, *(
+            {peer: (PlanSegment(0, offsets),)
+             for peer, offsets in sorted(halves.items()) if len(offsets)}
+            for halves in (s0.sends, s0.recvs)
+        ))
+    rows: tuple[dict, dict] = ({}, {})
+    for sid, own in enumerate(map(plan_of, schedules)):
+        for programs, own_rows in zip(rows, (own.send_programs, own.recv_programs)):
+            for peer, (seg,) in own_rows.items():
+                programs.setdefault(peer, []).append(PlanSegment(sid, seg.program))
+    return MovePlan(schedules, *(
+        {peer: tuple(row) for peer, row in sorted(programs.items())}
+        for programs in rows
+    ))
 
 
 def plan_of(schedule: CommSchedule, k: int = 1, reverse: bool = False) -> MovePlan:
@@ -213,13 +213,18 @@ def plan_of(schedule: CommSchedule, k: int = 1, reverse: bool = False) -> MovePl
     move (``k = 1``), or the k same-shaped fields a coupled timestep
     loop exchanges every iteration (paper §5.1) — compiled on first use
     and memoised on the schedule object, so repeated moves get a stable
-    plan identity for the pooled staging buffers behind it and a pull
-    never rebuilds the reversed schedule.  Local, like every compile.
+    plan identity for the pooled staging buffers behind it; a reversed
+    plan is that of the schedule's one memoised reverse, so a pull never
+    rebuilds it.  Local, like every compile.
     """
     plan = schedule._plans.get((k, reverse))
     if plan is None:
-        member = schedule.reverse() if reverse else schedule
-        plan = schedule._plans[k, reverse] = compile_plan((member,) * k)
+        if reverse:  # via the one reverse, whose plans are memoised on it
+            rev = plan_of(schedule, 1, True).schedules[0] if k > 1 else schedule.reverse()
+            plan = plan_of(rev, k)
+        else:
+            plan = compile_plan((schedule,) * k)
+        schedule._plans[k, reverse] = plan
     return plan
 
 
@@ -256,7 +261,7 @@ def _fuse(
             for seg in program
         ])
         # Kept from the pair's second message on: a timestep loop reuses
-        # it for ever, a plan executed once (the service compiles one per
+        # it for ever, a plan executed once (the service assembles one per
         # round and keeps them resident) retains no per-segment objects.
         layouts[key] = layout if key in layouts else None
     lease = proc.arena.checkout(layout.total, pooled=not proc.copy_on_send)

@@ -37,6 +37,10 @@ CYCLIC = "cyclic"
 BLOCK_CYCLIC = "block_cyclic"
 COLLAPSED = "collapsed"
 
+#: distributions each array library's builder keeps (LRU): arrays of one
+#: shape share one, immutable apart from its per-rank ``local_shape`` memo
+DIST_MEMO_SIZE = 128
+
 
 def proc_grid(nprocs: int, ndims: int) -> tuple[int, ...]:
     """Factor ``nprocs`` into a balanced ``ndims``-dimensional grid.

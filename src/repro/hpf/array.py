@@ -14,6 +14,7 @@ the distributed dimensions) or given explicitly.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable
 
@@ -25,6 +26,7 @@ from repro.distrib.cartesian import (
     BLOCK_CYCLIC,
     COLLAPSED,
     CYCLIC,
+    DIST_MEMO_SIZE,
     CartesianDist,
     DimDist,
     proc_grid,
@@ -51,6 +53,7 @@ def parse_dist_spec(spec: str) -> tuple[str, int]:
     raise ValueError(f"unknown HPF distribution spec {spec!r}")
 
 
+@functools.lru_cache(maxsize=DIST_MEMO_SIZE)
 def _build_dist(
     shape: tuple[int, ...],
     specs: tuple[str, ...],

@@ -23,9 +23,10 @@ LayeredStore`) with one counter table, mirrored under two prefixes:
 ``cache_program_{hits,       MoveProgram rows: a miss is a RunList
 misses}``                    half's first lowering (:func:`~repro.
                              core.dataplane.compile_offsets`); a hit
-                             is a memo hit there or a row a move
-                             executes, counted per message by its
-                             segment count (docs/MODEL.md §8)
+                             is a memo hit there (a fused compile
+                             counts none) or a row a move executes,
+                             counted per message by its segment
+                             count (docs/MODEL.md §8)
 ============================ =========================================
 
 ``<counter>`` is one of ``schedule_{hits, misses, evictions}`` and

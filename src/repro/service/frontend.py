@@ -190,8 +190,9 @@ class _Dispatcher:
     # -- harvesting ----------------------------------------------------------
 
     def _harvest(self) -> list[tuple]:
-        """Seal one round: the head op of every ready session, rotated
-        for fairness, at most :data:`MAX_BATCH_OPS` total."""
+        """Seal one round: the head op of every ready session from session
+        ``seq % n`` on, cut at :data:`MAX_BATCH_OPS` ops -- so while the cap
+        binds, the sessions just after the start are served every round."""
         harvested: list[tuple] = []
         n = len(self.sessions)
         if n == 0:

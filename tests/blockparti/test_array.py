@@ -94,3 +94,40 @@ class TestConstruction:
             return a.gather_global()
 
         np.testing.assert_allclose(run_spmd(3, spmd).values[0], np.arange(10.0))
+
+
+class TestSharedDistribution:
+    """Arrays of one (shape, nprocs, grid) share one CartesianDist."""
+
+    def test_equal_arguments_share_one_dist(self):
+        def spmd(comm):
+            a = BlockPartiArray.zeros(comm, (8, 8))
+            b = BlockPartiArray.from_global(comm, np.ones((8, 8)))
+            c = BlockPartiArray.zeros(comm, (8, 8), nprocs_grid=(1, 4))
+            d = BlockPartiArray.zeros(comm, (8, 8), nprocs_grid=(1, 4))
+            e = BlockPartiArray.zeros(comm, (8, 9))
+            return (a.dist is b.dist, c.dist is d.dist,
+                    c.dist is not a.dist, e.dist is not a.dist)
+
+        assert run_spmd(4, spmd).values == [(True,) * 4] * 4
+
+    def test_writing_one_array_leaves_the_other(self):
+        def spmd(comm):
+            a = BlockPartiArray.zeros(comm, (6, 6))
+            b = BlockPartiArray.from_global(comm, np.ones((6, 6)))
+            a.local_nd[...] = 5.0
+            return a.dist is b.dist, b.gather_global()
+
+        res = run_spmd(2, spmd).values
+        assert all(same for same, _ in res)
+        np.testing.assert_array_equal(res[0][1], np.ones((6, 6)))
+
+    def test_memo_is_bounded(self):
+        from repro.distrib.cartesian import DIST_MEMO_SIZE
+
+        def spmd(comm):
+            for n in range(1, DIST_MEMO_SIZE + 20):
+                BlockPartiArray.zeros(comm, (n,))
+            return BlockPartiArray._make_dist.cache_info().currsize
+
+        assert run_spmd(1, spmd).values[0] <= DIST_MEMO_SIZE

@@ -60,6 +60,46 @@ class TestDistributions:
         assert sum(run_spmd(4, spmd).values) == G.size
 
 
+class TestSharedDistribution:
+    """Arrays of one (shape, specs, nprocs, grid) share one CartesianDist."""
+
+    def test_equal_arguments_share_one_dist(self):
+        def spmd(comm):
+            a = HPFArray.distribute(comm, (8, 8), ("block", "cyclic"))
+            b = HPFArray.from_global(comm, np.ones((8, 8)), ("block", "cyclic"))
+            other_spec = HPFArray.distribute(comm, (8, 8), ("block", "block"))
+            grid = HPFArray.distribute(comm, (8, 8), ("block", "cyclic"), (1, 4))
+            same_grid = HPFArray.distribute(
+                comm, (8, 8), ("block", "cyclic"), (1, 4)
+            )
+            return (a.dist is b.dist, other_spec.dist is not a.dist,
+                    grid.dist is not a.dist, grid.dist is same_grid.dist)
+
+        assert run_spmd(4, spmd).values == [(True,) * 4] * 4
+
+    def test_writing_one_array_leaves_the_other(self):
+        def spmd(comm):
+            a = HPFArray.distribute(comm, (6, 6), ("cyclic", "*"))
+            b = HPFArray.from_global(comm, np.ones((6, 6)), ("cyclic", "*"))
+            a.local[:] = 5.0
+            return a.dist is b.dist, b.gather_global()
+
+        res = run_spmd(2, spmd).values
+        assert all(same for same, _ in res)
+        np.testing.assert_array_equal(res[0][1], np.ones((6, 6)))
+
+    def test_memo_is_bounded(self):
+        from repro.distrib.cartesian import DIST_MEMO_SIZE
+        from repro.hpf.array import _build_dist
+
+        def spmd(comm):
+            for n in range(1, DIST_MEMO_SIZE + 20):
+                HPFArray.distribute(comm, (n,), ("block",))
+            return _build_dist.cache_info().currsize
+
+        assert run_spmd(1, spmd).values[0] <= DIST_MEMO_SIZE
+
+
 class TestConstruction:
     def test_from_function(self):
         def spmd(comm):

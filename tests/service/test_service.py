@@ -8,6 +8,7 @@ rounds with shared caches.
 """
 
 import asyncio
+import collections
 import time
 
 import numpy as np
@@ -510,6 +511,105 @@ class TestBatching:
         assert report.ok
         assert summary["bindings_live"] == 0
         assert stores and all(c.validate() == [] for c in stores)
+
+
+@pytest.fixture
+def round_log(monkeypatch):
+    """One entry per ``apply_round`` on any rank of either program: the
+    ``CommSchedule`` constructions and ``reverse`` calls its thread made,
+    its ``cache_program_misses`` delta, and each plan its store handed
+    out (members, direction, plan, whether the plan layer missed)."""
+    import threading
+
+    from repro.core.schedule import CommSchedule
+    from repro.service import dispatch, server
+
+    made, reversed_ = collections.Counter(), collections.Counter()
+    init, reverse = CommSchedule.__init__, CommSchedule.reverse
+
+    def counting_init(self, *args, **kwargs):
+        made[threading.get_ident()] += 1
+        init(self, *args, **kwargs)
+
+    def counting_reverse(self):
+        reversed_[threading.get_ident()] += 1
+        return reverse(self)
+
+    log, current = [], threading.local()
+    real_round, real_plan = dispatch.apply_round, ServiceCache.plan
+
+    def logged_round(state, *args, **kwargs):
+        me, counters = threading.get_ident(), state.proc.metrics.counters
+        before = (made[me], reversed_[me], counters.get("cache_program_misses", 0))
+        current.plans = []
+        out = real_round(state, *args, **kwargs)
+        after = (made[me], reversed_[me], counters.get("cache_program_misses", 0))
+        log.append({
+            "rank": (state.universe.role, state.proc.rank),
+            "counts": tuple(a - b for a, b in zip(after, before)),
+            "plans": current.plans,
+        })
+        return out
+
+    def logged_plan(self, keys, schedules, reverse=False):
+        misses = self.counters["plan_misses"]
+        plan = real_plan(self, keys, schedules, reverse)
+        current.plans.append({
+            "members": list(schedules), "reverse": reverse, "plan": plan,
+            "compiled": self.counters["plan_misses"] > misses,
+        })
+        return plan
+
+    monkeypatch.setattr(CommSchedule, "__init__", counting_init)
+    monkeypatch.setattr(CommSchedule, "reverse", counting_reverse)
+    monkeypatch.setattr(ServiceCache, "plan", logged_plan)
+    for module in (dispatch, server):
+        monkeypatch.setattr(module, "apply_round", logged_round)
+    return log
+
+
+class TestRoundPlans:
+    def test_a_warm_round_reuses_what_its_bindings_compiled(self, round_log):
+        """After a warm-up round, a round whose pushes and pulls each fuse
+        several bindings builds no schedule, reverses none and lowers no
+        half: each fused plan's per-peer rows are the members' own
+        memoised one-schedule rows (``plan_of``), in member order."""
+        from repro.core.plan import plan_of
+
+        report = run_service_demo(
+            tenants=4, shapes=2, iterations=4, size=N,
+        )[0]
+        assert report.ok
+        seen: dict = collections.defaultdict(set)
+        checked = collections.Counter()
+        for entry in round_log:
+            directions = {p["reverse"] for p in entry["plans"]}
+            warm = directions <= seen[entry["rank"]]
+            seen[entry["rank"]] |= directions
+            if not warm or not directions:
+                continue
+            assert entry["counts"] == (0, 0, 0), entry
+            for fused in entry["plans"]:
+                own = [plan_of(s, 1, fused["reverse"]) for s in fused["members"]]
+                if len(own) < 2:
+                    continue
+                plan = fused["plan"]
+                assert all(a is p.schedules[0]
+                           for a, p in zip(plan.schedules, own, strict=True))
+                for programs in ("send_programs", "recv_programs"):
+                    expected: dict = {}
+                    for slot, member in enumerate(own):
+                        for peer, row in getattr(member, programs).items():
+                            expected.setdefault(peer, []).extend(
+                                (slot, id(seg.program)) for seg in row
+                            )
+                    assert {
+                        peer: [(seg.schedule_id, id(seg.program)) for seg in row]
+                        for peer, row in getattr(plan, programs).items()
+                    } == expected
+                checked[fused["reverse"], fused["compiled"]] += 1
+        # Both directions fused and compiled after the warm-up, on some rank.
+        assert checked[False, True] and checked[True, True], checked
 
 
 class TestConfigFingerprint:

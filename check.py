@@ -131,11 +131,19 @@ def replay_gate(record_tree: Path) -> Gate:
     return Gate("replay", tuple(cmds))
 
 
+#: the demo is fault-free, so every message is one flow arrow; a span
+#: record read with its fields out of order breaks the path/depth checks
 PERFETTO_OK = """
 import json
 events = json.load(open("trace.json"))["traceEvents"]
 assert events and {"M", "X", "s", "f"} <= {e["ph"] for e in events}
 assert all({"ph", "pid"} <= set(e) for e in events)
+for e in events:
+    if e["ph"] == "X":
+        path, depth = e["args"]["path"], e["args"]["depth"]
+        assert path.endswith(e["name"]) and depth == path.count("/"), e
+phs = [e["ph"] for e in events]
+assert phs.count("s") == phs.count("f"), (phs.count("s"), phs.count("f"))
 """
 #: (package, packages that importing it must not load), all under ``repro.``
 LAYERING = (

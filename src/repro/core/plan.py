@@ -268,10 +268,10 @@ def _fuse(
     fused = FusedBuffer(layout, lease.buffer, lease=lease)
     move_row(proc, "gather", program, datas, fused.segments(), "pack")
     if proc.trace is not None:
-        proc.trace.append(TraceEvent(
+        proc.trace.append(tuple.__new__(TraceEvent, (
             "plan:fuse", proc.clock, proc.rank, d, TAG_DATA, fused.nbytes,
-            phase=proc.phase_path,
-        ))
+            0.0, proc.phase_path,
+        )))
     return fused
 
 

@@ -41,6 +41,7 @@ from repro.core.setofregions import SetOfRegions
 from repro.core.region import SectionRegion
 from repro.distrib.base import DistDescriptor, Distribution
 from repro.distrib.cartesian import CartesianDist
+from repro.observe.spans import span_on
 from repro.vmachine.process import Process, current_process
 
 __all__ = [
@@ -344,7 +345,7 @@ def move_row(
     the leaf span opened when the rank is ``labelled``.
     """
     if span is not None and proc.labelled:
-        with proc.span(span):
+        with span_on(proc, span):
             return move_row(proc, kind, row, datas, ends)
     clock = start = proc.clock
     pack, slowdown = proc.cost.pack, proc.slowdown

@@ -89,10 +89,15 @@ class RankRecorder:
         dst = message.dest
         seq = self._send_seq.get(dst, 0)
         self._send_seq[dst] = seq + 1
-        row = (seq, dst, message.tag, message.nbytes, clock,
-               self._pending_digest, encode_receipt(receipt))
-        for append, value in zip(self._send_cols, row, strict=True):
-            append(value)
+        to_seq, to_dst, to_tag, to_nbytes, to_clock, to_digest, to_receipt = (
+            self._send_cols)
+        to_seq(seq)
+        to_dst(dst)
+        to_tag(message.tag)
+        to_nbytes(message.nbytes)
+        to_clock(clock)
+        to_digest(self._pending_digest)
+        to_receipt(encode_receipt(receipt))
 
     def on_recv(self, message, wait: float, clock: float) -> None:
         src = message.source

@@ -39,7 +39,7 @@ from __future__ import annotations
 import copy as _copy
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.observe.spans import NO_SPAN
+from repro.observe.spans import NO_SPAN, span_on
 from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
 from repro.vmachine.message import ANY_SOURCE, ANY_TAG, Mailbox, Message
 from repro.vmachine.payload import payload_nbytes
@@ -93,18 +93,17 @@ def _account_recv(proc, msg: Message) -> None:
         counters["messages_received"] += 1
         counters["bytes_received"] += nbytes
         return
-    with proc.span("wire") if proc.labelled else NO_SPAN:
+    with span_on(proc, "wire") if proc.labelled else NO_SPAN:
         wait = max(0.0, msg.arrival - proc.clock)
         proc.advance_to(msg.arrival)
         proc.charge(proc.cost.recv_overhead(nbytes), term="occupancy")
         counters["messages_received"] += 1
         counters["bytes_received"] += nbytes
         if proc.trace is not None:
-            proc.trace.append(
-                TraceEvent("recv", proc.clock, proc.rank, msg.source,
-                           msg.tag, nbytes, wait,
-                           phase=proc.phase_path)
-            )
+            proc.trace.append(tuple.__new__(TraceEvent, (
+                "recv", proc.clock, proc.rank, msg.source, msg.tag, nbytes,
+                wait, proc.phase_path,
+            )))
         rec = proc.recorder
         if rec is not None:
             rec.on_recv(msg, wait, proc.clock)
@@ -194,7 +193,7 @@ class _Endpoint:
             # Debug mode: snapshot the payload so later sender-side
             # mutation cannot reach the receiver (zero-copy hazard guard).
             payload = _copy.deepcopy(payload)
-        with proc.span("wire") if proc.labelled else NO_SPAN:
+        with span_on(proc, "wire") if proc.labelled else NO_SPAN:
             nbytes = payload_nbytes(payload)
             # Sender pays injection (occupancy + wire serialization); the
             # payload becomes available one wire latency after injection
@@ -207,10 +206,10 @@ class _Endpoint:
             counters["messages_sent"] += 1
             counters["bytes_sent"] += nbytes
             if proc.trace is not None:
-                proc.trace.append(
-                    TraceEvent("send", proc.clock, proc.rank, dest_global,
-                               wire_tag, nbytes, phase=proc.phase_path)
-                )
+                proc.trace.append(tuple.__new__(TraceEvent, (
+                    "send", proc.clock, proc.rank, dest_global, wire_tag,
+                    nbytes, 0.0, proc.phase_path,
+                )))
             rec = proc.recorder
             if rec is not None:
                 # Digest before delivery: the receiver may unpack a fused

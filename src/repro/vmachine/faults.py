@@ -46,6 +46,7 @@ chaos runs are replayable *and* auditable.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from dataclasses import dataclass, field
@@ -82,6 +83,7 @@ __all__ = [
 ]
 
 
+@functools.cache  # pure in the tag; read for every message a plan sees
 def tag_class(wire_tag: int) -> str:
     """Classify a wire tag into a fault-targeting class.
 
@@ -134,18 +136,16 @@ class FaultRates:
     #: uniform range of extra logical arrival latency for delayed messages
     delay_range_s: tuple[float, float] = (1e-4, 2e-3)
 
+    #: any rate non-zero? Read per message, so set once by ``__post_init__``
+    any_active = False  # (not a field: repr, == and hash are the rates')
+
     def __post_init__(self) -> None:
         for name in ("drop", "dup", "reorder", "delay", "corrupt"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} rate {v} outside [0, 1]")
-
-    @property
-    def any_active(self) -> bool:
-        return any(
-            getattr(self, n) > 0.0
-            for n in ("drop", "dup", "reorder", "delay", "corrupt")
-        )
+            if v > 0.0:
+                object.__setattr__(self, "any_active", True)
 
 
 @dataclass(frozen=True)
@@ -482,7 +482,7 @@ class FaultPlan:
         return c
 
     def _check_crash(self, proc: "Process", op: str) -> None:
-        if not self.enabled or not self.crashes:
+        if not self.enabled:
             return
         rank = proc.rank
         if rank in self._crashed:
@@ -512,12 +512,14 @@ class FaultPlan:
 
     def on_send(self, proc: "Process") -> None:
         """Crash hook + counter, called before every transport send."""
-        self._check_crash(proc, "send")
+        if self.crashes:
+            self._check_crash(proc, "send")
         self._counts(proc.rank)["sends"] += 1
 
     def on_recv(self, proc: "Process") -> None:
         """Crash hook + counter, called before every blocking receive."""
-        self._check_crash(proc, "recv")
+        if self.crashes:
+            self._check_crash(proc, "recv")
         self._counts(proc.rank)["recvs"] += 1
 
     # -- delivery ----------------------------------------------------------
@@ -637,12 +639,10 @@ class FaultPlan:
                 else message.source
             )
             path = proc.phase_path
-            proc.trace.append(
-                TraceEvent(
-                    kind, proc.clock, proc.rank, peer,
-                    message.tag, message.nbytes,
-                    # span context plus the fault kind, so a timeline or
-                    # Perfetto export shows *where* the fault struck
-                    phase=f"{path}/{kind}" if path else kind,
-                )
-            )
+            proc.trace.append(tuple.__new__(TraceEvent, (
+                kind, proc.clock, proc.rank, peer, message.tag,
+                message.nbytes, 0.0,
+                # span context plus the fault kind, so a timeline or
+                # Perfetto export shows *where* the fault struck
+                f"{path}/{kind}" if path else kind,
+            )))

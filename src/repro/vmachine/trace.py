@@ -29,7 +29,7 @@ that do not survive naive low-bit truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,13 +51,13 @@ __all__ = [
 MESSAGE_KINDS = ("send", "recv")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One traced event on one rank.
 
     ``"send"``/``"recv"`` are message endpoints; other kinds
     (``fault:*``, ``plan:fuse``) annotate the stream and must not be
-    counted as traffic.
+    counted as traffic.  Equal to the tuple of its fields, which the hot
+    producers build in place: ``tuple.__new__(TraceEvent, (...))``.
     """
 
     kind: str       # "send" | "recv" | "fault:*" | "plan:fuse" | ...
@@ -80,13 +80,12 @@ def event_to_tuple(e: TraceEvent) -> list:
     via shortest-repr, arbitrary-size tag ints natively), so serialized
     traces compare byte-for-byte across record and replay.
     """
-    return [e.kind, e.time, e.rank, e.peer, e.tag, e.nbytes, e.wait, e.phase]
+    return list(e)
 
 
 def event_from_tuple(t: list | tuple) -> TraceEvent:
     """Inverse of :func:`event_to_tuple` (works for every event kind)."""
-    kind, time, rank, peer, tag, nbytes, wait, phase = t
-    return TraceEvent(kind, time, rank, peer, tag, nbytes, wait, phase)
+    return TraceEvent._make(t)
 
 
 def format_tag(tag: int) -> str:

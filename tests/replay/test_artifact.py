@@ -13,7 +13,9 @@ import pytest
 from repro.core.dataplane import compile_offsets
 from repro.core.runs import RunList
 from repro.core.wire import FusedBuffer, SegmentHeader
+from repro.observe.spans import SpanRecord
 
+from repro.replay import artifact
 from repro.replay.artifact import (
     IntegrityViolation,
     RecvRecord,
@@ -80,6 +82,78 @@ class TestTraceEventRoundTrip:
         e = TraceEvent("send", 1.0, 0, 1, 5, 64)
         got = event_from_tuple(event_to_tuple(e))
         assert got.wait == 0.0 and got.phase == ""
+
+
+class TestRecordTypes:
+    """The per-message records are NamedTuples built positionally on the
+    hot path; what a reader sees of them is what it saw of the frozen
+    dataclasses they replaced, and ``FaultRates`` (still a dataclass)
+    looks the same with its ``any_active`` decided once."""
+
+    RATES = ("drop", "dup", "reorder", "delay", "corrupt")
+
+    def test_trace_event_fields_are_the_artifact_trace_columns(self):
+        assert TraceEvent._fields == ("kind", "time", "rank", "peer", "tag",
+                                      "nbytes", "wait", "phase")
+        assert "[[" + ", ".join(TraceEvent._fields) + "]]" in artifact.__doc__
+
+    def test_records_refuse_assignment(self):
+        e = TraceEvent("send", 1.0, 0, 1, 5, 64)
+        s = SpanRecord("pack", 0.25, 0.75, 0, 1, "copy/pack")
+        for record, field in ((e, "time"), (e, "phase"), (s, "end"),
+                              (s, "path")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 2.0)
+
+    def test_positional_build_is_the_keyword_one(self):
+        fields = ("recv", 1.0, 0, 1, 5, 64, 0.5, "copy/wire")
+        built = tuple.__new__(TraceEvent, fields)
+        assert built == TraceEvent("recv", 1.0, 0, 1, 5, 64, wait=0.5,
+                                   phase="copy/wire")
+        assert built == fields and type(built) is TraceEvent
+        assert TraceEvent("send", 1.0, 0, 1, 5, 64)[6:] == (0.0, "")
+
+    def test_round_trip_is_exact_through_json(self):
+        for kind in ALL_KINDS:
+            e = tuple.__new__(TraceEvent, (kind, 0.0123456789012345, 2, 3,
+                                           (7 << 32) + 1, 48, 0.25, "p/q"))
+            row = event_to_tuple(e)
+            assert type(row) is list and row == [*e]
+            for back in (event_from_tuple(row),
+                         event_from_tuple(json.loads(json.dumps(row)))):
+                assert back == e and type(back) is TraceEvent, kind
+
+    def test_span_record_duration(self):
+        s = SpanRecord("wire", 0.25, 1.0, 3, 2, "copy:execute/pack/wire")
+        assert s.duration == 0.75
+        assert tuple.__new__(SpanRecord, tuple(s)).duration == 0.75
+
+    def test_fault_rates_any_active_per_rate(self):
+        assert not FaultRates().any_active
+        for name in self.RATES:
+            r = FaultRates(**{name: 0.25})
+            assert r.any_active, name
+            assert not dataclasses.replace(r, **{name: 0.0}).any_active, name
+            assert copy.deepcopy(r).any_active, name
+        assert dataclasses.replace(FaultRates(), dup=0.1).any_active
+        assert not dataclasses.replace(FaultRates(drop=0.5), drop=0.0).any_active
+
+    def test_fault_rates_look_as_before(self):
+        r = FaultRates(drop=0.1, delay=0.2)
+        assert repr(r) == (
+            "FaultRates(drop=0.1, dup=0.0, reorder=0.0, delay=0.2, "
+            "corrupt=0.0, delay_range_s=(0.0001, 0.002))")
+        assert [f.name for f in dataclasses.fields(r)] == [
+            *self.RATES, "delay_range_s"]
+        assert r == FaultRates(drop=0.1, delay=0.2) != FaultRates(drop=0.1)
+        assert hash(r) == hash(FaultRates(drop=0.1, delay=0.2))
+        plan = FaultPlan(seed=3, rates=r)
+        assert faultplan_to_dict(plan)["rules"] == [{
+            "rates": {"drop": 0.1, "dup": 0.0, "reorder": 0.0, "delay": 0.2,
+                      "corrupt": 0.0, "delay_range_s": [0.0001, 0.002]},
+            "src": None, "dst": None, "classes": ["data"],
+        }]
+        assert faultplan_from_dict(faultplan_to_dict(plan)).rules[0].rates == r
 
 
 def _receipt_fields(r):

@@ -17,11 +17,11 @@ It records nothing.
 import numpy as np
 
 from common import check_shape, print_header, python_calls
-from repro.distrib.cartesian import CartesianDist
+from repro.distrib.cartesian import BLOCK, cartesian_dist
 from repro.distrib.section import Section
 
 N = 512
-DIST = CartesianDist.block_nd((N, N), 16)
+DIST = cartesian_dist((N, N), ((BLOCK, 0),) * 2, 16)
 SECTION = Section((0, 0), (N, N // 2), (1, 1))
 SMALL = Section((0, 0), (64, 64), (1, 1))
 STRIDED = Section((0, 0), (40, 40), (3, 2))

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.policy import ExecutorPolicy
 from repro.core.schedule import ScheduleMethod
 from repro.core.runs import run_starts
-from repro.distrib.cartesian import BLOCK, BLOCK_CYCLIC, CYCLIC, CartesianDist, DimDist
+from repro.distrib.cartesian import BLOCK, BLOCK_CYCLIC, CYCLIC, cartesian_dist
 from repro.distrib.irregular import IrregularDist
 from repro.vmachine.cost_model import IBM_SP2, MachineProfile
 
@@ -68,9 +68,8 @@ class DistSpec:
         """The runtime :class:`~repro.distrib.base.Distribution` object."""
         if self.kind == "irregular":
             return IrregularDist(self.owners(nelems, nprocs), nprocs)
-        return CartesianDist(
-            (DimDist(_REGULAR_KINDS[self.kind], nelems, nprocs, self.block),)
-        )
+        return cartesian_dist(
+            (nelems,), ((_REGULAR_KINDS[self.kind], self.block),), nprocs)
 
     def owners(self, nelems: int, nprocs: int) -> np.ndarray:
         """Owner rank of every global index (the partitioner's output)."""

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 import numpy as np
 
 from repro.core.dataplane import accept_local, read_flat
-from repro.distrib.cartesian import DIST_MEMO_SIZE, CartesianDist
+from repro.distrib.cartesian import BLOCK, CartesianDist, cartesian_dist
 from repro.vmachine.comm import Communicator
 
 __all__ = ["BlockPartiArray"]
@@ -55,7 +54,7 @@ class BlockPartiArray:
         dtype=np.float64,
     ) -> "BlockPartiArray":
         """Block-distributed array of zeros over a (given or balanced) grid."""
-        dist = cls._make_dist(shape, comm.size, nprocs_grid)
+        dist = cartesian_dist(shape, ((BLOCK, 0),) * len(shape), comm.size, nprocs_grid)
         return cls(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
 
     @classmethod
@@ -73,7 +72,7 @@ class BlockPartiArray:
         of the rank's local block, broadcastable) and returns the values —
         e.g. ``lambda i, j: np.sin(i) * j``.
         """
-        dist = cls._make_dist(shape, comm.size, nprocs_grid)
+        dist = cartesian_dist(shape, ((BLOCK, 0),) * len(shape), comm.size, nprocs_grid)
         arr = cls(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
         block = dist.owned_block(comm.rank)
         grids = np.meshgrid(
@@ -90,27 +89,11 @@ class BlockPartiArray:
         nprocs_grid: tuple[int, ...] | None = None,
     ) -> "BlockPartiArray":
         """Each rank slices its block out of a replicated global array."""
-        dist = cls._make_dist(full.shape, comm.size, nprocs_grid)
+        dist = cartesian_dist(
+            full.shape, ((BLOCK, 0),) * full.ndim, comm.size, nprocs_grid)
         block = dist.owned_block(comm.rank)
         local = full[tuple(slice(lo, hi) for lo, hi in block)]
         return cls(comm, dist, local.astype(full.dtype, copy=True))
-
-    @staticmethod
-    @functools.lru_cache(maxsize=DIST_MEMO_SIZE)
-    def _make_dist(
-        shape: tuple[int, ...], nprocs: int, grid: tuple[int, ...] | None
-    ) -> CartesianDist:
-        from repro.distrib.cartesian import BLOCK, COLLAPSED, DimDist, proc_grid
-
-        if grid is None:
-            grid = proc_grid(nprocs, len(shape))
-        if int(np.prod(grid)) != nprocs:
-            raise ValueError(f"grid {grid} does not cover {nprocs} procs")
-        dims = tuple(
-            DimDist(BLOCK if p > 1 else COLLAPSED, n, p)
-            for n, p in zip(shape, grid)
-        )
-        return CartesianDist(dims)
 
     # -- views -----------------------------------------------------------------
 

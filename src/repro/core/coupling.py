@@ -195,11 +195,6 @@ class CoupledExchange:
         if reliability:
             universe.enable_reliability()
 
-    @property
-    def peer_name(self) -> str | None:
-        """Name of the peer program (when built via :func:`coupled_universe`)."""
-        return self.universe.peer_program
-
     def _exchange(self, arrays: Sequence[Any], reverse: bool) -> None:
         """Move ``arrays`` forward (push) or in reverse (pull) over k
         copies of the exchange schedule (or of its reverse) — the plan

@@ -109,16 +109,8 @@ class SchedulePeerStats:
         return sum(self.send_elements.values())
 
     @property
-    def total_recv_elements(self) -> int:
-        return sum(self.recv_elements.values())
-
-    @property
     def total_send_bytes(self) -> int:
         return sum(self.send_bytes.values())
-
-    @property
-    def total_recv_bytes(self) -> int:
-        return sum(self.recv_bytes.values())
 
 
 @dataclass

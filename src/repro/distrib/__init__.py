@@ -22,6 +22,7 @@ from repro.distrib.cartesian import (
     CYCLIC,
     CartesianDist,
     DimDist,
+    cartesian_dist,
     proc_grid,
 )
 from repro.distrib.irregular import IrregularDist
@@ -37,6 +38,7 @@ __all__ = [
     "BLOCK_CYCLIC",
     "COLLAPSED",
     "CartesianDist",
+    "cartesian_dist",
     "proc_grid",
     "IrregularDist",
 ]

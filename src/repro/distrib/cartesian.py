@@ -15,6 +15,7 @@ translation-table lookups (paper Tables 2 vs 5).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "COLLAPSED",
     "DimDist",
     "CartesianDist",
+    "cartesian_dist",
     "proc_grid",
 ]
 
@@ -37,8 +39,9 @@ CYCLIC = "cyclic"
 BLOCK_CYCLIC = "block_cyclic"
 COLLAPSED = "collapsed"
 
-#: distributions each array library's builder keeps (LRU): arrays of one
-#: shape share one, immutable apart from its per-rank ``local_shape`` memo
+#: distributions :func:`cartesian_dist` keeps (oldest evicted first): arrays
+#: of one shape share one, immutable apart from its per-rank ``local_shape``
+#: memo
 DIST_MEMO_SIZE = 128
 
 
@@ -183,27 +186,6 @@ class CartesianDist(Distribution):
         )
         self._local_shapes: dict[int, tuple[int, ...]] = {}  # rank -> shape
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def block_nd(cls, shape: tuple[int, ...], nprocs: int) -> "CartesianDist":
-        """(BLOCK, BLOCK, ...) over a balanced processor grid."""
-        grid = proc_grid(nprocs, len(shape))
-        return cls(
-            tuple(DimDist(BLOCK, n, p) for n, p in zip(shape, grid))
-        )
-
-    @classmethod
-    def block_1d(cls, shape: tuple[int, ...], nprocs: int, axis: int = 0) -> "CartesianDist":
-        """BLOCK along one axis, COLLAPSED elsewhere."""
-        dims = []
-        for d, n in enumerate(shape):
-            if d == axis:
-                dims.append(DimDist(BLOCK, n, nprocs))
-            else:
-                dims.append(DimDist(COLLAPSED, n, 1))
-        return cls(tuple(dims))
-
     # -- grid/rank conversions -------------------------------------------------
 
     def rank_of_coords(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -322,3 +304,67 @@ class CartesianDist(Distribution):
             for d in self.dims
         )
         return f"CartesianDist({parts})"
+
+
+_memo: dict[tuple, CartesianDist] = {}  # cartesian_dist's arguments -> dist
+_memo_lock = threading.Lock()
+
+
+def cartesian_dist(
+    shape: tuple[int, ...],
+    kinds: tuple[tuple[str, int], ...],
+    nprocs: int,
+    grid: tuple[int, ...] | None = None,
+) -> CartesianDist:
+    """The distribution every regular library builds: one ``(kind, block)``
+    per axis of ``shape`` (what :func:`repro.hpf.array.parse_dist_spec`
+    returns) over ``nprocs`` processors.
+
+    ``grid`` gives one processor-grid extent per axis; by default the
+    distributed (non-COLLAPSED) axes share a balanced grid.  An axis on
+    one grid slot is COLLAPSED whatever its kind.  Equal (tuple)
+    arguments return one shared object, for the last
+    :data:`DIST_MEMO_SIZE` of them: a miss builds under a lock, so ranks
+    asking together still share it, and a build that raises stores
+    nothing.
+    """
+    key = (shape, kinds, nprocs, grid)
+    dist = _memo.get(key)
+    if dist is None:
+        with _memo_lock:
+            dist = _memo.get(key)
+            if dist is None:
+                dist = _build(shape, kinds, nprocs, grid)
+                if len(_memo) >= DIST_MEMO_SIZE:
+                    del _memo[next(iter(_memo))]
+                _memo[key] = dist
+    return dist
+
+
+def _build(shape, kinds, nprocs, grid) -> CartesianDist:
+    if len(kinds) != len(shape):
+        raise ValueError("one distribution spec per dimension required")
+    if grid is None:
+        distributed = [i for i, (k, _) in enumerate(kinds) if k != COLLAPSED]
+        if distributed:
+            axis_lengths = proc_grid(nprocs, len(distributed))
+        else:
+            axis_lengths = ()
+            if nprocs != 1:
+                raise ValueError(
+                    "a fully collapsed array can only live on one processor"
+                )
+        full = [1] * len(shape)
+        for i, p in zip(distributed, axis_lengths):
+            full[i] = p
+        grid = tuple(full)
+    elif len(grid) != len(shape):
+        raise ValueError(f"grid {grid} does not have one axis per dimension")
+    if int(np.prod(grid)) != nprocs:
+        raise ValueError(f"grid {grid} does not cover {nprocs} processors")
+    dims = []
+    for (kind, k), n, p in zip(kinds, shape, grid):
+        if kind == COLLAPSED and p != 1:
+            raise ValueError("COLLAPSED ('*') dimensions must have grid extent 1")
+        dims.append(DimDist(kind if p > 1 else COLLAPSED, n, p, k))
+    return CartesianDist(tuple(dims))

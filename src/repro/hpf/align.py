@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distrib.base import DistDescriptor, Distribution, register_descriptor_kind
-from repro.distrib.cartesian import BLOCK, COLLAPSED, CartesianDist
-from repro.hpf.array import HPFArray, _build_dist
+from repro.distrib.cartesian import BLOCK, COLLAPSED, CartesianDist, cartesian_dist
+from repro.hpf.array import HPFArray, parse_dist_spec
 from repro.vmachine.comm import Communicator
 
 __all__ = ["Template", "AlignedDist", "align_array"]
@@ -47,7 +47,8 @@ class Template:
         nprocs: int,
         grid: tuple[int, ...] | None = None,
     ):
-        self.dist = _build_dist(shape, specs, nprocs, grid)
+        self.dist = cartesian_dist(
+            shape, tuple(map(parse_dist_spec, specs)), nprocs, grid)
         for d in self.dist.dims:
             if d.kind not in (BLOCK, COLLAPSED):
                 raise ValueError(

@@ -14,7 +14,6 @@ the distributed dimensions) or given explicitly.
 
 from __future__ import annotations
 
-import functools
 import re
 from typing import Callable
 
@@ -26,10 +25,8 @@ from repro.distrib.cartesian import (
     BLOCK_CYCLIC,
     COLLAPSED,
     CYCLIC,
-    DIST_MEMO_SIZE,
     CartesianDist,
-    DimDist,
-    proc_grid,
+    cartesian_dist,
 )
 from repro.vmachine.comm import Communicator
 
@@ -51,40 +48,6 @@ def parse_dist_spec(spec: str) -> tuple[str, int]:
     if m:
         return BLOCK_CYCLIC, int(m.group(1))
     raise ValueError(f"unknown HPF distribution spec {spec!r}")
-
-
-@functools.lru_cache(maxsize=DIST_MEMO_SIZE)
-def _build_dist(
-    shape: tuple[int, ...],
-    specs: tuple[str, ...],
-    nprocs: int,
-    grid: tuple[int, ...] | None,
-) -> CartesianDist:
-    if len(specs) != len(shape):
-        raise ValueError("one distribution spec per dimension required")
-    kinds = [parse_dist_spec(s) for s in specs]
-    distributed = [i for i, (k, _) in enumerate(kinds) if k != COLLAPSED]
-    if grid is None:
-        if distributed:
-            axis_lengths = proc_grid(nprocs, len(distributed))
-        else:
-            axis_lengths = ()
-            if nprocs != 1:
-                raise ValueError(
-                    "a fully collapsed array can only live on one processor"
-                )
-        full = [1] * len(shape)
-        for i, p in zip(distributed, axis_lengths):
-            full[i] = p
-        grid = tuple(full)
-    if int(np.prod(grid)) != nprocs:
-        raise ValueError(f"grid {grid} does not cover {nprocs} processors")
-    dims = []
-    for (kind, k), n, p in zip(kinds, shape, grid):
-        if kind == COLLAPSED and p != 1:
-            raise ValueError("'*' dimensions must have grid extent 1")
-        dims.append(DimDist(kind if p > 1 else COLLAPSED, n, p, k))
-    return CartesianDist(tuple(dims))
 
 
 class HPFArray:
@@ -119,7 +82,8 @@ class HPFArray:
         dtype=np.float64,
     ) -> "HPFArray":
         """``!hpf$ distribute A(spec, spec, ...)``: zeros with the mapping."""
-        dist = _build_dist(shape, specs, comm.size, grid)
+        dist = cartesian_dist(
+            shape, tuple(map(parse_dist_spec, specs)), comm.size, grid)
         return cls(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
 
     @classmethod
@@ -131,7 +95,8 @@ class HPFArray:
         grid: tuple[int, ...] | None = None,
     ) -> "HPFArray":
         """Each rank takes its elements of a replicated global array."""
-        dist = _build_dist(full.shape, specs, comm.size, grid)
+        dist = cartesian_dist(
+            full.shape, tuple(map(parse_dist_spec, specs)), comm.size, grid)
         mine = dist.owned_global(comm.rank)
         local = full.reshape(-1)[mine]
         return cls(comm, dist, local.copy())
@@ -152,7 +117,8 @@ class HPFArray:
         coordinates of this rank's elements, element-aligned) and returns
         the element values.
         """
-        dist = _build_dist(shape, specs, comm.size, grid)
+        dist = cartesian_dist(
+            shape, tuple(map(parse_dist_spec, specs)), comm.size, grid)
         arr = cls(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
         mine = dist.owned_global(comm.rank)
         coords = np.unravel_index(mine, shape)

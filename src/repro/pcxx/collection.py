@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.dataplane import accept_local, read_flat, write_flat
-from repro.distrib.cartesian import BLOCK, CYCLIC, CartesianDist, DimDist
+from repro.distrib.cartesian import BLOCK, CYCLIC, cartesian_dist
 from repro.distrib.base import Distribution
 from repro.distrib.irregular import IrregularDist
 from repro.vmachine.comm import Communicator
@@ -54,10 +54,9 @@ class DistributedCollection:
         ``layout`` is ``"cyclic"`` (pC++ default), ``"block"``, or
         ``"explicit"`` with an ``owners`` map.
         """
-        if layout == "cyclic":
-            dist: Distribution = CartesianDist((DimDist(CYCLIC if comm.size > 1 else "collapsed", n, comm.size),))
-        elif layout == "block":
-            dist = CartesianDist((DimDist(BLOCK if comm.size > 1 else "collapsed", n, comm.size),))
+        if layout in ("cyclic", "block"):
+            kind = CYCLIC if layout == "cyclic" else BLOCK
+            dist: Distribution = cartesian_dist((n,), ((kind, 0),), comm.size)
         elif layout == "explicit":
             if owners is None:
                 raise ValueError("explicit layout needs an owners map")

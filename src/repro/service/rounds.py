@@ -133,9 +133,6 @@ class SlotTable:
         """Size of the underlying table (live + free slots)."""
         return self._next
 
-    def is_live(self, slot: int) -> bool:
-        return 0 <= slot < self._next and slot not in self._free
-
 
 @dataclass
 class Binding:

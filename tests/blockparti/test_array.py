@@ -6,7 +6,7 @@ import pytest
 from repro.blockparti import BlockPartiArray
 from repro.vmachine.machine import SPMDError
 
-from helpers import run_spmd
+from helpers import raced_first_builds, run_spmd
 
 G = np.random.default_rng(4).random((9, 7))
 
@@ -45,6 +45,13 @@ class TestConstruction:
 
         res = run_spmd(4, spmd)
         assert res.values == [(8, 2)] * 4
+
+    def test_short_grid_rejected(self):
+        def spmd(comm):
+            BlockPartiArray.zeros(comm, (8, 8), nprocs_grid=(4,))
+
+        with pytest.raises(SPMDError, match="one axis per dimension"):
+            run_spmd(4, spmd)
 
     def test_bad_grid_rejected(self):
         def spmd(comm):
@@ -122,12 +129,18 @@ class TestSharedDistribution:
         assert all(same for same, _ in res)
         np.testing.assert_array_equal(res[0][1], np.ones((6, 6)))
 
+    def test_first_builds_race_to_one_dist(self, monkeypatch):
+        dists, built = raced_first_builds(monkeypatch, 4, BlockPartiArray.zeros)
+        assert all(d is dists[0][0] for pair in dists for d in pair)
+        assert built == 1
+
     def test_memo_is_bounded(self):
+        from repro.distrib import cartesian
         from repro.distrib.cartesian import DIST_MEMO_SIZE
 
         def spmd(comm):
             for n in range(1, DIST_MEMO_SIZE + 20):
                 BlockPartiArray.zeros(comm, (n,))
-            return BlockPartiArray._make_dist.cache_info().currsize
+            return len(cartesian._memo)
 
         assert run_spmd(1, spmd).values[0] <= DIST_MEMO_SIZE

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import ChaosArray, PagedTranslationTable, TranslationTable
-from repro.distrib.cartesian import CartesianDist
+from repro.distrib.cartesian import BLOCK, cartesian_dist
 
 from helpers import run_spmd
 
@@ -53,7 +53,7 @@ class TestReplicatedTable:
         """The Table 2 baseline step: wrapping a regular mesh costs O(n)."""
 
         def spmd(comm):
-            dist = CartesianDist.block_nd((8, 8), comm.size)
+            dist = cartesian_dist((8, 8), ((BLOCK, 0),) * 2, comm.size)
             t0 = comm.process.clock
             t = TranslationTable.from_distribution(dist, 64)
             cost = comm.process.clock - t0

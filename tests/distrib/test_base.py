@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distrib.base import DistDescriptor, Distribution, register_descriptor_kind
-from repro.distrib.cartesian import CartesianDist
+from repro.distrib.cartesian import BLOCK, CartesianDist, cartesian_dist
 from repro.distrib.irregular import IrregularDist
 
 
@@ -52,12 +52,12 @@ class TestCheckValid:
             BrokenDist("bad-roundtrip").check_valid()
 
     def test_consistent_dist_passes(self):
-        CartesianDist.block_nd((4, 4), 4).check_valid()
+        cartesian_dist((4, 4), ((BLOCK, 0),) * 2, 4).check_valid()
 
 
 class TestDescriptorRegistry:
     def test_builtin_kinds_materialize(self):
-        c = CartesianDist.block_nd((6, 6), 4)
+        c = cartesian_dist((6, 6), ((BLOCK, 0),) * 2, 4)
         assert c.descriptor().materialize() == c
         i = IrregularDist(np.arange(8) % 3, 3)
         assert i.descriptor().materialize() == i
@@ -72,7 +72,7 @@ class TestDescriptorRegistry:
 
         def factory(payload):
             calls.append(payload)
-            return CartesianDist.block_nd((2, 2), 1)
+            return cartesian_dist((2, 2), ((BLOCK, 0),) * 2, 1)
 
         register_descriptor_kind("custom-test-kind", factory)
         d = DistDescriptor(kind="custom-test-kind", payload="p", nbytes=8)
@@ -89,5 +89,5 @@ class TestDescriptorRegistry:
         assert d.descriptor().materialize() == d
 
     def test_owned_global_helper(self):
-        d = CartesianDist.block_nd((6,), 3)
+        d = cartesian_dist((6,), ((BLOCK, 0),), 3)
         np.testing.assert_array_equal(d.owned_global(1), [2, 3])

@@ -12,6 +12,7 @@ from repro.distrib.cartesian import (
     CYCLIC,
     CartesianDist,
     DimDist,
+    cartesian_dist,
     proc_grid,
 )
 from repro.distrib.section import Section
@@ -94,10 +95,12 @@ class TestDimDist:
             DimDist(BLOCK_CYCLIC, 10, 2, 0)
 
 
+BLOCKS = ((BLOCK, 0), (BLOCK, 0))
+
 DISTS = [
-    CartesianDist.block_nd((13, 9), 6),
-    CartesianDist.block_nd((8, 8), 4),
-    CartesianDist.block_1d((10, 3), 4, axis=0),
+    cartesian_dist((13, 9), BLOCKS, 6),
+    cartesian_dist((8, 8), BLOCKS, 4),
+    cartesian_dist((10, 3), ((BLOCK, 0), (COLLAPSED, 0)), 4),
     CartesianDist((DimDist(CYCLIC, 11, 3), DimDist(BLOCK, 7, 2))),
     CartesianDist((DimDist(BLOCK_CYCLIC, 20, 2, 3), DimDist(CYCLIC, 5, 2))),
     CartesianDist((DimDist(COLLAPSED, 6, 1), DimDist(BLOCK, 10, 5))),
@@ -156,19 +159,19 @@ class TestCartesianDist:
 
 class TestErrors:
     def test_grid_mismatch(self):
-        d = CartesianDist.block_nd((8, 8), 4)
+        d = cartesian_dist((8, 8), BLOCKS, 4)
         sec = Section((0,), (8,), (1,))
         with pytest.raises(ValueError, match="rank mismatch"):
             d.section_map(sec)
 
     def test_section_out_of_bounds(self):
-        d = CartesianDist.block_nd((8, 8), 4)
+        d = cartesian_dist((8, 8), BLOCKS, 4)
         sec = Section((0, 0), (9, 8), (1, 1))
         with pytest.raises(IndexError):
             d.section_map(sec)
 
     def test_block_1d_other_axes_collapsed(self):
-        d = CartesianDist.block_1d((10, 4), 3, axis=0)
+        d = cartesian_dist((10, 4), ((BLOCK, 0), (COLLAPSED, 0)), 3)
         assert d.grid == (3, 1)
 
 
@@ -178,7 +181,7 @@ class TestErrors:
     nprocs=st.integers(1, 8),
 )
 def test_property_block_nd_is_partition(n0, n1, nprocs):
-    dist = CartesianDist.block_nd((n0, n1), nprocs)
+    dist = cartesian_dist((n0, n1), BLOCKS, nprocs)
     dist.check_valid()
 
 

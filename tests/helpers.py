@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
+import threading
 from typing import Any, Callable
 
 import numpy as np
@@ -15,6 +17,7 @@ from repro.core import (
     mc_compute_schedule,
     mc_copy,
 )
+from repro.distrib.cartesian import CartesianDist
 from repro.distrib.section import Section
 from repro.vmachine import IBM_SP2, VirtualMachine
 
@@ -22,6 +25,44 @@ from repro.vmachine import IBM_SP2, VirtualMachine
 def run_spmd(nprocs: int, fn: Callable, *args: Any, profile=IBM_SP2, **kwargs: Any):
     """Run ``fn(comm, *args, **kwargs)`` on a fresh machine; return result."""
     return VirtualMachine(nprocs, profile).run(fn, *args, **kwargs)
+
+
+_fresh_rows = itertools.count(1000)  # shapes no other test distributes
+
+
+def raced_first_builds(monkeypatch, nprocs: int, make: Callable) -> tuple[list, int]:
+    """Force every rank's first array of one shape into the distribution
+    build at once; return each rank's ``(first.dist, second.dist)`` and the
+    number of :class:`CartesianDist` objects built.
+
+    ``make(comm, shape)`` builds one array of a shape no earlier call
+    used.  Each rank bumps a shared counter just before its first
+    ``make``; a patched ``CartesianDist.__init__`` waits (10 s at most,
+    so a builder that serialises misses cannot deadlock) until the
+    counter reaches ``nprocs``.  A memo that lets every rank that missed
+    build its own hands those ranks distinct objects.
+    """
+    shape = (next(_fresh_rows), 3)
+    lock, everyone, built = threading.Lock(), threading.Event(), []
+    arrived, dists = [0], [None] * nprocs
+    init = CartesianDist.__init__
+
+    def waiting_init(self, dims):
+        everyone.wait(timeout=10.0)
+        built.append(dims)
+        init(self, dims)
+
+    def spmd(comm):
+        with lock:
+            arrived[0] += 1
+            if arrived[0] == comm.size:
+                everyone.set()
+        # kept out of the return value, which a recorder digests
+        dists[comm.rank] = make(comm, shape).dist, make(comm, shape).dist
+
+    monkeypatch.setattr(CartesianDist, "__init__", waiting_init)
+    run_spmd(nprocs, spmd)
+    return dists, len(built)
 
 
 def python_calls(fn: Callable[[], Any], keep: Callable[[str], bool]) -> list:

@@ -7,7 +7,7 @@ from repro.hpf import HPFArray
 from repro.hpf.array import parse_dist_spec
 from repro.vmachine.machine import SPMDError
 
-from helpers import run_spmd
+from helpers import raced_first_builds, run_spmd
 
 G = np.random.default_rng(22).random((12, 9))
 
@@ -88,14 +88,22 @@ class TestSharedDistribution:
         assert all(same for same, _ in res)
         np.testing.assert_array_equal(res[0][1], np.ones((6, 6)))
 
+    def test_first_builds_race_to_one_dist(self, monkeypatch):
+        def make(comm, shape):
+            return HPFArray.distribute(comm, shape, ("block", "cyclic"))
+
+        dists, built = raced_first_builds(monkeypatch, 4, make)
+        assert all(d is dists[0][0] for pair in dists for d in pair)
+        assert built == 1
+
     def test_memo_is_bounded(self):
+        from repro.distrib import cartesian
         from repro.distrib.cartesian import DIST_MEMO_SIZE
-        from repro.hpf.array import _build_dist
 
         def spmd(comm):
             for n in range(1, DIST_MEMO_SIZE + 20):
                 HPFArray.distribute(comm, (n,), ("block",))
-            return _build_dist.cache_info().currsize
+            return len(cartesian._memo)
 
         assert run_spmd(1, spmd).values[0] <= DIST_MEMO_SIZE
 
@@ -118,6 +126,13 @@ class TestConstruction:
             return a.local_shape
 
         assert run_spmd(4, spmd).values == [(2, 8)] * 4
+
+    def test_short_grid_rejected(self):
+        def spmd(comm):
+            HPFArray.distribute(comm, (8, 8), ("block", "block"), grid=(4,))
+
+        with pytest.raises(SPMDError, match="one axis per dimension"):
+            run_spmd(4, spmd)
 
     def test_collapsed_grid_extent_must_be_one(self):
         def spmd(comm):

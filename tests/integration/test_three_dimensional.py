@@ -17,7 +17,7 @@ from repro.core import (
     mc_copy,
     mc_new_set_of_regions,
 )
-from repro.distrib.cartesian import CartesianDist
+from repro.distrib.cartesian import BLOCK, CartesianDist, cartesian_dist
 from repro.distrib.section import Section
 from repro.hpf import HPFArray
 from repro.util import gather_canonical
@@ -31,10 +31,10 @@ G = np.random.default_rng(120).random(SHAPE)
 class TestDistributions3D:
     def test_block_nd_partition(self):
         for p in (1, 2, 4, 8, 12):
-            CartesianDist.block_nd(SHAPE, p).check_valid()
+            cartesian_dist(SHAPE, ((BLOCK, 0),) * 3, p).check_valid()
 
     def test_mixed_kinds(self):
-        from repro.distrib.cartesian import BLOCK, CYCLIC, COLLAPSED, DimDist
+        from repro.distrib.cartesian import CYCLIC, COLLAPSED, DimDist
 
         d = CartesianDist(
             (DimDist(BLOCK, 6, 2), DimDist(CYCLIC, 5, 3), DimDist(COLLAPSED, 4, 1))
@@ -42,7 +42,7 @@ class TestDistributions3D:
         d.check_valid()
 
     def test_section_map_3d(self):
-        d = CartesianDist.block_nd(SHAPE, 4)
+        d = cartesian_dist(SHAPE, ((BLOCK, 0),) * 3, 4)
         sec = Section((1, 0, 1), (6, 5, 4), (2, 2, 1))
         ranks, offs = d.section_map(sec)
         r2, o2 = d.owner_of_flat(sec.global_flat(SHAPE))

@@ -77,7 +77,7 @@ def run_copy(nprocs: int, profile, mode: str):
             universe.enable_reliability()
         comm.barrier()
         t0 = comm.process.clock
-        mc_copy(universe, sched, A, B, timeout=120.0)
+        mc_copy(universe, sched, A, B)
         return comm.process.clock - t0, B.local.copy()
 
     faults = _lossy_plan() if mode == "lossy" else None

@@ -102,9 +102,9 @@ def run_service_demo(
 
     ``recorder`` records the whole fleet's message provenance (see
     :mod:`repro.replay`), making a wedged tenant session inspectable
-    after the fact.  Caveat: gateway ranks schedule tenant coroutines on
-    wall-clock-driven asyncio batching, so they are recordable and
-    diffable but not *isolation-replayable*; server ranks are.
+    after the fact.  Every rank replays identically, in full and in
+    isolation, except the gateway's rank 0 value digest:
+    ``TenantReport.latencies`` holds ``time.perf_counter`` deltas.
     """
     shapes = max(1, min(shapes, tenants))
     sizes = [size + 8 * i for i in range(shapes)]

@@ -138,7 +138,6 @@ def mc_copy(
     src_array: Any,
     dst_array: Any,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """One-shot data move within a single program (``MC_Copy``).
 
@@ -150,7 +149,8 @@ def mc_copy(
     :class:`~repro.core.universe.Universe` on which
     :meth:`~repro.core.universe.Universe.enable_reliability` has been
     called — the data plane then travels the ack/retransmit protocol.
-    ``timeout`` bounds each blocking receive and the final fence.
+    Each blocking receive and the final fence wait at most the process's
+    ``recv_timeout_s``.
     """
     universe = _as_universe(where)
     if not universe.single_program:
@@ -159,8 +159,7 @@ def mc_copy(
             "mc_data_move_send / mc_data_move_recv on their own side"
         )
     with universe.process.span("copy:execute"):
-        data_move(schedule, src_array, dst_array, universe, policy=policy,
-                  timeout=timeout)
+        data_move(schedule, src_array, dst_array, universe, policy=policy)
 
 
 def mc_compute_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
@@ -193,6 +192,9 @@ def mc_copy_many(
     per pair.  Accepts a precompiled :class:`~repro.core.plan.MovePlan`
     or a schedule sequence (compiled on the fly); returns the plan so
     loops can reuse the compilation.
+
+    ``timeout`` is ignored (every wait reads ``recv_timeout_s``); the
+    ``perf/`` harness still passes it.
     """
     universe = _as_universe(where)
     if not universe.single_program:
@@ -206,8 +208,7 @@ def mc_copy_many(
         else mc_compute_plan(plan_or_schedules)
     )
     with universe.process.span("plan:execute"):
-        plan_move(plan, src_arrays, dst_arrays, universe, policy=policy,
-                  timeout=timeout)
+        plan_move(plan, src_arrays, dst_arrays, universe, policy=policy)
     return plan
 
 
@@ -216,12 +217,9 @@ def mc_plan_move_send(
     plan: MovePlan,
     src_arrays: Sequence[Any],
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Send half of a fused multi-array move (source-group processors)."""
-    universe = _as_universe(where)
-    plan_move_send(plan, src_arrays, universe, policy=policy,
-                   timeout=timeout)
+    plan_move_send(plan, src_arrays, _as_universe(where), policy=policy)
 
 
 def mc_plan_move_recv(
@@ -229,12 +227,9 @@ def mc_plan_move_recv(
     plan: MovePlan,
     dst_arrays: Sequence[Any],
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Receive half of a fused multi-array move (destination group)."""
-    universe = _as_universe(where)
-    plan_move_recv(plan, dst_arrays, universe, policy=policy,
-                   timeout=timeout)
+    plan_move_recv(plan, dst_arrays, _as_universe(where), policy=policy)
 
 
 def mc_data_move_send(
@@ -242,12 +237,9 @@ def mc_data_move_send(
     schedule: CommSchedule,
     src_array: Any,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Send half of a data move (``MC_DataMoveSend``)."""
-    universe = _as_universe(where)
-    data_move_send(schedule, src_array, universe, policy=policy,
-                   timeout=timeout)
+    data_move_send(schedule, src_array, _as_universe(where), policy=policy)
 
 
 def mc_data_move_recv(
@@ -255,9 +247,6 @@ def mc_data_move_recv(
     schedule: CommSchedule,
     dst_array: Any,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Receive half of a data move (``MC_DataMoveRecv``)."""
-    universe = _as_universe(where)
-    data_move_recv(schedule, dst_array, universe, policy=policy,
-                   timeout=timeout)
+    data_move_recv(schedule, dst_array, _as_universe(where), policy=policy)

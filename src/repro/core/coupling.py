@@ -16,12 +16,12 @@ wire, so ``push(a)`` and ``push_many([a])`` are the same move.  The
 multi-tenant service runs its rounds' fused plans through the same
 :func:`exchange`.
 
-Graceful peer-failure degradation: a :class:`CoupledExchange` constructed
-with ``deadline_s`` bounds every push/pull (and the reliable layer's
-fence) by that wall-clock deadline.  If the peer program crashes — or
-simply stops answering — the exchange raises
+Graceful peer-failure degradation: every wait of a push/pull (and of
+the reliable layer's fence) is bounded by the process's
+``recv_timeout_s``, the one wall-clock budget of the run.  If the peer
+program crashes — or simply stops answering — the exchange raises
 :class:`~repro.vmachine.faults.PeerLostError` *naming the peer program*
-within the deadline instead of hanging, upgrading the transport-level
+within that budget instead of hanging, upgrading the transport-level
 :class:`~repro.vmachine.faults.RankLostError` / ``TimeoutError`` with the
 coupling-level context (which peer, which direction, undelivered
 envelopes, last-ack state).
@@ -83,7 +83,7 @@ def guard_peer(universe: Universe, direction: str, fn, *args, **kwargs):
     :class:`~repro.vmachine.faults.PeerLostError` naming the peer program
     — a coupled program must learn *which program* died (which
     direction, undelivered envelopes, last-ack state), and must learn it
-    within the deadline instead of hanging."""
+    within the receive budget instead of hanging."""
     try:
         return fn(*args, **kwargs)
     except PeerLostError:
@@ -96,9 +96,8 @@ def peer_lost(
     universe: Universe, exc: BaseException, direction: str
 ) -> PeerLostError:
     """The :class:`~repro.vmachine.faults.PeerLostError` for ``exc``.  A
-    time-out's text is the ``TimeoutError``'s own, which names the budget
-    that actually bounded the wait (a ``timeout=`` or the process receive
-    time-out)."""
+    time-out's text is the ``TimeoutError``'s own, which names the
+    process's receive budget."""
     proc = universe.process
     if isinstance(exc, RankLostError):
         return PeerLostError(
@@ -126,13 +125,12 @@ def exchange(
     universe: TwoProgramUniverse,
     reverse: bool,
     policy: ExecutorPolicy | str,
-    deadline_s: float | None = None,
 ) -> None:
     """Run ``plan`` forward (push) or, with ``reverse``, over the reversed
     universe (pull; the plan must fuse the reversed schedules): the
     program that owns the direction's source sends, its peer receives,
-    each wait of either half bounded by ``deadline_s``, else by the
-    process receive time-out (:func:`guard_peer`)."""
+    each wait of either half bounded by the process's receive time-out
+    (:func:`guard_peer`)."""
     if reverse:
         universe = universe.reversed()
     sending = universe.my_src_rank is not None
@@ -142,10 +140,10 @@ def exchange(
     )
     if sending:
         guard_peer(universe, direction, plan_move_send, plan,
-                   arrays, universe, policy=policy, timeout=deadline_s)
+                   arrays, universe, policy=policy)
     else:
         guard_peer(universe, direction, plan_move_recv, plan,
-                   arrays, universe, policy=policy, timeout=deadline_s)
+                   arrays, universe, policy=policy)
 
 
 class CoupledExchange:
@@ -156,15 +154,12 @@ class CoupledExchange:
     direction, ``pull`` in reverse; each side calls the method with its
     own local array and the object works out whether to send or receive.
 
+    A peer detected dead, or silent for a whole ``recv_timeout_s``, makes
+    it raise :class:`~repro.vmachine.faults.PeerLostError` naming the
+    peer program.
+
     Parameters
     ----------
-    deadline_s:
-        Wall-clock bound for each wait of a push/pull (a receive, the
-        reliable fence's ack wait); when it expires (or the
-        peer is detected dead) the exchange raises
-        :class:`~repro.vmachine.faults.PeerLostError` naming the peer
-        program.  ``None`` (default) uses the per-process receive
-        timeout.
     reliability:
         Opt-in reliable delivery for the exchanged data
         (:meth:`~repro.core.universe.Universe.enable_reliability`).
@@ -177,7 +172,6 @@ class CoupledExchange:
         universe: TwoProgramUniverse,
         schedule: CommSchedule,
         policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-        deadline_s: float | None = None,
         reliability: bool = False,
     ):
         self.universe = universe
@@ -190,8 +184,6 @@ class CoupledExchange:
         #: divergence is safe — policy never affects placement, only
         #: local ordering.
         self.policy = policy
-        #: wall-clock budget per exchange before declaring the peer lost
-        self.deadline_s = deadline_s
         if reliability:
             universe.enable_reliability()
 
@@ -200,16 +192,14 @@ class CoupledExchange:
         copies of the exchange schedule (or of its reverse) — the plan
         :func:`~repro.core.plan.plan_of` memoises on the schedule, so a
         timestep loop exchanging the same k fields compiles it once."""
-        exchange(
-            plan_of(self.schedule, len(arrays), reverse), arrays,
-            self.universe, reverse, self.policy, self.deadline_s,
-        )
+        exchange(plan_of(self.schedule, len(arrays), reverse), arrays,
+                 self.universe, reverse, self.policy)
 
     def push(self, local_array: Any) -> None:
         """Forward copy: source program sends, destination receives.
 
         Raises :class:`~repro.vmachine.faults.PeerLostError` within the
-        deadline when the peer program has failed.
+        receive budget when the peer program has failed.
         """
         self._exchange((local_array,), False)
 

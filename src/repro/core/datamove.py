@@ -53,9 +53,9 @@ single-program :func:`data_move` fences once after both halves, releasing
 held-back packets at the half boundary so two ranks holding each other's
 final packet cannot wedge.
 
-With or without the layer, and under either policy, ``timeout`` bounds
-each wait for a message by one wall-clock budget — one wait, no retry —
-and the ``TimeoutError`` it surfaces names that budget; a lost peer
+With or without the layer, and under either policy, each wait for a
+message is bounded by the process's ``recv_timeout_s`` — one wait, no
+retry — and the ``TimeoutError`` it surfaces names that budget; a lost peer
 raises :class:`~repro.vmachine.faults.RankLostError` immediately via the
 run's failure detector.
 """
@@ -77,16 +77,14 @@ def data_move_send(
     src_array: Any,
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Execute the send half of a schedule (the paper's ``MC_DataMoveSend``).
 
     Must be called on every source-group processor; destination-group
-    processors concurrently call :func:`data_move_recv`.  Ordering, fence
-    and ``timeout`` semantics: :func:`~repro.core.plan.plan_move_send`.
+    processors concurrently call :func:`data_move_recv`.  Ordering and
+    fence semantics: :func:`~repro.core.plan.plan_move_send`.
     """
-    plan_move_send(plan_of(schedule), (src_array,), universe, policy=policy,
-                   timeout=timeout)
+    plan_move_send(plan_of(schedule), (src_array,), universe, policy=policy)
 
 
 def data_move_recv(
@@ -94,15 +92,13 @@ def data_move_recv(
     dst_array: Any,
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Execute the receive half of a schedule (``MC_DataMoveRecv``).
 
-    Completion order, ``timeout`` and failure semantics:
+    Completion order and failure semantics:
     :func:`~repro.core.plan.plan_move_recv`.
     """
-    plan_move_recv(plan_of(schedule), (dst_array,), universe, policy=policy,
-                   timeout=timeout)
+    plan_move_recv(plan_of(schedule), (dst_array,), universe, policy=policy)
 
 
 def data_move(
@@ -111,10 +107,9 @@ def data_move(
     dst_array: Any,
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Full copy for processors holding both roles (single program), or a
     convenience wrapper dispatching to the proper half otherwise
     (:func:`~repro.core.plan.plan_move`)."""
     plan_move(plan_of(schedule), (src_array,), (dst_array,), universe,
-              policy=policy, timeout=timeout)
+              policy=policy)

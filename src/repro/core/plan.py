@@ -438,7 +438,6 @@ def plan_move_send(
     src_arrays: Sequence[Any],
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Send half of a move (the paper's ``MC_DataMoveSend``): one message
     per destination processor.
@@ -462,7 +461,6 @@ def plan_move_send(
     in the single-program case, where :func:`plan_move` fences once after
     the receive half.  A skipped fence still flushes held-back packets so
     the receive half cannot wedge on a reordered final message.
-    ``timeout`` bounds the fence's ack wait.
     """
     if universe.my_src_rank is None:
         raise RuntimeError("plan_move_send called on a non-source processor")
@@ -489,7 +487,7 @@ def plan_move_send(
             metrics.incr("plan_alpha_saved", segments - messages)
     if segments:
         proc.metrics.incr("cache_program_hits", segments)
-    universe.end_phase(not universe.single_program, timeout)
+    universe.end_phase(not universe.single_program)
 
 
 def plan_move_recv(
@@ -497,15 +495,14 @@ def plan_move_recv(
     dst_arrays: Sequence[Any],
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Receive half of a move (``MC_DataMoveRecv``): one message per
     source processor, unpacked as the data plane's ``arrivals`` delivers
     them — ascending rank order, or logical-arrival order under
-    ``OVERLAP`` with more than one source.  ``timeout`` bounds each wait
-    (wall-clock seconds, one wait, no retry): it raises ``TimeoutError``
-    naming that budget, and a receive blocked on a rank the failure
-    detector knows dead raises
+    ``OVERLAP`` with more than one source.  Each wait is bounded by the
+    process's ``recv_timeout_s`` (wall-clock seconds, one wait, no retry):
+    it raises ``TimeoutError`` naming that budget, and a receive blocked on
+    a rank the failure detector knows dead raises
     :class:`~repro.vmachine.faults.RankLostError` immediately.
 
     Placement depends only on the schedule offsets, so completion order
@@ -525,7 +522,7 @@ def plan_move_recv(
     segments = 0
     for s, payload in universe.data_plane(universe.to_src).arrivals(
         route.sources, TAG_DATA,
-        overlap=route.policy is ExecutorPolicy.OVERLAP, timeout=timeout,
+        overlap=route.policy is ExecutorPolicy.OVERLAP,
     ):
         program = programs[s]
         move_row(proc, "scatter", program, datas,
@@ -543,7 +540,6 @@ def plan_move(
     dst_arrays: Sequence[Any],
     universe: Universe,
     policy: ExecutorPolicy | str = ExecutorPolicy.ORDERED,
-    timeout: float | None = None,
 ) -> None:
     """Full move for processors holding both roles (single program), or
     role dispatch to the proper half otherwise.
@@ -567,15 +563,11 @@ def plan_move(
                 move_row(proc, "copy", (seg,), src, (dst[seg.schedule_id],),
                          "copy:local")
             proc.metrics.incr("cache_program_hits", 2 * len(route.local))
-        plan_move_send(plan, src_arrays, universe, policy=policy,
-                       timeout=timeout)
-        plan_move_recv(plan, dst_arrays, universe, policy=policy,
-                       timeout=timeout)
-        universe.end_phase(timeout=timeout)
+        plan_move_send(plan, src_arrays, universe, policy=policy)
+        plan_move_recv(plan, dst_arrays, universe, policy=policy)
+        universe.end_phase()
         return
     if universe.my_src_rank is not None:
-        plan_move_send(plan, src_arrays, universe, policy=policy,
-                       timeout=timeout)
+        plan_move_send(plan, src_arrays, universe, policy=policy)
     if universe.my_dst_rank is not None:
-        plan_move_recv(plan, dst_arrays, universe, policy=policy,
-                       timeout=timeout)
+        plan_move_recv(plan, dst_arrays, universe, policy=policy)

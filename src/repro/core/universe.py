@@ -100,7 +100,7 @@ class Universe:
         rel = self.reliability
         return endpoint if rel is None else rel.over(endpoint)
 
-    def end_phase(self, fence: bool = True, timeout: float | None = None) -> None:
+    def end_phase(self, fence: bool = True) -> None:
         """Close a data-plane phase (no-op when reliability is disabled):
         block until all reliably sent data is acknowledged, or — ``fence``
         false — only release held-back packets.  See :meth:`~repro.
@@ -108,7 +108,7 @@ class Universe:
         rel = self.reliability
         if rel is not None:
             if fence:
-                rel.fence(timeout=timeout)
+                rel.fence()
             else:
                 rel.flush()
 

@@ -100,7 +100,7 @@ def _build_copy(params: dict) -> dict:
         universe = SingleProgramUniverse(comm)
         if params["reliability"]:
             universe.enable_reliability()
-        mc_copy(universe, sched, A, B, policy=policy, timeout=30.0)
+        mc_copy(universe, sched, A, B, policy=policy)
         return B.gather_global()
 
     return {
@@ -143,8 +143,7 @@ def _build_coupled(params: dict) -> dict:
             dst_sor if method is ScheduleMethod.DUPLICATION else None,
             method,
         )
-        ex = CoupledExchange(uni, sched, policy=policy, deadline_s=30.0,
-                             reliability=True)
+        ex = CoupledExchange(uni, sched, policy=policy, reliability=True)
         ex.push(A)
         if pull_back:
             A2 = BlockPartiArray.zeros(ctx.comm, shape)
@@ -160,8 +159,7 @@ def _build_coupled(params: dict) -> dict:
             src_sor if method is ScheduleMethod.DUPLICATION else None,
             "chaos", B, dst_sor, method,
         )
-        ex = CoupledExchange(uni, sched, policy=policy, deadline_s=30.0,
-                             reliability=True)
+        ex = CoupledExchange(uni, sched, policy=policy, reliability=True)
         ex.push(B)
         out = B.gather_global()
         if pull_back:

@@ -28,7 +28,7 @@ by the same cost model.
 from repro.vmachine.cost_model import CostModel, MachineProfile, IBM_SP2, ALPHA_FARM_ATM
 from repro.vmachine.message import Message, Mailbox, ANY_SOURCE, ANY_TAG
 from repro.vmachine.payload import payload_nbytes
-from repro.vmachine.process import Process, current_process, default_recv_timeout_s
+from repro.vmachine.process import Process, current_process
 from repro.vmachine.comm import Communicator, InterComm, Request, waitall, waitany
 from repro.vmachine.machine import VirtualMachine, RankError, SPMDError
 from repro.vmachine.program import ProgramSpec, run_programs, CoupledResult
@@ -84,7 +84,6 @@ __all__ = [
     "rank_activity",
     "format_timeline",
     "payload_nbytes",
-    "default_recv_timeout_s",
     "FaultPlan",
     "FaultRates",
     "FaultRule",

@@ -71,7 +71,7 @@ def _cantor_pair(a: int, b: int) -> int:
 def _crash_check_recv(proc) -> None:
     """Receive seam, before the match (may raise SimulatedCrash)."""
     plan = proc.faults
-    if plan is not None:
+    if plan is not None and plan.crashes:
         plan.on_recv(proc)
 
 
@@ -187,7 +187,7 @@ class _Endpoint:
             ))
             return OK_RECEIPT
         plan = proc.faults
-        if plan is not None:
+        if plan is not None and plan.crashes:
             plan.on_send(proc)  # may raise SimulatedCrash
         if proc.copy_on_send:
             # Debug mode: snapshot the payload so later sender-side
@@ -225,9 +225,7 @@ class _Endpoint:
                 rec.on_send(message, receipt, proc.clock)
             return receipt
 
-    def _recv_global(
-        self, source_global: int, tag: int, timeout: float | None = None
-    ) -> Message:
+    def _recv_global(self, source_global: int, tag: int) -> Message:
         """The receive seam for one pattern (``source_global`` may be
         :data:`ANY_SOURCE`): crash check → match → account."""
         proc = self.process
@@ -236,8 +234,8 @@ class _Endpoint:
         exact = tag != ANY_TAG
         msg = proc.mailbox.receive(
             source_global, self._context + tag if exact else ANY_TAG,
-            timeout if timeout is not None else proc.recv_timeout_s,
-            None if exact else self._tag_range(tag), self._context_label,
+            proc.recv_timeout_s, None if exact else self._tag_range(tag),
+            self._context_label,
         )
         _account_recv(proc, msg)
         return msg
@@ -285,18 +283,15 @@ class _Endpoint:
             self._check_rank(dest)
         return self._send_global(self._peers[dest], payload, tag)
 
-    def recv(
-        self, source: int, tag: int = 0, timeout: float | None = None
-    ) -> Any:
+    def recv(self, source: int, tag: int = 0) -> Any:
         """Receive a message from group rank ``source``.
 
-        ``timeout`` (wall-clock seconds) overrides the per-process receive
-        timeout for this one operation: one wait, which raises
-        ``TimeoutError`` naming the budget it was given.
+        One wait of the process's ``recv_timeout_s`` (wall-clock seconds),
+        which raises ``TimeoutError`` naming that budget.
         """
         if not 0 <= source < self._npeers:
             self._check_rank(source)
-        return self._recv_global(self._peers[source], tag, timeout).payload
+        return self._recv_global(self._peers[source], tag).payload
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Nonblocking receive: match and charge only at ``wait()``.
@@ -327,13 +322,8 @@ class _Endpoint:
         msg = self._recv_global(ANY_SOURCE, tag)
         return self._rank_of[msg.source], msg.payload
 
-    def arrivals(
-        self,
-        sources: Sequence[int],
-        tag: int = 0,
-        overlap: bool = False,
-        timeout: float | None = None,
-    ) -> Iterator[tuple[int, Any]]:
+    def arrivals(self, sources: Sequence[int], tag: int = 0,
+                 overlap: bool = False) -> Iterator[tuple[int, Any]]:
         """Yield ``(source, payload)`` once per rank in ``sources``: one
         message from each of these peers.
 
@@ -341,16 +331,16 @@ class _Endpoint:
         ``overlap`` (and more than one source) every receive is posted up
         front and completed in *logical-arrival* order (:func:`waitany`),
         so the caller handles one message while later ones are still in
-        flight.  ``timeout`` bounds each wait (wall-clock seconds).
+        flight.  Each wait is bounded by the process's ``recv_timeout_s``.
         """
         if overlap and len(sources) > 1:
             requests = [self.irecv(s, tag) for s in sources]
             for _ in sources:
-                idx, payload = Request.waitany(requests, timeout=timeout)
+                idx, payload = Request.waitany(requests)
                 yield sources[idx], payload
         else:
             for s in sources:
-                yield s, self.recv(s, tag, timeout)
+                yield s, self.recv(s, tag)
 
     def _flush_held(self, dest: int) -> int:
         """Deliver fault-plan-held (reordered) messages toward a peer."""
@@ -403,9 +393,7 @@ class Request:
     # -- multi-request completion (MPI_Waitany / MPI_Waitall analogue) -----
 
     @staticmethod
-    def waitany(
-        requests: list["Request"], timeout: float | None = None
-    ) -> tuple[int, Any]:
+    def waitany(requests: list["Request"]) -> tuple[int, Any]:
         """Complete the *logically earliest* incomplete request.
 
         Returns ``(index, payload)`` of the completed request.  The choice
@@ -437,7 +425,7 @@ class Request:
             _crash_check_recv(proc)
         k, msg = proc.mailbox.receive_any_of(
             patterns,
-            timeout=timeout if timeout is not None else proc.recv_timeout_s,
+            timeout=proc.recv_timeout_s,
             context=pending[0][1]._endpoint._context_label,
         )
         idx, req = pending[k]

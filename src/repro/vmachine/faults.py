@@ -481,7 +481,7 @@ class FaultPlan:
                 )
         return c
 
-    def _check_crash(self, proc: "Process", op: str) -> None:
+    def _check_crash(self, proc: "Process") -> None:
         if not self.enabled:
             return
         rank = proc.rank
@@ -511,15 +511,13 @@ class FaultPlan:
                 raise SimulatedCrash(rank, trigger)
 
     def on_send(self, proc: "Process") -> None:
-        """Crash hook + counter, called before every transport send."""
-        if self.crashes:
-            self._check_crash(proc, "send")
+        """Crash hook + counter, before each send of a plan with crashes."""
+        self._check_crash(proc)
         self._counts(proc.rank)["sends"] += 1
 
     def on_recv(self, proc: "Process") -> None:
-        """Crash hook + counter, called before every blocking receive."""
-        if self.crashes:
-            self._check_crash(proc, "recv")
+        """Crash hook + counter, before each receive of a plan with crashes."""
+        self._check_crash(proc)
         self._counts(proc.rank)["recvs"] += 1
 
     # -- delivery ----------------------------------------------------------

@@ -195,8 +195,9 @@ class VirtualMachine:
         Fail the run when a message was delivered but never received
         (mismatched send/recv, a silent protocol bug).  On by default.
     recv_timeout_s:
-        Per-receive wall-clock timeout (seconds).  Defaults to the
-        ``REPRO_RECV_TIMEOUT_S`` environment variable, else 120 s.
+        The wall-clock budget (seconds) of every blocking wait of the run:
+        each receive, wait-any and reliable-fence ack wait raises once it
+        has waited this long.  ``None`` (default) is 120 s.
     copy_on_send:
         Debug mode: deep-copy every payload at send time, guarding
         against the zero-copy transport's mutate-after-send hazard.

@@ -10,7 +10,6 @@ threading machinery leaking through.
 
 from __future__ import annotations
 
-import os
 import threading
 from operator import attrgetter
 from typing import Any
@@ -20,26 +19,9 @@ from repro.observe.spans import span_on
 from repro.vmachine.cost_model import CostModel
 from repro.vmachine.message import Mailbox, PackArena
 
-__all__ = ["Process", "current_process", "default_recv_timeout_s"]
+__all__ = ["Process", "current_process"]
 
 _tls = threading.local()
-
-#: hard-coded fallback for the per-receive wall-clock timeout (seconds)
-_DEFAULT_RECV_TIMEOUT_S = 120.0
-
-
-def default_recv_timeout_s() -> float:
-    """The default receive timeout: ``REPRO_RECV_TIMEOUT_S`` env var when
-    set (seconds), else 120 s.  Evaluated per run so tests can tweak it."""
-    raw = os.environ.get("REPRO_RECV_TIMEOUT_S")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_RECV_TIMEOUT_S={raw!r} is not a number"
-            ) from None
-    return _DEFAULT_RECV_TIMEOUT_S
 
 
 def current_process() -> "Process":
@@ -100,9 +82,9 @@ class Process:
         self.env: dict[str, Any] = {}
         #: open-span name stack (always maintained; labels events/terms)
         self._span_stack: list[str] = []
-        #: per-receive wall-clock timeout (configurable per VirtualMachine
-        #: or via the REPRO_RECV_TIMEOUT_S environment variable)
-        self.recv_timeout_s: float = default_recv_timeout_s()
+        #: the wall-clock budget of every blocking wait (seconds; set per
+        #: run by ``VirtualMachine(recv_timeout_s=...)``)
+        self.recv_timeout_s: float = 120.0
         #: clock-slowdown factor applied to every charge (fault injection)
         self.slowdown: float = 1.0
         self._trace = self._spans = self._faults = self._recorder = None

@@ -37,9 +37,9 @@ Per directed channel ``(communicator context, peer, tag)``:
 - **Fence**: the sender's end-of-phase barrier.  It first asks the fault
   plan to release any held-back (reordered) in-flight messages, then
   blocks until every channel's cumulative ack has caught up with its send
-  sequence; acks are received as ordinary charged messages.  A fence that
-  cannot complete within the bounded deadline raises with the channel's
-  last-ack diagnostics.
+  sequence; acks are received as ordinary charged messages.  A fence whose
+  ack wait outlasts the process's ``recv_timeout_s`` raises with the
+  channel's last-ack diagnostics.
 
 The layer is deliberately *conservative*: the sender's retransmission
 timer blocks the injection pipeline (stop-and-wait on loss), so measured
@@ -258,13 +258,12 @@ class Reliability:
             envelope = endpoint.recv(peer, REL_DATA | tag)
             self._ingest(ch, endpoint.process, envelope)
 
-    def recv(self, endpoint, peer: int, tag: int,
-             timeout: float | None = None) -> Any:
+    def recv(self, endpoint, peer: int, tag: int) -> Any:
         """Reliably receive the next in-order payload from ``peer``."""
         proc = endpoint.process
         ch = self._in_channel(endpoint, peer, tag)
         while ch.expected not in ch.buffer:
-            envelope = endpoint.recv(peer, REL_DATA | tag, timeout=timeout)
+            envelope = endpoint.recv(peer, REL_DATA | tag)
             self._ingest(ch, proc, envelope)
             self._drain_backlog(endpoint, peer, tag, ch)
         payload = ch.buffer.pop(ch.expected)
@@ -272,13 +271,8 @@ class Reliability:
         self._send_ack(endpoint, peer, tag, ch)
         return payload
 
-    def recv_any(
-        self,
-        endpoint,
-        peers: list[int],
-        tag: int,
-        timeout: float | None = None,
-    ) -> tuple[int, Any]:
+    def recv_any(self, endpoint, peers: list[int],
+                 tag: int) -> tuple[int, Any]:
         """Reliable wait-any: next in-order payload from any of ``peers``.
 
         Buffered deliverable payloads win first (lowest group rank — a
@@ -306,7 +300,7 @@ class Reliability:
             requests = [
                 endpoint.irecv(p, REL_DATA | tag) for p in sorted(channels)
             ]
-            idx, envelope = Request.waitany(requests, timeout=timeout)
+            idx, envelope = Request.waitany(requests)
             p = sorted(channels)[idx]
             self._ingest(channels[p], proc, envelope)
             self._drain_backlog(endpoint, p, tag, channels[p])
@@ -330,16 +324,16 @@ class Reliability:
             n += ch.endpoint._flush_held(ch.peer)
         return n
 
-    def fence(self, timeout: float | None = None) -> None:
+    def fence(self) -> None:
         """Block until every sent sequence number is cumulatively acked.
 
         Also releases any fault-plan-held (reordered) messages still in
         flight on this sender's channels — the network finally delivering
         them — before waiting, so a held final packet cannot wedge the
         receiver.  Raises :class:`~repro.vmachine.faults.RankLostError`
-        with last-ack diagnostics when a peer stops acknowledging.
-        ``timeout`` bounds each ack wait, like every other wait: ``None``
-        is the process receive time-out.
+        with last-ack diagnostics when a peer stops acknowledging; each
+        ack wait is bounded by the process's ``recv_timeout_s``, like every
+        other wait.
         """
         # Every unacked channel is released before the first blocking
         # wait: a receiver completing in arrival order (``recv_any``)
@@ -355,16 +349,15 @@ class Reliability:
             if ch.acked >= ch.next_seq - 1:
                 self._drain_acks(endpoint, ch.peer, ch.tag, ch)
                 continue
-            budget = timeout if timeout is not None else proc.recv_timeout_s
             while ch.acked < ch.next_seq - 1:
                 try:
-                    ack = endpoint.recv(ch.peer, REL_ACK | ch.tag,
-                                        timeout=budget)
+                    ack = endpoint.recv(ch.peer, REL_ACK | ch.tag)
                 except TimeoutError as exc:
                     raise RankLostError(
                         proc.rank,
                         endpoint.peer_global(ch.peer),
-                        f"fence timed out after {budget}s awaiting acks",
+                        f"fence timed out after {proc.recv_timeout_s}s "
+                        "awaiting acks",
                         pending=proc.mailbox.pending_summary(),
                         last_ack=ch.describe(),
                     ) from exc
@@ -404,18 +397,12 @@ class ReliableView:
         """:meth:`Reliability.send` toward group rank ``dest``."""
         self._rel.send(self._endpoint, dest, payload, tag)
 
-    def recv(self, source: int, tag: int = 0,
-             timeout: float | None = None) -> Any:
+    def recv(self, source: int, tag: int = 0) -> Any:
         """:meth:`Reliability.recv` from group rank ``source``."""
-        return self._rel.recv(self._endpoint, source, tag, timeout)
+        return self._rel.recv(self._endpoint, source, tag)
 
-    def arrivals(
-        self,
-        sources: Sequence[int],
-        tag: int = 0,
-        overlap: bool = False,
-        timeout: float | None = None,
-    ) -> Iterator[tuple[int, Any]]:
+    def arrivals(self, sources: Sequence[int], tag: int = 0,
+                 overlap: bool = False) -> Iterator[tuple[int, Any]]:
         """Yield ``(source, payload)`` once per rank in ``sources``, each
         payload the channel's next in-order one: in the order given, or —
         ``overlap`` and more than one source — :meth:`Reliability.recv_any`
@@ -425,10 +412,9 @@ class ReliableView:
         if overlap and len(sources) > 1:
             owed = set(sources)
             while owed:
-                s, payload = rel.recv_any(endpoint, sorted(owed), tag,
-                                          timeout=timeout)
+                s, payload = rel.recv_any(endpoint, sorted(owed), tag)
                 owed.discard(s)
                 yield s, payload
         else:
             for s in sources:
-                yield s, rel.recv(endpoint, s, tag, timeout=timeout)
+                yield s, rel.recv(endpoint, s, tag)

@@ -63,7 +63,7 @@ def _single_program(method, policy):
         )
         universe = SingleProgramUniverse(comm)
         universe.enable_reliability()
-        mc_copy(universe, sched, A, B, policy=policy, timeout=30.0)
+        mc_copy(universe, sched, A, B, policy=policy)
         return B.gather_global()
 
     return spmd
@@ -142,8 +142,7 @@ def _coupled(psrc, pdst, method, policy, *, faults=None, pull_back=False):
             index_sor(PERM) if method is ScheduleMethod.DUPLICATION else None,
             method,
         )
-        ex = CoupledExchange(uni, sched, policy=policy, deadline_s=30.0,
-                             reliability=True)
+        ex = CoupledExchange(uni, sched, policy=policy, reliability=True)
         ex.push(A)
         if pull_back:
             A2 = BlockPartiArray.zeros(ctx.comm, SHAPE)
@@ -162,8 +161,7 @@ def _coupled(psrc, pdst, method, policy, *, faults=None, pull_back=False):
             "chaos", B, index_sor(PERM),
             method,
         )
-        ex = CoupledExchange(uni, sched, policy=policy, deadline_s=30.0,
-                             reliability=True)
+        ex = CoupledExchange(uni, sched, policy=policy, reliability=True)
         ex.push(B)
         out = B.gather_global()
         if pull_back:
@@ -208,7 +206,7 @@ class TestCoupledDegradation:
     def test_crashed_peer_surfaces_peer_lost_error(self):
         """The destination program dies after the schedule exchange; the
         source's push must raise PeerLostError *naming the peer program*
-        within the deadline, not hang."""
+        within the receive budget, not hang."""
 
         def src_prog(ctx):
             A = BlockPartiArray.from_global(ctx.comm, G)
@@ -217,8 +215,7 @@ class TestCoupledDegradation:
                 uni, "blockparti", A, section_sor(SRC_SLICES, SHAPE),
                 "chaos", None, None,
             )
-            ex = CoupledExchange(uni, sched, deadline_s=20.0,
-                                 reliability=True)
+            ex = CoupledExchange(uni, sched, reliability=True)
             ex.push(A)
 
         def dst_prog(ctx):
@@ -235,7 +232,7 @@ class TestCoupledDegradation:
             run_programs(
                 [ProgramSpec("srcp", 1, src_prog),
                  ProgramSpec("dstp", 1, dst_prog)],
-                recv_timeout_s=60.0,
+                recv_timeout_s=20.0,
             )
         assert time.monotonic() - t0 < 15.0
         peer_lost = [
@@ -247,8 +244,8 @@ class TestCoupledDegradation:
         assert "dstp" in str(peer_lost[0])
 
     def test_silent_peer_times_out_within_deadline(self):
-        """A peer that is alive but never completes its half: the fence
-        deadline converts the stall into PeerLostError diagnostics."""
+        """A peer that is alive but never completes its half: the fence's
+        receive budget converts the stall into PeerLostError diagnostics."""
 
         def src_prog(ctx):
             A = BlockPartiArray.from_global(ctx.comm, G)
@@ -257,8 +254,7 @@ class TestCoupledDegradation:
                 uni, "blockparti", A, section_sor(SRC_SLICES, SHAPE),
                 "chaos", None, None,
             )
-            ex = CoupledExchange(uni, sched, deadline_s=1.0,
-                                 reliability=True)
+            ex = CoupledExchange(uni, sched, reliability=True)
             t0 = time.monotonic()
             try:
                 ex.push(A)
@@ -279,7 +275,7 @@ class TestCoupledDegradation:
         res = run_programs(
             [ProgramSpec("srcp", 1, src_prog),
              ProgramSpec("dstp", 1, dst_prog)],
-            recv_timeout_s=60.0, check_leaks=False,
+            recv_timeout_s=1.0, check_leaks=False,
         )
         out = res["srcp"].values[0]
         assert out is not None, "push did not raise PeerLostError"
@@ -295,7 +291,7 @@ class TestCoupledDegradation:
     def test_bare_pull_deadline_is_one_wait_and_reports_its_budget(
             self, policy, pdst):
         """No reliability: a pull from a peer that never sends raises
-        after one wait of ``deadline_s`` and the text names that budget —
+        after one wait of ``recv_timeout_s`` and the text names that budget —
         under either policy (ORDERED used to re-enter the wait in slices
         and report the last slice, 0.125 s, as the time-out)."""
 
@@ -306,7 +302,7 @@ class TestCoupledDegradation:
                 uni, "blockparti", A, section_sor(SRC_SLICES, SHAPE),
                 "chaos", None, None,
             )
-            ex = CoupledExchange(uni, sched, policy=policy, deadline_s=1.0)
+            ex = CoupledExchange(uni, sched, policy=policy)
             t0 = time.monotonic()
             try:
                 ex.pull(A)
@@ -326,7 +322,7 @@ class TestCoupledDegradation:
         res = run_programs(
             [ProgramSpec("srcp", 1, src_prog),
              ProgramSpec("dstp", pdst, dst_prog)],
-            recv_timeout_s=60.0,
+            recv_timeout_s=1.0,
         )
         out = res["srcp"].values[0]
         assert out is not None, "pull did not raise PeerLostError"

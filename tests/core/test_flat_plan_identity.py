@@ -91,7 +91,7 @@ def _ref_policy(policy, plan, universe):
     return resolve_policy(policy, _peers(plan.schedules, "recvs", skip))
 
 
-def ref_send(plan, src_arrays, universe, policy=ORDERED, timeout=None, fence=None):
+def ref_send(plan, src_arrays, universe, policy=ORDERED, fence=None):
     scheds, proc = plan.schedules, universe.process
     peers = _peers(scheds, "sends",
                    universe.my_src_rank if universe.single_program else None)
@@ -132,40 +132,39 @@ def ref_send(plan, src_arrays, universe, policy=ORDERED, timeout=None, fence=Non
         if fence is None:
             fence = not universe.single_program
         if fence:
-            rel.fence(timeout=timeout)
+            rel.fence()
         else:
             rel.flush()
 
 
-def _ref_arrivals(universe, active, policy, timeout):
+def _ref_arrivals(universe, active, policy):
     rel = universe.reliability
     overlap = policy is OVERLAP and len(active) > 1
     if rel is not None and overlap:
         left = set(active)
         while left:
-            s, payload = rel.recv_any(universe.to_src, sorted(left), TAG_DATA,
-                                      timeout=timeout)
+            s, payload = rel.recv_any(universe.to_src, sorted(left), TAG_DATA)
             left.discard(s)
             yield s, payload
     elif overlap:
         requests = [universe.to_src.irecv(s, TAG_DATA) for s in active]
         for _ in active:
-            idx, payload = waitany(requests, timeout=timeout)
+            idx, payload = waitany(requests)
             yield active[idx], payload
     else:
         for s in active:
             if rel is not None:
-                yield s, rel.recv(universe.to_src, s, TAG_DATA, timeout=timeout)
+                yield s, rel.recv(universe.to_src, s, TAG_DATA)
             else:
-                yield s, universe.to_src.recv(s, TAG_DATA, timeout=timeout)
+                yield s, universe.to_src.recv(s, TAG_DATA)
 
 
-def ref_recv(plan, dst_arrays, universe, policy=ORDERED, timeout=None):
+def ref_recv(plan, dst_arrays, universe, policy=ORDERED):
     scheds, proc = plan.schedules, universe.process
     active = _peers(scheds, "recvs",
                     universe.my_dst_rank if universe.single_program else None)
     policy = _ref_policy(policy, plan, universe)
-    for s, payload in _ref_arrivals(universe, active, policy, timeout):
+    for s, payload in _ref_arrivals(universe, active, policy):
         segs = _segments(scheds, "recvs", s)
         if len(scheds) == 1:
             assert len(payload) == len(segs[0][1])
@@ -185,15 +184,14 @@ def ref_recv(plan, dst_arrays, universe, policy=ORDERED, timeout=None):
             payload.release()
 
 
-def ref_move(plan, src_arrays, dst_arrays, universe, policy=ORDERED,
-             timeout=None):
+def ref_move(plan, src_arrays, dst_arrays, universe, policy=ORDERED):
     proc = universe.process
     policy = _ref_policy(policy, plan, universe)
     if not universe.single_program:
         if universe.my_src_rank is not None:
-            ref_send(plan, src_arrays, universe, policy, timeout)
+            ref_send(plan, src_arrays, universe, policy)
         if universe.my_dst_rank is not None:
-            ref_recv(plan, dst_arrays, universe, policy, timeout)
+            ref_recv(plan, dst_arrays, universe, policy)
         return
     copies = 0
     for i, sched in enumerate(plan.schedules):
@@ -210,10 +208,10 @@ def ref_move(plan, src_arrays, dst_arrays, universe, policy=ORDERED,
         copies += 1
     if copies:
         proc.metrics.incr("cache_program_hits", 2 * copies)
-    ref_send(plan, src_arrays, universe, policy, timeout, fence=False)
-    ref_recv(plan, dst_arrays, universe, policy, timeout)
+    ref_send(plan, src_arrays, universe, policy, fence=False)
+    ref_recv(plan, dst_arrays, universe, policy)
     if universe.reliability is not None:
-        universe.reliability.fence(timeout=timeout)
+        universe.reliability.fence()
 
 
 REFERENCE = {"plan_move": ref_move, "plan_move_send": ref_send,
@@ -347,13 +345,12 @@ def single_program(k, policy, layout="contiguous", dtypes=MIXED,
         if reliability:
             universe.enable_reliability()
         for _ in range(rounds):
-            mc_copy_many(universe, plan, srcs, dsts, policy=policy,
-                         timeout=60.0)
+            mc_copy_many(universe, plan, srcs, dsts, policy=policy)
         back = [s.reverse() for s in scheds]
         for (src_t, dst_t), rev, b, a in zip(
                 [dtypes[j % len(dtypes)] for j in range(k)], back, dsts, srcs):
             if np.can_cast(dst_t, src_t, "same_kind"):
-                mc_copy(universe, rev, b, a, policy=policy, timeout=60.0)
+                mc_copy(universe, rev, b, a, policy=policy)
         return snapshot(dsts), snapshot(srcs)
 
     vm = VirtualMachine(4, trace=True, observe=True, faults=faults,

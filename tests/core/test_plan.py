@@ -720,7 +720,6 @@ class TestChaosMatrix:
                 [a for _, a, _ in triples],
                 [b for _, _, b in triples],
                 policy=policy,
-                timeout=30.0,
             )
             return tuple(B.gather_global() for _, _, B in triples)
 
@@ -750,8 +749,7 @@ def _coupled_many(psrc, pdst, policy, *, faults=None, pull_back=False):
             uni, "blockparti", A1, full, "chaos", None, None,
             ScheduleMethod.COOPERATION,
         )
-        ex = CoupledExchange(uni, sched, policy=policy, deadline_s=30.0,
-                             reliability=True)
+        ex = CoupledExchange(uni, sched, policy=policy, reliability=True)
         ex.push_many([A1, A2])
         if pull_back:
             R1 = BlockPartiArray.zeros(ctx.comm, SHAPE)
@@ -768,8 +766,7 @@ def _coupled_many(psrc, pdst, policy, *, faults=None, pull_back=False):
             uni, "blockparti", None, None, "chaos", B1, index_sor(PERM1),
             ScheduleMethod.COOPERATION,
         )
-        ex = CoupledExchange(uni, sched, policy=policy, deadline_s=30.0,
-                             reliability=True)
+        ex = CoupledExchange(uni, sched, policy=policy, reliability=True)
         ex.push_many([B1, B2])
         out = B1.gather_global(), B2.gather_global()
         if pull_back:

@@ -57,7 +57,7 @@ def fused_copy(comm):
         ))
     universe = SingleProgramUniverse(comm)
     universe.enable_reliability()
-    mc_copy_many(universe, schedules, srcs, dsts, policy="overlap", timeout=30.0)
+    mc_copy_many(universe, schedules, srcs, dsts, policy="overlap")
     return [dst.gather_global() for dst in dsts]
 
 

@@ -10,7 +10,6 @@ import pytest
 from repro.vmachine import VirtualMachine
 from repro.vmachine.faults import CrashEvent, FaultPlan, RankLostError
 from repro.vmachine.machine import SPMDError
-from repro.vmachine.process import default_recv_timeout_s
 
 
 class TestPromptFailureSurfacing:
@@ -71,15 +70,6 @@ class TestConfigurableTimeout:
             isinstance(e.exception, TimeoutError) for e in ei.value.errors
         )
 
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECV_TIMEOUT_S", "0.25")
-        assert default_recv_timeout_s() == 0.25
-
-    def test_env_var_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECV_TIMEOUT_S", "soon")
-        with pytest.raises(ValueError):
-            default_recv_timeout_s()
-
     def test_timeout_diagnostics_name_source_tag_context_and_pending(self):
         def spmd(comm):
             if comm.rank == 0:
@@ -99,17 +89,6 @@ class TestConfigurableTimeout:
         assert "communicator context block" in msg
         assert "undelivered envelope" in msg
         assert "(src=1, tag=0:9, 8B)" in msg
-
-    def test_per_call_timeout_overrides_machine_default(self):
-        def spmd(comm):
-            if comm.rank == 0:
-                t0 = time.monotonic()
-                with pytest.raises(TimeoutError):
-                    comm.recv(1, 7, timeout=0.1)
-                assert time.monotonic() - t0 < 5.0
-            return None
-
-        VirtualMachine(2, recv_timeout_s=60.0).run(spmd)
 
 
 class TestCopyOnSend:

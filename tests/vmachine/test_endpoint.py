@@ -113,26 +113,26 @@ def test_recv_any_answers_in_the_ranks_the_endpoint_addresses():
 ROUNDS = 3
 
 
-def oracle_arrivals(comm, rel, sources, tag, overlap, timeout):
+def oracle_arrivals(comm, rel, sources, tag, overlap):
     """The four arrival loops, written out as the callers used to."""
     overlap = overlap and len(sources) > 1
     if rel is None and overlap:
         requests = [comm.irecv(s, tag) for s in sources]
         for _ in sources:
-            idx, payload = waitany(requests, timeout=timeout)
+            idx, payload = waitany(requests)
             yield sources[idx], payload
     elif rel is None:
         for s in sources:
-            yield s, comm.recv(s, tag, timeout=timeout)
+            yield s, comm.recv(s, tag)
     elif overlap:
         left = set(sources)
         while left:
-            s, payload = rel.recv_any(comm, sorted(left), tag, timeout=timeout)
+            s, payload = rel.recv_any(comm, sorted(left), tag)
             left.discard(s)
             yield s, payload
     else:
         for s in sources:
-            yield s, rel.recv(comm, s, tag, timeout=timeout)
+            yield s, rel.recv(comm, s, tag)
 
 
 def _exchange(reliable, overlap, sources, faults, oracle):
@@ -169,18 +169,17 @@ def _exchange(reliable, overlap, sources, faults, oracle):
             for _ in range(ROUNDS):
                 if oracle:
                     stream = oracle_arrivals(comm, rel, sources, TAG_DATA,
-                                             overlap, 30.0)
+                                             overlap)
                 else:
                     chan = comm if rel is None else rel.over(comm)
-                    stream = chan.arrivals(sources, TAG_DATA, overlap=overlap,
-                                           timeout=30.0)
+                    stream = chan.arrivals(sources, TAG_DATA, overlap=overlap)
                 got.append([(s, p.tolist()) for s, p in stream])
         if rel is not None:
             rel.fence()
         return got
 
     # a bare duplicate is never consumed, on purpose: no leak check
-    vm = VirtualMachine(4, trace=True, faults=faults,
+    vm = VirtualMachine(4, trace=True, faults=faults, recv_timeout_s=30.0,
                         check_leaks=reliable or faults is None)
     res = vm.run(body)
     return {"values": res.values, "clocks": res.clocks, "counters": res.stats,

@@ -292,17 +292,17 @@ def test_every_rank_replays_identically_in_isolation(recording):
 
 def test_isolation_replay_reads_the_recorded_environment(monkeypatch):
     """The replayed Process is built inside the recorded ``REPRO_*``
-    environment: the host's receive timeout must not leak into it."""
-    monkeypatch.delenv("REPRO_RECV_TIMEOUT_S", raising=False)
-    seen_timeouts = []
+    environment: the host's copy-on-send switch must not leak into it."""
+    monkeypatch.delenv("REPRO_COPY_ON_SEND", raising=False)
+    seen = []
 
     def program(comm):
-        seen_timeouts.append(comm.process.recv_timeout_s)
+        seen.append(comm.process.copy_on_send)
         return np.arange(3.0) * comm.rank
 
     rec = Recorder(payloads=True)
     VirtualMachine(2, recorder=rec).run(program)
-    monkeypatch.setenv("REPRO_RECV_TIMEOUT_S", "0.125")
+    monkeypatch.setenv("REPRO_COPY_ON_SEND", "1")
     assert replay_rank(rec.artifact, 1, fn=program).identical
     assert replay_full(rec.artifact, fn=program).identical
-    assert set(seen_timeouts) == {120.0}
+    assert set(seen) == {False}

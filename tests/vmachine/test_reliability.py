@@ -208,11 +208,11 @@ class TestFence:
             rel = Reliability()
             if comm.rank == 0:
                 rel.send(comm, 1, "only", TAG)  # held by the fault plan
-                rel.fence(timeout=10.0)         # flush + await the ack
+                rel.fence()                     # flush + await the ack
                 return True
             return rel.recv(comm, 0, TAG)
 
-        res = run(2, spmd, faults=plan)
+        res = run(2, spmd, faults=plan, recv_timeout_s=10.0)
         assert res.values[1] == "only"
 
     def test_fence_on_dead_peer_raises_rank_lost_with_last_ack(self):
@@ -223,12 +223,12 @@ class TestFence:
             rel = Reliability()
             if comm.rank == 0:
                 rel.send(comm, 1, "x", TAG)
-                rel.fence(timeout=2.0)
+                rel.fence()
             else:
                 rel.recv(comm, 0, TAG)  # crash fires before the receive
 
         with pytest.raises(SPMDError) as ei:
-            run(2, spmd, faults=plan, check_leaks=False)
+            run(2, spmd, faults=plan, check_leaks=False, recv_timeout_s=2.0)
         lost = [e.exception for e in ei.value.errors if e.rank == 0][0]
         assert isinstance(lost, RankLostError)
         assert lost.last_ack is not None

@@ -19,7 +19,7 @@ import pytest
 
 from repro.replay import Recorder
 from repro.replay.recorder import RankRecorder
-from repro.vmachine import (FaultPlan, ProgramSpec, Reliability,
+from repro.vmachine import (CrashEvent, FaultPlan, ProgramSpec, Reliability,
                             VirtualMachine, Window, run_programs, waitany)
 
 BASE_COUNTERS = ("messages_sent", "messages_received",
@@ -206,7 +206,10 @@ def midrun(comm, install):
         elif install == "copy_on_send":
             proc.copy_on_send = True
         elif install == "faults":
-            plan = proc.faults = FaultPlan(seed=1)
+            # a crash event that never fires: a plan counts operations
+            # only when a crash trigger may read the counts
+            plan = proc.faults = FaultPlan(
+                seed=1, crashes=[CrashEvent(proc.rank, after_sends=10**9)])
         before = proc.clock
         comm.send(right, sent, tag=1)
         got = comm.recv(left, tag=1)

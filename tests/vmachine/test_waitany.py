@@ -14,7 +14,7 @@ another communicator's traffic (wire tags live in per-context blocks).
 import numpy as np
 import pytest
 
-from repro.vmachine import ANY_TAG, waitall, waitany
+from repro.vmachine import ANY_TAG, VirtualMachine, waitall, waitany
 from repro.vmachine.comm import CONTEXT_STRIDE
 from repro.vmachine.machine import SPMDError
 
@@ -138,12 +138,13 @@ class TestWaitany:
                 return None
             reqs = [sub.irecv(1, tag=4), sub.irecv(2, tag=4), sub.irecv(1, tag=8)]
             with pytest.raises(TimeoutError) as ei:
-                waitany(reqs, timeout=0.05)
+                waitany(reqs)
             for tag in (9, 8, 9):
                 sub.recv(1, tag=tag)
             return str(ei.value), sub._context // CONTEXT_STRIDE
 
-        text, block = run_spmd(3, spmd).values[0]
+        # a budget the split and the barrier before the wait cannot trip
+        text, block = VirtualMachine(3, recv_timeout_s=0.5).run(spmd).values[0]
         assert block > 0
         assert f"in communicator context block {block} timed out" in text
         assert "still unmatched sources [1, 2]" in text

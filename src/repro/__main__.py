@@ -366,8 +366,8 @@ def cmd_serve(args) -> int:
     # The server's store is a replica of the gateway's: one line for both.
     print(
         f"cache: {c['schedule_hits']} schedule hits / "
-        f"{c['schedule_misses']} misses, {c['plan_hits']} plan hits / "
-        f"{c['plan_misses']} misses, {c['halves_lowered']} lowered halves"
+        f"{c['schedule_misses']} misses, {c['plan_hits']} plans reused / "
+        f"{c['plan_misses']} compiled, {c['halves_lowered']} lowered halves"
     )
     print(f"server: {server_summary.get('ops_served', 0)} ops served")
     return 0 if report.ok else 1

@@ -90,7 +90,6 @@ def run_service_demo(
     max_queue_depth: int = 1024,
     max_inflight_per_tenant: int = 8,
     schedule_cache_size: int | None = None,
-    plan_cache_size: int | None = None,
     fault_plan=None,
     recorder=None,
 ) -> tuple[ServiceReport, dict, object]:
@@ -114,7 +113,6 @@ def run_service_demo(
         policy=policy,
         reliability=reliability,
         schedule_cache_size=schedule_cache_size,
-        plan_cache_size=plan_cache_size,
     )
 
     def gateway(ctx):

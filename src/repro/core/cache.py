@@ -1,18 +1,16 @@
-"""Content-keyed schedule and plan reuse: one layered store.
+"""Content-keyed schedule reuse: one store, with plans memoised on schedules.
 
 "Since the schedule can often be computed once and reused for multiple
 data transfers ... the cost of creating the schedule can be amortized"
 (§4.1.4).  The paper's programs hold schedules in variables; this module
 makes the reuse automatic, once, for every caller:
 
-- :class:`LayeredStore` is the storage — a bounded-LRU *schedule* layer
-  and a bounded-LRU *plan* layer over it, one counter table mirrored
-  into the rank's metrics registry under a prefix.  Its single rule:
-  **a plan is cached only while every member is the resident object
-  under its key; evicting or replacing a member drops every plan over
-  it.**  A member set that is not resident (the bounded store cannot
-  hold it, or a caller kept a schedule the store has since dropped)
-  still gets its plan compiled, but never cached (``plan_uncached``).
+- :class:`LayeredStore` is the storage — a bounded-LRU store of
+  *schedules*, one counter table mirrored into the rank's metrics
+  registry under a prefix.  It keys schedules only: what derives from a
+  schedule stays on it — its plans (:func:`~repro.core.plan.plan_of`),
+  the reverse its pulls run on, and its halves' lowered programs — so
+  evicting a schedule drops them with it.
 - :class:`ScheduleCache` is that store keyed by the *content* of a copy
   request — library names, method, both distributions and both
   SetOfRegions — so a repeated ``get_or_build`` with an equivalent
@@ -96,19 +94,17 @@ def _freeze(obj: Any):
 #: metrics registry as ``<prefix><name>``
 COUNTERS = (
     "schedule_hits", "schedule_misses", "schedule_evictions",
-    "plan_hits", "plan_misses", "plan_evictions", "plan_invalidations",
-    "plan_uncached",
+    "plan_hits", "plan_misses",
 )
 
 
 class LayeredStore:
-    """One rank's schedule → plan store (see the module docstring).
+    """One rank's schedule store (see the module docstring).
 
-    ``schedule_maxsize`` / ``plan_maxsize`` bound each layer with LRU
-    eviction (hits and stores refresh recency); ``None`` is
-    unbounded.  Eviction is as deterministic as the keys, so a bounded
-    store stays collective-safe: every rank evicts the same entry at the
-    same call.
+    ``schedule_maxsize`` bounds it with LRU eviction (hits and stores
+    refresh recency); ``None`` is unbounded.  Eviction is as
+    deterministic as the keys, so a bounded store stays collective-safe:
+    every rank evicts the same entry at the same call.
 
     Entries hold :class:`~repro.core.schedule.CommSchedule` objects whose
     halves are run-compressed, so cached regular schedules cost KBs (a
@@ -121,22 +117,13 @@ class LayeredStore:
     perturbs modelled logical time.
     """
 
-    def __init__(
-        self,
-        schedule_maxsize: int | None,
-        plan_maxsize: int | None,
-        metrics,
-        prefix: str,
-    ):
-        if any(v is not None and v < 1 for v in (schedule_maxsize, plan_maxsize)):
+    def __init__(self, schedule_maxsize: int | None, metrics, prefix: str):
+        if schedule_maxsize is not None and schedule_maxsize < 1:
             raise ValueError("store sizes must be positive integers or None")
         self.schedule_maxsize = schedule_maxsize
-        self.plan_maxsize = plan_maxsize
         self.metrics = metrics
         self._prefix = prefix
         self._schedules: OrderedDict[tuple, CommSchedule] = OrderedDict()
-        #: (member keys, reverse) -> (plan, the resident members it fuses)
-        self._plans: OrderedDict[tuple, tuple[MovePlan, tuple]] = OrderedDict()
         self.counters: dict[str, int] = dict.fromkeys(COUNTERS, 0)
 
     def _bump(self, name: str) -> None:
@@ -147,39 +134,11 @@ class LayeredStore:
     def __len__(self) -> int:
         return len(self._schedules)
 
-    @property
-    def plan_count(self) -> int:
-        return len(self._plans)
-
     def snapshot(self) -> dict[str, int]:
-        """Copy of the counters plus current layer sizes."""
-        return {
-            **self.counters,
-            "schedule_entries": len(self._schedules),
-            "plan_entries": len(self._plans),
-        }
+        """Copy of the counters plus the number of stored schedules."""
+        return {**self.counters, "schedule_entries": len(self._schedules)}
 
-    def validate(self) -> list[tuple]:
-        """Check the store's one rule over every cached plan.
-
-        Every member a cached :class:`~repro.core.plan.MovePlan` fuses
-        must be *the* object the schedule layer currently holds under
-        the member's key.  Returns ``(plan_key, member_key)`` pairs for
-        each violation — always empty unless the store has a bug; tests
-        assert exactly that.
-        """
-        return [
-            (pk, k)
-            for pk, (_, members) in self._plans.items()
-            for k, sched in zip(pk[0], members)
-            if self._schedules.get(k) is not sched
-        ]
-
-    def _resident(self, keys: Sequence[tuple], schedules: Sequence) -> bool:
-        """Is every schedule the resident object under its key?"""
-        return all(self._schedules.get(k) is s for k, s in zip(keys, schedules))
-
-    # -- schedule layer -----------------------------------------------------
+    # -- schedules ----------------------------------------------------------
 
     def lookup(self, key: tuple) -> CommSchedule | None:
         """Hit (refreshing recency) or miss; counters move either way."""
@@ -192,22 +151,13 @@ class LayeredStore:
         return hit
 
     def store(self, key: tuple, sched: CommSchedule) -> None:
-        """Make ``sched`` the resident object under ``key`` (most recent).
-
-        Replacing a different resident object drops every plan over the
-        key, exactly as evicting it would: those plans fuse the old
-        object.  (A first insert has nothing to drop — no plan is ever
-        cached over a non-resident key.)
-        """
-        if self._schedules.get(key, sched) is not sched:
-            self._drop_plans_over(key)
+        """Make ``sched`` the resident object under ``key`` (most recent)."""
         self._schedules[key] = sched
         self._schedules.move_to_end(key)
         if self.schedule_maxsize is not None:
             while len(self._schedules) > self.schedule_maxsize:
-                evicted, _ = self._schedules.popitem(last=False)
+                self._schedules.popitem(last=False)
                 self._bump("schedule_evictions")
-                self._drop_plans_over(evicted)
 
     def resolve(self, key: tuple, build: Callable[[], CommSchedule]) -> CommSchedule:
         """Get-or-build: the resident schedule under ``key``, else
@@ -219,49 +169,26 @@ class LayeredStore:
         self.store(key, sched)
         return sched
 
-    def _drop_plans_over(self, member_key: tuple) -> None:
-        for pk in [pk for pk in self._plans if member_key in pk[0]]:
-            del self._plans[pk]
-            self._bump("plan_invalidations")
-
-    # -- plan layer ---------------------------------------------------------
+    # -- plans (memoised on their schedules, not here) ----------------------
 
     def plan(
-        self,
-        member_keys: Sequence[tuple],
-        schedules: Sequence[CommSchedule],
-        reverse: bool = False,
+        self, schedules: Sequence[CommSchedule], reverse: bool = False
     ) -> MovePlan:
-        """The fused plan over ``schedules`` (or their memoised reverses); a
-        miss reads the members' :func:`~repro.core.plan.plan_of` plans.
+        """The plan moving along ``schedules`` (or their memoised
+        reverses), in member order.
 
-        Keyed by the ordered member keys and the direction, so a hit
-        costs the key tuple and one lookup.  Residency is checked once,
-        when a plan is about to be cached: if any of ``schedules`` is not
-        the resident object under its key the plan is compiled for the
-        caller but not cached.  Compilation is local and never
-        collective, so plan hits/misses need no cross-rank agreement —
-        but they get it anyway, for free.
+        One member's plan is its :func:`~repro.core.plan.plan_of` plan, a
+        hit when that memo already holds it.  Several members' plan is
+        assembled (a miss) from those memoised rows and kept by no one,
+        so it lives as long as its caller holds it.  Local and never
+        collective, like every compile.
         """
-        key = (tuple(member_keys), reverse)
-        hit = self._plans.get(key)
-        if hit is not None:
-            self._bump("plan_hits")
-            self._plans.move_to_end(key)
-            return hit[0]
+        if len(schedules) == 1:
+            (sched,) = schedules
+            self._bump("plan_hits" if (1, reverse) in sched._plans else "plan_misses")
+            return plan_of(sched, 1, reverse)
         self._bump("plan_misses")
-        members = tuple(schedules)
-        own = [plan_of(s, 1, reverse) for s in members]
-        plan = own[0] if len(own) == 1 else compile_plan([p.schedules[0] for p in own])
-        if not self._resident(key[0], members):
-            self._bump("plan_uncached")
-            return plan
-        self._plans[key] = (plan, members)
-        if self.plan_maxsize is not None:
-            while len(self._plans) > self.plan_maxsize:
-                self._plans.popitem(last=False)
-                self._bump("plan_evictions")
-        return plan
+        return compile_plan([plan_of(s, 1, reverse).schedules[0] for s in schedules])
 
     # -- program layer (derived view) ---------------------------------------
 
@@ -272,8 +199,8 @@ class LayeredStore:
         (memoized by :func:`repro.core.dataplane.compile_offsets` at
         first execution), so it needs no storage here — this walks the
         cached schedules and reports how many halves have been lowered.
-        Shared halves (e.g. a schedule and its reverse inside a plan)
-        count once: the memo slot *is* the dedup.
+        Shared halves (one RunList held by two stored schedules) count
+        once: the memo slot *is* the dedup.
         """
         halves = {
             id(half): half
@@ -287,8 +214,8 @@ class LayeredStore:
         return {"halves": len(halves), "halves_lowered": lowered}
 
 
-def _counter(*names: str) -> property:
-    return property(lambda self: sum(self.counters[n] for n in names))
+def _counter(name: str) -> property:
+    return property(lambda self: self.counters[name])
 
 
 class ScheduleCache(LayeredStore):
@@ -297,7 +224,7 @@ class ScheduleCache(LayeredStore):
     One instance per SPMD context (create it inside the SPMD function).
     ``get_or_build`` is collective exactly when it misses — which, because
     keys are pure functions of the request content, happens on every rank
-    or on none.  ``maxsize`` bounds both layers; the default ``None`` is
+    or on none.  ``maxsize`` bounds the store; the default ``None`` is
     unbounded.  Counters mirror as ``cache_schedule_*`` / ``cache_plan_*``
     (see the metrics module docstring) into ``metrics``, by default the
     calling rank's registry.
@@ -305,12 +232,9 @@ class ScheduleCache(LayeredStore):
 
     hits = _counter("schedule_hits")
     misses = _counter("schedule_misses")
-    #: evictions from either layer
-    evictions = _counter("schedule_evictions", "plan_evictions")
+    evictions = _counter("schedule_evictions")
     plan_hits = _counter("plan_hits")
     plan_misses = _counter("plan_misses")
-    plan_invalidations = _counter("plan_invalidations")
-    plan_uncached = _counter("plan_uncached")
 
     def __init__(self, where, maxsize: int | None = None, metrics=None):
         if metrics is None:
@@ -319,9 +243,8 @@ class ScheduleCache(LayeredStore):
                 metrics = current_process().metrics
             except RuntimeError:
                 metrics = None
-        super().__init__(maxsize, maxsize, metrics, "cache_")
+        super().__init__(maxsize, metrics, "cache_")
         self._where = where
-        self.maxsize = maxsize
 
     def _request(self, req: tuple, method, policy) -> tuple:
         """``(key, build)`` of one ``(src_lib, src_array, src_sor, dst_lib,
@@ -372,26 +295,16 @@ class ScheduleCache(LayeredStore):
         method: ScheduleMethod = ScheduleMethod.COOPERATION,
         policy: ExecutorPolicy = ExecutorPolicy.ORDERED,
     ) -> MovePlan:
-        """Return a cached fused plan for a sequence of copy requests.
+        """Return the plan moving along a sequence of copy requests.
 
         Each request is a ``(src_lib, src_array, src_sor, dst_lib,
         dst_array, dst_sor)`` tuple; member schedules resolve through the
-        schedule layer exactly as :meth:`get_or_build` would (collective
-        exactly on schedule misses, which the deterministic keys keep
-        synchronized across ranks), so a plan request warms both layers.
-        The plan key is the ordered tuple of member keys, so two requests
-        fusing the same schedules in the same order share one compiled
-        plan.
+        store exactly as :meth:`get_or_build` would (collective exactly on
+        schedule misses, which the deterministic keys keep synchronized
+        across ranks), so a plan request warms the store.  The plan is
+        :meth:`plan` over them: one request's is memoised on its schedule,
+        several requests' is assembled from their memoised rows.
         """
-        resolvers = [self._request(req, method, policy) for req in requests]
-        keys = [key for key, _ in resolvers]
-        schedules = [self.resolve(key, build) for key, build in resolvers]
-        # Building a later member can evict an earlier one (the store is
-        # smaller than the member set, or was near-full).  One re-resolve
-        # pass restores residency whenever the store can hold the full
-        # member set (re-touched members are most-recent, so the pass only
-        # ever evicts older strangers); when it cannot, :meth:`plan`
-        # compiles for the caller without caching.
-        if not self._resident(keys, schedules):
-            schedules = [self.resolve(key, build) for key, build in resolvers]
-        return self.plan(keys, schedules)
+        return self.plan([
+            self.resolve(*self._request(req, method, policy)) for req in requests
+        ])

@@ -260,10 +260,7 @@ def _fuse(
             )
             for seg in program
         ])
-        # Kept from the pair's second message on: a timestep loop reuses
-        # it for ever, a plan executed once (the service assembles one per
-        # round and keeps them resident) retains no per-segment objects.
-        layouts[key] = layout if key in layouts else None
+        layouts[key] = layout
     lease = proc.arena.checkout(layout.total, pooled=not proc.copy_on_send)
     fused = FusedBuffer(layout, lease.buffer, lease=lease)
     move_row(proc, "gather", program, datas, fused.segments(), "pack")

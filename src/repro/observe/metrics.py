@@ -11,8 +11,8 @@ coupling service's ``svc_*`` family — ``svc_rounds``, ``svc_admitted``,
 on: bumping a counter is a dict update, free of logical time.
 
 Every caching layer reports through one ``cache_*`` namespace.  The
-schedule → plan layers are one store (:class:`~repro.core.cache.
-LayeredStore`) with one counter table, mirrored under two prefixes:
+schedule store (:class:`~repro.core.cache.LayeredStore`) has one counter
+table, mirrored under two prefixes:
 
 ============================ =========================================
 ``cache_<counter>``          the store a :class:`~repro.core.cache.
@@ -30,10 +30,10 @@ misses}``                    half's first lowering (:func:`~repro.
 ============================ =========================================
 
 ``<counter>`` is one of ``schedule_{hits, misses, evictions}`` and
-``plan_{hits, misses, evictions, invalidations, uncached}`` (an
-invalidation: a member schedule was evicted or replaced under a cached
-plan; uncached: a plan compiled over members the store does not
-currently hold, handed to the caller but not kept).
+``plan_{hits, misses}`` (a plan hit: a one-member plan reused whole
+from the memo on its schedule, :func:`~repro.core.plan.plan_of`; a
+miss: a plan that had to be compiled, or assembled from its members'
+memoised rows).
 ``snapshot()[<counter>]`` on either class equals the mirrored counter.
 
 Cache mirroring is clock-free by construction — a counter bump never

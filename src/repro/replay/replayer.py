@@ -2,8 +2,11 @@
 
 Full-fidelity (:func:`replay_full`) re-runs the *entire* machine — same
 workload, same fault plan (per-channel draw streams re-derive from the
-recorded seed), same ``REPRO_*`` environment — records the re-run, and
-structurally diffs the two artifacts.  The virtual machine is
+recorded seed), every machine setting passed to ``VirtualMachine``
+explicitly from the recorded config — records the re-run, and
+structurally diffs the two artifacts.  The recorded ``REPRO_*``
+environment is installed around the re-run only so that its env
+fingerprint equals the recording's; no setting is read from it.  The virtual machine is
 deterministic by construction, so the diff must be empty; anything else
 is localized to ``(rank, channel, seq)`` by
 :func:`repro.replay.divergence.diff_bodies`.
@@ -91,8 +94,13 @@ def _profile(name: str):
 def recorded_env(env: dict[str, str]):
     """Temporarily install the recorded ``REPRO_*`` environment.
 
-    Existing ``REPRO_*`` variables are cleared first (absence is part of
-    the recorded state), and everything is restored on exit.
+    No replayed :class:`~repro.vmachine.process.Process` reads it:
+    :func:`_relaunch` passes every machine setting to ``VirtualMachine``
+    explicitly.  It is installed only so that the replay's env
+    fingerprint — snapshotted when the re-run's recorder seals, and
+    compared by the diff — equals the recording's.  Existing ``REPRO_*``
+    variables are cleared first (absence is part of the recorded state),
+    and everything is restored on exit.
     """
     saved = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
     try:
@@ -114,9 +122,11 @@ def _relaunch(body: dict, recorder: Recorder, fn, args, kwargs, specs,
     The programs to re-execute are an explicit ``fn`` (one-program run) or
     ``specs`` (coupled run), else the artifact's self-described workload
     rebuilt from its parameters.  This is the one place replay rebuilds
-    the machine: every setting ``VirtualMachine._config`` wrote is read
-    back by the constructor call below, inside the recorded ``REPRO_*``
-    environment.  An artifact from before ``check_leaks`` was recorded
+    the machine: every setting ``VirtualMachine._config`` wrote is passed
+    explicitly to the constructor call below, so none comes from the
+    environment; the recorded ``REPRO_*`` environment around it
+    (:func:`recorded_env`) only keeps the re-run's env fingerprint equal
+    to the recording's.  An artifact from before ``check_leaks`` was recorded
     replays as its kind ran then: checked for a one-program run, unchecked
     for a coupled one.
     """

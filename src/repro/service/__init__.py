@@ -5,9 +5,10 @@ SPMD server group over one batched protocol: an asyncio gateway hosts the
 tenant tasks, a collective dispatch scheduler batches independent
 operations from different tenants into fused rounds (a lone synchronous
 client, :mod:`repro.dobj`, is the one-tenant, one-op-per-round case of
-the same rounds), and a shared cross-tenant cache hierarchy
-(schedules → fused plans → lowered move programs) makes the marginal
-cost of the N-th tenant with a familiar array signature approach zero.
+the same rounds), and a shared cross-tenant schedule store (each
+schedule carrying its memoised plans and lowered move programs) makes
+the marginal cost of the N-th tenant with a familiar array signature
+approach zero.
 
 Typical topology (two programs under :func:`repro.vmachine.program.
 run_programs`)::

@@ -1,4 +1,4 @@
-"""The service's keys into the shared schedule → plan → program store.
+"""The service's keys into the shared schedule store.
 
 Every expensive artifact of the coupling service is a deterministic
 function of canonical content signatures:
@@ -7,16 +7,17 @@ function of canonical content signatures:
   — where the client signature is ``(lib, distribution, region-set,
   dtype)`` — because the server's export for ``(object, attribute)`` is
   stable for the service's lifetime;
-- a **MovePlan** depends on the ordered tuple of member schedule keys and
-  the transfer direction;
-- the **MovePrograms** behind each schedule half are memoized on the
-  half's RunList (:func:`repro.core.dataplane.compile_offsets`), so any
-  two tenants whose bindings share a cached schedule share its lowered
+- what derives from a schedule is memoised on it: its one-schedule
+  **MovePlan** per direction (:func:`repro.core.plan.plan_of`), whose
+  rows a round's fused plan is assembled from, and the **MovePrograms**
+  behind each half, memoised on the half's RunList
+  (:func:`repro.core.dataplane.compile_offsets`) — so any two tenants
+  whose bindings share a cached schedule share its plans and lowered
   programs for free.
 
 So one :class:`~repro.core.cache.LayeredStore` per rank serves *every*
 tenant: the first tenant with a given signature pays the collective
-schedule build, plan fusion and program lowering; all later tenants hit.
+schedule build and program lowering; all later tenants hit.
 Keys are computed locally and deterministically, so all ranks of a
 program hit or miss together, and the gateway's and the server's stores
 are replicas coordinated only by the op stream: both programs call plain
@@ -59,13 +60,8 @@ def bind_key(obj: str, attr: str, signature: tuple) -> tuple:
 
 
 class ServiceCache(LayeredStore):
-    """One rank's shared cross-tenant store: the layered store keyed by
+    """One rank's shared cross-tenant store: the schedule store keyed by
     :func:`bind_key`, counters mirrored as ``cache_svc_*``."""
 
-    def __init__(
-        self,
-        schedule_maxsize: int | None = None,
-        plan_maxsize: int | None = None,
-        metrics=None,
-    ):
-        super().__init__(schedule_maxsize, plan_maxsize, metrics, "cache_svc_")
+    def __init__(self, schedule_maxsize: int | None = None, metrics=None):
+        super().__init__(schedule_maxsize, metrics, "cache_svc_")

@@ -75,8 +75,6 @@ class ServiceConfig:
     max_inflight_per_tenant: int = 8
     #: entries in the shared schedule cache (None = unbounded)
     schedule_cache_size: int | None = None
-    #: entries in the shared fused-plan cache (None = unbounded)
-    plan_cache_size: int | None = None
     #: executor policy for schedule builds and data moves
     policy: str = "ordered"
     #: enable the reliable-delivery layer on the data plane
@@ -84,11 +82,11 @@ class ServiceConfig:
 
     def fingerprint(self) -> tuple:
         """``(name, value)`` of every field both programs must share: the
-        store sizes (the two stores are replicas, so they must evict
+        store size (the two stores are replicas, so they must evict
         alike) and ``reliability`` (both ends of the data plane run it)."""
         return tuple(
             (name, getattr(self, name))
-            for name in ("schedule_cache_size", "plan_cache_size", "reliability")
+            for name in ("schedule_cache_size", "reliability")
         )
 
 

@@ -1,8 +1,8 @@
 """The replicated tables of a service program and the one round it runs.
 
 The gateway and the server each keep, per rank, the same three tables —
-binding **slots**, live **bindings** and the shared schedule → plan
-**store** — and never ship them: both programs apply the same
+binding **slots**, live **bindings** and the shared schedule **store**
+— and never ship them: both programs apply the same
 deterministic rules (:func:`apply_round`) to the same op stream, so the
 replicas agree by construction.  Everything a rule decides — which slot a
 bind gets, whether a slot is live, *whose* it is — is decided here, once,
@@ -28,6 +28,7 @@ independent, which is what makes this order safe to impose.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -96,16 +97,8 @@ class SlotTable:
     def release(self, slot: int) -> None:
         if not 0 <= slot < self._next or slot in self._free:
             raise KeyError(f"slot {slot} is not live")
-        # Insertion keeps the free list sorted so acquire() pops the
-        # lowest slot without a scan.
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid] < slot:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._free.insert(lo, slot)
+        # Sorted insertion so acquire() pops the lowest slot without a scan.
+        bisect.insort(self._free, slot)
 
     def preview(self, k: int) -> list[int]:
         """The ``k`` slot ids the next ``k`` :meth:`acquire` calls would
@@ -140,7 +133,6 @@ class Binding:
 
     slot: int
     tenant: int
-    key: tuple            # store key (embeds the tenant array's signature)
     schedule: CommSchedule
     array: Any            # this program's rank-local end of the copy
 
@@ -175,7 +167,6 @@ class ServiceState:
             universe.enable_reliability()
         cache = ServiceCache(
             schedule_maxsize=config.schedule_cache_size,
-            plan_maxsize=config.plan_cache_size,
             metrics=ctx.comm.process.metrics,
         )
         return cls(ctx, peer, config, universe, cache,
@@ -264,11 +255,10 @@ def _bind(state: ServiceState, op: BindOp, grant: BindGrant, local_half) -> Repl
         return Reply(ok=False, error=grant.error)
     lib, array, sor = local_half(op)
     mine, theirs = (lib, array, sor), (lib, None, None)
-    key = bind_key(op.obj, op.attr, op.signature)
     # The two stores are replicas of one op stream: the peer misses
     # exactly when this store does, and joins this collective build.
     schedule = state.cache.resolve(
-        key,
+        bind_key(op.obj, op.attr, op.signature),
         lambda: guard_peer(
             state.universe, "bind (schedule build)",
             build_schedule,
@@ -279,7 +269,7 @@ def _bind(state: ServiceState, op: BindOp, grant: BindGrant, local_half) -> Repl
         ),
     )
     state.bindings[grant.slot] = Binding(
-        grant.slot, op.tenant, key, schedule, array
+        grant.slot, op.tenant, schedule, array
     )
     return Reply(ok=True, binding=grant.slot)
 
@@ -287,12 +277,14 @@ def _bind(state: ServiceState, op: BindOp, grant: BindGrant, local_half) -> Repl
 def _execute_moves(state: ServiceState, group: list[Binding], direction: str) -> None:
     """One direction's transfers for a round, as one plan across tenants.
 
-    The round's k independent moves compile (or fetch from the shared
-    plan cache) one :class:`~repro.core.plan.MovePlan` — one message per
+    The round's k independent moves share one
+    :class:`~repro.core.plan.MovePlan` — one message per
     gateway/server processor pair for the *whole group*, which is where
     multi-tenant batching pays: the per-pair latency is amortized over
-    every tenant in the round.  A single move is the k = 1 plan, whose
-    bare wire keeps its logical clock that of the one-client protocol.
+    every tenant in the round.  Several moves' plan is assembled from the
+    bindings' memoised rows and dies with the round; a single move is the
+    binding's own memoised k = 1 plan, whose bare wire keeps its logical
+    clock that of the one-client protocol.
     Pushes run the forward schedules (the gateway sends), pulls their
     reverses over the reversed universe (the server sends).
     """
@@ -300,9 +292,7 @@ def _execute_moves(state: ServiceState, group: list[Binding], direction: str) ->
         return
     state.proc.metrics.incr("svc_moves", len(group))
     reverse = direction == PULL
-    plan = state.cache.plan(
-        [b.key for b in group], [b.schedule for b in group], reverse
-    )
+    plan = state.cache.plan([b.schedule for b in group], reverse)
     exchange(
         plan, [b.array for b in group], state.universe, reverse, state.policy
     )

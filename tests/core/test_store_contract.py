@@ -1,20 +1,24 @@
-"""Contract of the one schedule → plan store (``repro.core.cache``).
+"""Contract of the one schedule store (``repro.core.cache``).
 
 Every case runs against both configurations of
 :class:`~repro.core.cache.LayeredStore` the repo ships — the one
 :class:`~repro.core.ScheduleCache` builds (``cache_`` prefix) and the
 service's :class:`~repro.service.ServiceCache` (``cache_svc_`` prefix) —
 through the store's whole surface: ``lookup``, ``store``, ``resolve``
-and ``plan``.  The single rule under test: a plan is cached
-only while every member is the resident object under its key, and
-evicting *or replacing* a member drops every plan over it.
+and ``plan``.  The store keys schedules only: a plan is memoised on its
+schedule (:func:`~repro.core.plan.plan_of`) or assembled for its caller,
+so no plan outlives the schedules it moves along.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core import ScheduleCache, ScheduleMethod
 from repro.core.cache import COUNTERS
+from repro.core.plan import plan_of
 from repro.core.schedule import CommSchedule
 from repro.service import ServiceCache
 from repro.vmachine import VirtualMachine
@@ -35,7 +39,7 @@ CONFIGS = {
         "cache_", lambda size, reg: ScheduleCache(None, maxsize=size, metrics=reg)
     ),
     "service_cache": (
-        "cache_svc_", lambda size, reg: ServiceCache(size, size, metrics=reg)
+        "cache_svc_", lambda size, reg: ServiceCache(size, metrics=reg)
     ),
 }
 
@@ -47,8 +51,8 @@ def config(request):
 
 @pytest.fixture
 def make(config):
-    """``make(maxsize=None, metrics=None)`` → a store, both layers
-    bounded by ``maxsize``."""
+    """``make(maxsize=None, metrics=None)`` → a store bounded by
+    ``maxsize``."""
     return lambda maxsize=None, metrics=None: config[1](maxsize, metrics)
 
 
@@ -102,11 +106,8 @@ class TestScheduleLayer:
     def test_unbounded_by_default(self, make):
         c = make()
         filled(c, 5)
-        for i in range(5):
-            c.plan([key(i)], [c.lookup(key(i))])
-        assert (len(c), c.plan_count) == (5, 5)
+        assert len(c) == 5
         assert c.counters["schedule_evictions"] == 0
-        assert c.counters["plan_evictions"] == 0
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_invalid_sizes_rejected(self, make, size):
@@ -128,7 +129,13 @@ class TestScheduleLayer:
 
 
 class TestPlanLayer:
+    """The store's ``plan``: plans live on their schedules, never in the
+    store, so a plan leaves with the schedules it moves along."""
+
     def test_plan_compiles_once_per_key(self, make, monkeypatch):
+        """A plan compiles once per (schedule, direction) — the key of the
+        memo on the schedule; a fused plan is assembled from those rows
+        on every call, lowering nothing again."""
         reversals = []
         real_reverse = CommSchedule.reverse
         monkeypatch.setattr(
@@ -137,97 +144,95 @@ class TestPlanLayer:
         )
         c = make()
         s1, s2 = filled(c, 2)
-        keys = [key(0), key(1)]
-        p1 = c.plan(keys, [s1, s2])
-        assert c.plan(keys, [s1, s2]) is p1
-        assert p1.schedules == (s1, s2)
-        # Different direction or member order is a different plan; the
-        # reverse plan fuses the members' reverses, materialized by the
-        # store on the miss only.
-        p3 = c.plan(keys, [s1, s2], reverse=True)
-        assert c.plan(keys, [s1, s2], reverse=True) is p3
+        p1 = c.plan([s1])
+        assert c.plan([s1]) is p1 is plan_of(s1)
+        r1 = c.plan([s1], reverse=True)
+        assert c.plan([s1], reverse=True) is r1 is plan_of(s1, 1, True)
+        fused = c.plan([s1, s2], reverse=True)
+        assert c.plan([s1, s2], reverse=True) is not fused
+        own = [plan_of(s, 1, True) for s in (s1, s2)]
+        assert fused.schedules == tuple(p.schedules[0] for p in own)
+        assert [s.src_lib for s in fused.schedules] == ["dstlib", "dstlib"]
+        assert [seg.program for seg in fused.send_programs[0]] == [
+            p.send_programs[0][0].program for p in own]
         assert reversals == [s1, s2]
-        assert [s.src_lib for s in p3.schedules] == ["dstlib", "dstlib"]
-        p4 = c.plan(keys[::-1], [s2, s1])
-        assert p3 is not p1 and p4 is not p1
-        assert (c.counters["plan_hits"], c.counters["plan_misses"],
-                c.plan_count) == (2, 3, 3)
-        assert c.validate() == []
+        assert (c.counters["plan_hits"], c.counters["plan_misses"]) == (2, 4)
 
     def test_plan_lru_eviction(self, make):
+        """A schedule's plans follow it out of the store: LRU-evicting the
+        schedule frees them, the refreshed one keeps its own."""
         c = make(maxsize=2)
-        s0, s1 = filled(c, 2)
-        p0 = c.plan([key(0)], [s0])
-        c.plan([key(1)], [s1])
-        assert c.plan([key(0)], [s0]) is p0        # refresh
-        c.plan([key(0), key(1)], [s0, s1])         # evicts plan (1,)
-        assert c.plan([key(0)], [s0]) is p0
-        assert (c.counters["plan_evictions"], c.plan_count) == (1, 2)
-        assert c.counters["schedule_evictions"] == 0
-        assert c.counters["plan_invalidations"] == 0
+        for i in range(2):
+            c.store(key(i), sched(i))
+        refs = [weakref.ref(c.plan([c.lookup(key(i))])) for i in range(2)]
+        c.lookup(key(0))                           # refresh: key 1 is LRU
+        c.store(key(2), sched(2))                  # evicts key 1
+        gc.collect()
+        assert refs[0]() is c.plan([c.lookup(key(0))])
+        assert refs[1]() is None
+        assert c.counters["schedule_evictions"] == 1
 
     def test_eviction_invalidates_plans_over_member(self, make):
+        """No plan over an evicted member survives: its own plans go with
+        it, and a fused plan over it was never kept at all."""
         c = make(maxsize=2)
-        s0, s1 = filled(c, 2)
-        c.plan([key(0), key(1)], [s0, s1])
-        c.plan([key(0)], [s0], reverse=True)
-        assert c.plan_count == 2
+        for i in range(2):
+            c.store(key(i), sched(i))
+        fused = weakref.ref(c.plan([c.lookup(key(0)), c.lookup(key(1))]))
+        own = weakref.ref(c.plan([c.lookup(key(0))], reverse=True))
+        gc.collect()
+        assert fused() is None                     # while both are resident
+        assert own() is not None
         c.lookup(key(1))
         c.store(key(2), sched(2))                  # evicts key 0
-        assert c.plan_count == 0
-        assert c.counters["plan_invalidations"] == 2
-        assert c.counters["plan_evictions"] == 0
-        # A plan over the surviving members caches again.
-        kept = c.plan([key(1)], [s1])
-        assert c.plan([key(1)], [s1]) is kept
-        assert c.validate() == []
+        gc.collect()
+        assert own() is None
+        # A plan over the surviving member is memoised again.
+        kept = c.plan([c.lookup(key(1))])
+        assert c.plan([c.lookup(key(1))]) is kept
 
     def test_replacement_invalidates_plans_over_member(self, make):
-        """Storing a different object under a resident key drops the plans
-        fused over the old object."""
+        """Storing a different object under a resident key frees the
+        plans memoised on the old object."""
         c = make()
-        s0, s1 = filled(c, 2)
-        stale = c.plan([key(0), key(1)], [s0, s1])
-        other = c.plan([key(1)], [s1])
-        c.store(key(0), s0)                        # same object: no-op
-        assert c.plan_count == 2
+        c.store(key(0), sched(0))
+        s1 = sched(1)
+        c.store(key(1), s1)
+        old = weakref.ref(c.plan([c.lookup(key(0))]))
+        other = c.plan([s1])
+        c.store(key(0), c.lookup(key(0)))          # same object: no-op
+        gc.collect()
+        assert old() is not None
         fresh = sched(7)
         c.store(key(0), fresh)
-        assert c.counters["plan_invalidations"] == 1
-        assert c.plan([key(1)], [s1]) is other     # untouched
-        rebuilt = c.plan([key(0), key(1)], [fresh, s1])
-        assert rebuilt is not stale and rebuilt.schedules == (fresh, s1)
-        assert c.validate() == []
+        gc.collect()
+        assert old() is None
+        assert c.plan([s1]) is other               # untouched
+        assert c.plan([fresh, s1]).schedules == (fresh, s1)
 
     def test_non_resident_members_compile_uncached(self, make):
         """Mid-build eviction (the member set does not fit the bounded
         store) and a caller holding a schedule the store has since
-        replaced both get a plan — never a cached one."""
+        replaced both get a plan — and the store keeps none of it."""
         c = make(maxsize=2)
         members = [c.resolve(key(i), lambda: sched(i)) for i in range(3)]
-        keys = [key(0), key(1), key(2)]            # key 0 already evicted
-        plan = c.plan(keys, members)
-        assert plan.nschedules == 3
-        assert c.plan(keys, members) is not plan   # recompiled, not a hit
-        assert (c.plan_count, c.counters["plan_uncached"]) == (0, 2)
+        assert c.lookup(key(0)) is None            # key 0 already evicted
+        plan = c.plan(members)
+        assert plan.schedules == tuple(members)
+        assert c.plan(members) is not plan         # assembled again
         assert c.counters["plan_hits"] == 0
         held = members[1]
         c.store(key(1), sched(9))                  # replaced behind a caller
-        c.plan([key(1)], [held])
-        assert (c.plan_count, c.counters["plan_uncached"]) == (0, 3)
-        assert c.validate() == []
+        assert c.plan([held]) is plan_of(held)     # the caller's own memo
 
 
 def _exercise_every_counter(c):
     s0, s1 = filled(c, 2)
     c.lookup(key(0))
     c.lookup(key(5))
-    c.plan([key(0)], [s0])
-    c.plan([key(0)], [s0])
-    c.plan([key(1)], [s1])
-    c.plan([key(0), key(1)], [s0, s1])             # plan eviction
-    c.store(key(0), sched(0))                      # replaced; invalidates
-    c.plan([key(3)], [sched(3)])                   # uncached
+    c.plan([s0])                                   # compiled
+    c.plan([s0])                                   # memoised on s0
+    c.plan([s0, s1])                               # assembled
     c.store(key(2), sched(2))                      # schedule eviction
     return c.snapshot()
 
@@ -235,13 +240,11 @@ def _exercise_every_counter(c):
 class TestCounters:
     def test_snapshot_equals_mirrored_counters(self, make, config):
         """``snapshot()[name]`` is the mirrored ``<prefix><name>`` for
-        every counter (at the parent commit ``ScheduleCache`` reported
-        plan evictions as schedule evictions and had no plan_evictions
-        key at all)."""
+        every counter."""
         prefix, _ = config
         reg = Registry()
         snap = _exercise_every_counter(make(maxsize=2, metrics=reg))
-        assert set(COUNTERS) | {"schedule_entries", "plan_entries"} == set(snap)
+        assert set(COUNTERS) | {"schedule_entries"} == set(snap)
         for name in COUNTERS:
             assert snap[name] > 0, name
             assert snap[name] == reg.counts[prefix + name], name
@@ -259,9 +262,7 @@ class TestCounters:
     def test_schedule_cache_attributes_read_the_table(self):
         c = ScheduleCache(None, maxsize=2)
         snap = _exercise_every_counter(c)
-        assert (c.hits, c.misses) == (snap["schedule_hits"], snap["schedule_misses"])
+        assert (c.hits, c.misses, c.evictions) == (
+            snap["schedule_hits"], snap["schedule_misses"],
+            snap["schedule_evictions"])
         assert (c.plan_hits, c.plan_misses) == (snap["plan_hits"], snap["plan_misses"])
-        assert c.plan_invalidations == snap["plan_invalidations"]
-        assert c.plan_uncached == snap["plan_uncached"]
-        # The historical total: evictions from either layer.
-        assert c.evictions == snap["schedule_evictions"] + snap["plan_evictions"]

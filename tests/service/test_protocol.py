@@ -77,11 +77,11 @@ class TestNbytes:
     def test_fingerprint_costs_16_bytes_per_field(self):
         fingerprint = ServiceConfig().fingerprint()
         assert [name for name, _ in fingerprint] == [
-            "schedule_cache_size", "plan_cache_size", "reliability"]
+            "schedule_cache_size", "reliability"]
         op = CallOp(0, "o", "m")
         plain = ServiceBatch(0, (op,))
         first = ServiceBatch(0, (op,), fingerprint)
-        assert first.nbytes == plain.nbytes + 16 * 3
+        assert first.nbytes == plain.nbytes + 16 * 2
 
 
 class TestServiceConfig:
@@ -93,14 +93,13 @@ class TestServiceConfig:
                      ServiceConfig(policy="overlap")):
             assert same.fingerprint() == base.fingerprint()
         for other in (ServiceConfig(schedule_cache_size=1),
-                      ServiceConfig(plan_cache_size=1),
                       ServiceConfig(reliability=True)):
             assert other.fingerprint() != base.fingerprint()
 
-    def test_six_settable_fields(self):
+    def test_five_settable_fields(self):
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
             "max_queue_depth", "max_inflight_per_tenant",
-            "schedule_cache_size", "plan_cache_size", "policy", "reliability"]
+            "schedule_cache_size", "policy", "reliability"]
 
 
 def test_service_does_not_import_the_dobj_facade():

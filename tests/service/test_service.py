@@ -9,7 +9,9 @@ rounds with shared caches.
 
 import asyncio
 import collections
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -100,7 +102,7 @@ class TestRoundtrips:
 @pytest.fixture
 def stores(monkeypatch):
     """Every ``ServiceCache`` the run under test creates (one per rank of
-    each program), for checking the store's invariant after the run."""
+    each program), kept alive for checking what they hold after the run."""
     made = []
     init = ServiceCache.__init__
 
@@ -134,28 +136,36 @@ class TestSharedCaches:
         assert report.cache["schedule_misses"] == 4
         assert report.cache["schedule_hits"] == 4
 
-    def test_fused_plans_cached_across_rounds(self):
-        """Iterating tenants reuse the fused per-round plan."""
+    def test_fused_plans_cached_across_rounds(self, round_log):
+        """Iterating tenants reuse what their bindings compiled: after
+        each rank's first push and pull round, a round builds no
+        schedule, reverses none and lowers no half."""
         report, _ = run_service_demo(
             tenants=4, shapes=1, iterations=3, size=N,
         )[0:2]
         assert report.ok
-        assert report.cache["plan_hits"] > 0
+        seen: dict = collections.defaultdict(set)
+        warm_rounds = 0
+        for entry in round_log:
+            directions = {p["reverse"] for p in entry["plans"]}
+            if directions and directions <= seen[entry["rank"]]:
+                assert entry["counts"] == (0, 0, 0), entry
+                warm_rounds += 1
+            seen[entry["rank"]] |= directions
+        assert warm_rounds > 0
         # Lowered move programs are shared through the cached schedule.
         assert report.cache["halves_lowered"] <= report.cache["halves"]
 
     def test_bounded_cache_evicts_and_still_correct(self, stores):
         report, _ = run_service_demo(
             tenants=6, shapes=3, iterations=2, size=N,
-            schedule_cache_size=2, plan_cache_size=2,
+            schedule_cache_size=2,
         )[0:2]
         assert report.ok
         assert report.cache["schedule_evictions"] > 0
-        # Bindings outlive their evicted schedules here, so rounds fuse
-        # non-resident members: compiled, never cached (validate() == []
-        # on both programs' stores).
-        assert report.cache["plan_uncached"] > 0
-        assert stores and all(c.validate() == [] for c in stores)
+        # Bindings outlive their evicted schedules here; their rounds
+        # still run, on the schedules the bindings hold.
+        assert stores and all(len(c) <= 2 for c in stores)
 
 
 def _chaos_fleet():
@@ -179,13 +189,12 @@ REPLICA_SCENARIOS = {
     "shapes1": lambda: run_service_demo(
         tenants=8, shapes=1, iterations=1, size=N),
     "evicting": lambda: run_service_demo(
-        tenants=6, shapes=3, iterations=2, size=N,
-        schedule_cache_size=2, plan_cache_size=2),
+        tenants=6, shapes=3, iterations=2, size=N, schedule_cache_size=2),
     "duplicate-binds": lambda: run_service_demo(
         tenants=6, shapes=3, iterations=1, size=N, schedule_cache_size=2),
     "overlap": lambda: run_service_demo(
         tenants=6, shapes=3, iterations=2, size=N, policy="overlap",
-        schedule_cache_size=3, plan_cache_size=1),
+        schedule_cache_size=3),
     "chaos-reliability": _chaos_fleet,
 }
 
@@ -202,7 +211,7 @@ class TestReplicas:
         assert len(stores) == 5
 
         def replica(store):
-            return store.snapshot(), list(store._schedules), list(store._plans)
+            return store.snapshot(), list(store._schedules)
 
         first = replica(stores[0])
         assert all(replica(store) == first for store in stores[1:])
@@ -510,7 +519,7 @@ class TestBatching:
         )[0:2]
         assert report.ok
         assert summary["bindings_live"] == 0
-        assert stores and all(c.validate() == [] for c in stores)
+        assert stores and all(len(c) <= 2 for c in stores)
 
 
 @pytest.fixture
@@ -518,7 +527,7 @@ def round_log(monkeypatch):
     """One entry per ``apply_round`` on any rank of either program: the
     ``CommSchedule`` constructions and ``reverse`` calls its thread made,
     its ``cache_program_misses`` delta, and each plan its store handed
-    out (members, direction, plan, whether the plan layer missed)."""
+    out (members, direction, plan, whether it was compiled)."""
     import threading
 
     from repro.core.schedule import CommSchedule
@@ -551,9 +560,9 @@ def round_log(monkeypatch):
         })
         return out
 
-    def logged_plan(self, keys, schedules, reverse=False):
+    def logged_plan(self, schedules, reverse=False):
         misses = self.counters["plan_misses"]
-        plan = real_plan(self, keys, schedules, reverse)
+        plan = real_plan(self, schedules, reverse)
         current.plans.append({
             "members": list(schedules), "reverse": reverse, "plan": plan,
             "compiled": self.counters["plan_misses"] > misses,
@@ -610,6 +619,35 @@ class TestRoundPlans:
                 checked[fused["reverse"], fused["compiled"]] += 1
         # Both directions fused and compiled after the warm-up, on some rank.
         assert checked[False, True] and checked[True, True], checked
+
+    def test_no_store_keeps_a_round_plan(self, stores, monkeypatch):
+        """A plan is memoised on its schedule only: a round fusing several
+        bindings hands its plan to the round alone, so the plan dies with
+        the round while every store is still alive; a one-member round
+        runs the binding's own memoised ``plan_of`` plan."""
+        from repro.core.plan import plan_of
+
+        fused, single = [], []
+        real_plan = ServiceCache.plan
+
+        def spied_plan(self, schedules, reverse=False):
+            plan = real_plan(self, schedules, reverse)
+            if len(schedules) > 1:
+                fused.append(weakref.ref(plan))
+            else:
+                single.append(plan is plan_of(schedules[0], 1, reverse))
+            return plan
+
+        monkeypatch.setattr(ServiceCache, "plan", spied_plan)
+        for tenants in (1, 4):
+            report = run_service_demo(
+                tenants=tenants, shapes=1, iterations=3, size=N,
+            )[0]
+            assert report.ok
+        gc.collect()
+        assert len(stores) == 10
+        assert fused and all(ref() is None for ref in fused)
+        assert single and all(single)
 
 
 class TestConfigFingerprint:

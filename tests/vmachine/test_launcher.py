@@ -291,8 +291,11 @@ def test_every_rank_replays_identically_in_isolation(recording):
 
 
 def test_isolation_replay_reads_the_recorded_environment(monkeypatch):
-    """The replayed Process is built inside the recorded ``REPRO_*``
-    environment: the host's copy-on-send switch must not leak into it."""
+    """The host's copy-on-send switch does not leak into the replayed
+    Process: every machine setting is passed to ``VirtualMachine``
+    explicitly from the recorded config.  The recorded ``REPRO_*``
+    environment is installed only so that the replay's env fingerprint
+    equals the recording's, which ``.identical`` checks here."""
     monkeypatch.delenv("REPRO_COPY_ON_SEND", raising=False)
     seen = []
 

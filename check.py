@@ -115,7 +115,9 @@ assert "version 1 (this build reads version 2)" in p.stdout + p.stderr, p
 
 def replay_gate(record_tree: Path) -> Gate:
     """Record each RECORDINGS row with ``record_tree``'s sources; replay it
-    with this tree's, in full and for every rank in isolation."""
+    with this tree's, in full and for every rank in isolation.  The first
+    is replayed once more with ``REPRO_OBSERVE=1`` exported: a replay is
+    built from the recorded config, so a host setting cannot change it."""
     record_env = {"PYTHONPATH": str(record_tree / "src")}
     cmds = []
     for stem, (workload, nranks, params) in RECORDINGS.items():
@@ -127,6 +129,8 @@ def replay_gate(record_tree: Path) -> Gate:
         cmds.append(repro("replay", artifact, cwd=TMP))
         cmds += [repro("replay", artifact, "--rank", str(rank), cwd=TMP)
                  for rank in range(nranks)]
+    first = f"{next(iter(RECORDINGS))}.replay.json.gz"
+    cmds.append(repro("replay", first, env={"REPRO_OBSERVE": "1"}, cwd=TMP))
     cmds.append(py("-c", V1_REFUSED, cwd=TMP))
     return Gate("replay", tuple(cmds))
 
@@ -165,7 +169,7 @@ LAYERING_ALLOWED = {
     ("vmachine/machine.py", "repro.replay.artifact"):
         "a recorded launch stores its fault plan in artifact form",
     ("vmachine/machine.py", "repro.replay.fingerprint"):
-        "a failing recorded launch names its replay handle",
+        "every launch attaches its replay handle to its result or error",
 }
 
 

@@ -48,9 +48,20 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
+def _permutations(n: int, k: int) -> list:
+    """``k`` seeded permutations of ``n * n`` indices: the Chaos
+    destinations of :func:`_parti_onto_chaos`."""
     import numpy as np
 
+    rng = np.random.default_rng(0)
+    return [rng.permutation(n * n) for _ in range(k)]
+
+
+def _parti_onto_chaos(comm, n: int, perms, policy="ordered") -> list:
+    """The CLI's one cross-library copy: per permutation, a regular
+    ``n x n`` BlockParti array (element ``(i, j)`` holds ``i * n + j``)
+    whose full section is scheduled onto a Chaos array permuted by it.
+    Returns one ``(source, destination, schedule)`` per permutation."""
     from repro.blockparti import BlockPartiArray
     from repro.chaos import ChaosArray
     from repro.core import (
@@ -58,32 +69,42 @@ def cmd_demo(args) -> int:
         ScheduleMethod,
         SectionRegion,
         mc_compute_schedule,
-        mc_copy,
         mc_new_set_of_regions,
-        schedule_stats,
     )
     from repro.distrib.section import Section
+
+    sor_src = mc_new_set_of_regions(SectionRegion(Section.full((n, n))))
+    moves = []
+    for perm in perms:
+        A = BlockPartiArray.from_function(
+            comm, (n, n), lambda i, j: 1.0 * i * n + j
+        )
+        B = ChaosArray.zeros(comm, perm % comm.size)
+        moves.append((A, B, mc_compute_schedule(
+            comm, "blockparti", A, sor_src,
+            "chaos", B, mc_new_set_of_regions(IndexRegion(perm)),
+            ScheduleMethod.COOPERATION, policy=policy,
+        )))
+    return moves
+
+
+def cmd_demo(args) -> int:
+    import numpy as np
+
+    from repro.core import mc_copy, schedule_stats
     from repro.vmachine import VirtualMachine
 
     n = args.size
-    perm = np.random.default_rng(0).permutation(n * n)
+    perms = _permutations(n, 1)
 
     def spmd(comm):
-        A = BlockPartiArray.from_function(comm, (n, n), lambda i, j: 1.0 * i * n + j)
-        B = ChaosArray.zeros(comm, perm % comm.size)
-        sched = mc_compute_schedule(
-            comm,
-            "blockparti", A,
-            mc_new_set_of_regions(SectionRegion(Section.full((n, n)))),
-            "chaos", B, mc_new_set_of_regions(IndexRegion(perm)),
-            ScheduleMethod.COOPERATION,
-        )
+        ((A, B, sched),) = _parti_onto_chaos(comm, n, perms)
         mc_copy(comm, sched, A, B)
         stats = schedule_stats(comm, sched)
         full = B.gather_global()
         if comm.rank == 0:
             expect = np.zeros(n * n)
-            expect[perm] = np.arange(n * n, dtype=float)
+            expect[perms[0]] = np.arange(n * n, dtype=float)
             assert np.allclose(full, expect)
             print(
                 f"copied a {n}x{n} Parti array onto a permuted Chaos array: "
@@ -153,44 +174,21 @@ def cmd_plan_summary(args) -> int:
     """
     from collections import Counter
 
-    import numpy as np
-
-    from repro.blockparti import BlockPartiArray
-    from repro.chaos import ChaosArray
-    from repro.core import (
-        IndexRegion,
-        ScheduleMethod,
-        SectionRegion,
-        mc_compute_plan,
-        mc_compute_schedule,
-        mc_new_set_of_regions,
-    )
+    from repro.core import mc_compute_plan
     from repro.core.wire import SegmentHeader, WireLayout
-    from repro.distrib.section import Section
     from repro.vmachine import VirtualMachine
 
     n = args.size
     k = args.arrays
-    rng = np.random.default_rng(0)
-    perms = [rng.permutation(n * n) for _ in range(k)]
+    perms = _permutations(n, k)
 
     def spmd(comm):
-        sor_src = mc_new_set_of_regions(SectionRegion(Section.full((n, n))))
-        schedules = []
-        for perm in perms:
-            A = BlockPartiArray.zeros(comm, (n, n))
-            B = ChaosArray.zeros(comm, perm % comm.size)
-            schedules.append(
-                mc_compute_schedule(
-                    comm, "blockparti", A, sor_src,
-                    "chaos", B, mc_new_set_of_regions(IndexRegion(perm)),
-                    ScheduleMethod.COOPERATION,
-                )
-            )
+        moves = _parti_onto_chaos(comm, n, perms)
+        schedules = [sched for _, _, sched in moves]
         plan = mc_compute_plan(schedules)
         per_sched = [s.stats() for s in schedules]
         rows = plan.pair_table()
-        dtype = A.local.dtype.str  # every source array has the same one
+        dtype = moves[0][0].local.dtype.str  # every source has the same one
         for row in rows:
             program = plan.send_programs[row["peer"]]
             kinds = Counter(seg.program.kind for seg in program)
@@ -249,51 +247,26 @@ def _run_observed(procs: int, size: int, policy: str = "ordered"):
     ``wire``, ``unpack``, ``copy:local``, ``plan:compile``,
     ``plan:execute``.
     """
-    import numpy as np
-
-    from repro.blockparti import BlockPartiArray
-    from repro.chaos import ChaosArray
     from repro.core import (
         ExecutorPolicy,
-        IndexRegion,
-        ScheduleMethod,
-        SectionRegion,
         mc_compute_plan,
-        mc_compute_schedule,
         mc_copy,
         mc_copy_many,
-        mc_new_set_of_regions,
     )
-    from repro.distrib.section import Section
     from repro.vmachine import VirtualMachine
 
-    n = size
     pol = ExecutorPolicy.coerce(policy)
-    rng = np.random.default_rng(0)
-    perms = [rng.permutation(n * n) for _ in range(2)]
+    perms = _permutations(size, 2)
 
     def spmd(comm):
-        sor_src = mc_new_set_of_regions(SectionRegion(Section.full((n, n))))
-        arrays, schedules = [], []
-        for perm in perms:
-            A = BlockPartiArray.from_function(
-                comm, (n, n), lambda i, j: 1.0 * i * n + j
-            )
-            B = ChaosArray.zeros(comm, perm % comm.size)
-            arrays.append((A, B))
-            schedules.append(
-                mc_compute_schedule(
-                    comm, "blockparti", A, sor_src,
-                    "chaos", B, mc_new_set_of_regions(IndexRegion(perm)),
-                    ScheduleMethod.COOPERATION, policy=pol,
-                )
-            )
+        moves = _parti_onto_chaos(comm, size, perms, pol)
         # One single-schedule move, then a fused 2-array plan move.
-        mc_copy(comm, schedules[0], arrays[0][0], arrays[0][1], policy=pol)
-        plan = mc_compute_plan(schedules)
+        A, B, sched = moves[0]
+        mc_copy(comm, sched, A, B, policy=pol)
+        plan = mc_compute_plan([sched for _, _, sched in moves])
         mc_copy_many(
             comm, plan,
-            [a for a, _ in arrays], [b for _, b in arrays],
+            [a for a, _, _ in moves], [b for _, b, _ in moves],
             policy=pol,
         )
         return None

@@ -34,7 +34,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.api import mc_compute_schedule
-from repro.core.plan import MovePlan, compile_plan, plan_of
+from repro.core.plan import MovePlan, compile_plan, plan_memoised, plan_of
 from repro.core.policy import ExecutorPolicy
 from repro.core.region import IndexRegion, MaskRegion, Region, SectionRegion
 from repro.core.registry import get_adapter
@@ -185,7 +185,7 @@ class LayeredStore:
         """
         if len(schedules) == 1:
             (sched,) = schedules
-            self._bump("plan_hits" if (1, reverse) in sched._plans else "plan_misses")
+            self._bump("plan_hits" if plan_memoised(sched, 1, reverse) else "plan_misses")
             return plan_of(sched, 1, reverse)
         self._bump("plan_misses")
         return compile_plan([plan_of(s, 1, reverse).schedules[0] for s in schedules])

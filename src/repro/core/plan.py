@@ -76,6 +76,7 @@ __all__ = [
     "Route",
     "compile_plan",
     "plan_of",
+    "plan_memoised",
     "plan_move",
     "plan_move_send",
     "plan_move_recv",
@@ -204,6 +205,12 @@ def compile_plan(schedules: Sequence[CommSchedule]) -> MovePlan:
         {peer: tuple(row) for peer, row in sorted(programs.items())}
         for programs in rows
     ))
+
+
+def plan_memoised(schedule: CommSchedule, k: int = 1, reverse: bool = False) -> bool:
+    """Whether :func:`plan_of` holds this plan already (a hit) rather
+    than compiling it on the call."""
+    return (k, reverse) in schedule._plans
 
 
 def plan_of(schedule: CommSchedule, k: int = 1, reverse: bool = False) -> MovePlan:

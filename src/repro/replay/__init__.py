@@ -8,7 +8,7 @@ or pinpoint where it is not.
 
 - :class:`~repro.replay.recorder.Recorder` — captures seeds, fault-plan
   draw schedules, the full per-channel message log (headers + payload
-  digests, optionally payloads), probe outcomes, ``REPRO_*`` env, config
+  digests, optionally payloads), probe outcomes, the machine's config
   and final clock/value digests into one sealed, versioned artifact.
   Recording charges zero logical-clock time.
 - :func:`~repro.replay.replayer.replay_full` — re-execute all ranks and
@@ -36,7 +36,6 @@ from repro.replay.artifact import (
 )
 from repro.replay.divergence import Divergence, ReplayReport, diff_bodies
 from repro.replay.fingerprint import (
-    env_fingerprint,
     payload_digest,
     plan_fingerprint,
     replay_handle,
@@ -44,7 +43,6 @@ from repro.replay.fingerprint import (
 from repro.replay.recorder import Recorder
 from repro.replay.replayer import (
     ReplayLogExhausted,
-    recorded_env,
     replay_full,
     replay_rank,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "Recorder",
     "replay_full",
     "replay_rank",
-    "recorded_env",
     "ReplayLogExhausted",
     "Divergence",
     "ReplayReport",
@@ -67,6 +64,5 @@ __all__ = [
     "faultplan_from_dict",
     "payload_digest",
     "plan_fingerprint",
-    "env_fingerprint",
     "replay_handle",
 ]

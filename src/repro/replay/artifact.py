@@ -17,12 +17,9 @@ Layout (JSON, optionally gzip-compressed when the path ends in ``.gz``)::
           "recv_timeout_s": float | null,
           "copy_on_send": bool,
           "observe": bool,
-          "check_leaks": bool,     # an artifact without it replays as
-                                   # true for "vm", false for "programs"
+          "check_leaks": bool,
           "workload": {"name": str, "params": {...}} | null,
         },                         # written by VirtualMachine._config
-        "env": {"REPRO_*": str, ...},
-        "env_fingerprint": str,
         "fault_plan": {...} | null,    # full FaultPlan, incl. seed
         "ranks": [
           {
@@ -41,6 +38,10 @@ Layout (JSON, optionally gzip-compressed when the path ends in ``.gz``)::
         "error": str | null,
       }
     }
+
+A version-2 artifact written by an earlier build also carries the
+recording host's ``REPRO_*`` variables (``env``, and a digest of them);
+nothing reads either, so it replays as it did.
 
 A rank's ``sends`` and ``recvs`` are *named columns* of equal length, one
 entry per message in the order the rank sent (consumed) them; the column

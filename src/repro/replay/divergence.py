@@ -7,7 +7,7 @@ seq)``; clock/trace/value divergences carry the rank and first differing
 index.  Comparisons are exact — floats are compared for bit equality
 (JSON round-trips doubles exactly), which is the whole point: the
 virtual machine is deterministic by construction, so *any* difference is
-a bug, an environment drift, or tampering.
+a change in behaviour or tampering.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def diff_bodies(
     out: list[Divergence] = []
 
     # Config / provenance.
-    for key in ("kind", "fault_plan", "env_fingerprint"):
+    for key in ("kind", "fault_plan"):
         if recorded.get(key) != replayed.get(key):
             out.append(Divergence(
                 "config", None, None, None, key,

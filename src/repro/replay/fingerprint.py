@@ -20,15 +20,12 @@ instead of surfacing as "something differed".
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Any
 
 from repro.vmachine.payload import canonical_feed
 
 __all__ = [
     "payload_digest",
-    "env_snapshot",
-    "env_fingerprint",
     "plan_fingerprint",
     "replay_handle",
 ]
@@ -43,22 +40,6 @@ def payload_digest(payload: Any) -> str:
     of a rank's return value: same canonical form."""
     h = hashlib.sha256()
     canonical_feed(payload, h.update)
-    return h.hexdigest()[:DIGEST_LEN]
-
-
-def env_snapshot() -> dict[str, str]:
-    """The ``REPRO_*`` environment knobs, sorted by name."""
-    return {
-        k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")
-    }
-
-
-def env_fingerprint(env: dict[str, str] | None = None) -> str:
-    """Stable digest of the ``REPRO_*`` environment."""
-    snap = env_snapshot() if env is None else dict(sorted(env.items()))
-    h = hashlib.sha256()
-    for k, v in snap.items():
-        h.update(k.encode() + b"=" + v.encode() + b"\x00")
     return h.hexdigest()[:DIGEST_LEN]
 
 
@@ -78,17 +59,14 @@ def replay_handle(
     Even when recording is off, this rides along on
     :class:`~repro.vmachine.machine.SPMDResult` (and on
     :class:`~repro.vmachine.machine.SPMDError`), so a failure report
-    carries everything needed to re-create the run's provenance: fault
-    seed, fault-plan fingerprint, and the ``REPRO_*`` environment.
+    carries the run's provenance: its machine, fault seed and fault-plan
+    fingerprint.
     """
-    env = env_snapshot()
     handle = {
         "nprocs": nprocs,
         "profile": profile_name,
         "seed": None if fault_plan_dict is None else fault_plan_dict["seed"],
         "fault_plan": plan_fingerprint(fault_plan_dict),
-        "env": env,
-        "env_fingerprint": env_fingerprint(env),
     }
     if programs is not None:
         handle["programs"] = [[name, n] for name, n in programs]

@@ -41,7 +41,7 @@ from repro.replay.artifact import (
     save_artifact,
     seal_body,
 )
-from repro.replay.fingerprint import env_fingerprint, env_snapshot, payload_digest
+from repro.replay.fingerprint import payload_digest
 from repro.vmachine.trace import event_to_tuple, format_tag
 
 __all__ = ["Recorder", "RankRecorder"]
@@ -182,15 +182,12 @@ class Recorder:
             error = "".join(
                 _traceback.format_exception_only(type(error), error)
             ).strip()
-        env = env_snapshot()
         self.artifact = seal_body({
             "version": VERSION,
             "kind": kind,
             "payloads": self.payloads,
             "note": self.note,
             "config": config,
-            "env": env,
-            "env_fingerprint": env_fingerprint(env),
             "fault_plan": fault_plan_dict,
             "ranks": ranks,
             "error": error,

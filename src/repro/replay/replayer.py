@@ -4,12 +4,10 @@ Full-fidelity (:func:`replay_full`) re-runs the *entire* machine — same
 workload, same fault plan (per-channel draw streams re-derive from the
 recorded seed), every machine setting passed to ``VirtualMachine``
 explicitly from the recorded config — records the re-run, and
-structurally diffs the two artifacts.  The recorded ``REPRO_*``
-environment is installed around the re-run only so that its env
-fingerprint equals the recording's; no setting is read from it.  The virtual machine is
-deterministic by construction, so the diff must be empty; anything else
-is localized to ``(rank, channel, seq)`` by
-:func:`repro.replay.divergence.diff_bodies`.
+structurally diffs the two artifacts.  Nothing is read from or written
+to the host environment.  The virtual machine is deterministic by
+construction, so the diff must be empty; anything else is localized to
+``(rank, channel, seq)`` by :func:`repro.replay.divergence.diff_bodies`.
 
 Single-rank isolation (:func:`replay_rank`) re-executes ONE rank of a
 recorded run — e.g. the one interesting rank of a P=64 chaos failure —
@@ -44,8 +42,6 @@ rank are.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from collections import deque
 
 from repro.replay.artifact import (
@@ -64,7 +60,6 @@ __all__ = [
     "ReplayLogExhausted",
     "replay_full",
     "replay_rank",
-    "recorded_env",
 ]
 
 #: machine profiles addressable by their recorded name
@@ -90,31 +85,6 @@ def _profile(name: str):
         ) from None
 
 
-@contextlib.contextmanager
-def recorded_env(env: dict[str, str]):
-    """Temporarily install the recorded ``REPRO_*`` environment.
-
-    No replayed :class:`~repro.vmachine.process.Process` reads it:
-    :func:`_relaunch` passes every machine setting to ``VirtualMachine``
-    explicitly.  It is installed only so that the replay's env
-    fingerprint — snapshotted when the re-run's recorder seals, and
-    compared by the diff — equals the recording's.  Existing ``REPRO_*``
-    variables are cleared first (absence is part of the recorded state),
-    and everything is restored on exit.
-    """
-    saved = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-    try:
-        for k in saved:
-            del os.environ[k]
-        os.environ.update(env)
-        yield
-    finally:
-        for k in list(os.environ):
-            if k.startswith("REPRO_"):
-                del os.environ[k]
-        os.environ.update(saved)
-
-
 def _relaunch(body: dict, recorder: Recorder, fn, args, kwargs, specs,
               isolate=None) -> SPMDError | None:
     """Launch a recorded run again; returns its :class:`SPMDError`, if any.
@@ -124,11 +94,7 @@ def _relaunch(body: dict, recorder: Recorder, fn, args, kwargs, specs,
     rebuilt from its parameters.  This is the one place replay rebuilds
     the machine: every setting ``VirtualMachine._config`` wrote is passed
     explicitly to the constructor call below, so none comes from the
-    environment; the recorded ``REPRO_*`` environment around it
-    (:func:`recorded_env`) only keeps the re-run's env fingerprint equal
-    to the recording's.  An artifact from before ``check_leaks`` was recorded
-    replays as its kind ran then: checked for a one-program run, unchecked
-    for a coupled one.
+    environment.
     """
     config = body["config"]
     world = config["programs"] is None
@@ -144,21 +110,20 @@ def _relaunch(body: dict, recorder: Recorder, fn, args, kwargs, specs,
         from repro.replay.workloads import build_workload
 
         specs = build_workload(wl["name"], wl["params"])["specs"]
-    with recorded_env(body["env"]):
-        machine = VirtualMachine(
-            config["nprocs"],
-            profile=_profile(config["profile"]),
-            check_leaks=config.get("check_leaks", world),
-            recv_timeout_s=config["recv_timeout_s"],
-            copy_on_send=config["copy_on_send"],
-            observe=config["observe"],
-            faults=faultplan_from_dict(body["fault_plan"]),
-            recorder=recorder,
-        )
-        try:
-            machine._launch(specs, world=world, isolate=isolate)
-        except SPMDError as exc:
-            return exc  # a recorded failure must re-fail identically
+    machine = VirtualMachine(
+        config["nprocs"],
+        profile=_profile(config["profile"]),
+        check_leaks=config["check_leaks"],
+        recv_timeout_s=config["recv_timeout_s"],
+        copy_on_send=config["copy_on_send"],
+        observe=config["observe"],
+        faults=faultplan_from_dict(body["fault_plan"]),
+        recorder=recorder,
+    )
+    try:
+        machine._launch(specs, world=world, isolate=isolate)
+    except SPMDError as exc:
+        return exc  # a recorded failure must re-fail identically
     return None
 
 

@@ -129,9 +129,9 @@ class SlotTable:
 
 @dataclass
 class Binding:
-    """One rank's half of an established tenant binding (slot-indexed)."""
+    """One rank's half of an established tenant binding; its slot is its
+    key in :attr:`ServiceState.bindings`."""
 
-    slot: int
     tenant: int
     schedule: CommSchedule
     array: Any            # this program's rank-local end of the copy
@@ -268,9 +268,7 @@ def _bind(state: ServiceState, op: BindOp, grant: BindGrant, local_half) -> Repl
             policy=state.policy,
         ),
     )
-    state.bindings[grant.slot] = Binding(
-        grant.slot, op.tenant, schedule, array
-    )
+    state.bindings[grant.slot] = Binding(op.tenant, schedule, array)
     return Reply(ok=True, binding=grant.slot)
 
 

@@ -19,10 +19,9 @@ endpoint" and never asks which kind.
    layer, a sender must not mutate a payload after sending it (send a
    ``.copy()`` when the buffer will be reused), and a receiver that plans
    to mutate a payload in place should copy it first.  The opt-in
-   *copy-on-send* debug mode (``VirtualMachine(copy_on_send=True)`` or
-   ``REPRO_COPY_ON_SEND=1``) deep-copies every payload at send time,
-   which makes mutate-after-send bugs visible as behavioural differences
-   between the two modes.
+   *copy-on-send* debug mode (``VirtualMachine(copy_on_send=True)``)
+   deep-copies every payload at send time, which makes mutate-after-send
+   bugs visible as behavioural differences between the two modes.
 
 Fault injection: when a :class:`~repro.vmachine.faults.FaultPlan` is
 installed on the process, every send is routed through it — messages may

@@ -96,9 +96,9 @@ class SPMDResult:
     metrics: list = field(default_factory=list)
     #: per-rank closed-span logs (populated when the run observed)
     spans: list[list] = field(default_factory=list)
-    #: replay handle — nprocs/profile/fault seed/plan fingerprint/env
-    #: snapshot — attached to every run (recording or not), so a failure
-    #: report always carries enough provenance to re-create the run
+    #: replay handle — nprocs/profile/fault seed/plan fingerprint —
+    #: attached to every run (recording or not), so a failure report
+    #: always names the run's provenance
     replay: dict = field(default_factory=dict)
 
     @property
@@ -201,7 +201,7 @@ class VirtualMachine:
     copy_on_send:
         Debug mode: deep-copy every payload at send time, guarding
         against the zero-copy transport's mutate-after-send hazard.
-        Defaults to the ``REPRO_COPY_ON_SEND`` environment variable.
+        Off by default.
     faults:
         Optional seeded :class:`~repro.vmachine.faults.FaultPlan`; when
         installed, message delivery runs through the fault model and rank
@@ -234,7 +234,7 @@ class VirtualMachine:
         trace: bool = False,
         check_leaks: bool = True,
         recv_timeout_s: float | None = None,
-        copy_on_send: bool | None = None,
+        copy_on_send: bool = False,
         faults: FaultPlan | None = None,
         observe: bool | None = None,
         recorder=None,
@@ -247,10 +247,7 @@ class VirtualMachine:
         self.trace = trace
         self.check_leaks = check_leaks
         self.recv_timeout_s = recv_timeout_s
-        self.copy_on_send = (
-            _env_truthy("REPRO_COPY_ON_SEND") if copy_on_send is None
-            else copy_on_send
-        )
+        self.copy_on_send = copy_on_send
         self.faults = faults
         self.observe = (
             _env_truthy("REPRO_OBSERVE") if observe is None else observe

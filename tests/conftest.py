@@ -23,6 +23,6 @@ def clean_repro_env(monkeypatch):
     """No ``REPRO_*`` hook installed from the environment: for tests that
     assert on the all-hooks-off transport (call counts, empty traces,
     ``proc.hooked`` false), so the suite stays green with ``REPRO_RECORD=1``
-    (or ``REPRO_OBSERVE``/``REPRO_COPY_ON_SEND``) exported."""
-    for name in ("REPRO_OBSERVE", "REPRO_RECORD", "REPRO_COPY_ON_SEND"):
+    or ``REPRO_OBSERVE=1`` exported."""
+    for name in ("REPRO_OBSERVE", "REPRO_RECORD"):
         monkeypatch.delenv(name, raising=False)

@@ -847,10 +847,14 @@ class TestCoupledMany:
     def test_plan_cached_across_pushes(self):
         """Repeated exchanges reuse one compiled plan per (k, direction):
         the memo ``plan_of`` keeps on the schedule, shared with
-        ``data_move*`` (whose plan is the k = 1 forward entry)."""
-        from repro.core.plan import plan_of
+        ``data_move*`` (whose plan is the k = 1 forward entry), and
+        ``plan_memoised`` reads."""
+        from repro.core.plan import plan_memoised, plan_of
+
+        keys = [(1, False), (1, True), (2, False), (2, True)]
 
         def exchange_thrice(uni, sched, X):
+            assert not any(plan_memoised(sched, k, r) for k, r in keys)
             ex = CoupledExchange(uni, sched)
             for _ in range(3):
                 ex.push_many([X, X])
@@ -862,6 +866,8 @@ class TestCoupledMany:
             assert back.schedules[0].src_lib == sched.dst_lib
             # A second exchange over the same schedule shares the memo.
             CoupledExchange(uni, sched).push_many([X, X])
+            assert [plan_memoised(sched, k, r) for k, r in keys] == [
+                True, True, True, False]
             return sorted(sched._plans)
 
         def src_prog(ctx):

@@ -116,8 +116,3 @@ class TestCopyOnSend:
             .values[1]
         )
         np.testing.assert_array_equal(got, np.zeros(4))
-
-    def test_env_var_enables_copy_on_send(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COPY_ON_SEND", "1")
-        got = VirtualMachine(2).run(self._mutate_after_send).values[1]
-        np.testing.assert_array_equal(got, np.zeros(4))

@@ -9,6 +9,7 @@ rank started alone against its recorded log re-derives its recording.
 """
 
 import inspect
+import os
 import threading
 
 import numpy as np
@@ -291,21 +292,20 @@ def test_every_rank_replays_identically_in_isolation(recording):
 
 
 def test_isolation_replay_reads_the_recorded_environment(monkeypatch):
-    """The host's copy-on-send switch does not leak into the replayed
-    Process: every machine setting is passed to ``VirtualMachine``
-    explicitly from the recorded config.  The recorded ``REPRO_*``
-    environment is installed only so that the replay's env fingerprint
-    equals the recording's, which ``.identical`` checks here."""
-    monkeypatch.delenv("REPRO_COPY_ON_SEND", raising=False)
+    """A replay is built from the recorded config alone: a ``REPRO_*``
+    variable exported after recording does not reach the replayed
+    Process, and replay leaves the process environment as it found it."""
     seen = []
 
     def program(comm):
-        seen.append(comm.process.copy_on_send)
+        seen.append((comm.process.spans is None,
+                     os.environ.get("REPRO_OBSERVE")))
         return np.arange(3.0) * comm.rank
 
     rec = Recorder(payloads=True)
     VirtualMachine(2, recorder=rec).run(program)
-    monkeypatch.setenv("REPRO_COPY_ON_SEND", "1")
+    monkeypatch.setenv("REPRO_OBSERVE", "1")
+    seen.clear()
     assert replay_rank(rec.artifact, 1, fn=program).identical
     assert replay_full(rec.artifact, fn=program).identical
-    assert set(seen) == {False}
+    assert set(seen) == {(True, "1")}

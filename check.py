@@ -87,6 +87,7 @@ TABLE_VARIANTS = (
     (("repro.vmachine.faults", "repro.vmachine.reliability"), {}),
     ((), {"REPRO_OBSERVE": "1"}),
     ((), {"REPRO_RECORD": "1"}),
+    ((), {"REPRO_OBSERVE": "1", "REPRO_RECORD": "1"}),
     (("repro.service", "repro.apps.service_demo", "repro.dobj"), {}),
     (("repro.autotune",), {}),
     (("repro.vmachine.window", "repro.containers", "repro.apps.cp_als"), {}),

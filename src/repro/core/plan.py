@@ -274,7 +274,7 @@ def _fuse(
     if proc.trace is not None:
         proc.trace.append(tuple.__new__(TraceEvent, (
             "plan:fuse", proc.clock, proc.rank, d, TAG_DATA, fused.nbytes,
-            0.0, proc.phase_path,
+            0.0, "/".join(proc._span_stack),
         )))
     return fused
 
@@ -311,13 +311,14 @@ def _check_fused(
             f"{type(fused).__name__}, not a fused buffer — was the peer "
             "executing a single-schedule move?"
         )
-    if fused.nsegments != len(program):
+    headers = fused.layout.headers
+    if len(headers) != len(program):
         raise RuntimeError(
             f"plan mismatch: fused message from source rank {s} carries "
-            f"{fused.nsegments} segment(s) but the unpack program expects "
+            f"{len(headers)} segment(s) but the unpack program expects "
             f"{len(program)}"
         )
-    for i, (header, seg) in enumerate(zip(fused.headers, program)):
+    for i, (header, seg) in enumerate(zip(headers, program)):
         if header.schedule_id != seg.schedule_id:
             raise RuntimeError(
                 f"plan mismatch: segment {i} from source rank {s} belongs "

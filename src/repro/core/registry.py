@@ -41,7 +41,7 @@ from repro.core.setofregions import SetOfRegions
 from repro.core.region import SectionRegion
 from repro.distrib.base import DistDescriptor, Distribution
 from repro.distrib.cartesian import CartesianDist
-from repro.observe.spans import span_on
+from repro.observe.spans import close_span
 from repro.vmachine.process import Process, current_process
 
 __all__ = [
@@ -344,10 +344,13 @@ def move_row(
     -- and an attributing rank records one term per row.  ``span`` names
     the leaf span opened when the rank is ``labelled``.
     """
-    if span is not None and proc.labelled:
-        with span_on(proc, span):
-            return move_row(proc, kind, row, datas, ends)
     clock = start = proc.clock
+    if span is not None and proc.labelled:  # the leaf span, closed below
+        depth = len(proc._span_stack)
+        proc._span_stack.append(span)
+        proc.phase = span
+    else:
+        span = None
     pack, slowdown = proc.cost.pack, proc.slowdown
     scatter = kind == "scatter"
     out = None
@@ -369,6 +372,8 @@ def move_row(
         metrics = proc.metrics
         if metrics.attributing and clock != start:
             metrics.add_term(proc.phase, "per_element", clock - start)
+        if span is not None:
+            close_span(proc, span, start, depth)
     return out
 
 

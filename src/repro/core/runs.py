@@ -33,6 +33,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.vmachine.payload import canonical_feed
+
 __all__ = ["RunList", "KeyGroups", "run_starts", "group_by_runs"]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
@@ -296,13 +298,13 @@ class RunList:
         ``(start, step, count)`` per greedy run plus a fixed header."""
         return RUN_WIRE_HEADER + RUN_WIRE_BYTES * self._nruns
 
-    def __wire__(self, update, feed) -> None:
+    def __wire__(self, update) -> None:
         """Canonical bytes (:mod:`repro.vmachine.payload`): the length and
         the stored form — the run table, or the dense offsets of a
         sequence kept dense — never an expansion or a compiled program."""
         update(b"R")
-        feed(self._n, update)
-        feed(self.stored, update)
+        canonical_feed(self._n, update)
+        canonical_feed(self.stored, update)
 
     @property
     def nbytes_memory(self) -> int:

@@ -211,12 +211,13 @@ class FusedBuffer:
         lo, hi, dtype = self.layout.views[i]
         return self.data[lo:hi].view(dtype)
 
-    def __wire__(self, update, feed) -> None:
+    def __wire__(self, update) -> None:
         """Canonical bytes (:mod:`repro.vmachine.payload`): the layout's
         compiled :attr:`~WireLayout.rows`, the segment bytes fed in place
         — never the raw staging store, whose alignment padding and arena
         size-class tail are uninitialized."""
-        head, rows = self.layout.rows
+        layout = self.layout
+        head, rows = getattr(layout, "_rows", None) or layout.rows
         data = memoryview(self.data)  # same bytes; cheaper to slice
         update(head)
         for prefix, lo, hi in rows:

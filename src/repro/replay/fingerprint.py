@@ -7,9 +7,10 @@ buffers, and across whatever an object has lazily memoised since it was
 built.  What "logical content" means is not decided here: a digest is
 sha256 over the bytes the payload table declares for the value's type
 (:func:`repro.vmachine.payload.canonical_feed` — the table that also says
-what the cost model charges for it).  A value of a type the table does
-not know raises ``TypeError``; nothing is hashed through its in-memory
-representation.
+what the cost model charges for it), and :func:`payload_digest` is
+defined beside that table, so it dispatches on the type once.  A value
+of a type the table does not know raises ``TypeError``; nothing is
+hashed through its in-memory representation.
 
 These digests are the atoms of the replay artifact: every recorded wire
 message carries one, so a single corrupted byte — in a replayed run *or*
@@ -19,28 +20,14 @@ instead of surfacing as "something differed".
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any
-
-from repro.vmachine.payload import canonical_feed
+from repro.vmachine.payload import DIGEST_LEN, payload_digest
 
 __all__ = [
+    "DIGEST_LEN",
     "payload_digest",
     "plan_fingerprint",
     "replay_handle",
 ]
-
-#: hex digits kept per digest — 64 bits of sha256, plenty for corruption
-#: detection while keeping artifacts compact
-DIGEST_LEN = 16
-
-
-def payload_digest(payload: Any) -> str:
-    """Canonical content digest (hex string) of one message payload — or
-    of a rank's return value: same canonical form."""
-    h = hashlib.sha256()
-    canonical_feed(payload, h.update)
-    return h.hexdigest()[:DIGEST_LEN]
 
 
 def plan_fingerprint(plan_dict: dict | None) -> str | None:

@@ -47,6 +47,12 @@ from repro.vmachine.trace import event_to_tuple, format_tag
 __all__ = ["Recorder", "RankRecorder"]
 
 
+def _undeclared(exc: TypeError, message) -> TypeError:
+    """``payload_digest``'s refusal, naming the message it was hashing."""
+    return TypeError(f"{exc}; in the message rank {message.source} -> "
+                     f"{message.dest}, tag {format_tag(message.tag)}")
+
+
 class RankRecorder:
     """Per-rank event sink.  Single-threaded by construction (one thread
     per rank), so appends need no synchronization."""
@@ -71,19 +77,13 @@ class RankRecorder:
 
     # -- hooks (hot path, zero clock charge) -------------------------------
 
-    def _digest(self, message) -> str:
-        try:
-            return payload_digest(message.payload)
-        except TypeError as exc:
-            raise TypeError(
-                f"{exc}; in the message rank {message.source} -> "
-                f"{message.dest}, tag {format_tag(message.tag)}"
-            ) from None
-
     def pre_send(self, message) -> None:
         # Digest now: after delivery the receiver may already have
         # unpacked the fused buffer and released its arena lease.
-        self._pending_digest = self._digest(message)
+        try:
+            self._pending_digest = payload_digest(message.payload)
+        except TypeError as exc:
+            raise _undeclared(exc, message) from None
 
     def on_send(self, message, receipt, clock: float) -> None:
         dst = message.dest
@@ -103,9 +103,12 @@ class RankRecorder:
         src = message.source
         seq = self._recv_seq.get(src, 0)
         self._recv_seq[src] = seq + 1
-        # hashed here, from what this end holds: never the sender's digest
+        try:  # hashed here, from what this end holds: never the sender's
+            digest = payload_digest(message.payload)
+        except TypeError as exc:
+            raise _undeclared(exc, message) from None
         row = (seq, src, message.tag, message.nbytes, message.arrival, clock,
-               wait, self._digest(message))
+               wait, digest)
         if "payload" in self.recvs:
             row += (encode_payload(message.payload),)
         for append, value in zip(self._recv_cols, row, strict=True):

@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy as _copy
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.observe.spans import NO_SPAN, span_on
+from repro.observe.spans import close_span
 from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
 from repro.vmachine.message import ANY_SOURCE, ANY_TAG, Mailbox, Message
 from repro.vmachine.payload import payload_nbytes
@@ -67,13 +67,6 @@ def _cantor_pair(a: int, b: int) -> int:
     return s * (s + 1) // 2 + b
 
 
-def _crash_check_recv(proc) -> None:
-    """Receive seam, before the match (may raise SimulatedCrash)."""
-    plan = proc.faults
-    if plan is not None and plan.crashes:
-        plan.on_recv(proc)
-
-
 def _account_recv(proc, msg: Message) -> None:
     """Receive seam, after the match: advance/charge → count → trace →
     record.  Hooked, the ``wire`` span attributes the blocked wait
@@ -92,20 +85,29 @@ def _account_recv(proc, msg: Message) -> None:
         counters["messages_received"] += 1
         counters["bytes_received"] += nbytes
         return
-    with span_on(proc, "wire") if proc.labelled else NO_SPAN:
+    labelled = proc.labelled
+    if labelled:  # the ``wire`` leaf span, closed by one call below
+        depth, t0 = len(proc._span_stack), proc.clock
+        proc._span_stack.append("wire")
+        proc.phase = "wire"
+    try:
         wait = max(0.0, msg.arrival - proc.clock)
-        proc.advance_to(msg.arrival)
-        proc.charge(proc.cost.recv_overhead(nbytes), term="occupancy")
+        if wait:
+            proc.advance_to(msg.arrival)
+        proc.charge(proc.cost.recv_overhead(nbytes), "occupancy")
         counters["messages_received"] += 1
         counters["bytes_received"] += nbytes
         if proc.trace is not None:
             proc.trace.append(tuple.__new__(TraceEvent, (
                 "recv", proc.clock, proc.rank, msg.source, msg.tag, nbytes,
-                wait, proc.phase_path,
+                wait, "/".join(proc._span_stack),
             )))
         rec = proc.recorder
         if rec is not None:
             rec.on_recv(msg, wait, proc.clock)
+    finally:
+        if labelled:
+            close_span(proc, "wire", t0, depth)
 
 
 class _Endpoint:
@@ -192,7 +194,12 @@ class _Endpoint:
             # Debug mode: snapshot the payload so later sender-side
             # mutation cannot reach the receiver (zero-copy hazard guard).
             payload = _copy.deepcopy(payload)
-        with span_on(proc, "wire") if proc.labelled else NO_SPAN:
+        labelled = proc.labelled
+        if labelled:  # the ``wire`` leaf span, closed by one call below
+            depth, t0 = len(proc._span_stack), proc.clock
+            proc._span_stack.append("wire")
+            proc.phase = "wire"
+        try:
             nbytes = payload_nbytes(payload)
             # Sender pays injection (occupancy + wire serialization); the
             # payload becomes available one wire latency after injection
@@ -207,7 +214,7 @@ class _Endpoint:
             if proc.trace is not None:
                 proc.trace.append(tuple.__new__(TraceEvent, (
                     "send", proc.clock, proc.rank, dest_global, wire_tag,
-                    nbytes, 0.0, proc.phase_path,
+                    nbytes, 0.0, "/".join(proc._span_stack),
                 )))
             rec = proc.recorder
             if rec is not None:
@@ -223,13 +230,16 @@ class _Endpoint:
             if rec is not None:
                 rec.on_send(message, receipt, proc.clock)
             return receipt
+        finally:
+            if labelled:
+                close_span(proc, "wire", t0, depth)
 
     def _recv_global(self, source_global: int, tag: int) -> Message:
         """The receive seam for one pattern (``source_global`` may be
         :data:`ANY_SOURCE`): crash check → match → account."""
         proc = self.process
-        if proc.hooked:
-            _crash_check_recv(proc)
+        if proc.hooked and (plan := proc.faults) is not None and plan.crashes:
+            plan.on_recv(proc)  # may raise SimulatedCrash
         exact = tag != ANY_TAG
         msg = proc.mailbox.receive(
             source_global, self._context + tag if exact else ANY_TAG,
@@ -238,25 +248,6 @@ class _Endpoint:
         )
         _account_recv(proc, msg)
         return msg
-
-    def _probe_global(self, source_global: int, tag: int) -> bool:
-        """Mailbox probe with its outcome recorded (when recording).
-
-        Probe outcomes are part of a run's provenance: the reliability layer
-        drains acks/backlog through ``while probe(...)`` loops, so a
-        single-rank isolation replay must answer each probe exactly as the
-        original run did — by consulting the recorded outcome stream, not
-        the log's future contents.
-        """
-        proc = self.process
-        hit = proc.mailbox.probe(
-            source_global, self._wire_tag(tag), tag_range=self._tag_range(tag)
-        )
-        if proc.hooked:
-            rec = proc.recorder
-            if rec is not None:
-                rec.on_probe(hit)
-        return hit
 
     # -- point-to-point (group-rank addressed) -----------------------------
 
@@ -305,9 +296,27 @@ class _Endpoint:
 
     def probe(self, source: int, tag: int = 0) -> bool:
         """Non-blocking, zero-cost test for a pending matching message
-        (ANY_TAG confined to this endpoint's context block)."""
-        self._check_rank(source)
-        return self._probe_global(self._peers[source], tag)
+        (ANY_TAG confined to this endpoint's context block), its outcome
+        recorded (when recording).
+
+        Probe outcomes are part of a run's provenance: the reliability layer
+        drains acks/backlog through ``while probe(...)`` loops, so a
+        single-rank isolation replay must answer each probe exactly as the
+        original run did — by consulting the recorded outcome stream, not
+        the log's future contents.
+        """
+        if not 0 <= source < self._npeers:
+            self._check_rank(source)
+        proc = self.process
+        if tag != ANY_TAG:
+            hit = proc.mailbox.probe(self._peers[source], self._context + tag)
+        else:
+            hit = proc.mailbox.probe(self._peers[source], tag,
+                                     self._tag_range(tag))
+        rec = proc.recorder
+        if rec is not None:
+            rec.on_probe(hit)
+        return hit
 
     def recv_any(self, tag: int = 0) -> tuple[int, Any]:
         """Receive from *any* peer (MPI_ANY_SOURCE).
@@ -346,7 +355,7 @@ class _Endpoint:
         plan = self.process.faults
         if plan is None:
             return 0
-        return plan.flush_channel(self.process.rank, self.peer_global(dest))
+        return plan.flush_channel(self.process.rank, self._peers[dest])
 
 
 class Request:
@@ -378,7 +387,8 @@ class Request:
         """
         if self._done:
             return True
-        return self._endpoint._probe_global(self._source_global, self._tag)
+        endpoint = self._endpoint
+        return endpoint.probe(endpoint._rank_of[self._source_global], self._tag)
 
     def wait(self) -> Any:
         """Complete the operation; returns the payload for receives."""
@@ -420,8 +430,8 @@ class Request:
              r._endpoint._tag_range(r._tag))
             for _, r in pending
         ]
-        if proc.hooked:
-            _crash_check_recv(proc)
+        if proc.hooked and (plan := proc.faults) is not None and plan.crashes:
+            plan.on_recv(proc)  # may raise SimulatedCrash
         k, msg = proc.mailbox.receive_any_of(
             patterns,
             timeout=proc.recv_timeout_s,

@@ -326,7 +326,7 @@ class DeliveryReceipt:
     """
 
     __slots__ = ("delivered", "dropped", "corrupted", "held", "duplicated",
-                 "delay_s")
+                 "delay_s", "lost")
 
     def __init__(
         self,
@@ -343,11 +343,9 @@ class DeliveryReceipt:
         self.held = held
         self.duplicated = duplicated
         self.delay_s = delay_s
-
-    @property
-    def lost(self) -> bool:
-        """True when the payload will never reach the receiver's mailbox."""
-        return self.dropped or self.corrupted
+        #: the payload will never reach the receiver's mailbox (read once
+        #: per reliable send, so stored: a receipt is never changed)
+        self.lost = dropped or corrupted
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = [
@@ -522,15 +520,13 @@ class FaultPlan:
 
     # -- delivery ----------------------------------------------------------
 
-    def _channel(self, src: int, dst: int) -> _ChannelState:
-        key = (src, dst)
-        ch = self._channels.get(key)
-        if ch is None:
-            with self._lock:
-                ch = self._channels.get(key)
-                if ch is None:
-                    ch = _ChannelState(self.seed, src, dst)
-                    self._channels[key] = ch
+    def _new_channel(self, src: int, dst: int) -> _ChannelState:
+        """A channel's state on its first faulted message (``apply`` looks
+        an existing one up itself), created under the lock."""
+        with self._lock:
+            ch = self._channels.get((src, dst))
+            if ch is None:
+                ch = self._channels[src, dst] = _ChannelState(self.seed, src, dst)
         return ch
 
     def apply(
@@ -549,7 +545,8 @@ class FaultPlan:
         if rates is None:
             mailbox.deliver(message)
             return OK_RECEIPT
-        ch = self._channel(message.source, message.dest)
+        ch = (self._channels.get((message.source, message.dest))
+              or self._new_channel(message.source, message.dest))
         rng = ch.rng
         # Fixed draw schedule: always consume the same number of variates
         # per message so one fault never shifts the stream of the next.
@@ -590,11 +587,13 @@ class FaultPlan:
             self._note(proc, "fault:dup", message)
         # Overtaking: this delivery goes first, then the held-back
         # messages follow (FIFO among themselves).
-        held = [m for mb, m in ch.stash if mb is mailbox]
-        if held:
+        if ch.stash:
+            held = [m for mb, m in ch.stash if mb is mailbox]
             ch.stash = [(mb, m) for mb, m in ch.stash if mb is not mailbox]
             batch.extend(held)
         mailbox.deliver_many(batch)
+        if len(batch) == 1 and not delay:
+            return OK_RECEIPT  # what a plain delivery reports
         return DeliveryReceipt(
             delivered=len(batch), duplicated=duplicated, delay_s=delay
         )
@@ -636,7 +635,7 @@ class FaultPlan:
                 message.dest if proc.rank == message.source
                 else message.source
             )
-            path = proc.phase_path
+            path = "/".join(proc._span_stack)
             proc.trace.append(tuple.__new__(TraceEvent, (
                 kind, proc.clock, proc.rank, peer, message.tag,
                 message.nbytes, 0.0,

@@ -421,8 +421,11 @@ class Mailbox:
         tag: int,
         tag_range: tuple[int, int] | None = None,
     ) -> bool:
-        """Non-blocking test for a matching pending message."""
+        """Non-blocking test for a matching pending message (an exact
+        pattern is one key test: a key exists only while it has one)."""
         with self._lock:
+            if source != ANY_SOURCE and tag != ANY_TAG:
+                return (source, tag) in self._queues
             return self._first(source, tag, tag_range) is not None
 
     def pending(self) -> int:

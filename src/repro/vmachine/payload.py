@@ -18,7 +18,7 @@ an in-memory representation:
   in order (memo fields are ``compare=False`` by convention);
 - an ``Enum`` member is its class and member name; an ``np.dtype`` its
   ``.str``;
-- a class with a ``__wire__(self, update, feed)`` method feeds itself
+- a class with a ``__wire__(self, update)`` method feeds itself
   (``repro.core.runs.RunList``, a schedule piece, and
   ``repro.core.wire.FusedBuffer`` — which is what keeps ``repro.core``
   out of this module's imports).
@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 from operator import attrgetter
 from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["payload_nbytes", "canonical_feed", "array_prefix", "SizedList"]
+__all__ = ["payload_nbytes", "canonical_feed", "payload_digest", "DIGEST_LEN",
+           "array_prefix", "SizedList"]
 
 #: sink of byte chunks — a ``hashlib`` object's ``update``
 Update = Callable[[bytes], None]
@@ -48,10 +50,7 @@ def _seq_nbytes(payload) -> int:
     # per scalar would be most of what sizing a tuple of scalars costs.
     total = 8
     for item in payload:
-        try:
-            size = _TABLE[type(item)][0]
-        except KeyError:
-            size = _resolve(type(item))[0]
+        size = _TABLE[type(item)][0]
         total += size if size.__class__ is int else size(item)
     return total
 
@@ -114,8 +113,8 @@ def _feed_ndarray(obj, update: Update) -> None:
 def _feed_seq(tag: bytes) -> Callable[[Any, Update], None]:
     def feed(obj, update: Update) -> None:
         update(tag + str(len(obj)).encode())
-        for item in obj:
-            canonical_feed(item, update)
+        for item in obj:  # ``canonical_feed`` of each, spelled in the loop
+            _TABLE[type(item)][1](item, update)
 
     return feed
 
@@ -152,8 +151,23 @@ _ROWS: list[tuple[type, Any, Callable[[Any, Update], None]]] = [
     (str, lambda payload: len(payload.encode("utf-8")), _feed_str),
 ]
 
-#: ``type -> (size, feed)``: the rows, plus every type resolved since
-_TABLE: dict[type, tuple] = {base: (size, feed) for base, size, feed in _ROWS}
+
+class _Table(dict):
+    """``type -> (size, feed)``: the rows, plus every type resolved since
+    (a miss resolves and memoises, so a hit is one subscript)."""
+
+    def __missing__(self, cls: type) -> tuple:
+        for base, size, feed in _ROWS:
+            if issubclass(cls, base):
+                rule = (size, feed)
+                break
+        else:
+            rule = (_opaque_nbytes, _declared_feed(cls))
+        self[cls] = rule
+        return rule
+
+
+_TABLE = _Table({base: (size, feed) for base, size, feed in _ROWS})
 
 
 def _declared_feed(cls: type) -> Callable[[Any, Update], None]:
@@ -161,7 +175,7 @@ def _declared_feed(cls: type) -> Callable[[Any, Update], None]:
     the declared rules, else a feed that refuses."""
     name = f"{cls.__module__}.{cls.__qualname__}".encode()
     if hasattr(cls, "__wire__"):
-        return lambda obj, update: obj.__wire__(update, canonical_feed)
+        return cls.__wire__
     if issubclass(cls, enum.Enum):
         return lambda obj, update: update(b"E" + name + b"." + obj.name.encode())
     if issubclass(cls, np.dtype):
@@ -186,31 +200,27 @@ def _declared_feed(cls: type) -> Callable[[Any, Update], None]:
     return undeclared
 
 
-def _resolve(cls: type) -> tuple:
-    """Rule of a type not in the table yet (memoised there)."""
-    for base, size, feed in _ROWS:
-        if issubclass(cls, base):
-            rule = (size, feed)
-            break
-    else:
-        rule = (_opaque_nbytes, _declared_feed(cls))
-    _TABLE[cls] = rule
-    return rule
-
-
 def payload_nbytes(payload: Any) -> int:
     """Size in bytes the cost model charges for a message payload."""
-    try:
-        size = _TABLE[type(payload)][0]
-    except KeyError:
-        size = _resolve(type(payload))[0]
+    size = _TABLE[type(payload)][0]
     return size if size.__class__ is int else size(payload)
 
 
 def canonical_feed(payload: Any, update: Update) -> None:
     """Feed ``payload``'s canonical bytes, in chunks, to ``update``."""
-    try:
-        feed = _TABLE[type(payload)][1]
-    except KeyError:
-        feed = _resolve(type(payload))[1]
-    feed(payload, update)
+    _TABLE[type(payload)][1](payload, update)
+
+
+#: hex digits kept per digest — 64 bits of sha256, plenty for corruption
+#: detection while keeping artifacts compact
+DIGEST_LEN = 16
+
+
+def payload_digest(payload: Any) -> str:
+    """Canonical content digest (hex string) of one message payload — or
+    of a rank's return value: sha256 over :func:`canonical_feed`, through
+    one table dispatch (replay's digest; :mod:`repro.replay.fingerprint`
+    re-exports it)."""
+    h = hashlib.sha256()
+    _TABLE[type(payload)][1](payload, h.update)
+    return h.hexdigest()[:DIGEST_LEN]

@@ -82,6 +82,9 @@ class Process:
         self.env: dict[str, Any] = {}
         #: open-span name stack (always maintained; labels events/terms)
         self._span_stack: list[str] = []
+        #: innermost open span name ("" outside any span), kept by the
+        #: span open/close code so a charge reads it without a call
+        self.phase = ""
         #: the wall-clock budget of every blocking wait (seconds; set per
         #: run by ``VirtualMachine(recv_timeout_s=...)``)
         self.recv_timeout_s: float = 120.0
@@ -132,12 +135,6 @@ class Process:
         Perfetto exporter.  Never charges the clock.
         """
         return span_on(self, name)
-
-    @property
-    def phase(self) -> str:
-        """Innermost open span name ("" outside any span)."""
-        stack = self._span_stack
-        return stack[-1] if stack else ""
 
     @property
     def phase_path(self) -> str:

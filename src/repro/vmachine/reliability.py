@@ -152,12 +152,6 @@ class Reliability:
             ch = self._in[key] = _InChannel(endpoint, peer, tag)
         return ch
 
-    # -- stats helpers -----------------------------------------------------
-
-    @staticmethod
-    def _bump(proc, key: str, amount: float = 1) -> None:
-        proc.metrics.incr(key, amount)
-
     # -- sender side -------------------------------------------------------
 
     def _transmit(self, endpoint, peer: int, item: Any, wire_tag: int,
@@ -184,9 +178,9 @@ class Reliability:
                 )
             rto = BASE_RTO_S * BACKOFF ** attempt
             proc.charge(rto, term="rto")
-            self._bump(proc, "rel_rto_wait_s", rto)
+            proc.metrics.incr("rel_rto_wait_s", rto)
             receipt = endpoint.send(peer, item, wire_tag)
-            self._bump(proc, "rel_retransmits")
+            proc.metrics.incr("rel_retransmits")
             attempt += 1
 
     def send(self, endpoint, peer: int, payload: Any, tag: int) -> None:
@@ -233,7 +227,7 @@ class Reliability:
         ack = ch.expected - 1
         self._transmit(endpoint, peer, ack, REL_ACK | tag, ch,
                        f"cumulative ack {ack}")
-        self._bump(endpoint.process, "rel_acks_sent")
+        endpoint.process.metrics.incr("rel_acks_sent")
 
     # -- receiver side -----------------------------------------------------
 
@@ -241,7 +235,7 @@ class Reliability:
         seq, payload = envelope
         if seq < ch.expected or seq in ch.buffer:
             ch.dups += 1
-            self._bump(proc, "rel_dups_discarded")
+            proc.metrics.incr("rel_dups_discarded")
             return
         ch.buffer[seq] = payload
 

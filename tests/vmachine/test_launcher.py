@@ -291,10 +291,11 @@ def test_every_rank_replays_identically_in_isolation(recording):
         assert report.ranks_compared == 1
 
 
-def test_isolation_replay_reads_the_recorded_environment(monkeypatch):
+def test_isolation_replay_ignores_the_host_environment(monkeypatch):
     """A replay is built from the recorded config alone: a ``REPRO_*``
-    variable exported after recording does not reach the replayed
-    Process, and replay leaves the process environment as it found it."""
+    variable exported on the host after recording does not reach the
+    replayed Process, and replay leaves the process environment as it
+    found it."""
     seen = []
 
     def program(comm):

@@ -167,10 +167,6 @@ LAYERING = (
 LAYERING_ALLOWED = {
     ("vmachine/machine.py", "repro.replay.recorder"):
         "REPRO_RECORD=1 makes the machine build its own recorder",
-    ("vmachine/machine.py", "repro.replay.artifact"):
-        "a recorded launch stores its fault plan in artifact form",
-    ("vmachine/machine.py", "repro.replay.fingerprint"):
-        "every launch attaches its replay handle to its result or error",
 }
 
 

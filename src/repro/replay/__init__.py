@@ -6,11 +6,19 @@ stronger debugging primitive than "attach a debugger" possible: record a
 run's complete provenance once, then *prove* any later run identical —
 or pinpoint where it is not.
 
+Every launch, recorded or not, carries its re-record recipe: the replay
+handle ``{"config": ..., "fault_plan": ...}`` (``SPMDResult.replay``,
+``SPMDError.replay_handle``) — the machine's settings as
+``VirtualMachine._config`` writes them and the fault plan in
+:func:`~repro.vmachine.faults.faultplan_to_dict` form.
+
 - :class:`~repro.replay.recorder.Recorder` — captures seeds, fault-plan
   draw schedules, the full per-channel message log (headers + payload
-  digests, optionally payloads), probe outcomes, the machine's config
-  and final clock/value digests into one sealed, versioned artifact.
+  digests, optionally payloads), probe outcomes, the run's handle and
+  final clock/value digests into one sealed, versioned artifact.
   Recording charges zero logical-clock time.
+- :func:`~repro.replay.replayer.relaunch` — run a handle (or an
+  artifact's body) again into a recorder: the one re-record entry.
 - :func:`~repro.replay.replayer.replay_full` — re-execute all ranks and
   assert byte-identical clocks/logs/traces/destination digests.
 - :func:`~repro.replay.replayer.replay_rank` — re-execute ONE rank with
@@ -21,6 +29,11 @@ or pinpoint where it is not.
 - :func:`~repro.replay.divergence.diff_bodies` — the replay-divergence
   checker backing the CI guard.
 
+``faultplan_to_dict`` / ``faultplan_from_dict`` (defined beside
+``FaultPlan`` in :mod:`repro.vmachine.faults`) and ``payload_digest``
+(beside the payload table in :mod:`repro.vmachine.payload`) are
+re-exported here.
+
 CLI: ``python -m repro record|replay``.  Env knob: ``REPRO_RECORD=1``
 auto-records any run into an in-memory artifact.
 """
@@ -28,27 +41,24 @@ auto-records any run into an in-memory artifact.
 from repro.replay.artifact import (
     IntegrityViolation,
     ReplayFormatError,
-    faultplan_from_dict,
-    faultplan_to_dict,
     load_artifact,
     save_artifact,
     verify_artifact,
 )
 from repro.replay.divergence import Divergence, ReplayReport, diff_bodies
-from repro.replay.fingerprint import (
-    payload_digest,
-    plan_fingerprint,
-    replay_handle,
-)
 from repro.replay.recorder import Recorder
 from repro.replay.replayer import (
     ReplayLogExhausted,
+    relaunch,
     replay_full,
     replay_rank,
 )
+from repro.vmachine.faults import faultplan_from_dict, faultplan_to_dict
+from repro.vmachine.payload import payload_digest
 
 __all__ = [
     "Recorder",
+    "relaunch",
     "replay_full",
     "replay_rank",
     "ReplayLogExhausted",
@@ -63,6 +73,4 @@ __all__ = [
     "faultplan_to_dict",
     "faultplan_from_dict",
     "payload_digest",
-    "plan_fingerprint",
-    "replay_handle",
 ]

@@ -39,6 +39,12 @@ Layout (JSON, optionally gzip-compressed when the path ends in ``.gz``)::
       }
     }
 
+``config`` and ``fault_plan`` are the run's replay handle (its
+``SPMDResult.replay``, the plan in
+:func:`~repro.vmachine.faults.faultplan_to_dict` form), copied into the
+body with the workload filled in: :func:`~repro.replay.replayer.relaunch`
+runs either again.
+
 A version-2 artifact written by an earlier build also carries the
 recording host's ``REPRO_*`` variables (``env``, and a digest of them);
 nothing reads either, so it replays as it did.
@@ -56,7 +62,7 @@ counts messages this rank *consumed* from ``src``.  A divergence or an
 integrity violation therefore always localizes to ``(rank, src → dst,
 seq)``.
 
-``digest`` is :func:`~repro.replay.fingerprint.payload_digest` of the
+``digest`` is :func:`~repro.vmachine.payload.payload_digest` of the
 payload — sha256 over the canonical bytes its type declares in the
 payload table (:mod:`repro.vmachine.payload`).  Version 1 hashed other
 objects through their pickle (slot layouts, memo slots and all); nothing
@@ -87,15 +93,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.replay.fingerprint import payload_digest
-from repro.vmachine.faults import (
-    CrashEvent,
-    DeliveryReceipt,
-    FaultPlan,
-    FaultRates,
-    FaultRule,
-    OK_RECEIPT,
-)
+from repro.vmachine.faults import OK_RECEIPT, DeliveryReceipt
+from repro.vmachine.payload import payload_digest
 
 __all__ = [
     "FORMAT",
@@ -106,8 +105,6 @@ __all__ = [
     "records",
     "ReplayFormatError",
     "IntegrityViolation",
-    "faultplan_to_dict",
-    "faultplan_from_dict",
     "encode_receipt",
     "decode_receipt",
     "encode_payload",
@@ -170,84 +167,6 @@ class IntegrityViolation:
                 f"{self.channel[0]} -> {self.channel[1]}, seq {self.seq}"
             )
         return f"[{self.kind}]{where}: {self.detail}"
-
-
-# -- fault-plan serialization ----------------------------------------------
-
-
-def faultplan_to_dict(plan: FaultPlan | None) -> dict | None:
-    """Serialize a :class:`FaultPlan` (its *specification*, not its RNG
-    state — per-channel streams re-derive deterministically from the
-    seed)."""
-    if plan is None:
-        return None
-    return {
-        "seed": plan.seed,
-        "enabled": plan.enabled,
-        "rules": [
-            {
-                "rates": {
-                    "drop": r.rates.drop,
-                    "dup": r.rates.dup,
-                    "reorder": r.rates.reorder,
-                    "delay": r.rates.delay,
-                    "corrupt": r.rates.corrupt,
-                    "delay_range_s": list(r.rates.delay_range_s),
-                },
-                "src": r.src,
-                "dst": r.dst,
-                "classes": list(r.classes),
-            }
-            for r in plan.rules
-        ],
-        "slowdown": {str(k): v for k, v in sorted(plan.slowdown.items())},
-        "crashes": [
-            {
-                "rank": ev.rank,
-                "after_sends": ev.after_sends,
-                "after_receives": ev.after_receives,
-                "at_time_s": ev.at_time_s,
-            }
-            for ev in plan.crashes
-        ],
-    }
-
-
-def faultplan_from_dict(d: dict | None) -> FaultPlan | None:
-    if d is None:
-        return None
-    rules = [
-        FaultRule(
-            rates=FaultRates(
-                drop=r["rates"]["drop"],
-                dup=r["rates"]["dup"],
-                reorder=r["rates"]["reorder"],
-                delay=r["rates"]["delay"],
-                corrupt=r["rates"]["corrupt"],
-                delay_range_s=tuple(r["rates"]["delay_range_s"]),
-            ),
-            src=r["src"],
-            dst=r["dst"],
-            classes=tuple(r["classes"]),
-        )
-        for r in d["rules"]
-    ]
-    crashes = [
-        CrashEvent(
-            rank=c["rank"],
-            after_sends=c["after_sends"],
-            after_receives=c["after_receives"],
-            at_time_s=c["at_time_s"],
-        )
-        for c in d["crashes"]
-    ]
-    return FaultPlan(
-        seed=d["seed"],
-        rules=rules,
-        slowdown={int(k): v for k, v in d["slowdown"].items()},
-        crashes=crashes,
-        enabled=d["enabled"],
-    )
 
 
 # -- per-record encodings ---------------------------------------------------

@@ -27,6 +27,7 @@ in the log's future.
 
 from __future__ import annotations
 
+import copy as _copy
 import threading
 import traceback as _traceback
 from typing import Any
@@ -41,7 +42,7 @@ from repro.replay.artifact import (
     save_artifact,
     seal_body,
 )
-from repro.replay.fingerprint import payload_digest
+from repro.vmachine.payload import payload_digest
 from repro.vmachine.trace import event_to_tuple, format_tag
 
 __all__ = ["Recorder", "RankRecorder"]
@@ -164,16 +165,21 @@ class Recorder:
         self,
         *,
         kind: str,
-        config: dict,
-        fault_plan_dict: dict | None,
+        handle: dict,
         clocks: list[float],
         traces: list,
         values: list,
         error: BaseException | str | None = None,
     ) -> dict:
-        """Build and seal the artifact (``clocks``, ``traces`` and ``values``
-        hold one entry per rank).  Returns the sealed envelope."""
-        config = dict(config)
+        """Build and seal the artifact of the run ``handle`` launched
+        (``clocks``, ``traces`` and ``values`` hold one entry per rank).
+        The body holds a copy of the handle's ``config`` and
+        ``fault_plan``, so changing the handle later leaves the sealed
+        artifact intact, and it holds this launch only: a recorder
+        attached to a machine launched twice seals each launch's own
+        artifact.  Returns the sealed envelope."""
+        handle = _copy.deepcopy(handle)
+        config = handle["config"]
         if self.workload is not None and config.get("workload") is None:
             config["workload"] = self.workload
         ranks = [
@@ -181,6 +187,7 @@ class Recorder:
                                            values[rank])
             for rank in range(config["nprocs"])
         ]
+        self._ranks.clear()  # a machine's next launch records afresh
         if isinstance(error, BaseException):
             error = "".join(
                 _traceback.format_exception_only(type(error), error)
@@ -191,7 +198,7 @@ class Recorder:
             "payloads": self.payloads,
             "note": self.note,
             "config": config,
-            "fault_plan": fault_plan_dict,
+            "fault_plan": handle["fault_plan"],
             "ranks": ranks,
             "error": error,
         })

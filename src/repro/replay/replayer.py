@@ -9,6 +9,12 @@ to the host environment.  The virtual machine is deterministic by
 construction, so the diff must be empty; anything else is localized to
 ``(rank, channel, seq)`` by :func:`repro.replay.divergence.diff_bodies`.
 
+Both launch through :func:`relaunch`, which runs a machine again from a
+replay handle: ``{"config", "fault_plan"}``, what every launch attaches
+to its result (``SPMDResult.replay``) or error
+(``SPMDError.replay_handle``) and an artifact's body holds.  A failure
+seen with recording off is therefore re-recorded from its handle alone.
+
 Single-rank isolation (:func:`replay_rank`) re-executes ONE rank of a
 recorded run — e.g. the one interesting rank of a P=64 chaos failure —
 with its peers *served from the log*.  It is the same launch
@@ -44,20 +50,17 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.replay.artifact import (
-    RecvRecord,
-    decode_payload,
-    faultplan_from_dict,
-    records,
-)
+from repro.replay.artifact import RecvRecord, decode_payload, records
 from repro.replay.divergence import Divergence, ReplayReport, diff_bodies
 from repro.replay.recorder import Recorder
 from repro.vmachine.cost_model import ALPHA_FARM_ATM, IBM_SP2
+from repro.vmachine.faults import faultplan_from_dict
 from repro.vmachine.machine import ProgramSpec, SPMDError, VirtualMachine
 from repro.vmachine.message import Mailbox, Message
 
 __all__ = [
     "ReplayLogExhausted",
+    "relaunch",
     "replay_full",
     "replay_rank",
 ]
@@ -85,18 +88,23 @@ def _profile(name: str):
         ) from None
 
 
-def _relaunch(body: dict, recorder: Recorder, fn, args, kwargs, specs,
-              isolate=None) -> SPMDError | None:
-    """Launch a recorded run again; returns its :class:`SPMDError`, if any.
+def relaunch(handle: dict, recorder: Recorder, fn=None,
+             args: tuple = (), kwargs: dict | None = None, specs=None,
+             isolate=None) -> SPMDError | None:
+    """Launch a run again from its replay handle, recording it into
+    ``recorder``; returns its :class:`SPMDError`, if any.
 
-    The programs to re-execute are an explicit ``fn`` (one-program run) or
-    ``specs`` (coupled run), else the artifact's self-described workload
-    rebuilt from its parameters.  This is the one place replay rebuilds
-    the machine: every setting ``VirtualMachine._config`` wrote is passed
-    explicitly to the constructor call below, so none comes from the
-    environment.
+    ``handle`` is ``{"config": ..., "fault_plan": ...}``: a result's
+    ``SPMDResult.replay``, an error's ``SPMDError.replay_handle`` or an
+    artifact's body.  The programs to re-execute are an explicit ``fn``
+    (one-program run) or ``specs`` (coupled run), else the config's
+    self-described workload rebuilt from its parameters.  This is the one
+    place replay rebuilds the machine: every setting
+    ``VirtualMachine._config`` wrote is passed explicitly to the
+    constructor call below, so none comes from the environment.
+    ``isolate`` is :func:`replay_rank`'s (see ``VirtualMachine._launch``).
     """
-    config = body["config"]
+    config = handle["config"]
     world = config["programs"] is None
     if world and fn is not None:
         specs = [ProgramSpec("world", config["nprocs"], fn, args, kwargs or {})]
@@ -104,8 +112,8 @@ def _relaunch(body: dict, recorder: Recorder, fn, args, kwargs, specs,
         wl = config.get("workload")
         if wl is None:
             raise ValueError(
-                "artifact does not name a workload; pass fn= (kind 'vm') or "
-                "specs= (kind 'programs') to re-execute it"
+                "run does not name a workload; pass fn= (one-program run) "
+                "or specs= (coupled run) to re-execute it"
             )
         from repro.replay.workloads import build_workload
 
@@ -117,7 +125,7 @@ def _relaunch(body: dict, recorder: Recorder, fn, args, kwargs, specs,
         recv_timeout_s=config["recv_timeout_s"],
         copy_on_send=config["copy_on_send"],
         observe=config["observe"],
-        faults=faultplan_from_dict(body["fault_plan"]),
+        faults=faultplan_from_dict(handle["fault_plan"]),
         recorder=recorder,
     )
     try:
@@ -145,7 +153,7 @@ def replay_full(
     """
     body = artifact["body"]
     rec = Recorder(payloads=False, note="replay of recorded run")
-    error = _relaunch(body, rec, fn, args, kwargs, specs)
+    error = relaunch(body, rec, fn, args, kwargs, specs)
     report = ReplayReport(
         mode="full", ranks_compared=body["config"]["nprocs"]
     )
@@ -274,7 +282,7 @@ def replay_rank(
     entry = body["ranks"][rank]
     log = _LogMailbox(rank, entry["recvs"], entry["probes"])
     rec = Recorder(payloads=False, note=f"isolation replay of rank {rank}")
-    error = _relaunch(
+    error = relaunch(
         body, rec, fn, args, kwargs, specs, isolate=(rank, log, _SinkBox())
     )
     report = ReplayReport(mode="isolate", ranks_compared=1)

@@ -79,6 +79,8 @@ __all__ = [
     "RankLostError",
     "PeerLostError",
     "SimulatedCrash",
+    "faultplan_to_dict",
+    "faultplan_from_dict",
     "tag_class",
 ]
 
@@ -398,6 +400,11 @@ class FaultPlan:
         rank's local work and messaging overheads take twice as long).
     crashes:
         :class:`CrashEvent` list (deterministic rank/program kills).
+
+    A plan also holds one launch's draw state (channel streams, crash
+    counters).  The machine launches on a new plan built from this one's
+    :func:`faultplan_to_dict` form, never on the caller's, so every launch
+    of the same plan draws the same faults.
     """
 
     def __init__(
@@ -440,35 +447,6 @@ class FaultPlan:
         return self.slowdown.get(rank, 1.0)
 
     # -- crash triggers ----------------------------------------------------
-
-    def resolve_program_crashes(self, blocks: dict[str, list[int]]) -> None:
-        """Expand ``rank="program:<name>"`` crash events to global ranks.
-
-        Called by the launcher
-        (:meth:`repro.vmachine.machine.VirtualMachine._launch`) once the
-        program→rank blocks are known.
-        """
-        resolved: list[CrashEvent] = []
-        for ev in self.crashes:
-            if isinstance(ev.rank, str) and ev.rank.startswith("program:"):
-                name = ev.rank.split(":", 1)[1]
-                if name not in blocks:
-                    raise ValueError(
-                        f"CrashEvent names unknown program {name!r}; "
-                        f"programs: {sorted(blocks)}"
-                    )
-                for g in blocks[name]:
-                    resolved.append(
-                        CrashEvent(
-                            rank=g,
-                            after_sends=ev.after_sends,
-                            after_receives=ev.after_receives,
-                            at_time_s=ev.at_time_s,
-                        )
-                    )
-            else:
-                resolved.append(ev)
-        self.crashes = resolved
 
     def _counts(self, rank: int) -> dict[str, int]:
         c = self._op_counts.get(rank)
@@ -643,3 +621,104 @@ class FaultPlan:
                 # Perfetto export shows *where* the fault struck
                 f"{path}/{kind}" if path else kind,
             )))
+
+
+# -- the plan as data -------------------------------------------------------
+
+
+def _crash_ranks(rank: int | str, blocks: dict[str, list[int]] | None):
+    """The global ranks a crash event's ``rank`` names: itself, or every
+    rank of the program a ``"program:<name>"`` string names in
+    ``blocks``."""
+    if blocks is None or not (
+            isinstance(rank, str) and rank.startswith("program:")):
+        return (rank,)
+    name = rank.split(":", 1)[1]
+    if name not in blocks:
+        raise ValueError(
+            f"CrashEvent names unknown program {name!r}; "
+            f"programs: {sorted(blocks)}"
+        )
+    return blocks[name]
+
+
+def faultplan_to_dict(
+    plan: FaultPlan | None, blocks: dict[str, list[int]] | None = None
+) -> dict | None:
+    """Serialize a :class:`FaultPlan` (its *specification*, not its RNG
+    state — per-channel streams re-derive deterministically from the
+    seed).  ``blocks`` (program name → global ranks, as the launcher lays
+    them out) expands each ``"program:<name>"`` crash event to one event
+    per rank of that program."""
+    if plan is None:
+        return None
+    return {
+        "seed": plan.seed,
+        "enabled": plan.enabled,
+        "rules": [
+            {
+                "rates": {
+                    "drop": r.rates.drop,
+                    "dup": r.rates.dup,
+                    "reorder": r.rates.reorder,
+                    "delay": r.rates.delay,
+                    "corrupt": r.rates.corrupt,
+                    "delay_range_s": list(r.rates.delay_range_s),
+                },
+                "src": r.src,
+                "dst": r.dst,
+                "classes": list(r.classes),
+            }
+            for r in plan.rules
+        ],
+        "slowdown": {str(k): v for k, v in sorted(plan.slowdown.items())},
+        "crashes": [
+            {
+                "rank": rank,
+                "after_sends": ev.after_sends,
+                "after_receives": ev.after_receives,
+                "at_time_s": ev.at_time_s,
+            }
+            for ev in plan.crashes
+            for rank in _crash_ranks(ev.rank, blocks)
+        ],
+    }
+
+
+def faultplan_from_dict(d: dict | None) -> FaultPlan | None:
+    """A new :class:`FaultPlan` from :func:`faultplan_to_dict`'s form,
+    drawing the faults the serialized plan draws."""
+    if d is None:
+        return None
+    rules = [
+        FaultRule(
+            rates=FaultRates(
+                drop=r["rates"]["drop"],
+                dup=r["rates"]["dup"],
+                reorder=r["rates"]["reorder"],
+                delay=r["rates"]["delay"],
+                corrupt=r["rates"]["corrupt"],
+                delay_range_s=tuple(r["rates"]["delay_range_s"]),
+            ),
+            src=r["src"],
+            dst=r["dst"],
+            classes=tuple(r["classes"]),
+        )
+        for r in d["rules"]
+    ]
+    crashes = [
+        CrashEvent(
+            rank=c["rank"],
+            after_sends=c["after_sends"],
+            after_receives=c["after_receives"],
+            at_time_s=c["at_time_s"],
+        )
+        for c in d["crashes"]
+    ]
+    return FaultPlan(
+        seed=d["seed"],
+        rules=rules,
+        slowdown={int(k): v for k, v in d["slowdown"].items()},
+        crashes=crashes,
+        enabled=d["enabled"],
+    )

@@ -30,7 +30,13 @@ from typing import Any, Callable
 
 from repro.vmachine.comm import CONTEXT_STRIDE, Communicator, InterComm
 from repro.vmachine.cost_model import CostModel, IBM_SP2, MachineProfile
-from repro.vmachine.faults import FailureDetector, FaultPlan, RankLostError
+from repro.vmachine.faults import (
+    FailureDetector,
+    FaultPlan,
+    RankLostError,
+    faultplan_from_dict,
+    faultplan_to_dict,
+)
 from repro.vmachine.process import Process
 
 __all__ = [
@@ -96,9 +102,10 @@ class SPMDResult:
     metrics: list = field(default_factory=list)
     #: per-rank closed-span logs (populated when the run observed)
     spans: list[list] = field(default_factory=list)
-    #: replay handle — nprocs/profile/fault seed/plan fingerprint —
-    #: attached to every run (recording or not), so a failure report
-    #: always names the run's provenance
+    #: replay handle — ``{"config": ..., "fault_plan": ...}``, the launch's
+    #: settings and fault plan as a recording stores them — attached to
+    #: every run (recording or not): ``repro.replay.relaunch`` re-records
+    #: the run from it
     replay: dict = field(default_factory=dict)
 
     @property
@@ -206,9 +213,11 @@ class VirtualMachine:
         Optional seeded :class:`~repro.vmachine.faults.FaultPlan`; when
         installed, message delivery runs through the fault model and rank
         slowdown/crash events apply (a crash event may name a whole
-        program, ``rank="program:<name>"``).  ``None`` (default) is the
-        perfectly reliable historical transport — logical clocks are
-        byte-identical with and without this parameter at its default.
+        program, ``rank="program:<name>"``).  Each launch runs on a new
+        copy of it, so the plan passed here is never changed.  ``None``
+        (default) is the perfectly reliable historical transport —
+        logical clocks are byte-identical with and without this parameter
+        at its default.
     observe:
         Full observability: implies ``trace=True`` and additionally logs
         phase spans and attributes every clock advance to its cost-model
@@ -263,7 +272,7 @@ class VirtualMachine:
         (``faults`` travels beside it as ``fault_plan``; ``trace`` and
         ``recorder`` are implied by replaying).  Replay rebuilds the
         machine from this dict with one constructor call
-        (``repro.replay.replayer._relaunch``), so a setting written here
+        (``repro.replay.replayer.relaunch``), so a setting written here
         is a setting replayed."""
         return {
             "nprocs": self.nprocs,
@@ -276,15 +285,16 @@ class VirtualMachine:
             "workload": None,
         }
 
-    def _process(self, rank: int) -> Process:
-        """One rank, configured from the machine's settings."""
+    def _process(self, rank: int, faults: FaultPlan | None) -> Process:
+        """One rank, configured from the machine's settings and the
+        launch's fault plan."""
         proc = Process(rank, self.nprocs, self.cost_model)
         if self.recv_timeout_s is not None:
             proc.recv_timeout_s = self.recv_timeout_s
         proc.copy_on_send = self.copy_on_send
-        if self.faults is not None:
-            proc.faults = self.faults
-            proc.slowdown = self.faults.slowdown_for(rank)
+        if faults is not None:
+            proc.faults = faults
+            proc.slowdown = faults.slowdown_for(rank)
         if self.observe:
             proc.enable_observability()
         if self.trace or self.observe or self.recorder is not None:
@@ -324,11 +334,13 @@ class VirtualMachine:
         caller is :func:`repro.replay.replayer.replay_rank`: only
         ``rank``'s thread starts, it receives from ``mailbox``, and every
         message to a peer goes to ``sink``.
-        """
-        # Function-level: repro.replay sits above the machine layer.
-        from repro.replay.artifact import faultplan_to_dict
-        from repro.replay.fingerprint import replay_handle
 
+        The launch runs on a new fault plan built from the machine's plan
+        (``"program:<name>"`` crash events expanded to ranks), so launching
+        twice draws the same faults twice.  That plan and ``_config`` are
+        the run's replay handle, attached to its results or error and
+        handed to the recorder.
+        """
         blocks: dict[str, list[int]] = {}
         base = 0
         for s in specs:
@@ -353,9 +365,11 @@ class VirtualMachine:
             s.name: self.profile.contention_factor(s.nprocs) for s in specs
         }
 
-        if self.faults is not None:
-            self.faults.resolve_program_crashes(blocks)
-        processes = [self._process(r) for r in range(self.nprocs)]
+        programs = None if world else [[s.name, s.nprocs] for s in specs]
+        plan_dict = faultplan_to_dict(self.faults, blocks)
+        handle = {"config": self._config(programs), "fault_plan": plan_dict}
+        faults = faultplan_from_dict(plan_dict)
+        processes = [self._process(r, faults) for r in range(self.nprocs)]
         router = {p.rank: p.mailbox for p in processes}
         only = None
         if isolate is not None:
@@ -436,11 +450,6 @@ class VirtualMachine:
                 for p in processes
                 if (n := p.mailbox.pending())
             ]
-        programs = None if world else [[s.name, s.nprocs] for s in specs]
-        plan_dict = faultplan_to_dict(self.faults)
-        handle = replay_handle(
-            self.nprocs, self.profile.name, plan_dict, programs=programs
-        )
         error = None
         if errors:
             error = SPMDError(errors)
@@ -449,8 +458,7 @@ class VirtualMachine:
         if self.recorder is not None:
             self.recorder.finalize(
                 kind="vm" if world else "programs",
-                config=self._config(programs),
-                fault_plan_dict=plan_dict,
+                handle=handle,
                 clocks=[p.clock for p in processes],
                 traces=traces,
                 values=values,

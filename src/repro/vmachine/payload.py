@@ -219,8 +219,8 @@ DIGEST_LEN = 16
 def payload_digest(payload: Any) -> str:
     """Canonical content digest (hex string) of one message payload — or
     of a rank's return value: sha256 over :func:`canonical_feed`, through
-    one table dispatch (replay's digest; :mod:`repro.replay.fingerprint`
-    re-exports it)."""
+    one table dispatch (replay's digest; :mod:`repro.replay` re-exports
+    it)."""
     h = hashlib.sha256()
     _TABLE[type(payload)][1](payload, h.update)
     return h.hexdigest()[:DIGEST_LEN]

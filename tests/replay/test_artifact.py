@@ -26,15 +26,12 @@ from repro.replay.artifact import (
     decode_receipt,
     encode_payload,
     encode_receipt,
-    faultplan_from_dict,
-    faultplan_to_dict,
     load_artifact,
     new_stream,
     save_artifact,
     seal_body,
     verify_artifact,
 )
-from repro.replay.fingerprint import DIGEST_LEN, payload_digest
 from repro.replay.recorder import Recorder
 from repro.vmachine import SPMDError, VirtualMachine
 from repro.vmachine.faults import (
@@ -44,8 +41,10 @@ from repro.vmachine.faults import (
     FaultRates,
     FaultRule,
     OK_RECEIPT,
+    faultplan_from_dict,
+    faultplan_to_dict,
 )
-from repro.vmachine.payload import canonical_feed
+from repro.vmachine.payload import DIGEST_LEN, canonical_feed, payload_digest
 from repro.vmachine.trace import TraceEvent, event_from_tuple, event_to_tuple
 
 #: every event kind the runtime emits (messages, fault annotations from

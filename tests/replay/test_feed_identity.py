@@ -20,9 +20,9 @@ from repro.replay import Recorder
 from repro.replay.artifact import (
     RecvRecord, SendRecord, decode_payload, encode_payload, records,
 )
-from repro.replay.fingerprint import DIGEST_LEN, payload_digest
 from repro.vmachine import VirtualMachine
 from repro.vmachine.message import Message
+from repro.vmachine.payload import DIGEST_LEN, payload_digest
 
 from helpers import python_calls
 
@@ -204,9 +204,9 @@ def test_both_ends_hash_what_they_hold(clean_repro_env):
 
 def test_recorded_fused_message_stays_within_its_call_budget(clean_repro_env):
     """A recorded, otherwise all-off, self-addressed send+recv of
-    ``(7, FusedBuffer)`` with 8 segments: 90 Python-level calls under
-    ``repro/`` before the feed was compiled per layout, 51 in the prototype;
-    the budget leaves room for a few calls, not for a per-segment
+    ``(7, FusedBuffer)`` with 8 segments: 31 Python-level calls under
+    ``repro/``, each digest one table dispatch into the layout's compiled
+    feed; the budget leaves room for a few calls, not for a per-segment
     ``_feed_ndarray`` / ``segments()`` / record tuple coming back."""
     layout = WireLayout(SegmentHeader(i, "<f8", 16) for i in range(8))
 
@@ -226,7 +226,7 @@ def test_recorded_fused_message_stays_within_its_call_budget(clean_repro_env):
     calls = VirtualMachine(
         1, recorder=Recorder(), observe=False, copy_on_send=False,
     ).run(program).values[0]
-    assert len(calls) <= 56, calls
+    assert len(calls) <= 34, calls
     names = [name for _, name in calls]
     assert "_feed_ndarray" not in names and "segments" not in names
     # both ends hash: one digest in pre_send, one in on_recv

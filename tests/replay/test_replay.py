@@ -10,11 +10,15 @@ from repro.replay import (
     Recorder,
     ReplayLogExhausted,
     diff_bodies,
+    faultplan_to_dict,
+    relaunch,
     replay_full,
     replay_rank,
+    verify_artifact,
 )
 from repro.replay.workloads import build_workload, run_workload
-from repro.vmachine import ProgramSpec, VirtualMachine, run_programs
+from repro.vmachine import (CrashEvent, FaultPlan, FaultRates, ProgramSpec,
+                            VirtualMachine, run_programs)
 from repro.vmachine.machine import SPMDError
 
 
@@ -184,15 +188,14 @@ class TestReplayHandle:
             3, faults=plan["fault_plan"], **plan["vm_kwargs"]
         ).run(plan["fn"])
         h = res.replay
-        assert h["nprocs"] == 3
-        assert h["profile"] == "IBM-SP2/MPL"
-        assert h["seed"] == 9
-        assert h["fault_plan"]  # plan fingerprint, not None
-        assert set(h) == {"nprocs", "profile", "seed", "fault_plan"}
+        assert set(h) == {"config", "fault_plan"}
+        assert h["config"]["nprocs"] == 3
+        assert h["config"]["profile"] == "IBM-SP2/MPL"
+        assert h["fault_plan"]["seed"] == 9
+        assert h["fault_plan"] == faultplan_to_dict(plan["fault_plan"])
 
     def test_fault_free_run_has_null_seed(self):
         res = VirtualMachine(2).run(lambda comm: comm.rank)
-        assert res.replay["seed"] is None
         assert res.replay["fault_plan"] is None
 
     def test_spmderror_carries_handle(self):
@@ -203,7 +206,7 @@ class TestReplayHandle:
 
         with pytest.raises(SPMDError) as ei:
             VirtualMachine(3, recv_timeout_s=10.0).run(boom)
-        h = ei.value.replay_handle
+        h = ei.value.replay_handle["config"]
         assert h["nprocs"] == 3 and h["profile"] == "IBM-SP2/MPL"
 
     def test_leak_error_carries_handle(self):
@@ -214,17 +217,52 @@ class TestReplayHandle:
 
         with pytest.raises(SPMDError) as ei:
             VirtualMachine(2).run(leaky)
-        assert ei.value.replay_handle["nprocs"] == 2
+        assert ei.value.replay_handle["config"]["nprocs"] == 2
 
     def test_coupled_results_carry_handle_with_programs(self):
         art_rec = Recorder(payloads=False)
         res = run_workload("coupled", {"psrc": 2, "pdst": 2, "seed": 3},
                            art_rec)
         h = res["srcp"].replay
-        assert set(h) == {"nprocs", "profile", "seed", "fault_plan",
-                          "programs"}
-        assert h["programs"] == [["srcp", 2], ["dstp", 2]]
-        assert h["nprocs"] == 4
+        assert set(h) == {"config", "fault_plan"}
+        assert h["config"]["programs"] == [["srcp", 2], ["dstp", 2]]
+        assert h["config"]["nprocs"] == 4
+        assert h["fault_plan"]["seed"] == 3
+
+    def test_a_failure_is_re_recorded_from_its_handle(self):
+        """The handle of a run that failed with recording off is enough to
+        record it: the re-recording is of the run the handle names, and it
+        replays identically in full and rank by rank."""
+        plan = FaultPlan(seed=4, rates=FaultRates(delay=0.5),
+                         classes=("user", "collective"),
+                         crashes=[CrashEvent(rank=1, after_sends=3)])
+        with pytest.raises(SPMDError) as ei:
+            VirtualMachine(3, faults=plan, recv_timeout_s=60.0).run(
+                _collective_workload)
+        handle = ei.value.replay_handle
+        rec = Recorder(payloads=True)
+        error = relaunch(handle, rec, fn=_collective_workload)
+        assert error is not None and "SimulatedCrash" in str(error)
+        art = rec.artifact
+        assert art["body"]["config"] == handle["config"]
+        assert art["body"]["fault_plan"] == handle["fault_plan"]
+        assert art["body"]["error"] is not None
+        assert verify_artifact(art) == []
+        full = replay_full(art, fn=_collective_workload)
+        assert full.identical, full.summary()
+        for rank in range(3):
+            report = replay_rank(art, rank, fn=_collective_workload)
+            assert report.identical, f"rank {rank}: {report.summary()}"
+
+    def test_changing_the_handle_leaves_the_artifact_sealed(self):
+        rec = Recorder(payloads=False)
+        res = run_workload("coupled", {"psrc": 2, "pdst": 2, "seed": 3}, rec)
+        h = res["srcp"].replay
+        h["config"]["nprocs"] = 99
+        h["config"]["programs"][0][1] = 3
+        h["fault_plan"]["seed"] += 1
+        h["fault_plan"]["rules"][0]["classes"].append("user")
+        assert verify_artifact(rec.artifact) == []
 
 
 # ---------------------------------------------------------------------------

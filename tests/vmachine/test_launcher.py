@@ -23,6 +23,7 @@ from repro.vmachine import (ALPHA_FARM_ATM, CrashEvent, FaultPlan, FaultRates,
                             ProgramSpec, RankLostError, VirtualMachine,
                             run_programs)
 from repro.vmachine.comm import _SPLIT_BLOCK_BASE, CONTEXT_STRIDE
+from repro.vmachine.faults import SimulatedCrash, faultplan_to_dict
 from repro.vmachine.machine import SPMDError
 
 from tests.vmachine.test_transport_identity import exercise, norm
@@ -127,8 +128,10 @@ SETTINGS = {
     "check_leaks": (False, lambda proc: True),
     "recv_timeout_s": (7.5, lambda proc: proc.recv_timeout_s == 7.5),
     "copy_on_send": (True, lambda proc: proc.copy_on_send is True),
-    "faults": (_PLAN,
-               lambda proc: proc.faults is _PLAN and proc.slowdown == 2.0),
+    # each launch runs on a new copy of the plan (see (f))
+    "faults": (_PLAN, lambda proc: proc.faults is not _PLAN
+               and faultplan_to_dict(proc.faults) == faultplan_to_dict(_PLAN)
+               and proc.slowdown == 2.0),
     "observe": (True, lambda proc: proc.spans is not None
                 and proc.metrics.attributing),
     "recorder": (Recorder(), lambda proc: proc.recorder is not None),
@@ -219,8 +222,9 @@ def test_a_rank_failure_is_handled_the_same_in_every_launch(how):
             assert isinstance(e.exception, RankLostError)
             assert e.exception.lost_rank == 1
     assert set(threading.enumerate()) <= before, "a rank thread is still alive"
-    assert err.replay_handle["nprocs"] == 3
-    assert ("programs" in err.replay_handle) == (how == "run_programs")
+    assert err.replay_handle["config"]["nprocs"] == 3
+    assert (err.replay_handle["config"]["programs"] is not None) == \
+        (how == "run_programs")
 
 
 # -- (d) the unconsumed-message check covers coupled runs ---------------------
@@ -237,7 +241,7 @@ def test_a_coupled_leak_names_rank_and_count():
     err = raised.value
     assert [e.rank for e in err.errors] == [3]  # b's local rank 1, globally
     assert "rank 3: 4 message(s) were delivered but never received" in str(err)
-    assert err.replay_handle["programs"] == [["a", 2], ["b", 2]]
+    assert err.replay_handle["config"]["programs"] == [["a", 2], ["b", 2]]
 
 
 # -- (e) isolation replay: the same launch with one rank started -------------
@@ -310,3 +314,88 @@ def test_isolation_replay_ignores_the_host_environment(monkeypatch):
     assert replay_rank(rec.artifact, 1, fn=program).identical
     assert replay_full(rec.artifact, fn=program).identical
     assert set(seen) == {(True, "1")}
+
+
+# -- (f) a fault plan is a specification: every launch draws it afresh --------
+
+
+def _ring(comm):
+    """A few rounds of user-class point-to-point traffic around a ring."""
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    for step in range(4):
+        comm.send(right, np.full(8, step * comm.rank, np.float64), tag=step)
+        comm.recv(left, tag=step)
+    return comm.process.stats.get("faults_delay", 0)
+
+
+def _delay_plan():
+    return FaultPlan(seed=5, rates=FaultRates(delay=0.5), classes=("user",))
+
+
+def test_a_machine_launched_twice_draws_the_same_faults_twice():
+    vm = VirtualMachine(3, faults=_delay_plan())
+    first, second = vm.run(_ring), vm.run(_ring)
+    fresh = VirtualMachine(3, faults=_delay_plan()).run(_ring)
+    assert sum(first.values) > 0, "the plan must delay some messages"
+    assert first.clocks == second.clocks == fresh.clocks
+    assert first.values == second.values == fresh.values
+
+
+def _crash_plan():
+    return FaultPlan(seed=5, crashes=[CrashEvent(rank=1, after_sends=2)])
+
+
+def _crashed(launch):
+    """(root causes, lost ranks) of a launch that must fail."""
+    with pytest.raises(SPMDError) as raised:
+        launch()
+    err = raised.value
+    return [(e.rank, str(e.exception)) for e in err.root_causes], err.lost_ranks
+
+
+def test_a_crash_event_fires_in_every_launch():
+    vm = VirtualMachine(3, faults=_crash_plan(), recv_timeout_s=60.0)
+    first = _crashed(lambda: vm.run(_ring))
+    assert first == _crashed(lambda: vm.run(_ring))
+    assert first == _crashed(lambda: VirtualMachine(
+        3, faults=_crash_plan(), recv_timeout_s=60.0).run(_ring))
+    assert first == ([(1, str(SimulatedCrash(1, "after_sends=2")))], [0, 2])
+
+
+def test_a_second_recorded_launch_replays_identically():
+    rec = Recorder(payloads=True)
+    vm = VirtualMachine(3, faults=_delay_plan(), recorder=rec)
+    vm.run(_ring)
+    first = rec.artifact
+    vm.run(_ring)
+    assert rec.artifact == first
+    for report in [replay_full(rec.artifact, fn=_ring)] + [
+            replay_rank(rec.artifact, rank, fn=_ring) for rank in range(3)]:
+        assert report.identical, report.summary()
+
+
+def test_a_program_crash_is_expanded_on_the_launch_copy_only():
+    crash = CrashEvent("program:b", after_sends=1)
+    plan = FaultPlan(seed=2, crashes=[crash])
+
+    def chatter(ctx):
+        peer = ctx.peer("b" if ctx.program == "a" else "a")
+        for step in range(3):
+            peer.send(ctx.comm.rank, step, tag=step)
+            peer.recv(ctx.comm.rank, tag=step)
+
+    specs = [ProgramSpec("a", 2, chatter), ProgramSpec("b", 2, chatter)]
+    launches = []
+    for _ in range(2):
+        with pytest.raises(SPMDError) as raised:
+            run_programs(specs, faults=plan, recv_timeout_s=60.0)
+        launches.append(raised.value)
+    assert plan.crashes == [crash], "the caller's plan must not change"
+    for err in launches:
+        assert [c["rank"] for c in err.replay_handle["fault_plan"]["crashes"]] \
+            == [2, 3]
+        assert sorted(e.rank for e in err.errors
+                      if isinstance(e.exception, SimulatedCrash)) == [2, 3]
+    with pytest.raises(ValueError, match="unknown program 'c'"):
+        run_programs(specs, faults=FaultPlan(
+            crashes=[CrashEvent("program:c", after_sends=1)]))

@@ -1,11 +1,11 @@
 """Benchmark: sparse CP-ALS, hash-map assembly then a scheduled sweep.
 
 Data-dependent assembly (duplicate COO entries summed into a
-:class:`~repro.containers.DistHashMap` over one-sided windows) followed
+:class:`~repro.containers.DistHashMap` in one buffered window epoch) followed
 by an iterative solve whose access pattern is fixed: an inspector run
 once per solve tells each owner which of its factor rows each reader
 reads, and every fetch and scatter is then one message per communicating
-(owner, reader) pair.  The only fences left are the assembly's.  Every
+(owner, reader) pair.  The only fence is the assembly's write.  Every
 message is charged on the logical clock, so the numbers below are
 deterministic trajectories.
 
@@ -37,7 +37,7 @@ PROC_COUNTS = (4, 8, 16)
 RMA_COUNTERS = (
     "rma_puts", "rma_gets", "rma_accs", "rma_fetch_ops",
     "rma_bytes_put", "rma_bytes_got", "rma_fences",
-    "hashmap_writes", "hashmap_write_rounds",
+    "hashmap_writes",
 )
 
 
@@ -97,7 +97,6 @@ def run_bench():
             "messages_sent": messages_sent,
             "one_sided_bytes": one_sided_bytes,
             "fences": int(counters["rma_fences"]),
-            "hashmap_write_rounds": int(counters["hashmap_write_rounds"]),
             "dedup_nnz": int(sum(o.local_nnz for o in outs)),
             "oracle_match": bool(match),
             "factors_sha256": min(digests),
@@ -112,11 +111,10 @@ def run_bench():
                            f"(rtol 1e-10)")
         check_shape(len(digests) == 1,
                     f"{key}: every rank gathers the same factor bytes")
-        fences = results[key]["fences"]
-        rounds = results[key]["hashmap_write_rounds"]
-        check_shape(fences == rounds + nprocs,
-                    f"{key}: the only fences are the assembly's "
-                    f"({fences} == {rounds} write rounds + {nprocs})")
+        per_rank = [int(o.stats.get("rma_fences", 0)) for o in outs]
+        check_shape(per_rank == [1] * nprocs,
+                    f"{key}: every rank fences exactly once per solve, "
+                    f"the assembly's write ({per_rank})")
 
     write_trajectory(
         "rma",

@@ -4,10 +4,10 @@ A 3-way sparse tensor is CP-decomposed (canonical polyadic, alternating
 least squares) with the two distribution styles the paper couples —
 
 - the **nonzeros** live in a Chaos-style *irregular* partition: raw
-  coordinate/value entries (with duplicates) are assembled into a
-  :class:`~repro.containers.DistHashMap` over one-sided windows, whose
-  hash distribution *is* the data-dependent ownership map: each rank
-  solves with the entries its slots hold;
+  entries (with duplicates) are summed into a ``DistHashMap`` in one
+  buffered window epoch (a run per home rank's inbox, inserted there in
+  origin order); a key's hashed home rank, per-rank capacity
+  ``~2 nnz / P``, is the ownership map a rank solves with;
 - the **factor matrices** are HPF ``(BLOCK, *)`` row distributions
   (:class:`~repro.hpf.array.HPFArray`).
 

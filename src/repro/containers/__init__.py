@@ -1,16 +1,15 @@
 """Distributed data structures over one-sided windows (BCL-style).
 
-The paper's interoperability story stops at *array* coupling: schedules
-move regions of HPF/Chaos/pC++ arrays between libraries.  Many coupled
-codes, though, exchange data through *irregular shared structures* — a
-particle code publishing into a hash map the solver reads, a work queue
-feeding a load balancer.  This subpackage builds those two structures on
-top of :class:`repro.vmachine.window.Window`, the same way BCL builds
-containers on one-sided communication: every operation decomposes into
-``put``/``get``/``accumulate``/atomics on registered windows, so the
-containers inherit the cost model, fault injection, reliability,
-observability and record/replay of the window layer for free — and can
-couple a Chaos-style irregular partition to an HPF BLOCK partition
+The paper's interoperability story stops at *array* coupling.  Many
+coupled codes also exchange data through *irregular shared structures*
+— a particle code publishing into a hash map the solver reads, a work
+queue feeding a load balancer.  This subpackage builds both on
+:class:`repro.vmachine.window.Window`, as BCL builds containers on
+one-sided communication: all their traffic is window operations (a
+hash-map write is BCL's buffered insert, one ``put`` epoch the owners
+then insert locally), so the containers inherit the cost model, fault
+injection, reliability, observability and record/replay of the window
+layer, and couple a Chaos-style irregular partition to an HPF BLOCK one
 without either side posting matching receives.
 
 Both containers follow the window layer's SPMD discipline: mutating

@@ -1,34 +1,26 @@
 """Distributed open-addressing hash map over one-sided windows.
 
-Layout: a global table of ``capacity`` slots is block-partitioned across
-the ranks — slot ``s`` lives on rank ``s // cap_local`` at local offset
-``s % cap_local``.  Each rank registers two windows (together): an
-``int64`` *keys* window (``EMPTY`` = -1) and a flat ``float64`` *values*
-window holding a fixed-width vector per slot.  No owner-side code runs
-on behalf of a remote operation: claiming a slot is a one-sided
-``compare_and_swap`` on the keys window, writing a value is a
-``put``/``accumulate`` on the values window.
+Each rank owns a block of ``capacity_per_rank`` slots: an ``int64``
+*keys* window (``EMPTY`` = -1) and a flat ``float64`` *values* window,
+a fixed-width vector per slot.  A key's *home* is global slot
+``_slot_hash(key) % capacity`` on its *home rank*; probing wraps inside
+that rank's block, so a key lives on its home rank and capacity is per
+rank.  An *inbox* of ``P × capacity_per_rank`` key and value slots, one
+block per origin, registers with the table in one collective.
 
-Insertion runs in collective *rounds* (the BCL idiom adapted to fence
-epochs).  The two windows always fence as one group, so a round is one
-epoch.  In each round every rank CASes its pending keys into their
-current probe slots and fences; the resolved old values tell it whether
-it claimed the slot, found the key already present, or collided with a
-different key and must probe on.  Value writes happen in a second
-epoch: they ride the next round's CAS epoch.  The loop ends at the
-first fence whose issue mask says nobody CASed — the one carrying the
-last round's writes — so a write costs ``rounds + 1`` fences and no
-collective; lookups end at a fence nobody looked in.  Two origins
-inserting the *same* key in the same round resolve deterministically:
-the window's ``(origin, issue order)`` total order picks one CAS winner;
-the loser's old value equals its own key, which is indistinguishable
-from "already present" — exactly the semantics wanted.
-A slot's value writes all land in the epoch after its claim, in origin
-order, so the pipelining changes no sum.
-
-Duplicate keys with ``accumulate_all`` combine by vector sum (duplicates
-within one batch are pre-combined locally, so one accumulate per key per
-epoch reaches the wire).
+A write is one fence epoch, BCL's buffered insert — no compare-and-swap,
+no probe rounds.  Each origin pre-combines its batch's duplicate keys
+and puts one sorted run of keys and one of vectors into its block of
+each home rank's inbox: one message per pair, the paper's
+aggregation rule.  After the fence each owner inserts its inbox
+locally, origins in rank order, runs in key order, a present key summed
+(``accumulate_all``) or overwritten (``insert_all``), so duplicates
+combine deterministically.  The owner is charged, on the
+``per_element`` term, an applied ``compare_and_swap`` per slot probed
+and an applied ``accumulate`` per key.  A home rank sent more keys than
+its block holds raises ``DistHashMap is full`` after the fence, so no
+rank waits at one.  ``find_all`` is ``get`` rounds that end at the
+first fence nobody looked up in, probing at most a block.
 """
 
 from __future__ import annotations
@@ -44,9 +36,12 @@ __all__ = ["DistHashMap", "EMPTY_KEY"]
 #: sentinel stored in the keys window for a free slot (keys must be >= 0)
 EMPTY_KEY = -1
 
+#: the run an origin sends a home whose block cannot hold its keys
+_OVERFULL = -2
+
 #: 64-bit multiplicative mixer (splitmix64's constant) — Python's own
 #: ``hash`` of small ints is the identity, which clusters catastrophically
-#: under linear probing on a block-partitioned table.
+#: under linear probing.
 _MIX = 0x9E3779B97F4A7C15
 
 
@@ -63,7 +58,7 @@ class DistHashMap:
     comm:
         Communicator spanning the owning group (construction collective).
     capacity_per_rank:
-        Local slots per rank; global capacity is ``P * capacity_per_rank``.
+        Slots per rank: the most keys one home rank holds.
     value_width:
         Fixed length of every value vector.
     reliable:
@@ -83,20 +78,21 @@ class DistHashMap:
         if value_width <= 0:
             raise ValueError("value_width must be positive")
         self.comm = comm
-        self.cap_local = int(capacity_per_rank)
-        self.capacity = self.cap_local * comm.size
-        self.value_width = int(value_width)
-        self._keys, self._values = Window.group(
-            comm, np.full(self.cap_local, EMPTY_KEY, dtype=np.int64),
-            np.zeros(self.cap_local * value_width),
-            reliability=Reliability() if reliable else None)
+        self.cap_local = cap = int(capacity_per_rank)
+        self.capacity = cap * comm.size
+        self.value_width = w = int(value_width)
+        # my table block, then my inbox: a block per origin
+        self._keys, self._values, self._inbox_keys, self._inbox_values = (
+            Window.group(comm, *[a for n in (cap, self.capacity) for a in (
+                np.full(n, EMPTY_KEY, dtype=np.int64), np.zeros(n * w))],
+                reliability=Reliability() if reliable else None))
 
     # -- slot arithmetic ---------------------------------------------------
 
     def _slot(self, key: int, probe: int) -> tuple[int, int]:
-        """(owner rank, local slot index) of ``key`` at probe distance."""
-        s = (_slot_hash(key) + probe) % self.capacity
-        return s // self.cap_local, s % self.cap_local
+        """(home rank, local slot index) of ``key`` at probe distance."""
+        s = _slot_hash(key) % self.capacity
+        return s // self.cap_local, (s + probe) % self.cap_local
 
     # -- collective batch operations ---------------------------------------
 
@@ -117,50 +113,57 @@ class DistHashMap:
 
     def _write_all(self, items, op: str) -> None:
         proc = self.comm.process
+        cap, w = self.cap_local, self.value_width
         with proc.span("container:hashmap_write"):
             # Pre-combine duplicate keys in this batch: one wire op per key.
             batch: dict[int, np.ndarray] = {}
             for key, vec in items:
                 key = int(key)
                 if not 0 <= key < 2**63:  # what the int64 keys window holds
-                    raise ValueError(
-                        f"keys must be in [0, 2**63) (got {key})")
-                vec = np.asarray(vec, dtype=np.float64).reshape(
-                    self.value_width)
+                    raise ValueError(f"keys must be in [0, 2**63) (got {key})")
+                vec = np.asarray(vec, dtype=np.float64).reshape(w)
                 if op == "sum" and key in batch:
                     vec = batch[key] + vec
                 batch[key] = vec
             proc.metrics.incr("hashmap_writes", len(batch))
-            # pending: key -> (vector, probe distance); iterate rounds in
-            # sorted-key order so issue order (hence the total order the
-            # fence applies) is deterministic.
-            pending = {k: (v, 0) for k, v in batch.items()}
-            rounds = 0
-            while True:
-                handles = []
-                for key in sorted(pending):
-                    vec, probe = pending[key]
-                    owner, idx = self._slot(key, probe)
-                    h = self._keys.compare_and_swap(owner, idx,
-                                                    EMPTY_KEY, key)
-                    handles.append((key, owner, idx, h))
-                # this round's claims + the previous round's value writes;
-                # the first epoch in which nobody claims carries the last
-                if not fence(self._keys, self._values) & 1:
-                    break
-                rounds += 1
-                for key, owner, idx, h in handles:
-                    old = int(h.value)
-                    if old == EMPTY_KEY or old == key:
-                        vec, _ = pending.pop(key)
-                        self._values.accumulate(
-                            owner, vec, start=idx * self.value_width, op=op)
-                    else:  # genuine collision with a different key
-                        vec, probe = pending[key]
-                        if probe + 1 >= self.capacity:
-                            raise RuntimeError("DistHashMap is full")
-                        pending[key] = (vec, probe + 1)
-            proc.metrics.incr("hashmap_write_rounds", rounds)
+            # One sorted run per home rank, into my block of its inbox.
+            runs: dict[int, list[int]] = {}
+            for key in sorted(batch):
+                runs.setdefault(self._slot(key, 0)[0], []).append(key)
+            start = self.comm.rank * cap
+            for home, run in runs.items():
+                if len(run) > cap:  # the home raises on reading this
+                    self._inbox_keys.put(home, _OVERFULL, start)
+                    continue
+                self._inbox_keys.put(home, run, start)
+                self._inbox_values.put(
+                    home, np.concatenate([batch[k] for k in run]), start * w)
+            fence(self._inbox_keys, self._inbox_values)
+            # Insert my inbox into my block, origins in rank order and
+            # each run in key order, and empty it.
+            inbox, slots = self._inbox_keys.local, self._keys.local
+            arrived = np.flatnonzero(inbox != EMPTY_KEY)
+            values = self._values.local.reshape(cap, w)
+            sent = self._inbox_values.local.reshape(self.capacity, w)
+            probes = 0
+            for j, key in zip(arrived.tolist(), inbox[arrived].tolist()):
+                probe = 0 if key != _OVERFULL else cap
+                while probe < cap:
+                    idx = self._slot(key, probe)[1]
+                    probe += 1
+                    if slots[idx] in (EMPTY_KEY, key):
+                        break
+                else:  # no slot left in my block, or a run too long for it
+                    raise RuntimeError(
+                        f"DistHashMap is full: rank {self.comm.rank} is "
+                        f"home to more than {cap} keys")
+                probes += probe
+                slots[idx] = key
+                values[idx] = values[idx] + sent[j] if op == "sum" else sent[j]
+            inbox[arrived] = EMPTY_KEY
+            # as the window charges an applied cas per probe, acc per key
+            proc.charge_flops(probes + arrived.size * w)
+            proc.charge_mem(8 * arrived.size * w)
 
     def find_all(self, keys) -> dict[int, np.ndarray | None]:
         """Look up many keys; collective.  Missing keys map to ``None``."""
@@ -182,7 +185,7 @@ class DistHashMap:
                 for key, kh, vh in khandles:
                     stored = int(kh.value[0])
                     probe = pending[key] + 1
-                    if stored in (key, EMPTY_KEY) or probe >= self.capacity:
+                    if stored in (key, EMPTY_KEY) or probe >= self.cap_local:
                         out[key] = vh.value if stored == key else None
                         del pending[key]
                     else:  # a different key: probe on
@@ -198,14 +201,10 @@ class DistHashMap:
         the slot owns the entry, which is how a Chaos-style consumer gets
         its data-dependent ownership map.
         """
-        out = []
-        keys = self._keys.local
-        vals = self._values.local
-        w = self.value_width
-        for idx in np.nonzero(keys != EMPTY_KEY)[0]:
-            out.append((int(keys[idx]),
-                        vals[idx * w:(idx + 1) * w].copy()))
-        return out
+        keys, vals = self._keys.local, self._values.local.reshape(
+            self.cap_local, -1)
+        return [(int(keys[idx]), vals[idx].copy())
+                for idx in np.flatnonzero(keys != EMPTY_KEY)]
 
     def local_size(self) -> int:
         """Number of entries resident on this rank (no communication)."""

@@ -167,11 +167,8 @@ class FaultRule:
     classes: tuple[str, ...] = ("data",)
 
     def matches(self, src: int, dst: int, klass: str) -> bool:
-        if self.src is not None and self.src != src:
-            return False
-        if self.dst is not None and self.dst != dst:
-            return False
-        return klass in self.classes
+        return (self.src in (None, src) and self.dst in (None, dst)
+                and klass in self.classes)
 
 
 @dataclass(frozen=True)
@@ -430,18 +427,23 @@ class FaultPlan:
         self._op_counts: dict[int, dict[str, int]] = {}
         #: ranks whose CrashEvent already fired (never fire twice)
         self._crashed: set[int] = set()
+        self._rates: dict[tuple[int, int, str], FaultRates | None] = {}
 
     # -- targeting ---------------------------------------------------------
 
     def rates_for(self, src: int, dst: int, wire_tag: int) -> FaultRates | None:
-        """The first matching rule's rates, or None when unfaulted."""
-        if not self.enabled:
-            return None
-        klass = tag_class(wire_tag)
-        for rule in self.rules:
-            if rule.matches(src, dst, klass):
-                return rule.rates if rule.rates.any_active else None
-        return None
+        """The first matching rule's rates, or None when unfaulted.  Fixed
+        for the plan's life, so memoised per (src, dst, tag class) — not
+        per wire tag, which collectives draw anew; racing misses agree."""
+        key = (src, dst, tag_class(wire_tag))
+        try:
+            return self._rates[key]
+        except KeyError:
+            rule = next((r for r in self.rules if r.matches(*key)), None)
+            rates = self._rates[key] = (
+                rule.rates if self.enabled and rule and rule.rates.any_active
+                else None)
+            return rates
 
     def slowdown_for(self, rank: int) -> float:
         return self.slowdown.get(rank, 1.0)

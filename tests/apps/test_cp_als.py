@@ -8,6 +8,7 @@ import pytest
 from repro.apps import cp_als
 from repro.apps.cp_als import cp_als_serial, cp_als_spmd, sparse_entries
 from repro.chaos.array import ChaosArray
+from repro.containers import DistHashMap
 from repro.hpf.array import HPFArray
 from repro.vmachine import VirtualMachine
 from repro.vmachine.comm import Communicator
@@ -35,21 +36,21 @@ def oracle():
 
 
 #: sha256 of the gathered factors' bytes (factor 0, 1, 2 concatenated) for
-#: SHAPE, R, NNZ and ITERS, as the one-sided (window get/accumulate) sweep
-#: computed them: a change of summation order moves these
+#: SHAPE, R, NNZ and ITERS: a change of summation order moves these, and
+#: so does a change of which rank holds a nonzero (its home rank)
 DIGESTS = {
     (3, 7): "0f2c02d751193d8be0faca339db234c5bb3ea65a7b46b87bd4732937e31d055a",
     (3, 12): "46a48569f6147c0d6f5d612bf93a7a7104b62073722ce6082c5bf47cc970888d",
     (3, 1009): "d8062aad218b51cb4bb7b19dab9bd332e1dee954f89b53beb51ddb2de2e10ea8",
     (4, 7): "e17a7e7d0b05a44bd073409d4c43eb83fedcba42fb2e0e6b518ced5fb9080ced",
-    (4, 12): "aea1062ab6f7740ad36f95de306491e3ba7b594d5c69743159a9ba982f3941b0",
+    (4, 12): "3374f57555bf727b8691bb08b1cc0726ad75e4e145bcb1ec81748e1ecaf704dc",
     (4, 1009): "81535a90369660d67b3ef89795b06802bebba2f3895a5e6e0c5967e78cfd57c5",
     (8, 7): "cb4a60eb80f64d429b343d2d9af7016fec2f1e2b6cc9a046af808d12bc62123a",
-    (8, 12): "d5ce84a11f7f05cbf3438e196da539af2b4e8fd5512bdac7f5d004462a739d60",
+    (8, 12): "b74531a1c31d3c3415ecdab9ec91cdb625c1a76748a01c4809cc3c86c11df78e",
     (8, 1009): "90b93254f70f7cbab6ac21f5a8c37c38c20246dbc238ad9356b281bea4cdfa04",
     (16, 7): "d077f9a4b2faa6fffb9f68e8d3e2daffd4f2c007d3fabbeed92882cfac5e9020",
-    (16, 12): "d56b7ae3ce766e632189fb70e4e73f4897ea70d948f604cee66faaebc726ebbd",
-    (16, 1009): "1efedb16fac85a812872e7b0db04f6cc110081fb2cb00074f4e812ea1e92279f",
+    (16, 12): "7537d97b7342b6c6eddc4586c68640f2d0163e71c27b0b79ff41b130c19096fb",
+    (16, 1009): "3a71c325f0a430bc5c1a195cd552491a3eb1acd1afb9c17f65813ac5d9e87938",
 }
 
 
@@ -78,8 +79,8 @@ class TestOracleMatch:
 
     def test_one_sided_traffic_is_accounted(self):
         """Only the assembly is one-sided: the sweep issues no window op,
-        and each rank's fences are its hash map's write rounds plus the
-        epoch that ends the find loop."""
+        and each rank fences exactly once per solve — the hash map's
+        write."""
         res = run(4)
         setup = run(4, iters=0)
         rma = ("rma_puts", "rma_gets", "rma_accs", "rma_fetch_ops",
@@ -89,9 +90,30 @@ class TestOracleMatch:
                 k: bare.stats.get(k, 0) for k in rma}
         assert sum(v.stats.get("hashmap_writes", 0) for v in res.values) > 0
         for out in res.values:
-            stats = out.stats
-            assert stats["hashmap_write_rounds"] > 0
-            assert stats["rma_fences"] == stats["hashmap_write_rounds"] + 1
+            assert out.stats["rma_fences"] == 1
+
+    @pytest.mark.parametrize("nprocs", [3, 4, 8, 16])
+    def test_every_key_sits_on_its_home_rank(self, monkeypatch, nprocs):
+        """After a solve the deduplicated keys partition exactly, each on
+        the rank ``DistHashMap._slot(key, 0)`` names."""
+        held = {}
+        original = DistHashMap.local_items
+
+        def spy(self):
+            items = original(self)
+            held[self.comm.rank] = (self, [k for k, _ in items])
+            return items
+
+        monkeypatch.setattr(DistHashMap, "local_items", spy)
+        run(nprocs)
+        coords, _ = sparse_entries(SHAPE, NNZ, SEED)
+        keys = {(int(c[0]) * SHAPE[1] + int(c[1])) * SHAPE[2] + int(c[2])
+                for c in coords}
+        assert len(keys) == 179
+        placed = [k for _, mine in held.values() for k in mine]
+        assert sorted(placed) == sorted(keys)
+        for rank, (hmap, mine) in held.items():
+            assert all(hmap._slot(k, 0)[0] == rank for k in mine), rank
 
     @pytest.mark.parametrize("nprocs,seed", sorted(DIGESTS))
     def test_factors_match_the_pinned_digest(self, nprocs, seed):

@@ -17,6 +17,20 @@ def run(nprocs, fn, *, faults=None, recv_timeout_s=30.0, **kwargs):
     return vm.run(fn, **kwargs)
 
 
+def homed_on(rank, nprocs, cap, count):
+    """The first ``count`` keys whose home is ``rank`` in a map of
+    ``nprocs`` ranks with ``cap`` slots each, and their home slots."""
+    keys, slots = [], []
+    for key in range(10_000):
+        s = _slot_hash(key) % (nprocs * cap)
+        if s // cap == rank:
+            keys.append(key)
+            slots.append(s % cap)
+            if len(keys) == count:
+                return keys, slots
+    raise AssertionError("not enough keys")
+
+
 class TestInsertFind:
     def test_insert_then_find_roundtrip(self):
         def spmd(comm):
@@ -149,18 +163,57 @@ class TestAccumulate:
 
 class TestCollisionsAndLimits:
     def test_probing_resolves_collisions_in_tiny_table(self):
-        # Capacity 8 with 8 keys: every slot fills, probing must resolve.
+        # Rank 0's block of 4 slots takes 4 keys homed on it, two of them
+        # on one home slot: every slot fills, probing must resolve.
+        keys, slots = homed_on(0, 2, 4, 4)
+        assert len(set(slots)) < len(slots)
+
         def spmd(comm):
             m = DistHashMap(comm, capacity_per_rank=4)
-            keys = list(range(8))
-            m.insert_all([(k, [float(k * k)]) for k in keys]
-                         if comm.rank == 0 else [])
-            return m.find_all(keys)
+            m.insert_all([(k, [float(k * k)]) for k in keys[comm.rank::2]])
+            return m.find_all(keys), m.local_size()
 
         res = run(2, spmd)
-        for found in res.values:
-            for k in range(8):
+        for found, _ in res.values:
+            for k in keys:
                 np.testing.assert_array_equal(found[k], [float(k * k)])
+        assert [n for _, n in res.values] == [4, 0]
+
+    def test_a_full_home_rank_raises_after_the_fence(self):
+        # Rank 1 of 3 is home to 5 keys, one more than its block holds,
+        # sent from two origins whose runs fit or from one whose run does
+        # not; ranks 0 and 2 have room.  Only rank 1 raises, after the
+        # fence: every other rank returns.
+        keys, _ = homed_on(1, 3, 4, 5)
+        spare = [homed_on(r, 3, 4, 1)[0][0] for r in (0, 2)]
+        for split in ({0: keys[:3], 2: keys[3:]}, {0: keys}):
+            def spmd(comm):
+                m = DistHashMap(comm, capacity_per_rank=4)
+                m.insert_all([(k, [1.0])
+                               for k in split.get(comm.rank, []) + spare])
+                return m.local_size()
+
+            with pytest.raises(SPMDError) as info:
+                run(3, spmd, recv_timeout_s=5.0)
+            [error] = info.value.errors
+            assert error.rank == 1
+            assert str(error.exception) == (
+                "DistHashMap is full: rank 1 is home to more than 4 keys")
+
+    def test_a_lookup_probes_at_most_its_home_block(self):
+        # A missing key homed on a full block: one get round per slot of
+        # the block, then the fence nobody looked up in.
+        keys, _ = homed_on(0, 2, 4, 5)
+
+        def spmd(comm):
+            m = DistHashMap(comm, capacity_per_rank=4)
+            m.insert_all([(k, [1.0]) for k in keys[:4]] if comm.rank else [])
+            before = comm.process.stats["rma_fences"]
+            found = m.find_all([keys[4]] if comm.rank else [])
+            return found, comm.process.stats["rma_fences"] - before
+
+        res = run(2, spmd)
+        assert res.values == [({}, 5), ({keys[4]: None}, 5)]
 
     def test_overfull_table_raises(self):
         def spmd(comm):
@@ -173,16 +226,15 @@ class TestCollisionsAndLimits:
 
 
 class TestRoundsEndOnAFence:
-    """A round loop ends at the first fence nobody issued in — the fence
-    reports it — not on a collective of its own."""
+    """A write is exactly one fence; a lookup's round loop ends at the
+    first fence nobody issued in — the fence reports it.  Neither runs a
+    collective of its own."""
 
     @staticmethod
-    def _counts(comm, body):
-        stats = comm.process.stats
-        keys = ("rma_fences", "hashmap_write_rounds")
-        before = [stats.get(k, 0) for k in keys]
+    def _fences(comm, body):
+        before = comm.process.stats.get("rma_fences", 0)
         body()
-        return [stats.get(k, 0) - b for k, b in zip(keys, before)]
+        return comm.process.stats.get("rma_fences", 0) - before
 
     def test_writes_and_finds_make_no_allreduce(self, monkeypatch):
         calls = []
@@ -195,7 +247,7 @@ class TestRoundsEndOnAFence:
         monkeypatch.setattr(Communicator, "allreduce", spy)
 
         def spmd(comm):
-            m = DistHashMap(comm, capacity_per_rank=4)
+            m = DistHashMap(comm, capacity_per_rank=8)
             m.accumulate_all([(k, [1.0]) for k in range(comm.rank, 8, 2)])
             return m.find_all(range(10))
 
@@ -205,25 +257,23 @@ class TestRoundsEndOnAFence:
             assert [found[k][0] for k in range(8)] == [1.0] * 8
             assert found[8] is None and found[9] is None
 
-    def test_a_write_costs_its_rounds_plus_one_fence(self):
+    def test_a_write_is_one_fence(self):
+        keys, _ = homed_on(0, 2, 4, 4)
+
         def spmd(comm):
             m = DistHashMap(comm, capacity_per_rank=4)
-            # a full table: later keys probe on through several rounds
-            return self._counts(comm, lambda: m.insert_all(
-                [(k, [float(k)]) for k in range(8)] if comm.rank == 0
-                else []))
+            # a full block, from both origins: no probe rounds on the wire
+            return self._fences(comm, lambda: m.insert_all(
+                [(k, [float(k)]) for k in keys[comm.rank::2]]))
 
-        res = run(2, spmd)
-        assert res.values[0] == res.values[1]
-        fences, rounds = res.values[0]
-        assert rounds > 1 and fences == rounds + 1
+        assert run(2, spmd).values == [1, 1]
 
     def test_an_all_empty_write_is_one_fence_and_no_round(self):
         def spmd(comm):
             m = DistHashMap(comm, capacity_per_rank=4)
-            return self._counts(comm, lambda: m.accumulate_all([]))
+            return self._fences(comm, lambda: m.accumulate_all([]))
 
-        assert run(3, spmd).values == [[1, 0]] * 3
+        assert run(3, spmd).values == [1] * 3
 
 
 class TestDeterminismAndFaults:

@@ -71,6 +71,42 @@ class TestRuleTargeting:
         assert not rule.matches(1, 2, "data")
         assert not rule.matches(0, 1, "data")
 
+    def test_rates_are_walked_once_per_channel_and_class(self, monkeypatch):
+        """A plan's rules are matched once per (src, dst, tag class), not
+        per message: collectives drawing a new wire tag per call add no
+        walks, and every answer is the rule walk's."""
+        walks = []
+        original = FaultRule.matches
+
+        def spy(self, src, dst, klass):
+            walks.append((src, dst, klass))
+            return original(self, src, dst, klass)
+
+        monkeypatch.setattr(FaultRule, "matches", spy)
+        drop = FaultRates(drop=0.5)
+        plan = FaultPlan(seed=1, rules=[
+            FaultRule(rates=drop, src=0, dst=1, classes=("user",)),
+            FaultRule(rates=FaultRates(), classes=("collective",))])
+
+        def spmd(comm):
+            for _ in range(10):
+                comm.allreduce(comm.rank, lambda a, b: a + b)
+            return comm.rank
+
+        run(3, spmd, faults=plan)
+        # each channel's collective class walked once: past the first
+        # rule to the second
+        assert walks and all(walks.count(w) == 2 for w in walks)
+        assert {k for _, _, k in walks} == {"collective"}
+        walks.clear()
+        plan = FaultPlan(seed=1, rules=plan.rules)
+        for _ in range(2):
+            assert plan.rates_for(0, 1, 5) is drop
+            assert plan.rates_for(1, 0, 5) is None
+            assert plan.rates_for(0, 1, (1 << 24) + 3) is None
+        assert FaultPlan(rates=drop, enabled=False).rates_for(
+            0, 1, TAG_DATA) is None
+
 
 class TestFaultEffects:
     def test_drop_returns_lost_receipt_and_never_delivers(self):

@@ -324,18 +324,18 @@ def cmd_serve(args) -> int:
     )
     ok = sum(1 for t in report.tenants if t.ok)
     shed = sum(t.ops_shed for t in report.tenants)
-    lat = sorted(x for t in report.tenants for x in t.latencies)
+    waited = sorted(x for t in report.tenants for x in t.rounds_waited)
     c = report.cache
     print(
         f"{ok}/{len(report.tenants)} tenants ok over {report.rounds} rounds "
         f"({shed} submissions shed, slot high water "
         f"{report.slot_high_water})"
     )
-    if lat:
-        p50 = lat[len(lat) // 2] * 1e6
-        p99 = lat[min(len(lat) - 1, int(len(lat) * 0.99))] * 1e6
-        print(f"op latency p50 {p50:.0f} us, p99 {p99:.0f} us "
-              f"({len(lat)} resolved ops)")
+    if waited:
+        p50 = waited[len(waited) // 2]
+        p99 = waited[min(len(waited) - 1, int(len(waited) * 0.99))]
+        print(f"rounds waited p50 {p50}, p99 {p99} "
+              f"({len(waited)} resolved ops)")
     # The server's store is a replica of the gateway's: one line for both.
     print(
         f"cache: {c['schedule_hits']} schedule hits / "

@@ -5,35 +5,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chaos.translation import TranslationTable
-from repro.core.dataplane import accept_local, read_flat
-from repro.distrib.irregular import IrregularDist
+from repro.core.registry import DistArray
 from repro.vmachine.comm import Communicator
 
 __all__ = ["ChaosArray"]
 
 
-class ChaosArray:
+class ChaosArray(DistArray):
     """One rank's piece of an irregularly distributed 1-D array.
 
     Local storage holds the rank's elements ordered by ascending global
     index (the Chaos convention baked into
-    :class:`~repro.distrib.irregular.IrregularDist`).
+    :class:`~repro.distrib.irregular.IrregularDist`).  The distribution is
+    the translation table's, ``table.dist``.
     """
 
     def __init__(self, comm: Communicator, table: TranslationTable, local: np.ndarray):
-        if table.nprocs != comm.size:
-            raise ValueError(
-                f"table spans {table.nprocs} procs, communicator has {comm.size}"
-            )
-        expected = table.dist.local_size(comm.rank)
-        if local.size != expected:
-            raise ValueError(
-                f"rank {comm.rank}: local storage {local.size} != {expected}"
-            )
-        self.comm = comm
+        super().__init__(comm, table.dist, local)
         self.table = table
-        # Zero-copy: any strided ndarray is first-class local storage.
-        self.local = accept_local(local)
 
     # -- collective constructors ------------------------------------------------
 
@@ -43,8 +32,7 @@ class ChaosArray:
     ) -> "ChaosArray":
         """Distributed zeros from a partitioner's owner map."""
         table = TranslationTable.from_owners(owners, comm.size)
-        n = table.dist.local_size(comm.rank)
-        return cls(comm, table, np.zeros(n, dtype=dtype))
+        return cls.zeros_over(comm, table, dtype)
 
     @classmethod
     def from_global(
@@ -52,57 +40,9 @@ class ChaosArray:
     ) -> "ChaosArray":
         """Each rank slices its elements out of a replicated global array."""
         table = TranslationTable.from_owners(owners, comm.size)
-        mine = table.local_indices(comm.rank)
-        return cls(comm, table, full[mine].copy())
+        return cls(comm, table, full[table.local_indices(comm.rank)])
 
     @classmethod
     def like(cls, other: "ChaosArray", dtype=None) -> "ChaosArray":
         """Same distribution (shared table), fresh zero storage."""
-        dtype = dtype or other.dtype
-        return cls(
-            other.comm, other.table, np.zeros(other.local.size, dtype=dtype)
-        )
-
-    # -- views --------------------------------------------------------------------
-
-    @property
-    def dist(self) -> IrregularDist:
-        return self.table.dist
-
-    @property
-    def size(self) -> int:
-        return self.table.size
-
-    @property
-    def global_shape(self) -> tuple[int, ...]:
-        return (self.table.size,)
-
-    @property
-    def dtype(self):
-        return self.local.dtype
-
-    @property
-    def itemsize(self) -> int:
-        return self.local.dtype.itemsize
-
-    def my_globals(self) -> np.ndarray:
-        """Global indices of the local elements (ascending)."""
-        return self.table.local_indices(self.comm.rank)
-
-    # -- test/debug helpers ----------------------------------------------------------
-
-    def gather_global(self) -> np.ndarray | None:
-        """Collect the full array on rank 0 (testing oracle)."""
-        pieces = self.comm.gather((self.comm.rank, read_flat(self.local).copy()))
-        if pieces is None:
-            return None
-        out = np.zeros(self.size, dtype=self.dtype)
-        for rank, local in pieces:
-            out[self.table.local_indices(rank)] = local
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"ChaosArray(size={self.size}, rank={self.comm.rank}/{self.comm.size}, "
-            f"nlocal={self.local.size})"
-        )
+        return cls.zeros_over(other.comm, other.table, dtype or other.dtype)

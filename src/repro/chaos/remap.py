@@ -50,10 +50,6 @@ def remap(
     """
     if schedule is None or new_table is None:
         schedule, new_table = build_remap_schedule(array, new_owners)
-    out = ChaosArray(
-        array.comm,
-        new_table,
-        np.zeros(new_table.dist.local_size(array.comm.rank), dtype=array.dtype),
-    )
+    out = ChaosArray.zeros_over(array.comm, new_table, array.dtype)
     schedule.execute(array.local, out.local, array.comm)
     return out

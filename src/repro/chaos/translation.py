@@ -73,6 +73,9 @@ class TranslationTable:
         """Memory footprint per rank (replicated: owner + offset words)."""
         return 16 * self.dist.size
 
+    def local_size(self, rank: int) -> int:
+        return self.dist.local_size(rank)
+
     def dereference(self, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Owner rank and local offset of each global index (charged)."""
         gidx = np.asarray(gidx, dtype=np.int64)

@@ -41,6 +41,7 @@ from repro.core.dataplane import (
 )
 from repro.core.wire import FusedBuffer, SegmentHeader
 from repro.core.registry import (
+    DistArray,
     LibraryAdapter,
     RemoteHandle,
     ensure_safe_cast,
@@ -101,6 +102,7 @@ __all__ = [
     "MaskRegion",
     "SetOfRegions",
     "Linearization",
+    "DistArray",
     "LibraryAdapter",
     "RemoteHandle",
     "get_adapter",

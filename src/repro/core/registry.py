@@ -16,12 +16,14 @@ parallel libraries ... a standard set of inquiry functions."  A
 
 "A major concern in designing Meta-Chaos was to require that relatively
 few procedures be provided by the data parallel library implementor" —
-the base class derives everything from four attributes every library
-array has (``dist``, ``global_shape``, ``itemsize``, ``local``), so a
+the base class derives everything from four attributes of a library
+array (``dist``, ``global_shape``, ``itemsize``, ``local``), so a
 concrete adapter is a name, its array type and a *cost policy*
 (closed-form regular arithmetic vs. per-element translation-table
 lookups), plus ``local_elements`` where the library enumerates its own
-elements differently.
+elements differently.  A library array subclasses :class:`DistArray`,
+which holds that storage protocol once (or supplies the four attributes
+itself).
 
 Adapters register by library name in a process-global registry, which is
 what the paper's ``MC_ComputeSched(HPF, ...)`` first argument looks up.
@@ -35,16 +37,24 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.dataplane import MoveProgram, compile_offsets, copy_compiled
+from repro.core.dataplane import (
+    MoveProgram,
+    accept_local,
+    compile_offsets,
+    copy_compiled,
+    read_flat,
+)
 from repro.core.runs import RunList
 from repro.core.setofregions import SetOfRegions
 from repro.core.region import SectionRegion
 from repro.distrib.base import DistDescriptor, Distribution
 from repro.distrib.cartesian import CartesianDist
 from repro.observe.spans import close_span
+from repro.vmachine.comm import Communicator
 from repro.vmachine.process import Process, current_process
 
 __all__ = [
+    "DistArray",
     "RemoteHandle",
     "LibraryAdapter",
     "register_adapter",
@@ -104,6 +114,102 @@ class MaterializedHandle:
         self.global_shape = remote.shape
         self.itemsize = remote.itemsize
         self.dist = remote.descriptor.materialize()
+
+
+class DistArray:
+    """One rank's piece of a distributed array: the storage every library
+    array shares.
+
+    ``dist`` maps each global element to its (rank, local offset);
+    ``local`` is this rank's storage in local-offset order.  Any strided
+    ndarray is first-class storage, aliased and never copied.  A library
+    array subclasses this and adds only its own constructors and
+    operations; :class:`LibraryAdapter` reads ``dist``, ``global_shape``,
+    ``itemsize`` and ``local``.  Every rank of ``comm`` holds one
+    instance, created collectively.
+    """
+
+    def __init__(self, comm: Communicator, dist: Distribution, local: np.ndarray):
+        if dist.nprocs != comm.size:
+            raise ValueError(
+                f"distribution spans {dist.nprocs} procs, communicator has {comm.size}"
+            )
+        expected = dist.local_size(comm.rank)
+        if local.size != expected:
+            raise ValueError(
+                f"rank {comm.rank}: local storage {local.size} != {expected}"
+            )
+        self.comm = comm
+        self.dist = dist
+        self.local = accept_local(local)
+
+    # -- collective constructors over a given distribution ----------------------
+
+    @classmethod
+    def zeros_over(cls, comm: Communicator, dist: Any, dtype=np.float64):
+        """Zero storage over ``dist`` — whatever ``cls``'s constructor takes
+        second (a :class:`~repro.chaos.ChaosArray` takes its table)."""
+        return cls(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
+
+    @classmethod
+    def from_global_over(cls, comm: Communicator, dist: Distribution, full):
+        """Each rank takes its elements of a replicated global array."""
+        mine = dist.owned_global(comm.rank)
+        return cls(comm, dist, np.asarray(full).reshape(-1)[mine])
+
+    # -- views --------------------------------------------------------------------
+
+    @property
+    def global_shape(self) -> tuple[int, ...]:
+        return self.dist.global_shape
+
+    @property
+    def local_shape(self) -> tuple[int, ...]:
+        return self.dist.local_shape(self.comm.rank)
+
+    @property
+    def local_nd(self) -> np.ndarray:
+        """Shaped view of the local storage."""
+        if self.local.ndim > 1:
+            if self.local.shape != self.local_shape:
+                raise ValueError(
+                    f"strided local storage {self.local.shape} does not "
+                    f"admit a {self.local_shape} view"
+                )
+            return self.local
+        return self.local.reshape(self.local_shape)
+
+    @property
+    def size(self) -> int:
+        return self.dist.size
+
+    @property
+    def dtype(self):
+        return self.local.dtype
+
+    @property
+    def itemsize(self) -> int:
+        return self.local.dtype.itemsize
+
+    def my_globals(self) -> np.ndarray:
+        """Flat global indices of the local elements, in storage order."""
+        return self.dist.owned_global(self.comm.rank)
+
+    def gather_global(self) -> np.ndarray | None:
+        """Collect the full global array on rank 0 (testing oracle)."""
+        pieces = self.comm.gather((self.comm.rank, read_flat(self.local).copy()))
+        if pieces is None:
+            return None
+        out = np.zeros(self.size, dtype=self.dtype)
+        for rank, local in pieces:
+            out[self.dist.owned_global(rank)] = local
+        return out.reshape(self.global_shape)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(shape={self.global_shape}, "
+            f"rank={self.comm.rank}/{self.comm.size}, local={self.local_shape})"
+        )
 
 
 class LibraryAdapter(abc.ABC):

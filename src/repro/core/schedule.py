@@ -74,9 +74,7 @@ class SchedulePeerStats:
     data buffer: how many elements travel to/from each peer, how many
     runs encode each half (the wire size of the schedule itself), and the
     payload bytes each peer-message would carry at ``itemsize`` bytes per
-    element.  Consumed by the :mod:`~repro.core.plan` compiler's fusion
-    decisions, the ``plan-summary`` CLI, and the executors' ``plan:fuse``
-    trace events.
+    element.  Read by the ``plan-summary`` CLI.
     """
 
     #: elements per destination-group peer (send half; nonempty peers only)
@@ -235,9 +233,8 @@ class CommSchedule:
         ``itemsize`` sizes the byte figures (default: 8-byte elements, the
         paper's doubles); pass the moved array's true element size for
         exact message payload bytes.  Purely local and cheap — O(peers),
-        reading only the run metadata, never a data buffer — so it is safe
-        to call inside executors (the ``plan:fuse`` trace events do) and
-        from inspection tooling (``python -m repro plan-summary``).
+        reading only the run metadata, never a data buffer.  Its one caller
+        is ``python -m repro plan-summary``.
         """
         send_elements = {d: len(v) for d, v in sorted(self.sends.items()) if len(v)}
         recv_elements = {s: len(v) for s, v in sorted(self.recvs.items()) if len(v)}

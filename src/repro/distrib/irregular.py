@@ -33,6 +33,7 @@ class IrregularDist(Distribution):
         self.owners = owners
         self.nprocs = nprocs
         self.size = len(owners)
+        self.global_shape = (self.size,)
         # offsets[g] = position of g within its owner's local storage
         self._offsets = np.zeros(self.size, dtype=np.int64)
         self._counts = np.bincount(owners, minlength=nprocs).astype(np.int64)
@@ -84,6 +85,9 @@ class IrregularDist(Distribution):
 
     def local_size(self, rank: int) -> int:
         return int(self._counts[rank])
+
+    def local_shape(self, rank: int) -> tuple[int, ...]:
+        return (self.local_size(rank),)
 
     def local_to_global(self, rank: int, offsets: np.ndarray) -> np.ndarray:
         return self._local_to_global[rank][np.asarray(offsets, dtype=np.int64)]

@@ -250,11 +250,7 @@ def align_array(
     offsets = tuple(offsets) if offsets is not None else (0,) * ndim
     strides = tuple(strides) if strides is not None else (1,) * ndim
     dist = AlignedDist(template.dist, shape, axes, offsets, strides)
-    if dist.nprocs != comm.size:
-        raise ValueError(
-            f"template spans {dist.nprocs} procs, communicator has {comm.size}"
-        )
-    return HPFArray(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
+    return HPFArray.zeros_over(comm, dist, dtype)
 
 
 register_descriptor_kind("aligned", AlignedDist.from_descriptor_payload)

@@ -19,13 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.dataplane import accept_local, read_flat
+from repro.core.registry import DistArray
 from repro.distrib.cartesian import (
     BLOCK,
     BLOCK_CYCLIC,
     COLLAPSED,
     CYCLIC,
-    CartesianDist,
     cartesian_dist,
 )
 from repro.vmachine.comm import Communicator
@@ -50,25 +49,8 @@ def parse_dist_spec(spec: str) -> tuple[str, int]:
     raise ValueError(f"unknown HPF distribution spec {spec!r}")
 
 
-class HPFArray:
+class HPFArray(DistArray):
     """One rank's piece of an HPF-distributed array."""
-
-    def __init__(self, comm: Communicator, dist: CartesianDist, local: np.ndarray):
-        if dist.nprocs != comm.size:
-            raise ValueError(
-                f"distribution spans {dist.nprocs} procs, communicator has {comm.size}"
-            )
-        expected = dist.local_size(comm.rank)
-        if local.size != expected:
-            raise ValueError(
-                f"rank {comm.rank}: local storage {local.size} != {expected}"
-            )
-        self.comm = comm
-        self.dist = dist
-        # Zero-copy: any strided ndarray (transposed, sliced,
-        # non-contiguous) is first-class local storage; the compiled
-        # data plane addresses it in place in logical (C) order.
-        self.local = accept_local(local)
 
     # -- collective constructors ------------------------------------------------
 
@@ -84,7 +66,7 @@ class HPFArray:
         """``!hpf$ distribute A(spec, spec, ...)``: zeros with the mapping."""
         dist = cartesian_dist(
             shape, tuple(map(parse_dist_spec, specs)), comm.size, grid)
-        return cls(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
+        return cls.zeros_over(comm, dist, dtype)
 
     @classmethod
     def from_global(
@@ -97,9 +79,7 @@ class HPFArray:
         """Each rank takes its elements of a replicated global array."""
         dist = cartesian_dist(
             full.shape, tuple(map(parse_dist_spec, specs)), comm.size, grid)
-        mine = dist.owned_global(comm.rank)
-        local = full.reshape(-1)[mine]
-        return cls(comm, dist, local.copy())
+        return cls.from_global_over(comm, dist, full)
 
     @classmethod
     def from_function(
@@ -117,61 +97,10 @@ class HPFArray:
         coordinates of this rank's elements, element-aligned) and returns
         the element values.
         """
-        dist = cartesian_dist(
-            shape, tuple(map(parse_dist_spec, specs)), comm.size, grid)
-        arr = cls(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
-        mine = dist.owned_global(comm.rank)
-        coords = np.unravel_index(mine, shape)
-        arr.local[:] = fn(*coords)
+        arr = cls.distribute(comm, shape, specs, grid, dtype)
+        arr.local[:] = fn(*np.unravel_index(arr.my_globals(), shape))
         return arr
-
-    # -- views --------------------------------------------------------------------
-
-    @property
-    def global_shape(self) -> tuple[int, ...]:
-        return self.dist.global_shape
-
-    @property
-    def local_shape(self) -> tuple[int, ...]:
-        return self.dist.local_shape(self.comm.rank)
-
-    @property
-    def local_nd(self) -> np.ndarray:
-        if self.local.ndim > 1:
-            if self.local.shape != self.local_shape:
-                raise ValueError(
-                    f"strided local storage {self.local.shape} does not "
-                    f"admit a {self.local_shape} view"
-                )
-            return self.local
-        return self.local.reshape(self.local_shape)
-
-    @property
-    def dtype(self):
-        return self.local.dtype
-
-    @property
-    def itemsize(self) -> int:
-        return self.local.dtype.itemsize
 
     def aligned_with(self, other: "HPFArray") -> bool:
         """True when both arrays share the same distribution."""
         return self.dist == other.dist
-
-    # -- test/debug helpers ----------------------------------------------------------
-
-    def gather_global(self) -> np.ndarray | None:
-        """Collect the full global array on rank 0 (testing oracle)."""
-        pieces = self.comm.gather((self.comm.rank, read_flat(self.local).copy()))
-        if pieces is None:
-            return None
-        out = np.zeros(int(np.prod(self.global_shape)), dtype=self.dtype)
-        for rank, local in pieces:
-            out[self.dist.owned_global(rank)] = local
-        return out.reshape(self.global_shape)
-
-    def __repr__(self) -> str:
-        return (
-            f"HPFArray(shape={self.global_shape}, dist={self.dist}, "
-            f"rank={self.comm.rank}/{self.comm.size})"
-        )

@@ -87,9 +87,7 @@ def cshift(array: HPFArray, shift: int, dim: int = 0) -> HPFArray:
     """
     n = array.global_shape[dim]
     shift %= n
-    out = HPFArray(
-        array.comm, array.dist, np.zeros(array.local.size, dtype=array.dtype)
-    )
+    out = HPFArray.zeros_over(array.comm, array.dist, array.dtype)
     if shift == 0:
         out.local[:] = array.local
         current_process().charge_mem(array.local.nbytes)

@@ -12,7 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.dataplane import accept_local, read_flat, write_flat
+from repro.core.dataplane import read_flat, write_flat
+from repro.core.registry import DistArray
 from repro.distrib.cartesian import BLOCK, CYCLIC, cartesian_dist
 from repro.distrib.base import Distribution
 from repro.distrib.irregular import IrregularDist
@@ -22,23 +23,8 @@ from repro.vmachine.process import current_process
 __all__ = ["DistributedCollection"]
 
 
-class DistributedCollection:
+class DistributedCollection(DistArray):
     """One rank's slice of a distributed element collection."""
-
-    def __init__(self, comm: Communicator, dist: Distribution, local: np.ndarray):
-        if dist.nprocs != comm.size:
-            raise ValueError(
-                f"distribution spans {dist.nprocs} procs, communicator has {comm.size}"
-            )
-        expected = dist.local_size(comm.rank)
-        if local.size != expected:
-            raise ValueError(
-                f"rank {comm.rank}: local storage {local.size} != {expected}"
-            )
-        self.comm = comm
-        self.dist = dist
-        # Zero-copy: any strided ndarray is first-class local storage.
-        self.local = accept_local(local)
 
     @classmethod
     def create(
@@ -63,7 +49,7 @@ class DistributedCollection:
             dist = IrregularDist(owners, comm.size)
         else:
             raise ValueError(f"unknown layout {layout!r}")
-        return cls(comm, dist, np.zeros(dist.local_size(comm.rank), dtype=dtype))
+        return cls.zeros_over(comm, dist, dtype)
 
     @classmethod
     def from_global(
@@ -73,27 +59,6 @@ class DistributedCollection:
         coll = cls.create(comm, len(full), layout, owners, dtype=full.dtype)
         coll.local[:] = full[coll.my_globals()]
         return coll
-
-    # -- views -----------------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.dist.size
-
-    @property
-    def global_shape(self) -> tuple[int, ...]:
-        return (self.dist.size,)
-
-    @property
-    def dtype(self):
-        return self.local.dtype
-
-    @property
-    def itemsize(self) -> int:
-        return self.local.dtype.itemsize
-
-    def my_globals(self) -> np.ndarray:
-        return self.dist.owned_global(self.comm.rank)
 
     # -- element-parallel methods ---------------------------------------------------
 
@@ -110,19 +75,3 @@ class DistributedCollection:
         local_val = functools.reduce(op, read_flat(self.local).tolist(), initial)
         current_process().charge_flops(self.local.size)
         return self.comm.allreduce(local_val, op)
-
-    def gather_global(self) -> np.ndarray | None:
-        """Collect all elements on rank 0 (testing oracle)."""
-        pieces = self.comm.gather((self.comm.rank, read_flat(self.local).copy()))
-        if pieces is None:
-            return None
-        out = np.zeros(self.size, dtype=self.dtype)
-        for rank, local in pieces:
-            out[self.dist.owned_global(rank)] = local
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"DistributedCollection(n={self.size}, "
-            f"rank={self.comm.rank}/{self.comm.size})"
-        )

@@ -77,8 +77,8 @@ class TenantReport:
     ops_ok: int = 0
     ops_failed: int = 0
     ops_shed: int = 0
-    #: wall-clock seconds from submission to resolution, per resolved op
-    latencies: list = field(default_factory=list)
+    #: rounds waited per resolved op (``SessionStats.rounds_waited``)
+    rounds_waited: list = field(default_factory=list)
 
 
 @dataclass
@@ -204,7 +204,7 @@ class _Dispatcher:
                 continue
             if len(harvested) >= MAX_BATCH_OPS:
                 break
-            harvested.append((session, session.queue.pop(0)))
+            harvested.append((session, session.queue.popleft()))
         self.admission.dispatched(len(harvested))
         return harvested
 
@@ -273,15 +273,17 @@ class _Dispatcher:
         session.evicted = True
         session.closed = True
         self._tenant_errors[session.name] = f"{type(exc).__name__}: {exc}"
-        dropped = list(session.queue)
-        session.queue.clear()
-        if dropped:
-            self.admission.dispatched(len(dropped))
-        for pending in dropped:
-            session.inflight -= 1
-            pending.future.cancel()
+        self._cancel_queued(session)
         self.state.proc.metrics.incr("svc_tenants_evicted")
         self._system_disconnect(session)
+
+    def _cancel_queued(self, session: Session) -> None:
+        """Drop ``session``'s queued ops: return their admission credit and
+        cancel their futures."""
+        self.admission.dispatched(len(session.queue))
+        while session.queue:
+            session.inflight -= 1
+            session.queue.popleft().future.cancel()
 
     def _system_disconnect(self, session: Session) -> None:
         if session.bindings or session.arrays:
@@ -292,13 +294,7 @@ class _Dispatcher:
         for session in self.sessions:
             session.evicted = True
             session.closed = True
-            undone = list(session.queue)
-            session.queue.clear()
-            if undone:
-                self.admission.dispatched(len(undone))
-            for pending in undone:
-                session.inflight -= 1
-                pending.future.cancel()
+            self._cancel_queued(session)
         for task in self.tasks:
             if not task.done():
                 task.cancel()
@@ -325,7 +321,7 @@ class _Dispatcher:
                     ops_ok=session.stats.ops_ok,
                     ops_failed=session.stats.ops_failed,
                     ops_shed=session.stats.ops_shed,
-                    latencies=list(session.stats.latencies),
+                    rounds_waited=list(session.stats.rounds_waited),
                 )
             )
         cache = self.state.cache.snapshot()

@@ -17,7 +17,7 @@ program: tenant state is replicated *by construction*, never shipped.
 from __future__ import annotations
 
 import asyncio
-import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
@@ -179,8 +179,9 @@ class SessionStats:
     ops_ok: int = 0
     ops_failed: int = 0
     ops_shed: int = 0
-    #: wall-clock seconds from submission to resolution, per resolved op
-    latencies: list = field(default_factory=list)
+    #: rounds each resolved op waited: the ``seq`` of the round that
+    #: resolved it minus the dispatcher's ``seq`` when it was queued
+    rounds_waited: list = field(default_factory=list)
 
 
 class Session:
@@ -190,7 +191,7 @@ class Session:
         self.tenant_id = tenant_id
         self.name = name
         self._core = core  # the gateway dispatcher (duck-typed)
-        self.queue: list[_Pending] = []
+        self.queue: deque[_Pending] = deque()
         self.inflight = 0
         self.closed = False
         self.evicted = False
@@ -218,11 +219,13 @@ class Session:
         return fut
 
     async def _transact(self, op) -> Reply:
-        t0 = time.perf_counter()
+        queued_at = self._core.seq
         reply: Reply = await self._submit(op)
         if reply.error == BUSY and not reply.ok:
             raise ServiceBusyError("submission shed by admission control")
-        self.stats.latencies.append(time.perf_counter() - t0)
+        # a resolved op resumes before the next round: the dispatcher's
+        # seq is one past the round that resolved it
+        self.stats.rounds_waited.append(self._core.seq - 1 - queued_at)
         if not reply.ok:
             self.stats.ops_failed += 1
             raise RemoteServiceError(reply.error)

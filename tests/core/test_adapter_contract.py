@@ -5,7 +5,9 @@ few procedures be provided by the data parallel library implementor."  A
 library adapter is a name, an array type and a cost policy; everything
 else :class:`~repro.core.registry.LibraryAdapter` derives from the
 ``dist`` / ``global_shape`` / ``itemsize`` / ``local`` attributes of the
-library's arrays.  This file holds that claim two ways:
+library's arrays, which every library array inherits from
+:class:`~repro.core.registry.DistArray`.  This file holds that claim two
+ways:
 
 - a fifth library — a vector cut into uneven contiguous segments, one per
   rank, over an :class:`~repro.distrib.irregular.IrregularDist` — is
@@ -45,6 +47,7 @@ from repro.core import registry
 from repro.core.coupling import CoupledExchange, coupled_universe
 from repro.core.dataplane import read_flat
 from repro.core.registry import (
+    DistArray,
     LibraryAdapter,
     get_adapter,
     register_adapter,
@@ -65,20 +68,14 @@ SHIPPED = registered_libraries()
 # -- the fifth library ----------------------------------------------------------
 
 
-class SegmentedVector:
+class SegmentedVector(DistArray):
     """One rank's segment of a vector cut into uneven contiguous pieces:
     rank r owns ``[sum(sizes[:r]), sum(sizes[:r + 1]))``."""
 
     def __init__(self, comm, sizes, dtype=np.float64):
-        self.comm = comm
-        self.dist = IrregularDist(np.repeat(np.arange(comm.size), sizes), comm.size)
-        self.global_shape = (self.dist.size,)
+        dist = IrregularDist(np.repeat(np.arange(comm.size), sizes), comm.size)
+        super().__init__(comm, dist, np.zeros(sizes[comm.rank], dtype=dtype))
         self.start = int(np.sum(sizes[:comm.rank]))
-        self.local = np.zeros(sizes[comm.rank], dtype=dtype)
-
-    @property
-    def itemsize(self) -> int:
-        return self.local.itemsize
 
 
 class SegmentedAdapter(LibraryAdapter):
@@ -121,6 +118,15 @@ def test_the_shipped_adapters_copy_no_introspection():
     for lib in SHIPPED:
         assert not derived & set(vars(type(get_adapter(lib)))), lib
     assert "local_elements" not in vars(type(get_adapter("pcxx")))
+
+
+def test_every_shipped_array_is_a_dist_array_that_restates_none_of_it():
+    provided = {name for name in vars(DistArray) if not name.startswith("__")}
+    provided.add("__repr__")
+    for lib in SHIPPED:
+        array_type = get_adapter(lib).array_type
+        assert issubclass(array_type, DistArray), lib
+        assert not provided & set(vars(array_type)), (lib, array_type)
 
 
 # -- one structure of every library over the same N values -------------------

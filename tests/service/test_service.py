@@ -10,6 +10,7 @@ rounds with shared caches.
 import asyncio
 import collections
 import gc
+import json
 import time
 import weakref
 
@@ -27,6 +28,7 @@ from repro.service import (
     run_service_gateway,
     serve_service,
 )
+from repro.replay import Recorder
 from repro.service.rounds import ProtocolError
 from repro.vmachine import ProgramSpec, SPMDError, run_programs
 from repro.vmachine.faults import FaultPlan, FaultRates
@@ -520,6 +522,34 @@ class TestBatching:
         assert report.ok
         assert summary["bindings_live"] == 0
         assert stores and all(len(c) <= 2 for c in stores)
+
+
+class TestRoundsWaited:
+    def test_an_op_waits_one_round_per_op_queued_ahead_of_it(self):
+        """A round takes one op per session, so three ops a tenant queues
+        at once resolve in three consecutive rounds."""
+        async def body(session):
+            await asyncio.gather(
+                *(session.call("vec", "total", "v0") for _ in range(3)))
+            await session.close()
+
+        report, _, _ = run_fleet([TenantSpec(f"t{i}", body) for i in range(2)])
+        assert report.ok
+        for t in report.tenants:
+            assert t.rounds_waited == [0, 1, 2]
+
+    def test_two_recordings_of_one_fleet_are_byte_identical(self):
+        """No wall-clock read reaches the report: rank 0's value digest
+        repeats like every other field of the artifact."""
+        recordings = []
+        for _ in range(2):
+            rec = Recorder()
+            report = run_service_demo(tenants=8, gateway_procs=2,
+                                      server_procs=2, shapes=2, size=N,
+                                      recorder=rec)[0]
+            assert report.ok
+            recordings.append(json.dumps(rec.artifact, sort_keys=True))
+        assert recordings[0] == recordings[1]
 
 
 @pytest.fixture

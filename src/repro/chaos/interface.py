@@ -39,15 +39,15 @@ class ChaosAdapter(LibraryAdapter):
         proc = current_process()
         shape = self.shape_of(handle)
         dist = self.dist_of(handle)
-        gidx = sor.global_flat(shape)
+        gidx = sor.range_to_global(0, sor.size, shape)  # read-only: no copy
         proc.charge_hash(len(gidx))
         mask = dist.owners[gidx] == rank if hasattr(dist, "owners") else None
         if mask is None:
             ranks, offsets = dist.owner_of_flat(gidx)
             self.charge_deref(len(gidx))
             mask = ranks == rank
-            return np.flatnonzero(mask).astype(np.int64), offsets[mask]
-        positions = np.flatnonzero(mask).astype(np.int64)
+            return np.flatnonzero(mask).astype(np.int64, copy=False), offsets[mask]
+        positions = np.flatnonzero(mask).astype(np.int64, copy=False)
         self.charge_deref(len(positions))
         offsets = dist.offset_within_owner(gidx[positions])
         return positions, offsets

@@ -277,12 +277,26 @@ class LibraryAdapter(abc.ABC):
 
         This is the paper's "dereferencing an object in a SetOfRegions to
         determine the owning processor and local address, and a position
-        in the linearization".
+        in the linearization".  A section over a Cartesian distribution
+        maps its per-dimension coordinates straight to (owner, offset).
         """
-        shape = self.shape_of(handle)
-        gidx = sor.lin_to_global(positions, shape)
-        self.charge_deref(len(gidx))
-        return self.dist_of(handle).owner_of_flat(gidx)
+        shape, dist = self.shape_of(handle), self.dist_of(handle)
+        parts = []
+        for region, sel, pos in sor.split_lin(positions):
+            if isinstance(region, SectionRegion) and isinstance(dist, CartesianDist):
+                region.check_fits(shape)
+                coords = region.section.lin_to_multi(pos, region.order)
+                parts.append((sel, *dist.owner_of_coords(coords)))
+            else:
+                gidx = region.lin_to_global(pos, shape)
+                parts.append((sel, *dist.owner_of_flat(gidx)))
+        self.charge_deref(len(positions))
+        if len(parts) == 1:
+            return parts[0][1:]
+        out = np.empty((2, len(positions)), dtype=np.int64)
+        for sel, ranks, offsets in parts:
+            out[0, sel], out[1, sel] = ranks, offsets
+        return out[0], out[1]
 
     def deref_range(
         self, handle: Any, sor: SetOfRegions, lo: int, hi: int

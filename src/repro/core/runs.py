@@ -216,7 +216,17 @@ class RunList:
         """
         if isinstance(arr, RunList):
             return arr
-        arr = np.asarray(arr, dtype=np.int64)
+        return cls._compress(np.asarray(arr, dtype=np.int64), True)
+
+    @classmethod
+    def adopt(cls, arr: np.ndarray) -> "RunList":
+        """:meth:`from_dense` of an array its caller has just made and
+        hands over: a dense form is kept as is (made read-only), not
+        copied."""
+        return cls._compress(np.asarray(arr, dtype=np.int64), False)
+
+    @classmethod
+    def _compress(cls, arr: np.ndarray, copy: bool) -> "RunList":
         if arr.ndim != 1:
             raise ValueError("offset sequences must be one-dimensional")
         n = len(arr)
@@ -229,7 +239,7 @@ class RunList:
             changes = _step_changes(arr)
             k = 1 + int(np.count_nonzero(changes))
             if k > 1 and 3 * k >= n:
-                dense = arr.copy()
+                dense = arr.copy() if copy else arr
                 dense.setflags(write=False)
                 return cls(None, dense, n, k)
             starts_idx = _starts_of(changes)
@@ -335,10 +345,11 @@ class RunList:
         runs = self._runs
         if len(runs) == 0:
             return np.zeros(0, dtype=np.int64)
+        # element i of run r is (start_r - step_r * base_r) + step_r * i
         starts, steps, counts = runs[:, 0], runs[:, 1], runs[:, 2]
-        offsets = np.arange(self._n, dtype=np.int64)
-        bases = np.repeat(np.cumsum(counts) - counts, counts)
-        return np.repeat(starts, counts) + np.repeat(steps, counts) * (offsets - bases)
+        first = starts - steps * (np.cumsum(counts) - counts)
+        return (np.repeat(first, counts)
+                + np.repeat(steps, counts) * np.arange(self._n, dtype=np.int64))
 
     def __array__(self, dtype=None, copy=None):
         out = self.dense()
@@ -463,10 +474,10 @@ class KeyGroups:
         return [values[span] for span in self._spans]
 
     def runlists(self, values: np.ndarray) -> dict[int, "RunList"]:
-        """:meth:`split`, each group compressed into a :class:`RunList`."""
-        return {
-            k: RunList.from_dense(v) for k, v in zip(self.keys, self.split(values))
-        }
+        """:meth:`split`, each group compressed into a :class:`RunList` —
+        adopted from a fresh gather, copied from a slice of ``values``."""
+        make = RunList.from_dense if self._order is None else RunList.adopt
+        return {k: make(v) for k, v in zip(self.keys, self.split(values))}
 
 
 def group_by_runs(keys: np.ndarray, values: np.ndarray) -> dict[int, "RunList"]:

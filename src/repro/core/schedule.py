@@ -546,8 +546,9 @@ def _halves(groups: KeyGroups, nranks: int, first, second) -> list[tuple]:
 
 
 def _encode(piece: tuple) -> tuple:
-    """Wire form of one ``(peers, offsets)`` piece: run-compressed."""
-    return RunList.from_dense(piece[0]), RunList.from_dense(piece[1])
+    """Wire form of one ``(peers, offsets)`` piece the builder made:
+    run-compressed, a dense form adopted."""
+    return RunList.adopt(piece[0]), RunList.adopt(piece[1])
 
 
 def _decode(piece: tuple) -> tuple:
@@ -557,8 +558,9 @@ def _decode(piece: tuple) -> tuple:
 
 def _assemble(half: list[tuple]) -> dict[int, RunList]:
     """One rank's schedule half from its per-chunk-owner dense pieces."""
-    peers = np.concatenate([p[0] for p in half])
-    return group_by_runs(peers, np.concatenate([p[1] for p in half]))
+    groups = KeyGroups(np.concatenate([p[0] for p in half]))
+    offsets = groups.split(np.concatenate([p[1] for p in half]))
+    return dict(zip(groups.keys, map(RunList.adopt, offsets)))
 
 
 def _distribute_pieces(

@@ -54,28 +54,30 @@ class SetOfRegions:
     def lin_to_global(
         self, positions: np.ndarray, shape: tuple[int, ...]
     ) -> np.ndarray:
-        """Flat global index of each linearization position (vectorized).
+        """Flat global index of each linearization position (vectorized)."""
+        out = np.empty(len(positions), dtype=np.int64)
+        for region, sel, pos in self.split_lin(positions):
+            out[sel] = region.lin_to_global(pos, shape)
+        return out
 
-        Positions are split by region (one searchsorted over the region
-        start offsets, then one stable grouping of the region ids) and
-        each group is resolved by its region; ascending positions split
-        into plain slices.  The output is ordered like ``positions``.
-        """
+    def split_lin(self, positions: np.ndarray) -> list[tuple]:
+        """``(region, selector, region-relative positions)`` per region the
+        ``positions`` fall in (a lone part selects all of them, in order):
+        one searchsorted over the region start offsets, one stable
+        grouping of the region ids (ascending positions split into slices)."""
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) == 0:
-            return np.zeros(0, dtype=np.int64)
+            return []
         if positions.min() < 0 or positions.max() >= self.size:
             raise IndexError("linearization position out of range")
         if len(self.regions) == 1:
-            return self.regions[0].lin_to_global(positions, shape)
+            return [(self.regions[0], slice(None), positions)]
         starts = self.starts
         groups = KeyGroups(np.searchsorted(starts, positions, side="right") - 1)
-        out = np.empty(len(positions), dtype=np.int64)
-        for rid, sel in zip(groups.keys, groups.selectors()):
-            out[sel] = self.regions[rid].lin_to_global(
-                positions[sel] - starts[rid], shape
-            )
-        return out
+        return [
+            (self.regions[rid], sel, positions[sel] - starts[rid])
+            for rid, sel in zip(groups.keys, groups.selectors())
+        ]
 
     def split_range(self, lo: int, hi: int) -> list[tuple[Region, int, int]]:
         """``(region, lo_r, hi_r)`` for every region the linearization

@@ -214,14 +214,18 @@ class CartesianDist(Distribution):
 
     def owner_of_flat(self, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gidx = np.asarray(gidx, dtype=np.int64)
-        # unravel_index is also the bounds check (ValueError outside
-        # [0, size)).  Rank and local offset are both C-order ravels —
-        # of the proc coords against the grid, and of the local coords
-        # against the owner's local shape — accumulated dimension by
-        # dimension: r = r * procs_d + pc_d, o = o * extent_d(pc_d) + lc_d.
-        multi = np.unravel_index(gidx, self.global_shape)
+        # unravel_index is also the bounds check (ValueError outside [0, size))
+        return self.owner_of_coords(np.unravel_index(gidx, self.global_shape))
+
+    def owner_of_coords(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """The one Cartesian dereference kernel: owner rank and local offset
+        of per-dimension global coordinates (int64 arrays that broadcast
+        together; not bounds-checked).  Both are C-order ravels — of the
+        proc coords against the grid, of the local coords against the
+        owner's local shape — accumulated dimension by dimension:
+        r = r * procs_d + pc_d, o = o * extent_d(pc_d) + lc_d."""
         ranks = offsets = None
-        for d, g, extent in zip(self.dims, multi, self._extents):
+        for d, g, extent in zip(self.dims, coords, self._extents):
             lc = g  # a dimension on one grid slot: proc coord 0 throughout
             if d.procs > 1:
                 pc, lc = d.map(g)
@@ -229,9 +233,16 @@ class CartesianDist(Distribution):
                 if not isinstance(extent, int):
                     extent = extent[pc]
             offsets = lc if offsets is None else offsets * extent + lc
-        if ranks is None:
-            ranks = np.zeros_like(gidx)
-        return ranks, offsets
+        return (np.zeros_like(offsets) if ranks is None else ranks), offsets
+
+    def owned_global(self, rank: int) -> np.ndarray:
+        # The C-order product of the per-dim owned indices, ravelled once.
+        flat = None
+        for d, c, e, n in zip(self.dims, self.coords_of_rank(rank),
+                              self.local_shape(rank), self.global_shape):
+            g = d.unmap(c, np.arange(e))
+            flat = g if flat is None else flat[..., None] * n + g
+        return flat.ravel()
 
     def local_to_global(self, rank: int, offsets: np.ndarray) -> np.ndarray:
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -256,10 +267,10 @@ class CartesianDist(Distribution):
         ``i`` of the returned arrays is linearization index ``i``.
 
         Closed form: each dimension's indices are mapped once (O(sum of
-        the section's per-dim counts)) and the per-element rank and
-        offset are built by broadcasting those per-dim tables — a few
-        whole-array operations, no per-element un-ravelling and no table
-        lookups.
+        the section's per-dim counts)) and :meth:`owner_of_coords`
+        broadcasts those per-dim tables into the per-element rank and
+        offset — a few whole-array operations, no per-element
+        un-ravelling and no table lookups.
         """
         if len(section.starts) != len(self.dims):
             raise ValueError("section rank mismatch")
@@ -267,14 +278,12 @@ class CartesianDist(Distribution):
             raise IndexError(
                 f"section {section} exceeds global shape {self.global_shape}"
             )
-        ranks = offsets = None
-        for d, dim in enumerate(self.dims):
-            pc, lc = dim.map(section.dim_indices(d))
-            if ranks is None:
-                ranks, offsets = pc, lc
-            else:
-                ranks = ranks[..., None] * dim.procs + pc
-                offsets = offsets[..., None] * dim.extent(pc) + lc
+        nd = len(self.dims)  # dimension d's indices along axis d of the grid
+        ranks, offsets = self.owner_of_coords([
+            section.dim_indices(d).reshape((-1,) + (1,) * (nd - 1 - d))
+            for d in range(nd)])
+        if ranks.shape != offsets.shape:  # trailing dims on one grid slot
+            ranks = np.broadcast_to(ranks, offsets.shape)
         return ranks.ravel(order=order), offsets.ravel(order=order)
 
     # -- descriptor ------------------------------------------------------------

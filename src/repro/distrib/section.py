@@ -187,22 +187,22 @@ class Section:
     def lin_to_multi(
         self, lin: np.ndarray, order: str = "C"
     ) -> tuple[np.ndarray, ...]:
-        """Per-dim *global* indices of the given linearization positions."""
-        lin = np.asarray(lin, dtype=np.int64)
-        if order == "C":
-            sub = np.unravel_index(lin, self.counts)
-        elif order == "F":
-            # First dimension fastest: peel coordinates low-dim first.
-            sub = []
-            rest = lin
-            for c in self.counts:
-                sub.append(rest % c)
-                rest = rest // c
-            sub = tuple(sub)
-        else:
+        """Per-dim *global* indices of the given linearization positions
+        (each in ``[0, size)``; not checked): peeled fastest-varying
+        dimension first, one floor division each (cheaper than
+        ``np.unravel_index``)."""
+        if order not in ("C", "F"):
             raise ValueError(f"order must be 'C' or 'F', got {order!r}")
+        rest = np.array(lin, dtype=np.int64)  # fresh: it ends up a coordinate
+        axes = range(self.ndim - 1, -1, -1) if order == "C" else range(self.ndim)
+        counts, sub = self.counts, [None] * self.ndim
+        for d in axes[:-1]:
+            q = rest // counts[d]
+            sub[d], rest = rest - q * counts[d], q
+        sub[axes[-1]] = rest
         return tuple(
-            self.starts[d] + sub[d] * self.steps[d] for d in range(self.ndim)
+            k if (lo, st) == (0, 1) else lo + k * st
+            for k, lo, st in zip(sub, self.starts, self.steps)
         )
 
     def intersect_block(

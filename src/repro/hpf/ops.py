@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.dataplane import read_flat, write_flat
 from repro.core.region import SectionRegion
 from repro.distrib.section import Section
 from repro.hpf.array import HPFArray
@@ -89,7 +90,7 @@ def cshift(array: HPFArray, shift: int, dim: int = 0) -> HPFArray:
     shift %= n
     out = HPFArray.zeros_over(array.comm, array.dist, array.dtype)
     if shift == 0:
-        out.local[:] = array.local
+        write_flat(out.local, read_flat(array.local))
         current_process().charge_mem(array.local.nbytes)
         return out
 

@@ -80,6 +80,20 @@ class TestCompressExpand:
         src[0] = -999
         assert rl.dense()[0] != -999
 
+    def test_adopt_keeps_the_array_it_is_handed(self):
+        """``adopt`` stores a dense array as is (read-only) instead of
+        copying it; every other property equals ``from_dense``'s."""
+        for name, arr in _cases().items():
+            arr = np.array(arr, dtype=np.int64)
+            adopted, copied = RunList.adopt(arr), RunList.from_dense(arr)
+            assert not np.shares_memory(copied.stored, arr), name
+            if not adopted.is_compressed:
+                assert np.shares_memory(adopted.stored, arr), name
+                assert not arr.flags.writeable, name
+            assert adopted.is_compressed == copied.is_compressed, name
+            assert (adopted.nruns, adopted.nbytes) == (copied.nruns, copied.nbytes)
+            np.testing.assert_array_equal(adopted.stored, copied.stored)
+
     def test_greedy_vs_optimal_2x_bound(self):
         """The runs.py docstring claim: greedy <= 2x the optimal partition.
 

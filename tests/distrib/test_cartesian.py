@@ -15,6 +15,7 @@ from repro.distrib.cartesian import (
     cartesian_dist,
     proc_grid,
 )
+from repro.distrib.base import Distribution
 from repro.distrib.section import Section
 
 
@@ -155,6 +156,25 @@ class TestCartesianDist:
         r2, o2 = dist.owner_of_flat(sec.global_flat(shape))
         np.testing.assert_array_equal(ranks, r2)
         np.testing.assert_array_equal(offsets, o2)
+
+
+def test_owned_global_is_the_base_class_answer():
+    """The closed form (per-dim ``unmap`` products, ravelled once) equals
+    the generic ``local_to_global(rank, arange(n))`` on every dim kind,
+    sizes the grid does not divide and a rank that owns nothing."""
+    extra = [
+        CartesianDist((DimDist(BLOCK, 5, 4),)),  # rank 3 owns no element
+        CartesianDist((DimDist(CYCLIC, 5, 2), DimDist(BLOCK, 7, 3),
+                       DimDist(BLOCK_CYCLIC, 6, 2, 4))),
+        CartesianDist((DimDist(BLOCK, 9, 2), DimDist(COLLAPSED, 4, 1),
+                       DimDist(CYCLIC, 3, 2))),
+    ]
+    for dist in DISTS + extra:
+        for r in range(dist.nprocs):
+            got = dist.owned_global(r)
+            want = Distribution.owned_global(dist, r)
+            np.testing.assert_array_equal(got, want, err_msg=repr(dist))
+            assert got.dtype == np.int64 and len(got) == dist.local_size(r)
 
 
 class TestErrors:

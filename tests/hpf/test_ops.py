@@ -83,6 +83,24 @@ class TestCshift:
         got = run_spmd(2, spmd).values[0]
         np.testing.assert_allclose(got, np.roll(G2, -4, axis=1))
 
+    def test_whole_period_on_strided_storage(self):
+        """A shift by 0 or by a whole extent copies the local block
+        whatever its layout: C- or Fortran-ordered 2-D storage."""
+
+        def spmd(comm):
+            x = HPFArray.from_global(comm, G2, ("block", "*"))
+            got = []
+            for order in "CF":
+                block = np.asarray(x.local_nd, order=order)
+                assert block.ndim == 2 and block.flags[f"{order}_CONTIGUOUS"]
+                strided = HPFArray(comm, x.dist, block)
+                for shift, dim in ((0, 0), (0, 1), (G2.shape[0], 0), (G2.shape[1], 1)):
+                    got.append(cshift(strided, shift, dim).gather_global())
+            return got
+
+        for got in run_spmd(2, spmd).values[0]:
+            np.testing.assert_array_equal(got, G2)
+
     def test_preserves_distribution(self):
         def spmd(comm):
             x = HPFArray.from_global(comm, G, ("cyclic",))
